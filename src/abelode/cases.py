@@ -40,6 +40,9 @@ __all__ = ["ReferenceRow", "CaseStudy", "CaseRun", "get_case", "run_case"]
 
 CASE_IDS = (1, 2, 3)
 
+#: y' = 1 - 3y + y^2 + y^3, ascending; also the literal credit-spread equation
+_CASE1_COEFFICIENTS = ("1", "-3", "1", "1")
+
 
 @dataclass(frozen=True)
 class ReferenceRow:
@@ -74,7 +77,7 @@ def get_case(case_id: int) -> CaseStudy:
         return CaseStudy(
             id=1,
             equation=build_equation(
-                ["1", "-3", "1", "1"], x0=0.0,
+                _CASE1_COEFFICIENTS, x0=0.0,
                 description="constant coefficients, limit -1+sqrt(2)",
             ),
             exact_limit=-1.0 + math.sqrt(2.0),

@@ -16,12 +16,15 @@ rtol, h0, h_min, h_max, newton_tol, newton_max_iters, max_steps)
 override the defaults.  Spread-curve runs use the parameter keys
 sigma0_sq, mu, r, eta1, eta2 instead of an equation block.
 
-Everything wrong with a config is a ConfigError carrying the offending
-line or key, so the CLI can map it to a usage-error exit.
+Numeric values must be finite; inf and nan are rejected like any other
+malformed number.  Everything wrong with a config is a ConfigError
+carrying the offending line or key, so the CLI can map it to a
+usage-error exit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .core import AbelEquation, build_equation
@@ -99,9 +102,12 @@ def load_pairs(path: str) -> dict[str, str]:
 
 def _get_float(pairs: dict[str, str], key: str) -> float:
     try:
-        return float(pairs[key])
+        value = float(pairs[key])
     except ValueError:
-        raise ConfigError(f"key {key!r}: not a number: {pairs[key]!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: not a finite number: {pairs[key]!r}")
+    return value
 
 
 def _get_int(pairs: dict[str, str], key: str) -> int:

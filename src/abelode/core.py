@@ -9,12 +9,17 @@ gives the monic normal form
 with the convention lambda_n == 1.  The normal form is what root finding
 and stability work on; the integrator consumes the raw right-hand side.
 
+Every polynomial in y is handled as one coefficient row (ascending
+powers) evaluated once per abscissa; _horner, _derivative_row and
+_taylor_shift are the only places that do arithmetic on such a row.
+
 All types are immutable after construction and hold no hidden state, so
 they can be shared freely across threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .expr import Expr, parse
@@ -34,16 +39,15 @@ __all__ = [
 
 
 class LeadingCoefficientError(ValueError):
-    """Leading coefficient vanished at a probe point; no normal form exists there."""
+    """Leading coefficient vanished at some x; no normal form exists there."""
 
 
 @dataclass(frozen=True)
 class CoefficientFn:
-    """One coefficient a_k: a parsed expression with its domain start."""
+    """One coefficient a_k: a parsed expression with its label."""
 
     expr: Expr
     label: str
-    domain_start: float
 
     def __call__(self, x: float) -> float:
         return self.expr.eval(x)
@@ -79,7 +83,7 @@ def build_equation(
 ) -> AbelEquation:
     """Build an equation from coefficient strings in ascending order a_0..a_n."""
     coeffs = tuple(
-        CoefficientFn(parse(src), f"a{k}", float(x0))
+        CoefficientFn(parse(src), f"a{k}")
         for k, src in enumerate(coeff_sources)
     )
     return AbelEquation(len(coeffs) - 1, coeffs, float(x0), description)
@@ -95,39 +99,63 @@ class NormalForm:
     def a_n(self, x: float) -> float:
         return self.equation.leading(x)
 
+    def _nonzero_leading(self, x: float) -> float:
+        """a_n(x), raising LeadingCoefficientError where it vanishes."""
+        an = self.equation.leading(x)
+        if an == 0.0:
+            raise LeadingCoefficientError(
+                f"leading coefficient {self.equation.leading.label} vanishes at x={x!r}"
+            )
+        return an
+
     def lam(self, k: int, x: float) -> float:
         """lambda_k(x); k == degree returns the monic leading 1."""
-        if k == self.degree:
-            return 1.0
-        return self.equation.coeffs[k](x) / self.equation.leading(x)
+        return 1.0 if k == self.degree else self.lambdas(x)[k]
 
     def lambdas(self, x: float) -> list[float]:
         """[lambda_0(x), ..., lambda_{n-1}(x)]."""
-        an = self.equation.leading(x)
+        an = self._nonzero_leading(x)
         return [c(x) / an for c in self.equation.coeffs[:-1]]
 
 
 # Probe offsets past x0 used to reject a leading coefficient that vanishes
-# somewhere obvious; a zero elsewhere surfaces later as a division error.
+# somewhere obvious; a zero elsewhere raises LeadingCoefficientError from
+# the normal form at the abscissa where it is met.
 _PROBE_OFFSETS = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 
 def normalize(equation: AbelEquation) -> NormalForm:
     """Return the monic normal form, probing a_n != 0 near x0."""
+    nf = NormalForm(equation, equation.degree)
     for offset in _PROBE_OFFSETS:
-        x = equation.x0 + offset
-        if equation.leading(x) == 0.0:
-            raise LeadingCoefficientError(
-                f"leading coefficient {equation.leading.label} vanishes at x={x!r}"
-            )
-    return NormalForm(equation, equation.degree)
+        nf._nonzero_leading(equation.x0 + offset)
+    return nf
 
 
 def _horner(coefficients: list[float], y: float) -> float:
+    """Value at y of the polynomial with ascending coefficients."""
     acc = 0.0
     for c in reversed(coefficients):
         acc = acc * y + c
     return acc
+
+
+def _derivative_row(coefficients: list[float]) -> list[float]:
+    """Ascending coefficients of the y-derivative: [k c_k for k >= 1]."""
+    return [k * c for k, c in enumerate(coefficients)][1:]
+
+
+def _taylor_shift(coefficients: list[float], g: float) -> list[float]:
+    """Ascending coefficients in v of the polynomial at y = g + v.
+
+    Entry k is (1/k!) d^k/dy^k at g = sum_{j>=k} binom(j, k) c_j g^{j-k},
+    summed by Horner in g from the highest power down.
+    """
+    n = len(coefficients)
+    return [
+        _horner([math.comb(j, k) * coefficients[j] for j in range(k, n)], g)
+        for k in range(n)
+    ]
 
 
 def eval_rhs(equation: AbelEquation, x: float, y: float) -> float:
@@ -137,9 +165,7 @@ def eval_rhs(equation: AbelEquation, x: float, y: float) -> float:
 
 def eval_drhs(equation: AbelEquation, x: float, y: float) -> float:
     """d/dy of the right-hand side: sum_{k>=1} k a_k(x) y^{k-1}."""
-    return _horner(
-        [k * c(x) for k, c in enumerate(equation.coeffs)][1:], y
-    )
+    return _horner(_derivative_row([c(x) for c in equation.coeffs]), y)
 
 
 def eval_F(nf: NormalForm, x: float, y: float) -> float:
@@ -149,5 +175,4 @@ def eval_F(nf: NormalForm, x: float, y: float) -> float:
 
 def eval_dF(nf: NormalForm, x: float, y: float) -> float:
     """dF/dy = n y^{n-1} + sum_{1<=k<n} k lambda_k(x) y^{k-1} (lambda_n == 1)."""
-    lams = nf.lambdas(x) + [1.0]
-    return _horner([k * lam for k, lam in enumerate(lams)][1:], y)
+    return _horner(_derivative_row(nf.lambdas(x) + [1.0]), y)

@@ -23,7 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NormalForm, eval_F, eval_dF
+from .core import (
+    LeadingCoefficientError,
+    NormalForm,
+    _derivative_row,
+    _horner,
+    eval_F,
+)
+from .expr import ExprDomainError
 
 __all__ = [
     "GridSpec",
@@ -174,23 +181,16 @@ def _poly_real_roots(coeffs: list[float]) -> list[float]:
     Recursive derivative isolation: monotone between critical points, so a
     sign scan over the critical-point partition of [-R, R] is exhaustive.
     """
-    n = len(coeffs) - 1
-    if n == 1:
+    if len(coeffs) == 2:
         return [-coeffs[0]]
 
-    def f(y: float) -> float:
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * y + c
-        return acc
-
-    deriv = [k * coeffs[k] for k in range(1, n + 1)]
+    deriv = _derivative_row(coeffs)
     lead = deriv[-1]
     critical = _poly_real_roots([c / lead for c in deriv])
 
     bound = 2.0 * (1.0 + max(abs(c) for c in coeffs[:-1]))
     pts = [-bound] + sorted(c for c in critical if -bound < c < bound) + [bound]
-    vals = [f(p) for p in pts]
+    vals = [_horner(coeffs, p) for p in pts]
     scale = 1.0 + max(abs(c) for c in coeffs)
     zero_tol = 1e-12 * scale
 
@@ -217,7 +217,7 @@ def _poly_real_roots(coeffs: list[float]) -> list[float]:
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
-            fm = f(mid)
+            fm = _horner(coeffs, mid)
             if fm == 0.0:
                 lo = hi = mid
                 break
@@ -227,21 +227,18 @@ def _poly_real_roots(coeffs: list[float]) -> list[float]:
                 hi = mid
         root = 0.5 * (lo + hi)
         # Newton polish, at most 5 steps, kept inside the bracket
-        fr = f(root)
-        dcoeffs = deriv
+        fr = _horner(coeffs, root)
         for _ in range(5):
             if abs(fr) <= NEWTON_RESIDUAL_TOL * scale:
                 break
-            d = 0.0
-            for c in reversed(dcoeffs):
-                d = d * root + c
+            d = _horner(deriv, root)
             if d == 0.0:
                 break
             step = fr / d
             candidate = root - step
             if not (a <= candidate <= b):
                 break
-            fc = f(candidate)
+            fc = _horner(coeffs, candidate)
             if abs(fc) >= abs(fr):
                 break
             root, fr = candidate, fc
@@ -282,11 +279,17 @@ def _select_root(roots: list[float], previous: float) -> float | None:
     return nearest
 
 
-def _count_positive_stable(nf: NormalForm, x: float, roots: list[float]) -> int:
+def _roots_and_slope(nf: NormalForm, x: float) -> tuple[list[float], list[float]]:
+    """Real roots of F(x, .) and the dF/dy row, from one coefficient row."""
+    row = nf.lambdas(x) + [1.0]
+    return _poly_real_roots(row), _derivative_row(row)
+
+
+def _count_positive_stable(roots: list[float], slope: list[float]) -> int:
     return sum(
         1
         for r in roots
-        if r > POSITIVE_THRESHOLD and eval_dF(nf, x, r) < 0.0
+        if r > POSITIVE_THRESHOLD and _horner(slope, r) < 0.0
     )
 
 
@@ -298,13 +301,13 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
     """
     xs = grid.xs()
     x0 = float(xs[0])
-    roots0 = real_roots(nf, x0)
+    roots0, slope0 = _roots_and_slope(nf, x0)
     first = next((r for r in roots0 if r > POSITIVE_THRESHOLD), None)
     if first is None:
         raise BranchError("no positive equilibrium at the first grid point", x0)
 
-    points = [BranchPoint(x0, first, eval_dF(nf, x0, first))]
-    ambiguous = 1 if _count_positive_stable(nf, x0, roots0) > 1 else 0
+    points = [BranchPoint(x0, first, _horner(slope0, first))]
+    ambiguous = 1 if _count_positive_stable(roots0, slope0) > 1 else 0
 
     def advance(e_prev: float, x: float, roots: list[float]) -> float:
         value = _select_root(roots, e_prev)
@@ -317,20 +320,21 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
     for x_raw in xs[1:]:
         x = float(x_raw)
         prev = points[-1]
-        roots = real_roots(nf, x)
+        roots, slope = _roots_and_slope(nf, x)
         value = advance(prev.E, x, roots)
         if math.isnan(value):
             # refine once: step through the midpoint in the grid metric
             mid = grid.midpoint(prev.x, x)
-            mid_value = advance(prev.E, mid, real_roots(nf, mid))
+            mid_roots, mid_slope = _roots_and_slope(nf, mid)
+            mid_value = advance(prev.E, mid, mid_roots)
             if math.isnan(mid_value):
                 raise BranchError("branch lost (jump beyond threshold)", mid)
-            points.append(BranchPoint(mid, mid_value, eval_dF(nf, mid, mid_value)))
+            points.append(BranchPoint(mid, mid_value, _horner(mid_slope, mid_value)))
             value = advance(mid_value, x, roots)
             if math.isnan(value):
                 raise BranchError("branch lost (jump beyond threshold)", x)
-        points.append(BranchPoint(x, value, eval_dF(nf, x, value)))
-        if _count_positive_stable(nf, x, roots) > 1:
+        points.append(BranchPoint(x, value, _horner(slope, value)))
+        if _count_positive_stable(roots, slope) > 1:
             ambiguous += 1
 
     branch = EquilibriumBranch(points, grid, None, ambiguous)
@@ -348,7 +352,7 @@ def _dF_dx(nf: NormalForm, x: float, y: float) -> float:
     h = max(1e-6, 1e-8 * abs(x))
     try:
         return (eval_F(nf, x + h, y) - eval_F(nf, x - h, y)) / (2.0 * h)
-    except Exception:
+    except (ExprDomainError, LeadingCoefficientError):
         # domain edge (coefficient undefined just below x); fall back one-sided
         return (eval_F(nf, x + h, y) - eval_F(nf, x, y)) / h
 

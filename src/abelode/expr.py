@@ -20,6 +20,10 @@ unary minus binds tighter than "*" and "/" but looser than "^"
 ("-x^2" is -(x^2)), everything else is left-associative.  Unary minus
 evaluates as (0 - operand).
 
+Nesting is limited: an expression whose parentheses, calls, unary minuses
+and "^" nest more than 100 deep, or whose syntax tree is more than 100
+levels high (e.g. a sum of more than 100 terms), is an ExprSyntaxError.
+
 Evaluation is strict about domains: log/sqrt outside their domain,
 division by zero, and overflow to a non-finite value raise
 ExprDomainError instead of producing NaN or inf.
@@ -49,6 +53,10 @@ _CONSTANTS = {
     "pi": math.pi,
     "e": math.e,
 }
+
+#: deepest nesting accepted (see _Parser); parsing recurses at most five
+#: frames per level, evaluation and printing one
+_MAX_DEPTH = 100
 
 
 class ExprError(ValueError):
@@ -283,49 +291,63 @@ class _Tokenizer:
 
 
 class _Parser:
+    """Recursive descent; parse_* take the nesting level of their text and
+    return (node, tree height), both capped at _MAX_DEPTH."""
+
     def __init__(self, source: str):
         self.tokens = _Tokenizer(source)
 
     def parse(self) -> object:
-        node = self.parse_expr()
+        node, _ = self.parse_expr(0)
         if not self.tokens.at_end():
             raise self.tokens.error("unexpected trailing input")
         return node
 
-    def parse_expr(self) -> object:
-        node = self.parse_term()
+    def _limit(self, depth: int) -> int:
+        if depth > _MAX_DEPTH:
+            raise self.tokens.error(f"expression nested deeper than {_MAX_DEPTH} levels")
+        return depth
+
+    def parse_expr(self, level: int) -> tuple[object, int]:
+        node, height = self.parse_term(level)
         while True:
             op = self.tokens.take_operator("+-")
             if op is None:
-                return node
-            node = _Bin(op, node, self.parse_term())
+                return node, height
+            right, right_height = self.parse_term(level)
+            node = _Bin(op, node, right)
+            height = self._limit(1 + max(height, right_height))
 
-    def parse_term(self) -> object:
-        node = self.parse_factor()
+    def parse_term(self, level: int) -> tuple[object, int]:
+        node, height = self.parse_factor(level)
         while True:
             op = self.tokens.take_operator("*/")
             if op is None:
-                return node
-            node = _Bin(op, node, self.parse_factor())
+                return node, height
+            right, right_height = self.parse_factor(level)
+            node = _Bin(op, node, right)
+            height = self._limit(1 + max(height, right_height))
 
-    def parse_factor(self) -> object:
+    def parse_factor(self, level: int) -> tuple[object, int]:
         if self.tokens.take_operator("-"):
-            return _Neg(self.parse_factor())
-        return self.parse_power()
+            operand, height = self.parse_factor(self._limit(level + 1))
+            return _Neg(operand), self._limit(height + 1)
+        return self.parse_power(level)
 
-    def parse_power(self) -> object:
-        base = self.parse_atom()
+    def parse_power(self, level: int) -> tuple[object, int]:
+        base, height = self.parse_atom(level)
         if self.tokens.take_operator("^"):
             # recurse through factor so "2^-3" parses and "^" right-associates
-            return _Bin("^", base, self.parse_factor())
-        return base
+            exponent, exp_height = self.parse_factor(self._limit(level + 1))
+            return _Bin("^", base, exponent), self._limit(1 + max(height, exp_height))
+        return base, height
 
-    def parse_atom(self) -> object:
+    def parse_atom(self, level: int) -> tuple[object, int]:
         number = self.tokens.take_number()
         if number is not None:
-            return _Num(number)
+            return _Num(number), 1
         if self.tokens.take_operator("("):
-            node = self.parse_expr()
+            node = self.parse_expr(self._limit(level + 1))
             self.tokens.expect(")")
             return node
         name_token = self.tokens.take_name()
@@ -333,13 +355,13 @@ class _Parser:
             name, start = name_token
             if name in _FUNCTIONS:
                 self.tokens.expect("(")
-                argument = self.parse_expr()
+                argument, height = self.parse_expr(self._limit(level + 1))
                 self.tokens.expect(")")
-                return _Call(name, argument)
+                return _Call(name, argument), self._limit(height + 1)
             if name == "x":
-                return _Var()
+                return _Var(), 1
             if name in _CONSTANTS:
-                return _Const(name)
+                return _Const(name), 1
             raise self.tokens.error(f"unknown identifier {name!r}", start)
         raise self.tokens.error("expected a number, name or parenthesis")
 

@@ -22,11 +22,12 @@ through Q): "parametric" builds the coefficients from MertonParams,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
+from .cases import _CASE1_COEFFICIENTS
 from .core import AbelEquation, build_equation, normalize
 from .equilibrium import BranchError, EquilibriumBranch, GridSpec, continue_branch
 from .hypotheses import HypothesisReport, verify
@@ -239,7 +240,7 @@ def case1_calibration_check(
 def literal_case1_equation() -> AbelEquation:
     """Constant-coefficient spread equation with the triple (1, -3, 1)."""
     return build_equation(
-        ["1", "-3", "1", "1"],
+        _CASE1_COEFFICIENTS,
         x0=LITERAL_X0,
         description="constant-coefficient spread equation",
     )
@@ -294,13 +295,8 @@ def spread_curve(
     the numeric plateau to basis points (1e4 per unit spread).
     """
     if literal_case1:
-        equation = literal_case1_equation()
-        mode = "literal-case1"
         start = LITERAL_X0 if x0 is None else x0
-        if start != LITERAL_X0:
-            equation = build_equation(
-                ["1", "-3", "1", "1"], x0=start, description=equation.description
-            )
+        equation = replace(literal_case1_equation(), x0=float(start))
     else:
         if params is None:
             raise ValueError("parametric mode needs MertonParams")

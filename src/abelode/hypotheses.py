@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NormalForm
+from .core import LeadingCoefficientError, NormalForm
 from .equilibrium import (
     POSITIVE_THRESHOLD,
     EquilibriumBranch,
@@ -38,6 +38,7 @@ from .equilibrium import (
     branch_derivative,
     branch_limit,
 )
+from .expr import ExprDomainError
 from .rate import PhiAccumulator
 
 __all__ = [
@@ -147,7 +148,7 @@ def check_structural(
     for x in branch.xs:
         try:
             an_vals.append(nf.a_n(float(x)))
-        except Exception:
+        except ExprDomainError:
             bad_x = float(x)
             break
     if bad_x is not None:
@@ -170,7 +171,7 @@ def check_structural(
     for x in branch.xs:
         try:
             values = nf.lambdas(float(x))
-        except Exception:
+        except (ExprDomainError, LeadingCoefficientError):
             lam_bad = float(x)
             break
         if not all(math.isfinite(v) for v in values):

@@ -27,7 +27,7 @@ Characteristics:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -316,17 +316,6 @@ def _rhs_pair(equation: AbelEquation):
     return f, df
 
 
-def _with_defaults(config: SolverConfig | None, x0: float, x_end: float) -> SolverConfig:
-    config = config or SolverConfig()
-    span = x_end - x0
-    updates = {}
-    if config.h0 is None:
-        updates["h0"] = 1e-3 * span
-    if config.h_max is None:
-        updates["h_max"] = span / 10.0
-    return replace(config, **updates) if updates else config
-
-
 def integrate(
     equation: AbelEquation,
     y0: float,
@@ -335,7 +324,6 @@ def integrate(
     checkpoints=None,
 ) -> IntegrationResult:
     """Integrate an equation from (equation.x0, y0) to x_end."""
-    config = _with_defaults(config, equation.x0, x_end)
     f, df = _rhs_pair(equation)
     return integrate_rhs(f, df, equation.x0, y0, x_end, config, checkpoints)
 
@@ -389,18 +377,17 @@ def empirical_order(
     if not h_list:
         raise OrderTestError("h_list must be nonempty")
     f, df = _rhs_pair(equation)
-    run_config = _with_defaults(config, equation.x0, x_end)
     h_ref = min(float(h) for h in h_list) / 16.0
     try:
         reference = integrate_fixed_rhs(
-            f, df, equation.x0, y0, x_end, h_ref, run_config
+            f, df, equation.x0, y0, x_end, h_ref, config
         )
     except NewtonFailure as failure:
         raise OrderTestError(f"reference run failed: {failure}") from None
     errors = []
     for h in h_list:
         try:
-            run = integrate_fixed_rhs(f, df, equation.x0, y0, x_end, float(h), run_config)
+            run = integrate_fixed_rhs(f, df, equation.x0, y0, x_end, float(h), config)
         except NewtonFailure as failure:
             raise OrderTestError(f"fixed-step run failed at h={h!r}: {failure}") from None
         errors.append(abs(run.final_y - reference.final_y))

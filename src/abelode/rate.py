@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NormalForm, eval_F
-from .equilibrium import EquilibriumBranch, branch_derivative
+from .core import NormalForm, _taylor_shift
+from .equilibrium import BranchPoint, EquilibriumBranch, branch_derivative
 from .radau import IntegrationResult, SolverConfig
 
 __all__ = [
@@ -102,24 +102,14 @@ def phi(nf: NormalForm, branch: EquilibriumBranch, x: float, x_from: float | Non
     return PhiAccumulator(nf, branch).value(x, x_from)
 
 
-def _dFk_over_kfact(nf: NormalForm, x: float, e: float, k: int) -> float:
-    """(1/k!) d^k F/dy^k at (x, e): sum_j C(j, k) lambda_j e^{j-k}."""
-    lams = nf.lambdas(x) + [1.0]
-    total = 0.0
-    for j in range(k, nf.degree + 1):
-        total += math.comb(j, k) * lams[j] * e ** (j - k)
-    return total
-
-
 def remainder_constant(nf: NormalForm, branch: EquilibriumBranch) -> float:
-    """C_R = max over the branch grid of sum_{k>=2} |(1/k!) d^k F/dy^k| M_E^{k-2}."""
+    """C_R = max over the branch grid of sum_{k>=2} |(1/k!) d^k F/dy^k| M_E^{k-2};
+    the (1/k!) d^k F/dy^k at (x, E) are F(x, .) Taylor-shifted to E."""
     m_e = branch.sup_E
     best = 0.0
     for p in branch.points:
-        total = 0.0
-        for k in range(2, nf.degree + 1):
-            total += abs(_dFk_over_kfact(nf, p.x, p.E, k)) * m_e ** (k - 2)
-        best = max(best, total)
+        shifted = _taylor_shift(nf.lambdas(p.x) + [1.0], p.E)
+        best = max(best, sum(abs(t) * m_e ** i for i, t in enumerate(shifted[2:])))
     return best
 
 
@@ -142,7 +132,11 @@ def rate_bound(
     """Evaluate the envelope on the accepted points covered by the branch.
 
     All three K terms use cumulative trapezoid sums on the accepted grid, so
-    the bound is monotone in its integral terms by construction.
+    the bound is monotone in its integral terms by construction.  The sums
+    are carried already multiplied by Phi (see _damped_cumtrapz), so Phi^{-1}
+    is never formed and the bound stays finite where Phi underflows to 0.
+    B3_integral is the undamped drift integral; it is inf where that
+    exceeds the float range.
     """
     mask = (result.xs >= branch.x_start) & (result.xs <= branch.x_end)
     xs = result.xs[mask]
@@ -152,51 +146,50 @@ def rate_bound(
 
     accumulator = PhiAccumulator(nf, branch)
     log_phi0 = accumulator.integral(float(xs[0]))
-    phi_vals = np.array(
-        [math.exp(accumulator.integral(float(x)) - log_phi0) for x in xs]
-    )
+    log_phi = [accumulator.integral(float(x)) - log_phi0 for x in xs]
+    phi_vals = np.array([math.exp(v) for v in log_phi])
+    ratios = [math.exp(b - a) for a, b in zip(log_phi, log_phi[1:])]
     e_vals = branch.interp_E(xs)
     z_abs = np.abs(ys - e_vals)
 
-    # |E'| at the accepted points, via the branch's implicit derivative
-    e_prime = np.array(
-        [abs(branch_derivative(nf, _nearest_point(branch, float(x)))) for x in xs]
-    )
+    # |E'| at the accepted points, via the branch's implicit derivative; the
+    # interpolants return the stored values exactly at branch grid points
+    e_prime = np.array([
+        abs(branch_derivative(nf, BranchPoint(float(x), float(e), float(lam))))
+        for x, e, lam in zip(xs, e_vals, branch.interp_Lambda(xs))
+    ])
     an_vals = np.array([nf.a_n(float(x)) for x in xs])
 
-    inv_phi = 1.0 / phi_vals
-    drift = _cumtrapz(inv_phi * e_prime, xs)
-    feedback = _cumtrapz(inv_phi * z_abs * np.abs(an_vals), xs)
+    drift = _damped_cumtrapz(e_prime, xs, ratios)
+    feedback = _damped_cumtrapz(z_abs * np.abs(an_vals), xs, ratios)
 
     c_r = remainder_constant(nf, branch)
     m_e = branch.sup_E
-    K = z_abs[0] + drift + c_r * m_e * feedback
-    bound = phi_vals * K
+    bound = phi_vals * z_abs[0] + drift + c_r * m_e * feedback
 
     note = ""
-    if K[-1] > 0.0 and (c_r * m_e * feedback[-1]) > 0.5 * K[-1]:
+    if bound[-1] > 0.0 and (c_r * m_e * feedback[-1]) > 0.5 * bound[-1]:
         note = (
             "remainder term exceeds 50% of the envelope amplitude; "
             "the linear bound is loose here"
         )
-    return RateBound(xs, phi_vals, bound, c_r, m_e, float(drift[-1]), note)
+    # Python floats: a quotient beyond the float range is inf, without a warning
+    drift_end, phi_end = float(drift[-1]), float(phi_vals[-1])
+    b3 = drift_end / phi_end if phi_end > 0.0 else (math.inf if drift_end else 0.0)
+    return RateBound(xs, phi_vals, bound, c_r, m_e, b3, note)
 
 
-def _nearest_point(branch: EquilibriumBranch, x: float):
-    idx = int(np.argmin(np.abs(branch.xs - x)))
-    point = branch.points[idx]
-    if point.x == x:
-        return point
-    # off-grid query: synthesize a point from the interpolants
-    from .equilibrium import BranchPoint
+def _damped_cumtrapz(values: np.ndarray, xs: np.ndarray, ratios: list[float]) -> np.ndarray:
+    """Phi_i * int_{x_0}^{x_i} values / Phi ds by the trapezoid rule.
 
-    return BranchPoint(x, float(branch.interp_E(x)), float(branch.interp_Lambda(x)))
-
-
-def _cumtrapz(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    widths = np.diff(xs)
-    increments = 0.5 * widths * (values[:-1] + values[1:])
-    return np.concatenate(([0.0], np.cumsum(increments)))
+    The plain rule multiplied through by Phi_i, with r_i = Phi_i / Phi_{i-1}:
+    S_i = r_i S_{i-1} + (w_i / 2) (r_i v_{i-1} + v_i).
+    """
+    out = np.zeros(xs.size)
+    for i, r in enumerate(ratios, start=1):
+        width = float(xs[i] - xs[i - 1])
+        out[i] = r * out[i - 1] + 0.5 * width * (r * values[i - 1] + values[i])
+    return out
 
 
 @dataclass

@@ -27,11 +27,17 @@ the second kind in w = 1/v:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import AbelEquation, eval_rhs, _PROBE_OFFSETS
+from .core import (
+    AbelEquation,
+    _PROBE_OFFSETS,
+    _derivative_row,
+    _horner,
+    _taylor_shift,
+    eval_rhs,
+)
 from .radau import IntegrationResult, SolverConfig, integrate, integrate_rhs
 
 __all__ = [
@@ -76,27 +82,21 @@ class ReducedEquation:
     def c(self, k: int, x: float) -> float:
         if not 1 <= k <= self.degree:
             raise ValueError(f"coefficient index {k} outside 1..{self.degree}")
-        g = self.pivot(x)
-        total = 0.0
-        for j in range(self.degree, k - 1, -1):
-            total = total * g + math.comb(j, k) * self.base.coeffs[j](x)
-        return total
+        return self.coefficients(x)[k - 1]
 
     def coefficients(self, x: float) -> list[float]:
-        """[c_1(x), ..., c_degree(x)]."""
-        return [self.c(k, x) for k in range(1, self.degree + 1)]
+        """[c_1(x), ..., c_degree(x)]: the base row Taylor-shifted to the pivot.
+
+        a_0 enters only the dropped c_0 (the pivot residual): not evaluated.
+        """
+        row = [0.0] + [coeff(x) for coeff in self.base.coeffs[1:]]
+        return _taylor_shift(row, self.pivot(x))[1:]
 
     def rhs(self, x: float, v: float) -> float:
-        total = 0.0
-        for ck in reversed(self.coefficients(x)):
-            total = total * v + ck
-        return total * v
+        return _horner(self.coefficients(x), v) * v
 
     def drhs(self, x: float, v: float) -> float:
-        total = 0.0
-        for k, ck in sorted(enumerate(self.coefficients(x), start=1), reverse=True):
-            total = total * v + k * ck
-        return total
+        return _horner(_derivative_row([0.0] + self.coefficients(x)), v)
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,8 @@ class SecondKindForm:
     def rhs(self, x: float, w: float) -> float:
         if w == 0.0:
             raise ZeroDivisionError("second-kind variable hit zero")
-        return -(self.c1(x) * w + self.c2(x) + self.c3(x) / w)
+        c1, c2, c3 = self.reduced.coefficients(x)
+        return -(c1 * w + c2 + c3 / w)
 
     def residual(self, x: float, w: float, w_prime: float) -> float:
         return w_prime - self.rhs(x, w)
@@ -128,10 +129,7 @@ def _probe_points(equation: AbelEquation) -> list[float]:
 
 
 def _coefficient_scale(equation: AbelEquation, x: float, y: float) -> float:
-    scale = 1.0
-    for k, coeff in enumerate(equation.coeffs):
-        scale += abs(coeff(x)) * abs(y) ** k
-    return scale
+    return 1.0 + _horner([abs(coeff(x)) for coeff in equation.coeffs], abs(y))
 
 
 def _check_equilibrium_pivot(equation: AbelEquation, pivot, probes) -> None:

@@ -4,6 +4,8 @@ Nothing here imports the package under test: the point is to have a
 second opinion computed by a different method.
 """
 
+import math
+
 import numpy as np
 
 
@@ -53,3 +55,21 @@ def trapezoid_cumulative(xs, ys):
     out = np.zeros_like(xs)
     out[1:] = np.cumsum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))
     return out
+
+
+def taylor_power_sum(coeffs, g):
+    """Taylor coefficients of a polynomial about g, by the plain power sum.
+
+    coeffs are ascending.  Entry k is (1/k!) p^(k)(g) computed as
+    sum_{j>=k} C(j, k) c_j g^(j-k) term by term (no Horner).  Returns
+    (values, scales): scales[k] is the sum of the absolute terms, the
+    magnitude against which rounding differences between summation orders
+    are measured.
+    """
+    n = len(coeffs) - 1
+    values, scales = [], []
+    for k in range(n + 1):
+        terms = [math.comb(j, k) * coeffs[j] * g ** (j - k) for j in range(k, n + 1)]
+        values.append(math.fsum(terms))
+        scales.append(math.fsum(abs(t) for t in terms))
+    return values, scales

@@ -121,6 +121,10 @@ class TestIntegrateCommand:
         "degree = 2\ncoefficients = 1 | 0 | -1\nx_end = 1\nwhatsit = 3\n",     # unknown
         "degree = 2\ncoefficients = 1 | 0 | -1\n",                             # no x_end
         "degree = 2\ncoefficients = 1 | 0*) | -1\nx_end = 1\n",                # bad expr
+        "degree = inf\ncoefficients = 1 | 0 | -1\nx_end = 1\n",              # inf degree
+        "degree = 2\ncoefficients = 1 | 0 | -1\nx_end = 1\natol = nan\n",    # nan atol
+        pytest.param("degree = 2\ncoefficients = 1" + "+1" * 3000 + " | 0 | -1\nx_end = 1\n",
+                     id="deep-expression"),
     ])
     def test_config_errors_exit_64(self, tmp_path, content):
         cfg = tmp_path / "bad.cfg"
@@ -141,6 +145,17 @@ class TestHypothesesCommand:
         assert code == 2
         assert "A1" in out and "fail" in out
         assert (tmp_path / "h" / "report.json").exists()
+
+    def test_leading_zero_on_the_grid_exits_64(self, tmp_path):
+        # the normalize probes at x0 + {0, ..., 10} miss x = 3; the branch
+        # grid hits it exactly
+        cfg = tmp_path / "lead.cfg"
+        cfg.write_text("degree = 3\ncoefficients = 1 | -3 | 1 | x - 3\n"
+                       "x0 = 0\ny0 = 0\nx_end = 20\n")
+        code, _, err = run(["hypotheses", cfg, "--out", tmp_path / "h"])
+        assert code == 64
+        assert "vanishes at x=3.0" in err
+        assert "Traceback" not in err
 
     def test_passing_report_exits_0(self, tmp_path):
         cfg = tmp_path / "c3.cfg"

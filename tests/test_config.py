@@ -76,6 +76,29 @@ class TestEquationConfig:
             equation_config(parse_pairs(
                 "degree = 2\ncoefficients = 1 | 0*) | -1\nx_end = 1\n"))
 
+    @pytest.mark.parametrize("key,value", [
+        ("x_end", "inf"),
+        ("x0", "-inf"),
+        ("y0", "nan"),
+        ("degree", "inf"),
+        ("atol", "nan"),
+        ("h_max", "inf"),
+        ("max_steps", "inf"),
+    ])
+    def test_non_finite_value_names_the_key(self, key, value):
+        # an infinite horizon would otherwise spin the integrator, an
+        # infinite degree overflow int(), a nan tolerance pass every check
+        pairs = {"degree": "2", "coefficients": "1 | 0 | -1", "x_end": "1"}
+        pairs[key] = value
+        with pytest.raises(ConfigError, match=repr(key)):
+            equation_config(pairs)
+
+    def test_deeply_nested_coefficient(self):
+        with pytest.raises(ConfigError, match="nested deeper"):
+            equation_config(parse_pairs(
+                "degree = 1\ncoefficients = " + "(" * 2000 + "1" + ")" * 2000
+                + " | -1\nx_end = 1\n"))
+
 
 class TestSolverConfig:
     def test_overrides_applied(self):

@@ -62,6 +62,14 @@ class TestNormalize:
         with pytest.raises(LeadingCoefficientError):
             normalize(eq)
 
+    def test_leading_zero_missed_by_probes_is_typed(self):
+        # probes sit at x0 + {0, 0.5, 1, 2, 5, 10}; a3 vanishes at x = 3
+        nf = normalize(build_equation(["1", "-3", "1", "x - 3"], 0.0))
+        for call in (lambda: nf.lambdas(3.0), lambda: nf.lam(0, 3.0)):
+            with pytest.raises(LeadingCoefficientError, match="x=3.0"):
+                call()
+        assert nf.lam(3, 3.0) == 1.0  # the monic leading 1 needs no division
+
     def test_sign_changing_leading_ok_if_probes_miss_zero(self):
         eq = build_equation(["1", "0", "0", "1 - 1/x"], 2.0)
         nf = normalize(eq)

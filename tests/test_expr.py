@@ -73,6 +73,30 @@ class TestErrors:
             parse(source)
         assert info.value.offset == offset
 
+    @pytest.mark.parametrize(
+        "source,offset",
+        [
+            # the offset is where the parser stands: just past the 101st
+            # "(", "-" or "^", or past the operand of the 100th "+" (which
+            # would make the tree 101 high)
+            pytest.param("(" * 2000 + "1" + ")" * 2000, 101, id="parentheses"),
+            pytest.param("1" + "+1" * 3000, 201, id="flat-sum"),
+            pytest.param("-" * 5000 + "1", 101, id="unary-minus"),
+            pytest.param("2" + "^2" * 3000, 202, id="power-chain"),
+        ],
+    )
+    def test_deep_nesting_is_a_syntax_error(self, source, offset):
+        # both shapes used to escape as RecursionError: the first while
+        # parsing, the second (a flat sum) only when evaluated
+        with pytest.raises(ExprSyntaxError, match="nested deeper") as info:
+            parse(source)
+        assert info.value.offset == offset
+
+    def test_nesting_up_to_the_limit_parses_and_evaluates(self):
+        assert parse("(" * 99 + "x" + ")" * 99)(2.0) == 2.0
+        assert parse("1" + "+1" * 99)(0.0) == 100.0
+        assert parse("-" * 99 + "1")(0.0) == -1.0
+
     def test_unknown_identifier_rejected(self):
         with pytest.raises(ExprSyntaxError):
             parse("foo(1)")

@@ -3,6 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import taylor_power_sum
+
+from abelode import run_case
+from abelode.core import build_equation, normalize
+from abelode.equilibrium import BranchPoint, EquilibriumBranch, GridSpec
 from abelode.rate import diagnose, phi, rate_bound, remainder_constant
 
 
@@ -38,14 +43,55 @@ class TestRemainderConstant:
         got = remainder_constant(case_runs[3].nf, case_runs[3].branch)
         assert got == pytest.approx(4.0, rel=1e-9)
 
+    @pytest.mark.parametrize("degree", [3, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_power_sum_oracle(self, degree, seed):
+        # oracle: C_R = max over points of sum_{k>=2} |t_k| M_E^(k-2), with
+        # t_k = sum_j C(j,k) lambda_j E^(j-k) summed term by term; the two
+        # summation orders may differ by rounding relative to the sum of
+        # absolute terms, so that is the scale of the 1e-12 tolerance
+        rng = np.random.default_rng(seed)
+        # a_k(x) = p_k + q_k x; a_n stays positive for x >= 0
+        pairs = [(float(rng.uniform(-3, 3)), float(rng.uniform(-1, 1)))
+                 for _ in range(degree)]
+        pairs.append((float(rng.uniform(1, 3)), float(rng.uniform(0, 1))))
+        eq = build_equation([f"({p!r}) + ({q!r})*x" for p, q in pairs], 0.0)
+        xs = np.linspace(0.0, 5.0, 7)
+        points = [BranchPoint(float(x), float(rng.uniform(0.1, 2.0)), -1.0) for x in xs]
+        branch = EquilibriumBranch(points, GridSpec(0.0, 5.0, 7), None)
+        m_e = max(p.E for p in points)
+        want, scale = 0.0, 0.0
+        for point in points:
+            a = [p + q * point.x for p, q in pairs]
+            lams = [c / a[-1] for c in a[:-1]] + [1.0]
+            values, scales = taylor_power_sum(lams, point.E)
+            want = max(want, sum(abs(values[k]) * m_e ** (k - 2)
+                                 for k in range(2, degree + 1)))
+            scale = max(scale, sum(scales[k] * m_e ** (k - 2)
+                                   for k in range(2, degree + 1)))
+        got = remainder_constant(normalize(eq), branch)
+        assert abs(got - want) <= 1e-12 * scale
+
 
 class TestRateBound:
-    @pytest.mark.parametrize("cid", [1, 3])
-    def test_bound_dominates_true_deviation(self, case_runs, cid):
-        run = case_runs[cid]
+    @pytest.mark.parametrize("cid,x_max", [
+        pytest.param(1, None, id="1"),
+        pytest.param(3, None, id="3"),
+        pytest.param(2, None, id="2"),
+        pytest.param(2, 2000.0, id="2-2000"),
+        pytest.param(2, 2e5, id="2-2e5"),  # Phi underflows to 0 in the tail
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bound_dominates_true_deviation(self, case_runs, cid, x_max):
+        run = case_runs[cid] if x_max is None else run_case(cid, x_max)
         rb = rate_bound(run.nf, run.branch, run.result)
-        deviation = np.abs(np.asarray(run.result.ys)
-                           - run.branch.interp_E(np.asarray(run.result.xs)))
+        # the bound covers the accepted points inside the branch range (all
+        # of them except x = 1 for case 2, whose branch starts at 1.001)
+        xs = np.asarray(run.result.xs)
+        covered = (xs >= run.branch.x_start) & (xs <= run.branch.x_end)
+        deviation = np.abs(np.asarray(run.result.ys)[covered]
+                           - run.branch.interp_E(xs[covered]))
+        assert np.isfinite(rb.bound).all()
         margin = np.asarray(rb.bound) - deviation
         assert margin.min() >= 0.0
 

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import taylor_power_sum
+
 from abelode.core import build_equation
 from abelode.reduction import (
     NotASolutionError,
+    ReducedEquation,
     WrongDegreeError,
     reduce_about,
     roundtrip_check,
@@ -54,6 +57,27 @@ class TestReduceAbout:
         direct = np.polynomial.polynomial.Polynomial(
             (c0_adjusted, c1, c2, 1.0))(g + u)
         assert shifted == pytest.approx(direct, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("degree", [3, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_coefficients_match_power_sum_oracle(self, degree, seed):
+        # oracle: c_k = sum_j C(j,k) a_j g^(j-k) summed term by term; the
+        # package sums by Horner, so they may differ by rounding relative to
+        # the sum of absolute terms, the scale of the 1e-12 tolerance
+        rng = np.random.default_rng(seed)
+        pairs = [(float(rng.uniform(-3, 3)), float(rng.uniform(-1, 1)))
+                 for _ in range(degree + 1)]
+        eq = build_equation([f"({p!r}) + ({q!r})*x" for p, q in pairs], 0.0)
+        red = ReducedEquation(eq, lambda x: 0.5 + math.sin(x), degree)
+        for x in np.linspace(0.0, 4.0, 9):
+            x = float(x)
+            values, scales = taylor_power_sum(
+                [p + q * x for p, q in pairs], 0.5 + math.sin(x))
+            got = red.coefficients(x)
+            assert len(got) == degree
+            for k in range(1, degree + 1):
+                assert abs(got[k - 1] - values[k]) <= 1e-12 * scales[k]
+                assert red.c(k, x) == got[k - 1]
 
     def test_pivot_must_be_a_root(self):
         with pytest.raises(NotASolutionError):
