@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -128,18 +129,19 @@ def _write_gnuplot(out_dir: str, name: str, csv_name: str, columns: list[tuple[i
     _write_lines(os.path.join(out_dir, name), lines)
 
 
-def _branch_outputs(args, equation, out_dir: str, want_report: bool):
-    """Shared branch + report path for integrate/hypotheses commands."""
+def _branch_outputs(equation, x_end: float, out_dir: str, want_report: bool):
+    """Shared branch + report path for integrate/hypotheses commands; returns
+    the report, or None when none is wanted."""
     nf = normalize(equation)
-    grid = GridSpec(equation.x0, args.x_end_effective, 2001, "linear")
+    grid = GridSpec(equation.x0, x_end, 2001, "linear")
     branch = continue_branch(nf, grid)
     _write_branch(os.path.join(out_dir, "branch.csv"), nf, branch)
-    report = None
-    if want_report:
-        report = verify(nf, branch)
-        _write_report(os.path.join(out_dir, "report.json"), report)
-        print(report.format_table())
-    return nf, branch, report
+    if not want_report:
+        return None
+    report = verify(nf, branch)
+    _write_report(os.path.join(out_dir, "report.json"), report)
+    print(report.format_table())
+    return report
 
 
 def _report_exit(report: Optional[HypothesisReport]) -> int:
@@ -150,16 +152,9 @@ def _report_exit(report: Optional[HypothesisReport]) -> int:
 
 def _solver_from_flags(args, base: SolverConfig | None = None) -> SolverConfig:
     config = base or SolverConfig()
-    updates = {}
-    if getattr(args, "atol", None) is not None:
-        updates["atol"] = args.atol
-    if getattr(args, "rtol", None) is not None:
-        updates["rtol"] = args.rtol
-    if updates:
-        from dataclasses import replace
-
-        config = replace(config, **updates)
-    return config
+    updates = {"atol": args.atol, "rtol": args.rtol}
+    updates = {name: value for name, value in updates.items() if value is not None}
+    return replace(config, **updates) if updates else config
 
 
 def _cmd_case(args) -> int:
@@ -207,8 +202,7 @@ def _cmd_integrate(args) -> int:
 
     report = None
     if args.branch or args.hypotheses:
-        args.x_end_effective = eq_cfg.x_end
-        _, branch, report = _branch_outputs(args, equation, out_dir, args.hypotheses)
+        report = _branch_outputs(equation, eq_cfg.x_end, out_dir, args.hypotheses)
 
     print(
         f"final_x={_g17(result.final_x)} final_y={_g17(result.final_y)} "
@@ -226,8 +220,7 @@ def _cmd_hypotheses(args) -> int:
     eq_cfg = equation_config(pairs)
     equation = eq_cfg.build()
     out_dir = _ensure_dir(args.out or "hypotheses-output")
-    args.x_end_effective = eq_cfg.x_end
-    _, _, report = _branch_outputs(args, equation, out_dir, True)
+    report = _branch_outputs(equation, eq_cfg.x_end, out_dir, True)
     return _report_exit(report)
 
 

@@ -108,14 +108,19 @@ class NormalForm:
             )
         return an
 
+    def sample(self, x: float) -> tuple[float, list[float]]:
+        """a_n(x) and the monic row [lambda_0(x), ..., lambda_{n-1}(x), 1.0],
+        from one evaluation of each coefficient."""
+        an = self._nonzero_leading(x)
+        return an, [c(x) / an for c in self.equation.coeffs[:-1]] + [1.0]
+
     def lam(self, k: int, x: float) -> float:
         """lambda_k(x); k == degree returns the monic leading 1."""
-        return 1.0 if k == self.degree else self.lambdas(x)[k]
+        return 1.0 if k == self.degree else self.sample(x)[1][k]
 
     def lambdas(self, x: float) -> list[float]:
         """[lambda_0(x), ..., lambda_{n-1}(x)]."""
-        an = self._nonzero_leading(x)
-        return [c(x) / an for c in self.equation.coeffs[:-1]]
+        return self.sample(x)[1][:-1]
 
 
 # Probe offsets past x0 used to reject a leading coefficient that vanishes
@@ -145,11 +150,13 @@ def _derivative_row(coefficients: list[float]) -> list[float]:
     return [k * c for k, c in enumerate(coefficients)][1:]
 
 
-def _taylor_shift(coefficients: list[float], g: float) -> list[float]:
+def _taylor_shift(coefficients: list, g):
     """Ascending coefficients in v of the polynomial at y = g + v.
 
     Entry k is (1/k!) d^k/dy^k at g = sum_{j>=k} binom(j, k) c_j g^{j-k},
-    summed by Horner in g from the highest power down.
+    summed by Horner in g from the highest power down.  Coefficients and g
+    may be floats or equal-length arrays (one polynomial per entry, the
+    same operations element-wise).
     """
     n = len(coefficients)
     return [
@@ -170,9 +177,9 @@ def eval_drhs(equation: AbelEquation, x: float, y: float) -> float:
 
 def eval_F(nf: NormalForm, x: float, y: float) -> float:
     """Monic polynomial F(x, y) = y^n + sum_{k<n} lambda_k(x) y^k."""
-    return _horner(nf.lambdas(x) + [1.0], y)
+    return _horner(nf.sample(x)[1], y)
 
 
 def eval_dF(nf: NormalForm, x: float, y: float) -> float:
     """dF/dy = n y^{n-1} + sum_{1<=k<n} k lambda_k(x) y^{k-1} (lambda_n == 1)."""
-    return _horner(_derivative_row(nf.lambdas(x) + [1.0]), y)
+    return _horner(_derivative_row(nf.sample(x)[1]), y)

@@ -124,7 +124,9 @@ class EquilibriumBranch:
     points includes any refinement midpoints inserted during continuation,
     so consecutive E values always satisfy the jump bound.  ambiguous_count
     is the number of grid points where a second positive stable root
-    coexisted with the tracked one.
+    coexisted with the tracked one.  leading (shape (N,)) and rows (shape
+    (N, n+1)) are a_n and the monic row [lambda_0, ..., lambda_{n-1}, 1] at
+    each point, as sampled by the continuation.
     """
 
     points: list[BranchPoint]
@@ -132,6 +134,8 @@ class EquilibriumBranch:
     L: float | None
     ambiguous_count: int = 0
     note: str = ""
+    leading: np.ndarray = field(kw_only=True)
+    rows: np.ndarray = field(kw_only=True)
     _xs: np.ndarray = field(init=False, repr=False, default=None)
     _es: np.ndarray = field(init=False, repr=False, default=None)
     _lams: np.ndarray = field(init=False, repr=False, default=None)
@@ -140,6 +144,10 @@ class EquilibriumBranch:
         self._xs = np.array([p.x for p in self.points])
         self._es = np.array([p.E for p in self.points])
         self._lams = np.array([p.Lambda for p in self.points])
+        self.leading = np.asarray(self.leading, dtype=float)
+        self.rows = np.asarray(self.rows, dtype=float)
+        if self.leading.shape != self._xs.shape or self.rows.shape[:1] != self._xs.shape:
+            raise ValueError("leading and rows must have one entry per branch point")
 
     @property
     def xs(self) -> np.ndarray:
@@ -255,7 +263,7 @@ def _poly_real_roots(coeffs: list[float]) -> list[float]:
 
 def real_roots(nf: NormalForm, x: float) -> list[float]:
     """All real equilibria of F(x, .) in ascending order."""
-    return _poly_real_roots(nf.lambdas(x) + [1.0])
+    return _poly_real_roots(nf.sample(x)[1])
 
 
 def smallest_positive_root(nf: NormalForm, x: float) -> float | None:
@@ -279,12 +287,6 @@ def _select_root(roots: list[float], previous: float) -> float | None:
     return nearest
 
 
-def _roots_and_slope(nf: NormalForm, x: float) -> tuple[list[float], list[float]]:
-    """Real roots of F(x, .) and the dF/dy row, from one coefficient row."""
-    row = nf.lambdas(x) + [1.0]
-    return _poly_real_roots(row), _derivative_row(row)
-
-
 def _count_positive_stable(roots: list[float], slope: list[float]) -> int:
     return sum(
         1
@@ -296,17 +298,35 @@ def _count_positive_stable(roots: list[float], slope: list[float]) -> int:
 def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
     """Continue the smallest-positive-root branch across the grid.
 
+    Each abscissa, refinement midpoints included, is sampled once: its
+    coefficient row gives the roots, Lambda and the second-stable-root
+    count, and is kept with a_n in the branch's table.
+
     Raises BranchError if the first grid point has no positive root or if a
     jump survives one local refinement.
     """
+    points: list[BranchPoint] = []
+    leading: list[float] = []
+    rows: list[list[float]] = []
+
+    def sample(x: float):
+        """a_n, the monic row, its real roots and its dF/dy row at x."""
+        an, row = nf.sample(x)
+        return an, row, _poly_real_roots(row), _derivative_row(row)
+
+    def keep(x: float, value: float, an: float, row: list[float], slope: list[float]) -> None:
+        points.append(BranchPoint(x, value, _horner(slope, value)))
+        leading.append(an)
+        rows.append(row)
+
     xs = grid.xs()
     x0 = float(xs[0])
-    roots0, slope0 = _roots_and_slope(nf, x0)
+    an0, row0, roots0, slope0 = sample(x0)
     first = next((r for r in roots0 if r > POSITIVE_THRESHOLD), None)
     if first is None:
         raise BranchError("no positive equilibrium at the first grid point", x0)
 
-    points = [BranchPoint(x0, first, _horner(slope0, first))]
+    keep(x0, first, an0, row0, slope0)
     ambiguous = 1 if _count_positive_stable(roots0, slope0) > 1 else 0
 
     def advance(e_prev: float, x: float, roots: list[float]) -> float:
@@ -320,24 +340,24 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
     for x_raw in xs[1:]:
         x = float(x_raw)
         prev = points[-1]
-        roots, slope = _roots_and_slope(nf, x)
+        an, row, roots, slope = sample(x)
         value = advance(prev.E, x, roots)
         if math.isnan(value):
             # refine once: step through the midpoint in the grid metric
             mid = grid.midpoint(prev.x, x)
-            mid_roots, mid_slope = _roots_and_slope(nf, mid)
+            mid_an, mid_row, mid_roots, mid_slope = sample(mid)
             mid_value = advance(prev.E, mid, mid_roots)
             if math.isnan(mid_value):
                 raise BranchError("branch lost (jump beyond threshold)", mid)
-            points.append(BranchPoint(mid, mid_value, _horner(mid_slope, mid_value)))
+            keep(mid, mid_value, mid_an, mid_row, mid_slope)
             value = advance(mid_value, x, roots)
             if math.isnan(value):
                 raise BranchError("branch lost (jump beyond threshold)", x)
-        points.append(BranchPoint(x, value, _horner(slope, value)))
+        keep(x, value, an, row, slope)
         if _count_positive_stable(roots, slope) > 1:
             ambiguous += 1
 
-    branch = EquilibriumBranch(points, grid, None, ambiguous)
+    branch = EquilibriumBranch(points, grid, None, ambiguous, leading=leading, rows=rows)
     branch.L = branch_limit(branch)
     if ambiguous:
         branch.note = (

@@ -148,6 +148,8 @@ class _Bin:
     def eval(self, x: float) -> float:
         a = self.left.eval(x)
         b = self.right.eval(x)
+        if self.op == "/" and b == 0.0:
+            raise ExprDomainError(f"division by zero at x={x!r}")
         try:
             if self.op == "+":
                 return a + b
@@ -156,8 +158,6 @@ class _Bin:
             if self.op == "*":
                 return a * b
             if self.op == "/":
-                if b == 0.0:
-                    raise ExprDomainError(f"division by zero at x={x!r}")
                 return a / b
             # right-associative power; math.pow rejects negative bases with
             # fractional exponents instead of wandering into complex values

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LeadingCoefficientError, NormalForm
+from .core import NormalForm
 from .equilibrium import (
     POSITIVE_THRESHOLD,
     EquilibriumBranch,
@@ -38,7 +38,6 @@ from .equilibrium import (
     branch_derivative,
     branch_limit,
 )
-from .expr import ExprDomainError
 from .rate import PhiAccumulator
 
 __all__ = [
@@ -134,93 +133,59 @@ def check_structural(
 ) -> HypothesisReport:
     """A1..A4 on the working grid.
 
-    A1, A2 and A4 sample the branch grid, where the equation is actually
-    being used.  A3 scans ``grid_xs`` (default: the branch grid), which may
-    include domain endpoints the branch had to step away from; a vanishing
-    or uncovered branch value at such an endpoint is inconclusive
-    (degenerate domain boundary), in the interior it is a failure.
+    A1, A2 and A4 read the branch's table (a_n, the monic rows, Lambda),
+    sampled where the equation is actually being used.  A3 scans
+    ``grid_xs`` (default: the branch grid), which may include domain
+    endpoints the branch had to step away from; a vanishing or uncovered
+    branch value at such an endpoint is inconclusive (degenerate domain
+    boundary), in the interior it is a failure.
     """
     xs = branch.xs if grid_xs is None else np.asarray(grid_xs, dtype=float)
     entries: dict[str, HypothesisEntry] = {}
 
-    an_vals = []
-    bad_x = None
-    for x in branch.xs:
-        try:
-            an_vals.append(nf.a_n(float(x)))
-        except ExprDomainError:
-            bad_x = float(x)
-            break
-    if bad_x is not None:
-        entries["A1"] = HypothesisEntry(
-            "A1", "fail", {"worst_x": bad_x}, "leading coefficient not evaluable"
-        )
+    idx = int(np.argmin(branch.leading))
+    m = float(branch.leading[idx])
+    if m > 0.0:
+        entries["A1"] = HypothesisEntry("A1", "pass", {"m": m}, GRID_VERIFIED)
     else:
-        an_arr = np.array(an_vals)
-        idx = int(np.argmin(an_arr))
-        m = float(an_arr[idx])
-        if m > 0.0:
-            entries["A1"] = HypothesisEntry("A1", "pass", {"m": m}, GRID_VERIFIED)
-        else:
-            entries["A1"] = HypothesisEntry(
-                "A1", "fail", {"m": m, "worst_x": float(branch.xs[idx])},
-                "leading coefficient not positive",
-            )
+        entries["A1"] = HypothesisEntry(
+            "A1", "fail", {"m": m, "worst_x": float(branch.xs[idx])},
+            "leading coefficient not positive",
+        )
 
-    lam_bad = None
-    for x in branch.xs:
-        try:
-            values = nf.lambdas(float(x))
-        except (ExprDomainError, LeadingCoefficientError):
-            lam_bad = float(x)
-            break
-        if not all(math.isfinite(v) for v in values):
-            lam_bad = float(x)
-            break
-    if lam_bad is None:
+    lam_bad = np.flatnonzero(~np.isfinite(branch.rows).all(axis=1))
+    if lam_bad.size == 0:
         entries["A2"] = HypothesisEntry("A2", "pass", {}, GRID_VERIFIED)
     else:
         entries["A2"] = HypothesisEntry(
-            "A2", "fail", {"worst_x": lam_bad}, "normalized coefficient not finite"
+            "A2", "fail", {"worst_x": float(branch.xs[lam_bad[0]])},
+            "normalized coefficient not finite",
         )
 
-    worst_interior = None
-    worst_endpoint = None
-    for i, x in enumerate(xs):
-        x = float(x)
-        endpoint = i == 0 or i == xs.size - 1
-        if branch.covers(x):
-            value = float(branch.interp_E(x))
-            ok = value > POSITIVE_THRESHOLD
-        else:
-            ok = False
-            value = math.nan
-        if not ok:
-            if endpoint:
-                worst_endpoint = (x, value)
-            else:
-                worst_interior = (x, value)
-    if worst_interior is not None:
-        x, value = worst_interior
-        witness = {"worst_x": x}
-        if math.isfinite(value):
-            witness["worst_value"] = value
-        entries["A3"] = HypothesisEntry(
-            "A3", "fail", witness, "no positive branch value at an interior grid point"
-        )
-    elif worst_endpoint is not None:
-        x, value = worst_endpoint
-        witness = {"worst_x": x}
-        if math.isfinite(value):
-            witness["worst_value"] = value
-        entries["A3"] = HypothesisEntry(
-            "A3", "inconclusive", witness,
-            "branch degenerate or uncovered at a grid endpoint",
-        )
-    else:
+    # A3: the witness is the last failing interior point, else the last
+    # failing endpoint; NaN marks a point the branch does not cover
+    covered = (xs >= branch.x_start) & (xs <= branch.x_end)
+    values = np.where(covered, branch.interp_E(xs), np.nan)
+    bad = np.flatnonzero(~(values > POSITIVE_THRESHOLD))
+    interior = bad[(bad > 0) & (bad < xs.size - 1)]
+    if bad.size == 0:
         entries["A3"] = HypothesisEntry(
             "A3", "pass", {"worst_value": float(branch.values.min())}, GRID_VERIFIED
         )
+    else:
+        i = interior[-1] if interior.size else bad[-1]
+        witness = {"worst_x": float(xs[i])}
+        if math.isfinite(values[i]):
+            witness["worst_value"] = float(values[i])
+        if interior.size:
+            entries["A3"] = HypothesisEntry(
+                "A3", "fail", witness, "no positive branch value at an interior grid point"
+            )
+        else:
+            entries["A3"] = HypothesisEntry(
+                "A3", "inconclusive", witness,
+                "branch degenerate or uncovered at a grid endpoint",
+            )
 
     lam_max = float(branch.eigenvalues.max())
     idx = int(np.argmax(branch.eigenvalues))

@@ -142,7 +142,8 @@ def _solve_stages(f, df, x, y, h, tableau, config):
     """Simplified Newton for the stage slopes k_i = f(x + c_i h, y + h sum A_ij k_j).
 
     The iteration matrix I - h J A uses the Jacobian J = df(x, y) frozen at
-    the step start.  Returns (stages, iterations); raises NewtonFailure.
+    the step start.  Returns (stages, iterations); raises NewtonFailure when
+    the iterations run out or an update is non-finite (it cannot converge).
     """
     A, c = tableau.A, tableau.c
     jac = df(x, y)
@@ -152,13 +153,20 @@ def _solve_stages(f, df, x, y, h, tableau, config):
     iterations = 0
     for _ in range(config.newton_max_iters):
         iterations += 1
-        stage_y = y + h * (A @ k)
+        # Python floats: an overflowing stage value is a silent inf, caught
+        # below as a non-finite update
+        stage_y = (y + h * (A @ k)).tolist()
         residual = k - np.array(
-            [f(x + c[i] * h, stage_y[i]) for i in range(3)]
+            [f(x + float(c[i]) * h, stage_y[i]) for i in range(3)]
         )
         delta = np.linalg.solve(newton_matrix, -residual)
         k = k + delta
-        if float(np.max(np.abs(delta))) <= threshold:
+        size = float(np.max(np.abs(delta)))
+        if not math.isfinite(size):
+            raise NewtonFailure(
+                f"non-finite stage update in iteration {iterations} at x={x!r}, h={h!r}"
+            )
+        if size <= threshold:
             return k, iterations
     raise NewtonFailure(f"no stage convergence in {iterations} iterations at x={x!r}, h={h!r}")
 

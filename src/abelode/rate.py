@@ -14,7 +14,8 @@ where M_E = sup E and C_R bounds the Taylor remainder of F around the
 branch:  C_R = max_x sum_{k>=2} |d^k F/dy^k (x, E)| / k! * M_E^{k-2}.
 
 Phi integrates a_n * Lambda by composite Simpson over the branch grid
-(Lambda linearly interpolated inside each cell, a_n evaluated exactly),
+(Lambda linearly interpolated inside each cell, a_n read from the
+branch's table at grid points and evaluated exactly at cell midpoints),
 accumulated once so that re-based factors Phi(x2)/Phi(x1) are consistent
 by construction.
 """
@@ -57,11 +58,10 @@ class PhiAccumulator:
         self.branch = branch
         xs = branch.xs
         lams = branch.eigenvalues
-        an = np.array([nf.a_n(float(x)) for x in xs])
         mids = 0.5 * (xs[:-1] + xs[1:])
         an_mid = np.array([nf.a_n(float(x)) for x in mids])
         lam_mid = 0.5 * (lams[:-1] + lams[1:])
-        g = an * lams
+        g = branch.leading * lams
         g_mid = an_mid * lam_mid
         widths = np.diff(xs)
         cells = widths / 6.0 * (g[:-1] + 4.0 * g_mid + g[1:])
@@ -104,13 +104,12 @@ def phi(nf: NormalForm, branch: EquilibriumBranch, x: float, x_from: float | Non
 
 def remainder_constant(nf: NormalForm, branch: EquilibriumBranch) -> float:
     """C_R = max over the branch grid of sum_{k>=2} |(1/k!) d^k F/dy^k| M_E^{k-2};
-    the (1/k!) d^k F/dy^k at (x, E) are F(x, .) Taylor-shifted to E."""
+    the (1/k!) d^k F/dy^k at (x, E) are the branch's rows Taylor-shifted to E,
+    all points at once."""
     m_e = branch.sup_E
-    best = 0.0
-    for p in branch.points:
-        shifted = _taylor_shift(nf.lambdas(p.x) + [1.0], p.E)
-        best = max(best, sum(abs(t) * m_e ** i for i, t in enumerate(shifted[2:])))
-    return best
+    shifted = _taylor_shift(list(branch.rows.T), branch.values)
+    terms = [np.abs(t) * m_e ** i for i, t in enumerate(shifted[2:])]
+    return float(np.max(sum(terms, np.zeros(branch.xs.size)), initial=0.0))
 
 
 @dataclass

@@ -129,6 +129,20 @@ class TestBranchContinuation:
         assert branch.covers(0.0) and branch.covers(20.0)
         assert not branch.covers(20.1)
 
+    def test_table_aligned_with_points_through_refinement(self):
+        # E = 1 + x jumps 0.6 > 0.25 (1 + 1) from x = 0 to 0.6, so one
+        # midpoint is inserted at 0.3; the table must follow the points
+        nf = normalize(build_equation(["1 + x", "-1"], 0.0))
+        branch = continue_branch(nf, GridSpec(0.0, 3.0, 6))
+        assert len(branch.points) == 7
+        assert branch.xs[1] == 0.3
+        assert branch.leading.shape == (7,)
+        assert branch.rows.shape == (7, 2)
+        for i, point in enumerate(branch.points):
+            an, row = nf.sample(point.x)
+            assert branch.leading[i] == an
+            assert branch.rows[i].tolist() == row
+
     def test_limit_none_when_tail_still_moving(self):
         eq = build_equation(["3 - 2*exp(-2*x)", "-4", "0", "1"], 0.0)
         nf = normalize(eq)

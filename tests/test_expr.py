@@ -121,6 +121,10 @@ class TestErrors:
         with pytest.raises(ExprDomainError):
             parse(source)(x)
 
+    def test_division_by_zero_is_named(self):
+        with pytest.raises(ExprDomainError, match=r"^division by zero at x=0\.0$"):
+            parse("1/x")(0.0)
+
     def test_domain_error_not_raised_at_parse_time(self):
         f = parse("1/x")
         assert f(2.0) == 0.5

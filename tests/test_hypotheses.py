@@ -66,6 +66,23 @@ class TestNegativeExample:
         assert report["A2"].status == "pass"
 
 
+class TestTable:
+    def test_overflowing_normalized_coefficient_fails_a2(self):
+        # lambda_0 = 1e200 / 1e-200 overflows to inf at every point; the
+        # first branch point is the witness
+        nf = normalize(build_equation(["1e200", "0", "0", "1e-200"], 1.0))
+        grid = GridSpec(1.0, 2.0, 5, "linear")
+        points = [BranchPoint(float(x), 1.0, -1.0) for x in grid.xs()]
+        samples = [nf.sample(p.x) for p in points]
+        branch = EquilibriumBranch(points, grid, None,
+                                   leading=[an for an, _ in samples],
+                                   rows=[row for _, row in samples])
+        report = check_structural(nf, branch)
+        assert report["A2"].status == "fail"
+        assert report["A2"].witness == {"worst_x": 1.0}
+        assert report["A1"].status == "pass"
+
+
 class TestTailCoverage:
     def test_short_grid_cannot_certify_the_improper_integral(self):
         # same equation, two windows: the short one still carries >1% of the
@@ -85,7 +102,10 @@ class TestThresholds:
     def _flat_branch(self, eigenvalue):
         grid = GridSpec(0.0, 1.0, 5, "linear")
         points = [BranchPoint(x, 1.0, eigenvalue) for x in grid.xs()]
-        return EquilibriumBranch(points, grid, None)
+        samples = [self.nf.sample(p.x) for p in points]
+        return EquilibriumBranch(points, grid, None,
+                                 leading=[an for an, _ in samples],
+                                 rows=[row for _, row in samples])
 
     def setup_method(self):
         self.nf = normalize(build_equation(["1", "-3", "1", "1"], 0.0))

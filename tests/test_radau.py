@@ -116,6 +116,34 @@ class TestAdaptiveIntegration:
         assert r.status in ("step-failure", "newton-failure")
         assert r.final_x < 1.01  # the pole of 1/(1-x)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_stage_is_a_newton_failure(self):
+        # the first iteration's stage value overflows to inf: the update is
+        # non-finite, which no later iteration can repair
+        with pytest.raises(NewtonFailure, match="non-finite stage update in iteration 1"):
+            step(lambda x, y: 1e200 * y * y * y, lambda x, y: 3e200 * y * y,
+                 0.0, 1.0, 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_stiff_cubic_with_overflowing_trial_steps(self):
+        # y' = s (y - r1(x)) (y - r2) (y + r3), r1 rising to L = 0.7467...;
+        # some rejected trial steps overflow inside the stage evaluation.
+        # Oracle: y(0) = 0 lies below the stable root r1, so the trajectory
+        # stays in [0, L] and ends at L (|A| exp(-k x_end) < 1e-21 there)
+        r1 = "(0.7467675185397109 + -0.44093780272268257*exp(-1.4246851350810283*x))"
+        eq = build_equation([
+            f"122.41140753119039*(0.0 + 2.383731168726062*{r1})",
+            f"122.41140753119039*(-2.383731168726062 + 0.16051245994651553*{r1})",
+            f"122.41140753119039*(-0.16051245994651553 + -1.0*{r1})",
+            "122.41140753119039",
+        ], 0.0)
+        x_end, limit = 35.09547391828179, 0.7467675185397109
+        r = integrate(eq, 0.0, x_end, SolverConfig(atol=1e-11, rtol=1e-11))
+        assert r.completed
+        assert r.final_x == x_end
+        assert abs(r.final_y - limit) <= 1e-9
+        assert r.ys.min() >= 0.0 and r.ys.max() <= limit + 1e-9
+
     def test_checkpoints_are_hit_exactly(self):
         r = integrate_rhs(lambda x, y: -y, lambda x, y: -1.0, 0.0, 1.0, 1.0,
                           checkpoints=[0.3, 0.7])

@@ -58,7 +58,11 @@ class TestRemainderConstant:
         eq = build_equation([f"({p!r}) + ({q!r})*x" for p, q in pairs], 0.0)
         xs = np.linspace(0.0, 5.0, 7)
         points = [BranchPoint(float(x), float(rng.uniform(0.1, 2.0)), -1.0) for x in xs]
-        branch = EquilibriumBranch(points, GridSpec(0.0, 5.0, 7), None)
+        nf = normalize(eq)
+        samples = [nf.sample(p.x) for p in points]
+        branch = EquilibriumBranch(points, GridSpec(0.0, 5.0, 7), None,
+                                   leading=[an for an, _ in samples],
+                                   rows=[row for _, row in samples])
         m_e = max(p.E for p in points)
         want, scale = 0.0, 0.0
         for point in points:
@@ -69,7 +73,7 @@ class TestRemainderConstant:
                                  for k in range(2, degree + 1)))
             scale = max(scale, sum(scales[k] * m_e ** (k - 2)
                                    for k in range(2, degree + 1)))
-        got = remainder_constant(normalize(eq), branch)
+        got = remainder_constant(nf, branch)
         assert abs(got - want) <= 1e-12 * scale
 
 
