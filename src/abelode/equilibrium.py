@@ -5,11 +5,15 @@ F(x, .).  Roots are isolated by recursing on the derivative polynomial:
 the real critical points split the line into intervals where F is
 strictly monotone, so every real root inside the Cauchy-type bound
 R = 2 (1 + max_k |lambda_k(x)|) is caught by a sign change (or sits at a
-critical point, for multiple roots).  Each sign change is bisected to
-1e-12 and polished with at most 5 Newton steps.
+critical point, for multiple roots).  Sign changes are bisected to 1e-12
+and polished with at most 5 Newton steps.  One kernel does this for a
+whole stack of rows in lockstep (every bracket of every row bisected at
+once), with each row's roots bit-identical to what it gives alone; a
+single abscissa is a stack of one.
 
-A branch E(x) is continued across a grid: smallest positive root at the
-first point, nearest root afterwards, with a fallback to the smallest
+A branch E(x) is continued across a grid: every grid row is sampled and
+isolated up front, then the smallest positive root is taken at the first
+point and the nearest root afterwards, with a fallback to the smallest
 positive root if the nearest root crosses zero.  A jump larger than
 0.25 (1 + E_prev) triggers one local grid refinement before the branch
 is declared lost.  Each branch point records the stability eigenvalue
@@ -64,7 +68,7 @@ LIMIT_TOL = 1e-7
 
 
 class BranchError(RuntimeError):
-    """Branch continuation failed; carries the offending x."""
+    """Branch continuation or root isolation failed; carries the offending x."""
 
     def __init__(self, message: str, x: float):
         super().__init__(f"{message} at x={x!r}")
@@ -183,87 +187,154 @@ class EquilibriumBranch:
         return float(self._es.max())
 
 
-def _poly_real_roots(coeffs: list[float]) -> list[float]:
-    """Real roots of a monic polynomial, ascending coefficients, coeffs[-1] == 1.
+def _check_rows(xs, rows: np.ndarray) -> None:
+    """Raise BranchError at the first lambda_k that is not finite, or so
+    large that the root bound 2 (1 + max |lambda_k|) or a derivative row
+    2 n lambda_k overflows; rows is (N, n+1), xs the matching abscissae."""
+    with np.errstate(over="ignore"):
+        bad = ~np.isfinite(2.0 * (rows.shape[1] - 1) * rows)
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        value = float(rows[i, k])
+        problem = "is not finite" if not math.isfinite(value) else "overflows root isolation"
+        raise BranchError(f"lambda_{k} = {value!r} {problem}", float(xs[i]))
 
-    Recursive derivative isolation: monotone between critical points, so a
-    sign scan over the critical-point partition of [-R, R] is exhaustive.
+
+def _bisect(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray) -> np.ndarray:
+    """Midpoints of the brackets [lo, hi] of the polynomials in rows (one row
+    per bracket, flo its value at lo) after bisection to BISECT_TOL.
+
+    Every bracket steps at once; each iteration runs over the brackets
+    still open only.  A bracket closes when it is narrow enough, when its
+    midpoint no longer splits it, or when the polynomial is exactly 0 there.
     """
-    if len(coeffs) == 2:
-        return [-coeffs[0]]
+    lo, hi = lo.copy(), hi.copy()
+    open_ = np.flatnonzero(hi - lo > BISECT_TOL)
+    cols, a, b, fa = rows[open_].T, lo[open_], hi[open_], flo[open_]
+    while open_.size:
+        mid = 0.5 * (a + b)
+        split = (mid > a) & (mid < b)
+        fm = _horner(cols, mid)
+        zero = split & (fm == 0.0)
+        step = split & ~zero
+        same = (fm > 0.0) == (fa > 0.0)
+        a = np.where(zero | (step & same), mid, a)
+        fa = np.where(step & same, fm, fa)
+        b = np.where(zero | (step & ~same), mid, b)
+        done = ~step | ~(b - a > BISECT_TOL)
+        if done.any():
+            lo[open_[done]], hi[open_[done]] = a[done], b[done]
+            left = ~done
+            open_, cols, a, b, fa = open_[left], cols[:, left], a[left], b[left], fa[left]
+    return 0.5 * (lo + hi)
 
-    deriv = _derivative_row(coeffs)
-    lead = deriv[-1]
-    critical = _poly_real_roots([c / lead for c in deriv])
 
-    bound = 2.0 * (1.0 + max(abs(c) for c in coeffs[:-1]))
-    pts = [-bound] + sorted(c for c in critical if -bound < c < bound) + [bound]
-    vals = [_horner(coeffs, p) for p in pts]
-    scale = 1.0 + max(abs(c) for c in coeffs)
-    zero_tol = 1e-12 * scale
+def _isolate(rows: np.ndarray) -> np.ndarray:
+    """Real roots of every monic row of rows (N, m+1), ascending coefficients
+    with a leading 1: an (N, w) array, each row ascending and NaN-padded.
 
-    roots: list[float] = []
-    for i in range(1, len(pts) - 1):
-        # a critical point with |F| ~ 0 is a multiple root; report it once,
-        # but only when F does not change sign through it (a genuine sign
-        # change is already covered by the bisection below)
-        if abs(vals[i]) <= zero_tol and vals[i - 1] * vals[i] >= 0.0 and vals[i] * vals[i + 1] >= 0.0:
-            roots.append(pts[i])
-    for a, b, fa, fb in zip(pts, pts[1:], vals, vals[1:]):
-        if fa == 0.0 or fb == 0.0:
-            # exact zero at a partition point; the critical-point rule or the
-            # neighbouring interval handles it
-            if fa == 0.0 and a == pts[0]:
-                roots.append(a)
-            if fb == 0.0 and b == pts[-1]:
-                roots.append(b)
-            continue
-        if fa * fb > 0.0:
-            continue
-        lo, hi, flo = a, b, fa
-        while hi - lo > BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            fm = _horner(coeffs, mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (fm > 0.0) == (flo > 0.0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        root = 0.5 * (lo + hi)
-        # Newton polish, at most 5 steps, kept inside the bracket
-        fr = _horner(coeffs, root)
-        for _ in range(5):
-            if abs(fr) <= NEWTON_RESIDUAL_TOL * scale:
-                break
-            d = _horner(deriv, root)
-            if d == 0.0:
-                break
-            step = fr / d
-            candidate = root - step
-            if not (a <= candidate <= b):
-                break
-            fc = _horner(coeffs, candidate)
-            if abs(fc) >= abs(fr):
-                break
-            root, fr = candidate, fc
-        roots.append(root)
+    The rows step in lockstep through one algorithm.  The roots of the
+    derivative rows (recursively) split [-R, R], R = 2 (1 + max |lambda_k|),
+    into intervals where the row is monotone; a critical point where the row
+    is ~0 without changing sign is a multiple root, an exact 0 at +-R is a
+    root, and every sign change is bisected (_bisect) and then polished by
+    at most 5 Newton steps kept inside its bracket.  Roots within
+    4 BISECT_TOL (relative) of the previous one are merged.  Rows must
+    pass _check_rows.
+    """
+    n, width = rows.shape
+    if width == 2:
+        return -rows[:, :1]
+    deriv = np.stack(_derivative_row(rows.T), axis=1)
+    critical = _isolate(deriv / deriv[:, -1:])
 
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if merged and abs(r - merged[-1]) <= 4.0 * BISECT_TOL * max(1.0, abs(r)):
-            continue
-        merged.append(r)
-    return merged
+    bound = (2.0 * (1.0 + np.max(np.abs(rows[:, :-1]), axis=1)))[:, None]
+    inside = (-bound < critical) & (critical < bound)
+    # partition [-R, interior critical points, R], NaN-padded on the right
+    pts = np.sort(np.hstack([-bound, np.where(inside, critical, np.nan), bound]), axis=1)
+    vals = _horner(rows.T[:, :, None], pts)
+    scale = 1.0 + np.max(np.abs(rows), axis=1)
+
+    # a critical point with |F| ~ 0 is a multiple root when F does not
+    # change sign through it (a sign change is bisected below)
+    mid_vals = vals[:, 1:-1]
+    multiple = (
+        (np.abs(mid_vals) <= (1e-12 * scale)[:, None])
+        & (vals[:, :-2] * mid_vals >= 0.0)
+        & (mid_vals * vals[:, 2:] >= 0.0)
+    )
+    # an exact zero at a partition point is left to the critical-point rule
+    # or the neighbouring interval, except at the ends +-R
+    f_end = vals[np.arange(n), np.count_nonzero(~np.isnan(pts), axis=1) - 1]
+    fa, fb = vals[:, :-1], vals[:, 1:]
+    bracket = ~np.isnan(pts[:, 1:]) & (fa != 0.0) & (fb != 0.0) & ~(fa * fb > 0.0)
+    r, j = np.nonzero(bracket)
+    a, b = pts[:, :-1][r, j], pts[:, 1:][r, j]
+    root = _bisect(rows[r], a, b, fa[r, j])
+
+    # Newton polish, at most 5 steps, kept inside the bracket
+    cols, dcols = rows[r].T, deriv[r].T
+    tol = NEWTON_RESIDUAL_TOL * scale[r]
+    fr = _horner(cols, root)
+    live = np.ones(root.shape, dtype=bool)
+    for _ in range(5):
+        live &= ~(np.abs(fr) <= tol)
+        d = _horner(dcols, root)
+        live &= d != 0.0
+        candidate = root - fr / np.where(live, d, 1.0)
+        live &= (a <= candidate) & (candidate <= b)
+        fc = _horner(cols, candidate)
+        live &= ~(np.abs(fc) >= np.abs(fr))
+        if not live.any():
+            break
+        root = np.where(live, candidate, root)
+        fr = np.where(live, fc, fr)
+
+    polished = np.full(fa.shape, np.nan)
+    polished[r, j] = root
+    # a stable sort over a fixed candidate order (multiple roots, -R, the
+    # brackets left to right, R) decides which of two equal roots, 0.0 and
+    # -0.0, is kept
+    found = np.sort(
+        np.hstack([
+            np.where(multiple, pts[:, 1:-1], np.nan),
+            np.where(vals[:, :1] == 0.0, -bound, np.nan),
+            polished,
+            np.where(f_end[:, None] == 0.0, bound, np.nan),
+        ]),
+        axis=1, kind="stable",
+    )
+
+    merged = np.full(found.shape, np.nan)
+    count = np.zeros(n, dtype=np.intp)
+    last = np.full(n, np.nan)
+    for candidate in found.T:
+        keep = ~np.isnan(candidate) & ~(
+            np.abs(candidate - last) <= 4.0 * BISECT_TOL * np.maximum(1.0, np.abs(candidate))
+        )
+        merged[keep, count[keep]] = candidate[keep]
+        count += keep
+        last = np.where(keep, candidate, last)
+    return merged[:, : count.max(initial=0)]
+
+
+def _isolate_roots(xs, rows: np.ndarray) -> np.ndarray:
+    """Real roots of the monic rows (N, n+1) sampled at xs, as _isolate
+    gives them, after _check_rows.  Overflow inside the kernel gives inf
+    silently, as it does in Python float arithmetic."""
+    _check_rows(xs, rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _isolate(rows)
+
+
+def _row_roots(x: float, row: list[float]) -> list[float]:
+    """Real roots of one monic row sampled at x: a stack of one."""
+    return _isolate_roots([x], np.array([row]))[0].tolist()
 
 
 def real_roots(nf: NormalForm, x: float) -> list[float]:
     """All real equilibria of F(x, .) in ascending order."""
-    return _poly_real_roots(nf.sample(x)[1])
+    return _row_roots(x, nf.sample(x)[1])
 
 
 def smallest_positive_root(nf: NormalForm, x: float) -> float | None:
@@ -287,47 +358,35 @@ def _select_root(roots: list[float], previous: float) -> float | None:
     return nearest
 
 
-def _count_positive_stable(roots: list[float], slope: list[float]) -> int:
-    return sum(
-        1
-        for r in roots
-        if r > POSITIVE_THRESHOLD and _horner(slope, r) < 0.0
-    )
+def _count_positive_stable(rows: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Per row of the table, the roots above POSITIVE_THRESHOLD where dF/dy < 0."""
+    slope = _horner([c[:, None] for c in _derivative_row(rows.T)], roots)
+    return np.count_nonzero((roots > POSITIVE_THRESHOLD) & (slope < 0.0), axis=1)
 
 
 def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
     """Continue the smallest-positive-root branch across the grid.
 
-    Each abscissa, refinement midpoints included, is sampled once: its
-    coefficient row gives the roots, Lambda and the second-stable-root
-    count, and is kept with a_n in the branch's table.
+    Every grid point is sampled once, up front, and the roots of all rows
+    are isolated in one lockstep call; what stays sequential is picking
+    the nearest root and refining jumps, each refinement midpoint sampled
+    and isolated on its own.  The sampled a_n and rows, midpoints included,
+    are kept as the branch's table; the root table is not.
 
-    Raises BranchError if the first grid point has no positive root or if a
-    jump survives one local refinement.
+    Raises BranchError if a sampled lambda_k is not finite, if the first
+    grid point has no positive root or if a jump survives one local
+    refinement.
     """
-    points: list[BranchPoint] = []
-    leading: list[float] = []
-    rows: list[list[float]] = []
+    xs = grid.xs().tolist()
+    leading, rows = zip(*(nf.sample(x) for x in xs))
+    rows = np.array(rows)
+    table = _isolate_roots(xs, rows)
+    counts = np.count_nonzero(~np.isnan(table), axis=1).tolist()
+    roots = [row[:k] for row, k in zip(table.tolist(), counts)]
 
-    def sample(x: float):
-        """a_n, the monic row, its real roots and its dF/dy row at x."""
-        an, row = nf.sample(x)
-        return an, row, _poly_real_roots(row), _derivative_row(row)
-
-    def keep(x: float, value: float, an: float, row: list[float], slope: list[float]) -> None:
-        points.append(BranchPoint(x, value, _horner(slope, value)))
-        leading.append(an)
-        rows.append(row)
-
-    xs = grid.xs()
-    x0 = float(xs[0])
-    an0, row0, roots0, slope0 = sample(x0)
-    first = next((r for r in roots0 if r > POSITIVE_THRESHOLD), None)
+    first = next((r for r in roots[0] if r > POSITIVE_THRESHOLD), None)
     if first is None:
-        raise BranchError("no positive equilibrium at the first grid point", x0)
-
-    keep(x0, first, an0, row0, slope0)
-    ambiguous = 1 if _count_positive_stable(roots0, slope0) > 1 else 0
+        raise BranchError("no positive equilibrium at the first grid point", xs[0])
 
     def advance(e_prev: float, x: float, roots: list[float]) -> float:
         value = _select_root(roots, e_prev)
@@ -337,25 +396,36 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
             return math.nan  # signal: too far
         return value
 
-    for x_raw in xs[1:]:
-        x = float(x_raw)
-        prev = points[-1]
-        an, row, roots, slope = sample(x)
-        value = advance(prev.E, x, roots)
+    branch_xs, values = [xs[0]], [first]
+    midpoints = []  # (grid index it precedes, a_n, row)
+    for i in range(1, len(xs)):
+        x = xs[i]
+        value = advance(values[-1], x, roots[i])
         if math.isnan(value):
             # refine once: step through the midpoint in the grid metric
-            mid = grid.midpoint(prev.x, x)
-            mid_an, mid_row, mid_roots, mid_slope = sample(mid)
-            mid_value = advance(prev.E, mid, mid_roots)
+            mid = grid.midpoint(branch_xs[-1], x)
+            mid_an, mid_row = nf.sample(mid)
+            mid_value = advance(values[-1], mid, _row_roots(mid, mid_row))
             if math.isnan(mid_value):
                 raise BranchError("branch lost (jump beyond threshold)", mid)
-            keep(mid, mid_value, mid_an, mid_row, mid_slope)
-            value = advance(mid_value, x, roots)
+            branch_xs.append(mid)
+            values.append(mid_value)
+            midpoints.append((i, mid_an, mid_row))
+            value = advance(mid_value, x, roots[i])
             if math.isnan(value):
                 raise BranchError("branch lost (jump beyond threshold)", x)
-        keep(x, value, an, row, slope)
-        if _count_positive_stable(roots, slope) > 1:
-            ambiguous += 1
+        branch_xs.append(x)
+        values.append(value)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        ambiguous = int(np.count_nonzero(_count_positive_stable(rows, table) > 1))
+        leading = np.array(leading)
+        if midpoints:
+            at, mid_leading, mid_rows = zip(*midpoints)
+            leading = np.insert(leading, at, mid_leading)
+            rows = np.insert(rows, at, mid_rows, axis=0)
+        lambdas = _horner(_derivative_row(rows.T), np.array(values)).tolist()
+    points = [BranchPoint(*p) for p in zip(branch_xs, values, lambdas)]
 
     branch = EquilibriumBranch(points, grid, None, ambiguous, leading=leading, rows=rows)
     branch.L = branch_limit(branch)

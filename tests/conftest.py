@@ -11,5 +11,6 @@ from abelode import run_case
 
 @pytest.fixture(scope="session")
 def case_runs():
-    """One shared pipeline run per case study; each takes ~0.15 s."""
+    """One shared pipeline run per case study; each takes about 60 ms
+    on a 2-core x86_64 virtual machine."""
     return {cid: run_case(cid) for cid in (1, 2, 3)}

@@ -157,6 +157,16 @@ class TestHypothesesCommand:
         assert "vanishes at x=3.0" in err
         assert "Traceback" not in err
 
+    def test_non_finite_lambda_is_a_numeric_failure(self, tmp_path):
+        # lambda_0 = -1e200 / 1e-200 overflows to -inf; the real root is
+        # ~1e133, so "no positive equilibrium" would be wrong
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("degree = 3\ncoefficients = -1e200 | 0 | 0 | 1e-200\n"
+                       "x0 = 0\ny0 = 0\nx_end = 20\n")
+        code, _, err = run(["hypotheses", cfg, "--out", tmp_path / "h"])
+        assert code == 1
+        assert err == "numeric failure: lambda_0 = -inf is not finite at x=0.0\n"
+
     def test_passing_report_exits_0(self, tmp_path):
         cfg = tmp_path / "c3.cfg"
         cfg.write_text(CASE3_CFG)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from abelode.core import build_equation, normalize
 from abelode.equilibrium import (
+    BranchError,
     BranchPoint,
     GridSpec,
     ZeroEigenvalueError,
+    _isolate_roots,
     branch_derivative,
     branch_limit,
     continue_branch,
@@ -20,6 +23,54 @@ from oracles import bisect_scan_roots
 
 def monic_cubic(c0, c1, c2, x0=0.0):
     return normalize(build_equation([repr(c0), repr(c1), repr(c2), "1"], x0))
+
+
+def _filler(degree, count=2000):
+    """count random monic rows of the given degree, the same every call."""
+    rng = np.random.default_rng(degree)
+    return np.hstack([rng.uniform(-5.0, 5.0, (count, degree)), np.ones((count, 1))])
+
+
+def _isolated_in_batch(row, position):
+    """Roots of row isolated inside a 2001-row batch and isolated alone."""
+    row = np.asarray(row, dtype=float)
+    batch = np.insert(_filler(len(row) - 1), position, row, axis=0)
+    in_batch = _isolate_roots(np.arange(len(batch)), batch)[position]
+    alone = _isolate_roots([0.0], row[None, :])[0]
+    return in_batch[~np.isnan(in_batch)], alone
+
+
+@st.composite
+def constructed_rows(draw):
+    """A monic row of degree 1-5 built from its roots: separated simple
+    roots (gaps >= 0.25), optionally a factor with complex roots, and a
+    hard cluster: a double root (at a critical point), a triple root at 0
+    (an exact zero at a partition point) or two roots 1e-9 apart.
+    Returns (row, cluster centre or None, number of simple roots).
+
+    Root positions are multiples of 1/64, so no root sits at a tiny
+    nonzero abscissa where the scan oracle's sign products underflow."""
+    cluster = draw(st.sampled_from([(), (0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 1e-9)]))
+    pair = draw(st.booleans())
+    room = 5 - len(cluster) - 2 * pair
+    n_simple = draw(st.integers(0 if cluster or pair else 1, room))
+    slots = n_simple + (1 if cluster else 0)
+    start = draw(st.integers(-256, 0))
+    gaps = draw(st.lists(st.integers(16, 96), min_size=slots, max_size=slots))
+    positions = list(np.cumsum([start] + gaps[1:]) / 64.0) if slots else []
+    centre = None
+    if cluster:
+        at = draw(st.integers(0, slots - 1))
+        if len(cluster) == 3:
+            positions = [p - positions[at] for p in positions]
+        centre = float(positions.pop(at))
+    roots = [float(p) for p in positions] + [centre + c for c in cluster]
+    row = np.polynomial.polynomial.polyfromroots(roots) if roots else np.ones(1)
+    if pair:
+        p, gap = draw(st.floats(-3.0, 3.0)), draw(st.floats(0.25, 4.0))
+        row = np.polynomial.polynomial.polymul(row, [p * p / 4.0 + gap, p, 1.0])
+    assert row[-1] == 1.0
+    return row.tolist(), centre, n_simple
 
 
 class TestGridSpec:
@@ -99,6 +150,62 @@ class TestRealRoots:
         nf = monic_cubic(6.0, 11.0, 6.0)  # roots -1, -2, -3
         assert smallest_positive_root(nf, 0.0) is None
 
+    @pytest.mark.parametrize("a0, a3, problem", [
+        # the real root is ~1e133, but lambda_0 = -1e200 / 1e-200 is -inf
+        ("-1e200", "1e-200", "lambda_0 = -inf is not finite"),
+        # finite, but the root bound 2 (1 + 1e308) is not
+        ("-1e306", "1e-2", "lambda_0 = -1e+308 overflows root isolation"),
+    ])
+    def test_unusable_row_raises_branch_error(self, a0, a3, problem):
+        nf = normalize(build_equation([a0, "0", "0", a3], 0.0))
+        with pytest.raises(BranchError, match=re.escape(problem)) as caught:
+            real_roots(nf, 0.0)
+        assert caught.value.x == 0.0
+        with pytest.raises(BranchError, match=re.escape(problem)):
+            continue_branch(nf, GridSpec(0.0, 20.0, 2001))
+
+
+class TestLockstepIsolation:
+    """The lockstep kernel isolates each row exactly as it would alone, and
+    agrees with the scan oracle where the roots are well conditioned.
+
+    The oracle is asserted on rows built from their roots only: a random
+    coefficient row can sit arbitrarily close to a multiple root, where
+    float evaluation noise moves any root finder's answer by up to
+    eps^(1/k), far beyond 1e-9.  Near a constructed cluster the same noise
+    band (measured up to 1.4e-6 wide for a double root) holds only
+    spurious sign changes, so within 0.1 of the cluster, less than half
+    the gap to any simple root, the kernel need only report a root.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        coefficients=st.integers(1, 5).flatmap(
+            lambda n: st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)),
+        position=st.integers(0, 2000),
+    )
+    def test_random_row_same_in_batch_as_alone(self, coefficients, position):
+        in_batch, alone = _isolated_in_batch(coefficients + [1.0], position)
+        assert in_batch.tobytes() == alone.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(built=constructed_rows(), position=st.integers(0, 2000))
+    def test_constructed_row_in_batch_and_against_oracle(self, built, position):
+        row, centre, n_simple = built
+        in_batch, alone = _isolated_in_batch(row, position)
+        assert in_batch.tobytes() == alone.tobytes()
+
+        def away(r):
+            return centre is None or abs(r - centre) > 0.1
+
+        reference = [r for r in bisect_scan_roots(row) if away(r)]
+        mine = [r for r in alone.tolist() if away(r)]
+        assert len(mine) == len(reference) == n_simple
+        for got, expected in zip(mine, sorted(reference)):
+            assert abs(got - expected) <= 1e-9
+        if centre is not None:
+            assert np.min(np.abs(alone - centre)) <= 0.1
+
 
 class TestBranchContinuation:
     def test_constant_coefficients_give_flat_branch(self):
@@ -142,6 +249,15 @@ class TestBranchContinuation:
             an, row = nf.sample(point.x)
             assert branch.leading[i] == an
             assert branch.rows[i].tolist() == row
+
+    def test_second_stable_root_counts_as_ambiguous(self):
+        # (y+1)(y-1)(y-2)(y-3)(y-4): dF/dy < 0 at 1 and 3, so every grid
+        # point has two positive stable roots; the branch starts at 1
+        nf = normalize(build_equation(["24", "-26", "-15", "25", "-9", "1"], 0.0))
+        branch = continue_branch(nf, GridSpec(0.0, 10.0, 101))
+        assert np.max(np.abs(branch.values - 1.0)) < 1e-12
+        assert branch.ambiguous_count == 101
+        assert branch.note.startswith("101 grid point(s) had a second positive stable root")
 
     def test_limit_none_when_tail_still_moving(self):
         eq = build_equation(["3 - 2*exp(-2*x)", "-4", "0", "1"], 0.0)
