@@ -35,7 +35,7 @@ from .equilibrium import (
     EquilibriumBranch,
     GridSpec,
     ZeroEigenvalueError,
-    branch_derivative,
+    branch_slopes,
     continue_branch,
 )
 from .expr import ExprError
@@ -95,11 +95,8 @@ def _write_trajectory(path: str, result: IntegrationResult) -> None:
 
 def _write_branch(path: str, nf, branch: EquilibriumBranch) -> None:
     lines = ["x,E,Lambda,E_prime"]
-    for point in branch.points:
-        try:
-            slope = branch_derivative(nf, point)
-        except ZeroEigenvalueError:
-            slope = float("nan")
+    slopes, _ = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
+    for point, slope in zip(branch.points, slopes.tolist()):
         lines.append(
             f"{_g17(point.x)},{_g17(point.E)},{_g17(point.Lambda)},{_g17(slope)}"
         )

@@ -18,6 +18,11 @@ positive root if the nearest root crosses zero.  A jump larger than
 0.25 (1 + E_prev) triggers one local grid refinement before the branch
 is declared lost.  Each branch point records the stability eigenvalue
 Lambda(x) = dF/dy (x, E(x)).
+
+The branch slope E' = -(dF/dx) / Lambda comes from branch_slopes for
+all points at once: dF/dx is a finite difference of rows sampled at
+x +- h, one-sided where the coefficients fail on one side (a domain
+edge), undefined where they fail on both.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .core import (
     NormalForm,
     _derivative_row,
     _horner,
-    eval_F,
 )
 from .expr import ExprDomainError
 
@@ -46,6 +50,7 @@ __all__ = [
     "smallest_positive_root",
     "continue_branch",
     "branch_derivative",
+    "branch_slopes",
     "branch_limit",
 ]
 
@@ -77,6 +82,10 @@ class BranchError(RuntimeError):
 
 class ZeroEigenvalueError(RuntimeError):
     """dF/dy vanished on the branch; implicit derivative undefined."""
+
+    def __init__(self, x: float):
+        super().__init__(f"dF/dy vanishes at x={x!r}; branch derivative undefined")
+        self.x = x
 
 
 @dataclass(frozen=True)
@@ -200,17 +209,22 @@ def _check_rows(xs, rows: np.ndarray) -> None:
         raise BranchError(f"lambda_{k} = {value!r} {problem}", float(xs[i]))
 
 
-def _bisect(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray) -> np.ndarray:
-    """Midpoints of the brackets [lo, hi] of the polynomials in rows (one row
-    per bracket, flo its value at lo) after bisection to BISECT_TOL.
+def _bracket_roots(rows: np.ndarray, deriv: np.ndarray, r: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray, flo: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Roots of the polynomials rows[r] in the brackets [lo, hi] (row r[k]
+    for bracket k, flo its value at lo), bisected to BISECT_TOL and then
+    polished by at most 5 Newton steps (deriv holds the derivative rows)
+    kept inside the bracket, stopping where |F| <= tol.
 
-    Every bracket steps at once; each iteration runs over the brackets
-    still open only.  A bracket closes when it is narrow enough, when its
-    midpoint no longer splits it, or when the polynomial is exactly 0 there.
+    Every bracket steps at once; each bisection iteration runs over the
+    brackets still open only.  A bracket closes when it is narrow enough,
+    when its midpoint no longer splits it, or when the polynomial is exactly
+    0 there.  rows and deriv are indexed by bracket once per phase, and the
+    copies are gone when this returns.
     """
-    lo, hi = lo.copy(), hi.copy()
+    root = 0.5 * (lo + hi)
     open_ = np.flatnonzero(hi - lo > BISECT_TOL)
-    cols, a, b, fa = rows[open_].T, lo[open_], hi[open_], flo[open_]
+    cols, a, b, fa = rows[r[open_]].T, lo[open_], hi[open_], flo[open_]
     while open_.size:
         mid = 0.5 * (a + b)
         split = (mid > a) & (mid < b)
@@ -223,10 +237,26 @@ def _bisect(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray) -
         b = np.where(zero | (step & ~same), mid, b)
         done = ~step | ~(b - a > BISECT_TOL)
         if done.any():
-            lo[open_[done]], hi[open_[done]] = a[done], b[done]
+            root[open_[done]] = 0.5 * (a[done] + b[done])
             left = ~done
             open_, cols, a, b, fa = open_[left], cols[:, left], a[left], b[left], fa[left]
-    return 0.5 * (lo + hi)
+
+    cols, dcols = rows[r].T, deriv[r].T
+    fr = _horner(cols, root)
+    live = np.ones(root.shape, dtype=bool)
+    for _ in range(5):
+        live &= ~(np.abs(fr) <= tol)
+        d = _horner(dcols, root)
+        live &= d != 0.0
+        candidate = root - fr / np.where(live, d, 1.0)
+        live &= (lo <= candidate) & (candidate <= hi)
+        fc = _horner(cols, candidate)
+        live &= ~(np.abs(fc) >= np.abs(fr))
+        if not live.any():
+            break
+        root = np.where(live, candidate, root)
+        fr = np.where(live, fc, fr)
+    return root
 
 
 def _isolate(rows: np.ndarray) -> np.ndarray:
@@ -237,8 +267,8 @@ def _isolate(rows: np.ndarray) -> np.ndarray:
     derivative rows (recursively) split [-R, R], R = 2 (1 + max |lambda_k|),
     into intervals where the row is monotone; a critical point where the row
     is ~0 without changing sign is a multiple root, an exact 0 at +-R is a
-    root, and every sign change is bisected (_bisect) and then polished by
-    at most 5 Newton steps kept inside its bracket.  Roots within
+    root, and every sign change is bisected and then polished by at most 5
+    Newton steps kept inside its bracket (_bracket_roots).  Roots within
     4 BISECT_TOL (relative) of the previous one are merged.  Rows must
     pass _check_rows.
     """
@@ -269,26 +299,8 @@ def _isolate(rows: np.ndarray) -> np.ndarray:
     fa, fb = vals[:, :-1], vals[:, 1:]
     bracket = ~np.isnan(pts[:, 1:]) & (fa != 0.0) & (fb != 0.0) & ~(fa * fb > 0.0)
     r, j = np.nonzero(bracket)
-    a, b = pts[:, :-1][r, j], pts[:, 1:][r, j]
-    root = _bisect(rows[r], a, b, fa[r, j])
-
-    # Newton polish, at most 5 steps, kept inside the bracket
-    cols, dcols = rows[r].T, deriv[r].T
-    tol = NEWTON_RESIDUAL_TOL * scale[r]
-    fr = _horner(cols, root)
-    live = np.ones(root.shape, dtype=bool)
-    for _ in range(5):
-        live &= ~(np.abs(fr) <= tol)
-        d = _horner(dcols, root)
-        live &= d != 0.0
-        candidate = root - fr / np.where(live, d, 1.0)
-        live &= (a <= candidate) & (candidate <= b)
-        fc = _horner(cols, candidate)
-        live &= ~(np.abs(fc) >= np.abs(fr))
-        if not live.any():
-            break
-        root = np.where(live, candidate, root)
-        fr = np.where(live, fc, fr)
+    root = _bracket_roots(rows, deriv, r, pts[:, :-1][r, j], pts[:, 1:][r, j], fa[r, j],
+                          NEWTON_RESIDUAL_TOL * scale[r])
 
     polished = np.full(fa.shape, np.nan)
     polished[r, j] = root
@@ -378,8 +390,7 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
     refinement.
     """
     xs = grid.xs().tolist()
-    leading, rows = zip(*(nf.sample(x) for x in xs))
-    rows = np.array(rows)
+    leading, rows = nf.sample_grid(xs)
     table = _isolate_roots(xs, rows)
     counts = np.count_nonzero(~np.isnan(table), axis=1).tolist()
     roots = [row[:k] for row, k in zip(table.tolist(), counts)]
@@ -419,7 +430,6 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
 
     with np.errstate(over="ignore", invalid="ignore"):
         ambiguous = int(np.count_nonzero(_count_positive_stable(rows, table) > 1))
-        leading = np.array(leading)
         if midpoints:
             at, mid_leading, mid_rows = zip(*midpoints)
             leading = np.insert(leading, at, mid_leading)
@@ -437,23 +447,70 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
     return branch
 
 
-def _dF_dx(nf: NormalForm, x: float, y: float) -> float:
-    """dF/dx at fixed y, centered difference with h = max(1e-6, 1e-8 |x|)."""
-    h = max(1e-6, 1e-8 * abs(x))
+def _F_where_defined(nf: NormalForm, xs: np.ndarray, ys: np.ndarray):
+    """F(x, y) at each point, and the mask of points where the coefficients
+    evaluate (F is NaN elsewhere)."""
     try:
-        return (eval_F(nf, x + h, y) - eval_F(nf, x - h, y)) / (2.0 * h)
+        rows = nf.sample_grid(xs)[1]
     except (ExprDomainError, LeadingCoefficientError):
-        # domain edge (coefficient undefined just below x); fall back one-sided
-        return (eval_F(nf, x + h, y) - eval_F(nf, x, y)) / h
+        if xs.size == 1:
+            return np.full(1, np.nan), np.zeros(1, dtype=bool)
+        # halve until the failing points are alone: a domain edge costs a
+        # few array passes, not one scalar pass per point
+        half = xs.size // 2
+        parts = [_F_where_defined(nf, xs[s], ys[s]) for s in (slice(half), slice(half, None))]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return _horner(list(rows.T), ys), np.ones(xs.size, dtype=bool)
+
+
+def _dF_dx(nf: NormalForm, xs: np.ndarray, es: np.ndarray):
+    """dF/dx at each point (x, E), E held fixed, and the mask of points where
+    it is undefined (NaN there).
+
+    A centred difference with h = max(1e-6, 1e-8 |x|) where the coefficients
+    evaluate at both x - h and x + h.  At a domain edge, where only one side
+    evaluates, the one-sided difference between that side and x itself;
+    undefined where neither side evaluates, or x itself does not.
+    """
+    h = np.maximum(1e-6, 1e-8 * np.abs(xs))
+    f_hi, hi = _F_where_defined(nf, xs + h, es)
+    f_lo, lo = _F_where_defined(nf, xs - h, es)
+    f_at, at = np.full(xs.size, np.nan), np.zeros(xs.size, dtype=bool)
+    edge = hi != lo
+    if edge.any():
+        f_at[edge], at[edge] = _F_where_defined(nf, xs[edge], es[edge])
+    centred = hi & lo
+    values = np.where(
+        centred, (f_hi - f_lo) / (2.0 * h),
+        np.where(hi, (f_hi - f_at) / h, (f_at - f_lo) / h),
+    )
+    undefined = ~centred & ~at
+    return np.where(undefined, np.nan, values), undefined
+
+
+def _undefined_slope(x: float) -> str:
+    """Why E' has no value at x (the mask branch_slopes returns)."""
+    return (f"branch derivative undefined at x={x!r}: "
+            "the coefficients do not evaluate on either side")
+
+
+def branch_slopes(nf: NormalForm, xs, es, lams):
+    """Implicit derivative E' = -(dF/dx) / Lambda at each point (x, E, Lambda),
+    all points at once, and the mask of points where dF/dx is undefined
+    (see _dF_dx).  E' is NaN there and where Lambda == 0."""
+    xs, es, lams = (np.asarray(v, dtype=float) for v in (xs, es, lams))
+    with np.errstate(all="ignore"):
+        dfdx, undefined = _dF_dx(nf, xs, es)
+        slopes = np.where(lams == 0.0, np.nan, -dfdx / lams)
+    return slopes, undefined
 
 
 def branch_derivative(nf: NormalForm, point: BranchPoint) -> float:
-    """Implicit derivative E'(x) = -(dF/dx) / Lambda along the branch."""
+    """E'(x) at one branch point: branch_slopes on a stack of one (NaN where
+    dF/dx is undefined)."""
     if point.Lambda == 0.0:
-        raise ZeroEigenvalueError(
-            f"dF/dy vanishes at x={point.x!r}; branch derivative undefined"
-        )
-    return -_dF_dx(nf, point.x, point.E) / point.Lambda
+        raise ZeroEigenvalueError(point.x)
+    return float(branch_slopes(nf, [point.x], [point.E], [point.Lambda])[0][0])
 
 
 def branch_limit(branch: EquilibriumBranch) -> float | None:

@@ -19,7 +19,12 @@ B3 is decided by a composite trapezoid value of the integrand over the
 grid: pass when the contribution of the last decade [x_end/10, x_end] is
 below 1% of the total (or the total is exactly zero), inconclusive
 otherwise, since a tail-dominated integral on every finite grid is the
-numerical signature of divergence.
+numerical signature of divergence.  The integrand is built for all grid
+points at once, from the Phi accumulator's prefix sums and branch_slopes.
+At a domain edge, where the coefficients fail on one side of a grid
+point, E' there is the one-sided difference on the other side; where
+they fail on both sides, or where Lambda = 0 or 1/Phi overflows, B3 is
+inconclusive and the note says which (the first such point decides).
 """
 
 from __future__ import annotations
@@ -34,9 +39,9 @@ from .core import NormalForm
 from .equilibrium import (
     POSITIVE_THRESHOLD,
     EquilibriumBranch,
-    ZeroEigenvalueError,
-    branch_derivative,
     branch_limit,
+    branch_slopes,
+    _undefined_slope,
 )
 from .rate import PhiAccumulator
 
@@ -249,24 +254,33 @@ def check_asymptotic(
     return HypothesisReport(entries, _grid_info(branch.xs, "tail"))
 
 
-def _check_b3(nf: NormalForm, branch: EquilibriumBranch) -> HypothesisEntry:
-    xs = branch.xs
+def _exp(v: float) -> float:
     try:
-        accumulator = PhiAccumulator(nf, branch)
-        integrand = np.empty(xs.size)
-        for i, point in enumerate(branch.points):
-            inv_phi = math.exp(-accumulator.integral(point.x))
-            integrand[i] = inv_phi * abs(branch_derivative(nf, point))
-    except ZeroEigenvalueError:
-        return HypothesisEntry(
-            "B3", "inconclusive", {},
-            "branch derivative undefined (zero eigenvalue) on the grid",
-        )
+        return math.exp(v)
     except OverflowError:
-        return HypothesisEntry(
-            "B3", "inconclusive", {},
+        return math.inf
+
+
+def _check_b3(nf: NormalForm, branch: EquilibriumBranch) -> HypothesisEntry:
+    xs, lams = branch.xs, branch.eigenvalues
+    # at grid abscissae the integrals are the accumulator's prefix sums
+    log_phi = PhiAccumulator(nf, branch).integrals(xs)
+    inv_phi = np.array([_exp(-v) for v in log_phi.tolist()])
+    slopes, undefined = branch_slopes(nf, xs, branch.values, lams)
+    # the first point where the integrand is undefined decides the note; at
+    # one point an overflowing 1/Phi comes first, then a zero Lambda
+    problems = (np.isinf(inv_phi) & np.isfinite(log_phi), lams == 0.0, undefined)
+    first = [(int(np.argmax(mask)), k) for k, mask in enumerate(problems) if mask.any()]
+    if first:
+        i, k = min(first)
+        notes = (
             "damping reciprocal overflows on the grid (divergent integrand)",
+            "branch derivative undefined (zero eigenvalue) on the grid",
+            _undefined_slope(float(xs[i])),
         )
+        return HypothesisEntry("B3", "inconclusive", {}, notes[k])
+    with np.errstate(all="ignore"):
+        integrand = inv_phi * np.abs(slopes)
 
     widths = np.diff(xs)
     increments = 0.5 * widths * (integrand[:-1] + integrand[1:])

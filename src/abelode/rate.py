@@ -17,19 +17,25 @@ Phi integrates a_n * Lambda by composite Simpson over the branch grid
 (Lambda linearly interpolated inside each cell, a_n read from the
 branch's table at grid points and evaluated exactly at cell midpoints),
 accumulated once so that re-based factors Phi(x2)/Phi(x1) are consistent
-by construction.
+by construction.  Every a_n and E' outside the branch's table is
+evaluated for all points at once (NormalForm.a_n_grid, branch_slopes).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import NormalForm, _taylor_shift
-from .equilibrium import BranchPoint, EquilibriumBranch, branch_derivative
+from .equilibrium import (
+    EquilibriumBranch,
+    ZeroEigenvalueError,
+    branch_slopes,
+    _undefined_slope,
+)
+from .expr import ExprDomainError
 from .radau import IntegrationResult, SolverConfig
 
 __all__ = [
@@ -59,7 +65,7 @@ class PhiAccumulator:
         xs = branch.xs
         lams = branch.eigenvalues
         mids = 0.5 * (xs[:-1] + xs[1:])
-        an_mid = np.array([nf.a_n(float(x)) for x in mids])
+        an_mid = nf.a_n_grid(mids)
         lam_mid = 0.5 * (lams[:-1] + lams[1:])
         g = branch.leading * lams
         g_mid = an_mid * lam_mid
@@ -69,24 +75,38 @@ class PhiAccumulator:
         self._g = g
         self._prefix = np.concatenate(([0.0], np.cumsum(cells)))
 
+    def integrals(self, x) -> np.ndarray:
+        """int_{x_start}^{x} a_n Lambda ds at every abscissa of the 1-D x,
+        each inside the branch range: the prefix sum at grid points, plus a
+        partial Simpson on [xs[i], x] (Lambda linear within the parent cell)
+        elsewhere."""
+        xs = self._xs
+        x = np.asarray(x, dtype=float)
+        outside = np.flatnonzero(~((xs[0] <= x) & (x <= xs[-1])))
+        if outside.size:
+            raise ValueError(
+                f"x={float(x[outside[0]])!r} outside the branch range "
+                f"[{xs[0]!r}, {xs[-1]!r}]"
+            )
+        i = np.searchsorted(xs, x, side="right") - 1
+        out = self._prefix[i]
+        part = np.flatnonzero((i < xs.size - 1) & (x != xs[i]))
+        if part.size:
+            i, x = i[part], x[part]
+            mid = 0.5 * (xs[i] + x)
+            # a_n at mid and x interleaved: a failing point raises as it
+            # would if the points were taken one by one
+            an = self.nf.a_n_grid(np.stack([mid, x], axis=1).ravel()).reshape(-1, 2)
+            lam_at = self.branch.interp_Lambda
+            with np.errstate(all="ignore"):
+                g_mid = an[:, 0] * lam_at(mid)
+                g_hi = an[:, 1] * lam_at(x)
+                out[part] += (x - xs[i]) / 6.0 * (self._g[i] + 4.0 * g_mid + g_hi)
+        return out
+
     def integral(self, x: float) -> float:
         """int_{x_start}^{x} a_n Lambda ds for x inside the branch range."""
-        xs = self._xs
-        if not (xs[0] <= x <= xs[-1]):
-            raise ValueError(f"x={x!r} outside the branch range [{xs[0]!r}, {xs[-1]!r}]")
-        i = bisect_right(xs, x) - 1
-        if i >= len(xs) - 1:
-            return float(self._prefix[-1])
-        base = float(self._prefix[i])
-        if x == xs[i]:
-            return base
-        # partial Simpson on [xs[i], x], Lambda linear within the parent cell
-        lam_at = self.branch.interp_Lambda
-        mid = 0.5 * (xs[i] + x)
-        g_lo = self._g[i]
-        g_mid = self.nf.a_n(float(mid)) * float(lam_at(mid))
-        g_hi = self.nf.a_n(float(x)) * float(lam_at(x))
-        return base + (x - xs[i]) / 6.0 * (g_lo + 4.0 * g_mid + g_hi)
+        return float(self.integrals([x])[0])
 
     def value(self, x: float, x_from: float | None = None) -> float:
         start = self.integral(x_from) if x_from is not None else 0.0
@@ -144,20 +164,25 @@ def rate_bound(
         raise ValueError("trajectory and branch share fewer than two points")
 
     accumulator = PhiAccumulator(nf, branch)
-    log_phi0 = accumulator.integral(float(xs[0]))
-    log_phi = [accumulator.integral(float(x)) - log_phi0 for x in xs]
+    log_phi = accumulator.integrals(xs)
+    log_phi = (log_phi - log_phi[0]).tolist()
     phi_vals = np.array([math.exp(v) for v in log_phi])
     ratios = [math.exp(b - a) for a, b in zip(log_phi, log_phi[1:])]
     e_vals = branch.interp_E(xs)
+    lam_vals = branch.interp_Lambda(xs)
     z_abs = np.abs(ys - e_vals)
 
     # |E'| at the accepted points, via the branch's implicit derivative; the
     # interpolants return the stored values exactly at branch grid points
-    e_prime = np.array([
-        abs(branch_derivative(nf, BranchPoint(float(x), float(e), float(lam))))
-        for x, e, lam in zip(xs, e_vals, branch.interp_Lambda(xs))
-    ])
-    an_vals = np.array([nf.a_n(float(x)) for x in xs])
+    e_prime, undefined = branch_slopes(nf, xs, e_vals, lam_vals)
+    stop = np.flatnonzero((lam_vals == 0.0) | undefined)
+    if stop.size:
+        x = float(xs[stop[0]])
+        if lam_vals[stop[0]] == 0.0:
+            raise ZeroEigenvalueError(x)
+        raise ExprDomainError(_undefined_slope(x))
+    e_prime = np.abs(e_prime)
+    an_vals = nf.a_n_grid(xs)
 
     drift = _damped_cumtrapz(e_prime, xs, ratios)
     feedback = _damped_cumtrapz(z_abs * np.abs(an_vals), xs, ratios)

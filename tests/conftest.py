@@ -1,7 +1,7 @@
 import sys
 from pathlib import Path
 
-# make the sibling oracles module importable from every test file
+# make the sibling oracles and strategies modules importable from every test file
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import pytest

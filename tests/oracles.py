@@ -9,6 +9,12 @@ import math
 import numpy as np
 
 
+def _opposite_signs(u, v):
+    """Strictly opposite signs, compared directly: the product u * v
+    underflows to -0.0 when both are tiny (below ~1e-154)."""
+    return (u < 0.0 < v) or (v < 0.0 < u)
+
+
 def bisect_scan_roots(monic_coeffs, samples=20001, tol=1e-13):
     """All real roots of a monic polynomial by dense sign scan + bisection.
 
@@ -31,14 +37,14 @@ def bisect_scan_roots(monic_coeffs, samples=20001, tol=1e-13):
         if fa == 0.0:
             roots.append(float(a))
             continue
-        if fa * fb < 0.0:
+        if _opposite_signs(fa, fb):
             for _ in range(200):
                 mid = 0.5 * (a + b)
                 fm = float(np.polynomial.polynomial.polyval(mid, cs))
                 if fm == 0.0 or (b - a) < tol:
                     a = b = mid
                     break
-                if fa * fm < 0.0:
+                if _opposite_signs(fa, fm):
                     b = mid
                 else:
                     a, fa = mid, fm

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from abelode.cases import get_case, run_case
+from abelode.equilibrium import continue_branch
+from abelode.expr import Expr
+from abelode.hypotheses import verify
+from abelode.rate import rate_bound
 
 EXACT_LIMITS = {
     1: math.sqrt(2.0) - 1.0,
@@ -87,3 +91,18 @@ class TestRunCase:
         assert a.result.final_y == b.result.final_y
         assert a.gap == b.gap
         assert list(a.result.xs) == list(b.result.xs)
+
+
+class TestArrayEvaluation:
+    @pytest.mark.parametrize("cid", [1, 2, 3])
+    def test_no_scalar_evaluation_outside_the_integrator(self, case_runs, cid, monkeypatch):
+        # branch, hypotheses and rate bound read every coefficient as arrays
+        # (no case refines its branch); only the integrator calls Expr.eval
+        run = case_runs[cid]
+        calls = []
+        original = Expr.eval
+        monkeypatch.setattr(Expr, "eval", lambda self, x: calls.append(x) or original(self, x))
+        branch = continue_branch(run.nf, run.case.branch_grid())
+        verify(run.nf, branch)
+        rate_bound(run.nf, branch, run.result)
+        assert calls == []

@@ -167,6 +167,19 @@ class TestHypothesesCommand:
         assert code == 1
         assert err == "numeric failure: lambda_0 = -inf is not finite at x=0.0\n"
 
+    def test_right_domain_edge_writes_the_report(self, tmp_path):
+        # sqrt(1 - x) is undefined just right of x_end = 1; the branch's
+        # last E' takes the backward difference instead of raising
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text("degree = 2\ncoefficients = 3 + sqrt(1-x) | -4 - sqrt(1-x) | 1\n"
+                       "x0 = 0\ny0 = 0\nx_end = 1\n")
+        code, out, err = run(["hypotheses", cfg, "--out", tmp_path / "h"])
+        assert code == 0, err
+        assert "B3" in out
+        assert (tmp_path / "h" / "report.json").exists()
+        _, rows = read_rows(tmp_path / "h" / "branch.csv")
+        assert rows[-1][0] == "1" and math.isfinite(float(rows[-1][3]))
+
     def test_passing_report_exits_0(self, tmp_path):
         cfg = tmp_path / "c3.cfg"
         cfg.write_text(CASE3_CFG)

@@ -1,10 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strategies import expressions, grids
+
 from abelode.core import (
     LeadingCoefficientError,
+    NormalForm,
     build_equation,
     eval_dF,
     eval_drhs,
@@ -12,6 +16,7 @@ from abelode.core import (
     eval_rhs,
     normalize,
 )
+from abelode.expr import ExprDomainError
 
 coeff_floats = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
 
@@ -115,3 +120,47 @@ class TestEvaluation:
         assert eval_rhs(eq, 0.0, 1.0) == pytest.approx(1.0 - 4.0 + 1.0, abs=1e-15)
         big_x = eval_rhs(eq, 30.0, 1.0)
         assert big_x == pytest.approx(0.0, abs=1e-12)  # (1 - 4 + 3) at the tail
+
+
+def _stacked(nf, xs):
+    """sample at each point, stacked; or the first error, as (type, message)."""
+    try:
+        leading, rows = zip(*(nf.sample(x) for x in xs))
+        return np.array(leading).tobytes(), np.array(rows).tobytes()
+    except (ExprDomainError, LeadingCoefficientError) as err:
+        return type(err), str(err)
+
+
+def _grid(nf, xs):
+    try:
+        leading, rows = nf.sample_grid(xs)
+        return leading.tobytes(), rows.tobytes()
+    except (ExprDomainError, LeadingCoefficientError) as err:
+        return type(err), str(err)
+
+
+class TestSampleGrid:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sources=st.lists(expressions, min_size=2, max_size=4),
+        xs=grids,
+    )
+    def test_equals_stacked_sample(self, sources, xs):
+        # no normalize: its probes would reject a vanishing a_n up front
+        eq = build_equation(sources, 0.0)
+        nf = NormalForm(eq, eq.degree)
+        assert _grid(nf, xs) == _stacked(nf, xs)
+
+    @pytest.mark.parametrize("sources,xs", [
+        # a_n vanishes at 1 before a_0 fails at 2; then a_0 fails first
+        (["log(2 - x)", "x - 1"], [0.0, 1.0, 2.0]),
+        (["log(2 - x)", "x - 1"], [0.0, 2.0, 1.0]),
+        # at one point a_n fails before a_0 is evaluated
+        (["1/x", "sqrt(x)"], [1.0, -1.0, 0.0]),
+        # a_0 / a_n overflows to inf without an error
+        (["1e200", "0", "1e-200"], [0.0, 1.0]),
+    ])
+    def test_error_order_and_overflow(self, sources, xs):
+        eq = build_equation(sources, 0.0)
+        nf = NormalForm(eq, eq.degree)
+        assert _grid(nf, xs) == _stacked(nf, xs)

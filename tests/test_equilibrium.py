@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from abelode.core import build_equation, normalize
+from abelode.core import build_equation, eval_F, normalize
 from abelode.equilibrium import (
     BranchError,
     BranchPoint,
@@ -14,6 +14,7 @@ from abelode.equilibrium import (
     _isolate_roots,
     branch_derivative,
     branch_limit,
+    branch_slopes,
     continue_branch,
     real_roots,
     smallest_positive_root,
@@ -207,6 +208,16 @@ class TestLockstepIsolation:
             assert np.min(np.abs(alone - centre)) <= 0.1
 
 
+    def test_scan_oracle_survives_underflowing_products(self):
+        # the scan once tested signs by fa * fm < 0.0, which underflows to
+        # -0.0 here and moved the bisection to a false root at 0.0004
+        row = [-6.67522e-318, -3e-09, 3, -1e-09, 1]
+        reference = bisect_scan_roots(row)
+        alone = _isolate_roots([0.0], np.array([row]))[0]
+        assert len(reference) == len(alone) == 2
+        assert np.max(np.abs(np.array(reference) - alone)) <= 1e-9
+
+
 class TestBranchContinuation:
     def test_constant_coefficients_give_flat_branch(self):
         nf = monic_cubic(1.0, -3.0, 1.0)
@@ -294,3 +305,33 @@ class TestBranchDerivative:
         nf = monic_cubic(1.0, -3.0, 1.0)
         with pytest.raises(ZeroEigenvalueError):
             branch_derivative(nf, BranchPoint(0.0, 1.0, 0.0))
+
+    def test_one_sided_differences_at_both_domain_edges(self):
+        # x - x^2 < 0 just outside [0, 1]: the first point takes the forward
+        # difference, the last the backward one (it used to raise)
+        nf = normalize(build_equation(["3 + sqrt(x - x*x)", "-4 - sqrt(x - x*x)", "1"], 0.0))
+        branch = continue_branch(nf, GridSpec(0.0, 1.0, 201))
+        slopes, undefined = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
+        assert not undefined.any()
+        h = 1e-6
+        first, last = branch.points[0], branch.points[-1]
+        forward = (eval_F(nf, first.x + h, first.E) - eval_F(nf, first.x, first.E)) / h
+        backward = (eval_F(nf, last.x, last.E) - eval_F(nf, last.x - h, last.E)) / h
+        assert slopes[0] == -forward / first.Lambda
+        assert slopes[-1] == -backward / last.Lambda
+        assert branch_derivative(nf, last) == slopes[-1]
+
+    def test_undefined_where_neither_side_evaluates(self):
+        # sqrt(-(x - 1)^2) evaluates at x = 1 only
+        nf = normalize(build_equation(["sqrt(0 - (x - 1)^2) - 1", "1"], 1.0))
+        point = BranchPoint(1.0, 1.0, -1.0)
+        slopes, undefined = branch_slopes(nf, [1.0, 2.0], [1.0, 1.0], [-1.0, 0.0])
+        assert undefined.tolist() == [True, True]
+        assert np.isnan(slopes).all()
+        assert math.isnan(branch_derivative(nf, point))
+
+    def test_slopes_are_nan_at_a_zero_eigenvalue(self):
+        nf = monic_cubic(1.0, -3.0, 1.0)
+        slopes, undefined = branch_slopes(nf, [0.0, 1.0], [1.0, 1.0], [0.0, -1.0])
+        assert math.isnan(slopes[0]) and slopes[1] == 0.0
+        assert not undefined.any()

@@ -1,7 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from strategies import expressions, grids
 
 from abelode.expr import ExprDomainError, ExprError, ExprSyntaxError, parse
 
@@ -149,3 +152,65 @@ class TestRoundTrip:
         f = parse(f"{c2}*x^2 + {c1}*x + {c0}")
         expected = (c2 * x + c1) * x + c0
         assert f(x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def _outcome(evaluate, xs):
+    """The values as bytes, or the ExprDomainError message."""
+    try:
+        return np.asarray(evaluate(xs), dtype=float).tobytes()
+    except ExprDomainError as err:
+        return str(err)
+
+
+def _scalar(expr):
+    return lambda xs: [expr.eval(x) for x in xs]
+
+
+class TestArrayEvaluation:
+    """eval_array gives eval's values bit for bit, or eval's error for the
+    first failing point."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(source=expressions, xs=grids)
+    def test_array_path_equals_scalar_path(self, source, xs):
+        expr = parse(source)
+        assert _outcome(expr.eval_array, xs) == _outcome(_scalar(expr), xs)
+
+    @pytest.mark.parametrize("source,xs,message", [
+        ("(x - 1)^0.5", [2.0, 0.5, -1.0], "domain error evaluating '^' at x=0.5"),
+        ("1/(x - 2)", [0.0, 2.0, 3.0], "division by zero at x=2.0"),
+        ("exp(710*x)", [0.0, 2.0, 1.0], "overflow in exp(1420.0) at x=2.0"),
+        ("log(x)", [1.0, -1.0, 0.0], "log(-1.0) outside real domain at x=-1.0"),
+        ("sqrt(x)", [4.0, 0.0, -4.0], "sqrt(-4.0) outside real domain at x=-4.0"),
+        ("1e300*x*x", [1.0, 1e10], "non-finite value inf at x=10000000000.0"),
+        # 1/0 = inf in float64 arithmetic and 1/inf = 0 is finite
+        ("1/(1/x)", [1.0, 0.0], "division by zero at x=0.0"),
+    ])
+    def test_first_failing_point_is_named(self, source, xs, message):
+        expr = parse(source)
+        assert _outcome(expr.eval_array, xs) == _outcome(_scalar(expr), xs) == message
+
+    @pytest.mark.parametrize("source,xs", [
+        ("(-x)^3", [1.0, 2.5, -3.0]),         # negative base, integer exponent
+        ("1/(1e300*x*x)", [1.0, 1e10]),       # an inf inside, a finite result
+        ("(1e300*x - 1e300*x)^0", [1e10]),    # nan^0 = 1
+        ("3 - 2*exp(-2*x)", [0.0, 0.5, 7.0]),
+    ])
+    def test_finite_results_match(self, source, xs):
+        expr = parse(source)
+        assert expr.eval_array(xs).tobytes() == np.array(_scalar(expr)(xs)).tobytes()
+
+    @pytest.mark.parametrize("source,low,high", [
+        ("exp(x)", -700.0, 700.0),
+        ("log(x)", 1e-300, 1e300),
+        ("sqrt(x)", 0.0, 1e10),
+        ("x^1.37", 0.0, 1e3),
+        ("2.3^x", -500.0, 500.0),
+        ("abs(x) - x*x/(x + 3.7)", -3.0, 3.0),
+    ])
+    def test_dense_grid_bit_for_bit(self, source, low, high):
+        # numpy's exp and power differ from math's on a few percent of
+        # arguments; 4,000 points see that
+        xs = np.random.default_rng(7).uniform(low, high, 4000)
+        expr = parse(source)
+        assert expr.eval_array(xs).tobytes() == np.array(_scalar(expr)(xs.tolist())).tobytes()

@@ -98,6 +98,37 @@ class TestTailCoverage:
         assert long["B3"].witness["tail_share"] < 0.01
 
 
+class TestDomainEdge:
+    def test_right_domain_edge_does_not_raise(self):
+        # sqrt(1 - x) fails just right of x = 1, the last grid point; E = 1
+        # there, and B3 gets a value instead of an ExprDomainError
+        nf = normalize(build_equation(["3 + sqrt(1-x)", "-4 - sqrt(1-x)", "1"], 0.0))
+        branch = continue_branch(nf, GridSpec(0.0, 1.0, 201))
+        report = verify(nf, branch)
+        assert "B3_integral" in report["B3"].witness
+        assert report["A1"].status == "pass"
+
+    def test_undefined_branch_derivative_is_inconclusive(self):
+        # sqrt(-(x - 1)^2) evaluates at x = 1 only, so E' has no difference
+        nf = normalize(build_equation(["sqrt(0 - (x - 1)^2) - 1", "1"], 1.0))
+        points = [BranchPoint(1.0, 1.0, -1.0), BranchPoint(2.0, 1.0, -1.0)]
+        branch = EquilibriumBranch(points, GridSpec(1.0, 2.0, 2), None,
+                                   leading=[1.0, 1.0], rows=[[-1.0, 1.0], [-1.0, 1.0]])
+        entry = check_asymptotic(nf, branch)["B3"]
+        assert entry.status == "inconclusive"
+        assert entry.note == ("branch derivative undefined at x=1.0: "
+                              "the coefficients do not evaluate on either side")
+
+    def test_zero_eigenvalue_note_wins_at_the_same_point(self):
+        # both points are undefined; the first also has Lambda = 0
+        nf = normalize(build_equation(["sqrt(0 - (x - 2)^2) - 1", "1"], 1.0))
+        points = [BranchPoint(1.0, 1.0, 0.0), BranchPoint(2.0, 1.0, -1.0)]
+        branch = EquilibriumBranch(points, GridSpec(1.0, 2.0, 2), None,
+                                   leading=[1.0, 1.0], rows=[[-1.0, 1.0], [-1.0, 1.0]])
+        entry = check_asymptotic(nf, branch)["B3"]
+        assert entry.note == "branch derivative undefined (zero eigenvalue) on the grid"
+
+
 class TestThresholds:
     def _flat_branch(self, eigenvalue):
         grid = GridSpec(0.0, 1.0, 5, "linear")

@@ -7,7 +7,8 @@ from oracles import taylor_power_sum
 
 from abelode import run_case
 from abelode.core import build_equation, normalize
-from abelode.equilibrium import BranchPoint, EquilibriumBranch, GridSpec
+from abelode.equilibrium import BranchPoint, EquilibriumBranch, GridSpec, continue_branch
+from abelode.radau import integrate
 from abelode.rate import diagnose, phi, rate_bound, remainder_constant
 
 
@@ -98,6 +99,16 @@ class TestRateBound:
         assert np.isfinite(rb.bound).all()
         margin = np.asarray(rb.bound) - deviation
         assert margin.min() >= 0.0
+
+    def test_right_domain_edge(self):
+        # sqrt(1 - x) fails just right of x = 1, where the trajectory ends;
+        # E' there takes the backward difference instead of raising
+        eq = build_equation(["3 + sqrt(1-x)", "-4 - sqrt(1-x)", "1"], 0.0)
+        nf = normalize(eq)
+        branch = continue_branch(nf, GridSpec(0.0, 1.0, 201))
+        rb = rate_bound(nf, branch, integrate(eq, 0.0, 1.0))
+        assert rb.xs[-1] == 1.0
+        assert np.isfinite(rb.bound).all()
 
     def test_initial_bound_is_initial_gap(self, case_runs):
         run = case_runs[1]
