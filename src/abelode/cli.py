@@ -14,6 +14,7 @@ entries are not failures), 64 usage or config error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -64,6 +65,18 @@ ORDER_TEST_STEPS = (0.2, 0.1, 0.05, 0.025)
 
 def _g17(value: float) -> str:
     return format(float(value), ".17g")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for numeric flags: a finite float, else a usage error
+    that names the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -317,8 +330,8 @@ def _cmd_order_test(args) -> int:
 
 def _add_common_flags(parser, atol_rtol=True, out=True, gnuplot=True):
     if atol_rtol:
-        parser.add_argument("--atol", type=float, default=None)
-        parser.add_argument("--rtol", type=float, default=None)
+        parser.add_argument("--atol", type=_finite_float, default=None)
+        parser.add_argument("--rtol", type=_finite_float, default=None)
     if out:
         parser.add_argument("--out", default=None, help="output directory")
     if gnuplot:
@@ -332,7 +345,7 @@ def build_parser() -> _Parser:
 
     p_case = sub.add_parser("case", help="run a bundled case study")
     p_case.add_argument("id", type=int, choices=(1, 2, 3))
-    p_case.add_argument("--x-max", type=float, default=None)
+    p_case.add_argument("--x-max", type=_finite_float, default=None)
     p_case.add_argument("--long-run", action="store_true",
                         help="case 2: extend to x_max=2e5")
     _add_common_flags(p_case)
@@ -355,9 +368,9 @@ def build_parser() -> _Parser:
     p_red = sub.add_parser("reduce", help="deviation-equation coefficients")
     p_red.add_argument("--case", type=int, choices=(1, 2, 3), default=None)
     p_red.add_argument("--config", default=None)
-    p_red.add_argument("--ep", type=float, required=True,
+    p_red.add_argument("--ep", type=_finite_float, required=True,
                        help="constant equilibrium pivot value")
-    p_red.add_argument("--x-max", type=float, default=None)
+    p_red.add_argument("--x-max", type=_finite_float, default=None)
     _add_common_flags(p_red, atol_rtol=False)
     p_red.set_defaults(func=_cmd_reduce)
 
@@ -365,8 +378,8 @@ def build_parser() -> _Parser:
     p_spr.add_argument("--literal-case1", action="store_true")
     p_spr.add_argument("--config", default=None,
                        help="config file with model parameters")
-    p_spr.add_argument("--x0", type=float, default=None)
-    p_spr.add_argument("--x-max", type=float, default=None)
+    p_spr.add_argument("--x0", type=_finite_float, default=None)
+    p_spr.add_argument("--x-max", type=_finite_float, default=None)
     _add_common_flags(p_spr)
     p_spr.set_defaults(func=_cmd_spread)
 

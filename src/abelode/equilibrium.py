@@ -100,6 +100,8 @@ class GridSpec:
     def __post_init__(self):
         if self.count < 2:
             raise ValueError("grid needs at least 2 points")
+        if not (math.isfinite(self.x_start) and math.isfinite(self.x_end)):
+            raise ValueError(f"grid bounds must be finite, got [{self.x_start!r}, {self.x_end!r}]")
         if not self.x_end > self.x_start:
             raise ValueError("x_end must exceed x_start")
         if self.spacing not in ("linear", "log"):

@@ -15,16 +15,18 @@ sampling evidence, never a proof; the report says so explicitly.  Checks
 never raise: violations, endpoint degeneracies and undecidable tails
 become fail or inconclusive entries with witnesses.
 
-B3 is decided by a composite trapezoid value of the integrand over the
-grid: pass when the contribution of the last decade [x_end/10, x_end] is
-below 1% of the total (or the total is exactly zero), inconclusive
-otherwise, since a tail-dominated integral on every finite grid is the
-numerical signature of divergence.  The integrand is built for all grid
-points at once, from the Phi accumulator's prefix sums and branch_slopes.
-At a domain edge, where the coefficients fail on one side of a grid
-point, E' there is the one-sided difference on the other side; where
-they fail on both sides, or where Lambda = 0 or 1/Phi overflows, B3 is
-inconclusive and the note says which (the first such point decides).
+B3 reads the rate bound's damped drift sums (rate.damped_drift): pass
+when the last decade [x_end/10, x_end] carries below 1% of the trapezoid
+integral (or the integral is exactly zero), inconclusive otherwise, since
+a tail-dominated integral on every finite grid is the numerical
+signature of divergence.  The share is taken in log space, so it stays
+defined where the integral overflows float64.  At a domain edge, where
+the coefficients fail on one side of a grid point, E' there is the
+one-sided difference on the other side; where they fail on both sides,
+or where Lambda = 0, B3 is inconclusive and the note says which (the
+first such point decides).  B3 is also inconclusive, with a note saying
+why, where a coefficient fails inside Phi's integral, and where Phi
+leaves the float range and the damped sums lose the total.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ from .core import NormalForm
 from .equilibrium import (
     POSITIVE_THRESHOLD,
     EquilibriumBranch,
+    ZeroEigenvalueError,
     branch_limit,
-    branch_slopes,
-    _undefined_slope,
 )
-from .rate import PhiAccumulator
+from .expr import ExprDomainError
+from .rate import damped_drift
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -59,6 +61,9 @@ ALPHA_FLOOR = 1e-8
 
 #: last-decade share of the B3 integral above which the tail dominates
 B3_TAIL_SHARE = 0.01
+
+#: B3 note where Phi leaves the float range and the damped sums lose the total
+B3_OVERFLOW = "damping reciprocal overflows on the grid (divergent integrand)"
 
 GRID_VERIFIED = "grid-verified sampling check, not a proof"
 
@@ -254,54 +259,37 @@ def check_asymptotic(
     return HypothesisReport(entries, _grid_info(branch.xs, "tail"))
 
 
-def _exp(v: float) -> float:
-    try:
-        return math.exp(v)
-    except OverflowError:
-        return math.inf
-
-
 def _check_b3(nf: NormalForm, branch: EquilibriumBranch) -> HypothesisEntry:
-    xs, lams = branch.xs, branch.eigenvalues
-    # at grid abscissae the integrals are the accumulator's prefix sums
-    log_phi = PhiAccumulator(nf, branch).integrals(xs)
-    inv_phi = np.array([_exp(-v) for v in log_phi.tolist()])
-    slopes, undefined = branch_slopes(nf, xs, branch.values, lams)
-    # the first point where the integrand is undefined decides the note; at
-    # one point an overflowing 1/Phi comes first, then a zero Lambda
-    problems = (np.isinf(inv_phi) & np.isfinite(log_phi), lams == 0.0, undefined)
-    first = [(int(np.argmax(mask)), k) for k, mask in enumerate(problems) if mask.any()]
-    if first:
-        i, k = min(first)
-        notes = (
-            "damping reciprocal overflows on the grid (divergent integrand)",
-            "branch derivative undefined (zero eigenvalue) on the grid",
-            _undefined_slope(float(xs[i])),
-        )
-        return HypothesisEntry("B3", "inconclusive", {}, notes[k])
-    with np.errstate(all="ignore"):
-        integrand = inv_phi * np.abs(slopes)
-
-    widths = np.diff(xs)
-    increments = 0.5 * widths * (integrand[:-1] + integrand[1:])
-    cumulative = np.concatenate(([0.0], np.cumsum(increments)))
-    total = float(cumulative[-1])
+    xs = branch.xs
+    try:
+        log_phi, _, _, drift, total = damped_drift(nf, branch, xs)
+    except ZeroEigenvalueError:
+        note = "branch derivative undefined (zero eigenvalue) on the grid"
+        return HypothesisEntry("B3", "inconclusive", {}, note)
+    except ExprDomainError as err:
+        return HypothesisEntry("B3", "inconclusive", {}, str(err))
+    except OverflowError:  # Phi grew past the float range
+        return HypothesisEntry("B3", "inconclusive", {}, B3_OVERFLOW)
     if total == 0.0:
         return HypothesisEntry("B3", "pass", {"B3_integral": 0.0}, GRID_VERIFIED)
+    if math.isnan(total):
+        return HypothesisEntry("B3", "inconclusive", {}, B3_OVERFLOW)
 
-    decade_start = float(xs[-1]) / 10.0
-    if decade_start <= xs[0]:
-        head = 0.0
-    else:
-        head = float(np.interp(decade_start, xs, cumulative))
-    share = (total - head) / total
-    witness = {"B3_integral": total, "tail_share": share}
+    # the running integral over the total, I_i / I_N, in log space:
+    # log I_i = log drift_i - log Phi_i stays finite where I_N overflows
+    with np.errstate(all="ignore"):
+        log_i = np.log(drift) - log_phi
+        fraction = np.exp(log_i - log_i[-1])
+    # fraction[0] = 0 (drift_0 = 0) also covers a decade start left of xs[0]
+    share = 1.0 - float(np.interp(float(xs[-1]) / 10.0, xs, fraction))
+    witness = {"tail_share": share}
+    note = "integral overflows float64 and is dominated by the last decade of the grid"
+    if math.isfinite(total):
+        witness["B3_integral"] = total
+        note = "integral dominated by the last decade of the grid"
     if share < B3_TAIL_SHARE:
         return HypothesisEntry("B3", "pass", witness, GRID_VERIFIED)
-    return HypothesisEntry(
-        "B3", "inconclusive", witness,
-        "integral dominated by the last decade of the grid",
-    )
+    return HypothesisEntry("B3", "inconclusive", witness, note)
 
 
 def verify(

@@ -104,6 +104,14 @@ def stability_value(z: complex) -> complex:
     return num / den
 
 
+def _require_finite(**values) -> None:
+    """Raise ValueError naming the first value that is not a finite number
+    (None stands for a default and passes)."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Tolerances and guards for the adaptive loop.
@@ -122,6 +130,8 @@ class SolverConfig:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
+        _require_finite(atol=self.atol, rtol=self.rtol, h0=self.h0, h_min=self.h_min,
+                        h_max=self.h_max, newton_tol=self.newton_tol)
         if self.atol <= 0.0 or self.rtol < 0.0:
             raise ValueError("atol must be positive and rtol non-negative")
         if self.h_min <= 0.0:
@@ -138,30 +148,34 @@ class StepResult:
     stages: tuple[float, float, float]
 
 
-def _solve_stages(f, df, x, y, h, tableau, config):
+def _solve_stages(f, df, x, y, h, config):
     """Simplified Newton for the stage slopes k_i = f(x + c_i h, y + h sum A_ij k_j).
 
     The iteration matrix I - h J A uses the Jacobian J = df(x, y) frozen at
     the step start.  Returns (stages, iterations); raises NewtonFailure when
-    the iterations run out or an update is non-finite (it cannot converge).
+    the iterations run out or a stage value or update is non-finite (it
+    cannot converge).
     """
-    A, c = tableau.A, tableau.c
+    A, c = _TABLEAU.A, _TABLEAU.c
     jac = df(x, y)
     newton_matrix = np.eye(3) - (h * jac) * A
     k = np.full(3, f(x, y))  # constant predictor
     threshold = config.newton_tol * (config.atol / h + config.rtol * abs(y))
     iterations = 0
+    y_float, h_float = float(y), float(h)
     for _ in range(config.newton_max_iters):
         iterations += 1
-        # Python floats: an overflowing stage value is a silent inf, caught
-        # below as a non-finite update
-        stage_y = (y + h * (A @ k)).tolist()
-        residual = k - np.array(
-            [f(x + float(c[i]) * h, stage_y[i]) for i in range(3)]
-        )
-        delta = np.linalg.solve(newton_matrix, -residual)
-        k = k + delta
-        size = float(np.max(np.abs(delta)))
+        # Python floats: an overflowing stage value is a silent inf, and it
+        # fails like a non-finite update
+        stage_y = [y_float + h_float * v for v in (A @ k).tolist()]
+        size = math.inf
+        if all(map(math.isfinite, stage_y)):
+            residual = k - np.array(
+                [f(x + float(c[i]) * h, stage_y[i]) for i in range(3)]
+            )
+            delta = np.linalg.solve(newton_matrix, -residual)
+            k = k + delta
+            size = float(np.max(np.abs(delta)))
         if not math.isfinite(size):
             raise NewtonFailure(
                 f"non-finite stage update in iteration {iterations} at x={x!r}, h={h!r}"
@@ -171,20 +185,19 @@ def _solve_stages(f, df, x, y, h, tableau, config):
     raise NewtonFailure(f"no stage convergence in {iterations} iterations at x={x!r}, h={h!r}")
 
 
-def _basic_step(f, df, x, y, h, tableau, config):
+def _basic_step(f, df, x, y, h, config):
     """One plain Radau step; returns (y_next, newton_iters, stages)."""
-    k, iters = _solve_stages(f, df, x, y, h, tableau, config)
-    return y + h * float(tableau.b @ k), iters, k
+    k, iters = _solve_stages(f, df, x, y, h, config)
+    return y + h * float(_TABLEAU.b @ k), iters, k
 
 
-def step(f, df, x, y, h, tableau=None, config=None) -> StepResult:
+def step(f, df, x, y, h, config=None) -> StepResult:
     """One adaptive-quality step: full step plus two half steps for the
     step-doubling error estimate err = |y_h - y_{h/2,h/2}| / 31."""
-    tableau = tableau or _TABLEAU
     config = config or SolverConfig()
-    y_coarse, iters, stages = _basic_step(f, df, x, y, h, tableau, config)
-    y_half, iters2, _ = _basic_step(f, df, x, y, 0.5 * h, tableau, config)
-    y_fine, iters3, _ = _basic_step(f, df, x + 0.5 * h, y_half, 0.5 * h, tableau, config)
+    y_coarse, iters, stages = _basic_step(f, df, x, y, h, config)
+    y_half, iters2, _ = _basic_step(f, df, x, y, 0.5 * h, config)
+    y_fine, iters3, _ = _basic_step(f, df, x + 0.5 * h, y_half, 0.5 * h, config)
     err = abs(y_coarse - y_fine) / STEP_DOUBLING_DENOM
     return StepResult(y_coarse, err, iters + iters2 + iters3, tuple(stages))
 
@@ -249,6 +262,7 @@ def integrate_rhs(
     contain exactly; steps are truncated to land on them.
     """
     config = config or SolverConfig()
+    _require_finite(x0=x0, y0=y0, x_end=x_end)
     if not x_end > x0:
         raise ValueError("x_end must exceed x0")
     span = x_end - x0
@@ -281,7 +295,7 @@ def integrate_rhs(
         h_try = target - x if truncated else h
 
         try:
-            result = step(f, df, x, y, h_try, _TABLEAU, config)
+            result = step(f, df, x, y, h_try, config)
         except NewtonFailure as failure:
             rejected += 1
             h = 0.5 * h_try
@@ -350,6 +364,7 @@ def integrate_fixed_rhs(
     Stage divergence raises NewtonFailure since there is no step to halve.
     """
     config = config or SolverConfig()
+    _require_finite(x0=x0, y0=y0, x_end=x_end, h=h)
     if h <= 0.0:
         raise ValueError("h must be positive")
     xs, ys, hs, iters = [x0], [y0], [0.0], [0]
@@ -357,7 +372,7 @@ def integrate_fixed_rhs(
     total_iters = 0
     while x < x_end:
         h_try = min(h, x_end - x)
-        y, step_iters, _ = _basic_step(f, df, x, y, h_try, _TABLEAU, config)
+        y, step_iters, _ = _basic_step(f, df, x, y, h_try, config)
         x = x_end if h_try < h else x + h
         total_iters += step_iters
         xs.append(x)

@@ -13,17 +13,21 @@ and the envelope amplitude
 where M_E = sup E and C_R bounds the Taylor remainder of F around the
 branch:  C_R = max_x sum_{k>=2} |d^k F/dy^k (x, E)| / k! * M_E^{k-2}.
 
-Phi integrates a_n * Lambda by composite Simpson over the branch grid
+log_phi integrates a_n * Lambda by composite Simpson over the branch grid
 (Lambda linearly interpolated inside each cell, a_n read from the
-branch's table at grid points and evaluated exactly at cell midpoints),
-accumulated once so that re-based factors Phi(x2)/Phi(x1) are consistent
-by construction.  Every a_n and E' outside the branch's table is
-evaluated for all points at once (NormalForm.a_n_grid, branch_slopes).
+branch's table at grid points and evaluated exactly at cell midpoints):
+one prefix sum, plus a partial cell off the grid, so that re-based
+factors Phi(x2)/Phi(x1) are consistent by construction.  damped_drift
+carries the drift term of K multiplied by Phi, so Phi^{-1} is never
+formed; rate_bound and hypothesis B3 both read it.  Every a_n and E'
+outside the branch's table is evaluated for all points at once
+(NormalForm.a_n_grid, branch_slopes).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +43,10 @@ from .expr import ExprDomainError
 from .radau import IntegrationResult, SolverConfig
 
 __all__ = [
-    "PhiAccumulator",
     "RateBound",
     "PlateauDiagnostics",
+    "damped_drift",
+    "log_phi",
     "phi",
     "remainder_constant",
     "rate_bound",
@@ -56,61 +61,38 @@ PLATEAU_WINDOW_FRACTION = 0.1
 PLATEAU_TOL = 1e-8
 
 
-class PhiAccumulator:
-    """Cumulative integral of a_n * Lambda along a branch, Simpson per cell."""
+def log_phi(nf: NormalForm, branch: EquilibriumBranch, x) -> np.ndarray:
+    """int_{x_start}^{x} a_n Lambda ds at every abscissa of the 1-D x, each
+    inside the branch range: the Simpson prefix sum at grid points, plus a
+    partial Simpson on [xs[i], x] (Lambda linear within the parent cell)
+    elsewhere."""
+    xs, lams = branch.xs, branch.eigenvalues
+    g = branch.leading * lams
+    g_mid = nf.a_n_grid(0.5 * (xs[:-1] + xs[1:])) * (0.5 * (lams[:-1] + lams[1:]))
+    cells = np.diff(xs) / 6.0 * (g[:-1] + 4.0 * g_mid + g[1:])
+    prefix = np.concatenate(([0.0], np.cumsum(cells)))
 
-    def __init__(self, nf: NormalForm, branch: EquilibriumBranch):
-        self.nf = nf
-        self.branch = branch
-        xs = branch.xs
-        lams = branch.eigenvalues
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        an_mid = nf.a_n_grid(mids)
-        lam_mid = 0.5 * (lams[:-1] + lams[1:])
-        g = branch.leading * lams
-        g_mid = an_mid * lam_mid
-        widths = np.diff(xs)
-        cells = widths / 6.0 * (g[:-1] + 4.0 * g_mid + g[1:])
-        self._xs = xs
-        self._g = g
-        self._prefix = np.concatenate(([0.0], np.cumsum(cells)))
-
-    def integrals(self, x) -> np.ndarray:
-        """int_{x_start}^{x} a_n Lambda ds at every abscissa of the 1-D x,
-        each inside the branch range: the prefix sum at grid points, plus a
-        partial Simpson on [xs[i], x] (Lambda linear within the parent cell)
-        elsewhere."""
-        xs = self._xs
-        x = np.asarray(x, dtype=float)
-        outside = np.flatnonzero(~((xs[0] <= x) & (x <= xs[-1])))
-        if outside.size:
-            raise ValueError(
-                f"x={float(x[outside[0]])!r} outside the branch range "
-                f"[{xs[0]!r}, {xs[-1]!r}]"
-            )
-        i = np.searchsorted(xs, x, side="right") - 1
-        out = self._prefix[i]
-        part = np.flatnonzero((i < xs.size - 1) & (x != xs[i]))
-        if part.size:
-            i, x = i[part], x[part]
-            mid = 0.5 * (xs[i] + x)
-            # a_n at mid and x interleaved: a failing point raises as it
-            # would if the points were taken one by one
-            an = self.nf.a_n_grid(np.stack([mid, x], axis=1).ravel()).reshape(-1, 2)
-            lam_at = self.branch.interp_Lambda
-            with np.errstate(all="ignore"):
-                g_mid = an[:, 0] * lam_at(mid)
-                g_hi = an[:, 1] * lam_at(x)
-                out[part] += (x - xs[i]) / 6.0 * (self._g[i] + 4.0 * g_mid + g_hi)
-        return out
-
-    def integral(self, x: float) -> float:
-        """int_{x_start}^{x} a_n Lambda ds for x inside the branch range."""
-        return float(self.integrals([x])[0])
-
-    def value(self, x: float, x_from: float | None = None) -> float:
-        start = self.integral(x_from) if x_from is not None else 0.0
-        return math.exp(self.integral(x) - start)
+    x = np.asarray(x, dtype=float)
+    outside = np.flatnonzero(~((xs[0] <= x) & (x <= xs[-1])))
+    if outside.size:
+        raise ValueError(
+            f"x={float(x[outside[0]])!r} outside the branch range "
+            f"[{xs[0]!r}, {xs[-1]!r}]"
+        )
+    i = np.searchsorted(xs, x, side="right") - 1
+    out = prefix[i]
+    part = np.flatnonzero((i < xs.size - 1) & (x != xs[i]))
+    if part.size:
+        i, x = i[part], x[part]
+        mid = 0.5 * (xs[i] + x)
+        # a_n at mid and x interleaved: a failing point raises as it
+        # would if the points were taken one by one
+        an = nf.a_n_grid(np.stack([mid, x], axis=1).ravel()).reshape(-1, 2)
+        with np.errstate(all="ignore"):
+            g_mid = an[:, 0] * branch.interp_Lambda(mid)
+            g_hi = an[:, 1] * branch.interp_Lambda(x)
+            out[part] += (x - xs[i]) / 6.0 * (g[i] + 4.0 * g_mid + g_hi)
+    return out
 
 
 def phi(nf: NormalForm, branch: EquilibriumBranch, x: float, x_from: float | None = None) -> float:
@@ -119,7 +101,9 @@ def phi(nf: NormalForm, branch: EquilibriumBranch, x: float, x_from: float | Non
     Multiplicative by construction:
     phi(x2) == phi(x1) * phi(x2, x_from=x1) up to floating-point rounding.
     """
-    return PhiAccumulator(nf, branch).value(x, x_from)
+    start = branch.x_start if x_from is None else x_from
+    a, b = log_phi(nf, branch, [start, x]).tolist()
+    return math.exp(b - a)
 
 
 def remainder_constant(nf: NormalForm, branch: EquilibriumBranch) -> float:
@@ -145,6 +129,48 @@ class RateBound:
     note: str = ""
 
 
+def damped_drift(nf: NormalForm, branch: EquilibriumBranch, xs: np.ndarray):
+    """The drift term of K at the abscissae xs of the branch range, carried
+    multiplied by Phi.
+
+    Returns (log_phi, phi, ratios, drift, integral): log Phi and Phi as
+    arrays and the ratios Phi_i / Phi_{i-1} as a list, re-based to Phi = 1
+    at xs[0] (math.exp, which raises where numpy would return inf);
+    drift_i = Phi_i int_{x_0}^{x_i} Phi^{-1} |E'| ds by the trapezoid rule;
+    and integral = drift_N / Phi_N, inf beyond the float range and NaN where
+    the damped sum underflowed with Phi and lost its total (below the
+    normal floats, where a subnormal can stick at its smallest value).
+    Raises at the first point where E' has no value: ZeroEigenvalueError
+    where Lambda = 0, else ExprDomainError; and OverflowError where Phi
+    exceeds the float range.
+    """
+    logs = log_phi(nf, branch, xs)
+    logs -= logs[0]
+    phi_vals = np.array(list(map(math.exp, logs.tolist())))
+    ratios = list(map(math.exp, np.diff(logs).tolist()))
+    e_vals = branch.interp_E(xs)
+    lam_vals = branch.interp_Lambda(xs)
+
+    # |E'| via the branch's implicit derivative; the interpolants return
+    # the stored values exactly at branch grid points
+    e_prime, undefined = branch_slopes(nf, xs, e_vals, lam_vals)
+    stop = np.flatnonzero((lam_vals == 0.0) | undefined)
+    if stop.size:
+        x = float(xs[stop[0]])
+        if lam_vals[stop[0]] == 0.0:
+            raise ZeroEigenvalueError(x)
+        raise ExprDomainError(_undefined_slope(x))
+    drift = _damped_cumtrapz(np.abs(e_prime), xs, ratios)
+
+    # Python floats: a quotient beyond the float range is inf, without a warning
+    drift_end, phi_end = float(drift[-1]), float(phi_vals[-1])
+    if drift_end < sys.float_info.min:
+        integral = math.nan if drift.any() else 0.0
+    else:
+        integral = drift_end / phi_end if phi_end > 0.0 else math.inf
+    return logs, phi_vals, ratios, drift, integral
+
+
 def rate_bound(
     nf: NormalForm, branch: EquilibriumBranch, result: IntegrationResult
 ) -> RateBound:
@@ -154,8 +180,7 @@ def rate_bound(
     the bound is monotone in its integral terms by construction.  The sums
     are carried already multiplied by Phi (see _damped_cumtrapz), so Phi^{-1}
     is never formed and the bound stays finite where Phi underflows to 0.
-    B3_integral is the undamped drift integral; it is inf where that
-    exceeds the float range.
+    B3_integral is the undamped drift integral (see damped_drift).
     """
     mask = (result.xs >= branch.x_start) & (result.xs <= branch.x_end)
     xs = result.xs[mask]
@@ -163,28 +188,9 @@ def rate_bound(
     if xs.size < 2:
         raise ValueError("trajectory and branch share fewer than two points")
 
-    accumulator = PhiAccumulator(nf, branch)
-    log_phi = accumulator.integrals(xs)
-    log_phi = (log_phi - log_phi[0]).tolist()
-    phi_vals = np.array([math.exp(v) for v in log_phi])
-    ratios = [math.exp(b - a) for a, b in zip(log_phi, log_phi[1:])]
-    e_vals = branch.interp_E(xs)
-    lam_vals = branch.interp_Lambda(xs)
-    z_abs = np.abs(ys - e_vals)
-
-    # |E'| at the accepted points, via the branch's implicit derivative; the
-    # interpolants return the stored values exactly at branch grid points
-    e_prime, undefined = branch_slopes(nf, xs, e_vals, lam_vals)
-    stop = np.flatnonzero((lam_vals == 0.0) | undefined)
-    if stop.size:
-        x = float(xs[stop[0]])
-        if lam_vals[stop[0]] == 0.0:
-            raise ZeroEigenvalueError(x)
-        raise ExprDomainError(_undefined_slope(x))
-    e_prime = np.abs(e_prime)
+    _, phi_vals, ratios, drift, b3 = damped_drift(nf, branch, xs)
+    z_abs = np.abs(ys - branch.interp_E(xs))
     an_vals = nf.a_n_grid(xs)
-
-    drift = _damped_cumtrapz(e_prime, xs, ratios)
     feedback = _damped_cumtrapz(z_abs * np.abs(an_vals), xs, ratios)
 
     c_r = remainder_constant(nf, branch)
@@ -197,9 +203,6 @@ def rate_bound(
             "remainder term exceeds 50% of the envelope amplitude; "
             "the linear bound is loose here"
         )
-    # Python floats: a quotient beyond the float range is inf, without a warning
-    drift_end, phi_end = float(drift[-1]), float(phi_vals[-1])
-    b3 = drift_end / phi_end if phi_end > 0.0 else (math.inf if drift_end else 0.0)
     return RateBound(xs, phi_vals, bound, c_r, m_e, b3, note)
 
 
@@ -207,13 +210,16 @@ def _damped_cumtrapz(values: np.ndarray, xs: np.ndarray, ratios: list[float]) ->
     """Phi_i * int_{x_0}^{x_i} values / Phi ds by the trapezoid rule.
 
     The plain rule multiplied through by Phi_i, with r_i = Phi_i / Phi_{i-1}:
-    S_i = r_i S_{i-1} + (w_i / 2) (r_i v_{i-1} + v_i).
+    S_i = r_i S_{i-1} + (w_i / 2) (r_i v_{i-1} + v_i), the increments as
+    arrays and the recurrence in Python floats.
     """
-    out = np.zeros(xs.size)
-    for i, r in enumerate(ratios, start=1):
-        width = float(xs[i] - xs[i - 1])
-        out[i] = r * out[i - 1] + 0.5 * width * (r * values[i - 1] + values[i])
-    return out
+    with np.errstate(all="ignore"):
+        steps = 0.5 * np.diff(xs) * (np.array(ratios) * values[:-1] + values[1:])
+    total, out = 0.0, [0.0]
+    for r, step in zip(ratios, steps.tolist()):
+        total = r * total + step
+        out.append(total)
+    return np.array(out)
 
 
 @dataclass

@@ -27,6 +27,7 @@ the second kind in w = 1/v:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -134,16 +135,19 @@ def _coefficient_scale(equation: AbelEquation, x: float, y: float) -> float:
 
 def _check_equilibrium_pivot(equation: AbelEquation, pivot, probes) -> None:
     values = [pivot(x) for x in probes]
+    for x, value in zip(probes, values):
+        if not math.isfinite(value):
+            raise NotASolutionError(f"pivot value {value!r} is not finite at x={x!r}")
     center = values[0]
     spread = max(values) - min(values)
-    if spread > CONSTANCY_TOL * (1.0 + abs(center)):
+    if not spread <= CONSTANCY_TOL * (1.0 + abs(center)):
         raise NotASolutionError(
             f"equilibrium pivot is not constant: spread {spread:.3e} across probes"
         )
     for x, value in zip(probes, values):
         residual = eval_rhs(equation, x, value)
         scale = _coefficient_scale(equation, x, value)
-        if abs(residual) > EQUILIBRIUM_RESIDUAL_TOL * scale:
+        if not abs(residual) <= EQUILIBRIUM_RESIDUAL_TOL * scale:
             raise NotASolutionError(
                 f"pivot value {value!r} is not a root at x={x!r}: "
                 f"residual {residual:.3e}"
@@ -157,7 +161,7 @@ def _check_solution_pivot(equation: AbelEquation, pivot, probes) -> None:
         value = pivot(x)
         residual = derivative - eval_rhs(equation, x, value)
         scale = _coefficient_scale(equation, x, value)
-        if abs(residual) > SOLUTION_RESIDUAL_TOL * scale:
+        if not abs(residual) <= SOLUTION_RESIDUAL_TOL * scale:
             raise NotASolutionError(
                 f"pivot is not a solution at x={x!r}: residual {residual:.3e}"
             )

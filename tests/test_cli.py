@@ -263,5 +263,22 @@ class TestTopLevel:
     def test_no_arguments_is_usage_error(self):
         assert run([])[0] == 64
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["reduce", "--case", "1", "--ep", "nan"], "--ep"),
+        (["case", "1", "--atol", "nan"], "--atol"),
+        (["case", "1", "--rtol", "inf"], "--rtol"),
+        (["case", "1", "--x-max", "inf"], "--x-max"),
+        (["spread", "--literal-case1", "--x-max", "inf"], "--x-max"),
+        (["spread", "--literal-case1", "--x0=-inf"], "--x0"),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_flag_is_usage_error(self, tmp_path, argv, flag):
+        code, out, err = run(argv + ["--out", tmp_path / "out"])
+        assert code == 64
+        assert err.splitlines()[-1].endswith(f"argument {flag}: not a finite number: "
+                                             f"{argv[-1].split('=')[-1]!r}")
+        assert "Traceback" not in err and "Warning" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_subcommand_is_usage_error(self):
         assert run(["frobnicate"])[0] == 64

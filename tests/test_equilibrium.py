@@ -94,6 +94,14 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(0.0, 10.0, 11, "log")
 
+    @pytest.mark.parametrize("x_start,x_end", [
+        (0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan),
+    ])
+    def test_non_finite_bounds_rejected(self, x_start, x_end):
+        # (0, inf) used to pass and yield a NaN grid
+        with pytest.raises(ValueError, match="grid bounds must be finite"):
+            GridSpec(x_start, x_end, 5)
+
 
 class TestRealRoots:
     def test_three_known_roots(self):

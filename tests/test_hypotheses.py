@@ -7,11 +7,13 @@ from abelode.core import build_equation, normalize
 from abelode.equilibrium import BranchPoint, EquilibriumBranch, GridSpec, continue_branch
 from abelode.hypotheses import (
     ALPHA_FLOOR,
+    B3_OVERFLOW,
     GRID_VERIFIED,
     check_asymptotic,
     check_structural,
     verify,
 )
+from abelode.rate import damped_drift
 
 ALL_CHECKS = ("A1", "A2", "A3", "A4", "B1", "B2", "B3")
 
@@ -42,6 +44,9 @@ class TestCaseReports:
         entry = case_runs[2].report["B3"]
         assert entry.status == "inconclusive"
         assert "overflow" in entry.note
+        # the integral overflows float64; its last-decade share, taken in
+        # log space, does not
+        assert entry.witness == {"tail_share": 1.0}
 
     def test_positive_branch_witnesses(self, case_runs):
         report = case_runs[2].report
@@ -96,6 +101,33 @@ class TestTailCoverage:
         assert short["B3"].witness["tail_share"] > 0.01
         assert long["B3"].status == "pass"
         assert long["B3"].witness["tail_share"] < 0.01
+
+
+class TestSharedDrift:
+    def test_b3_integral_is_the_kernel_drift_total(self, case_runs):
+        # B3 and rate_bound read one damped drift integral; bit for bit
+        run = case_runs[3]
+        _, phi_vals, _, drift, total = damped_drift(run.nf, run.branch, run.branch.xs)
+        assert total == float(drift[-1]) / float(phi_vals[-1])
+        assert run.report["B3"].witness["B3_integral"] == total
+
+    @pytest.mark.parametrize("a0,x_end", [
+        # Phi ~ exp(-x) underflows near x = 745 and E' ~ exp(-x/4) near
+        # x = 2980: the damped sum underflows with them
+        ("3 - 2*exp(-x/4)", 3000.0),
+        # E' is exactly 0 past x = 19 and the damped sum sticks at the
+        # smallest subnormal (0.6 * 5e-324 rounds back up to 5e-324)
+        ("3 - 2*exp(-2*x)", 1000.0),
+    ])
+    def test_drift_lost_to_underflow_is_inconclusive(self, a0, x_end):
+        # the total is lost, not zero and not an overflow to report a share of
+        nf = normalize(build_equation([a0, "-4", "0", "1"], 0.0))
+        branch = continue_branch(nf, GridSpec(0.0, x_end, 2001, "linear"))
+        assert damped_drift(nf, branch, branch.xs)[3].any()
+        entry = verify(nf, branch)["B3"]
+        assert entry.status == "inconclusive"
+        assert entry.witness == {}
+        assert entry.note == B3_OVERFLOW
 
 
 class TestDomainEdge:
@@ -153,6 +185,12 @@ class TestThresholds:
     def test_nonnegative_eigenvalue_fails(self):
         report = check_structural(self.nf, self._flat_branch(1e-3))
         assert report["A4"].status == "fail"
+
+    def test_phi_past_the_float_range_is_inconclusive(self):
+        # a_n Lambda = 4000: Phi grows by exp(1000) inside each cell
+        entry = check_asymptotic(self.nf, self._flat_branch(4000.0))["B3"]
+        assert entry.status == "inconclusive"
+        assert entry.note == B3_OVERFLOW
 
     def test_positive_decay_floor_reported(self, case_runs):
         b2 = case_runs[3].report["B2"]

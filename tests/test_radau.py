@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from abelode.cases import get_case
 from abelode.core import build_equation
 from abelode.radau import (
     NewtonFailure,
@@ -118,11 +119,16 @@ class TestAdaptiveIntegration:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_stage_is_a_newton_failure(self):
-        # the first iteration's stage value overflows to inf: the update is
-        # non-finite, which no later iteration can repair
-        with pytest.raises(NewtonFailure, match="non-finite stage update in iteration 1"):
-            step(lambda x, y: 1e200 * y * y * y, lambda x, y: 3e200 * y * y,
-                 0.0, 1.0, 1.0)
+        cases = [
+            # the first iteration's stage slope overflows to inf: the update
+            # is non-finite, which no later iteration can repair
+            (lambda x, y: 1e200 * y * y * y, lambda x, y: 3e200 * y * y, 1.0),
+            # finite slopes, but the stage value y + h sum A_ij k_j overflows
+            (lambda x, y: 1e300, lambda x, y: 0.0, 1e10),
+        ]
+        for f, df, h in cases:
+            with pytest.raises(NewtonFailure, match="non-finite stage update in iteration 1"):
+                step(f, df, 0.0, 1.0, h)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_stiff_cubic_with_overflowing_trial_steps(self):
@@ -171,6 +177,42 @@ class TestAdaptiveIntegration:
         r = integrate_rhs(lambda x, y: -y, lambda x, y: -1.0, 0.0, 1.0, 1.0)
         assert len(r.xs) == len(r.ys) == len(r.h_used) == len(r.newton_per_step)
         assert r.xs[0] == 0.0 and r.xs[-1] == r.final_x
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("field,value", [
+        ("atol", math.nan), ("rtol", math.inf), ("h0", math.nan),
+        ("h_min", math.nan), ("h_max", -math.inf), ("newton_tol", math.nan),
+    ])
+    def test_solver_config(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("x0,y0,x_end,name", [
+        (0.0, 1.0, math.inf, "x_end"),
+        (0.0, 1.0, math.nan, "x_end"),
+        (-math.inf, 1.0, 1.0, "x0"),
+        (0.0, math.nan, 1.0, "y0"),
+    ])
+    def test_integrate_rhs(self, x0, y0, x_end, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            integrate_rhs(lambda x, y: -y, lambda x, y: -1.0, x0, y0, x_end)
+
+    def test_infinite_horizon_raises_at_once(self):
+        # used to step towards x_end = inf without end
+        with pytest.raises(ValueError, match="x_end must be finite"):
+            integrate(get_case(1).equation, 0.0, math.inf)
+
+    @pytest.mark.parametrize("x0,y0,x_end,h,name", [
+        (0.0, 1.0, 1.0, math.nan, "h"),
+        (0.0, 1.0, 1.0, math.inf, "h"),
+        (0.0, 1.0, math.inf, 0.1, "x_end"),
+        (math.nan, 1.0, 1.0, 0.1, "x0"),
+        (0.0, math.inf, 1.0, 0.1, "y0"),
+    ])
+    def test_integrate_fixed_rhs(self, x0, y0, x_end, h, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            integrate_fixed_rhs(lambda x, y: -y, lambda x, y: -1.0, x0, y0, x_end, h)
 
 
 class TestFixedStep:

@@ -101,6 +101,19 @@ class TestReduceAbout:
             reduce_about(riccati, lambda x: x, kind="solution")
 
 
+class TestNonFinitePivot:
+    @pytest.mark.parametrize("pivot,kind,match", [
+        (math.nan, "equilibrium", "is not finite"),
+        (math.inf, "equilibrium", "is not finite"),
+        (lambda x: math.nan if x > 0.0 else 1.0, "equilibrium", "is not finite"),
+        (lambda x: math.nan, "solution", "residual nan"),
+    ])
+    def test_rejected(self, pivot, kind, match):
+        # abs(nan) > tol is False: NaN used to pass both residual checks
+        with pytest.raises(NotASolutionError, match=match):
+            reduce_about(case1(), pivot, kind)
+
+
 class TestSecondKind:
     def test_coefficient_triple(self):
         form = to_second_kind(reduce_about(case1(), 1.0))
