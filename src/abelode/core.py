@@ -7,7 +7,8 @@ gives the monic normal form
     F(x, y) = y^n + sum_{k<n} lambda_k(x) y^k,   lambda_k = a_k / a_n,
 
 with the convention lambda_n == 1.  The normal form is what root finding
-and stability work on; the integrator consumes the raw right-hand side.
+and stability work on; the integrator consumes the raw right-hand side
+as the row AbelEquation.row(x).
 
 Every polynomial in y is handled as one coefficient row (ascending
 powers) evaluated once per abscissa; _horner, _derivative_row and
@@ -76,6 +77,10 @@ class AbelEquation:
     @property
     def leading(self) -> CoefficientFn:
         return self.coeffs[-1]
+
+    def row(self, x: float) -> list[float]:
+        """[a_0(x), ..., a_n(x)], evaluated in that order."""
+        return [c(x) for c in self.coeffs]
 
 
 def build_equation(
@@ -192,12 +197,12 @@ def _taylor_shift(coefficients: list, g):
 
 def eval_rhs(equation: AbelEquation, x: float, y: float) -> float:
     """Right-hand side sum_k a_k(x) y^k via Horner."""
-    return _horner([c(x) for c in equation.coeffs], y)
+    return _horner(equation.row(x), y)
 
 
 def eval_drhs(equation: AbelEquation, x: float, y: float) -> float:
     """d/dy of the right-hand side: sum_{k>=1} k a_k(x) y^{k-1}."""
-    return _horner(_derivative_row([c(x) for c in equation.coeffs]), y)
+    return _horner(_derivative_row(equation.row(x)), y)
 
 
 def eval_F(nf: NormalForm, x: float, y: float) -> float:

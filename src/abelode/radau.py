@@ -12,10 +12,13 @@ L-stable method with stability function
     R(z) = (1 + (2/5) z + (1/20) z^2)
          / (1 - (3/5) z + (3/20) z^2 - (1/60) z^3).
 
-Implicit stages are solved by simplified Newton with the analytic scalar
-Jacobian, the local error is estimated by step doubling
-(err = |y_h - y_{h/2,h/2}| / (2^5 - 1)), and the step size follows
-h_new = h * clamp(0.9 (tol/err)^{1/6}, 0.2, 5.0).
+The right-hand side is a polynomial in y, given as a function row(x)
+returning its ascending coefficients at x.  Implicit stages are solved by
+simplified Newton; each stage solve samples row once at the step start,
+where the derivative row of the same sample gives the analytic scalar
+Jacobian, and once at each stage abscissa.  The local error is estimated
+by step doubling (err = |y_h - y_{h/2,h/2}| / (2^5 - 1)), and the step
+size follows h_new = h * clamp(0.9 (tol/err)^{1/6}, 0.2, 5.0).
 
 Characteristics:
     * scalar problems only, dense output deliberately absent
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AbelEquation, eval_drhs, eval_rhs
+from .core import AbelEquation, _derivative_row, _horner
 
 __all__ = [
     "ButcherTableau",
@@ -134,8 +137,10 @@ class SolverConfig:
                         h_max=self.h_max, newton_tol=self.newton_tol)
         if self.atol <= 0.0 or self.rtol < 0.0:
             raise ValueError("atol must be positive and rtol non-negative")
-        if self.h_min <= 0.0:
-            raise ValueError("h_min must be positive")
+        for name in ("h0", "h_min", "h_max", "newton_tol"):
+            value = getattr(self, name)
+            if value is not None and value <= 0.0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
         if self.newton_max_iters < 1:
             raise ValueError("newton_max_iters must be >= 1")
 
@@ -148,21 +153,25 @@ class StepResult:
     stages: tuple[float, float, float]
 
 
-def _solve_stages(f, df, x, y, h, config):
-    """Simplified Newton for the stage slopes k_i = f(x + c_i h, y + h sum A_ij k_j).
+def _solve_stages(row, x, y, h, config):
+    """Simplified Newton for the stage slopes k_i = f(x + c_i h, y + h sum A_ij k_j),
+    where f(x, y) is the polynomial in y with ascending coefficients row(x).
 
-    The iteration matrix I - h J A uses the Jacobian J = df(x, y) frozen at
-    the step start.  Returns (stages, iterations); raises NewtonFailure when
-    the iterations run out or a stage value or update is non-finite (it
-    cannot converge).
+    Each abscissa is sampled once.  row(x) gives the constant predictor and
+    the Jacobian J = df/dy(x, y) frozen at the step start (iteration matrix
+    I - h J A); the stage rows are sampled at the first iteration whose
+    stage values are finite, and later iterations run Horner on them.
+    Returns (stages, iterations); raises NewtonFailure when the iterations
+    run out or a stage value or update is non-finite (it cannot converge).
     """
     A, c = _TABLEAU.A, _TABLEAU.c
-    jac = df(x, y)
-    newton_matrix = np.eye(3) - (h * jac) * A
-    k = np.full(3, f(x, y))  # constant predictor
+    start = row(x)
+    newton_matrix = np.eye(3) - (h * _horner(_derivative_row(start), y)) * A
+    k = np.full(3, _horner(start, y))  # constant predictor
     threshold = config.newton_tol * (config.atol / h + config.rtol * abs(y))
     iterations = 0
     y_float, h_float = float(y), float(h)
+    stage_rows = None
     for _ in range(config.newton_max_iters):
         iterations += 1
         # Python floats: an overflowing stage value is a silent inf, and it
@@ -170,9 +179,9 @@ def _solve_stages(f, df, x, y, h, config):
         stage_y = [y_float + h_float * v for v in (A @ k).tolist()]
         size = math.inf
         if all(map(math.isfinite, stage_y)):
-            residual = k - np.array(
-                [f(x + float(c[i]) * h, stage_y[i]) for i in range(3)]
-            )
+            if stage_rows is None:
+                stage_rows = [row(x + float(c[i]) * h) for i in range(3)]
+            residual = k - np.array([_horner(r, v) for r, v in zip(stage_rows, stage_y)])
             delta = np.linalg.solve(newton_matrix, -residual)
             k = k + delta
             size = float(np.max(np.abs(delta)))
@@ -185,19 +194,20 @@ def _solve_stages(f, df, x, y, h, config):
     raise NewtonFailure(f"no stage convergence in {iterations} iterations at x={x!r}, h={h!r}")
 
 
-def _basic_step(f, df, x, y, h, config):
+def _basic_step(row, x, y, h, config):
     """One plain Radau step; returns (y_next, newton_iters, stages)."""
-    k, iters = _solve_stages(f, df, x, y, h, config)
+    k, iters = _solve_stages(row, x, y, h, config)
     return y + h * float(_TABLEAU.b @ k), iters, k
 
 
-def step(f, df, x, y, h, config=None) -> StepResult:
-    """One adaptive-quality step: full step plus two half steps for the
-    step-doubling error estimate err = |y_h - y_{h/2,h/2}| / 31."""
+def step(row, x, y, h, config=None) -> StepResult:
+    """One adaptive-quality step of y' = f(x, y), row(x) giving the
+    ascending coefficients in y of f: full step plus two half steps for
+    the step-doubling error estimate err = |y_h - y_{h/2,h/2}| / 31."""
     config = config or SolverConfig()
-    y_coarse, iters, stages = _basic_step(f, df, x, y, h, config)
-    y_half, iters2, _ = _basic_step(f, df, x, y, 0.5 * h, config)
-    y_fine, iters3, _ = _basic_step(f, df, x + 0.5 * h, y_half, 0.5 * h, config)
+    y_coarse, iters, stages = _basic_step(row, x, y, h, config)
+    y_half, iters2, _ = _basic_step(row, x, y, 0.5 * h, config)
+    y_fine, iters3, _ = _basic_step(row, x + 0.5 * h, y_half, 0.5 * h, config)
     err = abs(y_coarse - y_fine) / STEP_DOUBLING_DENOM
     return StepResult(y_coarse, err, iters + iters2 + iters3, tuple(stages))
 
@@ -248,15 +258,15 @@ def _finish(xs, ys, hs, iters, rejected, total_iters, status, message=""):
 
 
 def integrate_rhs(
-    f,
-    df,
+    row,
     x0: float,
     y0: float,
     x_end: float,
     config: SolverConfig | None = None,
     checkpoints=None,
 ) -> IntegrationResult:
-    """Adaptive integration of y' = f(x, y) from (x0, y0) to x_end.
+    """Adaptive integration of y' = f(x, y) from (x0, y0) to x_end, where
+    row(x) returns the ascending coefficients in y of f at x.
 
     checkpoints, if given, are interior abscissae every accepted grid must
     contain exactly; steps are truncated to land on them.
@@ -295,7 +305,7 @@ def integrate_rhs(
         h_try = target - x if truncated else h
 
         try:
-            result = step(f, df, x, y, h_try, config)
+            result = step(row, x, y, h_try, config)
         except NewtonFailure as failure:
             rejected += 1
             h = 0.5 * h_try
@@ -328,16 +338,6 @@ def integrate_rhs(
     return _finish(xs, ys, hs, iters, rejected, total_iters, "completed")
 
 
-def _rhs_pair(equation: AbelEquation):
-    def f(x: float, y: float) -> float:
-        return eval_rhs(equation, x, y)
-
-    def df(x: float, y: float) -> float:
-        return eval_drhs(equation, x, y)
-
-    return f, df
-
-
 def integrate(
     equation: AbelEquation,
     y0: float,
@@ -346,13 +346,11 @@ def integrate(
     checkpoints=None,
 ) -> IntegrationResult:
     """Integrate an equation from (equation.x0, y0) to x_end."""
-    f, df = _rhs_pair(equation)
-    return integrate_rhs(f, df, equation.x0, y0, x_end, config, checkpoints)
+    return integrate_rhs(equation.row, equation.x0, y0, x_end, config, checkpoints)
 
 
 def integrate_fixed_rhs(
-    f,
-    df,
+    row,
     x0: float,
     y0: float,
     x_end: float,
@@ -372,7 +370,7 @@ def integrate_fixed_rhs(
     total_iters = 0
     while x < x_end:
         h_try = min(h, x_end - x)
-        y, step_iters, _ = _basic_step(f, df, x, y, h_try, config)
+        y, step_iters, _ = _basic_step(row, x, y, h_try, config)
         x = x_end if h_try < h else x + h
         total_iters += step_iters
         xs.append(x)
@@ -399,18 +397,15 @@ def empirical_order(
     """
     if not h_list:
         raise OrderTestError("h_list must be nonempty")
-    f, df = _rhs_pair(equation)
     h_ref = min(float(h) for h in h_list) / 16.0
     try:
-        reference = integrate_fixed_rhs(
-            f, df, equation.x0, y0, x_end, h_ref, config
-        )
+        reference = integrate_fixed_rhs(equation.row, equation.x0, y0, x_end, h_ref, config)
     except NewtonFailure as failure:
         raise OrderTestError(f"reference run failed: {failure}") from None
     errors = []
     for h in h_list:
         try:
-            run = integrate_fixed_rhs(f, df, equation.x0, y0, x_end, float(h), config)
+            run = integrate_fixed_rhs(equation.row, equation.x0, y0, x_end, float(h), config)
         except NewtonFailure as failure:
             raise OrderTestError(f"fixed-step run failed at h={h!r}: {failure}") from None
         errors.append(abs(run.final_y - reference.final_y))

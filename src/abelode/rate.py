@@ -77,7 +77,7 @@ def log_phi(nf: NormalForm, branch: EquilibriumBranch, x) -> np.ndarray:
     if outside.size:
         raise ValueError(
             f"x={float(x[outside[0]])!r} outside the branch range "
-            f"[{xs[0]!r}, {xs[-1]!r}]"
+            f"[{float(xs[0])!r}, {float(xs[-1])!r}]"
         )
     i = np.searchsorted(xs, x, side="right") - 1
     out = prefix[i]

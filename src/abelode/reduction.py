@@ -34,7 +34,6 @@ from typing import Callable
 from .core import (
     AbelEquation,
     _PROBE_OFFSETS,
-    _derivative_row,
     _horner,
     _taylor_shift,
     eval_rhs,
@@ -96,8 +95,9 @@ class ReducedEquation:
     def rhs(self, x: float, v: float) -> float:
         return _horner(self.coefficients(x), v) * v
 
-    def drhs(self, x: float, v: float) -> float:
-        return _horner(_derivative_row([0.0] + self.coefficients(x)), v)
+    def row(self, x: float) -> list[float]:
+        """[0, c_1(x), ..., c_degree(x)]: the ascending coefficients in v of v'."""
+        return [0.0] + self.coefficients(x)
 
 
 @dataclass(frozen=True)
@@ -227,9 +227,7 @@ def roundtrip_check(
 
     original = integrate(equation, y0, x_end, config, checkpoints=marks)
     v0 = y0 - reduced.pivot(x0)
-    deviation = integrate_rhs(
-        reduced.rhs, reduced.drhs, x0, v0, x_end, config, checkpoints=marks
-    )
+    deviation = integrate_rhs(reduced.row, x0, v0, x_end, config, checkpoints=marks)
     if not (original.completed and deviation.completed):
         raise ReductionError(
             "roundtrip integrations did not both complete: "

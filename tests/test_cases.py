@@ -7,6 +7,7 @@ from abelode.cases import get_case, run_case
 from abelode.equilibrium import continue_branch
 from abelode.expr import Expr
 from abelode.hypotheses import verify
+from abelode.radau import integrate
 from abelode.rate import rate_bound
 
 EXACT_LIMITS = {
@@ -106,3 +107,17 @@ class TestArrayEvaluation:
         verify(run.nf, branch)
         rate_bound(run.nf, branch, run.result)
         assert calls == []
+
+    @pytest.mark.parametrize("cid", [1, 2, 3])
+    def test_integrator_samples_each_abscissa_once(self, cid, monkeypatch):
+        # a step attempt is three stage solves, and each samples one row of
+        # n+1 coefficients at the step start and at each of its three stage
+        # abscissae, however many Newton iterations it runs
+        equation = get_case(cid).equation
+        calls = []
+        original = Expr.eval
+        monkeypatch.setattr(Expr, "eval", lambda self, x: calls.append(x) or original(self, x))
+        result = integrate(equation, 0.0, 20.0)
+        attempts = result.n_accepted + result.n_rejected
+        assert result.completed and attempts > 0
+        assert len(calls) <= 12 * (equation.degree + 1) * attempts

@@ -123,6 +123,9 @@ class TestIntegrateCommand:
         "degree = 2\ncoefficients = 1 | 0*) | -1\nx_end = 1\n",                # bad expr
         "degree = inf\ncoefficients = 1 | 0 | -1\nx_end = 1\n",              # inf degree
         "degree = 2\ncoefficients = 1 | 0 | -1\nx_end = 1\natol = nan\n",    # nan atol
+        "degree = 2\ncoefficients = 1 | 0 | -1\nx_end = 1\nh0 = 0\n",       # zero h0
+        "degree = 2\ncoefficients = 1 | 0 | -1\nx_end = 1\nh_max = -1\n",   # negative h_max
+        "degree = 2\ncoefficients = 1 | 0 | -1\nx_end = 1\nnewton_tol = 0\n",  # zero tol
         pytest.param("degree = 2\ncoefficients = 1" + "+1" * 3000 + " | 0 | -1\nx_end = 1\n",
                      id="deep-expression"),
     ])

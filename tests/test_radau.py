@@ -87,32 +87,31 @@ class TestSingleStep:
         rng = np.random.default_rng(7)
         for _ in range(20):
             z = -10.0 ** rng.uniform(0.0, 4.0)
-            res = step(lambda x, y: z * y, lambda x, y: z, 0.0, 1.0, 1.0)
+            res = step(lambda x: [0.0, z], 0.0, 1.0, 1.0)
             assert abs(res.y_next - stability_value(z).real) <= 1e-10
 
     def test_newton_iteration_count_reported(self):
-        res = step(lambda x, y: -y, lambda x, y: -1.0, 0.0, 1.0, 0.1)
+        res = step(lambda x: [0.0, -1.0], 0.0, 1.0, 0.1)
         assert res.newton_iters >= 1
         assert res.err_est >= 0.0
 
 
 class TestAdaptiveIntegration:
     def test_scalar_decay(self):
-        r = integrate_rhs(lambda x, y: -y, lambda x, y: -1.0, 0.0, 1.0, 1.0)
+        r = integrate_rhs(lambda x: [0.0, -1.0], 0.0, 1.0, 1.0)
         assert r.completed
         assert abs(r.final_y - math.exp(-1.0)) < 5e-9
 
     def test_stiff_relaxation_uses_few_steps(self):
         r = integrate_rhs(
-            lambda x, y: -1000.0 * (y - math.sin(x)) + math.cos(x),
-            lambda x, y: -1000.0,
+            lambda x: [1000.0 * math.sin(x) + math.cos(x), -1000.0],
             0.0, 1.0, 2.0)
         assert r.completed
         assert abs(r.final_y - math.sin(2.0)) < 1e-6
         assert r.n_accepted < 300  # an explicit method would need thousands
 
     def test_blow_up_reported_not_raised(self):
-        r = integrate_rhs(lambda x, y: y * y, lambda x, y: 2.0 * y, 0.0, 1.0, 2.0)
+        r = integrate_rhs(lambda x: [0.0, 0.0, 1.0], 0.0, 1.0, 2.0)
         assert not r.completed
         assert r.status in ("step-failure", "newton-failure")
         assert r.final_x < 1.01  # the pole of 1/(1-x)
@@ -122,13 +121,13 @@ class TestAdaptiveIntegration:
         cases = [
             # the first iteration's stage slope overflows to inf: the update
             # is non-finite, which no later iteration can repair
-            (lambda x, y: 1e200 * y * y * y, lambda x, y: 3e200 * y * y, 1.0),
+            (lambda x: [0.0, 0.0, 0.0, 1e200], 1.0),
             # finite slopes, but the stage value y + h sum A_ij k_j overflows
-            (lambda x, y: 1e300, lambda x, y: 0.0, 1e10),
+            (lambda x: [1e300], 1e10),
         ]
-        for f, df, h in cases:
+        for row, h in cases:
             with pytest.raises(NewtonFailure, match="non-finite stage update in iteration 1"):
-                step(f, df, 0.0, 1.0, h)
+                step(row, 0.0, 1.0, h)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_stiff_cubic_with_overflowing_trial_steps(self):
@@ -151,7 +150,7 @@ class TestAdaptiveIntegration:
         assert r.ys.min() >= 0.0 and r.ys.max() <= limit + 1e-9
 
     def test_checkpoints_are_hit_exactly(self):
-        r = integrate_rhs(lambda x, y: -y, lambda x, y: -1.0, 0.0, 1.0, 1.0,
+        r = integrate_rhs(lambda x: [0.0, -1.0], 0.0, 1.0, 1.0,
                           checkpoints=[0.3, 0.7])
         xs = list(r.xs)
         assert 0.3 in xs and 0.7 in xs
@@ -164,9 +163,9 @@ class TestAdaptiveIntegration:
         assert abs(r.final_y - math.tanh(10.0)) < 1e-9
 
     def test_tolerances_scale_error(self):
-        loose = integrate_rhs(lambda x, y: -y, lambda x, y: -1.0, 0.0, 1.0, 1.0,
+        loose = integrate_rhs(lambda x: [0.0, -1.0], 0.0, 1.0, 1.0,
                               SolverConfig(atol=1e-4, rtol=1e-4))
-        tight = integrate_rhs(lambda x, y: -y, lambda x, y: -1.0, 0.0, 1.0, 1.0,
+        tight = integrate_rhs(lambda x: [0.0, -1.0], 0.0, 1.0, 1.0,
                               SolverConfig(atol=1e-12, rtol=1e-12))
         err_loose = abs(loose.final_y - math.exp(-1.0))
         err_tight = abs(tight.final_y - math.exp(-1.0))
@@ -174,7 +173,7 @@ class TestAdaptiveIntegration:
         assert tight.n_accepted > loose.n_accepted
 
     def test_monitor_arrays_aligned(self):
-        r = integrate_rhs(lambda x, y: -y, lambda x, y: -1.0, 0.0, 1.0, 1.0)
+        r = integrate_rhs(lambda x: [0.0, -1.0], 0.0, 1.0, 1.0)
         assert len(r.xs) == len(r.ys) == len(r.h_used) == len(r.newton_per_step)
         assert r.xs[0] == 0.0 and r.xs[-1] == r.final_x
 
@@ -188,6 +187,14 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             SolverConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("h0", 0.0), ("h0", -1.0), ("h_min", 0.0), ("h_max", 0.0), ("h_max", -1.0),
+        ("newton_tol", 0.0), ("newton_tol", -1e-2),
+    ])
+    def test_solver_config_non_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive, got {value!r}$"):
+            SolverConfig(**{field: value})
+
     @pytest.mark.parametrize("x0,y0,x_end,name", [
         (0.0, 1.0, math.inf, "x_end"),
         (0.0, 1.0, math.nan, "x_end"),
@@ -196,7 +203,7 @@ class TestNonFiniteInput:
     ])
     def test_integrate_rhs(self, x0, y0, x_end, name):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            integrate_rhs(lambda x, y: -y, lambda x, y: -1.0, x0, y0, x_end)
+            integrate_rhs(lambda x: [0.0, -1.0], x0, y0, x_end)
 
     def test_infinite_horizon_raises_at_once(self):
         # used to step towards x_end = inf without end
@@ -212,12 +219,12 @@ class TestNonFiniteInput:
     ])
     def test_integrate_fixed_rhs(self, x0, y0, x_end, h, name):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            integrate_fixed_rhs(lambda x, y: -y, lambda x, y: -1.0, x0, y0, x_end, h)
+            integrate_fixed_rhs(lambda x: [0.0, -1.0], x0, y0, x_end, h)
 
 
 class TestFixedStep:
     def test_truncated_last_step_lands_exactly(self):
-        r = integrate_fixed_rhs(lambda x, y: -y, lambda x, y: -1.0, 0.0, 1.0, 1.0, 0.3)
+        r = integrate_fixed_rhs(lambda x: [0.0, -1.0], 0.0, 1.0, 1.0, 0.3)
         assert r.final_x == 1.0
         assert abs(r.final_y - math.exp(-1.0)) < 1e-6
 

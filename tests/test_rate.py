@@ -33,6 +33,12 @@ class TestPhi:
         tail = phi(run.nf, run.branch, 10.0, x_from=4.0)
         assert head * tail == pytest.approx(full, rel=1e-10)
 
+    def test_out_of_range_message_prints_plain_floats(self, case_runs):
+        run = case_runs[3]
+        with pytest.raises(ValueError) as info:
+            phi(run.nf, run.branch, 5.0, x_from=-1.0)
+        assert str(info.value) == "x=-1.0 outside the branch range [0.0, 100.0]"
+
 
 class TestRemainderConstant:
     def test_flat_branch_closed_form(self, case_runs):
