@@ -93,7 +93,7 @@ class ReducedEquation:
         return _taylor_shift(row, self.pivot(x))[1:]
 
     def rhs(self, x: float, v: float) -> float:
-        return _horner(self.coefficients(x), v) * v
+        return _horner(self.row(x), v)
 
     def row(self, x: float) -> list[float]:
         """[0, c_1(x), ..., c_degree(x)]: the ascending coefficients in v of v'."""

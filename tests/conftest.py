@@ -7,6 +7,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import pytest
 
 from abelode import run_case
+from abelode.expr import Expr
 
 
 @pytest.fixture(scope="session")
@@ -14,3 +15,12 @@ def case_runs():
     """One shared pipeline run per case study; each takes about 60 ms
     on a 2-core x86_64 virtual machine."""
     return {cid: run_case(cid) for cid in (1, 2, 3)}
+
+
+@pytest.fixture
+def eval_calls(monkeypatch):
+    """The abscissa of every scalar Expr.eval call made while the test runs."""
+    calls = []
+    original = Expr.eval
+    monkeypatch.setattr(Expr, "eval", lambda self, x: calls.append(x) or original(self, x))
+    return calls

@@ -5,7 +5,6 @@ import pytest
 
 from abelode.cases import get_case, run_case
 from abelode.equilibrium import continue_branch
-from abelode.expr import Expr
 from abelode.hypotheses import verify
 from abelode.radau import integrate
 from abelode.rate import rate_bound
@@ -96,28 +95,34 @@ class TestRunCase:
 
 class TestArrayEvaluation:
     @pytest.mark.parametrize("cid", [1, 2, 3])
-    def test_no_scalar_evaluation_outside_the_integrator(self, case_runs, cid, monkeypatch):
+    def test_no_scalar_evaluation_outside_the_integrator(self, case_runs, cid, eval_calls):
         # branch, hypotheses and rate bound read every coefficient as arrays
         # (no case refines its branch); only the integrator calls Expr.eval
         run = case_runs[cid]
-        calls = []
-        original = Expr.eval
-        monkeypatch.setattr(Expr, "eval", lambda self, x: calls.append(x) or original(self, x))
         branch = continue_branch(run.nf, run.case.branch_grid())
         verify(run.nf, branch)
         rate_bound(run.nf, branch, run.result)
-        assert calls == []
+        assert eval_calls == []
 
     @pytest.mark.parametrize("cid", [1, 2, 3])
-    def test_integrator_samples_each_abscissa_once(self, cid, monkeypatch):
-        # a step attempt is three stage solves, and each samples one row of
-        # n+1 coefficients at the step start and at each of its three stage
-        # abscissae, however many Newton iterations it runs
+    def test_integrator_samples_each_abscissa_once(self, cid, eval_calls):
+        # a step attempt is three stage solves, each of which samples the
+        # row of n+1 coefficients at its start and at each of its three
+        # stage abscissae at most once, however many Newton iterations run
         equation = get_case(cid).equation
-        calls = []
-        original = Expr.eval
-        monkeypatch.setattr(Expr, "eval", lambda self, x: calls.append(x) or original(self, x))
         result = integrate(equation, 0.0, 20.0)
         attempts = result.n_accepted + result.n_rejected
         assert result.completed and attempts > 0
-        assert len(calls) <= 12 * (equation.degree + 1) * attempts
+        assert len(eval_calls) <= 12 * (equation.degree + 1) * attempts
+
+    @pytest.mark.parametrize("cid", [1, 2, 3])
+    def test_integrator_shares_rows_between_steps(self, cid, eval_calls):
+        # the full step and the first half step share the start row, the
+        # second half step starts on the first one's last stage row, and the
+        # next attempt starts on the full step's last stage row: nine new
+        # rows per attempt plus the initial one
+        equation = get_case(cid).equation
+        result = integrate(equation, 0.0, 20.0)
+        attempts = result.n_accepted + result.n_rejected
+        assert result.completed and attempts > 0
+        assert len(eval_calls) <= (9 * attempts + 1) * (equation.degree + 1)

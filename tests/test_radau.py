@@ -8,6 +8,7 @@ from abelode.core import build_equation
 from abelode.radau import (
     NewtonFailure,
     SolverConfig,
+    _newton_inverse,
     empirical_order,
     integrate,
     integrate_fixed_rhs,
@@ -82,6 +83,16 @@ class TestStabilityFunction:
             assert abs(stability_value(1j * w)) <= 1.0 + 1e-12
 
 
+class TestNewtonInverse:
+    def test_closed_form_matches_linalg_inverse(self):
+        # (I + z P1 + z^2 P2) / Q(z) against numpy's LU inverse of I - z A
+        A = radau_tableau().A
+        for z in np.concatenate([np.logspace(-6, 6, 25), -np.logspace(-6, 6, 25)]):
+            exact = np.linalg.inv(np.eye(3) - z * A)
+            got = np.array(_newton_inverse(float(z))).reshape(3, 3)
+            assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+
 class TestSingleStep:
     def test_linear_step_reproduces_stability_value(self):
         rng = np.random.default_rng(7)
@@ -121,13 +132,19 @@ class TestAdaptiveIntegration:
         cases = [
             # the first iteration's stage slope overflows to inf: the update
             # is non-finite, which no later iteration can repair
-            (lambda x: [0.0, 0.0, 0.0, 1e200], 1.0),
+            (lambda x: [0.0, 0.0, 0.0, 1e200], 1.0, 1.0),
             # finite slopes, but the stage value y + h sum A_ij k_j overflows
-            (lambda x: [1e300], 1e10),
+            (lambda x: [1e300], 1.0, 1e10),
+            # the Jacobian and the predictor overflow
+            (lambda x: [0.0, 1e308, 1e308], 10.0, 1.0),
+            # finite f, but J = 2e308 y overflows: Q(hJ) is not finite
+            (lambda x: [0.0, 0.0, 1e308], 1e-300, 1.0),
+            # finite f and J = 2e150, but Q(hJ) ~ -(hJ)^3/60 overflows
+            (lambda x: [0.0, 0.0, 1e300], 1e-150, 1.0),
         ]
-        for row, h in cases:
+        for row, y, h in cases:
             with pytest.raises(NewtonFailure, match="non-finite stage update in iteration 1"):
-                step(row, 0.0, 1.0, h)
+                step(row, 0.0, y, h)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_stiff_cubic_with_overflowing_trial_steps(self):
@@ -176,6 +193,23 @@ class TestAdaptiveIntegration:
         r = integrate_rhs(lambda x: [0.0, -1.0], 0.0, 1.0, 1.0)
         assert len(r.xs) == len(r.ys) == len(r.h_used) == len(r.newton_per_step)
         assert r.xs[0] == 0.0 and r.xs[-1] == r.final_x
+
+
+class TestRejectionCauses:
+    def test_every_rejection_a_newton_failure(self):
+        # one iteration cannot confirm convergence, so every attempt fails
+        # and h halves from 0.5 until it drops below h_min = 2^-10
+        r = integrate_rhs(lambda x: [0.0, -1.0], 0.0, 1.0, 1.0,
+                          SolverConfig(newton_max_iters=1, h0=0.5, h_max=0.5, h_min=0.5**10))
+        assert r.status == "newton-failure"
+        assert (r.n_accepted, r.n_rejected, r.n_newton_failures) == (0, 10, 10)
+
+    def test_error_test_rejections_are_not_newton_failures(self):
+        # a unit first step on y' = -y converges but fails atol = 1e-12
+        r = integrate_rhs(lambda x: [0.0, -1.0], 0.0, 1.0, 1.0,
+                          SolverConfig(h0=1.0, h_max=1.0, atol=1e-12, rtol=1e-12))
+        assert r.completed
+        assert r.n_rejected > 0 and r.n_newton_failures == 0
 
 
 class TestNonFiniteInput:
