@@ -109,10 +109,9 @@ def _write_trajectory(path: str, result: IntegrationResult) -> None:
 def _write_branch(path: str, nf, branch: EquilibriumBranch) -> None:
     lines = ["x,E,Lambda,E_prime"]
     slopes, _ = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
-    for point, slope in zip(branch.points, slopes.tolist()):
-        lines.append(
-            f"{_g17(point.x)},{_g17(point.E)},{_g17(point.Lambda)},{_g17(slope)}"
-        )
+    columns = (branch.xs, branch.values, branch.eigenvalues, slopes)
+    for x, e, lam, slope in zip(*(c.tolist() for c in columns)):
+        lines.append(f"{_g17(x)},{_g17(e)},{_g17(lam)},{_g17(slope)}")
     _write_lines(path, lines)
 
 

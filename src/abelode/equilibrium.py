@@ -12,12 +12,13 @@ once), with each row's roots bit-identical to what it gives alone; a
 single abscissa is a stack of one.
 
 A branch E(x) is continued across a grid: every grid row is sampled and
-isolated up front, then the smallest positive root is taken at the first
-point and the nearest root afterwards, with a fallback to the smallest
-positive root if the nearest root crosses zero.  A jump larger than
+isolated up front, and one array pass finds where each root of each row
+moves in the next: the nearest root, or the smallest positive root if
+the nearest crosses zero.  The branch starts at the smallest positive
+root and walks that table by column index.  A jump larger than
 0.25 (1 + E_prev) triggers one local grid refinement before the branch
-is declared lost.  Each branch point records the stability eigenvalue
-Lambda(x) = dF/dy (x, E(x)).
+is declared lost.  The branch stores x, E and the stability eigenvalue
+Lambda(x) = dF/dy (x, E(x)) as arrays.
 
 The branch slope E' = -(dF/dx) / Lambda comes from branch_slopes for
 all points at once: dF/dx is a finite difference of rows sampled at
@@ -98,6 +99,8 @@ class GridSpec:
     spacing: str = "linear"  # "linear" | "log"
 
     def __post_init__(self):
+        if not isinstance(self.count, (int, np.integer)):
+            raise ValueError(f"grid count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise ValueError("grid needs at least 2 points")
         if not (math.isfinite(self.x_start) and math.isfinite(self.x_end)):
@@ -136,66 +139,58 @@ class BranchPoint:
 class EquilibriumBranch:
     """Continued equilibrium branch with per-point stability eigenvalues.
 
-    points includes any refinement midpoints inserted during continuation,
-    so consecutive E values always satisfy the jump bound.  ambiguous_count
-    is the number of grid points where a second positive stable root
-    coexisted with the tracked one.  leading (shape (N,)) and rows (shape
-    (N, n+1)) are a_n and the monic row [lambda_0, ..., lambda_{n-1}, 1] at
-    each point, as sampled by the continuation.
+    xs, values and eigenvalues (shape (N,)) are x, E and Lambda = dF/dy at
+    each point, refinement midpoints included, so consecutive E values
+    satisfy the jump bound; points builds BranchPoints from them on each
+    read.  ambiguous_count is the number of grid points where a second
+    positive stable root coexisted with the tracked one.  leading (N,) and
+    rows (N, n+1) are a_n and the monic row [lambda_0, ..., 1] at each
+    point, as sampled by the continuation.
     """
 
-    points: list[BranchPoint]
+    xs: np.ndarray
+    values: np.ndarray
+    eigenvalues: np.ndarray
     grid: GridSpec
     L: float | None
     ambiguous_count: int = 0
     note: str = ""
     leading: np.ndarray = field(kw_only=True)
     rows: np.ndarray = field(kw_only=True)
-    _xs: np.ndarray = field(init=False, repr=False, default=None)
-    _es: np.ndarray = field(init=False, repr=False, default=None)
-    _lams: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        self._xs = np.array([p.x for p in self.points])
-        self._es = np.array([p.E for p in self.points])
-        self._lams = np.array([p.Lambda for p in self.points])
-        self.leading = np.asarray(self.leading, dtype=float)
-        self.rows = np.asarray(self.rows, dtype=float)
-        if self.leading.shape != self._xs.shape or self.rows.shape[:1] != self._xs.shape:
-            raise ValueError("leading and rows must have one entry per branch point")
+        columns = (self.xs, self.values, self.eigenvalues, self.leading, self.rows)
+        self.xs, self.values, self.eigenvalues, self.leading, self.rows = (
+            np.asarray(a, dtype=float) for a in columns)
+        if any(a.shape[:1] != self.xs.shape for a in (self.values, self.eigenvalues,
+                                                      self.leading, self.rows)):
+            raise ValueError("values, eigenvalues, leading and rows must have one entry per x")
 
     @property
-    def xs(self) -> np.ndarray:
-        return self._xs
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._es
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self._lams
+    def points(self) -> list[BranchPoint]:
+        return [BranchPoint(*p) for p in zip(
+            self.xs.tolist(), self.values.tolist(), self.eigenvalues.tolist())]
 
     @property
     def x_start(self) -> float:
-        return float(self._xs[0])
+        return float(self.xs[0])
 
     @property
     def x_end(self) -> float:
-        return float(self._xs[-1])
+        return float(self.xs[-1])
 
     def covers(self, x: float) -> bool:
         return self.x_start <= x <= self.x_end
 
     def interp_E(self, x) -> np.ndarray | float:
-        return np.interp(x, self._xs, self._es)
+        return np.interp(x, self.xs, self.values)
 
     def interp_Lambda(self, x) -> np.ndarray | float:
-        return np.interp(x, self._xs, self._lams)
+        return np.interp(x, self.xs, self.eigenvalues)
 
     @property
     def sup_E(self) -> float:
-        return float(self._es.max())
+        return float(self.values.max())
 
 
 def _check_rows(xs, rows: np.ndarray) -> None:
@@ -353,93 +348,99 @@ def real_roots(nf: NormalForm, x: float) -> list[float]:
 
 def smallest_positive_root(nf: NormalForm, x: float) -> float | None:
     """Smallest root strictly above POSITIVE_THRESHOLD, or None."""
-    for r in real_roots(nf, x):
-        if r > POSITIVE_THRESHOLD:
-            return r
-    return None
+    return next((r for r in real_roots(nf, x) if r > POSITIVE_THRESHOLD), None)
 
 
-def _select_root(roots: list[float], previous: float) -> float | None:
-    """Nearest root to the previous value; smallest positive if it crossed zero."""
-    if not roots:
-        return None
-    nearest = min(roots, key=lambda r: abs(r - previous))
-    if nearest <= POSITIVE_THRESHOLD:
-        for r in roots:
-            if r > POSITIVE_THRESHOLD:
-                return r
-        return None
-    return nearest
+def _moves(prev: np.ndarray, nxt: np.ndarray):
+    """Where each root of each row of prev (M, w) moves in the same row of
+    nxt (M, w'), both ascending and NaN-padded: the column of the nearest
+    root (the first of equally near ones), or of the smallest root above
+    POSITIVE_THRESHOLD if the nearest is at or below it, -1 where there is
+    none (the branch vanished); and whether that move jumps by more than
+    JUMP_FRACTION (1 + |prev|).  Entries for prev's padding mean nothing."""
+    if nxt.shape[1] == 0:  # no row has a root: one column of padding
+        nxt = np.full((len(nxt), 1), np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        distance = np.abs(nxt[:, None, :] - prev[:, :, None])
+        nearest = np.argmin(np.where(np.isnan(distance), np.inf, distance), axis=2)
+        positive = nxt > POSITIVE_THRESHOLD
+        smallest = np.where(positive.any(axis=1), positive.argmax(axis=1), -1)[:, None]
+        move = np.where(np.take_along_axis(nxt, nearest, axis=1) > POSITIVE_THRESHOLD,
+                        nearest, smallest)
+        chosen = np.take_along_axis(nxt, np.maximum(move, 0), axis=1)
+        jump = (move >= 0) & (np.abs(chosen - prev) > JUMP_FRACTION * (1.0 + np.abs(prev)))
+    return move, jump
 
 
-def _count_positive_stable(rows: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Per row of the table, the roots above POSITIVE_THRESHOLD where dF/dy < 0."""
-    slope = _horner([c[:, None] for c in _derivative_row(rows.T)], roots)
-    return np.count_nonzero((roots > POSITIVE_THRESHOLD) & (slope < 0.0), axis=1)
+def _hop(prev: np.ndarray, col: int, nxt: np.ndarray, x: float) -> int:
+    """The column of nxt that prev[0, col] moves to (stacks of one); raises
+    BranchError at x if the branch vanishes or jumps there."""
+    move, jump = _moves(prev, nxt)
+    if move[0, col] < 0:
+        raise BranchError("equilibrium branch vanished", x)
+    if jump[0, col]:
+        raise BranchError("branch lost (jump beyond threshold)", x)
+    return int(move[0, col])
 
 
 def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
     """Continue the smallest-positive-root branch across the grid.
 
-    Every grid point is sampled once, up front, and the roots of all rows
-    are isolated in one lockstep call; what stays sequential is picking
-    the nearest root and refining jumps, each refinement midpoint sampled
-    and isolated on its own.  The sampled a_n and rows, midpoints included,
-    are kept as the branch's table; the root table is not.
+    Every grid point is sampled once, up front, the roots of all rows are
+    isolated in one lockstep call and _moves maps every root to the next
+    row's in one pass; what stays sequential is a walk over column indices
+    and refining jumps, each midpoint sampled, isolated and hopped through
+    (_moves on stacks of one) on its own.  The sampled a_n and rows,
+    midpoints included, are kept as the branch's table; the root table is
+    not.
 
     Raises BranchError if a sampled lambda_k is not finite, if the first
-    grid point has no positive root or if a jump survives one local
-    refinement.
+    grid point has no positive root, if the branch vanishes or if a jump
+    survives one local refinement.
     """
     xs = grid.xs().tolist()
     leading, rows = nf.sample_grid(xs)
     table = _isolate_roots(xs, rows)
-    counts = np.count_nonzero(~np.isnan(table), axis=1).tolist()
-    roots = [row[:k] for row, k in zip(table.tolist(), counts)]
 
-    first = next((r for r in roots[0] if r > POSITIVE_THRESHOLD), None)
-    if first is None:
+    positive = table[0] > POSITIVE_THRESHOLD
+    if not positive.any():
         raise BranchError("no positive equilibrium at the first grid point", xs[0])
+    col = int(positive.argmax())
+    move, jump = (a.tolist() for a in _moves(table[:-1], table[1:]))
 
-    def advance(e_prev: float, x: float, roots: list[float]) -> float:
-        value = _select_root(roots, e_prev)
-        if value is None:
-            raise BranchError("equilibrium branch vanished", x)
-        if abs(value - e_prev) > JUMP_FRACTION * (1.0 + abs(e_prev)):
-            return math.nan  # signal: too far
-        return value
-
-    branch_xs, values = [xs[0]], [first]
-    midpoints = []  # (grid index it precedes, a_n, row)
+    cols = [col]
+    midpoints = []  # (grid index it precedes, x, a_n, row, E)
     for i in range(1, len(xs)):
-        x = xs[i]
-        value = advance(values[-1], x, roots[i])
-        if math.isnan(value):
+        nxt = move[i - 1][col]
+        if nxt < 0:
+            raise BranchError("equilibrium branch vanished", xs[i])
+        if jump[i - 1][col]:
             # refine once: step through the midpoint in the grid metric
-            mid = grid.midpoint(branch_xs[-1], x)
+            mid = grid.midpoint(xs[i - 1], xs[i])
             mid_an, mid_row = nf.sample(mid)
-            mid_value = advance(values[-1], mid, _row_roots(mid, mid_row))
-            if math.isnan(mid_value):
-                raise BranchError("branch lost (jump beyond threshold)", mid)
-            branch_xs.append(mid)
-            values.append(mid_value)
-            midpoints.append((i, mid_an, mid_row))
-            value = advance(mid_value, x, roots[i])
-            if math.isnan(value):
-                raise BranchError("branch lost (jump beyond threshold)", x)
-        branch_xs.append(x)
-        values.append(value)
+            mid_roots = _isolate_roots([mid], np.array([mid_row]))
+            at = _hop(table[i - 1:i], col, mid_roots, mid)
+            nxt = _hop(mid_roots, at, table[i:i + 1], xs[i])
+            midpoints.append((i, mid, mid_an, mid_row, mid_roots[0, at]))
+        col = nxt
+        cols.append(col)
 
+    values = table[np.arange(len(xs)), cols]
     with np.errstate(over="ignore", invalid="ignore"):
-        ambiguous = int(np.count_nonzero(_count_positive_stable(rows, table) > 1))
+        # grid points with more than one positive root where dF/dy < 0
+        slope = _horner([c[:, None] for c in _derivative_row(rows.T)], table)
+        stable = np.count_nonzero((table > POSITIVE_THRESHOLD) & (slope < 0.0), axis=1)
+        ambiguous = int(np.count_nonzero(stable > 1))
         if midpoints:
-            at, mid_leading, mid_rows = zip(*midpoints)
+            at, mid_xs, mid_leading, mid_rows, mid_values = zip(*midpoints)
+            xs = np.insert(xs, at, mid_xs)
+            values = np.insert(values, at, mid_values)
             leading = np.insert(leading, at, mid_leading)
             rows = np.insert(rows, at, mid_rows, axis=0)
-        lambdas = _horner(_derivative_row(rows.T), np.array(values)).tolist()
-    points = [BranchPoint(*p) for p in zip(branch_xs, values, lambdas)]
+        lambdas = _horner(_derivative_row(rows.T), values)
 
-    branch = EquilibriumBranch(points, grid, None, ambiguous, leading=leading, rows=rows)
+    branch = EquilibriumBranch(xs, values, lambdas, grid, None, ambiguous,
+                               leading=leading, rows=rows)
     branch.L = branch_limit(branch)
     if ambiguous:
         branch.note = (
@@ -518,7 +519,7 @@ def branch_derivative(nf: NormalForm, point: BranchPoint) -> float:
 def branch_limit(branch: EquilibriumBranch) -> float | None:
     """Tail-window limit estimate: mean of the last 16 E values if their
     spread is below 1e-7 relative to the mean, else None."""
-    if len(branch.points) < LIMIT_TAIL_WINDOW:
+    if branch.values.size < LIMIT_TAIL_WINDOW:
         return None
     tail = branch.values[-LIMIT_TAIL_WINDOW:]
     mean = float(tail.mean())

@@ -79,3 +79,67 @@ def taylor_power_sum(coeffs, g):
         values.append(math.fsum(terms))
         scales.append(math.fsum(abs(t) for t in terms))
     return values, scales
+
+
+class WalkError(Exception):
+    """The reference walk stopped at x, for the reason in message."""
+
+    def __init__(self, message, x):
+        super().__init__(f"{message} at x={x!r}")
+        self.message, self.x = message, x
+
+
+def reference_walk(xs, roots_at, midpoint, threshold=1e-12, jump=0.25):
+    """The branch continuation rule, one point at a time in plain Python.
+
+    roots_at(x) lists the real roots at x in ascending order.  The walk
+    starts at the smallest root above threshold at xs[0].  At each next
+    abscissa it takes the root nearest the last value (the first of equally
+    near roots), or the smallest root above threshold if the nearest one is
+    at or below it; no such root means the branch vanished there.  A move
+    of more than jump * (1 + |last|) is retried once through
+    midpoint(previous x, x); a move that is still too long, into or out of
+    the midpoint, loses the branch.  Returns the abscissae (midpoints
+    included) and the values; raises WalkError where continuation stops.
+    """
+
+    def move(last, x):
+        roots = roots_at(x)
+        chosen = None
+        for r in roots:
+            if chosen is None or abs(r - last) < abs(chosen - last):
+                chosen = r
+        if chosen is None or chosen <= threshold:
+            chosen = next((r for r in roots if r > threshold), None)
+        if chosen is None:
+            raise WalkError("equilibrium branch vanished", x)
+        return chosen, abs(chosen - last) > jump * (1.0 + abs(last))
+
+    start = next((r for r in roots_at(xs[0]) if r > threshold), None)
+    if start is None:
+        raise WalkError("no positive equilibrium at the first grid point", xs[0])
+    out_xs, values = [xs[0]], [start]
+    for previous, x in zip(xs, xs[1:]):
+        value, jumped = move(values[-1], x)
+        if jumped:
+            mid = midpoint(previous, x)
+            mid_value, jumped = move(values[-1], mid)
+            if jumped:
+                raise WalkError("branch lost (jump beyond threshold)", mid)
+            out_xs.append(mid)
+            values.append(mid_value)
+            value, jumped = move(mid_value, x)
+            if jumped:
+                raise WalkError("branch lost (jump beyond threshold)", x)
+        out_xs.append(x)
+        values.append(value)
+    return out_xs, values
+
+
+def slope_in_y(row, y):
+    """dF/dy at y of the monic row (ascending coefficients), by Horner on
+    the derivative coefficients k c_k."""
+    acc = 0.0
+    for k in range(len(row) - 1, 0, -1):
+        acc = acc * y + k * row[k]
+    return acc

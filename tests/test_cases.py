@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from abelode import cli, equilibrium
 from abelode.cases import get_case, run_case
-from abelode.equilibrium import continue_branch
+from abelode.equilibrium import BranchPoint, continue_branch
 from abelode.hypotheses import verify
 from abelode.radau import integrate
 from abelode.rate import rate_bound
@@ -93,6 +94,17 @@ class TestRunCase:
         assert list(a.result.xs) == list(b.result.xs)
 
 
+def _count_calls(monkeypatch, owner, name, calls):
+    """Record name in calls every time owner.name is called."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 class TestArrayEvaluation:
     @pytest.mark.parametrize("cid", [1, 2, 3])
     def test_no_scalar_evaluation_outside_the_integrator(self, case_runs, cid, eval_calls):
@@ -103,6 +115,31 @@ class TestArrayEvaluation:
         verify(run.nf, branch)
         rate_bound(run.nf, branch, run.result)
         assert eval_calls == []
+
+    @pytest.mark.parametrize("cid", [1, 2, 3])
+    def test_branch_isolates_its_table_in_one_call(self, case_runs, cid, monkeypatch):
+        # the walk reads the one lockstep root table (no case refines its
+        # branch, so no midpoint is isolated on its own)
+        calls = []
+        for name in ("_isolate_roots", "_row_roots"):
+            _count_calls(monkeypatch, equilibrium, name, calls)
+        run = case_runs[cid]
+        continue_branch(run.nf, run.case.branch_grid())
+        assert calls == ["_isolate_roots"]
+
+    @pytest.mark.parametrize("cid", [1, 2, 3])
+    def test_no_branch_points_are_built(self, cid, monkeypatch, tmp_path):
+        # the branch is arrays from continuation through the rate bound to
+        # the files the case command writes; points are built only on request
+        calls = []
+        _count_calls(monkeypatch, BranchPoint, "__init__", calls)
+        run = run_case(cid)
+        rate_bound(run.nf, run.branch, run.result)
+        cli._write_trajectory(str(tmp_path / "trajectory.csv"), run.result)
+        cli._write_branch(str(tmp_path / "branch.csv"), run.nf, run.branch)
+        cli._write_report(str(tmp_path / "report.json"), run.report)
+        assert calls == []
+        assert len(run.branch.points) == run.branch.xs.size and calls
 
     @pytest.mark.parametrize("cid", [1, 2, 3])
     def test_integrator_samples_each_abscissa_once(self, cid, eval_calls):

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from abelode.core import build_equation, eval_F, normalize
 from abelode.equilibrium import (
@@ -19,7 +19,7 @@ from abelode.equilibrium import (
     real_roots,
     smallest_positive_root,
 )
-from oracles import bisect_scan_roots
+from oracles import WalkError, bisect_scan_roots, reference_walk, slope_in_y
 
 
 def monic_cubic(c0, c1, c2, x0=0.0):
@@ -101,6 +101,12 @@ class TestGridSpec:
         # (0, inf) used to pass and yield a NaN grid
         with pytest.raises(ValueError, match="grid bounds must be finite"):
             GridSpec(x_start, x_end, 5)
+
+    @pytest.mark.parametrize("count", [2.5, "5", None, 5.0])
+    def test_non_integer_count_rejected(self, count):
+        # 2.5 used to construct and fail later inside np.linspace
+        with pytest.raises(ValueError, match="grid count must be an integer"):
+            GridSpec(0.0, 1.0, count)
 
 
 class TestRealRoots:
@@ -278,6 +284,50 @@ class TestBranchContinuation:
         assert branch.ambiguous_count == 101
         assert branch.note.startswith("101 grid point(s) had a second positive stable root")
 
+    @pytest.mark.parametrize("coefficients, grid, message, x", [
+        pytest.param(["1", "1"], GridSpec(0.0, 2.0, 5),
+                     "no positive equilibrium at the first grid point", 0.0, id="no-start"),
+        # E = 1 - x reaches 0 at x = 1 with no positive root left
+        pytest.param(["1 - x", "-1"], GridSpec(0.0, 2.0, 5),
+                     "equilibrium branch vanished", 1.0, id="vanished"),
+        # E = exp(x): the step from 2 to 2.5 is refined, and even its first
+        # half, from 2 to the midpoint 2.25, jumps too far
+        pytest.param(["exp(x)", "-1"], GridSpec(0.0, 10.0, 21),
+                     "branch lost (jump beyond threshold)", 2.25, id="lost-at-midpoint"),
+        # E = 1 up to x = 0.5, then 1 + 10 (x - 0.5): the midpoint 0.5 is
+        # reached, the step from it to 1 is not
+        pytest.param(["1 + 5*((x - 0.5) + abs(x - 0.5))", "-1"], GridSpec(0.0, 1.0, 2),
+                     "branch lost (jump beyond threshold)", 1.0, id="lost-after-midpoint"),
+    ])
+    def test_error_paths(self, coefficients, grid, message, x):
+        nf = normalize(build_equation(coefficients, 0.0))
+        with pytest.raises(BranchError) as caught:
+            continue_branch(nf, grid)
+        assert str(caught.value) == f"{message} at x={x!r}"
+        assert caught.value.x == x
+
+    def test_tie_goes_to_the_first_root(self):
+        # m is the double root at x = 0; at x = 1 the roots of
+        # y^2 - 2.5 y + 1.5 lie at the same float distance from it, and the
+        # lower one, first in ascending order, is kept
+        m = 1.249999999999872
+        nf = normalize(build_equation(
+            [f"(1 - x)*{m * m!r} + x*1.5", f"(1 - x)*({-2 * m!r}) - x*2.5", "1"], 0.0))
+        low, high = real_roots(nf, 1.0)
+        assert real_roots(nf, 0.0) == [m] and m - low == high - m
+        branch = continue_branch(nf, GridSpec(0.0, 1.0, 2))
+        assert branch.values.tolist() == [m, low]
+
+    def test_zero_crossing_falls_back_to_smallest_positive_root(self):
+        # roots (0.25 - 0.25 x, 1 - 0.46875 x): at x = 1 the root nearest
+        # 0.25 is ~0, so the branch moves to 0.53125 instead
+        nf = normalize(build_equation(
+            ["(0.25 - 0.25*x)*(1 - 0.46875*x)", "0.71875*x - 1.25", "1"], 0.0))
+        near_zero, positive = real_roots(nf, 1.0)
+        assert abs(near_zero) <= 1e-12
+        branch = continue_branch(nf, GridSpec(0.0, 1.0, 2))
+        assert branch.values.tolist() == [real_roots(nf, 0.0)[0], positive]
+
     def test_limit_none_when_tail_still_moving(self):
         eq = build_equation(["3 - 2*exp(-2*x)", "-4", "0", "1"], 0.0)
         nf = normalize(eq)
@@ -343,3 +393,68 @@ class TestBranchDerivative:
         slopes, undefined = branch_slopes(nf, [0.0, 1.0], [1.0, 1.0], [0.0, -1.0])
         assert math.isnan(slopes[0]) and slopes[1] == 0.0
         assert not undefined.any()
+
+
+def _quadratic_coefficient(draw):
+    p, q, s = (draw(st.floats(-3.0, 3.0)) for _ in range(3))
+    return f"({p!r}) + ({q!r})*x + ({s!r})*x^2"
+
+
+@st.composite
+def branch_inputs(draw):
+    """A degree-2-5 equation with coefficients quadratic in x, and a short
+    grid: a leading coefficient bounded away from 0 on x >= 0, the others
+    free, so the branch starts, refines, vanishes or is lost."""
+    degree = draw(st.integers(2, 5))
+    coefficients = [_quadratic_coefficient(draw) for _ in range(degree)]
+    sign = draw(st.sampled_from(["", "-"]))
+    lead = f"{sign}({draw(st.floats(0.5, 2.0))!r} + {draw(st.floats(0.0, 1.0))!r}*x)"
+    spacing = draw(st.sampled_from(["linear", "log"]))
+    x_start = 0.5 if spacing == "log" else draw(st.sampled_from([0.0, 0.5]))
+    grid = GridSpec(x_start, x_start + draw(st.floats(0.5, 20.0)),
+                    draw(st.integers(2, 40)), spacing)
+    return coefficients + [lead], grid
+
+
+def _continued(nf, grid):
+    """(xs, values, eigenvalues) of continue_branch, or its error text and x."""
+    try:
+        branch = continue_branch(nf, grid)
+    except BranchError as error:
+        return str(error), error.x
+    return branch.xs.tobytes(), branch.values.tobytes(), branch.eigenvalues.tobytes()
+
+
+def _walked(nf, grid):
+    """The same, from the reference walk over the same roots: grid rows from
+    one lockstep call, midpoints a stack of one each (isolating a row in a
+    stack or alone gives the same roots, see TestLockstepIsolation)."""
+    xs = grid.xs().tolist()
+    table = _isolate_roots(xs, nf.sample_grid(xs)[1])
+    known = {x: row[~np.isnan(row)].tolist() for x, row in zip(xs, table)}
+    try:
+        out_xs, values = reference_walk(
+            xs, lambda x: known[x] if x in known else real_roots(nf, x), grid.midpoint)
+    except WalkError as stop:
+        return str(stop), stop.x
+    lambdas = [slope_in_y(nf.sample(x)[1], e) for x, e in zip(out_xs, values)]
+    return tuple(np.array(v).tobytes() for v in (out_xs, values, lambdas))
+
+
+class TestReferenceWalk:
+    """continue_branch gives what the plain-Python reference walk gives, bit
+    for bit, midpoints included, or stops with the same error at the same x."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=branch_inputs())
+    @example(inputs=(["exp(x)", "-1"], GridSpec(0.0, 10.0, 31)))
+    def test_matches_reference_walk(self, inputs):
+        coefficients, grid = inputs
+        nf = normalize(build_equation(coefficients, 0.0))
+        assert _continued(nf, grid) == _walked(nf, grid)
+
+    def test_refines_at_many_cells(self):
+        # the property's explicit example: 28 of its 30 cells need a midpoint
+        nf = normalize(build_equation(["exp(x)", "-1"], 0.0))
+        branch = continue_branch(nf, GridSpec(0.0, 10.0, 31))
+        assert branch.xs.size - 31 == 28

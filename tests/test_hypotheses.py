@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from abelode.core import build_equation, normalize
-from abelode.equilibrium import BranchPoint, EquilibriumBranch, GridSpec, continue_branch
+from abelode.equilibrium import EquilibriumBranch, GridSpec, continue_branch
 from abelode.hypotheses import (
     ALPHA_FLOOR,
     B3_OVERFLOW,
@@ -77,9 +77,9 @@ class TestTable:
         # first branch point is the witness
         nf = normalize(build_equation(["1e200", "0", "0", "1e-200"], 1.0))
         grid = GridSpec(1.0, 2.0, 5, "linear")
-        points = [BranchPoint(float(x), 1.0, -1.0) for x in grid.xs()]
-        samples = [nf.sample(p.x) for p in points]
-        branch = EquilibriumBranch(points, grid, None,
+        xs = grid.xs()
+        samples = [nf.sample(x) for x in xs.tolist()]
+        branch = EquilibriumBranch(xs, np.ones(xs.size), np.full(xs.size, -1.0), grid, None,
                                    leading=[an for an, _ in samples],
                                    rows=[row for _, row in samples])
         report = check_structural(nf, branch)
@@ -143,8 +143,8 @@ class TestDomainEdge:
     def test_undefined_branch_derivative_is_inconclusive(self):
         # sqrt(-(x - 1)^2) evaluates at x = 1 only, so E' has no difference
         nf = normalize(build_equation(["sqrt(0 - (x - 1)^2) - 1", "1"], 1.0))
-        points = [BranchPoint(1.0, 1.0, -1.0), BranchPoint(2.0, 1.0, -1.0)]
-        branch = EquilibriumBranch(points, GridSpec(1.0, 2.0, 2), None,
+        branch = EquilibriumBranch([1.0, 2.0], [1.0, 1.0], [-1.0, -1.0],
+                                   GridSpec(1.0, 2.0, 2), None,
                                    leading=[1.0, 1.0], rows=[[-1.0, 1.0], [-1.0, 1.0]])
         entry = check_asymptotic(nf, branch)["B3"]
         assert entry.status == "inconclusive"
@@ -154,8 +154,8 @@ class TestDomainEdge:
     def test_zero_eigenvalue_note_wins_at_the_same_point(self):
         # both points are undefined; the first also has Lambda = 0
         nf = normalize(build_equation(["sqrt(0 - (x - 2)^2) - 1", "1"], 1.0))
-        points = [BranchPoint(1.0, 1.0, 0.0), BranchPoint(2.0, 1.0, -1.0)]
-        branch = EquilibriumBranch(points, GridSpec(1.0, 2.0, 2), None,
+        branch = EquilibriumBranch([1.0, 2.0], [1.0, 1.0], [0.0, -1.0],
+                                   GridSpec(1.0, 2.0, 2), None,
                                    leading=[1.0, 1.0], rows=[[-1.0, 1.0], [-1.0, 1.0]])
         entry = check_asymptotic(nf, branch)["B3"]
         assert entry.note == "branch derivative undefined (zero eigenvalue) on the grid"
@@ -164,9 +164,9 @@ class TestDomainEdge:
 class TestThresholds:
     def _flat_branch(self, eigenvalue):
         grid = GridSpec(0.0, 1.0, 5, "linear")
-        points = [BranchPoint(x, 1.0, eigenvalue) for x in grid.xs()]
-        samples = [self.nf.sample(p.x) for p in points]
-        return EquilibriumBranch(points, grid, None,
+        xs = grid.xs()
+        samples = [self.nf.sample(x) for x in xs.tolist()]
+        return EquilibriumBranch(xs, np.ones(xs.size), np.full(xs.size, eigenvalue), grid, None,
                                  leading=[an for an, _ in samples],
                                  rows=[row for _, row in samples])
 

@@ -67,7 +67,8 @@ class TestRemainderConstant:
         points = [BranchPoint(float(x), float(rng.uniform(0.1, 2.0)), -1.0) for x in xs]
         nf = normalize(eq)
         samples = [nf.sample(p.x) for p in points]
-        branch = EquilibriumBranch(points, GridSpec(0.0, 5.0, 7), None,
+        branch = EquilibriumBranch(xs, [p.E for p in points], [p.Lambda for p in points],
+                                   GridSpec(0.0, 5.0, 7), None,
                                    leading=[an for an, _ in samples],
                                    rows=[row for _, row in samples])
         m_e = max(p.E for p in points)
