@@ -14,18 +14,28 @@ Every polynomial in y is handled as one coefficient row (ascending
 powers) evaluated once per abscissa; _horner, _derivative_row and
 _taylor_shift are the only places that do arithmetic on such a row.
 
-All types are immutable after construction and hold no hidden state, so
-they can be shared freely across threads.
+Scalar rows come from one compiled function per equation
+(AbelEquation.compiled_row, see expr.compile_row), which both row(x) and
+NormalForm.sample(x) read.  Where it cannot give a finite row, the
+per-coefficient tree walk (Expr.eval) runs instead, in the order the
+caller has always used, and raises the ExprDomainError or
+LeadingCoefficientError that explains the failure.  Grids go through
+Expr.eval_array.
+
+All types are immutable after construction and can be shared freely
+across threads; the only state they hold beyond their fields is the
+compiled row, built on first use and the same whichever thread builds it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .expr import Expr, ExprDomainError, parse
+from .expr import CompiledRow, Expr, ExprDomainError, compile_row, parse
 
 __all__ = [
     "CoefficientFn",
@@ -78,9 +88,15 @@ class AbelEquation:
     def leading(self) -> CoefficientFn:
         return self.coeffs[-1]
 
+    @cached_property
+    def compiled_row(self) -> CompiledRow:
+        """a_0..a_n as one compiled function, built on first use."""
+        return compile_row(c.expr for c in self.coeffs)
+
     def row(self, x: float) -> list[float]:
         """[a_0(x), ..., a_n(x)], evaluated in that order."""
-        return [c(x) for c in self.coeffs]
+        values = self.compiled_row(x)
+        return values if values is not None else [c(x) for c in self.coeffs]
 
 
 def build_equation(
@@ -106,9 +122,11 @@ class NormalForm:
     def a_n(self, x: float) -> float:
         return self.equation.leading(x)
 
-    def _nonzero_leading(self, x: float) -> float:
-        """a_n(x), raising LeadingCoefficientError where it vanishes."""
-        an = self.equation.leading(x)
+    def _nonzero_leading(self, x: float, an: float | None = None) -> float:
+        """a_n(x) (evaluated unless given), raising LeadingCoefficientError
+        where it vanishes."""
+        if an is None:
+            an = self.equation.leading(x)
         if an == 0.0:
             raise LeadingCoefficientError(
                 f"leading coefficient {self.equation.leading.label} vanishes at x={x!r}"
@@ -118,8 +136,14 @@ class NormalForm:
     def sample(self, x: float) -> tuple[float, list[float]]:
         """a_n(x) and the monic row [lambda_0(x), ..., lambda_{n-1}(x), 1.0],
         from one evaluation of each coefficient."""
-        an = self._nonzero_leading(x)
-        return an, [c(x) / an for c in self.equation.coeffs[:-1]] + [1.0]
+        row = self.equation.compiled_row(x)
+        if row is None:
+            # the tree walk explains the failure: a_n and its zero check
+            # first, then a_0..a_{n-1}
+            an = self._nonzero_leading(x)
+            return an, [c(x) / an for c in self.equation.coeffs[:-1]] + [1.0]
+        an = self._nonzero_leading(x, row[-1])
+        return an, [v / an for v in row[:-1]] + [1.0]
 
     def a_n_grid(self, xs) -> np.ndarray:
         """a_n at every abscissa of xs, as a_n gives it point by point."""

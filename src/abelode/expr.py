@@ -5,6 +5,18 @@ Coefficient functions a_k(x) enter the system as strings like
 small immutable syntax trees that can be evaluated repeatedly during
 root finding and integration.
 
+Three evaluators read the trees:
+
+  * compile_row(exprs) generates one Python function per coefficient row
+    (x -> [e_0(x), ..., e_m(x)]) and is the scalar path: the integrator
+    and every point-wise sample read it.  It runs eval's IEEE operations
+    in eval's order, so its values are eval's bit for bit, and it returns
+    None where eval would raise.
+  * Expr.eval walks the tree one node at a time.  It evaluates single
+    expressions (Expr(x), the probes of a leading coefficient) and
+    explains failures: its ExprDomainError names the operation and the x.
+  * Expr.eval_array evaluates a whole grid (below).
+
 Grammar (EBNF, whitespace insignificant):
 
     expr    = term   { ("+" | "-") term } ;
@@ -47,10 +59,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "CompiledRow",
     "Expr",
     "ExprError",
     "ExprSyntaxError",
     "ExprDomainError",
+    "compile_row",
     "parse",
 ]
 
@@ -67,7 +81,8 @@ _CONSTANTS = {
 }
 
 #: deepest nesting accepted (see _Parser); parsing recurses at most five
-#: frames per level, evaluation and printing one
+#: frames per level, evaluation, printing and code generation one, and a
+#: compiled row nests one parenthesis per level
 _MAX_DEPTH = 100
 
 
@@ -113,6 +128,9 @@ class _Num:
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         return np.full(xs.shape, self.value)
 
+    def emit(self, bind) -> str:
+        return bind(self.value)
+
     def pretty(self) -> str:
         return _format_number(self.value)
 
@@ -126,6 +144,9 @@ class _Var:
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         return xs
+
+    def emit(self, bind) -> str:
+        return "x"
 
     def pretty(self) -> str:
         return "x"
@@ -142,6 +163,9 @@ class _Const:
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         return np.full(xs.shape, _CONSTANTS[self.name])
+
+    def emit(self, bind) -> str:
+        return bind(_CONSTANTS[self.name])
 
     def pretty(self) -> str:
         return self.name
@@ -160,6 +184,9 @@ class _Neg:
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         return 0.0 - self.operand.eval_array(xs)
+
+    def emit(self, bind) -> str:
+        return f"(0.0 - {self.operand.emit(bind)})"
 
     def pretty(self) -> str:
         inner = self.operand.pretty()
@@ -216,6 +243,13 @@ class _Bin:
             raise _ScalarOnly
         return _ARRAY_OPS[self.op](a, b)
 
+    def emit(self, bind) -> str:
+        left = self.left.emit(bind)
+        right = self.right.emit(bind)
+        if self.op == "^":
+            return f"{bind(math.pow)}({left}, {right})"
+        return f"({left} {self.op} {right})"
+
     def pretty(self) -> str:
         prec = self.precedence
         left = self.left.pretty()
@@ -258,6 +292,9 @@ class _Call:
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         return _per_element(_FUNCTIONS[self.name], self.argument.eval_array(xs))
+
+    def emit(self, bind) -> str:
+        return f"{bind(_FUNCTIONS[self.name])}({self.argument.emit(bind)})"
 
     def pretty(self) -> str:
         return f"{self.name}({self.argument.pretty()})"
@@ -467,3 +504,54 @@ def parse(source: str) -> Expr:
     if not source.strip():
         raise ExprSyntaxError("empty expression", source, 0)
     return Expr(source, _Parser(source).parse())
+
+
+class CompiledRow:
+    """Several expressions evaluated as one generated Python function.
+
+    Calling it with x returns [e.eval(x) for e in exprs], bit for bit, or
+    None where any of those calls would raise; the caller then re-runs
+    eval, whose ExprDomainError explains the failure.  ``source`` is the
+    generated code, kept for inspection.
+    """
+
+    __slots__ = ("source", "_function")
+
+    def __init__(self, source: str, function):
+        self.source = source
+        self._function = function
+
+    def __call__(self, x: float) -> list[float] | None:
+        try:
+            values = self._function(float(x))
+        except (ZeroDivisionError, OverflowError, ValueError):
+            return None
+        return values if all(map(math.isfinite, values)) else None
+
+
+def compile_row(exprs) -> CompiledRow:
+    """Compile expressions into one function x -> [e_0(x), ..., e_m(x)].
+
+    Each syntax tree becomes one Python expression running the IEEE
+    operations eval runs, in eval's order: "(l op r)" for + - * /,
+    "(0.0 - a)" for unary minus, math.pow for "^" and the math functions
+    for calls.  Every number, constant and function enters the source as
+    a name bound in the function's namespace, one name per distinct value
+    (repr would not round-trip an inf literal such as the one in "1e999"),
+    so no generated code comes from the expression text.  The deepest tree the parser accepts
+    nests about 100 parentheses, well inside CPython's limit of 200.
+    """
+    namespace = {"__builtins__": {}}
+    names = {}  # one name per distinct value; float.hex tells -0.0 from 0.0
+
+    def bind(value) -> str:
+        key = value.hex() if isinstance(value, float) else value
+        if key not in names:
+            names[key] = f"_k{len(names)}"
+            namespace[names[key]] = value
+        return names[key]
+
+    body = ", ".join(e.ast.emit(bind) for e in exprs)
+    source = f"def _row(x):\n    return [{body}]\n"
+    exec(compile(source, "<compiled row>", "exec"), namespace)
+    return CompiledRow(source, namespace["_row"])

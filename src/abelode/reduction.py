@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .core import (
@@ -38,6 +39,7 @@ from .core import (
     _taylor_shift,
     eval_rhs,
 )
+from .expr import CompiledRow, compile_row
 from .radau import IntegrationResult, SolverConfig, integrate, integrate_rhs
 
 __all__ = [
@@ -84,13 +86,20 @@ class ReducedEquation:
             raise ValueError(f"coefficient index {k} outside 1..{self.degree}")
         return self.coefficients(x)[k - 1]
 
+    @cached_property
+    def _tail_row(self) -> CompiledRow:
+        """a_1..a_n as one compiled function, built on first use."""
+        return compile_row(coeff.expr for coeff in self.base.coeffs[1:])
+
     def coefficients(self, x: float) -> list[float]:
         """[c_1(x), ..., c_degree(x)]: the base row Taylor-shifted to the pivot.
 
         a_0 enters only the dropped c_0 (the pivot residual): not evaluated.
         """
-        row = [0.0] + [coeff(x) for coeff in self.base.coeffs[1:]]
-        return _taylor_shift(row, self.pivot(x))[1:]
+        values = self._tail_row(x)
+        if values is None:  # the tree walk raises the ExprDomainError
+            values = [coeff(x) for coeff in self.base.coeffs[1:]]
+        return _taylor_shift([0.0] + values, self.pivot(x))[1:]
 
     def rhs(self, x: float, v: float) -> float:
         return _horner(self.row(x), v)
@@ -130,7 +139,7 @@ def _probe_points(equation: AbelEquation) -> list[float]:
 
 
 def _coefficient_scale(equation: AbelEquation, x: float, y: float) -> float:
-    return 1.0 + _horner([abs(coeff(x)) for coeff in equation.coeffs], abs(y))
+    return 1.0 + _horner([abs(value) for value in equation.row(x)], abs(y))
 
 
 def _check_equilibrium_pivot(equation: AbelEquation, pivot, probes) -> None:

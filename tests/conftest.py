@@ -7,7 +7,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import pytest
 
 from abelode import run_case
-from abelode.expr import Expr
+from abelode.expr import CompiledRow, Expr
 
 
 @pytest.fixture(scope="session")
@@ -23,4 +23,16 @@ def eval_calls(monkeypatch):
     calls = []
     original = Expr.eval
     monkeypatch.setattr(Expr, "eval", lambda self, x: calls.append(x) or original(self, x))
+    return calls
+
+
+@pytest.fixture
+def rows_sampled(monkeypatch):
+    """The abscissa of every compiled coefficient row sampled while the test
+    runs (AbelEquation.row, NormalForm.sample and ReducedEquation
+    coefficients all read one)."""
+    calls = []
+    original = CompiledRow.__call__
+    monkeypatch.setattr(CompiledRow, "__call__",
+                        lambda self, x: calls.append(x) or original(self, x))
     return calls

@@ -164,3 +164,64 @@ class TestSampleGrid:
         eq = build_equation(sources, 0.0)
         nf = NormalForm(eq, eq.degree)
         assert _grid(nf, xs) == _stacked(nf, xs)
+
+
+def _point(evaluate, x):
+    """The values at x flattened to bytes (the sign of zero included), or the
+    error raised, as (type, message)."""
+    try:
+        value = evaluate(x)
+    except (ExprDomainError, LeadingCoefficientError) as err:
+        return type(err), str(err)
+    if isinstance(value, tuple):  # sample's (a_n, monic row)
+        value = [value[0]] + value[1]
+    return np.array(value, dtype=float).tobytes()
+
+
+def _tree_row(equation):
+    return lambda x: [c.expr.eval(x) for c in equation.coeffs]
+
+
+def _tree_sample(nf):
+    """sample by the tree walk alone: a_n and its zero check first."""
+    coeffs = nf.equation.coeffs
+
+    def sample(x):
+        an = coeffs[-1].expr.eval(x)
+        if an == 0.0:
+            raise LeadingCoefficientError(
+                f"leading coefficient {coeffs[-1].label} vanishes at x={x!r}")
+        return an, [c.expr.eval(x) / an for c in coeffs[:-1]] + [1.0]
+
+    return sample
+
+
+class TestCompiledRows:
+    """row and sample read one compiled row and give what the tree walk
+    gives, bit for bit, or raise its error with its message."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sources=st.lists(expressions, min_size=2, max_size=4), xs=grids)
+    def test_row_and_sample_equal_tree_walk(self, sources, xs):
+        eq = build_equation(sources, 0.0)
+        nf = NormalForm(eq, eq.degree)
+        for x in xs:
+            assert _point(eq.row, x) == _point(_tree_row(eq), x)
+            assert _point(nf.sample, x) == _point(_tree_sample(nf), x)
+
+    def test_leading_coefficient_is_checked_first(self):
+        # a_0 = log(x) fails at 0, but sample checks a_n = x first
+        eq = build_equation(["log(x)", "1", "x"], 0.0)
+        nf = NormalForm(eq, eq.degree)
+        with pytest.raises(LeadingCoefficientError,
+                           match=r"^leading coefficient a2 vanishes at x=0\.0$"):
+            nf.sample(0.0)
+        with pytest.raises(ExprDomainError, match=r"^log\(0\.0\) outside real domain at x=0\.0$"):
+            eq.row(0.0)
+
+    def test_row_is_compiled_once(self):
+        eq = build_equation(["1 - 1/x", "-2", "-2", "1"], 1.0)
+        compiled = eq.compiled_row
+        eq.row(2.0)
+        normalize(eq).sample(3.0)
+        assert eq.compiled_row is compiled

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from strategies import expressions, grids
 
-from abelode.expr import ExprDomainError, ExprError, ExprSyntaxError, parse
+from abelode.core import build_equation
+from abelode.expr import ExprDomainError, ExprError, ExprSyntaxError, compile_row, parse
 
 
 def ev(source, x=0.0):
@@ -214,3 +215,85 @@ class TestArrayEvaluation:
         xs = np.random.default_rng(7).uniform(low, high, 4000)
         expr = parse(source)
         assert expr.eval_array(xs).tobytes() == np.array(_scalar(expr)(xs.tolist())).tobytes()
+
+
+def _row_outcome(row, x):
+    """The compiled row's values as bytes (the sign of zero included), or None."""
+    values = row(x)
+    return None if values is None else np.array(values, dtype=float).tobytes()
+
+
+def _eval_outcome(exprs, x):
+    """What the row must give: eval's values as bytes, or None where eval raises."""
+    try:
+        return np.array([e.eval(x) for e in exprs], dtype=float).tobytes()
+    except ExprDomainError:
+        return None
+
+
+#: the deepest shapes the parser accepts, each about 100 levels high
+_DEEP = {
+    "unary-minus": "-" * 99 + "x",
+    "exp": "exp(" * 99 + "x" + ")" * 99,
+    "sqrt": "sqrt(" * 99 + "x" + ")" * 99,
+    "abs": "abs(" * 99 + "x" + ")" * 99,
+    "power-tower": "x" + "^1.0001" * 99,
+    "sum": "x" + " + 0.5" * 98 + " - x",
+}
+
+
+class TestCompiledRow:
+    """compile_row gives [e.eval(x) for e in exprs] bit for bit, or None
+    exactly where one of those calls raises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sources=st.lists(expressions, min_size=1, max_size=4), xs=grids)
+    def test_row_equals_tree_walk(self, sources, xs):
+        exprs = [parse(source) for source in sources]
+        row = compile_row(exprs)
+        for x in xs:
+            assert _row_outcome(row, x) == _eval_outcome(exprs, x)
+
+    @pytest.mark.parametrize("name", sorted(_DEEP))
+    @pytest.mark.parametrize("x", [-1.5, -0.0, 0.5, 1.0, 2.0])
+    def test_deepest_accepted_inputs(self, name, x):
+        expr = parse(_DEEP[name])
+        assert _row_outcome(compile_row([expr]), x) == _eval_outcome([expr], x)
+
+    def test_degree_five_equation_of_deepest_coefficients(self):
+        # the nested exp overflows at every x; the other shapes stay finite
+        names = ("abs", "power-tower", "sqrt", "sum", "unary-minus", "abs")
+        equation = build_equation([_DEEP[name] for name in names], 0.0)
+        exprs = [c.expr for c in equation.coeffs]
+        for x in (0.5, 1.0, 2.0):
+            assert equation.compiled_row(x) is not None
+            assert np.array(equation.row(x)).tobytes() == _eval_outcome(exprs, x)
+
+    def test_nan_from_an_inf_literal_is_refused(self):
+        expr = parse("1e999*0+1")
+        assert compile_row([expr])(0.0) is None
+        with pytest.raises(ExprDomainError, match=r"^non-finite value nan at x=0\.0$"):
+            expr.eval(0.0)
+
+    def test_intermediate_inf_with_finite_result(self):
+        expr = parse("1/(1e200*1e200)")
+        assert expr.eval(0.0) == 0.0
+        assert _row_outcome(compile_row([expr]), 0.0) == np.array([0.0]).tobytes()
+
+    @pytest.mark.parametrize("source,x", [
+        ("1/x", -0.0),
+        ("1/(0*(0 - 1))", 1.0),  # 0 * -1 is -0.0
+    ])
+    def test_negative_zero_divisor(self, source, x):
+        expr = parse(source)
+        assert compile_row([expr])(x) is None
+        with pytest.raises(ExprDomainError, match=r"^division by zero at x="):
+            expr.eval(x)
+
+    def test_negative_zero_result_keeps_its_sign(self):
+        row = compile_row([parse("0*(0 - 1)"), parse("x")])
+        assert _row_outcome(row, -0.0) == np.array([-0.0, -0.0]).tobytes()
+
+    def test_constants_enter_only_through_names(self):
+        source = compile_row([parse("2.5*x + pi")]).source
+        assert "2.5" not in source and "pi" not in source and "3.14" not in source

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import taylor_power_sum
 
-from abelode.core import build_equation
+from abelode.core import _taylor_shift, build_equation
+from abelode.expr import ExprDomainError
 from abelode.reduction import (
     NotASolutionError,
     ReducedEquation,
@@ -78,6 +79,19 @@ class TestReduceAbout:
             for k in range(1, degree + 1):
                 assert abs(got[k - 1] - values[k]) <= 1e-12 * scales[k]
                 assert red.c(k, x) == got[k - 1]
+
+    def test_constant_term_is_never_evaluated(self):
+        # a_0 enters only the dropped pivot residual, so where it is
+        # undefined the coefficients still come from a_1..a_n; where a_2
+        # fails, the tree walk's error names it
+        eq = build_equation(["log(x)", "-1", "sqrt(1 - x)", "1"], 0.0)
+        red = ReducedEquation(eq, lambda x: 0.25, 3)
+        for x in (0.0, 0.5, 1.0):
+            row = [0.0] + [coeff(x) for coeff in eq.coeffs[1:]]
+            assert red.coefficients(x) == _taylor_shift(row, 0.25)[1:]
+        with pytest.raises(ExprDomainError,
+                           match=r"^sqrt\(-1\.0\) outside real domain at x=2\.0$"):
+            red.coefficients(2.0)
 
     def test_pivot_must_be_a_root(self):
         with pytest.raises(NotASolutionError):
