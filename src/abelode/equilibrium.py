@@ -6,10 +6,14 @@ the real critical points split the line into intervals where F is
 strictly monotone, so every real root inside the Cauchy-type bound
 R = 2 (1 + max_k |lambda_k(x)|) is caught by a sign change (or sits at a
 critical point, for multiple roots).  Sign changes are bisected to 1e-12
-and polished with at most 5 Newton steps.  One kernel does this for a
-whole stack of rows in lockstep (every bracket of every row bisected at
-once), with each row's roots bit-identical to what it gives alone; a
-single abscissa is a stack of one.
+and polished with at most 5 Newton steps.  Bisection is in sign-step
+form: each bracket is its midpoint and a signed width, the midpoint
+steps by -sign(F) times a halving step, and each bracket takes a step
+count fixed up front, so the brackets still stepping are a prefix of
+one sorted array.  One kernel does this for a whole stack of rows in
+lockstep (every bracket of every row bisected at once), with each row's
+roots bit-identical to what it gives alone; a single abscissa is a stack
+of one.
 
 A branch E(x) is continued across a grid: every grid row is sampled and
 isolated up front, and one array pass finds where each root of each row
@@ -29,6 +33,7 @@ edge), undefined where they fail on both.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,9 +123,13 @@ class GridSpec:
         return np.linspace(self.x_start, self.x_end, self.count)
 
     def midpoint(self, a: float, b: float) -> float:
-        # refinement midpoint in the grid's own metric
+        # refinement midpoint in the grid's own metric; sqrt(a) sqrt(b) only
+        # where a * b overflows or leaves the normal floats
         if self.spacing == "log":
-            return math.sqrt(a * b)
+            product = a * b
+            if sys.float_info.min <= product < math.inf:
+                return math.sqrt(product)
+            return math.sqrt(a) * math.sqrt(b)
         return 0.5 * (a + b)
 
 
@@ -206,38 +215,62 @@ def _check_rows(xs, rows: np.ndarray) -> None:
         raise BranchError(f"lambda_{k} = {value!r} {problem}", float(xs[i]))
 
 
+def _bisect(rows: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            flo: np.ndarray) -> np.ndarray:
+    """Bisect the brackets [lo, hi] of the monic rows rows[r] (flo the value
+    at lo) to BISECT_TOL, in sign-step form.
+
+    A bracket of width w is its midpoint x and the signed width s w, s = +1
+    where F(lo) < 0, and step k moves x by -sign(F(x)) s w 2^-(k+2) (a step
+    that starts at s w / 4 and halves).  Bracket k takes the
+    ceil(log2(w_k / BISECT_TOL)) steps that leave x the midpoint of a
+    bracket at most BISECT_TOL wide.  The brackets are sorted by that count,
+    descending, so the ones still stepping are a prefix and every step is a
+    slice; no bracket's arithmetic depends on another's.  An exact 0 of F
+    stops x (sign 0), and so does a step below half an ulp of x.
+    """
+    mantissa, exponent = np.frexp((hi - lo) / BISECT_TOL)
+    steps = np.maximum(exponent - (mantissa == 0.5), 0)
+    order = np.argsort(-steps, kind="stable")
+    steps = steps[order]
+    mid = (0.5 * (lo + hi))[order]
+    step = (0.25 * np.copysign(hi - lo, -flo))[order]
+    cols = rows[r[order]].T
+    # brackets [0, m) step while k is in [stop[m], stop[m - 1]), for each m
+    # where that range is not empty
+    stop = np.append(steps, 0)
+    counts = np.flatnonzero(stop[1:] < stop[:-1])[::-1] + 1
+    stop = stop.tolist()
+    work = np.empty_like(mid)
+    for m in counts.tolist():
+        x, s, top, f = mid[:m], step[:m], cols[-2, :m], work[:m]
+        rest = [c[:m] for c in cols[-3::-1]]
+        for _ in range(stop[m], stop[m - 1]):
+            # monic Horner: the leading 1 makes the first step x + c_{n-1}
+            np.add(x, top, out=f)
+            for c in rest:
+                f *= x
+                f += c
+            np.sign(f, out=f)
+            f *= s
+            x -= f
+            s *= 0.5
+    root = np.empty_like(mid)
+    root[order] = mid
+    return root
+
+
 def _bracket_roots(rows: np.ndarray, deriv: np.ndarray, r: np.ndarray, lo: np.ndarray,
                    hi: np.ndarray, flo: np.ndarray, tol: np.ndarray) -> np.ndarray:
-    """Roots of the polynomials rows[r] in the brackets [lo, hi] (row r[k]
-    for bracket k, flo its value at lo), bisected to BISECT_TOL and then
-    polished by at most 5 Newton steps (deriv holds the derivative rows)
-    kept inside the bracket, stopping where |F| <= tol.
+    """Roots of the monic polynomials rows[r] in the brackets [lo, hi] (row
+    r[k] for bracket k, flo its value at lo), bisected to BISECT_TOL (_bisect)
+    and then polished by at most 5 Newton steps (deriv holds the derivative
+    rows) kept inside the bracket, stopping where |F| <= tol.
 
-    Every bracket steps at once; each bisection iteration runs over the
-    brackets still open only.  A bracket closes when it is narrow enough,
-    when its midpoint no longer splits it, or when the polynomial is exactly
-    0 there.  rows and deriv are indexed by bracket once per phase, and the
-    copies are gone when this returns.
+    Every bracket steps at once.  rows and deriv are indexed by bracket
+    once per phase, and the copies are gone when this returns.
     """
-    root = 0.5 * (lo + hi)
-    open_ = np.flatnonzero(hi - lo > BISECT_TOL)
-    cols, a, b, fa = rows[r[open_]].T, lo[open_], hi[open_], flo[open_]
-    while open_.size:
-        mid = 0.5 * (a + b)
-        split = (mid > a) & (mid < b)
-        fm = _horner(cols, mid)
-        zero = split & (fm == 0.0)
-        step = split & ~zero
-        same = (fm > 0.0) == (fa > 0.0)
-        a = np.where(zero | (step & same), mid, a)
-        fa = np.where(step & same, fm, fa)
-        b = np.where(zero | (step & ~same), mid, b)
-        done = ~step | ~(b - a > BISECT_TOL)
-        if done.any():
-            root[open_[done]] = 0.5 * (a[done] + b[done])
-            left = ~done
-            open_, cols, a, b, fa = open_[left], cols[:, left], a[left], b[left], fa[left]
-
+    root = _bisect(rows, r, lo, hi, flo)
     cols, dcols = rows[r].T, deriv[r].T
     fr = _horner(cols, root)
     live = np.ones(root.shape, dtype=bool)

@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -12,6 +13,7 @@ from abelode.equilibrium import (
     GridSpec,
     ZeroEigenvalueError,
     _isolate_roots,
+    _moves,
     branch_derivative,
     branch_limit,
     branch_slopes,
@@ -108,6 +110,32 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="grid count must be an integer"):
             GridSpec(0.0, 1.0, count)
 
+    @pytest.mark.parametrize("a,b", [
+        (1e150, 1e300),    # a * b overflows: sqrt(a * b) gave inf
+        (1e-300, 1e-225),  # a * b underflows: it gave 0.0
+        (1e-160, 1e-150),  # a * b is subnormal: it lost digits
+        (2.0 ** -1074, 1.0),
+    ])
+    def test_log_midpoint_stays_in_the_cell(self, a, b):
+        mid = GridSpec(1.0, 2.0, 2, "log").midpoint(a, b)
+        assert a < mid < b
+        with mpmath.workdps(50):
+            exact = mpmath.sqrt(mpmath.mpf(a) * mpmath.mpf(b))
+        assert abs(mid - exact) <= 2.0 * math.ulp(float(exact))
+
+    @pytest.mark.parametrize("a,b", [(1.0, 10.0), (1e-150, 1e-157), (1e150, 1e157), (0.5, 3.0)])
+    def test_log_midpoint_unchanged_where_the_product_is_normal(self, a, b):
+        assert GridSpec(1.0, 2.0, 2, "log").midpoint(a, b) == math.sqrt(a * b)
+
+    def test_branch_refines_through_a_midpoint_near_the_float_limit(self):
+        # the last cell [1e299, 1e300] jumps; its midpoint used to be
+        # sqrt(1e599) = inf, where the coefficient does not evaluate
+        nf = normalize(build_equation(["1 + exp(log(x)/5 - 137)", "-1"], 1.0))
+        branch = continue_branch(nf, GridSpec(1.0, 1e300, 301, "log"))
+        assert branch.xs[-1] == 1e300
+        assert branch.xs[-2] == pytest.approx(10.0 ** 299.5, rel=1e-15)
+        assert np.all(np.isfinite(branch.values))
+
 
 class TestRealRoots:
     def test_three_known_roots(self):
@@ -125,6 +153,11 @@ class TestRealRoots:
         nf = monic_cubic(2.0, -3.0, 0.0)  # (y-1)^2 (y+2)
         roots = real_roots(nf, 0.0)
         assert roots == pytest.approx([-2.0, 1.0], abs=1e-9)
+
+    def test_exact_zero_at_a_bisection_midpoint_is_kept(self):
+        # y^3 - y/4: the bracket between the critical points +-sqrt(1/12) is
+        # bisected first at 0.0, where F is exactly 0
+        assert real_roots(monic_cubic(0.0, -0.25, 0.0), 0.0)[1] == 0.0
 
     def test_single_real_root(self):
         nf = monic_cubic(-8.0, 0.0, 0.0)  # y^3 = 8
@@ -180,6 +213,32 @@ class TestRealRoots:
             continue_branch(nf, GridSpec(0.0, 20.0, 2001))
 
 
+def _extreme_rows(rng, count):
+    """count monic rows of degree 1-5 whose coefficients have random signs
+    and magnitudes 10^u, u uniform on [-300, 103]."""
+    degrees = rng.integers(1, 6, count)
+    return [np.append(rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 103.0, n), 1.0)
+            for n in degrees]
+
+
+def _scan_resolves(row, roots):
+    """Whether the scan oracle can count the roots of row: its bound
+    1 + max |c_k| exceeds max |c_k| in floats (below 2^53; above, a root sits
+    on the scan's edge), F changes sign at each root (the oracle does not
+    count even multiplicities), and the oracle's roots and these roots are
+    each at least 1e-6 and two scan cells apart (two roots in one cell
+    cancel)."""
+    radius = 1.0 + np.max(np.abs(row[:-1]))
+    if radius >= 2.0 ** 53:
+        return False
+    probes = np.concatenate([[-radius], 0.5 * (roots[1:] + roots[:-1]), [radius]])
+    signs = np.sign(np.polynomial.polynomial.polyval(probes, row))
+    if roots.size and not np.all(signs[1:] * signs[:-1] < 0.0):
+        return False
+    gap = max(1e-6, 4.0 * radius / 20000)
+    return all(np.all(np.diff(r) >= gap) for r in (np.array(bisect_scan_roots(row)), roots))
+
+
 class TestLockstepIsolation:
     """The lockstep kernel isolates each row exactly as it would alone, and
     agrees with the scan oracle where the roots are well conditioned.
@@ -221,6 +280,31 @@ class TestLockstepIsolation:
         if centre is not None:
             assert np.min(np.abs(alone - centre)) <= 0.1
 
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_extreme_magnitude_rows(self, seed):
+        """Rows of degree 1-5 with |coefficients| 1e-300 to 1e103, where
+        bisection steps fall below an ulp: finite ascending roots, the same
+        bytes in a batch as alone, and the scan oracle's root count wherever
+        the scan can resolve the row (see _scan_resolves)."""
+        rng = np.random.default_rng(seed)
+        rows = _extreme_rows(rng, 80)
+        filler = [_filler(degree) for degree in range(6)]
+        resolved = 0
+        for degree in range(1, 6):
+            mine = [row for row in rows if len(row) == degree + 1]
+            batch = np.vstack([filler[degree]] + mine)
+            shuffle = rng.permutation(len(batch))
+            table = _isolate_roots(np.arange(len(batch)), batch[shuffle])
+            at = np.argsort(shuffle)[len(filler[degree]):]
+            for row, in_batch in zip(mine, table[at]):
+                alone = _isolate_roots([0.0], row[None, :])[0]
+                assert np.all(np.isfinite(alone)) and np.all(np.diff(alone) > 0.0)
+                assert in_batch[~np.isnan(in_batch)].tobytes() == alone.tobytes()
+                if _scan_resolves(row, alone):
+                    resolved += 1
+                    assert len(bisect_scan_roots(row)) == alone.size
+        assert resolved >= 15
 
     def test_scan_oracle_survives_underflowing_products(self):
         # the scan once tested signs by fa * fm < 0.0, which underflows to
@@ -305,6 +389,16 @@ class TestBranchContinuation:
             continue_branch(nf, grid)
         assert str(caught.value) == f"{message} at x={x!r}"
         assert caught.value.x == x
+
+    def test_moves_keeps_the_first_of_two_equally_near_roots(self):
+        # exact float ties built into the table: each prev root lies 0.25
+        # from two roots of its row; the first in ascending order is kept,
+        # unless it is at or below POSITIVE_THRESHOLD (third row)
+        prev = np.array([[1.0, np.nan], [0.5, 2.0], [0.25, np.nan]])
+        nxt = np.array([[0.75, 1.25, np.nan], [0.25, 0.75, 2.0], [0.0, 0.5, np.nan]])
+        move, jump = _moves(prev, nxt)
+        assert move[0, 0] == 0 and move[1].tolist() == [0, 2] and move[2, 0] == 1
+        assert not jump[0, 0] and not jump[1].any() and not jump[2, 0]
 
     def test_tie_goes_to_the_first_root(self):
         # m is the double root at x = 0; at x = 1 the roots of
