@@ -7,13 +7,11 @@ strictly monotone, so every real root inside the Cauchy-type bound
 R = 2 (1 + max_k |lambda_k(x)|) is caught by a sign change (or sits at a
 critical point, for multiple roots).  Sign changes are bisected to 1e-12
 and polished with at most 5 Newton steps.  Bisection is in sign-step
-form: each bracket is its midpoint and a signed width, the midpoint
-steps by -sign(F) times a halving step, and each bracket takes a step
-count fixed up front, so the brackets still stepping are a prefix of
-one sorted array.  One kernel does this for a whole stack of rows in
-lockstep (every bracket of every row bisected at once), with each row's
-roots bit-identical to what it gives alone; a single abscissa is a stack
-of one.
+form (_bisect): each midpoint moves by -sign(F) times a halving step,
+for a step count fixed up front.  One kernel does this for a whole stack
+of rows in lockstep (every bracket of every row bisected at once), with
+each row's roots bit-identical to what it gives alone; a single abscissa
+is a stack of one.
 
 A branch E(x) is continued across a grid: every grid row is sampled and
 isolated up front, and one array pass finds where each root of each row
@@ -66,6 +64,7 @@ POSITIVE_THRESHOLD = 1e-12
 
 #: bisection interval width target
 BISECT_TOL = 1e-12
+_TOL_MANTISSA, _TOL_EXPONENT = math.frexp(BISECT_TOL)
 
 #: |F| <= NEWTON_RESIDUAL_TOL * scale stops the Newton polish
 NEWTON_RESIDUAL_TOL = 1e-13
@@ -215,37 +214,69 @@ def _check_rows(xs, rows: np.ndarray) -> None:
         raise BranchError(f"lambda_{k} = {value!r} {problem}", float(xs[i]))
 
 
+def _sign_steps(rows: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                flo: np.ndarray):
+    """The brackets [lo, hi] of rows[r] (flo the value at lo) in _bisect's
+    form, sorted by step count, descending: the order, and the sorted
+    counts, ends o, offsets y and first steps s w / 4.
+
+    A bracket across 0 is first cut to the side where F changes sign, read
+    from F(0) = c_0.  Bracket k takes the ceil(log2(w_k / BISECT_TOL))
+    steps that leave x the midpoint of a bracket at most BISECT_TOL wide,
+    or fewer where the steps left would move x by less than a quarter ulp
+    of o (the result by at most one ulp).  Temporaries die on return.
+    """
+    across = (lo < 0.0) & (0.0 < hi)
+    f0 = np.sign(rows[r, 0])
+    right = f0 == np.sign(flo)
+    lo = np.where(across & (right | (f0 == 0.0)), 0.0, lo)
+    hi = np.where(across & ~right, 0.0, hi)
+    width = hi - lo
+    nearer = np.abs(lo) <= np.abs(hi)
+    origin = np.where(nearer, lo, hi)
+    mantissa, exponent = np.frexp(width)
+    # ceil(log2(w / BISECT_TOL)) from the exponents, without the quotient,
+    # which overflows for w above about 1.8e296
+    steps = exponent - _TOL_EXPONENT + (mantissa > _TOL_MANTISSA)
+    # |x| >= |o|, where floats are at least ulp(o) apart, and the steps from
+    # k on move x by less than w 2^-(k+1): below ulp(o) / 4 from
+    # k = exponent(w) - exponent(o) + 54 on (o = 0 caps nothing)
+    steps = np.minimum(steps, exponent - np.frexp(origin)[1] + 54)
+    steps = np.where(width > 0.0, np.maximum(steps, 0), 0)
+    order = np.argsort(-steps, kind="stable")
+    return (order, steps[order], origin[order],
+            (np.where(nearer, 0.5, -0.5) * width)[order],
+            (0.25 * np.copysign(width, -flo))[order])
+
+
 def _bisect(rows: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             flo: np.ndarray) -> np.ndarray:
     """Bisect the brackets [lo, hi] of the monic rows rows[r] (flo the value
     at lo) to BISECT_TOL, in sign-step form.
 
-    A bracket of width w is its midpoint x and the signed width s w, s = +1
-    where F(lo) < 0, and step k moves x by -sign(F(x)) s w 2^-(k+2) (a step
-    that starts at s w / 4 and halves).  Bracket k takes the
-    ceil(log2(w_k / BISECT_TOL)) steps that leave x the midpoint of a
-    bracket at most BISECT_TOL wide.  The brackets are sorted by that count,
-    descending, so the ones still stepping are a prefix and every step is a
-    slice; no bracket's arithmetic depends on another's.  An exact 0 of F
-    stops x (sign 0), and so does a step below half an ulp of x.
+    A bracket of width w is its end o nearest 0, the offset y of its
+    midpoint x = o + y, and the signed width s w, s = +1 where F(lo) < 0;
+    step k moves y by -sign(F(x)) s w 2^-(k+2).  Stepping x itself would
+    round it to the precision of the far end, out of reach of a root
+    nearer o than that; y halves toward o exactly.  Each bracket takes a
+    step count fixed up front (_sign_steps), and the brackets are sorted by
+    it, so the ones still stepping are a prefix and every step is a slice.
+    An exact 0 of F stops x (sign 0).
     """
-    mantissa, exponent = np.frexp((hi - lo) / BISECT_TOL)
-    steps = np.maximum(exponent - (mantissa == 0.5), 0)
-    order = np.argsort(-steps, kind="stable")
-    steps = steps[order]
-    mid = (0.5 * (lo + hi))[order]
-    step = (0.25 * np.copysign(hi - lo, -flo))[order]
+    order, steps, origin, offset, step = _sign_steps(rows, r, lo, hi, flo)
     cols = rows[r[order]].T
     # brackets [0, m) step while k is in [stop[m], stop[m - 1]), for each m
     # where that range is not empty
     stop = np.append(steps, 0)
     counts = np.flatnonzero(stop[1:] < stop[:-1])[::-1] + 1
-    stop = stop.tolist()
-    work = np.empty_like(mid)
-    for m in counts.tolist():
-        x, s, top, f = mid[:m], step[:m], cols[-2, :m], work[:m]
+    xs, work = np.empty_like(offset), np.empty_like(offset)
+    for m, first, last in zip(counts.tolist(), stop[counts].tolist(),
+                              stop[counts - 1].tolist()):
+        o, y, s, top = origin[:m], offset[:m], step[:m], cols[-2, :m]
+        x, f = xs[:m], work[:m]
         rest = [c[:m] for c in cols[-3::-1]]
-        for _ in range(stop[m], stop[m - 1]):
+        for _ in range(first, last):
+            np.add(o, y, out=x)
             # monic Horner: the leading 1 makes the first step x + c_{n-1}
             np.add(x, top, out=f)
             for c in rest:
@@ -253,10 +284,10 @@ def _bisect(rows: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 f += c
             np.sign(f, out=f)
             f *= s
-            x -= f
+            y -= f
             s *= 0.5
-    root = np.empty_like(mid)
-    root[order] = mid
+    root = np.empty_like(offset)
+    root[order] = origin + offset
     return root
 
 
@@ -270,6 +301,8 @@ def _bracket_roots(rows: np.ndarray, deriv: np.ndarray, r: np.ndarray, lo: np.nd
     Every bracket steps at once.  rows and deriv are indexed by bracket
     once per phase, and the copies are gone when this returns.
     """
+    if not r.size:  # no sign change in any row
+        return lo
     root = _bisect(rows, r, lo, hi, flo)
     cols, dcols = rows[r].T, deriv[r].T
     fr = _horner(cols, root)

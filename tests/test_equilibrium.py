@@ -156,8 +156,11 @@ class TestRealRoots:
 
     def test_exact_zero_at_a_bisection_midpoint_is_kept(self):
         # y^3 - y/4: the bracket between the critical points +-sqrt(1/12) is
-        # bisected first at 0.0, where F is exactly 0
+        # cut at 0.0, where F is exactly 0
         assert real_roots(monic_cubic(0.0, -0.25, 0.0), 0.0)[1] == 0.0
+        # (y - 1)(y - 2)(y - 3): the bracket between the critical points
+        # 2 -+ sqrt(1/3) is bisected first at 2.0, where F is exactly 0
+        assert real_roots(monic_cubic(-6.0, 11.0, -6.0), 0.0)[1] == 2.0
 
     def test_single_real_root(self):
         nf = monic_cubic(-8.0, 0.0, 0.0)  # y^3 = 8
@@ -213,12 +216,14 @@ class TestRealRoots:
             continue_branch(nf, GridSpec(0.0, 20.0, 2001))
 
 
-def _extreme_rows(rng, count):
+def _extreme_rows(rng, count, top):
     """count monic rows of degree 1-5 whose coefficients have random signs
-    and magnitudes 10^u, u uniform on [-300, 103]."""
+    and magnitudes 10^u, u uniform on [-300, top]; top None is
+    308 - log10(2 n), about the largest lambda_k that _check_rows admits at
+    degree n."""
     degrees = rng.integers(1, 6, count)
-    return [np.append(rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 103.0, n), 1.0)
-            for n in degrees]
+    return [np.append(rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(
+        -300.0, 308.0 - np.log10(2 * n) if top is None else top, n), 1.0) for n in degrees]
 
 
 def _scan_resolves(row, roots):
@@ -281,14 +286,18 @@ class TestLockstepIsolation:
             assert np.min(np.abs(alone - centre)) <= 0.1
 
 
+    @pytest.mark.parametrize("top, min_resolved", [(103.0, 15), (None, 5)],
+                             ids=["to-1e103", "to-row-limit"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_extreme_magnitude_rows(self, seed):
-        """Rows of degree 1-5 with |coefficients| 1e-300 to 1e103, where
-        bisection steps fall below an ulp: finite ascending roots, the same
-        bytes in a batch as alone, and the scan oracle's root count wherever
-        the scan can resolve the row (see _scan_resolves)."""
+    def test_extreme_magnitude_rows(self, seed, top, min_resolved):
+        """Rows of degree 1-5 with |coefficients| from 1e-300 to 1e103, or
+        to the largest that _check_rows admits, where bisection steps fall
+        below an ulp and brackets reach 1e308: finite ascending roots, the
+        same bytes in a batch as alone, and the scan oracle's root count
+        wherever the scan can resolve the row (see _scan_resolves; it
+        resolves fewer of the wider rows)."""
         rng = np.random.default_rng(seed)
-        rows = _extreme_rows(rng, 80)
+        rows = _extreme_rows(rng, 80, top)
         filler = [_filler(degree) for degree in range(6)]
         resolved = 0
         for degree in range(1, 6):
@@ -304,7 +313,38 @@ class TestLockstepIsolation:
                 if _scan_resolves(row, alone):
                     resolved += 1
                     assert len(bisect_scan_roots(row)) == alone.size
-        assert resolved >= 15
+        assert resolved >= min_resolved
+
+    @pytest.mark.parametrize("row, expected", [
+        # brackets about 2.5e300 wide, where (hi - lo) / BISECT_TOL overflows
+        ([-1.0, 1e300, 1.0], [-1e300, 1e-300]),
+        # lambda_1 near the largest that _check_rows admits at degree 2
+        ([-1.0, 4e307, 1.0], [-4e307, 2.5e-308]),
+        ([1.0, -4e307, 1.0], [2.5e-308, 4e307]),
+    ])
+    def test_brackets_near_the_float_limit(self, row, expected):
+        roots = _isolate_roots([0.0], np.array([row]))[0]
+        assert roots.size == 2
+        assert abs(roots[0] - expected[0]) <= 1e-12 * max(1.0, abs(expected[0]))
+        assert abs(roots[1] - expected[1]) <= 1e-12 * max(1.0, abs(expected[1]))
+
+    @pytest.mark.parametrize("row, expected", [
+        # the root 5.99e43 lies 1.2e43 above its bracket's lower end 4.8e43,
+        # less than an ulp of the upper end 5.4e59
+        ([-2.3634082736362115e-103, 1.9132710242838285e-39, 7.902960887054518e-169,
+          2.7073429657800934e+59, -5.991446672554555e+43, 1.0],
+         [0.0, 4518679901102703.0, 5.991446672554555e+43]),
+        # the root 5e-4 lies in the bracket [-7.6e14, 6.0e-4] across 0, whose
+        # root-free side of 7.6e14 has an ulp of 0.125
+        (list(np.polynomial.polynomial.polyfromroots([5e-4, 7e-4, 2e-3, -1e15, 3e15])),
+         [-1e15, 5e-4, 7e-4, 2e-3, 3e15]),
+    ])
+    def test_root_far_below_the_precision_of_its_bracket(self, row, expected):
+        # a midpoint rounded to the precision of the far bracket end cannot
+        # reach a root nearer the other end than that end's ulp
+        roots = _isolate_roots([0.0], np.array([row]))[0]
+        assert roots.size == len(expected)
+        assert np.all(np.abs(roots - expected) <= 1e-9 * np.maximum(1.0, np.abs(expected)))
 
     def test_scan_oracle_survives_underflowing_products(self):
         # the scan once tested signs by fa * fm < 0.0, which underflows to
@@ -404,7 +444,7 @@ class TestBranchContinuation:
         # m is the double root at x = 0; at x = 1 the roots of
         # y^2 - 2.5 y + 1.5 lie at the same float distance from it, and the
         # lower one, first in ascending order, is kept
-        m = 1.249999999999872
+        m = 1.2499999999999645
         nf = normalize(build_equation(
             [f"(1 - x)*{m * m!r} + x*1.5", f"(1 - x)*({-2 * m!r}) - x*2.5", "1"], 0.0))
         low, high = real_roots(nf, 1.0)
