@@ -9,9 +9,10 @@ critical point, for multiple roots).  Sign changes are bisected to 1e-12
 and polished with at most 5 Newton steps.  Bisection is in sign-step
 form (_bisect): each midpoint moves by -sign(F) times a halving step,
 for a step count fixed up front.  One kernel does this for a whole stack
-of rows in lockstep (every bracket of every row bisected at once), with
-each row's roots bit-identical to what it gives alone; a single abscissa
-is a stack of one.
+of rows in lockstep (every bracket of every distinct row bisected at
+once), with each row's roots bit-identical to what it gives alone; a run
+of bitwise-identical adjacent rows, at any recursion level, is isolated
+once, and a single abscissa is a stack of one.
 
 A branch E(x) is continued across a grid: every grid row is sampled and
 isolated up front, and one array pass finds where each root of each row
@@ -332,12 +333,20 @@ def _isolate(rows: np.ndarray) -> np.ndarray:
     is ~0 without changing sign is a multiple root, an exact 0 at +-R is a
     root, and every sign change is bisected and then polished by at most 5
     Newton steps kept inside its bracket (_bracket_roots).  Roots within
-    4 BISECT_TOL (relative) of the previous one are merged.  Rows must
-    pass _check_rows.
+    4 BISECT_TOL (relative) of the previous one are merged.  Only the first
+    row of each run of bitwise-identical adjacent rows is isolated; since a
+    row's roots do not depend on its neighbours, the others copy its bytes.
+    Rows must pass _check_rows.
     """
     n, width = rows.shape
     if width == 2:
         return -rows[:, :1]
+    if n > 1:
+        # compare bits: rows with 0.0 and -0.0 have different roots
+        bits = rows.view(np.int64)
+        first = np.append(True, np.any(bits[1:] != bits[:-1], axis=1))
+        if not first.all():
+            return _isolate(rows[first])[np.cumsum(first) - 1]
     deriv = np.stack(_derivative_row(rows.T), axis=1)
     critical = _isolate(deriv / deriv[:, -1:])
 

@@ -12,8 +12,8 @@ from abelode.expr import CompiledRow, Expr
 
 @pytest.fixture(scope="session")
 def case_runs():
-    """One shared pipeline run per case study; each takes about 60 ms
-    on a 2-core x86_64 virtual machine."""
+    """One shared pipeline run per case study; each run_case takes about
+    6-15 ms on a 2-core x86_64 virtual machine."""
     return {cid: run_case(cid) for cid in (1, 2, 3)}
 
 

@@ -130,6 +130,28 @@ class TestArrayEvaluation:
         assert calls == ["_isolate_roots"]
 
     @pytest.mark.parametrize("cid", [1, 2, 3])
+    def test_branch_bisects_each_distinct_row_once(self, case_runs, cid, monkeypatch):
+        # each run of identical rows is isolated once, at every recursion
+        # level: case 1's coefficients are constant, case 3's rows settle to
+        # 348 distinct ones, and the derivative drops lambda_0, the only
+        # coefficient that varies, so every case's derivative rows are one
+        # row with at most 2 brackets (case 1: at most 5 brackets in all)
+        brackets = []
+        original = equilibrium._bisect
+
+        def counted(rows, r, *args):
+            brackets.append((rows.shape[1] - 1, r.size))
+            return original(rows, r, *args)
+
+        monkeypatch.setattr(equilibrium, "_bisect", counted)
+        run = case_runs[cid]
+        continue_branch(run.nf, run.case.branch_grid())
+        cubic = sum(n for degree, n in brackets if degree == 3)
+        derivative = sum(n for degree, n in brackets if degree < 3)
+        assert derivative <= 2
+        assert cubic <= {1: 3, 2: 3 * 2001, 3: 3 * 348}[cid]
+
+    @pytest.mark.parametrize("cid", [1, 2, 3])
     def test_no_branch_points_are_built(self, cid, monkeypatch, tmp_path):
         # the branch is arrays from continuation through the rate bound to
         # the files the case command writes; points are built only on request

@@ -44,6 +44,30 @@ def _isolated_in_batch(row, position):
 
 
 @st.composite
+def run_batches(draw):
+    """A batch of runs of repeated monic rows of one degree (1-5), each
+    run 1-50 rows long, built from a row under test and neighbours that
+    differ from it only by the sign of one zero coefficient or by one ulp
+    in lambda_0; the row under test sits inside a run of its own."""
+    degree = draw(st.integers(1, 5))
+    coefficient = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0))
+    row = np.array(draw(st.lists(coefficient, min_size=degree, max_size=degree)) + [1.0])
+    variants = [row]
+    for k in np.flatnonzero(row == 0.0):
+        flipped = row.copy()
+        flipped[k] = -flipped[k]
+        variants.append(flipped)
+    for toward in (-np.inf, np.inf):
+        nudged = row.copy()
+        nudged[0] = np.nextafter(nudged[0], toward)
+        variants.append(nudged)
+    runs = draw(st.lists(st.tuples(st.integers(0, len(variants) - 1), st.integers(1, 50)),
+                         min_size=1, max_size=8))
+    runs.insert(draw(st.integers(0, len(runs))), (0, draw(st.integers(1, 50))))
+    return np.vstack([np.tile(variants[v], (n, 1)) for v, n in runs])
+
+
+@st.composite
 def constructed_rows(draw):
     """A monic row of degree 1-5 built from its roots: separated simple
     roots (gaps >= 0.25), optionally a factor with complex roots, and a
@@ -266,6 +290,41 @@ class TestLockstepIsolation:
     def test_random_row_same_in_batch_as_alone(self, coefficients, position):
         in_batch, alone = _isolated_in_batch(coefficients + [1.0], position)
         assert in_batch.tobytes() == alone.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=run_batches())
+    @example(batch=np.array([[0.0, 0.0, 0.0, 1.0]] * 3 + [[0.0, 0.0, -0.0, 1.0]] * 2))
+    def test_runs_of_identical_rows_same_as_alone(self, batch):
+        # each run of identical rows is isolated once; every row, whether
+        # first in its run or not, gets the bytes it gets alone
+        table = _isolate_roots(np.arange(len(batch)), batch)
+        distinct = {row.tobytes(): row for row in batch}
+        alone = {key: _isolate_roots([0.0], row[None, :])[0] for key, row in distinct.items()}
+        assert table.shape[1] == max(a.size for a in alone.values())
+        for row, got in zip(batch, table):
+            assert got[~np.isnan(got)].tobytes() == alone[row.tobytes()].tobytes()
+
+    @pytest.mark.parametrize("rows, expected", [
+        # F(y) = y with lambda_0 = 0.0 and -0.0: roots -0.0 and 0.0
+        ([[0.0, 1.0], [-0.0, 1.0]], [[-0.0], [0.0]]),
+        ([[0.0, 0.0, 1.0], [0.0, -0.0, 1.0]], [[-0.0], [0.0]]),
+        # y^3 with lambda_2 = 0.0 and -0.0, in runs
+        ([[0.0, 0.0, 0.0, 1.0]] * 2 + [[0.0, 0.0, -0.0, 1.0]] * 3 + [[0.0, 0.0, 0.0, 1.0]],
+         [[-0.0]] * 2 + [[0.0]] * 3 + [[-0.0]]),
+    ])
+    def test_rows_that_differ_by_the_sign_of_zero(self, rows, expected):
+        table = _isolate_roots(np.arange(len(rows)), np.array(rows))
+        assert table.tobytes() == np.array(expected).tobytes()
+        assert np.signbit(table).tolist() == np.signbit(expected).tolist()
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_stacks_of_zero_one_and_many_identical_rows(self, n):
+        row = np.polynomial.polynomial.polyfromroots([1.0, 2.0, 3.0])
+        table = _isolate_roots(np.arange(n), np.tile(row, (n, 1)))
+        assert table.shape == (n, 3 if n else 0)
+        for roots in table:
+            assert roots.tobytes() == table[0].tobytes()
+            assert np.all(np.abs(roots - [1.0, 2.0, 3.0]) <= 1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(built=constructed_rows(), position=st.integers(0, 2000))
