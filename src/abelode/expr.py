@@ -11,7 +11,9 @@ Three evaluators read the trees:
     (x -> [e_0(x), ..., e_m(x)]) and is the scalar path: the integrator
     and every point-wise sample read it.  It runs eval's IEEE operations
     in eval's order, so its values are eval's bit for bit, and it returns
-    None where eval would raise.
+    None where eval would raise.  A subexpression shared by the row's
+    expressions is evaluated once per call, and a subexpression without
+    x once, when the row is compiled.
   * Expr.eval walks the tree one node at a time.  It evaluates single
     expressions (Expr(x), the probes of a leading coefficient) and
     explains failures: its ExprDomainError names the operation and the x.
@@ -81,8 +83,7 @@ _CONSTANTS = {
 }
 
 #: deepest nesting accepted (see _Parser); parsing recurses at most five
-#: frames per level, evaluation, printing and code generation one, and a
-#: compiled row nests one parenthesis per level
+#: frames per level, evaluation, printing and code generation one
 _MAX_DEPTH = 100
 
 
@@ -128,8 +129,7 @@ class _Num:
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         return np.full(xs.shape, self.value)
 
-    def emit(self, bind) -> str:
-        return bind(self.value)
+    operands = ()
 
     def pretty(self) -> str:
         return _format_number(self.value)
@@ -144,9 +144,6 @@ class _Var:
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         return xs
-
-    def emit(self, bind) -> str:
-        return "x"
 
     def pretty(self) -> str:
         return "x"
@@ -164,8 +161,7 @@ class _Const:
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         return np.full(xs.shape, _CONSTANTS[self.name])
 
-    def emit(self, bind) -> str:
-        return bind(_CONSTANTS[self.name])
+    operands = ()
 
     def pretty(self) -> str:
         return self.name
@@ -185,8 +181,12 @@ class _Neg:
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         return 0.0 - self.operand.eval_array(xs)
 
-    def emit(self, bind) -> str:
-        return f"(0.0 - {self.operand.emit(bind)})"
+    @property
+    def operands(self) -> tuple:
+        return (self.operand,)
+
+    def emit(self, bind, operand: str) -> str:
+        return f"0.0 - {operand}"
 
     def pretty(self) -> str:
         inner = self.operand.pretty()
@@ -243,12 +243,14 @@ class _Bin:
             raise _ScalarOnly
         return _ARRAY_OPS[self.op](a, b)
 
-    def emit(self, bind) -> str:
-        left = self.left.emit(bind)
-        right = self.right.emit(bind)
+    @property
+    def operands(self) -> tuple:
+        return (self.left, self.right)
+
+    def emit(self, bind, left: str, right: str) -> str:
         if self.op == "^":
             return f"{bind(math.pow)}({left}, {right})"
-        return f"({left} {self.op} {right})"
+        return f"{left} {self.op} {right}"
 
     def pretty(self) -> str:
         prec = self.precedence
@@ -293,8 +295,12 @@ class _Call:
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         return _per_element(_FUNCTIONS[self.name], self.argument.eval_array(xs))
 
-    def emit(self, bind) -> str:
-        return f"{bind(_FUNCTIONS[self.name])}({self.argument.emit(bind)})"
+    @property
+    def operands(self) -> tuple:
+        return (self.argument,)
+
+    def emit(self, bind, argument: str) -> str:
+        return f"{bind(_FUNCTIONS[self.name])}({argument})"
 
     def pretty(self) -> str:
         return f"{self.name}({self.argument.pretty()})"
@@ -532,17 +538,28 @@ class CompiledRow:
 def compile_row(exprs) -> CompiledRow:
     """Compile expressions into one function x -> [e_0(x), ..., e_m(x)].
 
-    Each syntax tree becomes one Python expression running the IEEE
-    operations eval runs, in eval's order: "(l op r)" for + - * /,
-    "(0.0 - a)" for unary minus, math.pow for "^" and the math functions
-    for calls.  Every number, constant and function enters the source as
-    a name bound in the function's namespace, one name per distinct value
-    (repr would not round-trip an inf literal such as the one in "1e999"),
-    so no generated code comes from the expression text.  The deepest tree the parser accepts
-    nests about 100 parentheses, well inside CPython's limit of 200.
+    The generated function assigns one local per distinct subtree that
+    depends on x, keyed by its emitted text, so a subexpression shared
+    within or across the expressions is evaluated once per call.  Each
+    assignment runs one of eval's IEEE operations on the names of its
+    operands: "l op r" for + - * /, "0.0 - a" for unary minus, math.pow
+    for "^" and the math functions for calls.  A subtree without x is a
+    constant: compile_row evaluates it once with eval and binds the value.
+    A constant subtree that raises there stays in the code, where it
+    raises at every x, so the row is None everywhere and eval explains why.
+
+    Every value and function enters the source as a name bound in the
+    function's namespace, one name per distinct value (float.hex tells
+    -0.0 from 0.0, and repr would not round-trip an inf literal such as
+    the one in "1e999"), so no generated code comes from the expression
+    text.  The code is flat, one operation per line, however deep the
+    tree; generating it recurses once per level of the tree, which the
+    parser caps at 100.
     """
     namespace = {"__builtins__": {}}
-    names = {}  # one name per distinct value; float.hex tells -0.0 from 0.0
+    names = {}  # value (float.hex for floats) -> bound name
+    temps = {}  # emitted text -> local name
+    lines = []
 
     def bind(value) -> str:
         key = value.hex() if isinstance(value, float) else value
@@ -551,7 +568,25 @@ def compile_row(exprs) -> CompiledRow:
             namespace[names[key]] = value
         return names[key]
 
-    body = ", ".join(e.ast.emit(bind) for e in exprs)
-    source = f"def _row(x):\n    return [{body}]\n"
+    def emit(node) -> tuple[str, bool]:
+        """The name of node's value in the generated code, and whether it
+        depends on x."""
+        if isinstance(node, _Var):
+            return "x", True
+        operands = [emit(operand) for operand in node.operands]
+        varies = any(depends for _, depends in operands)
+        if not varies:
+            try:
+                return bind(node.eval(0.0)), False
+            except ExprDomainError:
+                pass
+        text = node.emit(bind, *(name for name, _ in operands))
+        if text not in temps:
+            temps[text] = f"_t{len(temps)}"
+            lines.append(f"    {temps[text]} = {text}\n")
+        return temps[text], varies
+
+    results = ", ".join(emit(e.ast)[0] for e in exprs)
+    source = "def _row(x):\n" + "".join(lines) + f"    return [{results}]\n"
     exec(compile(source, "<compiled row>", "exec"), namespace)
     return CompiledRow(source, namespace["_row"])

@@ -14,21 +14,25 @@ L-stable method with stability function
 
 The right-hand side is a polynomial in y, given as a function row(x)
 returning its ascending coefficients at x.  Implicit stages are solved by
-simplified Newton in plain floats.  The start row gives the predictor and,
-through its derivative row, the analytic scalar Jacobian J; the iteration
-matrix I - zA (z = hJ) is inverted once per stage solve by Cayley-Hamilton,
+simplified Newton in plain floats.  One Horner loop over the start row
+gives the predictor f(x, y) and the analytic scalar Jacobian J = df/dy(x, y)
+together; the iteration matrix I - zA (z = hJ) is inverted once per stage
+solve by Cayley-Hamilton,
 
     (I - zA)^-1 = (I + z P1 + z^2 P2) / Q(z),
     P1 = A - tr(A) I,  P2 = A^2 - tr(A) A + (tr(A)^2 - tr(A^2))/2 I,
 
 with Q(z) = det(I - zA) the denominator of R(z); a zero or non-finite Q is
-a NewtonFailure.  The local error is estimated by step doubling
-(err = |y_h - y_{h/2,h/2}| / (2^5 - 1)), and the step size follows
-h_new = h * clamp(0.9 (tol/err)^{1/6}, 0.2, 5.0).  Each abscissa is
-sampled once per attempt: the full step and the first half step share the
-start row, the first half step's last stage row (at x + h/2) starts the
-second, and the full step's last stage row (at x + h) starts the next
-attempt, so an attempt samples nine new rows.
+a NewtonFailure.  Each Newton iteration evaluates the three stage
+residuals in one pass over the columns of the three stage rows.  The local
+error is estimated by step doubling (err = |y_h - y_{h/2,h/2}| / (2^5 - 1)),
+and the step size follows h_new = h * clamp(0.9 (tol/err)^{1/6}, 0.2, 5.0).
+
+Each abscissa is sampled once per attempt: the full step and the first
+half step share the start row and the start values computed from it, the
+first half step's last stage row (at x + h/2) starts the second, and the
+full step's last stage row (at x + h) starts the next attempt, so an
+attempt samples nine new rows.
 
 Characteristics:
     * scalar problems only, dense output deliberately absent
@@ -41,10 +45,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
-from .core import AbelEquation, _derivative_row, _horner
+from .core import AbelEquation
 
 __all__ = [
     "ButcherTableau",
@@ -124,6 +129,7 @@ def _tableau_floats():
 
 
 _A, _B, _C, _EYE, _P1, _P2 = _tableau_floats()
+_INVERSE_TERMS = tuple(zip(_EYE, _P1, _P2))
 
 
 def _stability_denominator(z):
@@ -140,7 +146,7 @@ def _newton_inverse(z: float) -> list[float]:
     q = _stability_denominator(z)
     scale = 1.0 / q if q != 0.0 and math.isfinite(q) else math.nan
     zz = z * z
-    return [(e + z * p1 + zz * p2) * scale for e, p1, p2 in zip(_EYE, _P1, _P2)]
+    return [(e + z * p1 + zz * p2) * scale for e, p1, p2 in _INVERSE_TERMS]
 
 
 def stability_value(z: complex) -> complex:
@@ -187,6 +193,10 @@ class SolverConfig:
             value = getattr(self, name)
             if value is not None and value <= 0.0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
+        for name in ("newton_max_iters", "max_steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.newton_max_iters < 1:
             raise ValueError("newton_max_iters must be >= 1")
 
@@ -199,26 +209,36 @@ class StepResult:
     stages: tuple[float, float, float]
 
 
-def _solve_stages(start, row, x, y, h, config):
+def _start_values(start, y):
+    """f(x, y) and df/dy(x, y) from start = row(x), in one loop with the
+    operations of core._horner on the row and on its derivative row."""
+    value = slope = 0.0
+    for k in range(len(start) - 1, 0, -1):
+        c = start[k]
+        value = value * y + c
+        slope = slope * y + k * c
+    return value * y + start[0], slope
+
+
+def _solve_stages(value, slope, row, x, y, h, config):
     """Simplified Newton for the stage slopes k_i = f(x + c_i h, y + h sum A_ij k_j),
     where f(x, y) is the polynomial in y with ascending coefficients row(x).
 
-    start = row(x) gives the constant predictor and the Jacobian
-    J = df/dy(x, y) frozen at the step start; the iteration matrix I - h J A
-    is inverted in closed form (_newton_inverse), so an iteration is a few
+    value = f(x, y) is the constant predictor and slope = df/dy(x, y) the
+    Jacobian J frozen at the step start; the iteration matrix I - h J A is
+    inverted in closed form (_newton_inverse), so an iteration is a few
     float multiply-adds.  The stage rows are sampled once, at the first
-    iteration whose stage values are finite, and later iterations run Horner
-    on them.  Returns (stages, iterations, stage rows); raises NewtonFailure
-    when the iterations run out or a stage value or update is non-finite
-    (it cannot converge).
+    iteration whose stage values are finite; each iteration then runs
+    Horner on the three rows side by side, one pass over their columns.
+    Returns (stages, iterations, stage rows); raises NewtonFailure when the
+    iterations run out or a stage value or update is non-finite (it cannot
+    converge).
     """
     a00, a01, a02, a10, a11, a12, a20, a21, a22 = _A
-    y, h = float(y), float(h)
-    m00, m01, m02, m10, m11, m12, m20, m21, m22 = _newton_inverse(
-        h * _horner(_derivative_row(start), y))
-    k0 = k1 = k2 = _horner(start, y)  # constant predictor
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = _newton_inverse(h * slope)
+    k0 = k1 = k2 = value  # constant predictor
     threshold = config.newton_tol * (config.atol / h + config.rtol * abs(y))
-    stage_rows = None
+    stage_rows = columns = None
     for iterations in range(1, config.newton_max_iters + 1):
         # plain floats: an overflowing stage value or update is a silent
         # inf or nan, and it fails like any non-finite update
@@ -229,9 +249,15 @@ def _solve_stages(start, row, x, y, h, config):
         if math.isfinite(s0) and math.isfinite(s1) and math.isfinite(s2):
             if stage_rows is None:
                 stage_rows = [row(x + c * h) for c in _C]
-            r0 = k0 - _horner(stage_rows[0], s0)
-            r1 = k1 - _horner(stage_rows[1], s1)
-            r2 = k2 - _horner(stage_rows[2], s2)
+                # one column (c_k at each stage) per power, highest first; a
+                # shorter row's missing powers are zeros, which Horner passes
+                columns = list(zip_longest(*stage_rows, fillvalue=0.0))[::-1]
+            f0 = f1 = f2 = 0.0
+            for c0, c1, c2 in columns:
+                f0 = f0 * s0 + c0
+                f1 = f1 * s1 + c1
+                f2 = f2 * s2 + c2
+            r0, r1, r2 = k0 - f0, k1 - f1, k2 - f2
             d0 = -(m00 * r0 + m01 * r1 + m02 * r2)
             d1 = -(m10 * r0 + m11 * r1 + m12 * r2)
             d2 = -(m20 * r0 + m21 * r1 + m22 * r2)
@@ -248,10 +274,11 @@ def _solve_stages(start, row, x, y, h, config):
         f"no stage convergence in {config.newton_max_iters} iterations at x={x!r}, h={h!r}")
 
 
-def _basic_step(start, row, x, y, h, config):
-    """One plain Radau step from start = row(x); returns (y_next, newton_iters,
-    stages, end), where end is the row at x + h (the last stage's abscissa)."""
-    (k0, k1, k2), iters, stage_rows = _solve_stages(start, row, x, y, h, config)
+def _basic_step(value, slope, row, x, y, h, config):
+    """One plain Radau step from (x, y), where value and slope are f and
+    df/dy there (_start_values); returns (y_next, newton_iters, stages, end),
+    where end is the row at x + h (the last stage's abscissa)."""
+    (k0, k1, k2), iters, stage_rows = _solve_stages(value, slope, row, x, y, h, config)
     b0, b1, b2 = _B
     return y + h * (b0 * k0 + b1 * k1 + b2 * k2), iters, (k0, k1, k2), stage_rows[2]
 
@@ -260,14 +287,17 @@ def _attempt(start, row, x, y, h, config):
     """One step attempt from start = row(x): the full step plus two half
     steps for the step-doubling error estimate err = |y_h - y_{h/2,h/2}| / 31.
 
-    The first half step starts from the same row, and its last stage row is
-    the row at x + h/2 where the second half step starts.  Returns
-    (StepResult, row at x + h).
+    The full step and the first half step share the start values computed
+    from start; the first half step's last stage row is the row at x + h/2
+    where the second half step starts.  Returns (StepResult, row at x + h).
     """
-    y_coarse, iters, stages, end = _basic_step(start, row, x, y, h, config)
+    y, h = float(y), float(h)
+    value, slope = _start_values(start, y)
+    y_coarse, iters, stages, end = _basic_step(value, slope, row, x, y, h, config)
     half = 0.5 * h
-    y_half, iters2, _, middle = _basic_step(start, row, x, y, half, config)
-    y_fine, iters3, _, _ = _basic_step(middle, row, x + half, y_half, half, config)
+    y_half, iters2, _, middle = _basic_step(value, slope, row, x, y, half, config)
+    y_fine, iters3, _, _ = _basic_step(*_start_values(middle, y_half), row, x + half,
+                                       y_half, half, config)
     err = abs(y_coarse - y_fine) / STEP_DOUBLING_DENOM
     return StepResult(y_coarse, err, iters + iters2 + iters3, stages), end
 
@@ -443,14 +473,16 @@ def integrate_fixed_rhs(
     _require_finite(x0=x0, y0=y0, x_end=x_end, h=h)
     if h <= 0.0:
         raise ValueError("h must be positive")
+    h = float(h)
     xs, ys, hs, iters = [x0], [y0], [0.0], [0]
-    x, y = x0, y0
+    x, y = x0, float(y0)
     start = row(x0)
     total_iters = 0
     while x < x_end:
-        h_try = min(h, x_end - x)
+        h_try = min(h, float(x_end - x))
         # the row at x + h_try starts the next step (a truncated step is the last)
-        y, step_iters, _, start = _basic_step(start, row, x, y, h_try, config)
+        y, step_iters, _, start = _basic_step(*_start_values(start, y), row, x, y, h_try,
+                                              config)
         x = x_end if h_try < h else x + h
         total_iters += step_iters
         xs.append(x)

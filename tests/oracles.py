@@ -143,3 +143,97 @@ def slope_in_y(row, y):
     for k in range(len(row) - 1, 0, -1):
         acc = acc * y + k * row[k]
     return acc
+
+
+class ReferenceNewtonFailure(Exception):
+    """The reference stage solve failed; the message is the integrator's."""
+
+
+def _radau_floats():
+    """A (row by row), b and c of the three-stage Radau IIA method, solved
+    from the collocation conditions sum_j A_ij c_j^(q-1) = c_i^q / q, and
+    the Cayley-Hamilton matrices P1 = A - tr(A) I and
+    P2 = A^2 - tr(A) A + (tr(A)^2 - tr(A^2))/2 I, all as Python floats."""
+    s6 = math.sqrt(6.0)
+    c = np.array([(4.0 - s6) / 10.0, (4.0 + s6) / 10.0, 1.0])
+    powers = np.vander(c, 3, increasing=True).T
+    A = [np.linalg.solve(powers, np.array([ci ** q / q for q in (1, 2, 3)])).tolist()
+         for ci in c]
+    A2 = [[sum(A[i][m] * A[m][j] for m in range(3)) for j in range(3)] for i in range(3)]
+    trace = A[0][0] + A[1][1] + A[2][2]
+    trace2 = A2[0][0] + A2[1][1] + A2[2][2]
+    half_gap = 0.5 * (trace * trace - trace2)
+    eye = [[float(i == j) for j in range(3)] for i in range(3)]
+    P1 = [[A[i][j] - trace * eye[i][j] for j in range(3)] for i in range(3)]
+    P2 = [[A2[i][j] - trace * A[i][j] + half_gap * eye[i][j] for j in range(3)]
+          for i in range(3)]
+    return A, list(A[2]), c.tolist(), eye, P1, P2
+
+
+def _horner(coefficients, y):
+    acc = 0.0
+    for c in reversed(coefficients):
+        acc = acc * y + c
+    return acc
+
+
+def _reference_solve(row, x, y, h, config, tableau):
+    """Simplified Newton for the three stage slopes, one stage at a time:
+    the predictor f(x, y) and J = df/dy(x, y) from a fresh row(x), the
+    inverse of I - hJ A as (I + z P1 + z^2 P2) / det(I - zA), the stage
+    rows sampled at the first iteration whose stage values are finite."""
+    A, _, c, eye, P1, P2 = tableau
+    start = row(x)
+    z = h * _horner([k * start[k] for k in range(1, len(start))], y)
+    q = 1.0 - (3.0 / 5.0) * z + (3.0 / 20.0) * z * z - (1.0 / 60.0) * z * z * z
+    scale = 1.0 / q if q != 0.0 and math.isfinite(q) else math.nan
+    M = [[(eye[i][j] + z * P1[i][j] + z * z * P2[i][j]) * scale for j in range(3)]
+         for i in range(3)]
+    k = [_horner(start, y)] * 3
+    threshold = config.newton_tol * (config.atol / h + config.rtol * abs(y))
+    stage_rows = None
+    for iterations in range(1, config.newton_max_iters + 1):
+        s = [y + h * (A[i][0] * k[0] + A[i][1] * k[1] + A[i][2] * k[2]) for i in range(3)]
+        size = math.inf
+        if all(math.isfinite(v) for v in s):
+            if stage_rows is None:
+                stage_rows = [row(x + ci * h) for ci in c]
+            r = [k[i] - _horner(stage_rows[i], s[i]) for i in range(3)]
+            d = [-(M[i][0] * r[0] + M[i][1] * r[1] + M[i][2] * r[2]) for i in range(3)]
+            if all(math.isfinite(v) for v in d):
+                k = [k[i] + d[i] for i in range(3)]
+                size = max(abs(v) for v in d)
+        if not math.isfinite(size):
+            raise ReferenceNewtonFailure(
+                f"non-finite stage update in iteration {iterations} at x={x!r}, h={h!r}")
+        if size <= threshold:
+            return k, iterations
+    raise ReferenceNewtonFailure(
+        f"no stage convergence in {config.newton_max_iters} iterations at x={x!r}, h={h!r}")
+
+
+def reference_attempt(row, x, y, h, config):
+    """One Radau IIA step attempt with step doubling, in plain Python.
+
+    row(x) gives the ascending coefficients in y of f(x, y); config is read
+    for atol, rtol, newton_tol and newton_max_iters.  Each of the three
+    basic steps (h, then h/2 twice) solves its own stages from scratch.
+    Returns (y_next, err_est, newton_iters, stages) of the full step and
+    the error estimate |y_h - y_{h/2,h/2}| / 31; raises
+    ReferenceNewtonFailure with the integrator's message when a stage
+    solve fails.
+    """
+    tableau = _radau_floats()
+    b = tableau[1]
+    y, h = float(y), float(h)
+
+    def basic(x, y, h):
+        k, iterations = _reference_solve(row, x, y, h, config, tableau)
+        return y + h * (b[0] * k[0] + b[1] * k[1] + b[2] * k[2]), iterations, tuple(k)
+
+    y_coarse, iters, stages = basic(x, y, h)
+    half = 0.5 * h
+    y_half, iters2, _ = basic(x, y, half)
+    y_fine, iters3, _ = basic(x + half, y_half, half)
+    err = abs(y_coarse - y_fine) / (2.0 ** 5 - 1.0)
+    return y_coarse, err, iters + iters2 + iters3, stages

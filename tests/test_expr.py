@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from strategies import expressions, grids
 
+from abelode import expr as expr_module
 from abelode.core import build_equation
 from abelode.expr import ExprDomainError, ExprError, ExprSyntaxError, compile_row, parse
 
@@ -297,3 +298,40 @@ class TestCompiledRow:
     def test_constants_enter_only_through_names(self):
         source = compile_row([parse("2.5*x + pi")]).source
         assert "2.5" not in source and "pi" not in source and "3.14" not in source
+
+    @settings(max_examples=300, deadline=None)
+    @given(source=expressions, xs=grids)
+    def test_shared_subtrees(self, source, xs):
+        # one local per distinct subtree: the four expressions share f
+        exprs = [parse(text.format(f=source)) for text in ("{f}", "2*({f})", "({f}) - 1", "-({f})")]
+        row = compile_row(exprs)
+        for x in xs:
+            assert _row_outcome(row, x) == _eval_outcome(exprs, x)
+
+    @pytest.mark.parametrize("source", ["log(0-1) + x", "1/0 + x", "1/(0*(0 - 1)) + x"])
+    @pytest.mark.parametrize("x", [-1.5, -0.0, 0.0, 2.0])
+    def test_failing_constant_subtree_fails_at_every_x(self, source, x):
+        expr = parse(source)
+        assert compile_row([expr])(x) is None
+        with pytest.raises(ExprDomainError):
+            expr.eval(x)
+
+    def test_shared_exp_is_called_once_per_row(self, monkeypatch):
+        # the shape of a generated stiff equation of degree 5: every
+        # coefficient but the last is s (c_k + l_k r1(x)), r1 = L + A exp(-k x)
+        calls = []
+        exp = expr_module._FUNCTIONS["exp"]
+        monkeypatch.setitem(expr_module._FUNCTIONS, "exp",
+                            lambda value: calls.append(value) or exp(value))
+        r1 = "(0.6116171326861712 + -0.45767183686440005*exp(-1.4250561981845558*x))"
+        pairs = [(0.0, 1.1912946009422603), (-1.1912946009422603, 0.004455832417962563),
+                 (-0.004455832417962563, 1.6083998369361523),
+                 (-1.6083998369361523, 0.008078885115257783), (-0.008078885115257783, -1.0)]
+        sources = [f"1.864292119774273*({c!r} + {l!r}*{r1})" for c, l in pairs]
+        exprs = [parse(source) for source in sources + ["1.864292119774273"]]
+        row = compile_row(exprs)
+        for x in (0.0, 0.37, 12.5):
+            calls.clear()
+            values = row(x)
+            assert len(calls) == 1
+            assert np.array(values).tobytes() == _eval_outcome(exprs, x)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import ReferenceNewtonFailure, reference_attempt
 
 from abelode.cases import get_case
 from abelode.core import build_equation
@@ -93,6 +96,87 @@ class TestNewtonInverse:
             assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
 
 
+#: (row, y, h) whose first stage iteration is non-finite, for step at x = 0
+_OVERFLOWING_STAGES = [
+    # the first iteration's stage slope overflows to inf: the update
+    # is non-finite, which no later iteration can repair
+    (lambda x: [0.0, 0.0, 0.0, 1e200], 1.0, 1.0),
+    # finite slopes, but the stage value y + h sum A_ij k_j overflows
+    (lambda x: [1e300], 1.0, 1e10),
+    # the Jacobian and the predictor overflow
+    (lambda x: [0.0, 1e308, 1e308], 10.0, 1.0),
+    # finite f, but J = 2e308 y overflows: Q(hJ) is not finite
+    (lambda x: [0.0, 0.0, 1e308], 1e-300, 1.0),
+    # finite f and J = 2e150, but Q(hJ) ~ -(hJ)^3/60 overflows
+    (lambda x: [0.0, 0.0, 1e300], 1e-150, 1.0),
+]
+
+
+def _attempt_outcome(attempt, row, x, y, h, config):
+    """(y_next, err_est, newton_iters, stages) with every float as its hex
+    (the sign of zero included), or the stage-solve failure message."""
+    try:
+        y_next, err, iters, stages = attempt(row, x, y, h, config)
+    except (NewtonFailure, ReferenceNewtonFailure) as failure:
+        return str(failure)
+    return y_next.hex(), err.hex(), iters, tuple(k.hex() for k in stages)
+
+
+def _package_attempt(row, x, y, h, config):
+    result = step(row, x, y, h, config)
+    return result.y_next, result.err_est, result.newton_iters, result.stages
+
+
+_coefficient = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _rows(draw):
+    """(base, trend) of a row of degree 1-5: base alone is a constant row,
+    with a trend the row is base + trend sin(x)."""
+    size = draw(st.integers(2, 6))
+    base = draw(st.lists(_coefficient, min_size=size, max_size=size))
+    trend = draw(st.none() | st.lists(_coefficient, min_size=size, max_size=size))
+    return base, trend
+
+
+def _row_function(base, trend):
+    if trend is None:
+        return lambda x: list(base)
+    return lambda x: [b + t * math.sin(x) for b, t in zip(base, trend)]
+
+
+class TestAttemptOracle:
+    """step gives reference_attempt's (y_next, err_est, newton_iters,
+    stages) bit for bit, or its NewtonFailure message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        row=_rows(),
+        x=st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False),
+        y=st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
+        h=st.floats(-6.0, 1.0).map(lambda e: 10.0 ** e),
+        config=st.sampled_from([
+            SolverConfig(),
+            SolverConfig(atol=1e-11, rtol=1e-11),
+            SolverConfig(newton_max_iters=3, newton_tol=1e-3),
+        ]),
+    )
+    def test_step_matches_reference(self, row, x, y, h, config):
+        row = _row_function(*row)
+        assert _attempt_outcome(_package_attempt, row, x, y, h, config) == \
+            _attempt_outcome(reference_attempt, row, x, y, h, config)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("index", range(len(_OVERFLOWING_STAGES)))
+    def test_overflowing_stages_match_reference(self, index):
+        row, y, h = _OVERFLOWING_STAGES[index]
+        config = SolverConfig()
+        got = _attempt_outcome(_package_attempt, row, 0.0, y, h, config)
+        assert got == _attempt_outcome(reference_attempt, row, 0.0, y, h, config)
+        assert got.startswith("non-finite stage update in iteration 1")
+
+
 class TestSingleStep:
     def test_linear_step_reproduces_stability_value(self):
         rng = np.random.default_rng(7)
@@ -129,20 +213,7 @@ class TestAdaptiveIntegration:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_stage_is_a_newton_failure(self):
-        cases = [
-            # the first iteration's stage slope overflows to inf: the update
-            # is non-finite, which no later iteration can repair
-            (lambda x: [0.0, 0.0, 0.0, 1e200], 1.0, 1.0),
-            # finite slopes, but the stage value y + h sum A_ij k_j overflows
-            (lambda x: [1e300], 1.0, 1e10),
-            # the Jacobian and the predictor overflow
-            (lambda x: [0.0, 1e308, 1e308], 10.0, 1.0),
-            # finite f, but J = 2e308 y overflows: Q(hJ) is not finite
-            (lambda x: [0.0, 0.0, 1e308], 1e-300, 1.0),
-            # finite f and J = 2e150, but Q(hJ) ~ -(hJ)^3/60 overflows
-            (lambda x: [0.0, 0.0, 1e300], 1e-150, 1.0),
-        ]
-        for row, y, h in cases:
+        for row, y, h in _OVERFLOWING_STAGES:
             with pytest.raises(NewtonFailure, match="non-finite stage update in iteration 1"):
                 step(row, 0.0, y, h)
 
@@ -254,6 +325,22 @@ class TestNonFiniteInput:
     def test_integrate_fixed_rhs(self, x0, y0, x_end, h, name):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             integrate_fixed_rhs(lambda x: [0.0, -1.0], x0, y0, x_end, h)
+
+
+class TestIntegerCounts:
+    @pytest.mark.parametrize("field", ["newton_max_iters", "max_steps"])
+    @pytest.mark.parametrize("value", [2.5, "5", None, True, 5.0])
+    def test_non_integer_count_is_rejected(self, field, value):
+        # 2.5 used to construct and then fail inside range() with a TypeError
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["newton_max_iters", "max_steps"])
+    def test_numpy_integer_count_is_accepted(self, field):
+        config = SolverConfig(**{field: np.int64(3)})
+        assert getattr(config, field) == 3
+        result = integrate_rhs(lambda x: [0.0, -1.0], 0.0, 1.0, 1.0, config)
+        assert result.n_accepted >= 1
 
 
 class TestFixedStep:
