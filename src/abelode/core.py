@@ -32,6 +32,7 @@ compiled row, built on first use and the same whichever thread builds it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -191,6 +192,13 @@ def normalize(equation: AbelEquation) -> NormalForm:
     for offset in _PROBE_OFFSETS:
         nf._nonzero_leading(equation.x0 + offset)
     return nf
+
+
+def _require_real(name: str, value) -> None:
+    """Raise ValueError naming name unless value is a real number: an int,
+    a float or a numpy real, but not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _horner(coefficients: list[float], y: float) -> float:

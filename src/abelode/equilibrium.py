@@ -17,11 +17,19 @@ once, and a single abscissa is a stack of one.
 A branch E(x) is continued across a grid: every grid row is sampled and
 isolated up front, and one array pass finds where each root of each row
 moves in the next: the nearest root, or the smallest positive root if
-the nearest crosses zero.  The branch starts at the smallest positive
-root and walks that table by column index.  A jump larger than
-0.25 (1 + E_prev) triggers one local grid refinement before the branch
-is declared lost.  The branch stores x, E and the stability eigenvalue
-Lambda(x) = dF/dy (x, E(x)) as arrays.
+the nearest crosses zero.  Only the top level of that isolation, on grid
+rows and refinement midpoints alike, skips the brackets that end below
+a floor a few BISECT_TOL under 0 (_branch_floor): they hold no root the
+branch can select, so they are neither bisected nor polished.  The
+derivative levels, real_roots and smallest_positive_root keep every
+root.  The branch starts at the smallest positive root and walks the
+table by column runs: for each column it reaches, np.flatnonzero finds
+the rows whose move leaves that column, jumps or vanishes, and
+searchsorted the next of them, so the walk takes one Python step per
+run, not per row.  A jump larger than 0.25 (1 + E_prev) triggers one
+local grid refinement before the branch is declared lost.  The branch
+stores x, E and the stability eigenvalue Lambda(x) = dF/dy (x, E(x)) as
+arrays.
 
 The branch slope E' = -(dF/dx) / Lambda comes from branch_slopes for
 all points at once: dF/dx is a finite difference of rows sampled at
@@ -42,6 +50,7 @@ from .core import (
     NormalForm,
     _derivative_row,
     _horner,
+    _require_real,
 )
 from .expr import ExprDomainError
 
@@ -108,6 +117,8 @@ class GridSpec:
             raise ValueError(f"grid count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise ValueError("grid needs at least 2 points")
+        _require_real("x_start", self.x_start)
+        _require_real("x_end", self.x_end)
         if not (math.isfinite(self.x_start) and math.isfinite(self.x_end)):
             raise ValueError(f"grid bounds must be finite, got [{self.x_start!r}, {self.x_end!r}]")
         if not self.x_end > self.x_start:
@@ -323,9 +334,11 @@ def _bracket_roots(rows: np.ndarray, deriv: np.ndarray, r: np.ndarray, lo: np.nd
     return root
 
 
-def _isolate(rows: np.ndarray) -> np.ndarray:
+def _isolate(rows: np.ndarray, floor: float = -math.inf) -> np.ndarray:
     """Real roots of every monic row of rows (N, m+1), ascending coefficients
     with a leading 1: an (N, w) array, each row ascending and NaN-padded.
+    A bracket whose upper end lies below floor is neither bisected nor
+    polished, so its root is missing; the derivative rows keep every root.
 
     The rows step in lockstep through one algorithm.  The roots of the
     derivative rows (recursively) split [-R, R], R = 2 (1 + max |lambda_k|),
@@ -346,7 +359,7 @@ def _isolate(rows: np.ndarray) -> np.ndarray:
         bits = rows.view(np.int64)
         first = np.append(True, np.any(bits[1:] != bits[:-1], axis=1))
         if not first.all():
-            return _isolate(rows[first])[np.cumsum(first) - 1]
+            return _isolate(rows[first], floor)[np.cumsum(first) - 1]
     deriv = np.stack(_derivative_row(rows.T), axis=1)
     critical = _isolate(deriv / deriv[:, -1:])
 
@@ -369,7 +382,7 @@ def _isolate(rows: np.ndarray) -> np.ndarray:
     # or the neighbouring interval, except at the ends +-R
     f_end = vals[np.arange(n), np.count_nonzero(~np.isnan(pts), axis=1) - 1]
     fa, fb = vals[:, :-1], vals[:, 1:]
-    bracket = ~np.isnan(pts[:, 1:]) & (fa != 0.0) & (fb != 0.0) & ~(fa * fb > 0.0)
+    bracket = (pts[:, 1:] >= floor) & (fa != 0.0) & (fb != 0.0) & ~(fa * fb > 0.0)
     r, j = np.nonzero(bracket)
     root = _bracket_roots(rows, deriv, r, pts[:, :-1][r, j], pts[:, 1:][r, j], fa[r, j],
                           NEWTON_RESIDUAL_TOL * scale[r])
@@ -402,13 +415,40 @@ def _isolate(rows: np.ndarray) -> np.ndarray:
     return merged[:, : count.max(initial=0)]
 
 
-def _isolate_roots(xs, rows: np.ndarray) -> np.ndarray:
+def _isolate_roots(xs, rows: np.ndarray, floor: float = -math.inf) -> np.ndarray:
     """Real roots of the monic rows (N, n+1) sampled at xs, as _isolate
-    gives them, after _check_rows.  Overflow inside the kernel gives inf
-    silently, as it does in Python float arithmetic."""
+    gives them (floor as there), after _check_rows.  Overflow inside the
+    kernel gives inf silently, as it does in Python float arithmetic."""
     _check_rows(xs, rows)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _isolate(rows)
+        return _isolate(rows, floor)
+
+
+def _branch_floor(n: int) -> float:
+    """The floor below which continue_branch leaves the roots of degree-n
+    rows out: dropping them changes no root above POSITIVE_THRESHOLD.
+
+    _isolate keeps a candidate unless it lies within the merge distance
+    4 BISECT_TOL max(1, |c|) of the last kept one.  Leave out a root d
+    below the floor, and the decisions after it can change only along a
+    chain of candidates, each within the merge distance of the one
+    before: the first candidate farther than that from its predecessor is
+    kept with or without d (the last kept value is at most its
+    predecessor either way), and from there on both runs agree.  A row
+    has at most 2n + 1 candidates (n - 1 critical points, the ends -R and
+    R, n brackets), so such a chain has at most 2n links above d.  Up to
+    its first positive member, which lies below 1 since its predecessor
+    does not exceed POSITIVE_THRESHOLD, every member is in [d, 1], and
+    every link climbs at most 4 BISECT_TOL max(1, |d|) (1 + 2^-51),
+    rounding of the merge test included.  From d < -1, 2n links climb
+    less than |d|; from d in [-1, 0), less than 4 (2n + 1) BISECT_TOL.
+    So from below -4 (2n + 1) BISECT_TOL no chain reaches 0, and only
+    roots at or below POSITIVE_THRESHOLD can change.  The walk never
+    selects such a root: if the nearest root was one, it falls back to
+    the smallest positive root, which is then also the nearest positive
+    root.
+    """
+    return -4.0 * (2 * n + 1) * BISECT_TOL
 
 
 def _row_roots(x: float, row: list[float]) -> list[float]:
@@ -463,11 +503,16 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
 
     Every grid point is sampled once, up front, the roots of all rows are
     isolated in one lockstep call and _moves maps every root to the next
-    row's in one pass; what stays sequential is a walk over column indices
-    and refining jumps, each midpoint sampled, isolated and hopped through
-    (_moves on stacks of one) on its own.  The sampled a_n and rows,
-    midpoints included, are kept as the branch's table; the root table is
-    not.
+    row's in one pass.  That call, like each midpoint's, bisects only the
+    brackets that end at or above _branch_floor: the roots below it are
+    missing from the table, and the branch is the one the full table
+    gives.  What stays sequential is a walk over runs of one column,
+    each ended by the next row where the move out of it changes column,
+    jumps or vanishes (np.flatnonzero once per column reached, then
+    searchsorted), and the refining jumps, each midpoint sampled,
+    isolated and hopped through (_moves on stacks of one) on its own.
+    The sampled a_n and rows, midpoints included, are kept as the
+    branch's table; the root table is not.
 
     Raises BranchError if a sampled lambda_k is not finite, if the first
     grid point has no positive root, if the branch vanishes or if a jump
@@ -475,30 +520,42 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
     """
     xs = grid.xs().tolist()
     leading, rows = nf.sample_grid(xs)
-    table = _isolate_roots(xs, rows)
+    floor = _branch_floor(rows.shape[1] - 1)
+    table = _isolate_roots(xs, rows, floor)
 
     positive = table[0] > POSITIVE_THRESHOLD
     if not positive.any():
         raise BranchError("no positive equilibrium at the first grid point", xs[0])
     col = int(positive.argmax())
-    move, jump = (a.tolist() for a in _moves(table[:-1], table[1:]))
+    move, jump = _moves(table[:-1], table[1:])
 
-    cols = [col]
+    # walk by runs: in column col from row i through the next row whose
+    # move out of col changes column, jumps or vanishes (or the last row)
+    last = len(xs) - 1
+    stops = {}  # column -> those rows, ascending, then last
+    cols = np.empty(len(xs), dtype=np.intp)
     midpoints = []  # (grid index it precedes, x, a_n, row, E)
-    for i in range(1, len(xs)):
-        nxt = move[i - 1][col]
+    i = 0
+    while True:
+        if col not in stops:
+            stops[col] = np.append(np.flatnonzero((move[:, col] != col) | jump[:, col]), last)
+        end = int(stops[col][stops[col].searchsorted(i)])
+        cols[i:end + 1] = col
+        if end == last:
+            break
+        i = end + 1
+        nxt = int(move[end, col])
         if nxt < 0:
             raise BranchError("equilibrium branch vanished", xs[i])
-        if jump[i - 1][col]:
+        if jump[end, col]:
             # refine once: step through the midpoint in the grid metric
-            mid = grid.midpoint(xs[i - 1], xs[i])
+            mid = grid.midpoint(xs[end], xs[i])
             mid_an, mid_row = nf.sample(mid)
-            mid_roots = _isolate_roots([mid], np.array([mid_row]))
-            at = _hop(table[i - 1:i], col, mid_roots, mid)
+            mid_roots = _isolate_roots([mid], np.array([mid_row]), floor)
+            at = _hop(table[end:i], col, mid_roots, mid)
             nxt = _hop(mid_roots, at, table[i:i + 1], xs[i])
             midpoints.append((i, mid, mid_an, mid_row, mid_roots[0, at]))
         col = nxt
-        cols.append(col)
 
     values = table[np.arange(len(xs)), cols]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -544,7 +544,8 @@ def compile_row(exprs) -> CompiledRow:
     assignment runs one of eval's IEEE operations on the names of its
     operands: "l op r" for + - * /, "0.0 - a" for unary minus, math.pow
     for "^" and the math functions for calls.  A subtree without x is a
-    constant: compile_row evaluates it once with eval and binds the value.
+    constant: compile_row evaluates it once with eval and binds the value,
+    and nothing inside it, so every bound name occurs in the code.
     A constant subtree that raises there stays in the code, where it
     raises at every x, so the row is None everywhere and eval explains why.
 
@@ -568,25 +569,32 @@ def compile_row(exprs) -> CompiledRow:
             namespace[names[key]] = value
         return names[key]
 
-    def emit(node) -> tuple[str, bool]:
-        """The name of node's value in the generated code, and whether it
-        depends on x."""
+    varying = set()  # ids of the subtrees that depend on x
+
+    def mark(node) -> bool:
+        if isinstance(node, _Var) or any([mark(operand) for operand in node.operands]):
+            varying.add(id(node))
+        return id(node) in varying
+
+    def emit(node) -> str:
+        """The name of node's value in the generated code."""
         if isinstance(node, _Var):
-            return "x", True
-        operands = [emit(operand) for operand in node.operands]
-        varies = any(depends for _, depends in operands)
-        if not varies:
+            return "x"
+        if id(node) not in varying:
             try:
-                return bind(node.eval(0.0)), False
+                return bind(node.eval(0.0))
             except ExprDomainError:
                 pass
-        text = node.emit(bind, *(name for name, _ in operands))
+        text = node.emit(bind, *[emit(operand) for operand in node.operands])
         if text not in temps:
             temps[text] = f"_t{len(temps)}"
             lines.append(f"    {temps[text]} = {text}\n")
-        return temps[text], varies
+        return temps[text]
 
-    results = ", ".join(emit(e.ast)[0] for e in exprs)
+    trees = [e.ast for e in exprs]
+    for tree in trees:
+        mark(tree)
+    results = ", ".join(emit(tree) for tree in trees)
     source = "def _row(x):\n" + "".join(lines) + f"    return [{results}]\n"
     exec(compile(source, "<compiled row>", "exec"), namespace)
     return CompiledRow(source, namespace["_row"])

@@ -49,7 +49,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .core import AbelEquation
+from .core import AbelEquation, _require_real
 
 __all__ = [
     "ButcherTableau",
@@ -160,10 +160,11 @@ def stability_value(z: complex) -> complex:
 
 
 def _require_finite(**values) -> None:
-    """Raise ValueError naming the first value that is not a finite number
-    (None stands for a default and passes)."""
+    """Raise ValueError naming the first value that is not a finite real
+    number."""
     for name, value in values.items():
-        if value is not None and not math.isfinite(value):
+        _require_real(name, value)
+        if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -185,8 +186,10 @@ class SolverConfig:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        _require_finite(atol=self.atol, rtol=self.rtol, h0=self.h0, h_min=self.h_min,
-                        h_max=self.h_max, newton_tol=self.newton_tol)
+        for name in ("atol", "rtol", "h0", "h_min", "h_max", "newton_tol"):
+            value = getattr(self, name)
+            if value is not None or name not in ("h0", "h_max"):  # None: the default
+                _require_finite(**{name: value})
         if self.atol <= 0.0 or self.rtol < 0.0:
             raise ValueError("atol must be positive and rtol non-negative")
         for name in ("h0", "h_min", "h_max", "newton_tol"):

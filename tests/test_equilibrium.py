@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from abelode import equilibrium
+from abelode.cases import get_case
 from abelode.core import build_equation, eval_F, normalize
 from abelode.equilibrium import (
+    POSITIVE_THRESHOLD,
     BranchError,
     BranchPoint,
     GridSpec,
     ZeroEigenvalueError,
+    _branch_floor,
     _isolate_roots,
     _moves,
     branch_derivative,
@@ -127,6 +131,22 @@ class TestGridSpec:
         # (0, inf) used to pass and yield a NaN grid
         with pytest.raises(ValueError, match="grid bounds must be finite"):
             GridSpec(x_start, x_end, 5)
+
+    @pytest.mark.parametrize("x_start,x_end,name", [
+        ("0", 1.0, "x_start"), (True, 2.0, "x_start"), (None, 1.0, "x_start"),
+        (0.0, "1", "x_end"), (0.0, True, "x_end"), (0.0, 1j, "x_end"),
+    ])
+    def test_non_real_bounds_rejected(self, x_start, x_end, name):
+        # "0" used to raise a TypeError from math.isfinite; True passed as 1.0
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+            GridSpec(x_start, x_end, 5)
+
+    @pytest.mark.parametrize("x_start,x_end", [
+        (0, 2), (np.float64(0.5), np.float32(2.0)), (np.int64(-1), 2.0),
+    ])
+    def test_real_bounds_accepted(self, x_start, x_end):
+        xs = GridSpec(x_start, x_end, 5).xs()
+        assert xs[0] == x_start and xs[-1] == x_end
 
     @pytest.mark.parametrize("count", [2.5, "5", None, 5.0])
     def test_non_integer_count_rejected(self, count):
@@ -521,6 +541,31 @@ class TestBranchContinuation:
         branch = continue_branch(nf, GridSpec(0.0, 1.0, 2))
         assert branch.values.tolist() == [real_roots(nf, 0.0)[0], positive]
 
+    def test_top_level_bisects_only_brackets_that_can_hold_a_positive_root(
+            self, monkeypatch):
+        # every row of case 2's cubic has one negative root, whose bracket
+        # ends below the floor: continuation bisects the other two brackets
+        # of each of the 2,001 distinct rows, real_roots all three
+        case = get_case(2)
+        nf, xs = normalize(case.equation), case.branch_grid().xs()
+        brackets = []
+        original = equilibrium._bisect
+
+        def counted(rows, r, *args):
+            brackets.append((rows.shape[1] - 1, r.size))
+            return original(rows, r, *args)
+
+        monkeypatch.setattr(equilibrium, "_bisect", counted)
+        continue_branch(nf, case.branch_grid())
+        assert sum(n for degree, n in brackets if degree == 3) == 2 * 2001
+        full = _isolate_roots(xs, nf.sample_grid(xs)[1])
+        assert full.shape == (2001, 3) and (full[:, 0] < 0.0).all() and (full[:, 1] > 0.0).all()
+        for x in (xs[0], xs[-1]):
+            brackets.clear()
+            roots = real_roots(nf, x)
+            assert len(roots) == 3 and roots[0] < 0.0 < roots[1]
+            assert [n for degree, n in brackets if degree == 3] == [3]
+
     def test_limit_none_when_tail_still_moving(self):
         eq = build_equation(["3 - 2*exp(-2*x)", "-4", "0", "1"], 0.0)
         nf = normalize(eq)
@@ -651,3 +696,51 @@ class TestReferenceWalk:
         nf = normalize(build_equation(["exp(x)", "-1"], 0.0))
         branch = continue_branch(nf, GridSpec(0.0, 10.0, 31))
         assert branch.xs.size - 31 == 28
+
+    def test_cluster_across_zero_within_the_merge_distance(self):
+        # roots near -2.0e-12, 1.5e-12 and 0.5: the root above 0 lies within
+        # the merge distance 4e-12 of the one below and is merged into it,
+        # so the branch starts at 0.5.  The critical point between them is
+        # below 0, so a floor at 0 would leave the negative root out, keep
+        # 1.5e-12 > POSITIVE_THRESHOLD and start the branch there.
+        row = [1.6500000000000001e-24, -3.500000000032999e-13, -0.4999999999993, 1.0]
+        nf = normalize(build_equation([repr(c) for c in row], 0.0))
+        grid = GridSpec(0.0, 1.0, 5)
+        full, at_zero, floored = (
+            _isolate_roots([0.0], np.array([row]), floor)[0]
+            for floor in (-math.inf, 0.0, _branch_floor(3)))
+        positive = full[full > POSITIVE_THRESHOLD].tolist()
+        assert positive == floored[floored > POSITIVE_THRESHOLD].tolist()
+        assert len(positive) == 1 and positive[0] == pytest.approx(0.5)
+        assert at_zero[0] > POSITIVE_THRESHOLD and at_zero[1:].tolist() == positive
+        assert full[0] < 0.0 and at_zero[0] - full[0] <= 4e-12
+        assert continue_branch(nf, grid).values.tolist() == positive * 5
+        assert _continued(nf, grid) == _walked(nf, grid)
+
+    def test_column_changes_at_every_row(self):
+        # (y + 1)(y - 3)((y - 1)^2 - s), s = -0.25 (-1)^x on integer x: the
+        # branch stays at 3 while the roots 1 +- 0.5 below it come and go,
+        # so its column alternates at every row of both tables
+        u = "(0 - 1)^x"
+        nf = normalize(build_equation(
+            [f"-3 - 0.75*{u}", f"4 - 0.5*{u}", f"2 + 0.25*{u}", "-4", "1"], 0.0))
+        grid = GridSpec(0.0, 20.0, 21)
+        xs = grid.xs()
+        rows = nf.sample_grid(xs)[1]
+        for floor, below in ((-math.inf, (1, 3)), (_branch_floor(4), (0, 2))):
+            counts = np.count_nonzero(_isolate_roots(xs, rows, floor) < 2.9, axis=1)
+            assert counts.tolist() == [below[i % 2] for i in range(21)]
+        assert continue_branch(nf, grid).values == pytest.approx(3.0)
+        assert _continued(nf, grid) == _walked(nf, grid)
+
+    def test_refinement_inside_a_run_of_one_column(self):
+        # (y + 1)(y + 2)(y - E), E = 1 up to x = 5 and then 1 + 0.6 (x - 5):
+        # the branch keeps one column throughout, but its step from 5 to 6
+        # jumps 0.6 > 0.25 (1 + 1), so the run is broken by one midpoint
+        e = "(1 + 0.3*((x - 5) + abs(x - 5)))"
+        nf = normalize(build_equation([f"-2*{e}", f"2 - 3*{e}", f"3 - {e}", "1"], 0.0))
+        grid = GridSpec(0.0, 10.0, 11)
+        branch = continue_branch(nf, grid)
+        assert branch.xs.tolist() == [0, 1, 2, 3, 4, 5, 5.5, 6, 7, 8, 9, 10]
+        assert branch.values == pytest.approx([1] * 6 + [1.3, 1.6, 2.2, 2.8, 3.4, 4.0])
+        assert _continued(nf, grid) == _walked(nf, grid)

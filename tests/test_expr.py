@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -294,6 +295,22 @@ class TestCompiledRow:
     def test_negative_zero_result_keeps_its_sign(self):
         row = compile_row([parse("0*(0 - 1)"), parse("x")])
         assert _row_outcome(row, -0.0) == np.array([-0.0, -0.0]).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(sources=st.lists(expressions, min_size=1, max_size=4))
+    def test_every_bound_name_occurs_in_the_source(self, sources):
+        # a folded constant subtree binds its value, not its leaves
+        row = compile_row([parse(source) for source in sources])
+        bound = [name for name in row._function.__globals__ if name.startswith("_k")]
+        assert all(re.search(rf"\b{name}\b", row.source) for name in bound)
+
+    def test_folded_leaves_are_not_bound(self):
+        # -(2.5) and 3*4 fold to -2.5 and 12.0; 2.5, 3 and 4 are never bound
+        row = compile_row([parse("-2.5*x + 3*4")])
+        bound = {name: value for name, value in row._function.__globals__.items()
+                 if name.startswith("_k")}
+        assert sorted(bound.values()) == [-2.5, 12.0]
+        assert row(2.0) == [7.0]
 
     def test_constants_enter_only_through_names(self):
         source = compile_row([parse("2.5*x + pi")]).source

@@ -300,6 +300,34 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match=f"^{field} must be positive, got {value!r}$"):
             SolverConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["atol", "rtol", "h0", "h_min", "h_max", "newton_tol"])
+    @pytest.mark.parametrize("value", ["1e-9", True, False, 1j])
+    def test_solver_config_non_real(self, field, value):
+        # "1e-9" used to raise a TypeError from math.isfinite; True passed as 1.0
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
+            SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["atol", "rtol", "h_min", "newton_tol"])
+    def test_solver_config_none_stands_only_for_a_step_default(self, field):
+        # None used to pass h_min and newton_tol through, and to raise a
+        # TypeError for atol and rtol
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got None$"):
+            SolverConfig(**{field: None})
+
+    @pytest.mark.parametrize("value", [1, 0.5, np.float64(0.5), np.float32(0.5), np.int64(1)])
+    def test_solver_config_real_numbers_accepted(self, value):
+        fields = ("atol", "rtol", "h0", "h_min", "h_max", "newton_tol")
+        config = SolverConfig(**dict.fromkeys(fields, value))
+        assert all(getattr(config, name) == value for name in fields)
+        assert integrate_rhs(lambda x: [0.0, -1.0], 0.0, 1.0, 1.0, config).completed
+
+    @pytest.mark.parametrize("x0,y0,x_end,name", [
+        (0.0, "1", 1.0, "y0"), (True, 1.0, 2.0, "x0"), (0.0, 1.0, "1", "x_end"),
+    ])
+    def test_integrate_rhs_non_real(self, x0, y0, x_end, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+            integrate_rhs(lambda x: [0.0, -1.0], x0, y0, x_end)
+
     @pytest.mark.parametrize("x0,y0,x_end,name", [
         (0.0, 1.0, math.inf, "x_end"),
         (0.0, 1.0, math.nan, "x_end"),
