@@ -23,9 +23,18 @@ solve by Cayley-Hamilton,
     P1 = A - tr(A) I,  P2 = A^2 - tr(A) A + (tr(A)^2 - tr(A^2))/2 I,
 
 with Q(z) = det(I - zA) the denominator of R(z); a zero or non-finite Q is
-a NewtonFailure.  Each Newton iteration evaluates the three stage
-residuals in one pass over the columns of the three stage rows.  The local
-error is estimated by step doubling (err = |y_h - y_{h/2,h/2}| / (2^5 - 1)),
+a NewtonFailure.  The stage solve is generated once per row length m, the
+first time an integration needs it (_stage_solver): the three stage rows
+are unpacked into locals, and every Newton iteration is straight-line
+float code, Horner as one flat statement per coefficient and stage.
+Written for rows of any length, an iteration spent most of its time on
+interpreter overhead (a column loop, tuple unpacking, max and abs calls)
+rather than arithmetic.  The generated code runs the same IEEE operations
+in the same order, so results are bit for bit those of a plain loop
+(reference_attempt in tests/oracles.py).  Flat statements, unlike one
+nested Horner expression, compile for any degree: the nested form fails
+past 200 coefficients, the parser's limit on nested parentheses.  The
+local error is estimated by step doubling (err = |y_h - y_{h/2,h/2}| / (2^5 - 1)),
 and the step size follows h_new = h * clamp(0.9 (tol/err)^{1/6}, 0.2, 5.0).
 
 Each abscissa is sampled once per attempt: the full step and the first
@@ -43,9 +52,9 @@ Characteristics:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 
@@ -129,7 +138,6 @@ def _tableau_floats():
 
 
 _A, _B, _C, _EYE, _P1, _P2 = _tableau_floats()
-_INVERSE_TERMS = tuple(zip(_EYE, _P1, _P2))
 
 
 def _stability_denominator(z):
@@ -137,7 +145,7 @@ def _stability_denominator(z):
     return 1.0 - (3.0 / 5.0) * z + (3.0 / 20.0) * z * z - (1.0 / 60.0) * z * z * z
 
 
-def _newton_inverse(z: float) -> list[float]:
+def _newton_inverse(z: float) -> tuple[float, ...]:
     """(I - z A)^-1 row by row, as (I + z P1 + z^2 P2) / Q(z) by Cayley-Hamilton.
 
     Every entry is NaN where Q(z) is zero or not finite, so the Newton
@@ -146,7 +154,14 @@ def _newton_inverse(z: float) -> list[float]:
     q = _stability_denominator(z)
     scale = 1.0 / q if q != 0.0 and math.isfinite(q) else math.nan
     zz = z * z
-    return [(e + z * p1 + zz * p2) * scale for e, p1, p2 in _INVERSE_TERMS]
+    e0, e1, e2, e3, e4, e5, e6, e7, e8 = _EYE
+    u0, u1, u2, u3, u4, u5, u6, u7, u8 = _P1
+    v0, v1, v2, v3, v4, v5, v6, v7, v8 = _P2
+    return ((e0 + z * u0 + zz * v0) * scale, (e1 + z * u1 + zz * v1) * scale,
+            (e2 + z * u2 + zz * v2) * scale, (e3 + z * u3 + zz * v3) * scale,
+            (e4 + z * u4 + zz * v4) * scale, (e5 + z * u5 + zz * v5) * scale,
+            (e6 + z * u6 + zz * v6) * scale, (e7 + z * u7 + zz * v7) * scale,
+            (e8 + z * u8 + zz * v8) * scale)
 
 
 def stability_value(z: complex) -> complex:
@@ -223,65 +238,94 @@ def _start_values(start, y):
     return value * y + start[0], slope
 
 
-def _solve_stages(value, slope, row, x, y, h, config):
-    """Simplified Newton for the stage slopes k_i = f(x + c_i h, y + h sum A_ij k_j),
+@functools.cache
+def _stage_solver(m: int):
+    """The stage solve for start rows of length m, generated on first use
+    and cached: solve(value, slope, row, x, y, h, config, rows=None) runs
+    simplified Newton for the stage slopes k_i = f(x + c_i h, y + h sum A_ij k_j),
     where f(x, y) is the polynomial in y with ascending coefficients row(x).
 
     value = f(x, y) is the constant predictor and slope = df/dy(x, y) the
     Jacobian J frozen at the step start; the iteration matrix I - h J A is
     inverted in closed form (_newton_inverse), so an iteration is a few
-    float multiply-adds.  The stage rows are sampled once, at the first
-    iteration whose stage values are finite; each iteration then runs
-    Horner on the three rows side by side, one pass over their columns.
-    Returns (stages, iterations, stage rows); raises NewtonFailure when the
-    iterations run out or a stage value or update is non-finite (it cannot
-    converge).
+    float multiply-adds.  The stage rows are sampled in the first
+    iteration, once its stage values are finite, and unpacked into m
+    locals each; a shorter row is padded with zeros at the high powers,
+    and if a row is longer the rows sampled so far go to the solver for
+    that length, which starts over without sampling them again.  Every
+    iteration is straight-line code: Horner one statement per
+    coefficient and stage, the update, and the convergence test as
+    chained comparisons (equal to max|d_i| <= threshold, since the
+    updates are finite there and threshold is not negative).  Returns
+    (stages, iterations, stage rows); raises NewtonFailure when the
+    iterations run out or a stage value or update is non-finite (it
+    cannot converge).
     """
-    a00, a01, a02, a10, a11, a12, a20, a21, a22 = _A
-    m00, m01, m02, m10, m11, m12, m20, m21, m22 = _newton_inverse(h * slope)
-    k0 = k1 = k2 = value  # constant predictor
-    threshold = config.newton_tol * (config.atol / h + config.rtol * abs(y))
-    stage_rows = columns = None
-    for iterations in range(1, config.newton_max_iters + 1):
-        # plain floats: an overflowing stage value or update is a silent
-        # inf or nan, and it fails like any non-finite update
-        s0 = y + h * (a00 * k0 + a01 * k1 + a02 * k2)
-        s1 = y + h * (a10 * k0 + a11 * k1 + a12 * k2)
-        s2 = y + h * (a20 * k0 + a21 * k1 + a22 * k2)
-        size = math.inf
-        if math.isfinite(s0) and math.isfinite(s1) and math.isfinite(s2):
-            if stage_rows is None:
-                stage_rows = [row(x + c * h) for c in _C]
-                # one column (c_k at each stage) per power, highest first; a
-                # shorter row's missing powers are zeros, which Horner passes
-                columns = list(zip_longest(*stage_rows, fillvalue=0.0))[::-1]
-            f0 = f1 = f2 = 0.0
-            for c0, c1, c2 in columns:
-                f0 = f0 * s0 + c0
-                f1 = f1 * s1 + c1
-                f2 = f2 * s2 + c2
-            r0, r1, r2 = k0 - f0, k1 - f1, k2 - f2
-            d0 = -(m00 * r0 + m01 * r1 + m02 * r2)
-            d1 = -(m10 * r0 + m11 * r1 + m12 * r2)
-            d2 = -(m20 * r0 + m21 * r1 + m22 * r2)
-            if math.isfinite(d0) and math.isfinite(d1) and math.isfinite(d2):
-                k0, k1, k2 = k0 + d0, k1 + d1, k2 + d2
-                size = max(abs(d0), abs(d1), abs(d2))
-        if not math.isfinite(size):
-            raise NewtonFailure(
-                f"non-finite stage update in iteration {iterations} at x={x!r}, h={h!r}"
-            )
-        if size <= threshold:
-            return (k0, k1, k2), iterations, stage_rows
-    raise NewtonFailure(
-        f"no stage convergence in {config.newton_max_iters} iterations at x={x!r}, h={h!r}")
+    # the tableau enters the code as literals: repr round-trips a finite float
+    a, c = [repr(v) for v in _A], [repr(v) for v in _C]
+    stage_values = [f"s{i} = y + h * ({a[3 * i]} * k0 + {a[3 * i + 1]} * k1 + {a[3 * i + 2]} * k2)"
+                    for i in range(3)]
+    non_finite = ('raise NewtonFailure(f"non-finite stage update in iteration {iterations}'
+                  ' at x={x!r}, h={h!r}")')
+    finite_stages = "if not (isfinite(s0) and isfinite(s1) and isfinite(s2)):"
+    horner = []
+    for i in range(3):
+        horner.append(f"f{i} = 0.0")
+        horner += [f"f{i} = f{i} * s{i} + c{i}_{k}" for k in range(m - 1, -1, -1)]
+    iteration = [
+        *horner,
+        *(f"r{i} = k{i} - f{i}" for i in range(3)),
+        *(f"d{i} = -(m{i}0 * r0 + m{i}1 * r1 + m{i}2 * r2)" for i in range(3)),
+        "if not (isfinite(d0) and isfinite(d1) and isfinite(d2)):",
+        f"    {non_finite}",
+        *(f"k{i} = k{i} + d{i}" for i in range(3)),
+        "if low <= d0 <= threshold and low <= d1 <= threshold and low <= d2 <= threshold:",
+        "    return (k0, k1, k2), iterations, rows",
+        "if iterations == last:",
+        '    raise NewtonFailure(f"no stage convergence in {last} iterations'
+        ' at x={x!r}, h={h!r}")',
+        "iterations += 1",
+        *stage_values,
+        finite_stages,
+        f"    {non_finite}",
+    ]
+    body = [
+        "m00, m01, m02, m10, m11, m12, m20, m21, m22 = _newton_inverse(h * slope)",
+        "k0 = k1 = k2 = value  # constant predictor",
+        "threshold = config.newton_tol * (config.atol / h + config.rtol * abs(y))",
+        "low = -threshold",
+        "last = config.newton_max_iters",
+        "iterations = 1",
+        *stage_values,
+        finite_stages,
+        f"    {non_finite}",
+        "if rows is None:",
+        f"    rows = [row(x + {c[0]} * h), row(x + {c[1]} * h), row(x + {c[2]} * h)]",
+        "p0, p1, p2 = rows",
+        f"if len(p0) != {m} or len(p1) != {m} or len(p2) != {m}:",
+        "    longest = max(len(p0), len(p1), len(p2))",
+        f"    if longest > {m}:",
+        "        return _stage_solver(longest)(value, slope, row, x, y, h, config, rows)",
+        f"    p0, p1, p2 = [list(p) + [0.0] * ({m} - len(p)) for p in rows]",
+        *(f"{', '.join(f'c{i}_{k}' for k in range(m))}, = p{i}" for i in range(3)),
+        "while True:",
+        *(f"    {line}" for line in iteration),
+    ]
+    source = "\n    ".join(
+        ["def solve(value, slope, row, x, y, h, config, rows=None):", *body])
+    namespace = {"isfinite": math.isfinite, "NewtonFailure": NewtonFailure,
+                 "_newton_inverse": _newton_inverse, "_stage_solver": _stage_solver}
+    exec(compile(source, f"<stage solver, rows of length {m}>", "exec"), namespace)
+    return namespace["solve"]
 
 
-def _basic_step(value, slope, row, x, y, h, config):
-    """One plain Radau step from (x, y), where value and slope are f and
-    df/dy there (_start_values); returns (y_next, newton_iters, stages, end),
-    where end is the row at x + h (the last stage's abscissa)."""
-    (k0, k1, k2), iters, stage_rows = _solve_stages(value, slope, row, x, y, h, config)
+def _basic_step(start, value, slope, row, x, y, h, config):
+    """One plain Radau step from (x, y), where start = row(x) and value and
+    slope are f and df/dy there (_start_values); returns (y_next,
+    newton_iters, stages, end), where end is the row at x + h (the last
+    stage's abscissa)."""
+    solve = _stage_solver(len(start))
+    (k0, k1, k2), iters, stage_rows = solve(value, slope, row, x, y, h, config)
     b0, b1, b2 = _B
     return y + h * (b0 * k0 + b1 * k1 + b2 * k2), iters, (k0, k1, k2), stage_rows[2]
 
@@ -296,10 +340,10 @@ def _attempt(start, row, x, y, h, config):
     """
     y, h = float(y), float(h)
     value, slope = _start_values(start, y)
-    y_coarse, iters, stages, end = _basic_step(value, slope, row, x, y, h, config)
+    y_coarse, iters, stages, end = _basic_step(start, value, slope, row, x, y, h, config)
     half = 0.5 * h
-    y_half, iters2, _, middle = _basic_step(value, slope, row, x, y, half, config)
-    y_fine, iters3, _, _ = _basic_step(*_start_values(middle, y_half), row, x + half,
+    y_half, iters2, _, middle = _basic_step(start, value, slope, row, x, y, half, config)
+    y_fine, iters3, _, _ = _basic_step(middle, *_start_values(middle, y_half), row, x + half,
                                        y_half, half, config)
     err = abs(y_coarse - y_fine) / STEP_DOUBLING_DENOM
     return StepResult(y_coarse, err, iters + iters2 + iters3, stages), end
@@ -308,7 +352,13 @@ def _attempt(start, row, x, y, h, config):
 def step(row, x, y, h, config=None) -> StepResult:
     """One adaptive-quality step of y' = f(x, y), row(x) giving the
     ascending coefficients in y of f: full step plus two half steps for
-    the step-doubling error estimate err = |y_h - y_{h/2,h/2}| / 31."""
+    the step-doubling error estimate err = |y_h - y_{h/2,h/2}| / 31.
+
+    x, y and h must be finite real numbers and h positive (ValueError).
+    """
+    _require_finite(x=x, y=y, h=h)
+    if not h > 0.0:
+        raise ValueError(f"h must be positive, got {h!r}")
     return _attempt(row(x), row, x, y, h, config or SolverConfig())[0]
 
 
@@ -484,8 +534,8 @@ def integrate_fixed_rhs(
     while x < x_end:
         h_try = min(h, float(x_end - x))
         # the row at x + h_try starts the next step (a truncated step is the last)
-        y, step_iters, _, start = _basic_step(*_start_values(start, y), row, x, y, h_try,
-                                              config)
+        y, step_iters, _, start = _basic_step(start, *_start_values(start, y), row, x, y,
+                                              h_try, config)
         x = x_end if h_try < h else x + h
         total_iters += step_iters
         xs.append(x)
@@ -510,6 +560,7 @@ def empirical_order(
     errors are not floored by an unrelated tolerance.  Returns
     (least-squares slope of log error vs log h, per-h errors).
     """
+    h_list = list(h_list)  # an iterator would be used up by min()
     if not h_list:
         raise OrderTestError("h_list must be nonempty")
     h_ref = min(float(h) for h in h_list) / 16.0

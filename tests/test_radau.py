@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,26 @@ _OVERFLOWING_STAGES = [
 ]
 
 
+def _sized_row(size):
+    """A row function whose length at x is size(x), with coefficients
+    (1 + x/4) (-0.6)^k / (k + 1) for k = 0..size(x) - 1."""
+    return lambda x: [(1.0 + 0.25 * x) * (-0.6) ** k / (k + 1) for k in range(size(x))]
+
+
+#: (row, y, h) for step at x = 0 whose rows change length with x; with
+#: h = 1 each of the three stage solves samples rows of unequal lengths
+_RESIZING_ROWS = [
+    # stage rows shorter than the start row: zeros at the high powers
+    (_sized_row(lambda x: 12 - math.ceil(10.0 * x)), 0.5, 1.0),
+    # stage rows longer than the start row: the sampled rows go to the
+    # solver for the longest of them
+    (_sized_row(lambda x: 2 + math.ceil(10.0 * x)), 0.5, 1.0),
+    # 301 coefficients: as one nested Horner expression, past the
+    # parser's limit of 200 nested parentheses
+    (_sized_row(lambda x: 301), 0.5, 0.1),
+]
+
+
 def _attempt_outcome(attempt, row, x, y, h, config):
     """(y_next, err_est, newton_iters, stages) with every float as its hex
     (the sign of zero included), or the stage-solve failure message."""
@@ -175,6 +196,24 @@ class TestAttemptOracle:
         got = _attempt_outcome(_package_attempt, row, 0.0, y, h, config)
         assert got == _attempt_outcome(reference_attempt, row, 0.0, y, h, config)
         assert got.startswith("non-finite stage update in iteration 1")
+
+
+    @pytest.mark.parametrize("index", range(len(_RESIZING_ROWS)))
+    def test_resizing_rows_match_reference(self, index):
+        row, y, h = _RESIZING_ROWS[index]
+        sampled = []
+
+        def counted(x):
+            sampled.append(x)
+            return row(x)
+
+        config = SolverConfig()
+        got = _attempt_outcome(_package_attempt, counted, 0.0, y, h, config)
+        assert not isinstance(got, str)  # the stages converged
+        # the start row, then three rows per stage solve, however the
+        # solve goes on once it has sampled them
+        assert len(sampled) <= 1 + 9
+        assert got == _attempt_outcome(reference_attempt, row, 0.0, y, h, config)
 
 
 class TestSingleStep:
@@ -355,6 +394,24 @@ class TestNonFiniteInput:
             integrate_fixed_rhs(lambda x: [0.0, -1.0], x0, y0, x_end, h)
 
 
+    @pytest.mark.parametrize("x,y,h,message", [
+        (0.0, 1.0, 0.0, "h must be positive, got 0.0"),
+        (0.0, 1.0, -0.1, "h must be positive, got -0.1"),
+        (0.0, 1.0, math.nan, "h must be finite, got nan"),
+        (0.0, 1.0, math.inf, "h must be finite, got inf"),
+        (0.0, 1.0, "0.1", "h must be a real number, got '0.1'"),
+        (0.0, 1.0, True, "h must be a real number, got True"),
+        (0.0, math.nan, 0.1, "y must be finite, got nan"),
+        (0.0, math.inf, 0.1, "y must be finite, got inf"),
+        (math.nan, 1.0, 0.1, "x must be finite, got nan"),
+    ])
+    def test_step(self, x, y, h, message):
+        # h = 0 used to raise a ZeroDivisionError, h = -0.1 to end in "no
+        # stage convergence", and "0.1", True and x = nan to run a step
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            step(lambda x: [0.0, -1.0], x, y, h)
+
+
 class TestIntegerCounts:
     @pytest.mark.parametrize("field", ["newton_max_iters", "max_steps"])
     @pytest.mark.parametrize("value", [2.5, "5", None, True, 5.0])
@@ -382,3 +439,11 @@ class TestFixedStep:
         slope, errors = empirical_order(eq, 1.0, 2.0, (0.2, 0.1, 0.05, 0.025))
         assert 4.5 <= slope <= 5.5
         assert errors == sorted(errors, reverse=True)
+
+    def test_step_sizes_from_a_generator(self):
+        # a generator used to be used up by min(), so no run was made and
+        # the call ended in "errors vanished; order not measurable"
+        eq = build_equation(["0", "-1"], 0.0)
+        sizes = (0.2, 0.1, 0.05)
+        assert empirical_order(eq, 1.0, 2.0, (h for h in sizes)) == \
+            empirical_order(eq, 1.0, 2.0, list(sizes))
