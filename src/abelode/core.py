@@ -17,13 +17,13 @@ solve runs _horner's operations inline (radau._start_values, and the
 stage solver radau generates per row length as flat Horner statements),
 bit for bit.
 
-Scalar rows come from one compiled function per equation
-(AbelEquation.compiled_row, see expr.compile_row), which both row(x) and
-NormalForm.sample(x) read.  Where it cannot give a finite row, the
-per-coefficient tree walk (Expr.eval) runs instead, in the order the
-caller has always used, and raises the ExprDomainError or
-LeadingCoefficientError that explains the failure.  Grids go through
-Expr.eval_array.
+Scalar rows come from one compiled function per equation,
+AbelEquation.row (see expr.compile_row), which NormalForm.sample reads
+too.  Where it cannot give a finite row, it raises the tree walk's
+ExprDomainError, which names the failing operation and x; sample then
+re-runs the walk a_n first, so a vanishing a_n raises
+LeadingCoefficientError before a_0..a_{n-1} are evaluated.  Grids go
+through Expr.eval_array.
 
 All types are immutable after construction and can be shared freely
 across threads; the only state they hold beyond their fields is the
@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import CompiledRow, Expr, ExprDomainError, compile_row, parse
+from .expr import Expr, ExprDomainError, compile_row, parse
 
 __all__ = [
     "CoefficientFn",
@@ -93,14 +93,10 @@ class AbelEquation:
         return self.coeffs[-1]
 
     @cached_property
-    def compiled_row(self) -> CompiledRow:
-        """a_0..a_n as one compiled function, built on first use."""
+    def row(self):
+        """x -> [a_0(x), ..., a_n(x)], evaluated in that order: one compiled
+        function, built on first use."""
         return compile_row(c.expr for c in self.coeffs)
-
-    def row(self, x: float) -> list[float]:
-        """[a_0(x), ..., a_n(x)], evaluated in that order."""
-        values = self.compiled_row(x)
-        return values if values is not None else [c(x) for c in self.coeffs]
 
 
 def build_equation(
@@ -140,8 +136,9 @@ class NormalForm:
     def sample(self, x: float) -> tuple[float, list[float]]:
         """a_n(x) and the monic row [lambda_0(x), ..., lambda_{n-1}(x), 1.0],
         from one evaluation of each coefficient."""
-        row = self.equation.compiled_row(x)
-        if row is None:
+        try:
+            row = self.equation.row(x)
+        except ExprDomainError:
             # the tree walk explains the failure: a_n and its zero check
             # first, then a_0..a_{n-1}
             an = self._nonzero_leading(x)

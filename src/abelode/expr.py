@@ -7,13 +7,14 @@ root finding and integration.
 
 Three evaluators read the trees:
 
-  * compile_row(exprs) generates one Python function per coefficient row
-    (x -> [e_0(x), ..., e_m(x)]) and is the scalar path: the integrator
-    and every point-wise sample read it.  It runs eval's IEEE operations
-    in eval's order, so its values are eval's bit for bit, and it returns
-    None where eval would raise.  A subexpression shared by the row's
-    expressions is evaluated once per call, and a subexpression without
-    x once, when the row is compiled.
+  * compile_row(exprs) returns one generated Python function per
+    coefficient row (x -> [e_0(x), ..., e_m(x)]), the scalar path: the
+    integrator and every point-wise sample call it.  It runs eval's IEEE
+    operations in eval's order, so its values are eval's bit for bit, and
+    where eval would raise it runs the tree walk, which raises eval's
+    ExprDomainError.  A subexpression shared by the row's expressions is
+    evaluated once per call, and a subexpression without x once, when the
+    row is compiled.
   * Expr.eval walks the tree one node at a time.  It evaluates single
     expressions (Expr(x), the probes of a leading coefficient) and
     explains failures: its ExprDomainError names the operation and the x.
@@ -61,7 +62,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "CompiledRow",
     "Expr",
     "ExprError",
     "ExprSyntaxError",
@@ -512,31 +512,8 @@ def parse(source: str) -> Expr:
     return Expr(source, _Parser(source).parse())
 
 
-class CompiledRow:
-    """Several expressions evaluated as one generated Python function.
-
-    Calling it with x returns [e.eval(x) for e in exprs], bit for bit, or
-    None where any of those calls would raise; the caller then re-runs
-    eval, whose ExprDomainError explains the failure.  ``source`` is the
-    generated code, kept for inspection.
-    """
-
-    __slots__ = ("source", "_function")
-
-    def __init__(self, source: str, function):
-        self.source = source
-        self._function = function
-
-    def __call__(self, x: float) -> list[float] | None:
-        try:
-            values = self._function(float(x))
-        except (ZeroDivisionError, OverflowError, ValueError):
-            return None
-        return values if all(map(math.isfinite, values)) else None
-
-
-def compile_row(exprs) -> CompiledRow:
-    """Compile expressions into one function x -> [e_0(x), ..., e_m(x)].
+def compile_row(exprs):
+    """Compile expressions into one function x -> [e.eval(x) for e in exprs].
 
     The generated function assigns one local per distinct subtree that
     depends on x, keyed by its emitted text, so a subexpression shared
@@ -547,7 +524,10 @@ def compile_row(exprs) -> CompiledRow:
     constant: compile_row evaluates it once with eval and binds the value,
     and nothing inside it, so every bound name occurs in the code.
     A constant subtree that raises there stays in the code, where it
-    raises at every x, so the row is None everywhere and eval explains why.
+    raises at every x.  The assignments run in one try, and each distinct
+    result but a finite constant is tested by -inf < t < inf; where one
+    raises or a result is not finite, the function runs the tree walk on
+    its argument as given, which raises eval's ExprDomainError.
 
     Every value and function enters the source as a name bound in the
     function's namespace, one name per distinct value (float.hex tells
@@ -555,9 +535,16 @@ def compile_row(exprs) -> CompiledRow:
     the one in "1e999"), so no generated code comes from the expression
     text.  The code is flat, one operation per line, however deep the
     tree; generating it recurses once per level of the tree, which the
-    parser caps at 100.
+    parser caps at 100.  The function's ``source`` attribute is the
+    generated code, kept for inspection.
     """
-    namespace = {"__builtins__": {}}
+    exprs = tuple(exprs)
+
+    def walk(x):
+        return [e.eval(x) for e in exprs]
+
+    namespace = {"__builtins__": {}, "_float": float, "_inf": math.inf, "_ninf": -math.inf,
+                 "_errors": (ZeroDivisionError, OverflowError, ValueError), "_walk": walk}
     names = {}  # value (float.hex for floats) -> bound name
     temps = {}  # emitted text -> local name
     lines = []
@@ -588,13 +575,20 @@ def compile_row(exprs) -> CompiledRow:
         text = node.emit(bind, *[emit(operand) for operand in node.operands])
         if text not in temps:
             temps[text] = f"_t{len(temps)}"
-            lines.append(f"    {temps[text]} = {text}\n")
+            lines.append(f"        {temps[text]} = {text}\n")
         return temps[text]
 
     trees = [e.ast for e in exprs]
     for tree in trees:
         mark(tree)
-    results = ", ".join(emit(tree) for tree in trees)
-    source = "def _row(x):\n" + "".join(lines) + f"    return [{results}]\n"
+    results = [emit(tree) for tree in trees]
+    # x and the _t locals are not in the namespace, so they read as nan here
+    test = " and ".join(f"_ninf < {name} < _inf" for name in dict.fromkeys(results)
+                        if not math.isfinite(namespace.get(name, math.nan)))
+    source = ("def _row(arg):\n    x = _float(arg)\n    try:\n" + "".join(lines or ["        pass\n"])
+              + f"    except _errors:\n        return _walk(arg)\n    if {test or 'True'}:\n"
+              + f"        return [{', '.join(results)}]\n    return _walk(arg)\n")
     exec(compile(source, "<compiled row>", "exec"), namespace)
-    return CompiledRow(source, namespace["_row"])
+    row = namespace["_row"]
+    row.source = source
+    return row

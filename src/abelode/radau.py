@@ -558,11 +558,17 @@ def empirical_order(
     A same-method fine-step reference keeps the comparison clean: its own
     error is 16^5 times below the smallest measured one, so the measured
     errors are not floored by an unrelated tolerance.  Returns
-    (least-squares slope of log error vs log h, per-h errors).
+    (least-squares slope of log error vs log h, per-h errors).  A step
+    size that is not finite, real and positive is a ValueError naming
+    h_list[i], raised before any run.
     """
     h_list = list(h_list)  # an iterator would be used up by min()
     if not h_list:
         raise OrderTestError("h_list must be nonempty")
+    for i, h in enumerate(h_list):
+        _require_finite(**{f"h_list[{i}]": h})
+        if not h > 0.0:
+            raise ValueError(f"h_list[{i}] must be positive, got {h!r}")
     h_ref = min(float(h) for h in h_list) / 16.0
     try:
         reference = integrate_fixed_rhs(equation.row, equation.x0, y0, x_end, h_ref, config)

@@ -39,7 +39,7 @@ from .core import (
     _taylor_shift,
     eval_rhs,
 )
-from .expr import CompiledRow, compile_row
+from .expr import compile_row
 from .radau import IntegrationResult, SolverConfig, integrate, integrate_rhs
 
 __all__ = [
@@ -87,8 +87,8 @@ class ReducedEquation:
         return self.coefficients(x)[k - 1]
 
     @cached_property
-    def _tail_row(self) -> CompiledRow:
-        """a_1..a_n as one compiled function, built on first use."""
+    def _tail_row(self):
+        """x -> [a_1(x), ..., a_n(x)]: one compiled function, built on first use."""
         return compile_row(coeff.expr for coeff in self.base.coeffs[1:])
 
     def coefficients(self, x: float) -> list[float]:
@@ -96,10 +96,7 @@ class ReducedEquation:
 
         a_0 enters only the dropped c_0 (the pivot residual): not evaluated.
         """
-        values = self._tail_row(x)
-        if values is None:  # the tree walk raises the ExprDomainError
-            values = [coeff(x) for coeff in self.base.coeffs[1:]]
-        return _taylor_shift([0.0] + values, self.pivot(x))[1:]
+        return _taylor_shift([0.0] + self._tail_row(x), self.pivot(x))[1:]
 
     def rhs(self, x: float, v: float) -> float:
         return _horner(self.row(x), v)

@@ -7,7 +7,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import pytest
 
 from abelode import run_case
-from abelode.expr import CompiledRow, Expr
+from abelode.core import AbelEquation
+from abelode.expr import Expr
+from abelode.reduction import ReducedEquation
 
 
 @pytest.fixture(scope="session")
@@ -29,10 +31,17 @@ def eval_calls(monkeypatch):
 @pytest.fixture
 def rows_sampled(monkeypatch):
     """The abscissa of every compiled coefficient row sampled while the test
-    runs (AbelEquation.row, NormalForm.sample and ReducedEquation
-    coefficients all read one)."""
+    runs (AbelEquation.row, which NormalForm.sample reads, and the row of
+    ReducedEquation.coefficients).  The rows are cached per instance, so a
+    class-level property wraps each one on access: rows compiled before the
+    fixture was set up (the session's case_runs) are counted too."""
     calls = []
-    original = CompiledRow.__call__
-    monkeypatch.setattr(CompiledRow, "__call__",
-                        lambda self, x: calls.append(x) or original(self, x))
+    for owner, name in ((AbelEquation, "row"), (ReducedEquation, "_tail_row")):
+        compiled = vars(owner)[name]
+
+        def counted(self, compiled=compiled):
+            row = compiled.__get__(self, type(self))
+            return lambda x: calls.append(x) or row(x)
+
+        monkeypatch.setattr(owner, name, property(counted))
     return calls

@@ -139,6 +139,16 @@ class TestIntegrateCommand:
     def test_missing_config_file(self, tmp_path):
         assert run(["integrate", tmp_path / "nope.cfg"])[0] == 64
 
+    def test_coefficient_domain_error_is_a_numeric_failure(self, tmp_path):
+        # sqrt(1 - x) is undefined past x = 1, which the integrator samples
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text("degree = 2\ncoefficients = 3 + sqrt(1-x) | -4 - sqrt(1-x) | 1\n"
+                       "x0 = 0\ny0 = 0\nx_end = 2\n")
+        code, _, err = run(["integrate", cfg, "--out", tmp_path / "i"])
+        assert code == 1
+        assert err == ("numeric failure: sqrt(-0.009837907115941125) outside real domain"
+                       " at x=1.0098379071159411\n")
+
 
 class TestHypothesesCommand:
     def test_failing_report_exits_2(self, tmp_path):

@@ -221,7 +221,7 @@ class TestCompiledRows:
 
     def test_row_is_compiled_once(self):
         eq = build_equation(["1 - 1/x", "-2", "-2", "1"], 1.0)
-        compiled = eq.compiled_row
+        compiled = eq.row
         eq.row(2.0)
         normalize(eq).sample(3.0)
-        assert eq.compiled_row is compiled
+        assert eq.row is compiled

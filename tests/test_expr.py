@@ -220,17 +220,22 @@ class TestArrayEvaluation:
 
 
 def _row_outcome(row, x):
-    """The compiled row's values as bytes (the sign of zero included), or None."""
-    values = row(x)
-    return None if values is None else np.array(values, dtype=float).tobytes()
+    """The compiled row's values as bytes (the sign of zero included), or the
+    message of the ExprDomainError it raises."""
+    try:
+        values = row(x)
+    except ExprDomainError as err:
+        return str(err)
+    return np.array(values, dtype=float).tobytes()
 
 
 def _eval_outcome(exprs, x):
-    """What the row must give: eval's values as bytes, or None where eval raises."""
+    """What the row must give: eval's values as bytes, or the message of the
+    ExprDomainError the first failing eval raises."""
     try:
         return np.array([e.eval(x) for e in exprs], dtype=float).tobytes()
-    except ExprDomainError:
-        return None
+    except ExprDomainError as err:
+        return str(err)
 
 
 #: the deepest shapes the parser accepts, each about 100 levels high
@@ -245,8 +250,9 @@ _DEEP = {
 
 
 class TestCompiledRow:
-    """compile_row gives [e.eval(x) for e in exprs] bit for bit, or None
-    exactly where one of those calls raises."""
+    """compile_row gives [e.eval(x) for e in exprs] bit for bit, or raises
+    eval's ExprDomainError with eval's message exactly where one of those
+    calls raises."""
 
     @settings(max_examples=300, deadline=None)
     @given(sources=st.lists(expressions, min_size=1, max_size=4), xs=grids)
@@ -262,18 +268,21 @@ class TestCompiledRow:
         expr = parse(_DEEP[name])
         assert _row_outcome(compile_row([expr]), x) == _eval_outcome([expr], x)
 
-    def test_degree_five_equation_of_deepest_coefficients(self):
+    def test_degree_five_equation_of_deepest_coefficients(self, eval_calls):
         # the nested exp overflows at every x; the other shapes stay finite
         names = ("abs", "power-tower", "sqrt", "sum", "unary-minus", "abs")
         equation = build_equation([_DEEP[name] for name in names], 0.0)
         exprs = [c.expr for c in equation.coeffs]
-        for x in (0.5, 1.0, 2.0):
-            assert equation.compiled_row(x) is not None
-            assert np.array(equation.row(x)).tobytes() == _eval_outcome(exprs, x)
+        xs = (0.5, 1.0, 2.0)
+        rows = [equation.row(x) for x in xs]
+        assert eval_calls == []  # no row fell back to the tree walk
+        for x, row in zip(xs, rows):
+            assert np.array(row).tobytes() == _eval_outcome(exprs, x)
 
     def test_nan_from_an_inf_literal_is_refused(self):
         expr = parse("1e999*0+1")
-        assert compile_row([expr])(0.0) is None
+        with pytest.raises(ExprDomainError, match=r"^non-finite value nan at x=0\.0$"):
+            compile_row([expr])(0.0)
         with pytest.raises(ExprDomainError, match=r"^non-finite value nan at x=0\.0$"):
             expr.eval(0.0)
 
@@ -288,7 +297,8 @@ class TestCompiledRow:
     ])
     def test_negative_zero_divisor(self, source, x):
         expr = parse(source)
-        assert compile_row([expr])(x) is None
+        with pytest.raises(ExprDomainError, match=r"^division by zero at x="):
+            compile_row([expr])(x)
         with pytest.raises(ExprDomainError, match=r"^division by zero at x="):
             expr.eval(x)
 
@@ -301,13 +311,13 @@ class TestCompiledRow:
     def test_every_bound_name_occurs_in_the_source(self, sources):
         # a folded constant subtree binds its value, not its leaves
         row = compile_row([parse(source) for source in sources])
-        bound = [name for name in row._function.__globals__ if name.startswith("_k")]
+        bound = [name for name in row.__globals__ if name.startswith("_k")]
         assert all(re.search(rf"\b{name}\b", row.source) for name in bound)
 
     def test_folded_leaves_are_not_bound(self):
         # -(2.5) and 3*4 fold to -2.5 and 12.0; 2.5, 3 and 4 are never bound
         row = compile_row([parse("-2.5*x + 3*4")])
-        bound = {name: value for name, value in row._function.__globals__.items()
+        bound = {name: value for name, value in row.__globals__.items()
                  if name.startswith("_k")}
         assert sorted(bound.values()) == [-2.5, 12.0]
         assert row(2.0) == [7.0]
@@ -329,7 +339,8 @@ class TestCompiledRow:
     @pytest.mark.parametrize("x", [-1.5, -0.0, 0.0, 2.0])
     def test_failing_constant_subtree_fails_at_every_x(self, source, x):
         expr = parse(source)
-        assert compile_row([expr])(x) is None
+        outcome = _row_outcome(compile_row([expr]), x)
+        assert isinstance(outcome, str) and outcome == _eval_outcome([expr], x)
         with pytest.raises(ExprDomainError):
             expr.eval(x)
 

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import ReferenceNewtonFailure, reference_attempt
 
+from abelode import radau
 from abelode.cases import get_case
 from abelode.core import build_equation
+from abelode.expr import ExprDomainError
 from abelode.radau import (
     NewtonFailure,
     SolverConfig,
@@ -447,3 +449,30 @@ class TestFixedStep:
         sizes = (0.2, 0.1, 0.05)
         assert empirical_order(eq, 1.0, 2.0, (h for h in sizes)) == \
             empirical_order(eq, 1.0, 2.0, list(sizes))
+
+    @pytest.mark.parametrize("sizes,message", [
+        # ran every integration, then died in np.log with a numpy TypeError
+        (["0.2", "0.1", "0.05"], "h_list[0] must be a real number, got '0.2'"),
+        # measured an order with h = 1.0
+        ([True, 0.5, 0.25], "h_list[0] must be a real number, got True"),
+        # failed inside the reference run with "h must be positive"
+        ([0.2, -0.1, 0.05], "h_list[1] must be positive, got -0.1"),
+    ])
+    def test_step_sizes_checked_before_any_run(self, sizes, message, monkeypatch):
+        runs = []
+        monkeypatch.setattr(radau, "integrate_fixed_rhs",
+                            lambda *args: runs.append(args))
+        eq = build_equation(["0", "-1"], 0.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            empirical_order(eq, 1.0, 2.0, sizes)
+        assert runs == []
+
+
+class TestFailingCoefficients:
+    def test_domain_error_names_the_failing_stage_abscissa(self):
+        # sqrt(1 - x) leaves its domain at x = 1: the row raises the tree
+        # walk's error at the first stage abscissa past it
+        eq = build_equation(["3 + sqrt(1-x)", "-4 - sqrt(1-x)", "1"], 0.0)
+        message = "sqrt(-0.009837907115941125) outside real domain at x=1.0098379071159411"
+        with pytest.raises(ExprDomainError, match=f"^{re.escape(message)}$"):
+            integrate(eq, 0.0, 2.0)
