@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -37,8 +38,6 @@ from .radau import IntegrationResult, SolverConfig, integrate
 from .rate import PlateauDiagnostics, diagnose
 
 __all__ = ["ReferenceRow", "CaseStudy", "CaseRun", "get_case", "run_case"]
-
-CASE_IDS = (1, 2, 3)
 
 #: y' = 1 - 3y + y^2 + y^3, ascending; also the literal credit-spread equation
 _CASE1_COEFFICIENTS = ("1", "-3", "1", "1")
@@ -71,8 +70,9 @@ class CaseStudy:
         return GridSpec(0.0, max(100.0, horizon), 2001, "linear")
 
 
+@cache
 def get_case(case_id: int) -> CaseStudy:
-    """The three bundled cubic equations with exact limits."""
+    """The three bundled cubic equations with exact limits, each built once."""
     if case_id == 1:
         return CaseStudy(
             id=1,

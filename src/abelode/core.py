@@ -23,7 +23,7 @@ too.  Where it cannot give a finite row, it raises the tree walk's
 ExprDomainError, which names the failing operation and x; sample then
 re-runs the walk a_n first, so a vanishing a_n raises
 LeadingCoefficientError before a_0..a_{n-1} are evaluated.  Grids go
-through Expr.eval_array.
+through Expr.eval_array, compile_row's code run on the whole grid.
 
 All types are immutable after construction and can be shared freely
 across threads; the only state they hold beyond their fields is the

@@ -5,7 +5,7 @@ Coefficient functions a_k(x) enter the system as strings like
 small immutable syntax trees that can be evaluated repeatedly during
 root finding and integration.
 
-Three evaluators read the trees:
+Two evaluators read the trees:
 
   * compile_row(exprs) returns one generated Python function per
     coefficient row (x -> [e_0(x), ..., e_m(x)]), the scalar path: the
@@ -14,11 +14,10 @@ Three evaluators read the trees:
     where eval would raise it runs the tree walk, which raises eval's
     ExprDomainError.  A subexpression shared by the row's expressions is
     evaluated once per call, and a subexpression without x once, when the
-    row is compiled.
+    row is compiled; Expr.eval_array runs its code on grids (below).
   * Expr.eval walks the tree one node at a time.  It evaluates single
     expressions (Expr(x), the probes of a leading coefficient) and
     explains failures: its ExprDomainError names the operation and the x.
-  * Expr.eval_array evaluates a whole grid (below).
 
 Grammar (EBNF, whitespace insignificant):
 
@@ -43,14 +42,15 @@ Evaluation is strict about domains: log/sqrt outside their domain,
 division by zero, and overflow to a non-finite value raise
 ExprDomainError instead of producing NaN or inf.
 
-Expr.eval_array evaluates a whole 1-D grid at once and returns exactly
-what eval gives point by point, bit for bit.  "+ - * /" and unary minus
-run on float64 arrays (correctly rounded, like Python floats); exp, log,
-sqrt, abs and "^" run per element through math on the grid's values,
-because numpy's exp and power differ from math's in the last bit on a
-few percent of arguments.  The domain contract covers both paths: where
-the array pass meets a zero divisor, a math error or a non-finite
-result, eval re-runs over the points in order, so the same
+Expr.eval_array evaluates a 1-D grid at once and returns exactly what
+eval gives point by point, bit for bit: compile_row's code for the one
+expression, built on first use, with x the float64 grid.  "+ - * /" and
+unary minus run as numpy operations (correctly rounded, like Python
+floats), exp, log, sqrt, abs and "^" per element through math, because
+numpy's exp and power differ from math's in the last bit on a few
+percent of arguments.  "/" raises on a zero divisor element, as float
+division does (numpy's gives inf).  Where the code raises or a value is
+not finite, eval re-runs over the points in order, so the same
 ExprDomainError names the same first x.
 """
 
@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -107,16 +108,34 @@ class ExprDomainError(ExprError):
     or overflow to a non-finite value)."""
 
 
-class _ScalarOnly(Exception):
-    """The array pass met a case whose outcome eval decides point by point."""
+def _divisor(values):
+    """values, or ZeroDivisionError where one is zero, as float division does."""
+    if np.count_nonzero(values) < np.size(values):
+        raise ZeroDivisionError
+    return values
 
 
-def _per_element(fn, *arrays) -> np.ndarray:
-    """fn applied through Python floats to each element of equal-length arrays."""
-    try:
-        return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=float)
-    except (OverflowError, ValueError):
-        raise _ScalarOnly from None
+class _Grid(np.ndarray):
+    """A float64 array whose "/" checks its divisor with _divisor."""
+
+    def __truediv__(self, other):
+        return np.divide(self, _divisor(other))
+
+    def __rtruediv__(self, other):
+        return np.divide(other, _divisor(self))
+
+
+def _elementwise(fn):
+    """fn applied through Python floats to each element of its array
+    arguments, a float standing for every element; fn itself on floats."""
+
+    def apply(*args):
+        if not any(isinstance(a, np.ndarray) for a in args):
+            return fn(*args)
+        columns = [a.tolist() if isinstance(a, np.ndarray) else repeat(a) for a in args]
+        return np.array(list(map(fn, *columns)), dtype=float).view(_Grid)
+
+    return apply
 
 
 @dataclass(frozen=True)
@@ -125,9 +144,6 @@ class _Num:
 
     def eval(self, x: float) -> float:
         return self.value
-
-    def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        return np.full(xs.shape, self.value)
 
     operands = ()
 
@@ -142,9 +158,6 @@ class _Var:
     def eval(self, x: float) -> float:
         return x
 
-    def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        return xs
-
     def pretty(self) -> str:
         return "x"
 
@@ -157,9 +170,6 @@ class _Const:
 
     def eval(self, x: float) -> float:
         return _CONSTANTS[self.name]
-
-    def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        return np.full(xs.shape, _CONSTANTS[self.name])
 
     operands = ()
 
@@ -178,9 +188,6 @@ class _Neg:
     def eval(self, x: float) -> float:
         return 0.0 - self.operand.eval(x)
 
-    def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        return 0.0 - self.operand.eval_array(xs)
-
     @property
     def operands(self) -> tuple:
         return (self.operand,)
@@ -196,8 +203,6 @@ class _Neg:
 
 
 _BIN_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-
-_ARRAY_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
 @dataclass(frozen=True)
@@ -233,15 +238,6 @@ class _Bin:
             raise ExprDomainError(
                 f"domain error evaluating {self.op!r} at x={x!r}"
             ) from None
-
-    def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        a = self.left.eval_array(xs)
-        b = self.right.eval_array(xs)
-        if self.op == "^":
-            return _per_element(math.pow, a, b)
-        if self.op == "/" and not b.all():
-            raise _ScalarOnly
-        return _ARRAY_OPS[self.op](a, b)
 
     @property
     def operands(self) -> tuple:
@@ -291,9 +287,6 @@ class _Call:
                 f"{self.name}({value!r}) outside real domain at x={x!r}"
             ) from None
         return result
-
-    def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        return _per_element(_FUNCTIONS[self.name], self.argument.eval_array(xs))
 
     @property
     def operands(self) -> tuple:
@@ -462,14 +455,16 @@ class _Parser:
 class Expr:
     """A parsed expression in the single variable x.
 
-    Immutable; safe to share between threads and equations.
+    Immutable but for eval_array's function, built on first use and the
+    same whichever thread builds it; safe to share between threads.
     """
 
-    __slots__ = ("source", "ast")
+    __slots__ = ("source", "ast", "_grid")
 
     def __init__(self, source: str, ast: object):
         self.source = source
         self.ast = ast
+        self._grid = None
 
     def __call__(self, x: float) -> float:
         return self.eval(x)
@@ -482,18 +477,18 @@ class Expr:
         return value
 
     def eval_array(self, xs) -> np.ndarray:
-        """Evaluate at every abscissa of the 1-D xs: the values eval gives
-        point by point, or the ExprDomainError eval raises at the first
-        failing point."""
-        xs = np.array(xs, dtype=float)
-        try:
-            with np.errstate(all="ignore"):
-                values = self.ast.eval_array(xs)
-            if np.isfinite(values).all():
-                return values
-        except _ScalarOnly:
-            pass
-        return np.array([self.eval(x) for x in xs.tolist()], dtype=float)
+        """Evaluate at every abscissa of the 1-D xs: a new array of the values
+        eval gives point by point, or the ExprDomainError eval raises at the
+        first failing point.  Runs compile_row's code for [self] on the grid
+        as a _Grid, functions per element, the result copied out by np.full."""
+        if self._grid is None:
+            self._grid = _generate(
+                [self], "_grid", "arg.view(_Grid)", "_count(_isfinite({0})) == _size({0})",
+                "_full(x.shape, {})", _elementwise, _Grid=_Grid, _count=np.count_nonzero,
+                _isfinite=np.isfinite, _size=np.size, _full=np.full,
+                _walk=lambda xs: np.array([self.eval(x) for x in xs.tolist()], dtype=float))
+        with np.errstate(all="ignore"):
+            return self._grid(np.asarray(xs, dtype=float))
 
     def pretty(self) -> str:
         """Render with minimal parentheses; parse(pretty()) evaluates identically."""
@@ -539,12 +534,15 @@ def compile_row(exprs):
     generated code, kept for inspection.
     """
     exprs = tuple(exprs)
+    return _generate(exprs, "_row", "_float(arg)", "_ninf < {} < _inf", "[{}]", _float=float,
+                     _inf=math.inf, _ninf=-math.inf, _walk=lambda x: [e.eval(x) for e in exprs])
 
-    def walk(x):
-        return [e.eval(x) for e in exprs]
 
-    namespace = {"__builtins__": {}, "_float": float, "_inf": math.inf, "_ninf": -math.inf,
-                 "_errors": (ZeroDivisionError, OverflowError, ValueError), "_walk": walk}
+def _generate(exprs, name, prologue, test, out, call=None, **helpers):
+    """compile_row's generated function name(arg) with x = prologue; test and out
+    are formatted with result names, and a bound function enters as call(it)."""
+    namespace = {"__builtins__": {}, "_errors": (ZeroDivisionError, OverflowError, ValueError),
+                 **helpers}
     names = {}  # value (float.hex for floats) -> bound name
     temps = {}  # emitted text -> local name
     lines = []
@@ -553,7 +551,7 @@ def compile_row(exprs):
         key = value.hex() if isinstance(value, float) else value
         if key not in names:
             names[key] = f"_k{len(names)}"
-            namespace[names[key]] = value
+            namespace[names[key]] = call(value) if call and callable(value) else value
         return names[key]
 
     varying = set()  # ids of the subtrees that depend on x
@@ -583,12 +581,13 @@ def compile_row(exprs):
         mark(tree)
     results = [emit(tree) for tree in trees]
     # x and the _t locals are not in the namespace, so they read as nan here
-    test = " and ".join(f"_ninf < {name} < _inf" for name in dict.fromkeys(results)
-                        if not math.isfinite(namespace.get(name, math.nan)))
-    source = ("def _row(arg):\n    x = _float(arg)\n    try:\n" + "".join(lines or ["        pass\n"])
-              + f"    except _errors:\n        return _walk(arg)\n    if {test or 'True'}:\n"
-              + f"        return [{', '.join(results)}]\n    return _walk(arg)\n")
-    exec(compile(source, "<compiled row>", "exec"), namespace)
-    row = namespace["_row"]
-    row.source = source
-    return row
+    tested = " and ".join(test.format(r) for r in dict.fromkeys(results)
+                          if not math.isfinite(namespace.get(r, math.nan)))
+    body = "".join(lines or ["        pass\n"])
+    source = (f"def {name}(arg):\n    x = {prologue}\n    try:\n{body}    except _errors:\n"
+              f"        return _walk(arg)\n    if {tested or 'True'}:\n"
+              f"        return {out.format(', '.join(results))}\n    return _walk(arg)\n")
+    exec(compile(source, f"<compiled {name[1:]}>", "exec"), namespace)
+    function = namespace[name]
+    function.source = source
+    return function

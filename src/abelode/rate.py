@@ -68,7 +68,7 @@ def log_phi(nf: NormalForm, branch: EquilibriumBranch, x) -> np.ndarray:
     elsewhere."""
     xs, lams = branch.xs, branch.eigenvalues
     g = branch.leading * lams
-    g_mid = nf.a_n_grid(0.5 * (xs[:-1] + xs[1:])) * (0.5 * (lams[:-1] + lams[1:]))
+    g_mid = nf.a_n_grid(0.5 * xs[:-1] + 0.5 * xs[1:]) * (0.5 * (lams[:-1] + lams[1:]))
     cells = np.diff(xs) / 6.0 * (g[:-1] + 4.0 * g_mid + g[1:])
     prefix = np.concatenate(([0.0], np.cumsum(cells)))
 
@@ -84,7 +84,7 @@ def log_phi(nf: NormalForm, branch: EquilibriumBranch, x) -> np.ndarray:
     part = np.flatnonzero((i < xs.size - 1) & (x != xs[i]))
     if part.size:
         i, x = i[part], x[part]
-        mid = 0.5 * (xs[i] + x)
+        mid = 0.5 * xs[i] + 0.5 * x
         # a_n at mid and x interleaved: a failing point raises as it
         # would if the points were taken one by one
         an = nf.a_n_grid(np.stack([mid, x], axis=1).ravel()).reshape(-1, 2)

@@ -27,6 +27,11 @@ class TestCatalog:
         assert get_case(2).x0 == 1.0
         assert get_case(3).x0 == 0.0
 
+    @pytest.mark.parametrize("cid", [1, 2, 3])
+    def test_each_case_is_built_once(self, case_runs, cid):
+        assert get_case(cid) is get_case(cid)
+        assert case_runs[cid].case is get_case(cid)
+
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
             get_case(4)

@@ -188,10 +188,33 @@ class TestArrayEvaluation:
         ("1e300*x*x", [1.0, 1e10], "non-finite value inf at x=10000000000.0"),
         # 1/0 = inf in float64 arithmetic and 1/inf = 0 is finite
         ("1/(1/x)", [1.0, 0.0], "division by zero at x=0.0"),
+        # numpy's "/" gives 1/0 = inf without raising
+        ("1/(1/(x - x))", [1.0, 2.0], "division by zero at x=1.0"),
+        ("x/0", [1.0, 2.0], "division by zero at x=1.0"),
+        # a failing constant subtree stays in the code with float operands
+        ("x + log(0 - 1)", [1.0, 2.0], "log(-1.0) outside real domain at x=1.0"),
+        ("(0*x)^-1", [1.0], "domain error evaluating '^' at x=1.0"),
     ])
     def test_first_failing_point_is_named(self, source, xs, message):
         expr = parse(source)
         assert _outcome(expr.eval_array, xs) == _outcome(_scalar(expr), xs) == message
+
+    @pytest.mark.parametrize("source", ["x", "2", "1/x", "exp(x)"])
+    def test_result_is_a_new_plain_array(self, source):
+        xs = np.array([1.0, 2.0])
+        values = parse(source).eval_array(xs)
+        assert type(values) is np.ndarray and not np.shares_memory(values, xs)
+        values[:] = 5.0
+        assert xs.tolist() == [1.0, 2.0]
+
+    def test_grid_function_is_built_on_first_use(self):
+        expr = parse("3 - 2*exp(-2*x)")
+        compile_row([expr])(1.0)
+        assert expr._grid is None
+        expr.eval_array([0.0, 1.0])
+        grid = expr._grid
+        expr.eval_array([2.0])
+        assert grid is not None and expr._grid is grid
 
     @pytest.mark.parametrize("source,xs", [
         ("(-x)^3", [1.0, 2.5, -3.0]),         # negative base, integer exponent

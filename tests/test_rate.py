@@ -8,6 +8,7 @@ from oracles import taylor_power_sum
 from abelode import run_case
 from abelode.core import build_equation, normalize
 from abelode.equilibrium import BranchPoint, EquilibriumBranch, GridSpec, continue_branch
+from abelode.hypotheses import verify
 from abelode.radau import integrate
 from abelode.rate import diagnose, phi, rate_bound, remainder_constant
 
@@ -38,6 +39,15 @@ class TestPhi:
         with pytest.raises(ValueError) as info:
             phi(run.nf, run.branch, 5.0, x_from=-1.0)
         assert str(info.value) == "x=-1.0 outside the branch range [0.0, 100.0]"
+
+    def test_cell_midpoints_near_the_largest_float(self, case_runs):
+        # 0.5 * (a + b) overflows from cell 1798 of this grid on, and in the
+        # partial cell of the last x; 0.5 * a + 0.5 * b does not (a
+        # RuntimeWarning fails the test)
+        nf = case_runs[1].nf
+        branch = continue_branch(nf, GridSpec(0.0, 1e308, 2001))
+        assert verify(nf, branch).entries["B3"].status == "pass"
+        assert phi(nf, branch, 0.99995e308) == 0.0
 
 
 class TestRemainderConstant:
