@@ -608,8 +608,8 @@ def _dF_dx(nf: NormalForm, xs: np.ndarray, es: np.ndarray):
     undefined where neither side evaluates, or x itself does not.
     """
     h = np.maximum(1e-6, 1e-8 * np.abs(xs))
-    f_hi, hi = _F_where_defined(nf, xs + h, es)
-    f_lo, lo = _F_where_defined(nf, xs - h, es)
+    f, ok = _F_where_defined(nf, np.concatenate((xs + h, xs - h)), np.concatenate((es, es)))
+    f_hi, f_lo, hi, lo = f[:xs.size], f[xs.size:], ok[:xs.size], ok[xs.size:]
     f_at, at = np.full(xs.size, np.nan), np.zeros(xs.size, dtype=bool)
     edge = hi != lo
     if edge.any():

@@ -15,18 +15,18 @@ sampling evidence, never a proof; the report says so explicitly.  Checks
 never raise: violations, endpoint degeneracies and undecidable tails
 become fail or inconclusive entries with witnesses.
 
-B3 reads the rate bound's damped drift sums (rate.damped_drift): pass
-when the last decade [x_end/10, x_end] carries below 1% of the trapezoid
-integral (or the integral is exactly zero), inconclusive otherwise, since
-a tail-dominated integral on every finite grid is the numerical
-signature of divergence.  The share is taken in log space, so it stays
-defined where the integral overflows float64.  At a domain edge, where
-the coefficients fail on one side of a grid point, E' there is the
-one-sided difference on the other side; where they fail on both sides,
-or where Lambda = 0, B3 is inconclusive and the note says which (the
-first such point decides).  B3 is also inconclusive, with a note saying
-why, where a coefficient fails inside Phi's integral, and where Phi
-leaves the float range and the damped sums lose the total.
+B3 reads the rate bound's log drift sums (rate.damped_drift): pass when
+the last decade [x_end/10, x_end] carries below 1% of the trapezoid
+integral (or the integral is exactly zero), inconclusive otherwise,
+since a tail-dominated integral on every finite grid is the numerical
+signature of divergence.  The share comes from the log sums, so it lies
+in [0, 1] and stays defined where the integral overflows float64.  At a
+domain edge, where the coefficients fail on one side of a grid point, E'
+there is the one-sided difference on the other side; where they fail on
+both sides, or where Lambda = 0, B3 is inconclusive and the note says
+which (the first such point decides).  B3 is also inconclusive, with a
+note saying why, where a coefficient fails inside Phi's integral, and at
+rate's two guards, checked first and last (see rate).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .equilibrium import (
     branch_limit,
 )
 from .expr import ExprDomainError
-from .rate import damped_drift
+from .rate import damped_drift, _drift_integral
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -262,7 +262,7 @@ def check_asymptotic(
 def _check_b3(nf: NormalForm, branch: EquilibriumBranch) -> HypothesisEntry:
     xs = branch.xs
     try:
-        log_phi, _, _, drift, total = damped_drift(nf, branch, xs)
+        log_phi, log_drift = damped_drift(nf, branch, xs)
     except ZeroEigenvalueError:
         note = "branch derivative undefined (zero eigenvalue) on the grid"
         return HypothesisEntry("B3", "inconclusive", {}, note)
@@ -270,17 +270,16 @@ def _check_b3(nf: NormalForm, branch: EquilibriumBranch) -> HypothesisEntry:
         return HypothesisEntry("B3", "inconclusive", {}, str(err))
     except OverflowError:  # Phi grew past the float range
         return HypothesisEntry("B3", "inconclusive", {}, B3_OVERFLOW)
+    total = _drift_integral(log_phi, log_drift)
     if total == 0.0:
         return HypothesisEntry("B3", "pass", {"B3_integral": 0.0}, GRID_VERIFIED)
     if math.isnan(total):
         return HypothesisEntry("B3", "inconclusive", {}, B3_OVERFLOW)
 
-    # the running integral over the total, I_i / I_N, in log space:
-    # log I_i = log drift_i - log Phi_i stays finite where I_N overflows
+    # I_i / I_N, in [0, 1] as the log sums never decrease; fraction[0] = 0
+    # also covers a decade start left of xs[0]
     with np.errstate(all="ignore"):
-        log_i = np.log(drift) - log_phi
-        fraction = np.exp(log_i - log_i[-1])
-    # fraction[0] = 0 (drift_0 = 0) also covers a decade start left of xs[0]
+        fraction = np.exp(log_drift - log_drift[-1])
     share = 1.0 - float(np.interp(float(xs[-1]) / 10.0, xs, fraction))
     witness = {"tail_share": share}
     note = "integral overflows float64 and is dominated by the last decade of the grid"

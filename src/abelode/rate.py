@@ -17,11 +17,15 @@ log_phi integrates a_n * Lambda by composite Simpson over the branch grid
 (Lambda linearly interpolated inside each cell, a_n read from the
 branch's table at grid points and evaluated exactly at cell midpoints):
 one prefix sum, plus a partial cell off the grid, so that re-based
-factors Phi(x2)/Phi(x1) are consistent by construction.  damped_drift
-carries the drift term of K multiplied by Phi, so Phi^{-1} is never
-formed; rate_bound and hypothesis B3 both read it.  Every a_n and E'
-outside the branch's table is evaluated for all points at once
-(NormalForm.a_n_grid, branch_slopes).
+factors Phi(x2)/Phi(x1) are consistent by construction.  The integrals
+of K are trapezoid sums of v / Phi kept as logs, summed by one
+np.logaddexp.accumulate pass (damped_drift; rate_bound and B3 read it).
+Two guards remain: Phi, or its growth over one cell, past the float
+range raises OverflowError before E' is formed; and a damped drift
+Phi_N I_N below the normal floats is a lost total: the finite-difference
+E' is exactly 0 below about 2e-10, so a divergent integral stops growing
+there.  Every a_n and E' outside the branch's table is evaluated for all
+points at once (NormalForm.a_n_grid, branch_slopes).
 """
 
 from __future__ import annotations
@@ -59,6 +63,9 @@ GUARD_FACTOR = 10.0
 #: plateau window fraction of the x-range and absolute settling tolerance
 PLATEAU_WINDOW_FRACTION = 0.1
 PLATEAU_TOL = 1e-8
+
+#: log of the largest float: math.exp overflows exactly above it
+LOG_MAX = math.log(sys.float_info.max)
 
 
 def log_phi(nf: NormalForm, branch: EquilibriumBranch, x) -> np.ndarray:
@@ -130,24 +137,17 @@ class RateBound:
 
 
 def damped_drift(nf: NormalForm, branch: EquilibriumBranch, xs: np.ndarray):
-    """The drift term of K at the abscissae xs of the branch range, carried
-    multiplied by Phi.
-
-    Returns (log_phi, phi, ratios, drift, integral): log Phi and Phi as
-    arrays and the ratios Phi_i / Phi_{i-1} as a list, re-based to Phi = 1
-    at xs[0] (math.exp, which raises where numpy would return inf);
-    drift_i = Phi_i int_{x_0}^{x_i} Phi^{-1} |E'| ds by the trapezoid rule;
-    and integral = drift_N / Phi_N, inf beyond the float range and NaN where
-    the damped sum underflowed with Phi and lost its total (below the
-    normal floats, where a subnormal can stick at its smallest value).
-    Raises at the first point where E' has no value: ZeroEigenvalueError
-    where Lambda = 0, else ExprDomainError; and OverflowError where Phi
-    exceeds the float range.
+    """The drift term of K at the abscissae xs of the branch range, as logs:
+    (log Phi re-based to 0 at xs[0], log int_{x_0}^{x_i} Phi^{-1} |E'| ds by
+    the trapezoid rule, -inf where it is 0; see _log_cumtrapz).  Raises
+    OverflowError where Phi, or a one-cell ratio Phi_i / Phi_{i-1}, exceeds
+    the float range, before E' is formed; then, at the first point where E'
+    has no value, ZeroEigenvalueError where Lambda = 0, else ExprDomainError.
     """
     logs = log_phi(nf, branch, xs)
     logs -= logs[0]
-    phi_vals = np.array(list(map(math.exp, logs.tolist())))
-    ratios = list(map(math.exp, np.diff(logs).tolist()))
+    if max(logs.max(), np.diff(logs).max(initial=0.0)) > LOG_MAX:
+        raise OverflowError("Phi or its growth over one cell exceeds the float range")
     e_vals = branch.interp_E(xs)
     lam_vals = branch.interp_Lambda(xs)
 
@@ -160,15 +160,16 @@ def damped_drift(nf: NormalForm, branch: EquilibriumBranch, xs: np.ndarray):
         if lam_vals[stop[0]] == 0.0:
             raise ZeroEigenvalueError(x)
         raise ExprDomainError(_undefined_slope(x))
-    drift = _damped_cumtrapz(np.abs(e_prime), xs, ratios)
+    return logs, _log_cumtrapz(np.abs(e_prime), xs, logs)
 
-    # Python floats: a quotient beyond the float range is inf, without a warning
-    drift_end, phi_end = float(drift[-1]), float(phi_vals[-1])
-    if drift_end < sys.float_info.min:
-        integral = math.nan if drift.any() else 0.0
-    else:
-        integral = drift_end / phi_end if phi_end > 0.0 else math.inf
-    return logs, phi_vals, ratios, drift, integral
+
+def _drift_integral(log_phi: np.ndarray, log_drift: np.ndarray) -> float:
+    """int Phi^{-1} |E'| ds from damped_drift's logs: 0, inf beyond the float
+    range, or NaN where Phi_N I_N falls below the normal floats (lost)."""
+    log_total = float(log_drift[-1])
+    if log_total > -math.inf and log_phi[-1] + log_total < math.log(sys.float_info.min):
+        return math.nan
+    return math.exp(log_total) if log_total <= LOG_MAX else math.inf
 
 
 def rate_bound(
@@ -178,9 +179,9 @@ def rate_bound(
 
     All three K terms use cumulative trapezoid sums on the accepted grid, so
     the bound is monotone in its integral terms by construction.  The sums
-    are carried already multiplied by Phi (see _damped_cumtrapz), so Phi^{-1}
-    is never formed and the bound stays finite where Phi underflows to 0.
-    B3_integral is the undamped drift integral (see damped_drift).
+    are carried as logs (see _log_cumtrapz) and multiplied by Phi as
+    exp(log Phi + log I), so the bound stays finite where Phi underflows to
+    0.  B3_integral is the undamped drift integral (see _drift_integral).
     """
     mask = (result.xs >= branch.x_start) & (result.xs <= branch.x_end)
     xs = result.xs[mask]
@@ -188,10 +189,13 @@ def rate_bound(
     if xs.size < 2:
         raise ValueError("trajectory and branch share fewer than two points")
 
-    _, phi_vals, ratios, drift, b3 = damped_drift(nf, branch, xs)
+    logs, log_drift = damped_drift(nf, branch, xs)
+    phi_vals = np.array(list(map(math.exp, logs.tolist())))
     z_abs = np.abs(ys - branch.interp_E(xs))
-    an_vals = nf.a_n_grid(xs)
-    feedback = _damped_cumtrapz(z_abs * np.abs(an_vals), xs, ratios)
+    log_feedback = _log_cumtrapz(z_abs * np.abs(nf.a_n_grid(xs)), xs, logs)
+    with np.errstate(all="ignore"):
+        drift = np.exp(logs + log_drift)
+        feedback = np.exp(logs + log_feedback)
 
     c_r = remainder_constant(nf, branch)
     m_e = branch.sup_E
@@ -203,23 +207,18 @@ def rate_bound(
             "remainder term exceeds 50% of the envelope amplitude; "
             "the linear bound is loose here"
         )
-    return RateBound(xs, phi_vals, bound, c_r, m_e, b3, note)
+    return RateBound(xs, phi_vals, bound, c_r, m_e, _drift_integral(logs, log_drift), note)
 
 
-def _damped_cumtrapz(values: np.ndarray, xs: np.ndarray, ratios: list[float]) -> np.ndarray:
-    """Phi_i * int_{x_0}^{x_i} values / Phi ds by the trapezoid rule.
-
-    The plain rule multiplied through by Phi_i, with r_i = Phi_i / Phi_{i-1}:
-    S_i = r_i S_{i-1} + (w_i / 2) (r_i v_{i-1} + v_i), the increments as
-    arrays and the recurrence in Python floats.
-    """
+def _log_cumtrapz(values: np.ndarray, xs: np.ndarray, log_phi: np.ndarray) -> np.ndarray:
+    """log int_{x_0}^{x_i} values / Phi ds by the trapezoid rule, every i at
+    once: each cell's increment (w_i / 2) (v_{i-1} / Phi_{i-1} + v_i / Phi_i)
+    formed as its log, and np.logaddexp.accumulate summing them, so the sums
+    never decrease and stay in the floats; log I_0 = -inf exactly."""
     with np.errstate(all="ignore"):
-        steps = 0.5 * np.diff(xs) * (np.array(ratios) * values[:-1] + values[1:])
-    total, out = 0.0, [0.0]
-    for r, step in zip(ratios, steps.tolist()):
-        total = r * total + step
-        out.append(total)
-    return np.array(out)
+        terms = np.log(values) - log_phi
+        steps = np.log(0.5 * np.diff(xs)) + np.logaddexp(terms[:-1], terms[1:])
+        return np.concatenate(([-math.inf], np.logaddexp.accumulate(steps)))
 
 
 @dataclass

@@ -6,6 +6,7 @@ second opinion computed by a different method.
 
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -61,6 +62,25 @@ def trapezoid_cumulative(xs, ys):
     out = np.zeros_like(xs)
     out[1:] = np.cumsum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))
     return out
+
+
+def log_damped_trapezoid(values, xs, log_phi, dps=50):
+    """log int_{x_0}^{x_i} values / Phi ds by the trapezoid rule, at dps digits.
+
+    The same increments (w_i / 2) (v_{i-1} / Phi_{i-1} + v_i / Phi_i) as the
+    kernel under test, but each formed from the float inputs in mpmath, with
+    w_i = x_i - x_{i-1} unrounded, and summed in place instead of in logs.
+    Returns floats: log I_0 = -inf, and -inf wherever the sum is still 0.
+    """
+    with mpmath.workdps(dps):
+        damped = [mpmath.mpf(float(v)) * mpmath.exp(-mpmath.mpf(float(lp)))
+                  for v, lp in zip(values, log_phi)]
+        total, out = mpmath.mpf(0), [-math.inf]
+        for i in range(1, len(damped)):
+            w = mpmath.mpf(float(xs[i])) - mpmath.mpf(float(xs[i - 1]))
+            total += w / 2 * (damped[i - 1] + damped[i])
+            out.append(float(mpmath.log(total)) if total > 0 else -math.inf)
+    return np.array(out)
 
 
 def taylor_power_sum(coeffs, g):

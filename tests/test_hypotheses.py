@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from abelode.hypotheses import (
     check_structural,
     verify,
 )
-from abelode.rate import damped_drift
+from abelode.rate import damped_drift, rate_bound
 
 ALL_CHECKS = ("A1", "A2", "A3", "A4", "B1", "B2", "B3")
 
@@ -105,25 +106,47 @@ class TestTailCoverage:
 
 class TestSharedDrift:
     def test_b3_integral_is_the_kernel_drift_total(self, case_runs):
-        # B3 and rate_bound read one damped drift integral; bit for bit
+        # B3 and rate_bound read one log-space drift sum, each on its own
+        # abscissae (the branch grid, the accepted points); bit for bit
         run = case_runs[3]
-        _, phi_vals, _, drift, total = damped_drift(run.nf, run.branch, run.branch.xs)
-        assert total == float(drift[-1]) / float(phi_vals[-1])
-        assert run.report["B3"].witness["B3_integral"] == total
+        _, log_drift = damped_drift(run.nf, run.branch, run.branch.xs)
+        assert run.report["B3"].witness["B3_integral"] == math.exp(log_drift[-1])
+        rb = rate_bound(run.nf, run.branch, run.result)
+        _, log_drift = damped_drift(run.nf, run.branch, rb.xs)
+        assert rb.B3_integral == math.exp(log_drift[-1])
 
     @pytest.mark.parametrize("a0,x_end", [
-        # Phi ~ exp(-x) underflows near x = 745 and E' ~ exp(-x/4) near
-        # x = 2980: the damped sum underflows with them
+        # Phi ~ exp(-x) underflows near x = 745, and E' ~ exp(-x/4) is below
+        # the finite difference's resolution from x = 89 on: the damped
+        # drift Phi_N I_N falls below the normal floats
         ("3 - 2*exp(-x/4)", 3000.0),
-        # E' is exactly 0 past x = 19 and the damped sum sticks at the
-        # smallest subnormal (0.6 * 5e-324 rounds back up to 5e-324)
+        # E' is exactly 0 past x = 19, so the damped drift decays with Phi
         ("3 - 2*exp(-2*x)", 1000.0),
     ])
     def test_drift_lost_to_underflow_is_inconclusive(self, a0, x_end):
         # the total is lost, not zero and not an overflow to report a share of
         nf = normalize(build_equation([a0, "-4", "0", "1"], 0.0))
         branch = continue_branch(nf, GridSpec(0.0, x_end, 2001, "linear"))
-        assert damped_drift(nf, branch, branch.xs)[3].any()
+        assert np.isfinite(damped_drift(nf, branch, branch.xs)[1]).any()
+        entry = verify(nf, branch)["B3"]
+        assert entry.status == "inconclusive"
+        assert entry.witness == {}
+        assert entry.note == B3_OVERFLOW
+
+    def test_tail_share_is_a_share(self):
+        # E' is exactly 0 past x = 19, so the last decade adds nothing; the
+        # share read from the log sums is 0, not a rounding below it
+        nf = normalize(build_equation(["3 - 2*exp(-2*x)", "-4", "0", "1"], 0.0))
+        entry = verify(nf, continue_branch(nf, GridSpec(0.0, 700.0, 2001)))["B3"]
+        assert entry.status == "pass"
+        assert 0.0 <= entry.witness["tail_share"] <= 1.0
+
+    def test_phi_growth_over_one_cell_wins_over_the_eigenvalue_note(self):
+        # Phi stays below 1, but grows by about exp(9e6) over one tail cell
+        # where Lambda turns positive; that is decided before E' is formed,
+        # so it wins over the zero eigenvalue further on
+        nf = normalize(build_equation(["x/(x+1)", "-1", "-1", "1"], 1.0))
+        branch = continue_branch(nf, GridSpec(1.0, 1e17, 2001, "log"))
         entry = verify(nf, branch)["B3"]
         assert entry.status == "inconclusive"
         assert entry.witness == {}

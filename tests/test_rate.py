@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import taylor_power_sum
+from oracles import log_damped_trapezoid, taylor_power_sum
 
 from abelode import run_case
 from abelode.core import build_equation, normalize
 from abelode.equilibrium import BranchPoint, EquilibriumBranch, GridSpec, continue_branch
 from abelode.hypotheses import verify
 from abelode.radau import integrate
-from abelode.rate import diagnose, phi, rate_bound, remainder_constant
+from abelode.rate import _log_cumtrapz, diagnose, phi, rate_bound, remainder_constant
 
 
 class TestPhi:
@@ -48,6 +49,47 @@ class TestPhi:
         branch = continue_branch(nf, GridSpec(0.0, 1e308, 2001))
         assert verify(nf, branch).entries["B3"].status == "pass"
         assert phi(nf, branch, 0.99995e308) == 0.0
+
+
+@st.composite
+def damped_sums(draw):
+    """(values, xs, log_phi) for the log-space trapezoid kernel: exact zeros
+    and a run of them among the values, zero-width cells, and log Phi in
+    [-800, 800], where Phi and Phi^{-1} leave the float range."""
+    n = draw(st.integers(2, 40))
+    values = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=n, max_size=n)))
+    start = draw(st.integers(0, n))
+    values[start:start + draw(st.integers(0, n))] = 0.0
+    widths = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+                           min_size=n - 1, max_size=n - 1))
+    xs = draw(st.floats(-50.0, 50.0)) + np.concatenate(([0.0], np.cumsum(widths)))
+    log_phi = np.array(draw(st.lists(st.floats(-800.0, 800.0), min_size=n, max_size=n)))
+    return values, xs, log_phi
+
+
+class TestLogCumtrapz:
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=damped_sums())
+    # a zero-width cell between a zero and a nonzero value adds nothing
+    @example(inputs=(np.array([0.0, 0.0, 5.0, 5.0, 0.0]),
+                     np.array([0.0, 1.0, 1.0, 2.0, 3.0]), np.zeros(5)))
+    def test_matches_the_trapezoid_sum_at_50_digits(self, inputs):
+        values, xs, log_phi = inputs
+        got = _log_cumtrapz(values, xs, log_phi)
+        want = log_damped_trapezoid(values, xs, log_phi)
+        assert got[0] == -math.inf  # I_0 = 0 exactly
+        assert (got[1:] >= got[:-1]).all()  # the sums never decrease
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+        # each of the n accumulation steps rounds at most a few units in the
+        # last place of the magnitudes it adds: the terms log v - log Phi
+        # and the running log sum
+        finite = np.isfinite(want)
+        scale = (np.abs(log_phi).max() + np.abs(np.log(values[values > 0.0])).max(initial=0.0)
+                 + np.abs(want[finite]).max(initial=0.0))
+        unit_roundoff = np.finfo(float).eps / 2.0
+        tol = 1e-12 + 4.0 * xs.size * unit_roundoff * scale
+        assert np.abs(got[finite] - want[finite]).max(initial=0.0) <= tol
 
 
 class TestRemainderConstant:
