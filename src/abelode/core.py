@@ -12,10 +12,9 @@ as the row AbelEquation.row(x).
 
 Every polynomial in y is handled as one coefficient row (ascending
 powers) evaluated once per abscissa; _horner, _derivative_row and
-_taylor_shift do the arithmetic on such a row.  The integrator's stage
-solve runs _horner's operations inline (radau._start_values, and the
-stage solver radau generates per row length as flat Horner statements),
-bit for bit.
+_taylor_shift do the arithmetic on such a row.  The integrator runs
+_horner's operations inline, bit for bit: radau generates its start values
+and its stage solve per row length as flat Horner statements.
 
 Scalar rows come from one compiled function per equation,
 AbelEquation.row (see expr.compile_row), which NormalForm.sample reads

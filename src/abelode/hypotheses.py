@@ -26,7 +26,8 @@ there is the one-sided difference on the other side; where they fail on
 both sides, or where Lambda = 0, B3 is inconclusive and the note says
 which (the first such point decides).  B3 is also inconclusive, with a
 note saying why, where a coefficient fails inside Phi's integral, and at
-rate's two guards, checked first and last (see rate).
+rate's two guards, checked first and last, each with its own note
+(B3_PHI_RANGE, B3_OVERFLOW; see rate).
 """
 
 from __future__ import annotations
@@ -62,7 +63,11 @@ ALPHA_FLOOR = 1e-8
 #: last-decade share of the B3 integral above which the tail dominates
 B3_TAIL_SHARE = 0.01
 
-#: B3 note where Phi leaves the float range and the damped sums lose the total
+#: B3 note where Phi, or its growth over one grid cell, leaves the float range
+B3_PHI_RANGE = "Phi or its growth over one grid cell exceeds the float range"
+
+#: B3 note where the damped drift Phi_N I_N falls below the normal floats and
+#: the damped sums lose the total
 B3_OVERFLOW = "damping reciprocal overflows on the grid (divergent integrand)"
 
 GRID_VERIFIED = "grid-verified sampling check, not a proof"
@@ -268,8 +273,8 @@ def _check_b3(nf: NormalForm, branch: EquilibriumBranch) -> HypothesisEntry:
         return HypothesisEntry("B3", "inconclusive", {}, note)
     except ExprDomainError as err:
         return HypothesisEntry("B3", "inconclusive", {}, str(err))
-    except OverflowError:  # Phi grew past the float range
-        return HypothesisEntry("B3", "inconclusive", {}, B3_OVERFLOW)
+    except OverflowError:
+        return HypothesisEntry("B3", "inconclusive", {}, B3_PHI_RANGE)
     total = _drift_integral(log_phi, log_drift)
     if total == 0.0:
         return HypothesisEntry("B3", "pass", {"B3_integral": 0.0}, GRID_VERIFIED)

@@ -23,15 +23,16 @@ solve by Cayley-Hamilton,
     P1 = A - tr(A) I,  P2 = A^2 - tr(A) A + (tr(A)^2 - tr(A^2))/2 I,
 
 with Q(z) = det(I - zA) the denominator of R(z); a zero or non-finite Q is
-a NewtonFailure.  The stage solve is generated once per row length m, the
-first time an integration needs it (_stage_solver): the three stage rows
-are unpacked into locals, and every Newton iteration is straight-line
-float code, Horner as one flat statement per coefficient and stage.
-Written for rows of any length, an iteration spent most of its time on
-interpreter overhead (a column loop, tuple unpacking, max and abs calls)
-rather than arithmetic.  The generated code runs the same IEEE operations
-in the same order, so results are bit for bit those of a plain loop
-(reference_attempt in tests/oracles.py).  Flat statements, unlike one
+a NewtonFailure.  The step attempt and its stage solve are generated once
+per row length m, on first use (_step_attempt, _stage_solver), as
+straight-line float code: rows unpacked into locals, Horner one flat
+statement per coefficient, the inverse nine statements with the tableau
+as literals, and the finiteness and convergence tests chained comparisons.
+Written for rows of any length, an attempt spent most of its time on
+interpreter overhead (loops, calls, tuple unpacking), not arithmetic.
+The generated code runs the same IEEE operations in the same order, so
+results are bit for bit those of plain loops (reference_attempt and
+reference_integrate in tests/oracles.py).  Flat statements, unlike one
 nested Horner expression, compile for any degree: the nested form fails
 past 200 coefficients, the parser's limit on nested parentheses.  The
 local error is estimated by step doubling (err = |y_h - y_{h/2,h/2}| / (2^5 - 1)),
@@ -140,28 +141,35 @@ def _tableau_floats():
 _A, _B, _C, _EYE, _P1, _P2 = _tableau_floats()
 
 
-def _stability_denominator(z):
-    """Q(z) = det(I - z A), the denominator of R(z)."""
-    return 1.0 - (3.0 / 5.0) * z + (3.0 / 20.0) * z * z - (1.0 / 60.0) * z * z * z
+#: Q(z) = det(I - z A), the denominator of R(z), as code for a float or complex z
+_DENOMINATOR = "1.0 - (3.0 / 5.0) * z + (3.0 / 20.0) * z * z - (1.0 / 60.0) * z * z * z"
 
 
-def _newton_inverse(z: float) -> tuple[float, ...]:
-    """(I - z A)^-1 row by row, as (I + z P1 + z^2 P2) / Q(z) by Cayley-Hamilton.
+def _define(title, signature, lines, **names):
+    """The function `def signature:` with the given body lines, compiled as
+    <title>; its globals are inf, ninf and nan plus names."""
+    namespace = {"inf": math.inf, "ninf": -math.inf, "nan": math.nan, **names}
+    source = "\n    ".join([f"def {signature}:", *lines])
+    exec(compile(source, f"<{title}>", "exec"), namespace)
+    return namespace[signature[:signature.index("(")]]
 
-    Every entry is NaN where Q(z) is zero or not finite, so the Newton
-    update built from it is non-finite and the stage solve fails cleanly.
-    """
-    q = _stability_denominator(z)
-    scale = 1.0 / q if q != 0.0 and math.isfinite(q) else math.nan
-    zz = z * z
-    e0, e1, e2, e3, e4, e5, e6, e7, e8 = _EYE
-    u0, u1, u2, u3, u4, u5, u6, u7, u8 = _P1
-    v0, v1, v2, v3, v4, v5, v6, v7, v8 = _P2
-    return ((e0 + z * u0 + zz * v0) * scale, (e1 + z * u1 + zz * v1) * scale,
-            (e2 + z * u2 + zz * v2) * scale, (e3 + z * u3 + zz * v3) * scale,
-            (e4 + z * u4 + zz * v4) * scale, (e5 + z * u5 + zz * v5) * scale,
-            (e6 + z * u6 + zz * v6) * scale, (e7 + z * u7 + zz * v7) * scale,
-            (e8 + z * u8 + zz * v8) * scale)
+
+def _inverse_lines():
+    """Statements setting m00 .. m22 to (I - z A)^-1 row by row from z, as
+    (I + z P1 + z^2 P2) / Q(z) by Cayley-Hamilton, the tableau as literals
+    (repr round-trips a finite float; the 0.0 + and 1.0 + terms keep the
+    sign of a zero).  Every entry is NaN where Q(z) is zero or not finite,
+    so the Newton update built from it is non-finite and the stage solve
+    fails cleanly."""
+    cells = zip([f"m{i}{j}" for i in range(3) for j in range(3)], _EYE, _P1, _P2)
+    return [f"q = {_DENOMINATOR}", "scale = 1.0 / q if q != 0.0 and ninf < q < inf else nan",
+            "zz = z * z",
+            *(f"{m} = ({e!r} + z * {u!r} + zz * {v!r}) * scale" for m, e, u, v in cells)]
+
+
+_stability_denominator = _define("stability denominator", "Q(z)", [f"return {_DENOMINATOR}"])
+_newton_inverse = _define("Newton inverse", "inverse(z)", [
+    *_inverse_lines(), f"return {', '.join(f'm{i}{j}' for i in range(3) for j in range(3))}"])
 
 
 def stability_value(z: complex) -> complex:
@@ -227,15 +235,22 @@ class StepResult:
     stages: tuple[float, float, float]
 
 
-def _start_values(start, y):
-    """f(x, y) and df/dy(x, y) from start = row(x), in one loop with the
-    operations of core._horner on the row and on its derivative row."""
-    value = slope = 0.0
-    for k in range(len(start) - 1, 0, -1):
-        c = start[k]
-        value = value * y + c
-        slope = slope * y + k * c
-    return value * y + start[0], slope
+def _start_lines(m: int, row: str, y: str) -> list[str]:
+    """Statements setting value and slope to f(x, y) and df/dy(x, y) from the
+    row of length m named row: the operations of core._horner on the row and
+    on its derivative row, in one unrolled loop."""
+    unpack = f"[{', '.join(f'c_{k}' for k in range(m))}] = {row}" if m else f"c_0 = {row}[0]"
+    lines = [unpack, "value = slope = 0.0"]  # an empty row raises IndexError
+    for k in range(m - 1, 0, -1):
+        lines += [f"value = value * {y} + c_{k}", f"slope = slope * {y} + {k} * c_{k}"]
+    return [*lines, f"value = value * {y} + c_0"]
+
+
+@functools.cache
+def _start_values(m: int):
+    """start_values(start, y) -> (f, df/dy) at y for start rows of length m."""
+    return _define(f"start values, rows of length {m}", "start_values(start, y)",
+                   [*_start_lines(m, "start", "y"), "return value, slope"])
 
 
 @functools.cache
@@ -247,27 +262,27 @@ def _stage_solver(m: int):
 
     value = f(x, y) is the constant predictor and slope = df/dy(x, y) the
     Jacobian J frozen at the step start; the iteration matrix I - h J A is
-    inverted in closed form (_newton_inverse), so an iteration is a few
-    float multiply-adds.  The stage rows are sampled in the first
+    inverted in closed form, inline (_inverse_lines), so an iteration is a
+    few float multiply-adds.  The stage rows are sampled in the first
     iteration, once its stage values are finite, and unpacked into m
     locals each; a shorter row is padded with zeros at the high powers,
     and if a row is longer the rows sampled so far go to the solver for
     that length, which starts over without sampling them again.  Every
     iteration is straight-line code: Horner one statement per
-    coefficient and stage, the update, and the convergence test as
-    chained comparisons (equal to max|d_i| <= threshold, since the
-    updates are finite there and threshold is not negative).  Returns
-    (stages, iterations, stage rows); raises NewtonFailure when the
-    iterations run out or a stage value or update is non-finite (it
-    cannot converge).
+    coefficient and stage, the update, and the finiteness and convergence
+    tests as chained comparisons (the latter equal to max|d_i| <= threshold,
+    since the updates are finite there and threshold is not negative).
+    Returns (y + h sum b_i k_i, k0, k1, k2, iterations, stage rows); raises
+    NewtonFailure when the iterations run out or a stage value or update
+    is non-finite (it cannot converge).
     """
     # the tableau enters the code as literals: repr round-trips a finite float
-    a, c = [repr(v) for v in _A], [repr(v) for v in _C]
+    a, b, c = [repr(v) for v in _A], [repr(v) for v in _B], [repr(v) for v in _C]
     stage_values = [f"s{i} = y + h * ({a[3 * i]} * k0 + {a[3 * i + 1]} * k1 + {a[3 * i + 2]} * k2)"
                     for i in range(3)]
     non_finite = ('raise NewtonFailure(f"non-finite stage update in iteration {iterations}'
                   ' at x={x!r}, h={h!r}")')
-    finite_stages = "if not (isfinite(s0) and isfinite(s1) and isfinite(s2)):"
+    finite_stages = "if not (ninf < s0 < inf and ninf < s1 < inf and ninf < s2 < inf):"
     horner = []
     for i in range(3):
         horner.append(f"f{i} = 0.0")
@@ -276,11 +291,12 @@ def _stage_solver(m: int):
         *horner,
         *(f"r{i} = k{i} - f{i}" for i in range(3)),
         *(f"d{i} = -(m{i}0 * r0 + m{i}1 * r1 + m{i}2 * r2)" for i in range(3)),
-        "if not (isfinite(d0) and isfinite(d1) and isfinite(d2)):",
+        "if not (ninf < d0 < inf and ninf < d1 < inf and ninf < d2 < inf):",
         f"    {non_finite}",
         *(f"k{i} = k{i} + d{i}" for i in range(3)),
         "if low <= d0 <= threshold and low <= d1 <= threshold and low <= d2 <= threshold:",
-        "    return (k0, k1, k2), iterations, rows",
+        f"    return y + h * ({b[0]} * k0 + {b[1]} * k1 + {b[2]} * k2),"
+        " k0, k1, k2, iterations, rows",
         "if iterations == last:",
         '    raise NewtonFailure(f"no stage convergence in {last} iterations'
         ' at x={x!r}, h={h!r}")',
@@ -290,7 +306,8 @@ def _stage_solver(m: int):
         f"    {non_finite}",
     ]
     body = [
-        "m00, m01, m02, m10, m11, m12, m20, m21, m22 = _newton_inverse(h * slope)",
+        "z = h * slope",
+        *_inverse_lines(),
         "k0 = k1 = k2 = value  # constant predictor",
         "threshold = config.newton_tol * (config.atol / h + config.rtol * abs(y))",
         "low = -threshold",
@@ -307,46 +324,44 @@ def _stage_solver(m: int):
         f"    if longest > {m}:",
         "        return _stage_solver(longest)(value, slope, row, x, y, h, config, rows)",
         f"    p0, p1, p2 = [list(p) + [0.0] * ({m} - len(p)) for p in rows]",
-        *(f"{', '.join(f'c{i}_{k}' for k in range(m))}, = p{i}" for i in range(3)),
+        *(f"[{', '.join(f'c{i}_{k}' for k in range(m))}] = p{i}" for i in range(3)),
         "while True:",
         *(f"    {line}" for line in iteration),
     ]
-    source = "\n    ".join(
-        ["def solve(value, slope, row, x, y, h, config, rows=None):", *body])
-    namespace = {"isfinite": math.isfinite, "NewtonFailure": NewtonFailure,
-                 "_newton_inverse": _newton_inverse, "_stage_solver": _stage_solver}
-    exec(compile(source, f"<stage solver, rows of length {m}>", "exec"), namespace)
-    return namespace["solve"]
+    return _define(f"stage solver, rows of length {m}",
+                   "solve(value, slope, row, x, y, h, config, rows=None)", body,
+                   NewtonFailure=NewtonFailure, _stage_solver=_stage_solver)
 
 
-def _basic_step(start, value, slope, row, x, y, h, config):
-    """One plain Radau step from (x, y), where start = row(x) and value and
-    slope are f and df/dy there (_start_values); returns (y_next,
-    newton_iters, stages, end), where end is the row at x + h (the last
-    stage's abscissa)."""
-    solve = _stage_solver(len(start))
-    (k0, k1, k2), iters, stage_rows = solve(value, slope, row, x, y, h, config)
-    b0, b1, b2 = _B
-    return y + h * (b0 * k0 + b1 * k1 + b2 * k2), iters, (k0, k1, k2), stage_rows[2]
-
-
-def _attempt(start, row, x, y, h, config):
-    """One step attempt from start = row(x): the full step plus two half
-    steps for the step-doubling error estimate err = |y_h - y_{h/2,h/2}| / 31.
+@functools.cache
+def _step_attempt(m: int):
+    """The step attempt for start rows of length m, generated on first use
+    and cached: attempt(start, row, x, y, h, config) from start = row(x)
+    runs the full step and two half steps for the step-doubling error
+    estimate err = |y_h - y_{h/2,h/2}| / 31 as straight-line code.
 
     The full step and the first half step share the start values computed
-    from start; the first half step's last stage row is the row at x + h/2
-    where the second half step starts.  Returns (StepResult, row at x + h).
+    from start (_start_lines); the first half step's last stage row is the
+    row at x + h/2 where the second half step starts, through the solver
+    for its length.  Returns (y_h, err, newton iterations, the full step's
+    stages, row at x + h).
     """
-    y, h = float(y), float(h)
-    value, slope = _start_values(start, y)
-    y_coarse, iters, stages, end = _basic_step(start, value, slope, row, x, y, h, config)
-    half = 0.5 * h
-    y_half, iters2, _, middle = _basic_step(start, value, slope, row, x, y, half, config)
-    y_fine, iters3, _, _ = _basic_step(middle, *_start_values(middle, y_half), row, x + half,
-                                       y_half, half, config)
-    err = abs(y_coarse - y_fine) / STEP_DOUBLING_DENOM
-    return StepResult(y_coarse, err, iters + iters2 + iters3, stages), end
+    second_half = "(value, slope, row, x + half, y_half, half, config)"
+    return _define(f"step attempt, rows of length {m}", "attempt(start, row, x, y, h, config)", [
+        "y, h = float(y), float(h)",
+        *_start_lines(m, "start", "y"),
+        "y_coarse, k0, k1, k2, iters, (_, _, end) = solve(value, slope, row, x, y, h, config)",
+        "half = 0.5 * h",
+        "y_half, _, _, _, iters2, (_, _, middle) = solve(value, slope, row, x, y, half, config)",
+        f"if len(middle) == {m}:",
+        *(f"    {line}" for line in _start_lines(m, "middle", "y_half")),
+        f"    y_fine, _, _, _, iters3, _ = solve{second_half}",
+        "else:",
+        "    value, slope = _start_values(len(middle))(middle, y_half)",
+        f"    y_fine, _, _, _, iters3, _ = _stage_solver(len(middle)){second_half}",
+        f"err = abs(y_coarse - y_fine) / {STEP_DOUBLING_DENOM!r}",
+        "return y_coarse, err, iters + iters2 + iters3, (k0, k1, k2), end",
+    ], solve=_stage_solver(m), _stage_solver=_stage_solver, _start_values=_start_values)
 
 
 def step(row, x, y, h, config=None) -> StepResult:
@@ -359,7 +374,8 @@ def step(row, x, y, h, config=None) -> StepResult:
     _require_finite(x=x, y=y, h=h)
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h!r}")
-    return _attempt(row(x), row, x, y, h, config or SolverConfig())[0]
+    start = row(x)
+    return StepResult(*_step_attempt(len(start))(start, row, x, y, h, config or SolverConfig())[:4])
 
 
 @dataclass
@@ -463,7 +479,8 @@ def integrate_rhs(
         h_try = target - x if truncated else h
 
         try:
-            result, end = _attempt(start, row, x, y, h_try, config)
+            y_next, err, newton_iters, _, end = _step_attempt(len(start))(start, row, x, y,
+                                                                          h_try, config)
         except NewtonFailure as failure:
             rejected += 1
             newton_failures += 1
@@ -473,24 +490,24 @@ def integrate_rhs(
                                "newton-failure", str(failure))
             continue
 
-        total_iters += result.newton_iters
+        total_iters += newton_iters
         tol = config.atol + config.rtol * abs(y)
-        if result.err_est <= tol:
+        if err <= tol:
             x_step = x + h_try
             x = target if truncated else x_step
-            y = result.y_next
+            y = y_next
             start = end if x == x_step else row(x)
             xs.append(x)
             ys.append(y)
             hs.append(h_try)
-            iters.append(result.newton_iters)
+            iters.append(newton_iters)
         else:
             rejected += 1
 
-        if result.err_est == 0.0:
+        if err == 0.0:
             factor = 5.0
         else:
-            factor = min(5.0, max(0.2, 0.9 * (tol / result.err_est) ** (1.0 / 6.0)))
+            factor = min(5.0, max(0.2, 0.9 * (tol / err) ** (1.0 / 6.0)))
         h = min(h_try * factor, h_max)
         if h < config.h_min:
             return _finish(xs, ys, hs, iters, rejected, newton_failures, total_iters,
@@ -534,8 +551,9 @@ def integrate_fixed_rhs(
     while x < x_end:
         h_try = min(h, float(x_end - x))
         # the row at x + h_try starts the next step (a truncated step is the last)
-        y, step_iters, _, start = _basic_step(start, *_start_values(start, y), row, x, y,
-                                              h_try, config)
+        m = len(start)
+        y, _, _, _, step_iters, (_, _, start) = _stage_solver(m)(*_start_values(m)(start, y), row,
+                                                                 x, y, h_try, config)
         x = x_end if h_try < h else x + h
         total_iters += step_iters
         xs.append(x)

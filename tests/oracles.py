@@ -257,3 +257,66 @@ def reference_attempt(row, x, y, h, config):
     y_fine, iters3, _ = basic(x + half, y_half, half)
     err = abs(y_coarse - y_fine) / (2.0 ** 5 - 1.0)
     return y_coarse, err, iters + iters2 + iters3, stages
+
+
+def reference_integrate(row, x0, y0, x_end, config, checkpoints=None):
+    """The adaptive loop of radau.integrate_rhs in plain Python, on top of
+    reference_attempt.
+
+    h starts at config.h0 (default 1e-3 (x_end - x0)), capped at h_max
+    (default (x_end - x0) / 10).  Each attempt aims at the next checkpoint
+    in (x0, x_end] or at x_end, and lands on it exactly when h reaches
+    (1 - 1e-12) of the distance.  A stage-solve failure is a rejection
+    that halves the step; otherwise the attempt is accepted when
+    err <= atol + rtol |y|, and the next h is h clamp(0.9 (tol/err)^(1/6),
+    0.2, 5) (5 when err = 0), capped at h_max.  The run stops with
+    "step-failure" before attempt max_steps + 1 or once h falls below
+    h_min, and with "newton-failure" once a halved step does.  Returns
+    the IntegrationResult fields as a dict of plain Python values.
+    """
+    span = x_end - x0
+    h_max = span / 10.0 if config.h_max is None else config.h_max
+    h = min(1e-3 * span if config.h0 is None else config.h0, h_max)
+    marks = {float(x_end)} | {float(p) for p in checkpoints or () if x0 < p <= x_end}
+    xs, ys, hs, iters = [x0], [y0], [0.0], [0]
+    x, y = x0, y0
+    rejected = newton_failures = total_iters = attempts = 0
+    status, message = "completed", ""
+    while x < x_end:
+        if attempts == config.max_steps:
+            status, message = "step-failure", f"max_steps={config.max_steps} exceeded"
+            break
+        attempts += 1
+        target = min(p for p in marks if p > x)
+        truncated = h >= (target - x) * (1.0 - 1e-12)
+        h_try = target - x if truncated else h
+        try:
+            y_next, err, newton_iters, _ = reference_attempt(row, x, y, h_try, config)
+        except ReferenceNewtonFailure as failure:
+            rejected += 1
+            newton_failures += 1
+            h = 0.5 * h_try
+            if h < config.h_min:
+                status, message = "newton-failure", str(failure)
+                break
+            continue
+        total_iters += newton_iters
+        tol = config.atol + config.rtol * abs(y)
+        if err <= tol:
+            x = target if truncated else x + h_try
+            y = y_next
+            xs.append(x)
+            ys.append(y)
+            hs.append(h_try)
+            iters.append(newton_iters)
+        else:
+            rejected += 1
+        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** (1.0 / 6.0)))
+        h = min(h_try * factor, h_max)
+        if h < config.h_min:
+            status, message = "step-failure", f"step size {h!r} below h_min at x={x!r}"
+            break
+    return {"xs": xs, "ys": ys, "h_used": hs, "newton_per_step": iters,
+            "n_accepted": len(xs) - 1, "n_rejected": rejected,
+            "n_newton_failures": newton_failures, "n_newton_iters": total_iters,
+            "final_x": xs[-1], "final_y": ys[-1], "status": status, "message": message}

@@ -9,6 +9,7 @@ from abelode.equilibrium import EquilibriumBranch, GridSpec, continue_branch
 from abelode.hypotheses import (
     ALPHA_FLOOR,
     B3_OVERFLOW,
+    B3_PHI_RANGE,
     GRID_VERIFIED,
     check_asymptotic,
     check_structural,
@@ -150,7 +151,7 @@ class TestSharedDrift:
         entry = verify(nf, branch)["B3"]
         assert entry.status == "inconclusive"
         assert entry.witness == {}
-        assert entry.note == B3_OVERFLOW
+        assert entry.note == B3_PHI_RANGE
 
 
 class TestDomainEdge:
@@ -213,7 +214,7 @@ class TestThresholds:
         # a_n Lambda = 4000: Phi grows by exp(1000) inside each cell
         entry = check_asymptotic(self.nf, self._flat_branch(4000.0))["B3"]
         assert entry.status == "inconclusive"
-        assert entry.note == B3_OVERFLOW
+        assert entry.note == B3_PHI_RANGE
 
     def test_positive_decay_floor_reported(self, case_runs):
         b2 = case_runs[3].report["B2"]

@@ -1,11 +1,13 @@
+import dataclasses
+import functools
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import ReferenceNewtonFailure, reference_attempt
+from oracles import ReferenceNewtonFailure, reference_attempt, reference_integrate
 
 from abelode import radau
 from abelode.cases import get_case
@@ -98,6 +100,16 @@ class TestNewtonInverse:
             got = np.array(_newton_inverse(float(z))).reshape(3, 3)
             assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
 
+    def test_nan_entries_exactly_where_the_denominator_fails(self):
+        # Q(3.637834252744496) is 0.0 in floats (the real pole of R);
+        # Q(1e103) is about -1.7e307, Q(1e110) overflows to -inf
+        for z in (3.637834252744496, 3.6378342527444965, 1e103, -1e103, 1e110, -1e110,
+                  math.inf, -math.inf, math.nan, 0.0, -0.0, -5.0):
+            q = radau._stability_denominator(z)
+            entries = _newton_inverse(z)
+            fails = q == 0.0 or not math.isfinite(q)
+            assert [math.isnan(e) for e in entries] == [fails] * 9, z
+
 
 #: (row, y, h) whose first stage iteration is non-finite, for step at x = 0
 _OVERFLOWING_STAGES = [
@@ -169,6 +181,13 @@ def _row_function(base, trend):
     return lambda x: [b + t * math.sin(x) for b, t in zip(base, trend)]
 
 
+_CONFIGS = [
+    SolverConfig(),
+    SolverConfig(atol=1e-11, rtol=1e-11),
+    SolverConfig(newton_max_iters=3, newton_tol=1e-3),
+]
+
+
 class TestAttemptOracle:
     """step gives reference_attempt's (y_next, err_est, newton_iters,
     stages) bit for bit, or its NewtonFailure message."""
@@ -179,11 +198,7 @@ class TestAttemptOracle:
         x=st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False),
         y=st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
         h=st.floats(-6.0, 1.0).map(lambda e: 10.0 ** e),
-        config=st.sampled_from([
-            SolverConfig(),
-            SolverConfig(atol=1e-11, rtol=1e-11),
-            SolverConfig(newton_max_iters=3, newton_tol=1e-3),
-        ]),
+        config=st.sampled_from(_CONFIGS),
     )
     def test_step_matches_reference(self, row, x, y, h, config):
         row = _row_function(*row)
@@ -216,6 +231,77 @@ class TestAttemptOracle:
         # solve goes on once it has sampled them
         assert len(sampled) <= 1 + 9
         assert got == _attempt_outcome(reference_attempt, row, 0.0, y, h, config)
+
+
+def _result_fields(result):
+    """IntegrationResult fields (or reference_integrate's dict of them) with
+    every float as its hex, the sign of zero included."""
+    fields = result if isinstance(result, dict) else {
+        f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+
+    def exact(value):
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        if isinstance(value, list):
+            return [exact(v) for v in value]
+        return value.hex() if isinstance(value, float) else value
+
+    return {name: exact(value) for name, value in fields.items()}
+
+
+class TestIntegrateOracle:
+    """integrate_rhs gives reference_integrate's IntegrationResult fields
+    bit for bit: checkpoints, the snap to the target, halving after a stage
+    failure, max_steps and h_min."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        row=_rows(),
+        x0=st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False),
+        y0=st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
+        span=st.floats(-2.0, 1.0).map(lambda e: 10.0 ** e),
+        config=st.sampled_from(_CONFIGS),
+        max_steps=st.sampled_from([2000, 60, 5]),
+        h_min=st.sampled_from([1e-12, 1e-6, 1e-3]),
+        checkpoints=st.none() | st.lists(st.floats(-0.1, 1.2), min_size=1, max_size=4),
+    )
+    # a first step 5e-13 short of x_end snaps onto it, one 5e-11 short does not
+    @example(row=([0.0, -1.0], None), x0=0.0, y0=1.0, span=1.0, max_steps=2000, h_min=1e-12,
+             config=SolverConfig(atol=1e-3, rtol=1e-3, h0=1.0 - 5e-13, h_max=1.0), checkpoints=None)
+    @example(row=([0.0, -1.0], None), x0=0.0, y0=1.0, span=1.0, max_steps=2000, h_min=1e-12,
+             config=SolverConfig(atol=1e-3, rtol=1e-3, h0=1.0 - 5e-11, h_max=1.0), checkpoints=None)
+    def test_integrate_rhs_matches_reference(self, row, x0, y0, span, config, max_steps, h_min,
+                                             checkpoints):
+        row = _row_function(*row)
+        config = dataclasses.replace(config, max_steps=max_steps, h_min=h_min)
+        if checkpoints is not None:
+            checkpoints = [x0 + t * span for t in checkpoints]
+        x_end = x0 + span
+        assert _result_fields(integrate_rhs(row, x0, y0, x_end, config, checkpoints)) == \
+            _result_fields(reference_integrate(row, x0, y0, x_end, config, checkpoints))
+
+    @pytest.mark.parametrize("row, y, h", _RESIZING_ROWS + _OVERFLOWING_STAGES)
+    def test_special_rows_match_reference(self, row, y, h):
+        config = SolverConfig(max_steps=2000)
+        assert _result_fields(integrate_rhs(row, 0.0, y, h, config, [0.3 * h])) == \
+            _result_fields(reference_integrate(row, 0.0, y, h, config, [0.3 * h]))
+
+    def test_attempt_generated_once_per_row_length(self, monkeypatch):
+        titles = []
+        define = radau._define
+
+        def counted(title, *args, **names):
+            titles.append(title)
+            return define(title, *args, **names)
+
+        monkeypatch.setattr(radau, "_define", counted)
+        monkeypatch.setattr(radau, "_step_attempt",
+                            functools.cache(radau._step_attempt.__wrapped__))
+        for _ in range(2):
+            integrate_rhs(lambda x: [1.0, -2.0, 0.5], 0.0, 0.3, 1.0)
+            integrate_rhs(lambda x: [0.0, -1.0], 0.0, 1.0, 1.0)
+        attempts = [t for t in titles if t.startswith("step attempt")]
+        assert attempts == ["step attempt, rows of length 3", "step attempt, rows of length 2"]
 
 
 class TestSingleStep:
