@@ -19,25 +19,26 @@ Branch grids are case-tuned:
     peaks around x = 1..3 and decays only as e^{-x}; the grid runs to
     100 so the last-decade share of the integral is unambiguous.
 
-Integration always starts exactly at the case's x0 with y = 0.
+Integration always starts exactly at the case's x0 with y = 0.  Analysis
+is the pipeline every caller (run_case, spread_curve, the CLI) reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
 
 from .core import AbelEquation, NormalForm, build_equation, normalize
-from .equilibrium import EquilibriumBranch, GridSpec, continue_branch
+from .equilibrium import BranchError, EquilibriumBranch, GridSpec, continue_branch
 from .hypotheses import HypothesisReport, verify
 from .radau import IntegrationResult, SolverConfig, integrate
 from .rate import PlateauDiagnostics, diagnose
 
-__all__ = ["ReferenceRow", "CaseStudy", "CaseRun", "get_case", "run_case"]
+__all__ = ["ReferenceRow", "CaseStudy", "Analysis", "CaseRun", "get_case", "run_case"]
 
 #: y' = 1 - 3y + y^2 + y^3, ascending; also the literal credit-spread equation
 _CASE1_COEFFICIENTS = ("1", "-3", "1", "1")
@@ -121,6 +122,59 @@ def get_case(case_id: int) -> CaseStudy:
 
 
 @dataclass(frozen=True)
+class Analysis:
+    """The paper's argument on one equation, its trajectory running from
+    (equation.x0, y0) to x_end.  Each stage runs when first read, then is kept.
+
+      * Stage order is nf, branch, report, result, diagnostics: a stage
+        reads the earlier ones it needs and no others (report never
+        integrates).
+      * The A3 scan adds equation.x0 when the grid starts right of it, so
+        a degenerate left end (case 2) is reported, not skipped.
+      * diagnostics use the branch where there is one.  Continuation runs
+        once; branch and report raise its BranchError on every read.
+    """
+
+    equation: AbelEquation
+    y0: float
+    x_end: float
+    grid: GridSpec
+    config: SolverConfig
+
+    @cached_property
+    def nf(self) -> NormalForm:
+        return normalize(self.equation)
+
+    @cached_property
+    def _continued(self) -> EquilibriumBranch | BranchError:
+        try:
+            return continue_branch(self.nf, self.grid)
+        except BranchError as err:
+            return err
+
+    @property
+    def branch(self) -> EquilibriumBranch:
+        if isinstance(self._continued, BranchError):
+            raise self._continued
+        return self._continued
+
+    @cached_property
+    def report(self) -> HypothesisReport:
+        x0 = self.equation.x0
+        scan = np.concatenate(([x0], self.branch.xs)) if self.grid.x_start > x0 else None
+        return verify(self.nf, self.branch, scan)
+
+    @cached_property
+    def result(self) -> IntegrationResult:
+        return integrate(self.equation, self.y0, self.x_end, self.config)
+
+    @cached_property
+    def diagnostics(self) -> PlateauDiagnostics:
+        branch = None if isinstance(self._continued, BranchError) else self._continued
+        return diagnose(self.result, branch, self.config)
+
+
+@dataclass(frozen=True)
 class CaseRun:
     case: CaseStudy
     nf: NormalForm
@@ -136,27 +190,12 @@ def run_case(
     x_max: Optional[float] = None,
     config: Optional[SolverConfig] = None,
 ) -> CaseRun:
-    """Full pipeline: branch, hypotheses, integrate, diagnose, gap to the limit.
-
-    The hypothesis scan for A3 includes the case's own x0 even when the
-    branch grid had to step away from it (case 2), so a degenerate left
-    endpoint shows up as an inconclusive entry rather than disappearing.
-    """
+    """Analysis on the case's grid from y(x0) = 0, plus the gap to the limit."""
     case = get_case(case_id)
     horizon = case.default_x_end if x_max is None else float(x_max)
     if not horizon > case.x0:
         raise ValueError(f"x_max={horizon!r} must exceed x0={case.x0!r}")
-    config = config or SolverConfig()
-
-    nf = normalize(case.equation)
-    branch = continue_branch(nf, case.branch_grid(horizon))
-    if branch.x_start > case.x0:
-        scan = np.concatenate(([case.x0], branch.xs))
-    else:
-        scan = None
-    report = verify(nf, branch, scan)
-
-    result = integrate(case.equation, 0.0, horizon, config)
-    diagnostics = diagnose(result, branch, config)
-    gap = abs(result.final_y - case.exact_limit)
-    return CaseRun(case, nf, branch, report, result, diagnostics, gap)
+    run = Analysis(case.equation, 0.0, horizon, case.branch_grid(horizon),
+                   config or SolverConfig())
+    return CaseRun(case, run.nf, run.branch, run.report, run.result, run.diagnostics,
+                   abs(run.result.final_y - case.exact_limit))

@@ -22,35 +22,15 @@ from typing import Optional
 
 import numpy as np
 
-from .cases import get_case, run_case
-from .config import (
-    ConfigError,
-    equation_config,
-    load_pairs,
-    merton_params,
-    solver_config,
-)
-from .core import normalize
-from .equilibrium import (
-    BranchError,
-    EquilibriumBranch,
-    GridSpec,
-    ZeroEigenvalueError,
-    branch_slopes,
-    continue_branch,
-)
+from .cases import Analysis, get_case, run_case
+from .config import ConfigError, equation_config, load_pairs, merton_params, solver_config
+from .equilibrium import (BranchError, EquilibriumBranch, GridSpec, ZeroEigenvalueError,
+                          branch_slopes)
 from .expr import ExprError
 from .finance import spread_curve
-from .hypotheses import HypothesisReport, verify
-from .radau import (
-    IntegrationResult,
-    NewtonFailure,
-    OrderTestError,
-    SolverConfig,
-    empirical_order,
-    integrate,
-)
-from .rate import diagnose
+from .hypotheses import HypothesisReport
+from .radau import (IntegrationResult, NewtonFailure, OrderTestError, SolverConfig,
+                    empirical_order)
 from .reduction import ReductionError, reduce_about
 
 __all__ = ["main"]
@@ -138,22 +118,24 @@ def _write_gnuplot(out_dir: str, name: str, csv_name: str, columns: list[tuple[i
     _write_lines(os.path.join(out_dir, name), lines)
 
 
-def _branch_outputs(equation, x_end: float, out_dir: str, want_report: bool):
-    """Shared branch + report path for integrate/hypotheses commands; returns
-    the report, or None when none is wanted."""
-    nf = normalize(equation)
-    grid = GridSpec(equation.x0, x_end, 2001, "linear")
-    branch = continue_branch(nf, grid)
-    _write_branch(os.path.join(out_dir, "branch.csv"), nf, branch)
+def _branch_outputs(run, out_dir: str, want_report: bool) -> Optional[HypothesisReport]:
+    """branch.csv, then (if wanted) report.json and the printed table, from
+    an Analysis or a CaseRun; returns the report or None."""
+    _write_branch(os.path.join(out_dir, "branch.csv"), run.nf, run.branch)
     if not want_report:
         return None
-    report = verify(nf, branch)
-    _write_report(os.path.join(out_dir, "report.json"), report)
-    print(report.format_table())
-    return report
+    _write_report(os.path.join(out_dir, "report.json"), run.report)
+    print(run.report.format_table())
+    return run.report
 
 
-def _report_exit(report: Optional[HypothesisReport]) -> int:
+def _exit_code(result: Optional[IntegrationResult], report: Optional[HypothesisReport]) -> int:
+    """Numeric failure for an unfinished integration (saying why on stderr),
+    else hypothesis failure for a report with a fail entry."""
+    if result is not None and not result.completed:
+        print(f"integration failed: {result.status}: {result.message}",
+              file=sys.stderr)
+        return EXIT_NUMERIC
     if report is not None and report.has_fail:
         return EXIT_HYPOTHESIS
     return EXIT_OK
@@ -161,76 +143,60 @@ def _report_exit(report: Optional[HypothesisReport]) -> int:
 
 def _solver_from_flags(args, base: SolverConfig | None = None) -> SolverConfig:
     config = base or SolverConfig()
-    updates = {"atol": args.atol, "rtol": args.rtol}
+    updates = {name: getattr(args, name, None) for name in ("atol", "rtol")}
     updates = {name: value for name, value in updates.items() if value is not None}
     return replace(config, **updates) if updates else config
+
+
+def _config_analysis(args) -> Analysis:
+    """The config file's equation on a 2,001-point linear grid from x0."""
+    eq_cfg = equation_config(load_pairs(args.config))
+    equation = eq_cfg.build()
+    grid = GridSpec(equation.x0, eq_cfg.x_end, 2001, "linear")
+    return Analysis(equation, eq_cfg.y0, eq_cfg.x_end, grid,
+                    _solver_from_flags(args, eq_cfg.solver))
 
 
 def _cmd_case(args) -> int:
     x_max = args.x_max
     if x_max is None and args.long_run:
         x_max = 2e5 if args.id == 2 else None
-    config = _solver_from_flags(args)
-    run = run_case(args.id, x_max, config)
+    run = run_case(args.id, x_max, _solver_from_flags(args))
 
     out_dir = _ensure_dir(args.out or f"case{args.id}-output")
     _write_trajectory(os.path.join(out_dir, "trajectory.csv"), run.result)
-    _write_branch(os.path.join(out_dir, "branch.csv"), run.nf, run.branch)
-    _write_report(os.path.join(out_dir, "report.json"), run.report)
     if args.gnuplot:
-        _write_gnuplot(out_dir, "trajectory.gp", "trajectory.csv",
-                       [(2, "y(x)")], "y")
+        _write_gnuplot(out_dir, "trajectory.gp", "trajectory.csv", [(2, "y(x)")], "y")
         _write_gnuplot(out_dir, "branch.gp", "branch.csv",
                        [(2, "E(x)"), (3, "Lambda(x)")], "branch",
                        logx=args.id == 2)
 
-    print(
-        f"case {args.id}: L_numeric={run.diagnostics.L_numeric:.9f}, "
-        f"gap={run.gap:.3e}"
-    )
-    print(run.report.format_table())
-    if not run.result.completed:
-        print(f"integration failed: {run.result.status}: {run.result.message}",
-              file=sys.stderr)
-        return EXIT_NUMERIC
-    return _report_exit(run.report)
+    print(f"case {args.id}: L_numeric={run.diagnostics.L_numeric:.9f}, gap={run.gap:.3e}")
+    return _exit_code(run.result, _branch_outputs(run, out_dir, True))
 
 
 def _cmd_integrate(args) -> int:
-    pairs = load_pairs(args.config)
-    eq_cfg = equation_config(pairs)
-    equation = eq_cfg.build()
-    config = _solver_from_flags(args, eq_cfg.solver)
-
-    result = integrate(equation, eq_cfg.y0, eq_cfg.x_end, config)
+    run = _config_analysis(args)
+    result = run.result
     out_dir = _ensure_dir(args.out or "integrate-output")
     _write_trajectory(os.path.join(out_dir, "trajectory.csv"), result)
     if args.gnuplot:
-        _write_gnuplot(out_dir, "trajectory.gp", "trajectory.csv",
-                       [(2, "y(x)")], "y")
+        _write_gnuplot(out_dir, "trajectory.gp", "trajectory.csv", [(2, "y(x)")], "y")
 
-    report = None
-    if args.branch or args.hypotheses:
-        report = _branch_outputs(equation, eq_cfg.x_end, out_dir, args.hypotheses)
+    want_branch = args.branch or args.hypotheses
+    report = _branch_outputs(run, out_dir, args.hypotheses) if want_branch else None
 
     print(
         f"final_x={_g17(result.final_x)} final_y={_g17(result.final_y)} "
         f"accepted={result.n_accepted} rejected={result.n_rejected}"
     )
-    if not result.completed:
-        print(f"integration failed: {result.status}: {result.message}",
-              file=sys.stderr)
-        return EXIT_NUMERIC
-    return _report_exit(report)
+    return _exit_code(result, report)
 
 
 def _cmd_hypotheses(args) -> int:
-    pairs = load_pairs(args.config)
-    eq_cfg = equation_config(pairs)
-    equation = eq_cfg.build()
+    run = _config_analysis(args)
     out_dir = _ensure_dir(args.out or "hypotheses-output")
-    report = _branch_outputs(equation, eq_cfg.x_end, out_dir, True)
-    return _report_exit(report)
+    return _exit_code(None, _branch_outputs(run, out_dir, True))
 
 
 def _cmd_reduce(args) -> int:
@@ -308,11 +274,7 @@ def _cmd_spread(args) -> int:
         _write_gnuplot(out_dir, "spread.gp", "spread.csv", [(2, "s(x)")], "spread")
 
     print(f"plateau_bp={curve.plateau_bp:.4f} converged={diag.converged}")
-    if not curve.result.completed:
-        print(f"integration failed: {curve.result.status}: {curve.result.message}",
-              file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return _exit_code(curve.result, None)
 
 
 def _cmd_order_test(args) -> int:

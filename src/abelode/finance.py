@@ -27,12 +27,12 @@ from typing import Optional
 
 import numpy as np
 
-from .cases import _CASE1_COEFFICIENTS
-from .core import AbelEquation, build_equation, normalize
-from .equilibrium import BranchError, EquilibriumBranch, GridSpec, continue_branch
-from .hypotheses import HypothesisReport, verify
-from .radau import IntegrationResult, SolverConfig, integrate
-from .rate import PlateauDiagnostics, diagnose
+from .cases import _CASE1_COEFFICIENTS, Analysis
+from .core import AbelEquation, build_equation
+from .equilibrium import BranchError, EquilibriumBranch, GridSpec
+from .hypotheses import HypothesisReport
+from .radau import IntegrationResult, SolverConfig
+from .rate import PlateauDiagnostics
 
 __all__ = [
     "MertonParams",
@@ -292,7 +292,9 @@ def spread_curve(
 
     literal_case1=True runs the constant triple (params ignored for the
     coefficients); otherwise params are required.  plateau_bp converts
-    the numeric plateau to basis points (1e4 per unit spread).
+    the numeric plateau to basis points (1e4 per unit spread).  Where the
+    branch cannot be continued (BranchError), branch and report are None
+    and the curve is still integrated and diagnosed.
     """
     if literal_case1:
         start = LITERAL_X0 if x0 is None else x0
@@ -312,28 +314,16 @@ def spread_curve(
         if not params.volatility_positive_on(grid.xs()):
             raise ValueError("volatility factor not positive on the working range")
 
-    nf = normalize(equation)
-    branch: Optional[EquilibriumBranch] = None
-    report: Optional[HypothesisReport] = None
+    run = Analysis(equation, 0.0, x_end, grid, config or SolverConfig())
     try:
-        branch = continue_branch(nf, grid)
+        branch = run.branch
     except BranchError:
         branch = None
-    if with_hypotheses and branch is not None:
-        report = verify(nf, branch)
-
-    result = integrate(equation, 0.0, x_end, config)
-    diagnostics = diagnose(result, branch, config or SolverConfig())
-    plateau_bp = 1e4 * diagnostics.L_numeric
+    report = run.report if with_hypotheses and branch is not None else None
+    result, diagnostics = run.result, run.diagnostics
     return SpreadCurve(
-        xs=result.xs,
-        s=result.ys,
-        plateau_bp=plateau_bp,
-        diagnostics=diagnostics,
-        result=result,
-        equation=equation,
+        xs=result.xs, s=result.ys, plateau_bp=1e4 * diagnostics.L_numeric,
+        diagnostics=diagnostics, result=result, equation=equation,
         mode="literal-case1" if literal_case1 else "parametric",
-        params=params,
-        branch=branch,
-        report=report,
+        params=params, branch=branch, report=report,
     )

@@ -382,9 +382,9 @@ def step(row, x, y, h, config=None) -> StepResult:
 class IntegrationResult:
     """Accepted trajectory plus counters.
 
-    status is "completed", "step-failure" (h under h_min), or
-    "newton-failure" (stages diverged even at h_min); message carries the
-    detail (including a max_steps overrun, reported as step-failure).
+    status is "completed", "step-failure" (h under h_min, a step too small
+    to change x, or max_steps attempts used), or "newton-failure" (stages
+    diverged even at h_min); message carries the detail.
     n_rejected counts every rejected attempt; n_newton_failures those whose
     stage solve failed, the rest failed the error test.
     """
@@ -477,6 +477,9 @@ def integrate_rhs(
         # snap-to-target guard: avoids a float sum creeping past the mark
         truncated = h >= (target - x) * (1.0 - 1e-12)
         h_try = target - x if truncated else h
+        if x + h_try == x:
+            return _finish(xs, ys, hs, iters, rejected, newton_failures, total_iters,
+                           "step-failure", f"step size {h_try!r} does not advance x={x!r}")
 
         try:
             y_next, err, newton_iters, _, end = _step_attempt(len(start))(start, row, x, y,

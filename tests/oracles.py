@@ -270,8 +270,9 @@ def reference_integrate(row, x0, y0, x_end, config, checkpoints=None):
     that halves the step; otherwise the attempt is accepted when
     err <= atol + rtol |y|, and the next h is h clamp(0.9 (tol/err)^(1/6),
     0.2, 5) (5 when err = 0), capped at h_max.  The run stops with
-    "step-failure" before attempt max_steps + 1 or once h falls below
-    h_min, and with "newton-failure" once a halved step does.  Returns
+    "step-failure" before attempt max_steps + 1, before an attempt whose
+    x + h rounds back to x, or once h falls below h_min, and with
+    "newton-failure" once a halved step does.  Returns
     the IntegrationResult fields as a dict of plain Python values.
     """
     span = x_end - x0
@@ -290,6 +291,9 @@ def reference_integrate(row, x0, y0, x_end, config, checkpoints=None):
         target = min(p for p in marks if p > x)
         truncated = h >= (target - x) * (1.0 - 1e-12)
         h_try = target - x if truncated else h
+        if x + h_try == x:
+            status, message = "step-failure", f"step size {h_try!r} does not advance x={x!r}"
+            break
         try:
             y_next, err, newton_iters, _ = reference_attempt(row, x, y, h_try, config)
         except ReferenceNewtonFailure as failure:

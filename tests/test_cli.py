@@ -10,6 +10,8 @@ from abelode.cli import main
 RICCATI_CFG = "degree = 2\ncoefficients = 1 | 0 | -1\nx0 = 0\ny0 = 0\nx_end = 10\n"
 CASE3_CFG = ("degree = 3\ncoefficients = 3 - 2*exp(-2*x) | -4 | 0 | 1\n"
              "x0 = 0\ny0 = 0\nx_end = 20\n")
+CASE1_ONE_STEP_CFG = ("degree = 3\ncoefficients = 1 | -3 | 1 | 1\n"
+                      "x0 = 0\ny0 = 0\nx_end = 20\nmax_steps = 1\n")
 
 
 def run(argv):
@@ -115,6 +117,16 @@ class TestIntegrateCommand:
         names = sorted(p.name for p in (tmp_path / "full").iterdir())
         assert names == ["branch.csv", "report.json", "trajectory.csv"]
 
+    def test_branch_failure_comes_after_the_trajectory(self, tmp_path):
+        # y' = 1 + y has no positive equilibrium: the trajectory is written
+        # before continuation fails, and no branch file is
+        cfg = tmp_path / "lin.cfg"
+        cfg.write_text("degree = 1\ncoefficients = 1 | 1\nx0 = 0\ny0 = 0\nx_end = 1\n")
+        code, _, err = run(["integrate", cfg, "--branch", "--out", tmp_path / "o"])
+        assert code == 1
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["trajectory.csv"]
+        assert "numeric failure: no positive equilibrium at the first grid point" in err
+
     @pytest.mark.parametrize("content", [
         "degree = 3\ncoefficients = 1 | 0 | -1\nx0 = 0\ny0 = 0\nx_end = 1\n",  # count
         "degree = 2\ndegree = 2\ncoefficients = 1 | 0 | -1\nx_end = 1\n",      # dup key
@@ -192,6 +204,15 @@ class TestHypothesesCommand:
         assert (tmp_path / "h" / "report.json").exists()
         _, rows = read_rows(tmp_path / "h" / "branch.csv")
         assert rows[-1][0] == "1" and math.isfinite(float(rows[-1][3]))
+
+    def test_never_integrates(self, tmp_path):
+        # one solver step cannot reach x_end, which only integrate notices
+        cfg = tmp_path / "c1.cfg"
+        cfg.write_text(CASE1_ONE_STEP_CFG)
+        assert run(["hypotheses", cfg, "--out", tmp_path / "h"])[0] == 0
+        code, _, err = run(["integrate", cfg, "--out", tmp_path / "i"])
+        assert code == 1
+        assert "integration failed" in err
 
     def test_passing_report_exits_0(self, tmp_path):
         cfg = tmp_path / "c3.cfg"

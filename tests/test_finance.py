@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from abelode import cases
 from abelode.finance import (
     MertonParams,
     case1_calibration_check,
@@ -192,3 +193,19 @@ class TestSpreadCurve:
         checked = spread_curve(literal_case1=True, with_hypotheses=True)
         assert checked.report is not None
         assert checked.report["A4"].status == "pass"
+
+    def test_branch_error_leaves_the_branch_out(self, monkeypatch):
+        # r = 0 zeroes lambda_0, so E = 0 and continuation finds no positive
+        # equilibrium; the curve is still integrated and diagnosed without a
+        # branch, and the failing continuation runs once
+        calls = []
+        original = cases.continue_branch
+        monkeypatch.setattr(cases, "continue_branch",
+                            lambda *args: calls.append(args) or original(*args))
+        curve = spread_curve(params=MertonParams(1.2, 1.5, 0.0), with_hypotheses=True)
+        assert curve.branch is None and curve.report is None
+        assert curve.plateau_bp == 0.0
+        assert curve.result.completed
+        assert curve.diagnostics.converged and curve.diagnostics.trapping_ok
+        assert curve.diagnostics.L_numeric == 0.0
+        assert len(calls) == 1

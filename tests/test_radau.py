@@ -249,6 +249,12 @@ def _result_fields(result):
     return {name: exact(value) for name, value in fields.items()}
 
 
+def _huge_constant_slope(x):
+    # y' = 1e300: the step size falls under the spacing of floats at
+    # x = 1.8e8, long before x_end = 3e10, so x + h rounds back to x
+    return [1e300]
+
+
 class TestIntegrateOracle:
     """integrate_rhs gives reference_integrate's IntegrationResult fields
     bit for bit: checkpoints, the snap to the target, halving after a stage
@@ -279,6 +285,11 @@ class TestIntegrateOracle:
         x_end = x0 + span
         assert _result_fields(integrate_rhs(row, x0, y0, x_end, config, checkpoints)) == \
             _result_fields(reference_integrate(row, x0, y0, x_end, config, checkpoints))
+
+    def test_step_that_cannot_advance_x_matches_reference(self):
+        config = SolverConfig(max_steps=20000)
+        assert _result_fields(integrate_rhs(_huge_constant_slope, 0.0, 1.0, 3e10, config)) == \
+            _result_fields(reference_integrate(_huge_constant_slope, 0.0, 1.0, 3e10, config))
 
     @pytest.mark.parametrize("row, y, h", _RESIZING_ROWS + _OVERFLOWING_STAGES)
     def test_special_rows_match_reference(self, row, y, h):
@@ -337,6 +348,14 @@ class TestAdaptiveIntegration:
         assert not r.completed
         assert r.status in ("step-failure", "newton-failure")
         assert r.final_x < 1.01  # the pole of 1/(1-x)
+
+    def test_step_that_cannot_advance_x_ends_the_run(self):
+        r = integrate_rhs(_huge_constant_slope, 0.0, 1.0, 3e10, SolverConfig(max_steps=20000))
+        assert r.status == "step-failure"
+        assert re.fullmatch(r"step size \S+ does not advance x=(\S+)", r.message)
+        assert float(r.message.rpartition("=")[2]) == r.final_x
+        assert r.n_accepted + r.n_rejected < 1000
+        assert np.all(np.diff(r.xs) > 0.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_stage_is_a_newton_failure(self):
