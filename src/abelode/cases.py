@@ -40,9 +40,6 @@ from .rate import PlateauDiagnostics, diagnose
 
 __all__ = ["ReferenceRow", "CaseStudy", "Analysis", "CaseRun", "get_case", "run_case"]
 
-#: y' = 1 - 3y + y^2 + y^3, ascending; also the literal credit-spread equation
-_CASE1_COEFFICIENTS = ("1", "-3", "1", "1")
-
 
 @dataclass(frozen=True)
 class ReferenceRow:
@@ -77,8 +74,9 @@ def get_case(case_id: int) -> CaseStudy:
     if case_id == 1:
         return CaseStudy(
             id=1,
+            # y' = 1 - 3y + y^2 + y^3, also finance's literal spread equation
             equation=build_equation(
-                _CASE1_COEFFICIENTS, x0=0.0,
+                ("1", "-3", "1", "1"), x0=0.0,
                 description="constant coefficients, limit -1+sqrt(2)",
             ),
             exact_limit=-1.0 + math.sqrt(2.0),

@@ -34,7 +34,7 @@ arrays.
 The branch slope E' = -(dF/dx) / Lambda comes from branch_slopes for
 all points at once: dF/dx is a finite difference of rows sampled at
 x +- h, one-sided where the coefficients fail on one side (a domain
-edge), undefined where they fail on both.
+edge), undefined where they fail on both, by NormalForm.sample's rule.
 """
 
 from __future__ import annotations
@@ -165,7 +165,8 @@ class EquilibriumBranch:
     read.  ambiguous_count is the number of grid points where a second
     positive stable root coexisted with the tracked one.  leading (N,) and
     rows (N, n+1) are a_n and the monic row [lambda_0, ..., 1] at each
-    point, as sampled by the continuation.
+    point, as sampled by the continuation.  covers(x) is x_start <= x <=
+    x_end, for a float or element-wise for an array.
     """
 
     xs: np.ndarray
@@ -199,8 +200,8 @@ class EquilibriumBranch:
     def x_end(self) -> float:
         return float(self.xs[-1])
 
-    def covers(self, x: float) -> bool:
-        return self.x_start <= x <= self.x_end
+    def covers(self, x) -> np.ndarray | bool:
+        return (self.x_start <= x) & (x <= self.x_end)
 
     def interp_E(self, x) -> np.ndarray | float:
         return np.interp(x, self.xs, self.values)
@@ -451,14 +452,9 @@ def _branch_floor(n: int) -> float:
     return -4.0 * (2 * n + 1) * BISECT_TOL
 
 
-def _row_roots(x: float, row: list[float]) -> list[float]:
-    """Real roots of one monic row sampled at x: a stack of one."""
-    return _isolate_roots([x], np.array([row]))[0].tolist()
-
-
 def real_roots(nf: NormalForm, x: float) -> list[float]:
-    """All real equilibria of F(x, .) in ascending order."""
-    return _row_roots(x, nf.sample(x)[1])
+    """All real equilibria of F(x, .) in ascending order: a stack of one."""
+    return _isolate_roots([x], np.array([nf.sample(x)[1]]))[0].tolist()
 
 
 def smallest_positive_root(nf: NormalForm, x: float) -> float | None:
@@ -584,17 +580,19 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
 
 def _F_where_defined(nf: NormalForm, xs: np.ndarray, ys: np.ndarray):
     """F(x, y) at each point, and the mask of points where the coefficients
-    evaluate (F is NaN elsewhere)."""
+    evaluate (F is NaN elsewhere): one sample_grid pass, or, where it
+    fails, one pass of sample point by point that catches each failure."""
     try:
         rows = nf.sample_grid(xs)[1]
     except (ExprDomainError, LeadingCoefficientError):
-        if xs.size == 1:
-            return np.full(1, np.nan), np.zeros(1, dtype=bool)
-        # halve until the failing points are alone: a domain edge costs a
-        # few array passes, not one scalar pass per point
-        half = xs.size // 2
-        parts = [_F_where_defined(nf, xs[s], ys[s]) for s in (slice(half), slice(half, None))]
-        return tuple(np.concatenate(p) for p in zip(*parts))
+        f, ok = np.full(xs.size, np.nan), np.zeros(xs.size, dtype=bool)
+        for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+            try:
+                f[i] = _horner(nf.sample(x)[1], y)
+            except (ExprDomainError, LeadingCoefficientError):
+                continue
+            ok[i] = True
+        return f, ok
     return _horner(list(rows.T), ys), np.ones(xs.size, dtype=bool)
 
 

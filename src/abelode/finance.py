@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cases import _CASE1_COEFFICIENTS, Analysis
+from .cases import Analysis, get_case
 from .core import AbelEquation, build_equation
 from .equilibrium import BranchError, EquilibriumBranch, GridSpec
 from .hypotheses import HypothesisReport
@@ -220,8 +220,11 @@ def case1_calibration_check(
 
     With solve_eta2=True additionally bisects eta2 so that lambda0 at
     x_ref hits the target constant term (when a bracketing root exists;
-    r = 0 forces lambda0 = 0 and no solution).
+    r = 0 forces lambda0 = 0 and no solution).  x_ref must be finite and
+    positive.
     """
+    if not 0.0 < x_ref < math.inf:
+        raise ValueError(f"x_ref must be finite and positive, got {x_ref!r}")
     lambdas = spread_normal_form(p, x_ref)
     deviation = tuple(l - t for l, t in zip(lambdas, CASE1_TARGET))
     eta2_solution = None
@@ -238,12 +241,9 @@ def case1_calibration_check(
 
 
 def literal_case1_equation() -> AbelEquation:
-    """Constant-coefficient spread equation with the triple (1, -3, 1)."""
-    return build_equation(
-        _CASE1_COEFFICIENTS,
-        x0=LITERAL_X0,
-        description="constant-coefficient spread equation",
-    )
+    """Constant-coefficient spread equation with the triple (1, -3, 1):
+    case 1's equation (x0 = LITERAL_X0) under its own description."""
+    return replace(get_case(1).equation, description="constant-coefficient spread equation")
 
 
 def parametric_equation(p: MertonParams, x0: float = PARAMETRIC_X0) -> AbelEquation:

@@ -179,8 +179,7 @@ def check_structural(
 
     # A3: the witness is the last failing interior point, else the last
     # failing endpoint; NaN marks a point the branch does not cover
-    covered = (xs >= branch.x_start) & (xs <= branch.x_end)
-    values = np.where(covered, branch.interp_E(xs), np.nan)
+    values = np.where(branch.covers(xs), branch.interp_E(xs), np.nan)
     bad = np.flatnonzero(~(values > POSITIVE_THRESHOLD))
     interior = bad[(bad > 0) & (bad < xs.size - 1)]
     if bad.size == 0:

@@ -544,6 +544,8 @@ def integrate_fixed_rhs(
     """
     config = config or SolverConfig()
     _require_finite(x0=x0, y0=y0, x_end=x_end, h=h)
+    if not x_end > x0:
+        raise ValueError("x_end must exceed x0")
     if h <= 0.0:
         raise ValueError("h must be positive")
     h = float(h)

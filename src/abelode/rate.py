@@ -80,11 +80,11 @@ def log_phi(nf: NormalForm, branch: EquilibriumBranch, x) -> np.ndarray:
     prefix = np.concatenate(([0.0], np.cumsum(cells)))
 
     x = np.asarray(x, dtype=float)
-    outside = np.flatnonzero(~((xs[0] <= x) & (x <= xs[-1])))
+    outside = np.flatnonzero(~branch.covers(x))
     if outside.size:
         raise ValueError(
             f"x={float(x[outside[0]])!r} outside the branch range "
-            f"[{float(xs[0])!r}, {float(xs[-1])!r}]"
+            f"[{branch.x_start!r}, {branch.x_end!r}]"
         )
     i = np.searchsorted(xs, x, side="right") - 1
     out = prefix[i]
@@ -183,7 +183,7 @@ def rate_bound(
     exp(log Phi + log I), so the bound stays finite where Phi underflows to
     0.  B3_integral is the undamped drift integral (see _drift_integral).
     """
-    mask = (result.xs >= branch.x_start) & (result.xs <= branch.x_end)
+    mask = branch.covers(result.xs)
     xs = result.xs[mask]
     ys = result.ys[mask]
     if xs.size < 2:
@@ -251,7 +251,7 @@ def diagnose(
     violations.append(float(low.max()))
     trapping_ok = bool(low.max() == 0.0)
     if branch is not None:
-        mask = (xs >= branch.x_start) & (xs <= branch.x_end)
+        mask = branch.covers(xs)
         if mask.any():
             excess = ys[mask] - branch.interp_E(xs[mask]) - tol[mask]
             over = np.maximum(excess, 0.0)

@@ -128,7 +128,7 @@ class TestArrayEvaluation:
         # the walk reads the one lockstep root table (no case refines its
         # branch, so no midpoint is isolated on its own)
         calls = []
-        for name in ("_isolate_roots", "_row_roots"):
+        for name in ("_isolate_roots", "real_roots"):
             _count_calls(monkeypatch, equilibrium, name, calls)
         run = case_runs[cid]
         continue_branch(run.nf, run.case.branch_grid())

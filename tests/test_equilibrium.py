@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from abelode import equilibrium
 from abelode.cases import get_case
-from abelode.core import build_equation, eval_F, normalize
+from abelode.core import LeadingCoefficientError, build_equation, eval_F, normalize
 from abelode.equilibrium import (
     POSITIVE_THRESHOLD,
     BranchError,
@@ -25,11 +25,30 @@ from abelode.equilibrium import (
     real_roots,
     smallest_positive_root,
 )
+from abelode.expr import ExprDomainError
 from oracles import WalkError, bisect_scan_roots, reference_walk, slope_in_y
 
 
 def monic_cubic(c0, c1, c2, x0=0.0):
     return normalize(build_equation([repr(c0), repr(c1), repr(c2), "1"], x0))
+
+
+def _scalar_dF_dx(nf, x, e):
+    """dF/dx at (x, e) from eval_F point by point, and its kind: centred
+    where x +- h both evaluate, else one-sided against x itself."""
+    h = max(1e-6, 1e-8 * abs(x))
+    sides = []
+    for side in (x + h, x - h):
+        try:
+            sides.append(eval_F(nf, side, e))
+        except (ExprDomainError, LeadingCoefficientError):
+            sides.append(None)
+    hi, lo = sides
+    if hi is not None and lo is not None:
+        return (hi - lo) / (2.0 * h), "centred"
+    if hi is not None:
+        return (hi - eval_F(nf, x, e)) / h, "forward"
+    return (eval_F(nf, x, e) - lo) / h, "backward"
 
 
 def _filler(degree, count=2000):
@@ -463,6 +482,10 @@ class TestBranchContinuation:
         branch = continue_branch(nf, GridSpec(0.0, 20.0, 201, "linear"))
         assert branch.covers(0.0) and branch.covers(20.0)
         assert not branch.covers(20.1)
+        xs = np.array([-0.1, 0.0, 7.5, 20.0, 20.1, math.nan])
+        mask = branch.covers(xs)
+        assert mask.tolist() == ((xs >= branch.xs[0]) & (xs <= branch.xs[-1])).tolist()
+        assert mask.tolist() == [False, True, True, True, False, False]
 
     def test_table_aligned_with_points_through_refinement(self):
         # E = 1 + x jumps 0.6 > 0.25 (1 + 1) from x = 0 to 0.6, so one
@@ -604,18 +627,22 @@ class TestBranchDerivative:
 
     def test_one_sided_differences_at_both_domain_edges(self):
         # x - x^2 < 0 just outside [0, 1]: the first point takes the forward
-        # difference, the last the backward one (it used to raise)
-        nf = normalize(build_equation(["3 + sqrt(x - x*x)", "-4 - sqrt(x - x*x)", "1"], 0.0))
-        branch = continue_branch(nf, GridSpec(0.0, 1.0, 201))
-        slopes, undefined = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
-        assert not undefined.any()
-        h = 1e-6
-        first, last = branch.points[0], branch.points[-1]
-        forward = (eval_F(nf, first.x + h, first.E) - eval_F(nf, first.x, first.E)) / h
-        backward = (eval_F(nf, last.x, last.E) - eval_F(nf, last.x - h, last.E)) / h
-        assert slopes[0] == -forward / first.Lambda
-        assert slopes[-1] == -backward / last.Lambda
-        assert branch_derivative(nf, last) == slopes[-1]
+        # difference, the last the backward one (it used to raise); 1 - x < 0
+        # right of 1, so only the last point of that branch is one-sided.
+        # Every point matches the scalar difference of eval_F bit for bit
+        for coefficient, count, edges in (
+            ("sqrt(x - x*x)", 201, {0: "forward", 200: "backward"}),
+            ("sqrt(1-x)", 2001, {2000: "backward"}),
+        ):
+            nf = normalize(build_equation(
+                [f"3 + {coefficient}", f"-4 - {coefficient}", "1"], 0.0))
+            branch = continue_branch(nf, GridSpec(0.0, 1.0, count))
+            slopes, undefined = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
+            assert not undefined.any()
+            reference = [_scalar_dF_dx(nf, p.x, p.E) for p in branch.points]
+            assert {i: kind for i, (_, kind) in enumerate(reference) if kind != "centred"} == edges
+            assert slopes.tolist() == [-d / p.Lambda for (d, _), p in zip(reference, branch.points)]
+            assert branch_derivative(nf, branch.points[-1]) == slopes[-1]
 
     def test_undefined_where_neither_side_evaluates(self):
         # sqrt(-(x - 1)^2) evaluates at x = 1 only

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -133,6 +134,16 @@ class TestCalibration:
         assert report.eta2_solution == pytest.approx(-1.3638285391840024, abs=1e-9)
         solved = replace(p, eta2=report.eta2_solution)
         assert spread_normal_form(solved, 1.0)[2] == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("solve_eta2", [False, True])
+    @pytest.mark.parametrize("x_ref", [math.nan, math.inf, 0.0, -1.0])
+    def test_reference_point_must_be_finite_and_positive(self, x_ref, solve_eta2):
+        # nan and inf used to give NaN lambdas silently, and 0.0 with
+        # solve_eta2 a raw ZeroDivisionError
+        p = MertonParams(sigma0_sq=2.0, mu=-3.0, r=0.01, eta1=1.0)
+        message = f"x_ref must be finite and positive, got {x_ref!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            case1_calibration_check(p, x_ref, solve_eta2)
 
     def test_zero_rate_has_no_eta2_solution(self):
         p = MertonParams(sigma0_sq=2.0, mu=-3.0, r=0.0, eta1=1.0)

@@ -2,6 +2,8 @@
 the records its pipelines return."""
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import abelode
 from abelode import CaseRun, SpreadCurve
@@ -43,3 +45,16 @@ def test_spread_curve_fields():
     assert _field_names(SpreadCurve) == [
         "xs", "s", "plateau_bp", "diagnostics", "result", "equation", "mode", "params",
         "branch", "report"]
+
+
+def test_traced_names_resolve():
+    # perfbench/tracing.py rebinds these functions by name, and abelode.__all__
+    # pins only some of them: a renamed or deleted one would otherwise fail
+    # only when the traced benchmark runs.  The tracer is not installed.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = list(tracing.SPANS) + [t for ts in tracing.COUNTED.values() for t in ts]
+    for name in targets:
+        assert callable(tracing._resolve(name)), name

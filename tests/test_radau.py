@@ -555,6 +555,16 @@ class TestFixedStep:
         assert empirical_order(eq, 1.0, 2.0, (h for h in sizes)) == \
             empirical_order(eq, 1.0, 2.0, list(sizes))
 
+    @pytest.mark.parametrize("x_end", [0.0, -1.0])
+    def test_horizon_must_exceed_x0(self, x_end):
+        # used to return "completed" with no step, and empirical_order to end
+        # in "errors vanished; order not measurable"
+        with pytest.raises(ValueError, match="^x_end must exceed x0$"):
+            integrate_fixed_rhs(lambda x: [0.0, -1.0], 0.0, 1.0, x_end, 0.1)
+        eq = build_equation(["0", "-1"], 0.0)
+        with pytest.raises(ValueError, match="^x_end must exceed x0$"):
+            empirical_order(eq, 1.0, x_end, [0.2, 0.1])
+
     @pytest.mark.parametrize("sizes,message", [
         # ran every integration, then died in np.log with a numpy TypeError
         (["0.2", "0.1", "0.05"], "h_list[0] must be a real number, got '0.2'"),
