@@ -43,11 +43,8 @@ __all__ = [
 ]
 
 _EQUATION_KEYS = {"degree", "coefficients", "x0", "y0", "x_end"}
-_SOLVER_KEYS = {
-    "atol", "rtol", "h0", "h_min", "h_max",
-    "newton_tol", "newton_max_iters", "max_steps",
-}
-_SOLVER_INT_KEYS = {"newton_max_iters", "max_steps"}
+_SOLVER_KEYS = {field.name for field in fields(SolverConfig)}
+_SOLVER_INT_KEYS = {field.name for field in fields(SolverConfig) if isinstance(field.default, int)}
 _PARAM_KEYS = {"sigma0_sq", "mu", "r", "eta1", "eta2"}
 KNOWN_KEYS = _EQUATION_KEYS | _SOLVER_KEYS | _PARAM_KEYS
 
@@ -121,13 +118,10 @@ def solver_config(pairs: dict[str, str], base: SolverConfig | None = None) -> So
     """Apply any solver keys present in pairs on top of base (or defaults)."""
     config = base or SolverConfig()
     updates = {}
-    for field in fields(SolverConfig):
-        if field.name not in pairs or field.name not in _SOLVER_KEYS:
-            continue
-        if field.name in _SOLVER_INT_KEYS:
-            updates[field.name] = _get_int(pairs, field.name)
-        else:
-            updates[field.name] = _get_float(pairs, field.name)
+    for field in fields(SolverConfig):  # in field order, so the first bad key is reported
+        if field.name in pairs:
+            getter = _get_int if field.name in _SOLVER_INT_KEYS else _get_float
+            updates[field.name] = getter(pairs, field.name)
     try:
         return replace(config, **updates) if updates else config
     except ValueError as err:

@@ -123,6 +123,8 @@ class GridSpec:
             raise ValueError(f"grid bounds must be finite, got [{self.x_start!r}, {self.x_end!r}]")
         if not self.x_end > self.x_start:
             raise ValueError("x_end must exceed x_start")
+        if not math.isfinite(float(self.x_end) - float(self.x_start)):
+            raise ValueError(f"grid span overflows for [{self.x_start!r}, {self.x_end!r}]")
         if self.spacing not in ("linear", "log"):
             raise ValueError(f"unknown spacing {self.spacing!r}")
         if self.spacing == "log" and self.x_start <= 0.0:

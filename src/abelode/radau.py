@@ -23,11 +23,14 @@ solve by Cayley-Hamilton,
     P1 = A - tr(A) I,  P2 = A^2 - tr(A) A + (tr(A)^2 - tr(A^2))/2 I,
 
 with Q(z) = det(I - zA) the denominator of R(z); a zero or non-finite Q is
-a NewtonFailure.  The step attempt and its stage solve are generated once
-per row length m, on first use (_step_attempt, _stage_solver), as
-straight-line float code: rows unpacked into locals, Horner one flat
-statement per coefficient, the inverse nine statements with the tableau
-as literals, and the finiteness and convergence tests chained comparisons.
+a NewtonFailure.  The first row of a run fixes its length m: every row
+sampled later must have m coefficients too (ValueError naming x if not),
+and an empty first row is a ValueError.  The step attempt and its stage
+solve, two generated functions per row length m, are made on first use
+(_step_attempt, _stage_solver) as straight-line float code: rows unpacked
+into locals, Horner one flat statement per coefficient, the inverse nine
+statements with the tableau as literals, and the finiteness and
+convergence tests chained comparisons.
 Written for rows of any length, an attempt spent most of its time on
 interpreter overhead (loops, calls, tuple unpacking), not arithmetic.
 The generated code runs the same IEEE operations in the same order, so
@@ -49,6 +52,8 @@ Characteristics:
     * adaptive runs are deterministic: same inputs, bit-identical grids
     * optional checkpoints force steps to land on given abscissae exactly
       (the same truncation used to hit x_end exactly)
+    * every run ends in bounded time: x_end - x0 must be finite, and both
+      loops stop at max_steps and where a step would not move x
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AbelEquation, _require_real
+from .core import AbelEquation, _derivative_row, _horner, _require_real
 
 __all__ = [
     "ButcherTableau",
@@ -191,12 +196,25 @@ def _require_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _span(x0, y0, x_end) -> float:
+    """x_end - x0, which must be finite and positive, for finite real x0, y0
+    and x_end (ValueError)."""
+    _require_finite(x0=x0, y0=y0, x_end=x_end)
+    if not x_end > x0:
+        raise ValueError("x_end must exceed x0")
+    if not math.isfinite(float(x_end) - float(x0)):  # numpy scalars would warn
+        raise ValueError(f"x_end - x0 overflows for x0={x0!r}, x_end={x_end!r}")
+    return x_end - x0
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and guards for the adaptive loop.
+    """Tolerances and guards for both loops.
 
     h0 defaults to 1e-3 (x_end - x0) and h_max to (x_end - x0)/10 at
-    integrate() time when left as None.
+    integrate() time when left as None.  The fixed-step loop reads the
+    Newton settings (atol and rtol through the Newton threshold) and
+    max_steps, its limit on (x_end - x0) / h.
     """
 
     atol: float = 1e-9
@@ -235,46 +253,50 @@ class StepResult:
     stages: tuple[float, float, float]
 
 
+def _first_row(row, x):
+    """row(x), which fixes the run's row length; ValueError if it is empty."""
+    start = row(x)
+    if len(start) == 0:
+        raise ValueError(f"the coefficient row at x={x!r} is empty")
+    return start
+
+
+def _require_length(coefficients, x, m):
+    """The row sampled at x, which must have the run's length m (ValueError)."""
+    if len(coefficients) != m:
+        raise ValueError(f"the coefficient row at x={x!r} has {len(coefficients)} entries,"
+                         f" the run's rows {m}")
+    return coefficients
+
+
 def _start_lines(m: int, row: str, y: str) -> list[str]:
     """Statements setting value and slope to f(x, y) and df/dy(x, y) from the
-    row of length m named row: the operations of core._horner on the row and
-    on its derivative row, in one unrolled loop."""
-    unpack = f"[{', '.join(f'c_{k}' for k in range(m))}] = {row}" if m else f"c_0 = {row}[0]"
-    lines = [unpack, "value = slope = 0.0"]  # an empty row raises IndexError
+    row of length m >= 1 named row: the operations of core._horner on the
+    row and on its derivative row, in one unrolled loop."""
+    lines = [f"[{', '.join(f'c_{k}' for k in range(m))}] = {row}", "value = slope = 0.0"]
     for k in range(m - 1, 0, -1):
         lines += [f"value = value * {y} + c_{k}", f"slope = slope * {y} + {k} * c_{k}"]
     return [*lines, f"value = value * {y} + c_0"]
 
 
 @functools.cache
-def _start_values(m: int):
-    """start_values(start, y) -> (f, df/dy) at y for start rows of length m."""
-    return _define(f"start values, rows of length {m}", "start_values(start, y)",
-                   [*_start_lines(m, "start", "y"), "return value, slope"])
-
-
-@functools.cache
 def _stage_solver(m: int):
-    """The stage solve for start rows of length m, generated on first use
-    and cached: solve(value, slope, row, x, y, h, config, rows=None) runs
-    simplified Newton for the stage slopes k_i = f(x + c_i h, y + h sum A_ij k_j),
-    where f(x, y) is the polynomial in y with ascending coefficients row(x).
+    """The stage solve for rows of length m, generated on first use and
+    cached: solve(value, slope, row, x, y, h, config) runs simplified
+    Newton for the stage slopes k_i = f(x + c_i h, y + h sum A_ij k_j),
+    f(x, y) the polynomial in y with ascending coefficients row(x), from
+    the predictor value = f(x, y) and the frozen Jacobian slope = df/dy.
 
-    value = f(x, y) is the constant predictor and slope = df/dy(x, y) the
-    Jacobian J frozen at the step start; the iteration matrix I - h J A is
-    inverted in closed form, inline (_inverse_lines), so an iteration is a
-    few float multiply-adds.  The stage rows are sampled in the first
-    iteration, once its stage values are finite, and unpacked into m
-    locals each; a shorter row is padded with zeros at the high powers,
-    and if a row is longer the rows sampled so far go to the solver for
-    that length, which starts over without sampling them again.  Every
-    iteration is straight-line code: Horner one statement per
-    coefficient and stage, the update, and the finiteness and convergence
-    tests as chained comparisons (the latter equal to max|d_i| <= threshold,
-    since the updates are finite there and threshold is not negative).
-    Returns (y + h sum b_i k_i, k0, k1, k2, iterations, stage rows); raises
-    NewtonFailure when the iterations run out or a stage value or update
-    is non-finite (it cannot converge).
+    The stage rows are sampled once the first iteration's stage values
+    are finite, and unpacked into m locals each; a row of another length
+    is a ValueError naming its abscissa and both lengths.  An iteration is
+    straight-line code: Horner one statement per coefficient and stage,
+    the update through the inline inverse, and the finiteness and
+    convergence tests as chained comparisons (the latter equal to
+    max|d_i| <= threshold: the updates are finite there and threshold is
+    not negative).  Returns (y + h sum b_i k_i, k0, k1, k2, iterations,
+    row at x + h); raises NewtonFailure when the iterations run out or a
+    stage value or update is non-finite (it cannot converge).
     """
     # the tableau enters the code as literals: repr round-trips a finite float
     a, b, c = [repr(v) for v in _A], [repr(v) for v in _B], [repr(v) for v in _C]
@@ -296,7 +318,7 @@ def _stage_solver(m: int):
         *(f"k{i} = k{i} + d{i}" for i in range(3)),
         "if low <= d0 <= threshold and low <= d1 <= threshold and low <= d2 <= threshold:",
         f"    return y + h * ({b[0]} * k0 + {b[1]} * k1 + {b[2]} * k2),"
-        " k0, k1, k2, iterations, rows",
+        " k0, k1, k2, iterations, p2",
         "if iterations == last:",
         '    raise NewtonFailure(f"no stage convergence in {last} iterations'
         ' at x={x!r}, h={h!r}")',
@@ -316,52 +338,40 @@ def _stage_solver(m: int):
         *stage_values,
         finite_stages,
         f"    {non_finite}",
-        "if rows is None:",
-        f"    rows = [row(x + {c[0]} * h), row(x + {c[1]} * h), row(x + {c[2]} * h)]",
-        "p0, p1, p2 = rows",
+        *(f"t{i} = x + {c[i]} * h" for i in range(3)),
+        "p0, p1, p2 = row(t0), row(t1), row(t2)",
         f"if len(p0) != {m} or len(p1) != {m} or len(p2) != {m}:",
-        "    longest = max(len(p0), len(p1), len(p2))",
-        f"    if longest > {m}:",
-        "        return _stage_solver(longest)(value, slope, row, x, y, h, config, rows)",
-        f"    p0, p1, p2 = [list(p) + [0.0] * ({m} - len(p)) for p in rows]",
+        *(f"    _require_length(p{i}, t{i}, {m})" for i in range(3)),
         *(f"[{', '.join(f'c{i}_{k}' for k in range(m))}] = p{i}" for i in range(3)),
         "while True:",
         *(f"    {line}" for line in iteration),
     ]
     return _define(f"stage solver, rows of length {m}",
-                   "solve(value, slope, row, x, y, h, config, rows=None)", body,
-                   NewtonFailure=NewtonFailure, _stage_solver=_stage_solver)
+                   "solve(value, slope, row, x, y, h, config)", body,
+                   NewtonFailure=NewtonFailure, _require_length=_require_length)
 
 
 @functools.cache
 def _step_attempt(m: int):
-    """The step attempt for start rows of length m, generated on first use
-    and cached: attempt(start, row, x, y, h, config) from start = row(x)
-    runs the full step and two half steps for the step-doubling error
-    estimate err = |y_h - y_{h/2,h/2}| / 31 as straight-line code.
-
-    The full step and the first half step share the start values computed
-    from start (_start_lines); the first half step's last stage row is the
-    row at x + h/2 where the second half step starts, through the solver
-    for its length.  Returns (y_h, err, newton iterations, the full step's
-    stages, row at x + h).
+    """The step attempt for rows of length m, generated on first use and
+    cached: attempt(start, row, x, y, h, config) from start = row(x) runs
+    the full step and two half steps for the step-doubling error estimate
+    err = |y_h - y_{h/2,h/2}| / 31 as straight-line code.  The full step
+    and the first half step share the start values from start; the second
+    half step's come from the first's last stage row, at x + h/2.  Returns
+    (y_h, err, newton iterations, the full step's stages, row at x + h).
     """
-    second_half = "(value, slope, row, x + half, y_half, half, config)"
     return _define(f"step attempt, rows of length {m}", "attempt(start, row, x, y, h, config)", [
         "y, h = float(y), float(h)",
         *_start_lines(m, "start", "y"),
-        "y_coarse, k0, k1, k2, iters, (_, _, end) = solve(value, slope, row, x, y, h, config)",
+        "y_coarse, k0, k1, k2, iters, end = solve(value, slope, row, x, y, h, config)",
         "half = 0.5 * h",
-        "y_half, _, _, _, iters2, (_, _, middle) = solve(value, slope, row, x, y, half, config)",
-        f"if len(middle) == {m}:",
-        *(f"    {line}" for line in _start_lines(m, "middle", "y_half")),
-        f"    y_fine, _, _, _, iters3, _ = solve{second_half}",
-        "else:",
-        "    value, slope = _start_values(len(middle))(middle, y_half)",
-        f"    y_fine, _, _, _, iters3, _ = _stage_solver(len(middle)){second_half}",
+        "y_half, _, _, _, iters2, middle = solve(value, slope, row, x, y, half, config)",
+        *_start_lines(m, "middle", "y_half"),
+        "y_fine, _, _, _, iters3, _ = solve(value, slope, row, x + half, y_half, half, config)",
         f"err = abs(y_coarse - y_fine) / {STEP_DOUBLING_DENOM!r}",
         "return y_coarse, err, iters + iters2 + iters3, (k0, k1, k2), end",
-    ], solve=_stage_solver(m), _stage_solver=_stage_solver, _start_values=_start_values)
+    ], solve=_stage_solver(m))
 
 
 def step(row, x, y, h, config=None) -> StepResult:
@@ -369,12 +379,13 @@ def step(row, x, y, h, config=None) -> StepResult:
     ascending coefficients in y of f: full step plus two half steps for
     the step-doubling error estimate err = |y_h - y_{h/2,h/2}| / 31.
 
-    x, y and h must be finite real numbers and h positive (ValueError).
+    x, y and h must be finite real numbers and h positive, and row(x)
+    must not be empty (ValueError).
     """
     _require_finite(x=x, y=y, h=h)
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h!r}")
-    start = row(x)
+    start = _first_row(row, x)
     return StepResult(*_step_attempt(len(start))(start, row, x, y, h, config or SolverConfig())[:4])
 
 
@@ -411,30 +422,13 @@ class IntegrationResult:
 
 
 def _finish(xs, ys, hs, iters, rejected, newton_failures, total_iters, status, message=""):
-    return IntegrationResult(
-        np.array(xs),
-        np.array(ys),
-        np.array(hs),
-        np.array(iters, dtype=int),
-        len(xs) - 1,
-        rejected,
-        newton_failures,
-        total_iters,
-        xs[-1],
-        ys[-1],
-        status,
-        message,
-    )
+    return IntegrationResult(np.array(xs), np.array(ys), np.array(hs), np.array(iters, dtype=int),
+                             len(xs) - 1, rejected, newton_failures, total_iters, xs[-1], ys[-1],
+                             status, message)
 
 
-def integrate_rhs(
-    row,
-    x0: float,
-    y0: float,
-    x_end: float,
-    config: SolverConfig | None = None,
-    checkpoints=None,
-) -> IntegrationResult:
+def integrate_rhs(row, x0: float, y0: float, x_end: float, config: SolverConfig | None = None,
+                  checkpoints=None) -> IntegrationResult:
     """Adaptive integration of y' = f(x, y) from (x0, y0) to x_end, where
     row(x) returns the ascending coefficients in y of f at x.
 
@@ -445,10 +439,7 @@ def integrate_rhs(
     truncated step lands off x + h.
     """
     config = config or SolverConfig()
-    _require_finite(x0=x0, y0=y0, x_end=x_end)
-    if not x_end > x0:
-        raise ValueError("x_end must exceed x0")
-    span = x_end - x0
+    span = _span(x0, y0, x_end)
     h_max = config.h_max if config.h_max is not None else span / 10.0
     h = config.h0 if config.h0 is not None else 1e-3 * span
     h = min(h, h_max)
@@ -460,10 +451,10 @@ def integrate_rhs(
 
     xs, ys, hs, iters = [x0], [y0], [0.0], [0]
     x, y = x0, y0
-    start = row(x0)
-    rejected = newton_failures = 0
-    total_iters = 0
-    steps_taken = 0
+    start = _first_row(row, x0)
+    m = len(start)
+    attempt = _step_attempt(m)
+    rejected = newton_failures = total_iters = steps_taken = 0
 
     while x < x_end:
         if steps_taken >= config.max_steps:
@@ -482,8 +473,7 @@ def integrate_rhs(
                            "step-failure", f"step size {h_try!r} does not advance x={x!r}")
 
         try:
-            y_next, err, newton_iters, _, end = _step_attempt(len(start))(start, row, x, y,
-                                                                          h_try, config)
+            y_next, err, newton_iters, _, end = attempt(start, row, x, y, h_try, config)
         except NewtonFailure as failure:
             rejected += 1
             newton_failures += 1
@@ -499,7 +489,7 @@ def integrate_rhs(
             x_step = x + h_try
             x = target if truncated else x_step
             y = y_next
-            start = end if x == x_step else row(x)
+            start = end if x == x_step else _require_length(row(x), x, m)
             xs.append(x)
             ys.append(y)
             hs.append(h_try)
@@ -519,46 +509,41 @@ def integrate_rhs(
     return _finish(xs, ys, hs, iters, rejected, newton_failures, total_iters, "completed")
 
 
-def integrate(
-    equation: AbelEquation,
-    y0: float,
-    x_end: float,
-    config: SolverConfig | None = None,
-    checkpoints=None,
-) -> IntegrationResult:
+def integrate(equation: AbelEquation, y0: float, x_end: float,
+              config: SolverConfig | None = None, checkpoints=None) -> IntegrationResult:
     """Integrate an equation from (equation.x0, y0) to x_end."""
     return integrate_rhs(equation.row, equation.x0, y0, x_end, config, checkpoints)
 
 
-def integrate_fixed_rhs(
-    row,
-    x0: float,
-    y0: float,
-    x_end: float,
-    h: float,
-    config: SolverConfig | None = None,
-) -> IntegrationResult:
+def integrate_fixed_rhs(row, x0: float, y0: float, x_end: float, h: float,
+                        config: SolverConfig | None = None) -> IntegrationResult:
     """Fixed-step integration (error control off; the last step is truncated).
 
-    Stage divergence raises NewtonFailure since there is no step to halve.
+    Stage divergence raises NewtonFailure since there is no step to halve;
+    a run of more than config.max_steps steps (refused before its first
+    step) or a step that would not move x is a ValueError naming its size.
     """
     config = config or SolverConfig()
-    _require_finite(x0=x0, y0=y0, x_end=x_end, h=h)
-    if not x_end > x0:
-        raise ValueError("x_end must exceed x0")
+    span = _span(x0, y0, x_end)
+    _require_finite(h=h)
     if h <= 0.0:
         raise ValueError("h must be positive")
     h = float(h)
+    if float(span) / h > config.max_steps:
+        raise ValueError(f"step size h={h!r} needs more than max_steps={config.max_steps}"
+                         f" steps over x_end - x0 = {span!r}")
     xs, ys, hs, iters = [x0], [y0], [0.0], [0]
     x, y = x0, float(y0)
-    start = row(x0)
+    start = _first_row(row, x0)
+    solve = _stage_solver(len(start))
     total_iters = 0
     while x < x_end:
         h_try = min(h, float(x_end - x))
+        if x + h_try == x:
+            raise ValueError(f"step size {h_try!r} does not advance x={x!r}")
         # the row at x + h_try starts the next step (a truncated step is the last)
-        m = len(start)
-        y, _, _, _, step_iters, (_, _, start) = _stage_solver(m)(*_start_values(m)(start, y), row,
-                                                                 x, y, h_try, config)
+        y, _, _, _, step_iters, start = solve(_horner(start, y), _horner(_derivative_row(start), y),
+                                              row, x, y, h_try, config)
         x = x_end if h_try < h else x + h
         total_iters += step_iters
         xs.append(x)
@@ -568,13 +553,8 @@ def integrate_fixed_rhs(
     return _finish(xs, ys, hs, iters, 0, 0, total_iters, "completed")
 
 
-def empirical_order(
-    equation: AbelEquation,
-    y0: float,
-    x_end: float,
-    h_list,
-    config: SolverConfig | None = None,
-) -> tuple[float, list[float]]:
+def empirical_order(equation: AbelEquation, y0: float, x_end: float, h_list,
+                    config: SolverConfig | None = None) -> tuple[float, list[float]]:
     """Observed convergence order from fixed-step runs against a reference
     run of the same method at min(h_list)/16.
 
@@ -582,17 +562,24 @@ def empirical_order(
     error is 16^5 times below the smallest measured one, so the measured
     errors are not floored by an unrelated tolerance.  Returns
     (least-squares slope of log error vs log h, per-h errors).  A step
-    size that is not finite, real and positive is a ValueError naming
-    h_list[i], raised before any run.
+    size that is not finite, real and positive, or whose reference run
+    at h/16 would need more than config.max_steps steps, is a ValueError
+    naming h_list[i], raised before any run.
     """
-    h_list = list(h_list)  # an iterator would be used up by min()
+    h_list = list(h_list)  # an iterator would be used up by the checks
     if not h_list:
         raise OrderTestError("h_list must be nonempty")
     for i, h in enumerate(h_list):
         _require_finite(**{f"h_list[{i}]": h})
         if not h > 0.0:
             raise ValueError(f"h_list[{i}] must be positive, got {h!r}")
-    h_ref = min(float(h) for h in h_list) / 16.0
+    span = _span(equation.x0, y0, x_end)
+    i = min(range(len(h_list)), key=lambda i: float(h_list[i]))
+    h_ref = float(h_list[i]) / 16.0
+    max_steps = (config or SolverConfig()).max_steps
+    if not h_ref > 0.0 or float(span) / h_ref > max_steps:  # h/16 may underflow
+        raise ValueError(f"h_list[{i}]={h_list[i]!r} needs more than max_steps={max_steps}"
+                         " steps of h/16 in its reference run")
     try:
         reference = integrate_fixed_rhs(equation.row, equation.x0, y0, x_end, h_ref, config)
     except NewtonFailure as failure:

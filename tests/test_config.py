@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from abelode.config import (
     parse_pairs,
     solver_config,
 )
+from abelode.radau import SolverConfig
 
 GOOD = """\
 # a comment line
@@ -116,6 +118,17 @@ class TestSolverConfig:
     def test_non_numeric_value_rejected(self):
         with pytest.raises(ConfigError):
             solver_config(parse_pairs("atol = tiny\n"))
+
+    @pytest.mark.parametrize("field", dataclasses.fields(SolverConfig), ids=lambda f: f.name)
+    def test_every_solver_field_is_a_config_key(self, field):
+        integer = isinstance(field.default, int)
+        value = 7 if integer else 0.25
+        config = solver_config(parse_pairs(f"{field.name} = {value}\n"))
+        assert getattr(config, field.name) == value
+        assert type(getattr(config, field.name)) is type(value)
+        if integer:
+            with pytest.raises(ConfigError, match="expected an integer"):
+                solver_config(parse_pairs(f"{field.name} = 2.5\n"))
 
 
 class TestMertonParams:

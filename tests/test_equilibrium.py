@@ -151,6 +151,15 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="grid bounds must be finite"):
             GridSpec(x_start, x_end, 5)
 
+    @pytest.mark.parametrize("x_start,x_end", [
+        (-1e308, 1e308), (np.float64(-1e308), np.float64(1e308)),
+    ])
+    def test_overflowing_span_rejected(self, x_start, x_end):
+        # used to yield a grid that starts with nan and inf; numpy bounds
+        # are refused without an overflow warning
+        with pytest.raises(ValueError, match="^grid span overflows for "):
+            GridSpec(x_start, x_end, 5)
+
     @pytest.mark.parametrize("x_start,x_end,name", [
         ("0", 1.0, "x_start"), (True, 2.0, "x_start"), (None, 1.0, "x_start"),
         (0.0, "1", "x_end"), (0.0, True, "x_end"), (0.0, 1j, "x_end"),

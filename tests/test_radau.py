@@ -133,18 +133,9 @@ def _sized_row(size):
     return lambda x: [(1.0 + 0.25 * x) * (-0.6) ** k / (k + 1) for k in range(size(x))]
 
 
-#: (row, y, h) for step at x = 0 whose rows change length with x; with
-#: h = 1 each of the three stage solves samples rows of unequal lengths
-_RESIZING_ROWS = [
-    # stage rows shorter than the start row: zeros at the high powers
-    (_sized_row(lambda x: 12 - math.ceil(10.0 * x)), 0.5, 1.0),
-    # stage rows longer than the start row: the sampled rows go to the
-    # solver for the longest of them
-    (_sized_row(lambda x: 2 + math.ceil(10.0 * x)), 0.5, 1.0),
-    # 301 coefficients: as one nested Horner expression, past the
-    # parser's limit of 200 nested parentheses
-    (_sized_row(lambda x: 301), 0.5, 0.1),
-]
+#: (row, y, h) for step at x = 0 with 301 coefficients: as one nested
+#: Horner expression, past the parser's limit of 200 nested parentheses
+_LONG_ROW = (_sized_row(lambda x: 301), 0.5, 0.1)
 
 
 def _attempt_outcome(attempt, row, x, y, h, config):
@@ -215,9 +206,8 @@ class TestAttemptOracle:
         assert got.startswith("non-finite stage update in iteration 1")
 
 
-    @pytest.mark.parametrize("index", range(len(_RESIZING_ROWS)))
-    def test_resizing_rows_match_reference(self, index):
-        row, y, h = _RESIZING_ROWS[index]
+    def test_long_row_matches_reference(self):
+        row, y, h = _LONG_ROW
         sampled = []
 
         def counted(x):
@@ -227,9 +217,8 @@ class TestAttemptOracle:
         config = SolverConfig()
         got = _attempt_outcome(_package_attempt, counted, 0.0, y, h, config)
         assert not isinstance(got, str)  # the stages converged
-        # the start row, then three rows per stage solve, however the
-        # solve goes on once it has sampled them
-        assert len(sampled) <= 1 + 9
+        # the start row, then three rows per stage solve
+        assert len(sampled) == 1 + 9
         assert got == _attempt_outcome(reference_attempt, row, 0.0, y, h, config)
 
 
@@ -291,7 +280,7 @@ class TestIntegrateOracle:
         assert _result_fields(integrate_rhs(_huge_constant_slope, 0.0, 1.0, 3e10, config)) == \
             _result_fields(reference_integrate(_huge_constant_slope, 0.0, 1.0, 3e10, config))
 
-    @pytest.mark.parametrize("row, y, h", _RESIZING_ROWS + _OVERFLOWING_STAGES)
+    @pytest.mark.parametrize("row, y, h", [_LONG_ROW] + _OVERFLOWING_STAGES)
     def test_special_rows_match_reference(self, row, y, h):
         config = SolverConfig(max_steps=2000)
         assert _result_fields(integrate_rhs(row, 0.0, y, h, config, [0.3 * h])) == \
@@ -306,13 +295,56 @@ class TestIntegrateOracle:
             return define(title, *args, **names)
 
         monkeypatch.setattr(radau, "_define", counted)
-        monkeypatch.setattr(radau, "_step_attempt",
-                            functools.cache(radau._step_attempt.__wrapped__))
+        for name in ("_step_attempt", "_stage_solver"):
+            monkeypatch.setattr(radau, name, functools.cache(getattr(radau, name).__wrapped__))
         for _ in range(2):
             integrate_rhs(lambda x: [1.0, -2.0, 0.5], 0.0, 0.3, 1.0)
             integrate_rhs(lambda x: [0.0, -1.0], 0.0, 1.0, 1.0)
-        attempts = [t for t in titles if t.startswith("step attempt")]
-        assert attempts == ["step attempt, rows of length 3", "step attempt, rows of length 2"]
+            integrate_fixed_rhs(lambda x: [0.0, -1.0, 0.0, 0.0], 0.0, 1.0, 1.0, 0.25)
+            step(lambda x: [0.0, -1.0], 0.0, 1.0, 0.1)
+        assert titles == ["stage solver, rows of length 3", "step attempt, rows of length 3",
+                          "stage solver, rows of length 2", "step attempt, rows of length 2",
+                          "stage solver, rows of length 4"]
+        assert not any("start values" in title for title in titles)
+
+
+_C0 = float(radau_tableau().c[0])
+
+
+class TestRowLength:
+    """The first row of a run fixes its length: a later row of another
+    length, or an empty first row, is a ValueError naming x."""
+
+    @pytest.mark.parametrize("entries", [3, 5], ids=["shorter", "longer"])
+    def test_stage_row_of_another_length_is_refused(self, entries):
+        # used to pad a shorter row with zeros and restart with a longer
+        # one in the solver for its length
+        row = _sized_row(lambda x: 4 if x == 0.0 else entries)
+        for run, h in [(lambda: step(row, 0.0, 0.5, 1.0), 1.0),
+                       (lambda: integrate_rhs(row, 0.0, 0.5, 1.0), 1e-3),
+                       (lambda: integrate_fixed_rhs(row, 0.0, 0.5, 1.0, 0.5), 0.5)]:
+            message = (f"the coefficient row at x={_C0 * h!r} has {entries} entries,"
+                       " the run's rows 4")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run()
+
+    def test_landing_row_of_another_length_is_refused(self):
+        # 0.3 + (0.9 - 0.3) rounds past 0.9, so the truncated step landing
+        # on the checkpoint samples the row at 0.9 afresh
+        assert 0.3 + (0.9 - 0.3) != 0.9
+        row = lambda x: [1.0, 0.0] if x == 0.9 else [1.0, 0.0, 0.0]  # noqa: E731
+        config = SolverConfig(h0=1.0, h_max=1.0)
+        message = "the coefficient row at x=0.9 has 2 entries, the run's rows 3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            integrate_rhs(row, 0.3, 0.0, 2.0, config, checkpoints=[0.9])
+
+    def test_empty_first_row_is_refused(self):
+        # used to raise an IndexError from the generated start values
+        empty = lambda x: []  # noqa: E731
+        for run in (lambda: step(empty, 0.5, 1.0, 0.1), lambda: integrate_rhs(empty, 0.5, 1.0, 1.0),
+                    lambda: integrate_fixed_rhs(empty, 0.5, 1.0, 1.0, 0.1)):
+            with pytest.raises(ValueError, match=r"^the coefficient row at x=0\.5 is empty$"):
+                run()
 
 
 class TestSingleStep:
@@ -484,6 +516,18 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             integrate_rhs(lambda x: [0.0, -1.0], x0, y0, x_end)
 
+    def test_overflowing_span_raises_at_once(self):
+        # each bound is finite but x_end - x0 is inf: the adaptive loop used
+        # to halve h = inf through max_steps Newton failures
+        message = "x_end - x0 overflows for x0=-1e+308, x_end=1e+308"
+        rhs = lambda x: [0.0, -1.0]  # noqa: E731
+        for run in (lambda: integrate_rhs(rhs, -1e308, 1.0, 1e308),
+                    lambda: integrate_fixed_rhs(rhs, -1e308, 1.0, 1e308, 1.0),
+                    lambda: empirical_order(build_equation(["0", "-1"], -1e308), 1.0, 1e308,
+                                            [1.0])):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run()
+
     def test_infinite_horizon_raises_at_once(self):
         # used to step towards x_end = inf without end
         with pytest.raises(ValueError, match="x_end must be finite"):
@@ -580,6 +624,44 @@ class TestFixedStep:
         eq = build_equation(["0", "-1"], 0.0)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             empirical_order(eq, 1.0, 2.0, sizes)
+        assert runs == []
+
+
+class TestFixedStepLimits:
+    """The fixed-step loop ends in bounded time: more than max_steps steps
+    are refused before the first, and a step that cannot move x raises."""
+
+    @pytest.mark.parametrize("h,config,message", [
+        # x + h == x at x = 1: used to run without end
+        (1e-20, None, "step size h=1e-20 needs more than max_steps=10000000 steps"
+                      " over x_end - x0 = 1.0"),
+        (0.1, SolverConfig(max_steps=9), "step size h=0.1 needs more than max_steps=9 steps"
+                                         " over x_end - x0 = 1.0"),
+    ])
+    def test_too_many_steps_refused(self, h, config, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            integrate_fixed_rhs(lambda x: [0.0, -1.0], 1.0, 1.0, 2.0, h, config)
+
+    def test_max_steps_exactly_is_run(self):
+        result = integrate_fixed_rhs(lambda x: [0.0, -1.0], 0.0, 1.0, 1.0, 0.25,
+                                     SolverConfig(max_steps=4))
+        assert result.n_accepted == 4 and result.final_x == 1.0
+
+    def test_step_that_cannot_advance_x_raises(self):
+        # 2^17 / 1.0 steps are allowed, but the spacing of floats at 1e20 is 2^14
+        with pytest.raises(ValueError, match=r"^step size 1\.0 does not advance x=1e\+20$"):
+            integrate_fixed_rhs(lambda x: [0.0, -1.0], 1e20, 1.0, 1e20 + 2.0 ** 17, 1.0)
+
+    # about 1e17 reference steps used to run without end; 5e-324 / 16
+    # underflows to a reference step of 0
+    @pytest.mark.parametrize("h", [1e-17, 5e-324])
+    def test_order_test_refuses_before_any_run(self, h, monkeypatch):
+        runs = []
+        monkeypatch.setattr(radau, "integrate_fixed_rhs", lambda *args: runs.append(args))
+        message = f"h_list[1]={h!r} needs more than max_steps=10000000 steps of h/16 in its" \
+                  " reference run"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            empirical_order(build_equation(["0", "-1"], 0.0), 1.0, 2.0, [0.1, h])
         assert runs == []
 
 
