@@ -55,9 +55,12 @@ class CaseStudy:
     id: int
     equation: AbelEquation
     exact_limit: float
-    x0: float
     default_x_end: float
     reference_results: tuple[ReferenceRow, ...]
+
+    @property
+    def x0(self) -> float:
+        return self.equation.x0
 
     def branch_grid(self, x_max: Optional[float] = None) -> GridSpec:
         horizon = self.default_x_end if x_max is None else x_max
@@ -80,7 +83,6 @@ def get_case(case_id: int) -> CaseStudy:
                 description="constant coefficients, limit -1+sqrt(2)",
             ),
             exact_limit=-1.0 + math.sqrt(2.0),
-            x0=0.0,
             default_x_end=20.0,
             reference_results=(
                 ReferenceRow(x_max=20.0, y_ref=0.41421356, gap_ref=1e-9),
@@ -94,7 +96,6 @@ def get_case(case_id: int) -> CaseStudy:
                 description="branch degenerate at x0, limit (3-sqrt(5))/2",
             ),
             exact_limit=(3.0 - math.sqrt(5.0)) / 2.0,
-            x0=1.0,
             default_x_end=20.0,
             reference_results=(
                 ReferenceRow(x_max=20.0, y_ref=0.36543, gap_ref=1.7e-2),
@@ -110,7 +111,6 @@ def get_case(case_id: int) -> CaseStudy:
                 description="exponentially settling constant term, limit 1",
             ),
             exact_limit=1.0,
-            x0=0.0,
             default_x_end=20.0,
             reference_results=(
                 ReferenceRow(x_max=20.0, y_ref=0.999999998, gap_ref=1e-7),

@@ -6,8 +6,9 @@ significant digits) into a per-run output directory and prints a short
 summary to standard output.  Identical invocations produce byte-identical
 files.
 
-Exit codes: 0 success, 1 numeric failure (solver, branch or reduction),
-2 hypothesis failure (a report containing a "fail" entry; inconclusive
+Exit codes: 0 success, 1 numeric failure (solver, branch or reduction)
+or standard output closed by its reader (the run stops, silently), 2
+hypothesis failure (a report containing a "fail" entry; inconclusive
 entries are not failures), 64 usage or config error.
 """
 
@@ -77,27 +78,16 @@ def _write_lines(path: str, lines: list[str]) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _write_trajectory(path: str, result: IntegrationResult) -> None:
-    lines = ["x,y,h_used,newton_iters"]
-    for x, y, h, iters in zip(
-        result.xs, result.ys, result.h_used, result.newton_per_step
-    ):
-        lines.append(f"{_g17(x)},{_g17(y)},{_g17(h)},{int(iters)}")
-    _write_lines(path, lines)
+def _write_csv(path: str, header: str, rows, preamble=()) -> None:
+    """The preamble lines, the header, then one line per row with every cell
+    as _g17 gives it (an integer cell keeps its digits)."""
+    _write_lines(path, [*preamble, header, *(",".join(map(_g17, row)) for row in rows)])
 
 
 def _write_branch(path: str, nf, branch: EquilibriumBranch) -> None:
-    lines = ["x,E,Lambda,E_prime"]
     slopes, _ = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
     columns = (branch.xs, branch.values, branch.eigenvalues, slopes)
-    for x, e, lam, slope in zip(*(c.tolist() for c in columns)):
-        lines.append(f"{_g17(x)},{_g17(e)},{_g17(lam)},{_g17(slope)}")
-    _write_lines(path, lines)
-
-
-def _write_report(path: str, report: HypothesisReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(report.to_json() + "\n")
+    _write_csv(path, "x,E,Lambda,E_prime", zip(*(c.tolist() for c in columns)))
 
 
 def _write_gnuplot(out_dir: str, name: str, csv_name: str, columns: list[tuple[int, str]],
@@ -124,7 +114,7 @@ def _branch_outputs(run, out_dir: str, want_report: bool) -> Optional[Hypothesis
     _write_branch(os.path.join(out_dir, "branch.csv"), run.nf, run.branch)
     if not want_report:
         return None
-    _write_report(os.path.join(out_dir, "report.json"), run.report)
+    _write_lines(os.path.join(out_dir, "report.json"), [run.report.to_json()])
     print(run.report.format_table())
     return run.report
 
@@ -164,7 +154,9 @@ def _cmd_case(args) -> int:
     run = run_case(args.id, x_max, _solver_from_flags(args))
 
     out_dir = _ensure_dir(args.out or f"case{args.id}-output")
-    _write_trajectory(os.path.join(out_dir, "trajectory.csv"), run.result)
+    result = run.result
+    _write_csv(os.path.join(out_dir, "trajectory.csv"), "x,y,h_used,newton_iters",
+               zip(result.xs, result.ys, result.h_used, result.newton_per_step))
     if args.gnuplot:
         _write_gnuplot(out_dir, "trajectory.gp", "trajectory.csv", [(2, "y(x)")], "y")
         _write_gnuplot(out_dir, "branch.gp", "branch.csv",
@@ -172,14 +164,15 @@ def _cmd_case(args) -> int:
                        logx=args.id == 2)
 
     print(f"case {args.id}: L_numeric={run.diagnostics.L_numeric:.9f}, gap={run.gap:.3e}")
-    return _exit_code(run.result, _branch_outputs(run, out_dir, True))
+    return _exit_code(result, _branch_outputs(run, out_dir, True))
 
 
 def _cmd_integrate(args) -> int:
     run = _config_analysis(args)
     result = run.result
     out_dir = _ensure_dir(args.out or "integrate-output")
-    _write_trajectory(os.path.join(out_dir, "trajectory.csv"), result)
+    _write_csv(os.path.join(out_dir, "trajectory.csv"), "x,y,h_used,newton_iters",
+               zip(result.xs, result.ys, result.h_used, result.newton_per_step))
     if args.gnuplot:
         _write_gnuplot(out_dir, "trajectory.gp", "trajectory.csv", [(2, "y(x)")], "y")
 
@@ -218,11 +211,9 @@ def _cmd_reduce(args) -> int:
 
     out_dir = _ensure_dir(args.out or "reduce-output")
     header = "x," + ",".join(f"c{k}" for k in range(1, reduced.degree + 1))
-    lines = [header]
-    for x in np.linspace(equation.x0, x_end, 101):
-        values = reduced.coefficients(float(x))
-        lines.append(",".join([_g17(x)] + [_g17(v) for v in values]))
-    _write_lines(os.path.join(out_dir, "reduce.csv"), lines)
+    xs = np.linspace(equation.x0, x_end, 101).tolist()
+    _write_csv(os.path.join(out_dir, "reduce.csv"), header,
+               ([x] + reduced.coefficients(x) for x in xs))
     if args.gnuplot:
         _write_gnuplot(out_dir, "reduce.gp", "reduce.csv",
                        [(k + 1, f"c{k}") for k in range(1, reduced.degree + 1)],
@@ -252,24 +243,21 @@ def _cmd_spread(args) -> int:
 
     out_dir = _ensure_dir(args.out or "spread-output")
     diag = curve.diagnostics
-    lines = [f"# mode={curve.mode}"]
+    preamble = [f"# mode={curve.mode}"]
     if curve.params is not None:
         p = curve.params
-        lines.append(
+        preamble.append(
             "# params sigma0_sq=" + _g17(p.sigma0_sq)
             + " mu=" + _g17(p.mu) + " r=" + _g17(p.r)
             + " eta1=" + _g17(p.eta1) + " eta2=" + _g17(p.eta2)
         )
-    lines.append(f"# plateau_bp={_g17(curve.plateau_bp)}")
-    lines.append(
+    preamble.append(f"# plateau_bp={_g17(curve.plateau_bp)}")
+    preamble.append(
         f"# L_numeric={_g17(diag.L_numeric)} converged={diag.converged}"
         f" trapping_ok={diag.trapping_ok} monotone_ok={diag.monotone_ok}"
         f" max_violation={_g17(diag.max_violation)}"
     )
-    lines.append("x,s")
-    for x, s in zip(curve.xs, curve.s):
-        lines.append(f"{_g17(x)},{_g17(s)}")
-    _write_lines(os.path.join(out_dir, "spread.csv"), lines)
+    _write_csv(os.path.join(out_dir, "spread.csv"), "x,s", zip(curve.xs, curve.s), preamble)
     if args.gnuplot:
         _write_gnuplot(out_dir, "spread.gp", "spread.csv", [(2, "s(x)")], "spread")
 
@@ -289,12 +277,11 @@ def _cmd_order_test(args) -> int:
     return EXIT_OK
 
 
-def _add_common_flags(parser, atol_rtol=True, out=True, gnuplot=True):
+def _add_common_flags(parser, atol_rtol=True, gnuplot=True):
     if atol_rtol:
         parser.add_argument("--atol", type=_finite_float, default=None)
         parser.add_argument("--rtol", type=_finite_float, default=None)
-    if out:
-        parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--out", default=None, help="output directory")
     if gnuplot:
         parser.add_argument("--gnuplot", action="store_true",
                             help="also write companion gnuplot scripts")
@@ -345,7 +332,6 @@ def build_parser() -> _Parser:
     p_spr.set_defaults(func=_cmd_spread)
 
     p_ord = sub.add_parser("order-test", help="empirical convergence order")
-    _add_common_flags(p_ord, atol_rtol=False, out=False, gnuplot=False)
     p_ord.set_defaults(func=_cmd_order_test)
 
     return parser
@@ -355,7 +341,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left early is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout to devnull, so that the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_NUMERIC
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE

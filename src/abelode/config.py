@@ -55,12 +55,15 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class EquationConfig:
-    degree: int
     coefficients: tuple[str, ...]
     x0: float
     y0: float
     x_end: float
     solver: SolverConfig
+
+    @property
+    def degree(self) -> int:
+        return len(self.coefficients) - 1
 
     def build(self) -> AbelEquation:
         return build_equation(list(self.coefficients), x0=self.x0)
@@ -146,7 +149,7 @@ def equation_config(pairs: dict[str, str]) -> EquationConfig:
     x_end = _get_float(pairs, "x_end")
     if not x_end > x0:
         raise ConfigError(f"x_end={x_end!r} must exceed x0={x0!r}")
-    config = EquationConfig(degree, sources, x0, y0, x_end, solver_config(pairs))
+    config = EquationConfig(sources, x0, y0, x_end, solver_config(pairs))
     try:
         config.build()
     except ExprError as err:

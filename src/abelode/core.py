@@ -73,7 +73,6 @@ class CoefficientFn:
 class AbelEquation:
     """y' = sum_{k=0}^{degree} coeffs[k](x) y^k on [x0, inf)."""
 
-    degree: int
     coeffs: tuple[CoefficientFn, ...]  # ascending order a_0 .. a_n
     x0: float
     description: str = ""
@@ -81,11 +80,10 @@ class AbelEquation:
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
-        if len(self.coeffs) != self.degree + 1:
-            raise ValueError(
-                f"degree {self.degree} needs {self.degree + 1} coefficients, "
-                f"got {len(self.coeffs)}"
-            )
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
 
     @property
     def leading(self) -> CoefficientFn:
@@ -108,7 +106,7 @@ def build_equation(
         CoefficientFn(parse(src), f"a{k}")
         for k, src in enumerate(coeff_sources)
     )
-    return AbelEquation(len(coeffs) - 1, coeffs, float(x0), description)
+    return AbelEquation(coeffs, float(x0), description)
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,10 @@ class NormalForm:
     """Monic view of an equation: lambda_k = a_k/a_n for k < degree."""
 
     equation: AbelEquation = field(repr=False)
-    degree: int
+
+    @property
+    def degree(self) -> int:
+        return self.equation.degree
 
     def a_n(self, x: float) -> float:
         return self.equation.leading(x)
@@ -185,7 +186,7 @@ _PROBE_OFFSETS = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 def normalize(equation: AbelEquation) -> NormalForm:
     """Return the monic normal form, probing a_n != 0 near x0."""
-    nf = NormalForm(equation, equation.degree)
+    nf = NormalForm(equation)
     for offset in _PROBE_OFFSETS:
         nf._nonzero_leading(equation.x0 + offset)
     return nf

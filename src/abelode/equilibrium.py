@@ -152,10 +152,6 @@ class BranchPoint:
     E: float
     Lambda: float
 
-    @property
-    def stable(self) -> bool:
-        return self.Lambda < 0.0
-
 
 @dataclass
 class EquilibriumBranch:
@@ -165,19 +161,19 @@ class EquilibriumBranch:
     each point, refinement midpoints included, so consecutive E values
     satisfy the jump bound; points builds BranchPoints from them on each
     read.  ambiguous_count is the number of grid points where a second
-    positive stable root coexisted with the tracked one.  leading (N,) and
-    rows (N, n+1) are a_n and the monic row [lambda_0, ..., 1] at each
-    point, as sampled by the continuation.  covers(x) is x_start <= x <=
-    x_end, for a float or element-wise for an array.
+    positive stable root coexisted with the tracked one, and note says so
+    when there are any.  leading (N,) and rows (N, n+1) are a_n and the
+    monic row [lambda_0, ..., 1] at each point, as sampled by the
+    continuation.  L is branch_limit's estimate from the values.
+    covers(x) is x_start <= x <= x_end, for a float or element-wise for
+    an array.
     """
 
     xs: np.ndarray
     values: np.ndarray
     eigenvalues: np.ndarray
     grid: GridSpec
-    L: float | None
     ambiguous_count: int = 0
-    note: str = ""
     leading: np.ndarray = field(kw_only=True)
     rows: np.ndarray = field(kw_only=True)
 
@@ -188,6 +184,15 @@ class EquilibriumBranch:
         if any(a.shape[:1] != self.xs.shape for a in (self.values, self.eigenvalues,
                                                       self.leading, self.rows)):
             raise ValueError("values, eigenvalues, leading and rows must have one entry per x")
+
+    @property
+    def L(self) -> float | None:
+        return branch_limit(self)
+
+    @property
+    def note(self) -> str:
+        return (f"{self.ambiguous_count} grid point(s) had a second positive stable root; "
+                "the continuation kept the nearest root") if self.ambiguous_count else ""
 
     @property
     def points(self) -> list[BranchPoint]:
@@ -569,15 +574,7 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
             rows = np.insert(rows, at, mid_rows, axis=0)
         lambdas = _horner(_derivative_row(rows.T), values)
 
-    branch = EquilibriumBranch(xs, values, lambdas, grid, None, ambiguous,
-                               leading=leading, rows=rows)
-    branch.L = branch_limit(branch)
-    if ambiguous:
-        branch.note = (
-            f"{ambiguous} grid point(s) had a second positive stable root; "
-            "the continuation kept the nearest root"
-        )
-    return branch
+    return EquilibriumBranch(xs, values, lambdas, grid, ambiguous, leading=leading, rows=rows)
 
 
 def _F_where_defined(nf: NormalForm, xs: np.ndarray, ys: np.ndarray):

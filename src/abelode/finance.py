@@ -169,14 +169,16 @@ def quadratic_residual(p: MertonParams, x: float, s: float, omega: float) -> flo
 class CalibrationReport:
     x_ref: float
     lambdas: tuple[float, float, float]
-    target: tuple[float, float, float]
-    deviation: tuple[float, float, float]
     eta2_solution: Optional[float]
     note: str
 
     @property
-    def max_abs_deviation(self) -> float:
-        return max(abs(d) for d in self.deviation)
+    def target(self) -> tuple[float, float, float]:
+        return CASE1_TARGET
+
+    @property
+    def deviation(self) -> tuple[float, float, float]:
+        return tuple(l - t for l, t in zip(self.lambdas, CASE1_TARGET))
 
 
 def _lambda0_at(p: MertonParams, x_ref: float, eta2: float) -> float:
@@ -226,7 +228,6 @@ def case1_calibration_check(
     if not 0.0 < x_ref < math.inf:
         raise ValueError(f"x_ref must be finite and positive, got {x_ref!r}")
     lambdas = spread_normal_form(p, x_ref)
-    deviation = tuple(l - t for l, t in zip(lambdas, CASE1_TARGET))
     eta2_solution = None
     note = "parametric normal form evaluated at the reference point"
     if solve_eta2:
@@ -235,9 +236,7 @@ def case1_calibration_check(
             note = "no eta2 makes the constant term hit the target at x_ref"
         else:
             note = "eta2 bisected so the constant term hits the target at x_ref"
-    return CalibrationReport(
-        x_ref, lambdas, CASE1_TARGET, deviation, eta2_solution, note
-    )
+    return CalibrationReport(x_ref, lambdas, eta2_solution, note)
 
 
 def literal_case1_equation() -> AbelEquation:

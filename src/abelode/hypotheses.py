@@ -39,12 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import NormalForm
-from .equilibrium import (
-    POSITIVE_THRESHOLD,
-    EquilibriumBranch,
-    ZeroEigenvalueError,
-    branch_limit,
-)
+from .equilibrium import POSITIVE_THRESHOLD, EquilibriumBranch, ZeroEigenvalueError
 from .expr import ExprDomainError
 from .rate import damped_drift, _drift_integral
 
@@ -230,7 +225,7 @@ def check_asymptotic(
     """B1..B3 over the branch tail."""
     entries: dict[str, HypothesisEntry] = {}
 
-    limit = branch_limit(branch)
+    limit = branch.L
     sup_e = branch.sup_E
     if limit is None:
         entries["B1"] = HypothesisEntry(

@@ -404,14 +404,23 @@ class IntegrationResult:
     ys: np.ndarray
     h_used: np.ndarray
     newton_per_step: np.ndarray
-    n_accepted: int
     n_rejected: int
     n_newton_failures: int
     n_newton_iters: int
-    final_x: float
-    final_y: float
     status: str
     message: str = ""
+
+    @property
+    def n_accepted(self) -> int:
+        return len(self.xs) - 1
+
+    @property
+    def final_x(self) -> float:
+        return float(self.xs[-1])
+
+    @property
+    def final_y(self) -> float:
+        return float(self.ys[-1])
 
     @property
     def completed(self) -> bool:
@@ -423,8 +432,7 @@ class IntegrationResult:
 
 def _finish(xs, ys, hs, iters, rejected, newton_failures, total_iters, status, message=""):
     return IntegrationResult(np.array(xs), np.array(ys), np.array(hs), np.array(iters, dtype=int),
-                             len(xs) - 1, rejected, newton_failures, total_iters, xs[-1], ys[-1],
-                             status, message)
+                             rejected, newton_failures, total_iters, status, message)
 
 
 def integrate_rhs(row, x0: float, y0: float, x_end: float, config: SolverConfig | None = None,

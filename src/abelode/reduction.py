@@ -79,7 +79,10 @@ class ReducedEquation:
 
     base: AbelEquation
     pivot: Callable[[float], float]
-    degree: int
+
+    @property
+    def degree(self) -> int:
+        return self.base.degree
 
     def c(self, k: int, x: float) -> float:
         if not 1 <= k <= self.degree:
@@ -196,7 +199,7 @@ def reduce_about(
         _check_solution_pivot(equation, pivot_fn, probes)
     else:
         raise ValueError(f"unknown pivot kind {kind!r}")
-    return ReducedEquation(equation, pivot_fn, equation.degree)
+    return ReducedEquation(equation, pivot_fn)
 
 
 def to_second_kind(reduced: ReducedEquation) -> SecondKindForm:

@@ -164,9 +164,9 @@ class TestArrayEvaluation:
         _count_calls(monkeypatch, BranchPoint, "__init__", calls)
         run = run_case(cid)
         rate_bound(run.nf, run.branch, run.result)
-        cli._write_trajectory(str(tmp_path / "trajectory.csv"), run.result)
-        cli._write_branch(str(tmp_path / "branch.csv"), run.nf, run.branch)
-        cli._write_report(str(tmp_path / "report.json"), run.report)
+        assert cli.main(["case", str(cid), "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "branch.csv", "report.json", "trajectory.csv"]
         assert calls == []
         assert len(run.branch.points) == run.branch.xs.size and calls
 

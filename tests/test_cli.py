@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import contextlib
 
 import pytest
@@ -87,6 +88,11 @@ class TestCaseCommand:
         script = (tmp_path / "g" / "trajectory.gp").read_text()
         assert "set datafile separator comma" in script
 
+    def test_case_2_branch_plot_has_a_log_axis(self, tmp_path):
+        assert run(["case", "2", "--gnuplot", "--out", tmp_path / "g"])[0] == 0
+        assert "set logscale x" in (tmp_path / "g" / "branch.gp").read_text().splitlines()
+        assert "set logscale x" not in (tmp_path / "g" / "trajectory.gp").read_text()
+
 
 class TestIntegrateCommand:
     def test_riccati_config(self, tmp_path):
@@ -116,6 +122,24 @@ class TestIntegrateCommand:
         assert code == 0
         names = sorted(p.name for p in (tmp_path / "full").iterdir())
         assert names == ["branch.csv", "report.json", "trajectory.csv"]
+
+    def test_branch_flag_alone_writes_no_report(self, tmp_path):
+        cfg = tmp_path / "c3.cfg"
+        cfg.write_text(CASE3_CFG)
+        code, out, _ = run(["integrate", cfg, "--branch", "--out", tmp_path / "b"])
+        assert code == 0
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [
+            "branch.csv", "trajectory.csv"]
+        assert out.startswith("final_x=20 final_y=")
+
+    def test_gnuplot_companion(self, tmp_path):
+        cfg = tmp_path / "c3.cfg"
+        cfg.write_text(CASE3_CFG)
+        assert run(["integrate", cfg, "--gnuplot", "--out", tmp_path / "g"])[0] == 0
+        assert sorted(p.name for p in (tmp_path / "g").iterdir()) == [
+            "trajectory.csv", "trajectory.gp"]
+        assert (tmp_path / "g" / "trajectory.gp").read_text().splitlines()[-1] == (
+            "plot 'trajectory.csv' using 1:2 with lines title 'y(x)'")
 
     def test_branch_failure_comes_after_the_trajectory(self, tmp_path):
         # y' = 1 + y has no positive equilibrium: the trajectory is written
@@ -244,6 +268,22 @@ class TestReduceCommand:
         assert header == ["x", "c1", "c2", "c3"]
         assert len(rows) == 101
 
+    def test_config_equivalent_to_builtin_case(self, tmp_path):
+        cfg = tmp_path / "c1.cfg"
+        cfg.write_text("degree = 3\ncoefficients = 1 | -3 | 1 | 1\nx_end = 20\n")
+        assert run(["reduce", "--case", "1", "--ep", "1", "--out", tmp_path / "builtin"])[0] == 0
+        assert run(["reduce", "--config", cfg, "--ep", "1", "--out", tmp_path / "via_cfg"])[0] == 0
+        assert (tmp_path / "builtin" / "reduce.csv").read_bytes() == \
+            (tmp_path / "via_cfg" / "reduce.csv").read_bytes()
+
+    def test_gnuplot_companion(self, tmp_path):
+        assert run(["reduce", "--case", "1", "--ep", "1", "--gnuplot",
+                    "--out", tmp_path / "g"])[0] == 0
+        assert (tmp_path / "g" / "reduce.gp").read_text().splitlines()[-1] == (
+            "plot 'reduce.csv' using 1:2 with lines title 'c1', "
+            "'reduce.csv' using 1:3 with lines title 'c2', "
+            "'reduce.csv' using 1:4 with lines title 'c3'")
+
     def test_case_and_config_are_exclusive(self, tmp_path):
         cfg = tmp_path / "r.cfg"
         cfg.write_text(RICCATI_CFG)
@@ -268,6 +308,12 @@ class TestSpreadCommand:
         header, rows = read_rows(tmp_path / "s" / "spread.csv")
         assert header == ["x", "s"]
         assert float(rows[-1][1]) == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-8)
+
+    def test_gnuplot_companion(self, tmp_path):
+        assert run(["spread", "--literal-case1", "--gnuplot", "--out", tmp_path / "g"])[0] == 0
+        assert sorted(p.name for p in (tmp_path / "g").iterdir()) == ["spread.csv", "spread.gp"]
+        assert (tmp_path / "g" / "spread.gp").read_text().splitlines()[-1] == (
+            "plot 'spread.csv' using 1:2 with lines title 's(x)'")
 
     def test_parametric_zero_rate(self, tmp_path):
         cfg = tmp_path / "m.cfg"
@@ -328,3 +374,19 @@ class TestTopLevel:
 
     def test_unknown_subcommand_is_usage_error(self):
         assert run(["frobnicate"])[0] == 64
+
+    @pytest.mark.parametrize("command", ["case 1 --out {out}",
+                                         "reduce --case 1 --ep 1 --out {out}", "order-test"])
+    def test_stdout_closed_by_its_reader_ends_the_run_quietly(self, tmp_path, command):
+        # a pipe whose read end is closed: the first line written raises
+        # BrokenPipeError, and the run stops with exit 1 and nothing on stderr
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        err = io.StringIO()
+        with open(write_end, "w", buffering=1) as broken:
+            with contextlib.redirect_stdout(broken), contextlib.redirect_stderr(err):
+                code = main(command.format(out=tmp_path / "o").split())
+                # the descriptor now leads to devnull: writing and closing succeed
+                print("more")
+        assert code == 1
+        assert err.getvalue() == ""

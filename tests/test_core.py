@@ -148,7 +148,7 @@ class TestSampleGrid:
     def test_equals_stacked_sample(self, sources, xs):
         # no normalize: its probes would reject a vanishing a_n up front
         eq = build_equation(sources, 0.0)
-        nf = NormalForm(eq, eq.degree)
+        nf = NormalForm(eq)
         assert _grid(nf, xs) == _stacked(nf, xs)
 
     @pytest.mark.parametrize("sources,xs", [
@@ -162,7 +162,7 @@ class TestSampleGrid:
     ])
     def test_error_order_and_overflow(self, sources, xs):
         eq = build_equation(sources, 0.0)
-        nf = NormalForm(eq, eq.degree)
+        nf = NormalForm(eq)
         assert _grid(nf, xs) == _stacked(nf, xs)
 
 
@@ -204,7 +204,7 @@ class TestCompiledRows:
     @given(sources=st.lists(expressions, min_size=2, max_size=4), xs=grids)
     def test_row_and_sample_equal_tree_walk(self, sources, xs):
         eq = build_equation(sources, 0.0)
-        nf = NormalForm(eq, eq.degree)
+        nf = NormalForm(eq)
         for x in xs:
             assert _point(eq.row, x) == _point(_tree_row(eq), x)
             assert _point(nf.sample, x) == _point(_tree_sample(nf), x)
@@ -212,7 +212,7 @@ class TestCompiledRows:
     def test_leading_coefficient_is_checked_first(self):
         # a_0 = log(x) fails at 0, but sample checks a_n = x first
         eq = build_equation(["log(x)", "1", "x"], 0.0)
-        nf = NormalForm(eq, eq.degree)
+        nf = NormalForm(eq)
         with pytest.raises(LeadingCoefficientError,
                            match=r"^leading coefficient a2 vanishes at x=0\.0$"):
             nf.sample(0.0)

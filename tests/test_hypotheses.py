@@ -81,13 +81,49 @@ class TestTable:
         grid = GridSpec(1.0, 2.0, 5, "linear")
         xs = grid.xs()
         samples = [nf.sample(x) for x in xs.tolist()]
-        branch = EquilibriumBranch(xs, np.ones(xs.size), np.full(xs.size, -1.0), grid, None,
+        branch = EquilibriumBranch(xs, np.ones(xs.size), np.full(xs.size, -1.0), grid,
                                    leading=[an for an, _ in samples],
                                    rows=[row for _, row in samples])
         report = check_structural(nf, branch)
         assert report["A2"].status == "fail"
         assert report["A2"].witness == {"worst_x": 1.0}
         assert report["A1"].status == "pass"
+
+
+class TestHandBuiltVerdicts:
+    """Verdicts that no bundled case reaches, on branches built by hand for
+    y' = 1 - 3y + y^2 + y^3 on [0, 1]."""
+
+    def _branch(self, values, eigenvalues):
+        nf = normalize(build_equation(["1", "-3", "1", "1"], 0.0))
+        grid = GridSpec(0.0, 1.0, len(values), "linear")
+        samples = [nf.sample(x) for x in grid.xs().tolist()]
+        return nf, EquilibriumBranch(grid.xs(), values, eigenvalues, grid,
+                                     leading=[an for an, _ in samples],
+                                     rows=[row for _, row in samples])
+
+    def test_interior_point_without_positive_value_fails_a3(self):
+        values = np.ones(5)
+        values[2] = 0.0
+        nf, branch = self._branch(values, np.full(5, -1.0))
+        entry = check_structural(nf, branch)["A3"]
+        assert entry.status == "fail"
+        assert entry.witness == {"worst_x": 0.5, "worst_value": 0.0}
+        assert entry.note == "no positive branch value at an interior grid point"
+
+    def test_negative_limit_fails_b1(self):
+        nf, branch = self._branch(np.full(20, -0.5), np.full(20, -1.0))
+        entry = check_asymptotic(nf, branch)["B1"]
+        assert entry.status == "fail"
+        assert entry.witness == {"L": -0.5}
+        assert entry.note == "tail limit not positive"
+
+    def test_decay_floor_inside_the_threshold_leaves_b2_open(self):
+        nf, branch = self._branch(np.ones(5), np.full(5, -0.5 * ALPHA_FLOOR))
+        entry = check_asymptotic(nf, branch)["B2"]
+        assert entry.status == "inconclusive"
+        assert entry.witness == {"alpha0": 0.5 * ALPHA_FLOOR}
+        assert entry.note == "decay floor below the resolvable threshold"
 
 
 class TestTailCoverage:
@@ -168,7 +204,7 @@ class TestDomainEdge:
         # sqrt(-(x - 1)^2) evaluates at x = 1 only, so E' has no difference
         nf = normalize(build_equation(["sqrt(0 - (x - 1)^2) - 1", "1"], 1.0))
         branch = EquilibriumBranch([1.0, 2.0], [1.0, 1.0], [-1.0, -1.0],
-                                   GridSpec(1.0, 2.0, 2), None,
+                                   GridSpec(1.0, 2.0, 2),
                                    leading=[1.0, 1.0], rows=[[-1.0, 1.0], [-1.0, 1.0]])
         entry = check_asymptotic(nf, branch)["B3"]
         assert entry.status == "inconclusive"
@@ -179,7 +215,7 @@ class TestDomainEdge:
         # both points are undefined; the first also has Lambda = 0
         nf = normalize(build_equation(["sqrt(0 - (x - 2)^2) - 1", "1"], 1.0))
         branch = EquilibriumBranch([1.0, 2.0], [1.0, 1.0], [0.0, -1.0],
-                                   GridSpec(1.0, 2.0, 2), None,
+                                   GridSpec(1.0, 2.0, 2),
                                    leading=[1.0, 1.0], rows=[[-1.0, 1.0], [-1.0, 1.0]])
         entry = check_asymptotic(nf, branch)["B3"]
         assert entry.note == "branch derivative undefined (zero eigenvalue) on the grid"
@@ -190,7 +226,7 @@ class TestThresholds:
         grid = GridSpec(0.0, 1.0, 5, "linear")
         xs = grid.xs()
         samples = [self.nf.sample(x) for x in xs.tolist()]
-        return EquilibriumBranch(xs, np.ones(xs.size), np.full(xs.size, eigenvalue), grid, None,
+        return EquilibriumBranch(xs, np.ones(xs.size), np.full(xs.size, eigenvalue), grid,
                                  leading=[an for an, _ in samples],
                                  rows=[row for _, row in samples])
 

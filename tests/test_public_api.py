@@ -6,7 +6,13 @@ import importlib.util
 from pathlib import Path
 
 import abelode
-from abelode import CaseRun, SpreadCurve
+from abelode import (
+    AbelEquation, CalibrationReport, CaseRun, CaseStudy, EquationConfig, EquilibriumBranch,
+    GridSpec, IntegrationResult, MertonParams, NormalForm, ReducedEquation, SpreadCurve,
+    branch_limit, build_equation, case1_calibration_check, continue_branch, get_case, normalize,
+)
+from abelode.config import equation_config, parse_pairs
+from abelode.finance import CASE1_TARGET
 
 PUBLIC_NAMES = [
     "AbelEquation", "BranchError", "BranchPoint", "ButcherTableau", "CalibrationReport",
@@ -58,3 +64,44 @@ def test_traced_names_resolve():
     targets = list(tracing.SPANS) + [t for ts in tracing.COUNTED.values() for t in ts]
     for name in targets:
         assert callable(tracing._resolve(name)), name
+
+
+def test_derived_attributes_read_their_sources(case_runs):
+    # twelve values that other fields of the same record determine are
+    # read-only properties, so no record can contradict itself
+    derived = [(AbelEquation, "degree"), (NormalForm, "degree"), (ReducedEquation, "degree"),
+               (EquationConfig, "degree"), (CaseStudy, "x0"), (EquilibriumBranch, "L"),
+               (EquilibriumBranch, "note"), (IntegrationResult, "n_accepted"),
+               (IntegrationResult, "final_x"), (IntegrationResult, "final_y"),
+               (CalibrationReport, "target"), (CalibrationReport, "deviation")]
+    for record, name in derived:
+        assert name not in _field_names(record), (record.__name__, name)
+        attribute = getattr(record, name)
+        assert isinstance(attribute, property) and attribute.fset is None, (record, name)
+
+    for case_id, run in case_runs.items():
+        case, equation, result = get_case(case_id), run.case.equation, run.result
+        assert case.x0 == equation.x0
+        assert equation.degree == len(equation.coeffs) - 1 == 3
+        assert run.nf.degree == equation.degree
+        assert ReducedEquation(equation, lambda x: 0.0).degree == equation.degree
+        assert run.branch.L == branch_limit(run.branch) and run.branch.L is not None
+        assert run.branch.note == ""
+        assert result.n_accepted == len(result.xs) - 1
+        assert result.final_x.hex() == float(result.xs[-1]).hex()
+        assert result.final_y.hex() == float(result.ys[-1]).hex()
+
+    config = equation_config(parse_pairs("degree = 2\ncoefficients = 1 | 0 | -1\nx_end = 10\n"))
+    assert config.degree == len(config.coefficients) - 1 == config.build().degree == 2
+
+    report = case1_calibration_check(MertonParams(1.0, 1.0, 0.02), 2.0)
+    assert report.target == CASE1_TARGET
+    assert report.deviation == tuple(l - t for l, t in zip(report.lambdas, CASE1_TARGET))
+
+    # (y+1)(y-1)(y-2)(y-3)(y-4): two positive stable roots at each of 101 points
+    nf = normalize(build_equation(["24", "-26", "-15", "25", "-9", "1"], 0.0))
+    branch = continue_branch(nf, GridSpec(0.0, 10.0, 101))
+    assert branch.ambiguous_count == 101
+    assert branch.note == ("101 grid point(s) had a second positive stable root; "
+                           "the continuation kept the nearest root")
+    assert branch.L == branch_limit(branch)

@@ -14,7 +14,9 @@ from abelode.cases import get_case
 from abelode.core import build_equation
 from abelode.expr import ExprDomainError
 from abelode.radau import (
+    IntegrationResult,
     NewtonFailure,
+    OrderTestError,
     SolverConfig,
     _newton_inverse,
     empirical_order,
@@ -223,10 +225,12 @@ class TestAttemptOracle:
 
 
 def _result_fields(result):
-    """IntegrationResult fields (or reference_integrate's dict of them) with
-    every float as its hex, the sign of zero included."""
+    """IntegrationResult fields and its derived n_accepted, final_x and
+    final_y (or reference_integrate's dict of them) with every float as its
+    hex, the sign of zero included."""
+    names = [f.name for f in dataclasses.fields(IntegrationResult)]
     fields = result if isinstance(result, dict) else {
-        f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+        name: getattr(result, name) for name in names + ["n_accepted", "final_x", "final_y"]}
 
     def exact(value):
         if isinstance(value, np.ndarray):
@@ -625,6 +629,23 @@ class TestFixedStep:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             empirical_order(eq, 1.0, 2.0, sizes)
         assert runs == []
+
+
+class TestOrderTestErrors:
+    @pytest.mark.parametrize("coefficients, y0, x_end, sizes, message", [
+        (["0", "-1"], 1.0, 2.0, [], "h_list must be nonempty"),
+        # y' = 1e200 y^3: the first stage update overflows, even at h/16
+        (["0", "0", "0", "1e200"], 1.0, 1.0, [1.0],
+         "reference run failed: non-finite stage update in iteration 1 at x=0.0, h=0.0625"),
+        # y' = y^2 blows up at x = 1: one step of 0.9 has no stage solution
+        (["0", "0", "1"], 1.0, 0.9, [0.9, 0.05],
+         "fixed-step run failed at h=0.9: no stage convergence in 10 iterations at x=0.0, h=0.9"),
+        # y' = 0: every run is exact
+        (["0", "0"], 0.0, 2.0, [0.2, 0.1], "errors vanished; order not measurable"),
+    ], ids=["empty", "reference", "fixed-step", "vanished"])
+    def test_message(self, coefficients, y0, x_end, sizes, message):
+        with pytest.raises(OrderTestError, match=f"^{re.escape(message)}$"):
+            empirical_order(build_equation(coefficients, 0.0), y0, x_end, sizes)
 
 
 class TestFixedStepLimits:

@@ -120,7 +120,7 @@ class TestRemainderConstant:
         nf = normalize(eq)
         samples = [nf.sample(p.x) for p in points]
         branch = EquilibriumBranch(xs, [p.E for p in points], [p.Lambda for p in points],
-                                   GridSpec(0.0, 5.0, 7), None,
+                                   GridSpec(0.0, 5.0, 7),
                                    leading=[an for an, _ in samples],
                                    rows=[row for _, row in samples])
         m_e = max(p.E for p in points)
@@ -168,6 +168,14 @@ class TestRateBound:
         rb = rate_bound(nf, branch, integrate(eq, 0.0, 1.0))
         assert rb.xs[-1] == 1.0
         assert np.isfinite(rb.bound).all()
+
+    def test_trajectory_outside_the_branch_is_refused(self):
+        eq = build_equation(["1", "-3", "1", "1"], 0.0)
+        nf = normalize(eq)
+        branch = continue_branch(nf, GridSpec(30.0, 40.0, 11))
+        with pytest.raises(ValueError,
+                           match="^trajectory and branch share fewer than two points$"):
+            rate_bound(nf, branch, integrate(eq, 0.0, 20.0))
 
     def test_initial_bound_is_initial_gap(self, case_runs):
         run = case_runs[1]

@@ -69,7 +69,7 @@ class TestReduceAbout:
         pairs = [(float(rng.uniform(-3, 3)), float(rng.uniform(-1, 1)))
                  for _ in range(degree + 1)]
         eq = build_equation([f"({p!r}) + ({q!r})*x" for p, q in pairs], 0.0)
-        red = ReducedEquation(eq, lambda x: 0.5 + math.sin(x), degree)
+        red = ReducedEquation(eq, lambda x: 0.5 + math.sin(x))
         for x in np.linspace(0.0, 4.0, 9):
             x = float(x)
             values, scales = taylor_power_sum(
@@ -85,7 +85,7 @@ class TestReduceAbout:
         # undefined the coefficients still come from a_1..a_n; where a_2
         # fails, the tree walk's error names it
         eq = build_equation(["log(x)", "-1", "sqrt(1 - x)", "1"], 0.0)
-        red = ReducedEquation(eq, lambda x: 0.25, 3)
+        red = ReducedEquation(eq, lambda x: 0.25)
         for x in (0.0, 0.5, 1.0):
             row = [0.0] + [coeff(x) for coeff in eq.coeffs[1:]]
             assert red.coefficients(x) == _taylor_shift(row, 0.25)[1:]
@@ -132,6 +132,16 @@ class TestSecondKind:
     def test_coefficient_triple(self):
         form = to_second_kind(reduce_about(case1(), 1.0))
         assert (form.c1(0.0), form.c2(0.0), form.c3(0.0)) == (2.0, 4.0, 1.0)
+
+    @pytest.mark.parametrize("x", [0.0, 1.5, 7.0])
+    @pytest.mark.parametrize("v", [0.5, -0.3, 2.0])
+    def test_residual_vanishes_on_the_reciprocal_deviation(self, x, v):
+        # w = 1/v turns v' = rhs(x, v) into w' = -rhs(x, v) / v^2, the
+        # second-kind equation: the residual is rounding alone
+        reduced = reduce_about(case1(), 1.0)
+        w_prime = -reduced.rhs(x, v) / v**2
+        residual = to_second_kind(reduced).residual(x, 1.0 / v, w_prime)
+        assert abs(residual) <= 1e-12 * (1.0 + abs(w_prime))
 
     def test_zero_state_rejected(self):
         form = to_second_kind(reduce_about(case1(), 1.0))
