@@ -9,7 +9,7 @@ import abelode
 from abelode import (
     AbelEquation, CalibrationReport, CaseRun, CaseStudy, EquationConfig, EquilibriumBranch,
     GridSpec, IntegrationResult, MertonParams, NormalForm, ReducedEquation, SpreadCurve,
-    branch_limit, build_equation, case1_calibration_check, continue_branch, get_case, normalize,
+    branch_limit, build_equation, case1_calibration_check, continue_branch, normalize,
 )
 from abelode.config import equation_config, parse_pairs
 from abelode.finance import CASE1_TARGET
@@ -79,8 +79,8 @@ def test_derived_attributes_read_their_sources(case_runs):
         attribute = getattr(record, name)
         assert isinstance(attribute, property) and attribute.fset is None, (record, name)
 
-    for case_id, run in case_runs.items():
-        case, equation, result = get_case(case_id), run.case.equation, run.result
+    for run in case_runs.values():
+        case, equation, result = run.case, run.case.equation, run.result
         assert case.x0 == equation.x0
         assert equation.degree == len(equation.coeffs) - 1 == 3
         assert run.nf.degree == equation.degree
