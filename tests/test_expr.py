@@ -280,10 +280,12 @@ class TestCompiledRow:
     @settings(max_examples=300, deadline=None)
     @given(sources=st.lists(expressions, min_size=1, max_size=4), xs=grids)
     def test_row_equals_tree_walk(self, sources, xs):
+        # the second row runs the first's code object, from the code cache
         exprs = [parse(source) for source in sources]
-        row = compile_row(exprs)
+        row, again = compile_row(exprs), compile_row(exprs)
+        assert again.__code__ is row.__code__
         for x in xs:
-            assert _row_outcome(row, x) == _eval_outcome(exprs, x)
+            assert _row_outcome(row, x) == _row_outcome(again, x) == _eval_outcome(exprs, x)
 
     @pytest.mark.parametrize("name", sorted(_DEEP))
     @pytest.mark.parametrize("x", [-1.5, -0.0, 0.5, 1.0, 2.0])
@@ -344,6 +346,32 @@ class TestCompiledRow:
                  if name.startswith("_k")}
         assert sorted(bound.values()) == [-2.5, 12.0]
         assert row(2.0) == [7.0]
+
+    def test_rows_differing_in_numbers_share_code(self):
+        # one code object, each row with its own constants
+        equations = [build_equation([f"{a} + {b}*exp({c}*x)", f"{b}*x - {a}", "-1"], 0.0)
+                     for a, b, c in ((1.5, -0.25, -2.0), (-3.0, 7.5, -0.125))]
+        first, second = (equation.row for equation in equations)
+        assert first.__code__ is second.__code__ and first.source == second.source
+        for x in (-1.5, -0.0, 0.5, 2.0):
+            outcomes = [_row_outcome(equation.row, x) for equation in equations]
+            assert outcomes[0] != outcomes[1]
+            for outcome, equation in zip(outcomes, equations):
+                assert outcome == _eval_outcome([c.expr for c in equation.coeffs], x)
+
+    def test_code_cache_is_bounded(self):
+        # rows of 2, 3, ... copies of one expression are distinct sources
+        exprs = [parse("log(x) / (1 + exp(-x))")]
+        first = compile_row(exprs)
+        for copies in range(2, expr_module._CODE_CACHE_SIZE + 2):
+            compile_row(exprs * copies)
+        cache = expr_module._compile.cache_info()
+        assert cache.currsize <= expr_module._CODE_CACHE_SIZE
+        again = compile_row(exprs)
+        assert expr_module._compile.cache_info().misses == cache.misses + 1  # evicted
+        assert again.__code__ is not first.__code__ and again.source == first.source
+        for x in (-1.0, -0.0, 0.0, 0.5, 3.0):
+            assert _row_outcome(again, x) == _row_outcome(first, x) == _eval_outcome(exprs, x)
 
     def test_constants_enter_only_through_names(self):
         source = compile_row([parse("2.5*x + pi")]).source
