@@ -12,9 +12,12 @@ as the row AbelEquation.row(x).
 
 Every polynomial in y is handled as one coefficient row (ascending
 powers) evaluated once per abscissa; _horner, _derivative_row and
-_taylor_shift do the arithmetic on such a row.  The integrator runs
+_taylor_shift do the arithmetic on such a row.  _horner starts at the
+leading coefficient, which gives what a 0.0 seed gives wherever that
+coefficient is nonzero and y finite (see _horner).  The integrator runs
 _horner's operations inline, bit for bit: radau generates its start values
-and its stage solve per row length as flat Horner statements.
+and its stage solve per row length as flat Horner statements, each from
+the leading coefficient too.
 
 Scalar rows come from one compiled function per equation,
 AbelEquation.row (see expr.compile_row), which NormalForm.sample reads
@@ -200,10 +203,28 @@ def _require_real(name: str, value) -> None:
 
 
 def _horner(coefficients: list[float], y: float) -> float:
-    """Value at y of the polynomial with ascending coefficients."""
-    acc = 0.0
-    for c in reversed(coefficients):
+    """Value at y of the polynomial with ascending coefficients c_0..c_{m-1}
+    (floats, or arrays that broadcast with y), by Horner's rule from the
+    leading coefficient: acc = c_{m-1}, then acc = acc y + c_k for k from
+    m-2 down to 0 (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., section 5.1).  An empty row is 0.0; a one-coefficient row is
+    c_0, as a new array in the broadcast shape of c_0 and y where either is
+    an array.
+
+    A seed acc = 0.0 would spend one multiply and one add on 0 y + c_{m-1},
+    which is c_{m-1} bit for bit wherever c_{m-1} is nonzero and y finite,
+    so both seeds give the same result there.  They differ in the sign of
+    a zero result where c_{m-1} is -0.0 and the rest of the row is zero,
+    and where y is not finite (0 inf is NaN).  The seed is never updated in
+    place: on the array paths it is the caller's column.
+    """
+    if len(coefficients) == 0:
+        return 0.0
+    acc = coefficients[-1]
+    for c in coefficients[-2::-1]:
         acc = acc * y + c
+    if len(coefficients) == 1 and (np.ndim(acc) or np.ndim(y)):
+        return np.full(np.broadcast_shapes(np.shape(acc), np.shape(y)), acc)
     return acc
 
 

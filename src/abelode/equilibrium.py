@@ -162,11 +162,11 @@ class EquilibriumBranch:
     satisfy the jump bound; points builds BranchPoints from them on each
     read.  ambiguous_count is the number of grid points where a second
     positive stable root coexisted with the tracked one, and note says so
-    when there are any.  leading (N,) and rows (N, n+1) are a_n and the
-    monic row [lambda_0, ..., 1] at each point, as sampled by the
-    continuation.  L is branch_limit's estimate from the values.
-    covers(x) is x_start <= x <= x_end, for a float or element-wise for
-    an array.
+    when there are any; refinements is the number of midpoints.  leading
+    (N,) and rows (N, n+1) are a_n and the monic row [lambda_0, ..., 1] at
+    each point, as sampled by the continuation.  L is branch_limit's
+    estimate from the values.  covers(x) is x_start <= x <= x_end, for a
+    float or element-wise for an array.
     """
 
     xs: np.ndarray
@@ -193,6 +193,11 @@ class EquilibriumBranch:
     def note(self) -> str:
         return (f"{self.ambiguous_count} grid point(s) had a second positive stable root; "
                 "the continuation kept the nearest root") if self.ambiguous_count else ""
+
+    @property
+    def refinements(self) -> int:
+        """The refinement midpoints among xs."""
+        return int(self.xs.size) - self.grid.count
 
     @property
     def points(self) -> list[BranchPoint]:

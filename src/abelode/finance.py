@@ -85,7 +85,10 @@ class MertonParams:
         return 1.0 + self.eta1 * x + self.eta2 * x * x
 
     def volatility_positive_on(self, xs) -> bool:
-        return all(self.Q(float(x)) > 0.0 for x in xs)
+        """Q > 0 at every abscissa of xs (true for none), Q evaluated on the
+        whole array with the float operations of Q(x); a NaN fails."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return bool(np.all(self.Q(np.asarray(xs, dtype=float)) > 0.0))
 
 
 def volatility_factor(p: MertonParams, x: float) -> float:

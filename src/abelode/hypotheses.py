@@ -86,9 +86,16 @@ class HypothesisEntry:
 
 @dataclass
 class HypothesisReport:
+    """Check entries by id, the grids they read and the report's note.
+    branch is empty unless the branch had ambiguous points; then it holds
+    their count, the branch's refinement count and its note, and to_json
+    and format_table carry it (reports of unambiguous branches carry no
+    branch key and no footer line for it)."""
+
     entries: dict[str, HypothesisEntry]
     grid_info: dict[str, float | int | str]
     note: str = GRID_VERIFIED
+    branch: dict[str, int | str] = field(default_factory=dict)
 
     def __getitem__(self, key: str) -> HypothesisEntry:
         return self.entries[key]
@@ -106,7 +113,7 @@ class HypothesisReport:
         entries.update(other.entries)
         info = dict(self.grid_info)
         info.update(other.grid_info)
-        return HypothesisReport(entries, info, self.note)
+        return HypothesisReport(entries, info, self.note, {**self.branch, **other.branch})
 
     def to_json(self) -> str:
         payload = {
@@ -114,6 +121,8 @@ class HypothesisReport:
             "grid": self.grid_info,
             "checks": [self.entries[k].as_dict() for k in sorted(self.entries)],
         }
+        if self.branch:
+            payload["branch"] = self.branch
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def format_table(self) -> str:
@@ -125,6 +134,8 @@ class HypothesisReport:
             )
             lines.append(f"{entry.id:<6} {entry.status:<13} {witness}".rstrip())
         lines.append(f"({self.note})")
+        if self.branch:
+            lines.append(f"(branch: {self.branch['note']})")
         return "\n".join(lines)
 
 
@@ -295,5 +306,11 @@ def verify(
     branch: EquilibriumBranch,
     grid_xs=None,
 ) -> HypothesisReport:
-    """Structural and asymptotic checks combined into one report."""
-    return check_structural(nf, branch, grid_xs).merged(check_asymptotic(nf, branch))
+    """Structural and asymptotic checks combined into one report, with the
+    branch's ambiguity (ambiguous_count, refinements, note) where it had
+    ambiguous points."""
+    report = check_structural(nf, branch, grid_xs).merged(check_asymptotic(nf, branch))
+    if branch.ambiguous_count:
+        report.branch = {"ambiguous_count": branch.ambiguous_count,
+                         "refinements": branch.refinements, "note": branch.note}
+    return report

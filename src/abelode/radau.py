@@ -14,10 +14,11 @@ L-stable method with stability function
 
 The right-hand side is a polynomial in y, given as a function row(x)
 returning its ascending coefficients at x.  Implicit stages are solved by
-simplified Newton in plain floats.  One Horner loop over the start row
-gives the predictor f(x, y) and the analytic scalar Jacobian J = df/dy(x, y)
-together; the iteration matrix I - zA (z = hJ) is inverted once per stage
-solve by Cayley-Hamilton,
+simplified Newton in plain floats.  Horner over the start row and over its
+derivative row gives the predictor f(x, y) and the analytic scalar
+Jacobian J = df/dy(x, y), each started at its leading coefficient as
+core._horner starts; the iteration matrix I - zA (z = hJ) is inverted
+once per stage solve by Cayley-Hamilton,
 
     (I - zA)^-1 = (I + z P1 + z^2 P2) / Q(z),
     P1 = A - tr(A) I,  P2 = A^2 - tr(A) A + (tr(A)^2 - tr(A^2))/2 I,
@@ -28,16 +29,20 @@ sampled later must have m coefficients too (ValueError naming x if not),
 and an empty first row is a ValueError.  The step attempt and its stage
 solve, two generated functions per row length m, are made on first use
 (_step_attempt, _stage_solver) as straight-line float code: rows unpacked
-into locals, Horner one flat statement per coefficient, the inverse nine
-statements with the tableau as literals, and the finiteness and
-convergence tests chained comparisons.
+into locals, Horner one flat statement per coefficient from the leading
+one (_horner_lines), the inverse nine statements with the tableau as
+literals, and the finiteness and convergence tests chained comparisons.
 Written for rows of any length, an attempt spent most of its time on
 interpreter overhead (loops, calls, tuple unpacking), not arithmetic.
-The generated code runs the same IEEE operations in the same order, so
-results are bit for bit those of plain loops (reference_attempt and
-reference_integrate in tests/oracles.py).  Flat statements, unlike one
-nested Horner expression, compile for any degree: the nested form fails
-past 200 coefficients, the parser's limit on nested parentheses.
+The generated code runs the same IEEE operations in the same order as
+plain loops whose Horner also starts at the leading coefficient, so
+results are bit for bit theirs (reference_attempt and reference_integrate
+in tests/oracles.py).  A Horner seeded at 0.0 gives the same bits wherever
+a row's leading coefficient is nonzero; it differs only in the sign of a
+zero from a row of zeros led by -0.0 (core._horner).  Flat statements,
+unlike one nested Horner expression, compile for any degree: the nested
+form fails past 200 coefficients, the parser's limit on nested
+parentheses.
 
 Step doubling gives err = |y_h - y_{h/2,h/2}| / (2^5 - 1), the estimated
 local error of the two half steps y_{h/2,h/2}.  The run keeps the full
@@ -49,8 +54,10 @@ both use err.
 Each abscissa is sampled once per attempt: the full step and the first
 half step share the start row and the start values computed from it, the
 first half step's last stage row (at x + h/2) starts the second, and the
-full step's last stage row (at x + h) starts the next attempt, so an
-attempt samples nine new rows.
+full step's last stage row (at x + h) is the second half step's last stage
+row where (x + h/2) + h/2 == x + h and starts the next attempt.  So an
+attempt samples eight new rows, or nine where (x + h/2) + h/2 rounds to
+another float than x + h.
 
 Characteristics:
     * scalar problems only, dense output deliberately absent
@@ -275,34 +282,54 @@ def _require_length(coefficients, x, m):
     return coefficients
 
 
+def _horner_lines(name: str, coefficients: list[str], y: str) -> list[str]:
+    """Statements setting name to the value at y of the polynomial whose
+    ascending coefficients are the expressions given: core._horner's
+    operations unrolled, one flat statement per coefficient, the first
+    step from the leading coefficient (name = 0.0 for none)."""
+    if not coefficients:
+        return [f"{name} = 0.0"]
+    top, *rest = reversed(coefficients)
+    lines, term = [], top
+    for c in rest:
+        lines.append(f"{name} = {term} * {y} + {c}")
+        term = name
+    return lines or [f"{name} = {top}"]
+
+
 def _start_lines(m: int, row: str, y: str) -> list[str]:
     """Statements setting value and slope to f(x, y) and df/dy(x, y) from the
-    row of length m >= 1 named row: the operations of core._horner on the
-    row and on its derivative row, in one unrolled loop."""
-    lines = [f"[{', '.join(f'c_{k}' for k in range(m))}] = {row}", "value = slope = 0.0"]
-    for k in range(m - 1, 0, -1):
-        lines += [f"value = value * {y} + c_{k}", f"slope = slope * {y} + {k} * c_{k}"]
-    return [*lines, f"value = value * {y} + c_0"]
+    row of length m >= 1 named row: core._horner on the row and on its
+    derivative row (_horner_lines), each from its leading coefficient."""
+    names = [f"c_{k}" for k in range(m)]
+    return [f"[{', '.join(names)}] = {row}", *_horner_lines("value", names, y),
+            *_horner_lines("slope", [f"{k} * c_{k}" for k in range(1, m)], y)]
 
 
 @functools.cache
 def _stage_solver(m: int):
     """The stage solve for rows of length m, generated on first use and
-    cached: solve(value, slope, row, x, y, h, config) runs simplified
-    Newton for the stage slopes k_i = f(x + c_i h, y + h sum A_ij k_j),
-    f(x, y) the polynomial in y with ascending coefficients row(x), from
-    the predictor value = f(x, y) and the frozen Jacobian slope = df/dy.
+    cached: solve(value, slope, row, x, y, h, threshold, last, end) runs
+    simplified Newton for the stage slopes k_i = f(x + c_i h, y + h sum
+    A_ij k_j), f(x, y) the polynomial in y with ascending coefficients
+    row(x), from the predictor value = f(x, y) and the frozen Jacobian
+    slope = df/dy, until every update is at most threshold in size or
+    iteration last fails to get there.
 
     The stage rows are sampled once the first iteration's stage values
-    are finite, and unpacked into m locals each; a row of another length
-    is a ValueError naming its abscissa and both lengths.  An iteration is
-    straight-line code: Horner one statement per coefficient and stage,
-    the update through the inline inverse, and the finiteness and
-    convergence tests as chained comparisons (the latter equal to
-    max|d_i| <= threshold: the updates are finite there and threshold is
-    not negative).  Returns (y + h sum b_i k_i, k0, k1, k2, iterations,
-    row at x + h); raises NewtonFailure when the iterations run out or a
-    stage value or update is non-finite (it cannot converge).
+    are finite, and unpacked into m locals each; end, when not None, is
+    the row at x + h already sampled by the caller and stands in for the
+    last stage row.  A row of another length is a ValueError naming its
+    abscissa and both lengths, raised where its unpack fails.  An
+    iteration is straight-line code: Horner from the leading coefficient,
+    one statement per coefficient and stage (_horner_lines), the update
+    d = M r through the inline inverse M and k = k - d (k + (-d) bit for
+    bit), and the finiteness and convergence tests as chained comparisons
+    (the latter equal to max|d_i| <= threshold: the updates are finite
+    there and threshold is not negative).  Returns (y + h sum b_i k_i, k0,
+    k1, k2, iterations, row at x + h); raises NewtonFailure when the
+    iterations run out or a stage value or update is non-finite (it cannot
+    converge).
     """
     # the tableau enters the code as literals: repr round-trips a finite float
     a, b, c = [repr(v) for v in _A], [repr(v) for v in _B], [repr(v) for v in _C]
@@ -311,17 +338,14 @@ def _stage_solver(m: int):
     non_finite = ('raise NewtonFailure(f"non-finite stage update in iteration {iterations}'
                   ' at x={x!r}, h={h!r}")')
     finite_stages = "if not (ninf < s0 < inf and ninf < s1 < inf and ninf < s2 < inf):"
-    horner = []
-    for i in range(3):
-        horner.append(f"f{i} = 0.0")
-        horner += [f"f{i} = f{i} * s{i} + c{i}_{k}" for k in range(m - 1, -1, -1)]
     iteration = [
-        *horner,
+        *(line for i in range(3)
+          for line in _horner_lines(f"f{i}", [f"c{i}_{k}" for k in range(m)], f"s{i}")),
         *(f"r{i} = k{i} - f{i}" for i in range(3)),
-        *(f"d{i} = -(m{i}0 * r0 + m{i}1 * r1 + m{i}2 * r2)" for i in range(3)),
+        *(f"d{i} = m{i}0 * r0 + m{i}1 * r1 + m{i}2 * r2" for i in range(3)),
         "if not (ninf < d0 < inf and ninf < d1 < inf and ninf < d2 < inf):",
         f"    {non_finite}",
-        *(f"k{i} = k{i} + d{i}" for i in range(3)),
+        *(f"k{i} = k{i} - d{i}" for i in range(3)),
         "if low <= d0 <= threshold and low <= d1 <= threshold and low <= d2 <= threshold:",
         f"    return y + h * ({b[0]} * k0 + {b[1]} * k1 + {b[2]} * k2),"
         " k0, k1, k2, iterations, p2",
@@ -337,23 +361,24 @@ def _stage_solver(m: int):
         "z = h * slope",
         *_inverse_lines(),
         "k0 = k1 = k2 = value  # constant predictor",
-        "threshold = config.newton_tol * (config.atol / h + config.rtol * abs(y))",
         "low = -threshold",
-        "last = config.newton_max_iters",
         "iterations = 1",
         *stage_values,
         finite_stages,
         f"    {non_finite}",
         *(f"t{i} = x + {c[i]} * h" for i in range(3)),
-        "p0, p1, p2 = row(t0), row(t1), row(t2)",
-        f"if len(p0) != {m} or len(p1) != {m} or len(p2) != {m}:",
+        "p0, p1 = row(t0), row(t1)",
+        "p2 = row(t2) if end is None else end",
+        "try:",
+        *(f"    [{', '.join(f'c{i}_{k}' for k in range(m))}] = p{i}" for i in range(3)),
+        "except ValueError:",
         *(f"    _require_length(p{i}, t{i}, {m})" for i in range(3)),
-        *(f"[{', '.join(f'c{i}_{k}' for k in range(m))}] = p{i}" for i in range(3)),
+        "    raise",
         "while True:",
         *(f"    {line}" for line in iteration),
     ]
     return _define(f"stage solver, rows of length {m}",
-                   "solve(value, slope, row, x, y, h, config)", body,
+                   "solve(value, slope, row, x, y, h, threshold, last, end)", body,
                    NewtonFailure=NewtonFailure, _require_length=_require_length)
 
 
@@ -362,19 +387,30 @@ def _step_attempt(m: int):
     """The step attempt for rows of length m, generated on first use and
     cached: attempt(start, row, x, y, h, config) from start = row(x) runs
     the full step and two half steps for the step-doubling error estimate
-    err = |y_h - y_{h/2,h/2}| / 31 as straight-line code.  The full step
-    and the first half step share the start values from start; the second
-    half step's come from the first's last stage row, at x + h/2.  Returns
-    (y_h, err, newton iterations, the full step's stages, row at x + h).
+    err = |y_h - y_{h/2,h/2}| / 31 as straight-line code, reading config
+    once.  The full step and the first half step share the start values
+    from start; the second half step's come from the first's last stage
+    row, at x + h/2, and its own last stage row is the full step's where
+    (x + h/2) + h/2 == x + h.  Returns (y_h, err, newton iterations, the
+    full step's stages, row at x + h).
     """
     return _define(f"step attempt, rows of length {m}", "attempt(start, row, x, y, h, config)", [
         "y, h = float(y), float(h)",
         *_start_lines(m, "start", "y"),
-        "y_coarse, k0, k1, k2, iters, end = solve(value, slope, row, x, y, h, config)",
+        "newton_tol, atol, rtol = config.newton_tol, config.atol, config.rtol",
+        "last = config.newton_max_iters",
+        "scaled = rtol * abs(y)  # the Newton threshold is newton_tol (atol / h + rtol |y|)",
+        "y_coarse, k0, k1, k2, iters, end = solve(",
+        "    value, slope, row, x, y, h, newton_tol * (atol / h + scaled), last, None)",
         "half = 0.5 * h",
-        "y_half, _, _, _, iters2, middle = solve(value, slope, row, x, y, half, config)",
+        "y_half, _, _, _, iters2, middle = solve(",
+        "    value, slope, row, x, y, half, newton_tol * (atol / half + scaled), last, None)",
         *_start_lines(m, "middle", "y_half"),
-        "y_fine, _, _, _, iters3, _ = solve(value, slope, row, x + half, y_half, half, config)",
+        "x_half = x + half",
+        "y_fine, _, _, _, iters3, _ = solve(",
+        "    value, slope, row, x_half, y_half, half,",
+        "    newton_tol * (atol / half + rtol * abs(y_half)), last,",
+        "    end if x_half + half == x + h else None)",
         f"err = abs(y_coarse - y_fine) / {STEP_DOUBLING_DENOM!r}",
         "return y_coarse, err, iters + iters2 + iters3, (k0, k1, k2), end",
     ], solve=_stage_solver(m))
@@ -470,12 +506,13 @@ def integrate_rhs(row, x0: float, y0: float, x_end: float, config: SolverConfig 
     start = _first_row(row, x0)
     m = len(start)
     attempt = _step_attempt(m)
+    atol, rtol, h_min, max_steps = config.atol, config.rtol, config.h_min, config.max_steps
     rejected = newton_failures = total_iters = steps_taken = 0
 
     while x < x_end:
-        if steps_taken >= config.max_steps:
+        if steps_taken >= max_steps:
             return _finish(xs, ys, hs, iters, rejected, newton_failures, total_iters,
-                           "step-failure", f"max_steps={config.max_steps} exceeded")
+                           "step-failure", f"max_steps={max_steps} exceeded")
         steps_taken += 1
 
         while mark_idx < len(marks) and marks[mark_idx] <= x:
@@ -494,13 +531,13 @@ def integrate_rhs(row, x0: float, y0: float, x_end: float, config: SolverConfig 
             rejected += 1
             newton_failures += 1
             h = 0.5 * h_try
-            if h < config.h_min:
+            if h < h_min:
                 return _finish(xs, ys, hs, iters, rejected, newton_failures, total_iters,
                                "newton-failure", str(failure))
             continue
 
         total_iters += newton_iters
-        tol = config.atol + config.rtol * abs(y)
+        tol = atol + rtol * abs(y)
         if err <= tol:
             x_step = x + h_try
             x = target if truncated else x_step
@@ -518,7 +555,7 @@ def integrate_rhs(row, x0: float, y0: float, x_end: float, config: SolverConfig 
         else:
             factor = min(5.0, max(0.2, 0.9 * (tol / err) ** (1.0 / 6.0)))
         h = min(h_try * factor, h_max)
-        if h < config.h_min:
+        if h < h_min:
             return _finish(xs, ys, hs, iters, rejected, newton_failures, total_iters,
                            "step-failure", f"step size {h!r} below h_min at x={x!r}")
 
@@ -552,14 +589,17 @@ def integrate_fixed_rhs(row, x0: float, y0: float, x_end: float, h: float,
     x, y = x0, float(y0)
     start = _first_row(row, x0)
     solve = _stage_solver(len(start))
+    newton_tol, atol, rtol = config.newton_tol, config.atol, config.rtol
+    last = config.newton_max_iters
     total_iters = 0
     while x < x_end:
         h_try = min(h, float(x_end - x))
         if x + h_try == x:
             raise ValueError(f"step size {h_try!r} does not advance x={x!r}")
         # the row at x + h_try starts the next step (a truncated step is the last)
-        y, _, _, _, step_iters, start = solve(_horner(start, y), _horner(_derivative_row(start), y),
-                                              row, x, y, h_try, config)
+        y, _, _, _, step_iters, start = solve(
+            _horner(start, y), _horner(_derivative_row(start), y), row, x, y, h_try,
+            newton_tol * (atol / h_try + rtol * abs(y)), last, None)
         x = x_end if h_try < h else x + h
         total_iters += step_iters
         xs.append(x)

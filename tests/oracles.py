@@ -159,10 +159,7 @@ def reference_walk(xs, roots_at, midpoint, threshold=1e-12, jump=0.25):
 def slope_in_y(row, y):
     """dF/dy at y of the monic row (ascending coefficients), by Horner on
     the derivative coefficients k c_k."""
-    acc = 0.0
-    for k in range(len(row) - 1, 0, -1):
-        acc = acc * y + k * row[k]
-    return acc
+    return _horner([k * row[k] for k in range(1, len(row))], y)
 
 
 class ReferenceNewtonFailure(Exception):
@@ -191,8 +188,12 @@ def _radau_floats():
 
 
 def _horner(coefficients, y):
-    acc = 0.0
-    for c in reversed(coefficients):
+    """Horner's rule from the leading coefficient (0.0 for an empty row), the
+    package's operation order: acc = c_{m-1}, then acc = acc y + c_k."""
+    if not coefficients:
+        return 0.0
+    acc = coefficients[-1]
+    for c in reversed(coefficients[:-1]):
         acc = acc * y + c
     return acc
 

@@ -187,8 +187,9 @@ class TestArrayEvaluation:
     def test_integrator_shares_rows_between_steps(self, cid, eval_calls, rows_sampled):
         # the full step and the first half step share the start row, the
         # second half step starts on the first one's last stage row, and the
-        # next attempt starts on the full step's last stage row: nine new
-        # rows per attempt plus the initial one
+        # full step's last stage row ends the second half step where
+        # (x + h/2) + h/2 == x + h and starts the next attempt: at most nine
+        # new rows per attempt plus the initial one
         equation = get_case(cid).equation
         result = integrate(equation, 0.0, 20.0)
         attempts = result.n_accepted + result.n_rejected

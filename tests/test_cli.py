@@ -256,6 +256,24 @@ class TestHypothesesCommand:
         code, out, _ = run(["hypotheses", cfg, "--out", tmp_path / "h"])
         assert code == 0
         assert "pass" in out
+        # an unambiguous branch adds no branch object and no footer line
+        assert "branch" not in json.loads((tmp_path / "h" / "report.json").read_text())
+        assert out.splitlines()[-1] == "(grid-verified sampling check, not a proof)"
+
+    def test_ambiguous_branch_note_reaches_the_report_and_the_table(self, tmp_path):
+        # (y+1)(y-1)(y-2)(y-3)(y-4): 1 and 3 are both positive stable roots
+        # at every grid point; the continuation keeps the one it started on
+        cfg = tmp_path / "amb.cfg"
+        cfg.write_text("degree = 5\ncoefficients = 24 | -26 | -15 | 25 | -9 | 1\n"
+                       "x0 = 0\ny0 = 0\nx_end = 10\n")
+        code, out, _ = run(["hypotheses", cfg, "--out", tmp_path / "h"])
+        assert code == 0
+        note = ("2001 grid point(s) had a second positive stable root;"
+                " the continuation kept the nearest root")
+        payload = json.loads((tmp_path / "h" / "report.json").read_text())
+        assert payload["branch"] == {"ambiguous_count": 2001, "refinements": 0, "note": note}
+        assert out.splitlines()[-2:] == ["(grid-verified sampling check, not a proof)",
+                                         f"(branch: {note})"]
 
 
 class TestReduceCommand:

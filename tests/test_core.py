@@ -9,6 +9,7 @@ from strategies import expressions, grids
 from abelode.core import (
     LeadingCoefficientError,
     NormalForm,
+    _horner,
     build_equation,
     eval_dF,
     eval_drhs,
@@ -120,6 +121,72 @@ class TestEvaluation:
         assert eval_rhs(eq, 0.0, 1.0) == pytest.approx(1.0 - 4.0 + 1.0, abs=1e-15)
         big_x = eval_rhs(eq, 30.0, 1.0)
         assert big_x == pytest.approx(0.0, abs=1e-12)  # (1 - 4 + 3) at the tail
+
+
+def _zero_seeded(coefficients, y):
+    """Horner's rule seeded at 0.0, the loop _horner replaced."""
+    acc = 0.0
+    for c in reversed(coefficients):
+        acc = acc * y + c
+    return acc
+
+
+_any_float = st.floats(allow_nan=True, allow_infinity=True)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _nonzero_led_rows(draw, width):
+    """Ascending coefficients of 1-6 entries whose leading one is nonzero:
+    floats (width None) or arrays of width entries each."""
+    size = draw(st.integers(1, 6))
+    if width is None:
+        tail = draw(st.lists(_any_float, min_size=size - 1, max_size=size - 1))
+        return tail + [draw(_any_float.filter(lambda c: c != 0.0))]
+    columns = [draw(st.lists(_any_float, min_size=width, max_size=width))
+               for _ in range(size - 1)]
+    top = draw(st.lists(_any_float.filter(lambda c: c != 0.0), min_size=width, max_size=width))
+    return [np.array(c) for c in columns + [top]]
+
+
+class TestHorner:
+    """core._horner starts at the leading coefficient."""
+
+    def test_empty_row_is_zero(self):
+        for y in (2.0, -0.0, np.arange(3.0)):
+            value = _horner([], y)
+            assert type(value) is float and value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_one_coefficient_broadcasts_like_the_zero_seed(self):
+        for c, y in [(2.5, np.arange(4.0)), (-0.5, np.zeros((3, 4))),
+                     (np.arange(3.0)[:, None], np.zeros((3, 4)))]:
+            got, seeded = _horner([c], y), _zero_seeded([c], y)
+            assert got.shape == seeded.shape
+            assert got.tobytes() == seeded.tobytes()
+        assert _horner([2.5], 7.0) == 2.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(row=_nonzero_led_rows(None), y=_finite)
+    def test_scalar_rows_match_the_zero_seed(self, row, y):
+        assert np.array(_horner(row, y)).tobytes() == np.array(_zero_seeded(row, y)).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 5))
+    def test_array_rows_match_the_zero_seed(self, data, width):
+        row = data.draw(_nonzero_led_rows(width))
+        y = np.array(data.draw(st.lists(_finite, min_size=width, max_size=width)))
+        with np.errstate(all="ignore"):
+            assert _horner(row, y).tobytes() == _zero_seeded(row, y).tobytes()
+
+    def test_inputs_are_never_modified(self):
+        rows = np.array([[1.0, -3.0, 1.0, 1.0], [0.5, 2.0, -1.0, 1.0]])
+        y = np.array([0.25, -2.0])
+        saved = rows.tobytes(), y.tobytes()
+        for row in (list(rows.T), rows.T, rows.T[:, :, None], list(rows.T[-1:])):
+            for at in (y, 3.0):
+                value = _horner(row, at)
+                value *= 2.0  # a result never shares memory with an input
+        assert (rows.tobytes(), y.tobytes()) == saved
 
 
 def _stacked(nf, xs):

@@ -48,6 +48,20 @@ class TestParams:
         assert p.volatility_positive_on(np.linspace(0.0, 1.0, 50))
         assert not p.volatility_positive_on(np.linspace(0.0, 3.0, 50))
 
+    def test_positivity_scan_matches_the_point_loop(self):
+        # the array scan against Q point by point: empty grids pass, a NaN
+        # abscissa fails, and an overflowing Q (inf - inf is NaN) decides alike
+        rng = np.random.default_rng(2611)
+        grids = [[], [float("nan")], [0.5, float("nan")], [1e200], [-1e200, 1.0],
+                 np.linspace(0.0, 20.0, 801)]
+        for _ in range(40):
+            p = MertonParams(sigma0_sq=1.0, mu=1.0, eta1=float(rng.normal()),
+                             eta2=float(rng.normal()) * 0.1)
+            for xs in grids:
+                assert p.volatility_positive_on(xs) == all(p.Q(float(x)) > 0.0 for x in xs)
+        assert MertonParams(sigma0_sq=1.0, mu=1.0).volatility_positive_on([])
+        assert not MertonParams(sigma0_sq=1.0, mu=1.0).volatility_positive_on([float("nan")])
+
     @pytest.mark.parametrize("bad", [
         dict(sigma0_sq=0.0, mu=1.0),
         dict(sigma0_sq=-1.0, mu=1.0),

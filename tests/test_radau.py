@@ -193,6 +193,11 @@ class TestAttemptOracle:
         h=st.floats(-6.0, 1.0).map(lambda e: 10.0 ** e),
         config=st.sampled_from(_CONFIGS),
     )
+    # a -0.0 leading coefficient over an all-zero tail: the sign of each zero
+    # stage tells a Horner seeded at the leading coefficient from one seeded
+    # at 0.0
+    @example(row=([-0.0, -0.0], None), x=0.0, y=1.0, h=0.1, config=_CONFIGS[0])
+    @example(row=([-0.0, -0.0, -0.0], None), x=0.0, y=0.0, h=0.1, config=_CONFIGS[0])
     def test_step_matches_reference(self, row, x, y, h, config):
         row = _row_function(*row)
         assert _attempt_outcome(_package_attempt, row, x, y, h, config) == \
@@ -209,19 +214,24 @@ class TestAttemptOracle:
 
 
     def test_long_row_matches_reference(self):
-        row, y, h = _LONG_ROW
-        sampled = []
-
-        def counted(x):
-            sampled.append(x)
-            return row(x)
-
+        row, y, _ = _LONG_ROW
         config = SolverConfig()
-        got = _attempt_outcome(_package_attempt, counted, 0.0, y, h, config)
-        assert not isinstance(got, str)  # the stages converged
-        # the start row, then three rows per stage solve
-        assert len(sampled) == 1 + 9
-        assert got == _attempt_outcome(reference_attempt, row, 0.0, y, h, config)
+        # rows sampled: the start row, then three per stage solve, except that
+        # the second half step's last stage row is the full step's where
+        # (x + h/2) + h/2 == x + h; at x = 0.7, h = 0.1 it is 0.8 against
+        # 0.7999999999999999
+        for x, h, coincide, count in [(0.0, 0.1, True, 1 + 8), (0.7, 0.1, False, 1 + 9)]:
+            sampled = []
+
+            def counted(x):
+                sampled.append(x)
+                return row(x)
+
+            assert ((x + 0.5 * h) + 0.5 * h == x + h) == coincide
+            got = _attempt_outcome(_package_attempt, counted, x, y, h, config)
+            assert not isinstance(got, str)  # the stages converged
+            assert len(sampled) == len(set(sampled)) == count  # each abscissa once
+            assert got == _attempt_outcome(reference_attempt, row, x, y, h, config)
 
 
 def _result_fields(result):
