@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Optional
 
-import numpy as np
-
 from .core import AbelEquation, NormalForm, build_equation, normalize
 from .equilibrium import BranchError, EquilibriumBranch, GridSpec, continue_branch
 from .hypotheses import HypothesisReport, verify
@@ -125,10 +123,8 @@ class Analysis:
     (equation.x0, y0) to x_end.  Each stage runs when first read, then is kept.
 
       * Stage order is nf, branch, report, result, diagnostics: a stage
-        reads the earlier ones it needs and no others (report never
-        integrates).
-      * The A3 scan adds equation.x0 when the grid starts right of it, so
-        a degenerate left end (case 2) is reported, not skipped.
+        reads the earlier ones it needs and no others (report is
+        verify(nf, branch) and never integrates).
       * diagnostics use the branch where there is one.  Continuation runs
         once; branch and report raise its BranchError on every read.
     """
@@ -158,9 +154,7 @@ class Analysis:
 
     @cached_property
     def report(self) -> HypothesisReport:
-        x0 = self.equation.x0
-        scan = np.concatenate(([x0], self.branch.xs)) if self.grid.x_start > x0 else None
-        return verify(self.nf, self.branch, scan)
+        return verify(self.nf, self.branch)
 
     @cached_property
     def result(self) -> IntegrationResult:

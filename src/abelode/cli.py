@@ -108,6 +108,14 @@ def _write_gnuplot(out_dir: str, name: str, csv_name: str, columns: list[tuple[i
     _write_lines(os.path.join(out_dir, name), lines)
 
 
+def _write_trajectory(out_dir: str, result: IntegrationResult, gnuplot: bool) -> None:
+    """trajectory.csv, then (under --gnuplot) trajectory.gp."""
+    _write_csv(os.path.join(out_dir, "trajectory.csv"), "x,y,h_used,newton_iters",
+               zip(result.xs, result.ys, result.h_used, result.newton_per_step))
+    if gnuplot:
+        _write_gnuplot(out_dir, "trajectory.gp", "trajectory.csv", [(2, "y(x)")], "y")
+
+
 def _branch_outputs(run, out_dir: str, want_report: bool) -> Optional[HypothesisReport]:
     """branch.csv, then (if wanted) report.json and the printed table, from
     an Analysis or a CaseRun; returns the report or None."""
@@ -154,27 +162,21 @@ def _cmd_case(args) -> int:
     run = run_case(args.id, x_max, _solver_from_flags(args))
 
     out_dir = _ensure_dir(args.out or f"case{args.id}-output")
-    result = run.result
-    _write_csv(os.path.join(out_dir, "trajectory.csv"), "x,y,h_used,newton_iters",
-               zip(result.xs, result.ys, result.h_used, result.newton_per_step))
+    _write_trajectory(out_dir, run.result, args.gnuplot)
     if args.gnuplot:
-        _write_gnuplot(out_dir, "trajectory.gp", "trajectory.csv", [(2, "y(x)")], "y")
         _write_gnuplot(out_dir, "branch.gp", "branch.csv",
                        [(2, "E(x)"), (3, "Lambda(x)")], "branch",
                        logx=args.id == 2)
 
     print(f"case {args.id}: L_numeric={run.diagnostics.L_numeric:.9f}, gap={run.gap:.3e}")
-    return _exit_code(result, _branch_outputs(run, out_dir, True))
+    return _exit_code(run.result, _branch_outputs(run, out_dir, True))
 
 
 def _cmd_integrate(args) -> int:
     run = _config_analysis(args)
     result = run.result
     out_dir = _ensure_dir(args.out or "integrate-output")
-    _write_csv(os.path.join(out_dir, "trajectory.csv"), "x,y,h_used,newton_iters",
-               zip(result.xs, result.ys, result.h_used, result.newton_per_step))
-    if args.gnuplot:
-        _write_gnuplot(out_dir, "trajectory.gp", "trajectory.csv", [(2, "y(x)")], "y")
+    _write_trajectory(out_dir, result, args.gnuplot)
 
     want_branch = args.branch or args.hypotheses
     report = _branch_outputs(run, out_dir, args.hypotheses) if want_branch else None

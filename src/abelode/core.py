@@ -153,24 +153,32 @@ class NormalForm:
         """a_n at every abscissa of xs, as a_n gives it point by point."""
         return self.equation.leading.expr.eval_array(xs)
 
+    def _sample_all(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """sample_grid's arrays from one eval_array pass per coefficient, or
+        None where a coefficient fails at some abscissa or a_n vanishes."""
+        try:
+            values = [c.expr.eval_array(xs) for c in self.equation.coeffs]
+        except ExprDomainError:
+            return None
+        leading = values[-1]
+        if not leading.all():
+            return None
+        with np.errstate(over="ignore"):
+            monic = [v / leading for v in values[:-1]]
+        return leading, np.stack(monic + [np.ones(xs.size)], axis=1)
+
     def sample_grid(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """sample at every abscissa of xs as arrays: a_n with shape (N,) and
         the monic rows with shape (N, n+1), bit for bit the stacked sample(x),
         or the error that the first failing sample(x) raises."""
         xs = np.asarray(xs, dtype=float)
-        try:
-            values = [c.expr.eval_array(xs) for c in self.equation.coeffs]
-        except ExprDomainError:
-            values = None
-        if values is None or not values[-1].all():
+        sampled = self._sample_all(xs)
+        if sampled is None:
             # point by point, so a_n, its zero check and a_0..a_{n-1} fail
             # in the order sample meets them
             leading, rows = zip(*(self.sample(x) for x in xs.tolist()))
             return np.array(leading), np.array(rows)
-        leading = values[-1]
-        with np.errstate(over="ignore"):
-            monic = [v / leading for v in values[:-1]]
-        return leading, np.stack(monic + [np.ones(xs.size)], axis=1)
+        return sampled
 
     def lam(self, k: int, x: float) -> float:
         """lambda_k(x); k == degree returns the monic leading 1."""

@@ -584,11 +584,11 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
 
 def _F_where_defined(nf: NormalForm, xs: np.ndarray, ys: np.ndarray):
     """F(x, y) at each point, and the mask of points where the coefficients
-    evaluate (F is NaN elsewhere): one sample_grid pass, or, where it
-    fails, one pass of sample point by point that catches each failure."""
-    try:
-        rows = nf.sample_grid(xs)[1]
-    except (ExprDomainError, LeadingCoefficientError):
+    evaluate (F is NaN elsewhere): one all-points pass, or, where it fails,
+    one pass of sample point by point that catches each failure, so each
+    point is sampled at most once."""
+    sampled = nf._sample_all(xs)
+    if sampled is None:
         f, ok = np.full(xs.size, np.nan), np.zeros(xs.size, dtype=bool)
         for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
             try:
@@ -597,7 +597,7 @@ def _F_where_defined(nf: NormalForm, xs: np.ndarray, ys: np.ndarray):
                 continue
             ok[i] = True
         return f, ok
-    return _horner(list(rows.T), ys), np.ones(xs.size, dtype=bool)
+    return _horner(list(sampled[1].T), ys), np.ones(xs.size, dtype=bool)
 
 
 def _dF_dx(nf: NormalForm, xs: np.ndarray, es: np.ndarray):

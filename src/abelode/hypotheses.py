@@ -15,6 +15,10 @@ sampling evidence, never a proof; the report says so explicitly.  Checks
 never raise: violations, endpoint degeneracies and undecidable tails
 become fail or inconclusive entries with witnesses.
 
+A3 scans the branch grid, plus the equation's x0 where the branch starts
+right of it, so a left end the branch had to step away from (case 2) is
+reported, not skipped, whoever calls verify.
+
 B3 reads the rate bound's log drift sums (rate.damped_drift): pass when
 the last decade [x_end/10, x_end] carries below 1% of the trapezoid
 integral (or the integral is exactly zero), inconclusive otherwise,
@@ -86,19 +90,22 @@ class HypothesisEntry:
 
 @dataclass
 class HypothesisReport:
-    """Check entries by id, the grids they read and the report's note.
-    branch is empty unless the branch had ambiguous points; then it holds
-    their count, the branch's refinement count and its note, and to_json
-    and format_table carry it (reports of unambiguous branches carry no
-    branch key and no footer line for it)."""
+    """Check entries by id and the grids they read.  note is GRID_VERIFIED,
+    read-only.  branch is empty unless the branch had ambiguous points;
+    then it holds their count, the branch's refinement count and its note,
+    and to_json and format_table carry it (reports of unambiguous branches
+    carry no branch key and no footer line for it)."""
 
     entries: dict[str, HypothesisEntry]
     grid_info: dict[str, float | int | str]
-    note: str = GRID_VERIFIED
     branch: dict[str, int | str] = field(default_factory=dict)
 
     def __getitem__(self, key: str) -> HypothesisEntry:
         return self.entries[key]
+
+    @property
+    def note(self) -> str:
+        return GRID_VERIFIED
 
     @property
     def has_fail(self) -> bool:
@@ -113,7 +120,7 @@ class HypothesisReport:
         entries.update(other.entries)
         info = dict(self.grid_info)
         info.update(other.grid_info)
-        return HypothesisReport(entries, info, self.note, {**self.branch, **other.branch})
+        return HypothesisReport(entries, info, {**self.branch, **other.branch})
 
     def to_json(self) -> str:
         payload = {
@@ -147,21 +154,19 @@ def _grid_info(xs: np.ndarray, label: str) -> dict:
     }
 
 
-def check_structural(
-    nf: NormalForm,
-    branch: EquilibriumBranch,
-    grid_xs=None,
-) -> HypothesisReport:
+def check_structural(nf: NormalForm, branch: EquilibriumBranch) -> HypothesisReport:
     """A1..A4 on the working grid.
 
     A1, A2 and A4 read the branch's table (a_n, the monic rows, Lambda),
-    sampled where the equation is actually being used.  A3 scans
-    ``grid_xs`` (default: the branch grid), which may include domain
-    endpoints the branch had to step away from; a vanishing or uncovered
-    branch value at such an endpoint is inconclusive (degenerate domain
-    boundary), in the interior it is a failure.
+    sampled where the equation is actually being used.  A3 scans the
+    working range [x0, x_end]: the branch grid, with the equation's x0 in
+    front where the branch starts right of it (a domain endpoint the
+    branch had to step away from, as case 2's does).  A vanishing or
+    uncovered branch value at an endpoint is inconclusive (degenerate
+    domain boundary), in the interior it is a failure.
     """
-    xs = branch.xs if grid_xs is None else np.asarray(grid_xs, dtype=float)
+    x0 = nf.equation.x0
+    xs = np.concatenate(([x0], branch.xs)) if branch.x_start > x0 else branch.xs
     entries: dict[str, HypothesisEntry] = {}
 
     idx = int(np.argmin(branch.leading))
@@ -301,15 +306,11 @@ def _check_b3(nf: NormalForm, branch: EquilibriumBranch) -> HypothesisEntry:
     return HypothesisEntry("B3", "inconclusive", witness, note)
 
 
-def verify(
-    nf: NormalForm,
-    branch: EquilibriumBranch,
-    grid_xs=None,
-) -> HypothesisReport:
+def verify(nf: NormalForm, branch: EquilibriumBranch) -> HypothesisReport:
     """Structural and asymptotic checks combined into one report, with the
     branch's ambiguity (ambiguous_count, refinements, note) where it had
     ambiguous points."""
-    report = check_structural(nf, branch, grid_xs).merged(check_asymptotic(nf, branch))
+    report = check_structural(nf, branch).merged(check_asymptotic(nf, branch))
     if branch.ambiguous_count:
         report.branch = {"ambiguous_count": branch.ambiguous_count,
                          "refinements": branch.refinements, "note": branch.note}

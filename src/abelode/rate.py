@@ -113,10 +113,10 @@ def phi(nf: NormalForm, branch: EquilibriumBranch, x: float, x_from: float | Non
     return math.exp(b - a)
 
 
-def remainder_constant(nf: NormalForm, branch: EquilibriumBranch) -> float:
+def remainder_constant(branch: EquilibriumBranch) -> float:
     """C_R = max over the branch grid of sum_{k>=2} |(1/k!) d^k F/dy^k| M_E^{k-2};
-    the (1/k!) d^k F/dy^k at (x, E) are the branch's rows Taylor-shifted to E,
-    all points at once."""
+    the (1/k!) d^k F/dy^k at (x, E) are the branch's own rows Taylor-shifted
+    to E, all points at once, so no coefficient is evaluated again."""
     m_e = branch.sup_E
     shifted = _taylor_shift(list(branch.rows.T), branch.values)
     terms = [np.abs(t) * m_e ** i for i, t in enumerate(shifted[2:])]
@@ -197,7 +197,7 @@ def rate_bound(
         drift = np.exp(logs + log_drift)
         feedback = np.exp(logs + log_feedback)
 
-    c_r = remainder_constant(nf, branch)
+    c_r = remainder_constant(branch)
     m_e = branch.sup_E
     bound = phi_vals * z_abs[0] + drift + c_r * m_e * feedback
 

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from abelode import equilibrium
 from abelode.cases import get_case
-from abelode.core import LeadingCoefficientError, build_equation, eval_F, normalize
+from abelode.core import LeadingCoefficientError, NormalForm, build_equation, eval_F, normalize
 from abelode.equilibrium import (
     POSITIVE_THRESHOLD,
     BranchError,
@@ -652,6 +652,23 @@ class TestBranchDerivative:
             assert {i: kind for i, (_, kind) in enumerate(reference) if kind != "centred"} == edges
             assert slopes.tolist() == [-d / p.Lambda for (d, _), p in zip(reference, branch.points)]
             assert branch_derivative(nf, branch.points[-1]) == slopes[-1]
+
+    def test_each_stencil_point_is_sampled_at_most_once(self, monkeypatch):
+        # 1 - x < 0 just right of the last point, so the all-points pass over
+        # the 4,002-point stencil fails and each point is sampled once on its
+        # own; the one-sided point x = 1 then evaluates in one array pass
+        nf = normalize(build_equation(["3 + sqrt(1-x)", "-4 - sqrt(1-x)", "1"], 0.0))
+        branch = continue_branch(nf, GridSpec(0.0, 1.0, 2001))
+        calls = []
+        sample = NormalForm.sample
+        monkeypatch.setattr(NormalForm, "sample",
+                            lambda self, x: calls.append(x) or sample(self, x))
+        slopes, undefined = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
+        assert len(calls) <= 2 * branch.xs.size
+        monkeypatch.undo()
+        reference = [_scalar_dF_dx(nf, p.x, p.E)[0] for p in branch.points]
+        assert slopes.tolist() == [-d / p.Lambda for d, p in zip(reference, branch.points)]
+        assert not undefined.any()
 
     def test_undefined_where_neither_side_evaluates(self):
         # sqrt(-(x - 1)^2) evaluates at x = 1 only

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from abelode.cases import Analysis, run_case
 from abelode.core import build_equation, normalize
 from abelode.equilibrium import EquilibriumBranch, GridSpec, continue_branch
 from abelode.hypotheses import (
@@ -15,6 +16,7 @@ from abelode.hypotheses import (
     check_structural,
     verify,
 )
+from abelode.radau import SolverConfig
 from abelode.rate import damped_drift, rate_bound
 
 ALL_CHECKS = ("A1", "A2", "A3", "A4", "B1", "B2", "B3")
@@ -55,6 +57,33 @@ class TestCaseReports:
         assert report["A1"].witness["m"] == pytest.approx(1.0)
         assert report["B1"].witness["L"] == pytest.approx(0.3819660112501051, abs=1e-6)
         assert report["B2"].witness["alpha0"] > 0
+
+
+class TestOneReportPerBranch:
+    """verify(nf, branch) is the report the pipeline gives on that branch:
+    A3's scan of x0, where the branch starts right of it, is check_structural's
+    own rule."""
+
+    @pytest.mark.parametrize("cid,x_max", [(1, None), (2, None), (3, None), (2, 2e5)])
+    def test_verify_is_the_pipeline_report(self, cid, x_max):
+        run = run_case(cid, x_max)
+        assert verify(run.nf, run.branch).to_json() == run.report.to_json()
+
+    def test_verify_is_the_config_pipeline_report(self):
+        # case 2's equation as a config: its grid starts at x0 itself
+        eq = build_equation(["1 - 1/x", "-2", "-2", "1"], 1.0)
+        run = Analysis(eq, 0.0, 2e5, GridSpec(1.0, 2e5, 2001), SolverConfig())
+        assert verify(run.nf, run.branch).to_json() == run.report.to_json()
+
+    def test_branch_right_of_x0_scans_x0(self):
+        # the branch does not cover x0 = 1, so the left end of the scan is
+        # uncovered: inconclusive there, with no value to report
+        nf = normalize(build_equation(["1 - 1/x", "-2", "-2", "1"], 1.0))
+        report = check_structural(nf, continue_branch(nf, GridSpec(1.5, 3.0, 5)))
+        assert report["A3"].status == "inconclusive"
+        assert report["A3"].witness == {"worst_x": 1.0}
+        assert report.grid_info["structural_start"] == 1.0
+        assert report.grid_info["structural_count"] == 6
 
 
 class TestNegativeExample:

@@ -1,18 +1,20 @@
-"""The package's public surface: the names it exports and the fields of
-the records its pipelines return."""
+"""The package's public surface: the names it exports, the parameters of
+its functions and the fields of the records its pipelines return."""
 
 import dataclasses
 import importlib.util
+import inspect
 from pathlib import Path
 
 import abelode
 from abelode import (
     AbelEquation, CalibrationReport, CaseRun, CaseStudy, EquationConfig, EquilibriumBranch,
-    GridSpec, IntegrationResult, MertonParams, NormalForm, ReducedEquation, SpreadCurve,
-    branch_limit, build_equation, case1_calibration_check, continue_branch, normalize,
+    GridSpec, HypothesisReport, IntegrationResult, MertonParams, NormalForm, ReducedEquation,
+    SpreadCurve, branch_limit, build_equation, case1_calibration_check, continue_branch, normalize,
 )
 from abelode.config import equation_config, parse_pairs
 from abelode.finance import CASE1_TARGET
+from abelode.hypotheses import GRID_VERIFIED
 
 PUBLIC_NAMES = [
     "AbelEquation", "BranchError", "BranchPoint", "ButcherTableau", "CalibrationReport",
@@ -32,6 +34,43 @@ PUBLIC_NAMES = [
     "verify",
 ]
 
+#: parameter names of every exported function, in order
+PARAMETERS = {
+    "branch_derivative": ["nf", "point"],
+    "branch_limit": ["branch"],
+    "build_equation": ["coeff_sources", "x0", "description"],
+    "case1_calibration_check": ["p", "x_ref", "solve_eta2"],
+    "check_asymptotic": ["nf", "branch"],
+    "check_structural": ["nf", "branch"],
+    "continue_branch": ["nf", "grid"],
+    "diagnose": ["result", "branch", "config"],
+    "empirical_order": ["equation", "y0", "x_end", "h_list", "config"],
+    "eval_drhs": ["equation", "x", "y"],
+    "eval_rhs": ["equation", "x", "y"],
+    "integrate": ["equation", "y0", "x_end", "config", "checkpoints"],
+    "integrate_rhs": ["row", "x0", "y0", "x_end", "config", "checkpoints"],
+    "normalize": ["equation"],
+    "omega_exact": ["p", "x", "s"],
+    "omega_expansion": ["p", "x", "s"],
+    "parse": ["source"],
+    "phi": ["nf", "branch", "x", "x_from"],
+    "radau_tableau": [],
+    "rate_bound": ["nf", "branch", "result"],
+    "real_roots": ["nf", "x"],
+    "reduce_about": ["equation", "pivot", "kind"],
+    "remainder_constant": ["branch"],
+    "roundtrip_check": ["equation", "pivot", "y0", "x_end", "kind", "config", "checkpoints"],
+    "run_case": ["case_id", "x_max", "config"],
+    "smallest_positive_root": ["nf", "x"],
+    "spread_coefficients": ["p", "x"],
+    "spread_curve": ["params", "x0", "x_end", "config", "literal_case1", "with_hypotheses"],
+    "spread_normal_form": ["p", "x"],
+    "stability_value": ["z"],
+    "step": ["row", "x", "y", "h", "config"],
+    "to_second_kind": ["reduced"],
+    "verify": ["nf", "branch"],
+}
+
 
 def _field_names(record):
     return [field.name for field in dataclasses.fields(record)]
@@ -40,6 +79,15 @@ def _field_names(record):
 def test_exported_names():
     assert sorted(abelode.__all__) == PUBLIC_NAMES
     assert all(hasattr(abelode, name) for name in PUBLIC_NAMES)
+
+
+def test_function_parameters():
+    # adding, removing or renaming a parameter of an exported function is
+    # an edit to this table
+    functions = {name: getattr(abelode, name) for name in PUBLIC_NAMES
+                 if inspect.isfunction(getattr(abelode, name))}
+    assert {name: list(inspect.signature(fn).parameters)
+            for name, fn in functions.items()} == PARAMETERS
 
 
 def test_case_run_fields():
@@ -67,11 +115,12 @@ def test_traced_names_resolve():
 
 
 def test_derived_attributes_read_their_sources(case_runs):
-    # twelve values that other fields of the same record determine are
-    # read-only properties, so no record can contradict itself
+    # thirteen values that other fields of the same record, or a constant,
+    # determine are read-only properties, so no record can contradict itself
     derived = [(AbelEquation, "degree"), (NormalForm, "degree"), (ReducedEquation, "degree"),
                (EquationConfig, "degree"), (CaseStudy, "x0"), (EquilibriumBranch, "L"),
-               (EquilibriumBranch, "note"), (IntegrationResult, "n_accepted"),
+               (EquilibriumBranch, "note"), (HypothesisReport, "note"),
+               (IntegrationResult, "n_accepted"),
                (IntegrationResult, "final_x"), (IntegrationResult, "final_y"),
                (CalibrationReport, "target"), (CalibrationReport, "deviation")]
     for record, name in derived:
@@ -87,6 +136,7 @@ def test_derived_attributes_read_their_sources(case_runs):
         assert ReducedEquation(equation, lambda x: 0.0).degree == equation.degree
         assert run.branch.L == branch_limit(run.branch) and run.branch.L is not None
         assert run.branch.note == ""
+        assert run.report.note == GRID_VERIFIED
         assert result.n_accepted == len(result.xs) - 1
         assert result.final_x.hex() == float(result.xs[-1]).hex()
         assert result.final_y.hex() == float(result.ys[-1]).hex()

@@ -95,11 +95,11 @@ class TestLogCumtrapz:
 class TestRemainderConstant:
     def test_flat_branch_closed_form(self, case_runs):
         # lambda = (1, -3, 1): the worst curvature ratio works out to 4*sqrt(2)-3
-        got = remainder_constant(case_runs[1].nf, case_runs[1].branch)
+        got = remainder_constant(case_runs[1].branch)
         assert got == pytest.approx(4.0 * math.sqrt(2.0) - 3.0, rel=1e-10)
 
     def test_saturating_branch_closed_form(self, case_runs):
-        got = remainder_constant(case_runs[3].nf, case_runs[3].branch)
+        got = remainder_constant(case_runs[3].branch)
         assert got == pytest.approx(4.0, rel=1e-9)
 
     @pytest.mark.parametrize("degree", [3, 5])
@@ -133,7 +133,7 @@ class TestRemainderConstant:
                                  for k in range(2, degree + 1)))
             scale = max(scale, sum(scales[k] * m_e ** (k - 2)
                                    for k in range(2, degree + 1)))
-        got = remainder_constant(nf, branch)
+        got = remainder_constant(branch)
         assert abs(got - want) <= 1e-12 * scale
 
 
