@@ -13,7 +13,6 @@ line on top.
 
 from .core import (
     AbelEquation,
-    CoefficientFn,
     LeadingCoefficientError,
     NormalForm,
     build_equation,
@@ -96,7 +95,6 @@ __all__ = [
     "CalibrationReport",
     "CaseRun",
     "CaseStudy",
-    "CoefficientFn",
     "ConfigError",
     "EquationConfig",
     "EquilibriumBranch",

@@ -168,13 +168,19 @@ class Analysis:
 
 @dataclass(frozen=True)
 class CaseRun:
+    """The Analysis stages of one case run; gap, |y(x_end) - exact_limit|,
+    is read from result and case."""
+
     case: CaseStudy
     nf: NormalForm
     branch: EquilibriumBranch
     report: HypothesisReport
     result: IntegrationResult
     diagnostics: PlateauDiagnostics
-    gap: float
+
+    @property
+    def gap(self) -> float:
+        return abs(self.result.final_y - self.case.exact_limit)
 
 
 def run_case(
@@ -182,12 +188,12 @@ def run_case(
     x_max: Optional[float] = None,
     config: Optional[SolverConfig] = None,
 ) -> CaseRun:
-    """Analysis on the case's grid from y(x0) = 0, plus the gap to the limit."""
+    """Analysis on the case's grid from y(x0) = 0, to x_max (default the
+    case's default_x_end)."""
     case = get_case(case_id)
     horizon = case.default_x_end if x_max is None else float(x_max)
     if not horizon > case.x0:
         raise ValueError(f"x_max={horizon!r} must exceed x0={case.x0!r}")
     run = Analysis(case.equation, 0.0, horizon, case.branch_grid(horizon),
                    config or SolverConfig())
-    return CaseRun(case, run.nf, run.branch, run.report, run.result, run.diagnostics,
-                   abs(run.result.final_y - case.exact_limit))
+    return CaseRun(case, run.nf, run.branch, run.report, run.result, run.diagnostics)

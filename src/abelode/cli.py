@@ -205,6 +205,8 @@ def _cmd_reduce(args) -> int:
         eq_cfg = equation_config(load_pairs(args.config))
         equation = eq_cfg.build()
         x_end = args.x_max if args.x_max is not None else eq_cfg.x_end
+    if not x_end > equation.x0:
+        raise ValueError(f"x_max={x_end!r} must exceed x0={equation.x0!r}")
 
     reduced = reduce_about(equation, args.ep, kind="equilibrium")
     at_start = reduced.coefficients(equation.x0)

@@ -25,7 +25,7 @@ usage-error exit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .core import AbelEquation, build_equation
 from .expr import ExprError
@@ -117,16 +117,15 @@ def _get_int(pairs: dict[str, str], key: str) -> int:
     return int(value)
 
 
-def solver_config(pairs: dict[str, str], base: SolverConfig | None = None) -> SolverConfig:
-    """Apply any solver keys present in pairs on top of base (or defaults)."""
-    config = base or SolverConfig()
+def solver_config(pairs: dict[str, str]) -> SolverConfig:
+    """The default SolverConfig with any solver keys present in pairs applied."""
     updates = {}
     for field in fields(SolverConfig):  # in field order, so the first bad key is reported
         if field.name in pairs:
             getter = _get_int if field.name in _SOLVER_INT_KEYS else _get_float
             updates[field.name] = getter(pairs, field.name)
     try:
-        return replace(config, **updates) if updates else config
+        return SolverConfig(**updates)
     except ValueError as err:
         raise ConfigError(f"bad solver settings: {err}") from None
 

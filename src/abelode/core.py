@@ -1,8 +1,9 @@
 """Equation types for first-order polynomial ODEs y' = sum_k a_k(x) y^k.
 
-An AbelEquation of degree n holds the n+1 coefficient functions a_0..a_n
-on a half-line [x0, inf).  Dividing through by the leading coefficient
-gives the monic normal form
+An AbelEquation of degree n holds the n+1 coefficients a_0..a_n, each a
+parsed Expr called at x, on a half-line [x0, inf); a_k is named by its
+position k.  Dividing through by the leading coefficient gives the monic
+normal form
 
     F(x, y) = y^n + sum_{k<n} lambda_k(x) y^k,   lambda_k = a_k / a_n,
 
@@ -44,7 +45,6 @@ import numpy as np
 from .expr import Expr, ExprDomainError, compile_row, parse
 
 __all__ = [
-    "CoefficientFn",
     "AbelEquation",
     "NormalForm",
     "LeadingCoefficientError",
@@ -62,21 +62,11 @@ class LeadingCoefficientError(ValueError):
 
 
 @dataclass(frozen=True)
-class CoefficientFn:
-    """One coefficient a_k: a parsed expression with its label."""
-
-    expr: Expr
-    label: str
-
-    def __call__(self, x: float) -> float:
-        return self.expr.eval(x)
-
-
-@dataclass(frozen=True)
 class AbelEquation:
-    """y' = sum_{k=0}^{degree} coeffs[k](x) y^k on [x0, inf)."""
+    """y' = sum_{k=0}^{degree} coeffs[k](x) y^k on [x0, inf), each
+    coefficient a parsed Expr."""
 
-    coeffs: tuple[CoefficientFn, ...]  # ascending order a_0 .. a_n
+    coeffs: tuple[Expr, ...]  # ascending order a_0 .. a_n
     x0: float
     description: str = ""
 
@@ -89,14 +79,14 @@ class AbelEquation:
         return len(self.coeffs) - 1
 
     @property
-    def leading(self) -> CoefficientFn:
+    def leading(self) -> Expr:
         return self.coeffs[-1]
 
     @cached_property
     def row(self):
         """x -> [a_0(x), ..., a_n(x)], evaluated in that order: one compiled
         function, built on first use."""
-        return compile_row(c.expr for c in self.coeffs)
+        return compile_row(self.coeffs)
 
 
 def build_equation(
@@ -105,11 +95,7 @@ def build_equation(
     description: str = "",
 ) -> AbelEquation:
     """Build an equation from coefficient strings in ascending order a_0..a_n."""
-    coeffs = tuple(
-        CoefficientFn(parse(src), f"a{k}")
-        for k, src in enumerate(coeff_sources)
-    )
-    return AbelEquation(coeffs, float(x0), description)
+    return AbelEquation(tuple(map(parse, coeff_sources)), float(x0), description)
 
 
 @dataclass(frozen=True)
@@ -132,7 +118,7 @@ class NormalForm:
             an = self.equation.leading(x)
         if an == 0.0:
             raise LeadingCoefficientError(
-                f"leading coefficient {self.equation.leading.label} vanishes at x={x!r}"
+                f"leading coefficient a{self.degree} vanishes at x={x!r}"
             )
         return an
 
@@ -151,13 +137,13 @@ class NormalForm:
 
     def a_n_grid(self, xs) -> np.ndarray:
         """a_n at every abscissa of xs, as a_n gives it point by point."""
-        return self.equation.leading.expr.eval_array(xs)
+        return self.equation.leading.eval_array(xs)
 
     def _sample_all(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """sample_grid's arrays from one eval_array pass per coefficient, or
         None where a coefficient fails at some abscissa or a_n vanishes."""
         try:
-            values = [c.expr.eval_array(xs) for c in self.equation.coeffs]
+            values = [c.eval_array(xs) for c in self.equation.coeffs]
         except ExprDomainError:
             return None
         leading = values[-1]

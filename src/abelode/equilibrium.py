@@ -625,12 +625,6 @@ def _dF_dx(nf: NormalForm, xs: np.ndarray, es: np.ndarray):
     return np.where(undefined, np.nan, values), undefined
 
 
-def _undefined_slope(x: float) -> str:
-    """Why E' has no value at x (the mask branch_slopes returns)."""
-    return (f"branch derivative undefined at x={x!r}: "
-            "the coefficients do not evaluate on either side")
-
-
 def branch_slopes(nf: NormalForm, xs, es, lams):
     """Implicit derivative E' = -(dF/dx) / Lambda at each point (x, E, Lambda),
     all points at once, and the mask of points where dF/dx is undefined

@@ -270,9 +270,9 @@ def parametric_equation(p: MertonParams, x0: float = PARAMETRIC_X0) -> AbelEquat
 
 @dataclass(frozen=True)
 class SpreadCurve:
-    xs: np.ndarray
-    s: np.ndarray
-    plateau_bp: float
+    """One spread run: the curve (xs, s) is result's trajectory, and
+    plateau_bp the numeric plateau in basis points (1e4 per unit spread)."""
+
     diagnostics: PlateauDiagnostics
     result: IntegrationResult
     equation: AbelEquation
@@ -280,6 +280,18 @@ class SpreadCurve:
     params: Optional[MertonParams]
     branch: Optional[EquilibriumBranch]
     report: Optional[HypothesisReport]
+
+    @property
+    def xs(self) -> np.ndarray:
+        return self.result.xs
+
+    @property
+    def s(self) -> np.ndarray:
+        return self.result.ys
+
+    @property
+    def plateau_bp(self) -> float:
+        return 1e4 * self.diagnostics.L_numeric
 
 
 def spread_curve(
@@ -293,10 +305,9 @@ def spread_curve(
     """Integrate the spread equation from s(x0) = 0 and attach diagnostics.
 
     literal_case1=True runs the constant triple (params ignored for the
-    coefficients); otherwise params are required.  plateau_bp converts
-    the numeric plateau to basis points (1e4 per unit spread).  Where the
-    branch cannot be continued (BranchError), branch and report are None
-    and the curve is still integrated and diagnosed.
+    coefficients); otherwise params are required.  Where the branch
+    cannot be continued (BranchError), branch and report are None and the
+    curve is still integrated and diagnosed.
     """
     if literal_case1:
         start = LITERAL_X0 if x0 is None else x0
@@ -322,10 +333,8 @@ def spread_curve(
     except BranchError:
         branch = None
     report = run.report if with_hypotheses and branch is not None else None
-    result, diagnostics = run.result, run.diagnostics
     return SpreadCurve(
-        xs=result.xs, s=result.ys, plateau_bp=1e4 * diagnostics.L_numeric,
-        diagnostics=diagnostics, result=result, equation=equation,
+        diagnostics=run.diagnostics, result=run.result, equation=equation,
         mode="literal-case1" if literal_case1 else "parametric",
         params=params, branch=branch, report=report,
     )

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -79,14 +79,6 @@ class HypothesisEntry:
     witness: dict[str, float] = field(default_factory=dict)
     note: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "status": self.status,
-            "witness": self.witness,
-            "note": self.note,
-        }
-
 
 @dataclass
 class HypothesisReport:
@@ -126,7 +118,7 @@ class HypothesisReport:
         payload = {
             "note": self.note,
             "grid": self.grid_info,
-            "checks": [self.entries[k].as_dict() for k in sorted(self.entries)],
+            "checks": [asdict(self.entries[k]) for k in sorted(self.entries)],
         }
         if self.branch:
             payload["branch"] = self.branch

@@ -37,12 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NormalForm, _taylor_shift
-from .equilibrium import (
-    EquilibriumBranch,
-    ZeroEigenvalueError,
-    branch_slopes,
-    _undefined_slope,
-)
+from .equilibrium import EquilibriumBranch, ZeroEigenvalueError, branch_slopes
 from .expr import ExprDomainError
 from .radau import IntegrationResult, SolverConfig
 
@@ -134,6 +129,12 @@ class RateBound:
     M_E: float
     B3_integral: float
     note: str = ""
+
+
+def _undefined_slope(x: float) -> str:
+    """Why E' has no value at x (the mask branch_slopes returns)."""
+    return (f"branch derivative undefined at x={x!r}: "
+            "the coefficients do not evaluate on either side")
 
 
 def damped_drift(nf: NormalForm, branch: EquilibriumBranch, xs: np.ndarray):

@@ -92,7 +92,7 @@ class ReducedEquation:
     @cached_property
     def _tail_row(self):
         """x -> [a_1(x), ..., a_n(x)]: one compiled function, built on first use."""
-        return compile_row(coeff.expr for coeff in self.base.coeffs[1:])
+        return compile_row(self.base.coeffs[1:])
 
     def coefficients(self, x: float) -> list[float]:
         """[c_1(x), ..., c_degree(x)]: the base row Taylor-shifted to the pivot.

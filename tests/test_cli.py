@@ -313,6 +313,20 @@ class TestReduceCommand:
         assert code == 1
         assert err != ""
 
+    @pytest.mark.parametrize("x_max", ["-5", "0"])
+    @pytest.mark.parametrize("source", ["case", "config"])
+    def test_x_max_at_or_below_x0_is_usage_error(self, tmp_path, source, x_max):
+        # the reduced coefficients are tabulated on [x0, x_max], inside [x0, inf)
+        cfg = tmp_path / "c1.cfg"
+        cfg.write_text("degree = 3\ncoefficients = 1 | -3 | 1 | 1\nx_end = 20\n")
+        picked = ["--case", "1"] if source == "case" else ["--config", cfg]
+        code, out, err = run(["reduce", *picked, "--ep", "0.41421356237309515",
+                              "--x-max", x_max, "--out", tmp_path / "red"])
+        assert code == 64
+        assert err == f"error: x_max={float(x_max)!r} must exceed x0=0.0\n"
+        assert out == ""
+        assert not (tmp_path / "red").exists()
+
 
 class TestSpreadCommand:
     def test_literal_mode(self, tmp_path):

@@ -109,12 +109,6 @@ class TestSolverConfig:
         assert config.newton_max_iters == 20
         assert config.rtol == 1e-9  # untouched default
 
-    def test_base_preserved(self):
-        base = solver_config(parse_pairs("rtol = 1e-4\n"))
-        override = solver_config(parse_pairs("atol = 1e-6\n"), base)
-        assert override.rtol == 1e-4
-        assert override.atol == 1e-6
-
     def test_non_numeric_value_rejected(self):
         with pytest.raises(ConfigError):
             solver_config(parse_pairs("atol = tiny\n"))

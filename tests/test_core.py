@@ -17,7 +17,7 @@ from abelode.core import (
     eval_rhs,
     normalize,
 )
-from abelode.expr import ExprDomainError
+from abelode.expr import Expr, ExprDomainError
 
 coeff_floats = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
 
@@ -27,10 +27,13 @@ def cubic(a0, a1, a2, a3, x0=0.0):
 
 
 class TestBuildEquation:
-    def test_degree_and_labels(self):
-        eq = build_equation(["1", "-3", "1", "1"], 0.0)
+    def test_degree_and_coefficient_sources(self):
+        sources = ["1", "-3", "1 - 1/x", "1"]
+        eq = build_equation(sources, 0.0)
         assert eq.degree == 3
-        assert [c.label for c in eq.coeffs] == ["a0", "a1", "a2", "a3"]
+        assert all(isinstance(c, Expr) for c in eq.coeffs)
+        assert [c.source for c in eq.coeffs] == sources
+        assert eq.leading is eq.coeffs[-1]
         assert eq.x0 == 0.0
 
     def test_degree_one_is_allowed(self):
@@ -60,6 +63,13 @@ class TestNormalize:
     def test_vanishing_leading_coefficient_rejected(self):
         eq = build_equation(["1", "0", "0", "x"], 0.0)  # a3(x0) = 0
         with pytest.raises(LeadingCoefficientError):
+            normalize(eq)
+
+    @pytest.mark.parametrize("degree", [1, 3, 5])
+    def test_vanishing_leading_coefficient_is_named_by_degree(self, degree):
+        eq = build_equation(["1"] * degree + ["x"], 0.0)
+        with pytest.raises(LeadingCoefficientError,
+                           match=rf"^leading coefficient a{degree} vanishes at x=0\.0$"):
             normalize(eq)
 
     def test_leading_zero_away_from_x0_rejected(self):
@@ -246,7 +256,7 @@ def _point(evaluate, x):
 
 
 def _tree_row(equation):
-    return lambda x: [c.expr.eval(x) for c in equation.coeffs]
+    return lambda x: [c.eval(x) for c in equation.coeffs]
 
 
 def _tree_sample(nf):
@@ -254,11 +264,11 @@ def _tree_sample(nf):
     coeffs = nf.equation.coeffs
 
     def sample(x):
-        an = coeffs[-1].expr.eval(x)
+        an = coeffs[-1].eval(x)
         if an == 0.0:
             raise LeadingCoefficientError(
-                f"leading coefficient {coeffs[-1].label} vanishes at x={x!r}")
-        return an, [c.expr.eval(x) / an for c in coeffs[:-1]] + [1.0]
+                f"leading coefficient a{len(coeffs) - 1} vanishes at x={x!r}")
+        return an, [c.eval(x) / an for c in coeffs[:-1]] + [1.0]
 
     return sample
 

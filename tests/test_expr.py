@@ -297,7 +297,7 @@ class TestCompiledRow:
         # the nested exp overflows at every x; the other shapes stay finite
         names = ("abs", "power-tower", "sqrt", "sum", "unary-minus", "abs")
         equation = build_equation([_DEEP[name] for name in names], 0.0)
-        exprs = [c.expr for c in equation.coeffs]
+        exprs = equation.coeffs
         xs = (0.5, 1.0, 2.0)
         rows = [equation.row(x) for x in xs]
         assert eval_calls == []  # no row fell back to the tree walk
@@ -357,7 +357,7 @@ class TestCompiledRow:
             outcomes = [_row_outcome(equation.row, x) for equation in equations]
             assert outcomes[0] != outcomes[1]
             for outcome, equation in zip(outcomes, equations):
-                assert outcome == _eval_outcome([c.expr for c in equation.coeffs], x)
+                assert outcome == _eval_outcome(equation.coeffs, x)
 
     def test_code_cache_is_bounded(self):
         # rows of 2, 3, ... copies of one expression are distinct sources

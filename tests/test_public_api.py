@@ -1,6 +1,8 @@
 """The package's public surface: the names it exports, the parameters of
-its functions and the fields of the records its pipelines return."""
+its functions and the fields of the records its pipelines return; and the
+private names its modules take from one another."""
 
+import ast
 import dataclasses
 import importlib.util
 import inspect
@@ -11,6 +13,7 @@ from abelode import (
     AbelEquation, CalibrationReport, CaseRun, CaseStudy, EquationConfig, EquilibriumBranch,
     GridSpec, HypothesisReport, IntegrationResult, MertonParams, NormalForm, ReducedEquation,
     SpreadCurve, branch_limit, build_equation, case1_calibration_check, continue_branch, normalize,
+    spread_curve,
 )
 from abelode.config import equation_config, parse_pairs
 from abelode.finance import CASE1_TARGET
@@ -18,9 +21,9 @@ from abelode.hypotheses import GRID_VERIFIED
 
 PUBLIC_NAMES = [
     "AbelEquation", "BranchError", "BranchPoint", "ButcherTableau", "CalibrationReport",
-    "CaseRun", "CaseStudy", "CoefficientFn", "ConfigError", "EquationConfig",
-    "EquilibriumBranch", "Expr", "ExprDomainError", "ExprError", "ExprSyntaxError",
-    "GridSpec", "HypothesisEntry", "HypothesisReport", "IntegrationResult",
+    "CaseRun", "CaseStudy", "ConfigError", "EquationConfig", "EquilibriumBranch", "Expr",
+    "ExprDomainError", "ExprError", "ExprSyntaxError", "GridSpec", "HypothesisEntry",
+    "HypothesisReport", "IntegrationResult",
     "LeadingCoefficientError", "MertonParams", "NewtonFailure", "NormalForm",
     "NotASolutionError", "OrderTestError", "PlateauDiagnostics", "RateBound",
     "ReducedEquation", "ReductionError", "SecondKindForm", "SolverConfig", "SpreadCurve",
@@ -71,6 +74,15 @@ PARAMETERS = {
     "verify": ["nf", "branch"],
 }
 
+#: underscore names each module of the package imports from another one
+PRIVATE_IMPORTS = {
+    "equilibrium": ["core._derivative_row", "core._horner", "core._require_real"],
+    "hypotheses": ["rate._drift_integral"],
+    "radau": ["core._derivative_row", "core._horner", "core._require_real", "expr._compile"],
+    "rate": ["core._taylor_shift"],
+    "reduction": ["core._PROBE_OFFSETS", "core._horner", "core._taylor_shift"],
+}
+
 
 def _field_names(record):
     return [field.name for field in dataclasses.fields(record)]
@@ -90,15 +102,32 @@ def test_function_parameters():
             for name, fn in functions.items()} == PARAMETERS
 
 
+def test_private_imports():
+    # a module taking another's underscore name couples to its internals:
+    # each new coupling is an edit to this table
+    source_dir = Path(abelode.__file__).resolve().parent
+    found = {}
+    for path in sorted(source_dir.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level or module.startswith("abelode"):
+                found.setdefault(path.stem, []).extend(
+                    f"{module.removeprefix('abelode.')}.{alias.name}" for alias in node.names
+                    if alias.name.startswith("_"))
+    assert {module: names for module, names in found.items() if names} == PRIVATE_IMPORTS
+
+
 def test_case_run_fields():
     assert _field_names(CaseRun) == [
-        "case", "nf", "branch", "report", "result", "diagnostics", "gap"]
+        "case", "nf", "branch", "report", "result", "diagnostics"]
 
 
 def test_spread_curve_fields():
     assert _field_names(SpreadCurve) == [
-        "xs", "s", "plateau_bp", "diagnostics", "result", "equation", "mode", "params",
-        "branch", "report"]
+        "diagnostics", "result", "equation", "mode", "params", "branch", "report"]
 
 
 def test_traced_names_resolve():
@@ -115,14 +144,16 @@ def test_traced_names_resolve():
 
 
 def test_derived_attributes_read_their_sources(case_runs):
-    # thirteen values that other fields of the same record, or a constant,
+    # seventeen values that other fields of the same record, or a constant,
     # determine are read-only properties, so no record can contradict itself
     derived = [(AbelEquation, "degree"), (NormalForm, "degree"), (ReducedEquation, "degree"),
                (EquationConfig, "degree"), (CaseStudy, "x0"), (EquilibriumBranch, "L"),
                (EquilibriumBranch, "note"), (HypothesisReport, "note"),
                (IntegrationResult, "n_accepted"),
                (IntegrationResult, "final_x"), (IntegrationResult, "final_y"),
-               (CalibrationReport, "target"), (CalibrationReport, "deviation")]
+               (CalibrationReport, "target"), (CalibrationReport, "deviation"),
+               (CaseRun, "gap"), (SpreadCurve, "xs"), (SpreadCurve, "s"),
+               (SpreadCurve, "plateau_bp")]
     for record, name in derived:
         assert name not in _field_names(record), (record.__name__, name)
         attribute = getattr(record, name)
@@ -140,6 +171,10 @@ def test_derived_attributes_read_their_sources(case_runs):
         assert result.n_accepted == len(result.xs) - 1
         assert result.final_x.hex() == float(result.xs[-1]).hex()
         assert result.final_y.hex() == float(result.ys[-1]).hex()
+
+    curve = spread_curve(literal_case1=True)
+    assert curve.xs is curve.result.xs and curve.s is curve.result.ys
+    assert curve.plateau_bp == 1e4 * curve.diagnostics.L_numeric
 
     config = equation_config(parse_pairs("degree = 2\ncoefficients = 1 | 0 | -1\nx_end = 10\n"))
     assert config.degree == len(config.coefficients) - 1 == config.build().degree == 2
