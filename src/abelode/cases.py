@@ -127,6 +127,9 @@ class Analysis:
         verify(nf, branch) and never integrates).
       * diagnostics use the branch where there is one.  Continuation runs
         once; branch and report raise its BranchError on every read.
+
+    CaseRun and SpreadCurve subclass it, so a stage added here reaches
+    run_case, spread_curve and the CLI once and stays lazy.
     """
 
     equation: AbelEquation
@@ -166,17 +169,12 @@ class Analysis:
         return diagnose(self.result, branch, self.config)
 
 
-@dataclass(frozen=True)
-class CaseRun:
-    """The Analysis stages of one case run; gap, |y(x_end) - exact_limit|,
+@dataclass(frozen=True, kw_only=True)
+class CaseRun(Analysis):
+    """The Analysis of one case run, with its case; gap, |y(x_end) - exact_limit|,
     is read from result and case."""
 
     case: CaseStudy
-    nf: NormalForm
-    branch: EquilibriumBranch
-    report: HypothesisReport
-    result: IntegrationResult
-    diagnostics: PlateauDiagnostics
 
     @property
     def gap(self) -> float:
@@ -189,11 +187,12 @@ def run_case(
     config: Optional[SolverConfig] = None,
 ) -> CaseRun:
     """Analysis on the case's grid from y(x0) = 0, to x_max (default the
-    case's default_x_end)."""
+    case's default_x_end); every stage runs before it returns."""
     case = get_case(case_id)
     horizon = case.default_x_end if x_max is None else float(x_max)
     if not horizon > case.x0:
         raise ValueError(f"x_max={horizon!r} must exceed x0={case.x0!r}")
-    run = Analysis(case.equation, 0.0, horizon, case.branch_grid(horizon),
-                   config or SolverConfig())
-    return CaseRun(case, run.nf, run.branch, run.report, run.result, run.diagnostics)
+    run = CaseRun(case.equation, 0.0, horizon, case.branch_grid(horizon),
+                  config or SolverConfig(), case=case)
+    run.nf, run.branch, run.report, run.result, run.diagnostics  # every stage, in order
+    return run

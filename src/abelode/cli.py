@@ -116,9 +116,9 @@ def _write_trajectory(out_dir: str, result: IntegrationResult, gnuplot: bool) ->
         _write_gnuplot(out_dir, "trajectory.gp", "trajectory.csv", [(2, "y(x)")], "y")
 
 
-def _branch_outputs(run, out_dir: str, want_report: bool) -> Optional[HypothesisReport]:
+def _branch_outputs(run: Analysis, out_dir: str, want_report: bool) -> Optional[HypothesisReport]:
     """branch.csv, then (if wanted) report.json and the printed table, from
-    an Analysis or a CaseRun; returns the report or None."""
+    an Analysis (a CaseRun is one); returns the report or None."""
     _write_branch(os.path.join(out_dir, "branch.csv"), run.nf, run.branch)
     if not want_report:
         return None
@@ -149,16 +149,15 @@ def _solver_from_flags(args, base: SolverConfig | None = None) -> SolverConfig:
 def _config_analysis(args) -> Analysis:
     """The config file's equation on a 2,001-point linear grid from x0."""
     eq_cfg = equation_config(load_pairs(args.config))
-    equation = eq_cfg.build()
-    grid = GridSpec(equation.x0, eq_cfg.x_end, 2001, "linear")
-    return Analysis(equation, eq_cfg.y0, eq_cfg.x_end, grid,
+    grid = GridSpec(eq_cfg.equation.x0, eq_cfg.x_end, 2001, "linear")
+    return Analysis(eq_cfg.equation, eq_cfg.y0, eq_cfg.x_end, grid,
                     _solver_from_flags(args, eq_cfg.solver))
 
 
 def _cmd_case(args) -> int:
-    x_max = args.x_max
-    if x_max is None and args.long_run:
-        x_max = 2e5 if args.id == 2 else None
+    if args.long_run and args.id != 2:
+        raise ValueError(f"--long-run is for case 2 only, got case {args.id}")
+    x_max = 2e5 if args.long_run and args.x_max is None else args.x_max
     run = run_case(args.id, x_max, _solver_from_flags(args))
 
     out_dir = _ensure_dir(args.out or f"case{args.id}-output")
@@ -203,7 +202,7 @@ def _cmd_reduce(args) -> int:
         x_end = args.x_max if args.x_max is not None else case.default_x_end
     else:
         eq_cfg = equation_config(load_pairs(args.config))
-        equation = eq_cfg.build()
+        equation = eq_cfg.equation
         x_end = args.x_max if args.x_max is not None else eq_cfg.x_end
     if not x_end > equation.x0:
         raise ValueError(f"x_max={x_end!r} must exceed x0={equation.x0!r}")

@@ -55,18 +55,19 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class EquationConfig:
-    coefficients: tuple[str, ...]
-    x0: float
+    """A config's equation (x0 included), built once, and its run settings."""
+
+    equation: AbelEquation
     y0: float
     x_end: float
     solver: SolverConfig
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return self.equation.degree
 
     def build(self) -> AbelEquation:
-        return build_equation(list(self.coefficients), x0=self.x0)
+        return self.equation
 
 
 def parse_pairs(text: str) -> dict[str, str]:
@@ -148,12 +149,12 @@ def equation_config(pairs: dict[str, str]) -> EquationConfig:
     x_end = _get_float(pairs, "x_end")
     if not x_end > x0:
         raise ConfigError(f"x_end={x_end!r} must exceed x0={x0!r}")
-    config = EquationConfig(sources, x0, y0, x_end, solver_config(pairs))
+    solver = solver_config(pairs)
     try:
-        config.build()
+        equation = build_equation(sources, x0=x0)
     except ExprError as err:
         raise ConfigError(f"bad coefficient expression: {err}") from None
-    return config
+    return EquationConfig(equation, y0, x_end, solver)
 
 
 def merton_params(pairs: dict[str, str]) -> MertonParams:

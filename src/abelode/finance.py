@@ -29,10 +29,8 @@ import numpy as np
 
 from .cases import Analysis, get_case
 from .core import AbelEquation, build_equation
-from .equilibrium import BranchError, EquilibriumBranch, GridSpec
-from .hypotheses import HypothesisReport
-from .radau import IntegrationResult, SolverConfig
-from .rate import PlateauDiagnostics
+from .equilibrium import GridSpec
+from .radau import SolverConfig
 
 __all__ = [
     "MertonParams",
@@ -268,18 +266,14 @@ def parametric_equation(p: MertonParams, x0: float = PARAMETRIC_X0) -> AbelEquat
     )
 
 
-@dataclass(frozen=True)
-class SpreadCurve:
-    """One spread run: the curve (xs, s) is result's trajectory, and
-    plateau_bp the numeric plateau in basis points (1e4 per unit spread)."""
+@dataclass(frozen=True, kw_only=True)
+class SpreadCurve(Analysis):
+    """The Analysis of one spread run, with its mode and params: the curve
+    (xs, s) is result's trajectory, and plateau_bp the numeric plateau in
+    basis points (1e4 per unit spread)."""
 
-    diagnostics: PlateauDiagnostics
-    result: IntegrationResult
-    equation: AbelEquation
     mode: str
     params: Optional[MertonParams]
-    branch: Optional[EquilibriumBranch]
-    report: Optional[HypothesisReport]
 
     @property
     def xs(self) -> np.ndarray:
@@ -300,14 +294,14 @@ def spread_curve(
     x_end: float = 20.0,
     config: Optional[SolverConfig] = None,
     literal_case1: bool = False,
-    with_hypotheses: bool = False,
 ) -> SpreadCurve:
-    """Integrate the spread equation from s(x0) = 0 and attach diagnostics.
+    """Integrate the spread equation from s(x0) = 0 and diagnose it before
+    returning; report runs when first read.
 
     literal_case1=True runs the constant triple (params ignored for the
     coefficients); otherwise params are required.  Where the branch
-    cannot be continued (BranchError), branch and report are None and the
-    curve is still integrated and diagnosed.
+    cannot be continued, the curve is still integrated and diagnosed
+    without it, and branch and report raise the BranchError.
     """
     if literal_case1:
         start = LITERAL_X0 if x0 is None else x0
@@ -327,14 +321,8 @@ def spread_curve(
         if not params.volatility_positive_on(grid.xs()):
             raise ValueError("volatility factor not positive on the working range")
 
-    run = Analysis(equation, 0.0, x_end, grid, config or SolverConfig())
-    try:
-        branch = run.branch
-    except BranchError:
-        branch = None
-    report = run.report if with_hypotheses and branch is not None else None
-    return SpreadCurve(
-        diagnostics=run.diagnostics, result=run.result, equation=equation,
-        mode="literal-case1" if literal_case1 else "parametric",
-        params=params, branch=branch, report=report,
-    )
+    curve = SpreadCurve(equation, 0.0, x_end, grid, config or SolverConfig(),
+                        mode="literal-case1" if literal_case1 else "parametric",
+                        params=params)
+    curve.diagnostics  # continues the branch, integrates and diagnoses
+    return curve

@@ -91,6 +91,14 @@ class TestRunCase:
         assert run.gap <= 1e-7
         assert run.report["B2"].witness["alpha0"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_every_stage_runs_before_it_returns(self):
+        run = run_case(1)
+        assert {"nf", "_continued", "report", "result", "diagnostics"} <= vars(run).keys()
+
+    def test_horizon_must_exceed_x0(self):
+        with pytest.raises(ValueError, match=r"^x_max=0\.5 must exceed x0=1\.0$"):
+            run_case(2, x_max=0.5)
+
     def test_determinism(self):
         a = run_case(1)
         b = run_case(1)

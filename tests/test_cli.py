@@ -71,6 +71,22 @@ class TestCaseCommand:
         assert code == 0
         assert "gap=1.618e-06" in out.splitlines()[0]
 
+    @pytest.mark.parametrize("case_id", ["1", "3"])
+    def test_long_run_on_another_case_is_usage_error(self, tmp_path, case_id):
+        # the flag names case 2's horizon; on another case it is refused, not ignored
+        code, out, err = run(["case", case_id, "--long-run", "--out", tmp_path / "o"])
+        assert code == 64
+        assert err == f"error: --long-run is for case 2 only, got case {case_id}\n"
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_horizon_at_or_below_x0_is_usage_error(self, tmp_path):
+        code, out, err = run(["case", "2", "--x-max", "0.5", "--out", tmp_path / "o"])
+        assert code == 64
+        assert err == "error: x_max=0.5 must exceed x0=1.0\n"
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_case_is_usage_error(self):
         assert run(["case", "9"])[0] == 64
 

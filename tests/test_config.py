@@ -38,6 +38,10 @@ class TestParsePairs:
         with pytest.raises(ConfigError):
             parse_pairs("degrees = 2\n")
 
+    def test_empty_key_rejected(self):
+        with pytest.raises(ConfigError, match="^line 1: empty key$"):
+            parse_pairs(" = 3")
+
     def test_line_without_separator_rejected(self):
         with pytest.raises(ConfigError):
             parse_pairs("degree 2\n")
@@ -51,16 +55,21 @@ class TestEquationConfig:
     def test_round_trip_to_equation(self):
         cfg = equation_config(parse_pairs(GOOD))
         assert cfg.degree == 3
-        assert cfg.x0 == 0.0 and cfg.y0 == 0.0  # defaults
+        assert cfg.equation.x0 == 0.0 and cfg.y0 == 0.0  # defaults
         assert cfg.x_end == 20.0
-        eq = cfg.build()
-        assert eq.degree == 3
+        eq = cfg.equation
+        assert eq.degree == 3 and cfg.build() is eq
+        assert [c.source for c in eq.coeffs] == ["1", "-3", "1", "1"]
         assert eq.coeffs[1](0.0) == -3.0
 
     def test_coefficient_count_must_match_degree(self):
         with pytest.raises(ConfigError):
             equation_config(parse_pairs(
                 "degree = 3\ncoefficients = 1 | 0 | -1\nx_end = 1\n"))
+
+    def test_degree_must_be_positive(self):
+        with pytest.raises(ConfigError, match="^degree must be >= 1, got 0$"):
+            equation_config(parse_pairs("degree = 0\ncoefficients = 1\nx_end = 1\n"))
 
     def test_required_keys(self):
         with pytest.raises(ConfigError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from abelode import cases
+from abelode.equilibrium import BranchError
 from abelode.finance import (
     MertonParams,
     case1_calibration_check,
@@ -212,23 +213,40 @@ class TestSpreadCurve:
         assert eq.coeffs[1](2.0) == pytest.approx(lam1, rel=1e-12)
         assert eq.coeffs[0](2.0) == pytest.approx(lam0, rel=1e-12)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({}, "parametric mode needs MertonParams"),
+        ({"params": MertonParams(1.2, 1.5), "x0": 0.0},
+         "parametric mode needs x0 > 0 (1/x singularity)"),
+        ({"literal_case1": True, "x0": 25.0}, "x_end=20.0 must exceed x0=25.0"),
+        ({"params": MertonParams(1.2, 1.5, eta2=-1.0)},
+         "volatility factor not positive on the working range"),
+    ])
+    def test_refusals(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            spread_curve(**kwargs)
+
     def test_hypothesis_report_attached_on_request(self):
-        bare = spread_curve(literal_case1=True)
-        assert bare.report is None
-        checked = spread_curve(literal_case1=True, with_hypotheses=True)
-        assert checked.report is not None
-        assert checked.report["A4"].status == "pass"
+        # the report is the lazy Analysis stage: verified when first read
+        curve = spread_curve(literal_case1=True)
+        assert "diagnostics" in vars(curve) and "report" not in vars(curve)
+        assert curve.report["A4"].status == "pass"
+        assert curve.report is vars(curve)["report"]
 
     def test_branch_error_leaves_the_branch_out(self, monkeypatch):
         # r = 0 zeroes lambda_0, so E = 0 and continuation finds no positive
         # equilibrium; the curve is still integrated and diagnosed without a
-        # branch, and the failing continuation runs once
+        # branch, branch and report raise the BranchError on every read, and
+        # the failing continuation runs once
         calls = []
         original = cases.continue_branch
         monkeypatch.setattr(cases, "continue_branch",
                             lambda *args: calls.append(args) or original(*args))
-        curve = spread_curve(params=MertonParams(1.2, 1.5, 0.0), with_hypotheses=True)
-        assert curve.branch is None and curve.report is None
+        curve = spread_curve(params=MertonParams(1.2, 1.5, 0.0))
+        for _ in range(2):
+            with pytest.raises(BranchError, match="no positive equilibrium"):
+                curve.branch
+            with pytest.raises(BranchError, match="no positive equilibrium"):
+                curve.report
         assert curve.plateau_bp == 0.0
         assert curve.result.completed
         assert curve.diagnostics.converged and curve.diagnostics.trapping_ok

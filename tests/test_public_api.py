@@ -1,12 +1,17 @@
 """The package's public surface: the names it exports, the parameters of
-its functions and the fields of the records its pipelines return; and the
-private names its modules take from one another."""
+its functions and the fields of the records its pipelines return; the
+private names its modules take from one another; and the calls the
+benchmark under perfbench/ makes into the package."""
 
 import ast
 import dataclasses
 import importlib.util
 import inspect
+import json
+import sys
 from pathlib import Path
+
+import pytest
 
 import abelode
 from abelode import (
@@ -15,6 +20,7 @@ from abelode import (
     SpreadCurve, branch_limit, build_equation, case1_calibration_check, continue_branch, normalize,
     spread_curve,
 )
+from abelode.cases import Analysis
 from abelode.config import equation_config, parse_pairs
 from abelode.finance import CASE1_TARGET
 from abelode.hypotheses import GRID_VERIFIED
@@ -66,7 +72,7 @@ PARAMETERS = {
     "run_case": ["case_id", "x_max", "config"],
     "smallest_positive_root": ["nf", "x"],
     "spread_coefficients": ["p", "x"],
-    "spread_curve": ["params", "x0", "x_end", "config", "literal_case1", "with_hypotheses"],
+    "spread_curve": ["params", "x0", "x_end", "config", "literal_case1"],
     "spread_normal_form": ["p", "x"],
     "stability_value": ["z"],
     "step": ["row", "x", "y", "h", "config"],
@@ -120,27 +126,82 @@ def test_private_imports():
     assert {module: names for module, names in found.items() if names} == PRIVATE_IMPORTS
 
 
+#: the Analysis inputs every run record starts with; its stages are not fields
+ANALYSIS_FIELDS = ["equation", "y0", "x_end", "grid", "config"]
+STAGES = ["nf", "branch", "report", "result", "diagnostics"]
+
+
 def test_case_run_fields():
-    assert _field_names(CaseRun) == [
-        "case", "nf", "branch", "report", "result", "diagnostics"]
+    assert issubclass(CaseRun, Analysis)
+    assert _field_names(CaseRun) == ANALYSIS_FIELDS + ["case"]
+    assert all(hasattr(CaseRun, stage) for stage in STAGES)
 
 
 def test_spread_curve_fields():
-    assert _field_names(SpreadCurve) == [
-        "diagnostics", "result", "equation", "mode", "params", "branch", "report"]
+    assert issubclass(SpreadCurve, Analysis)
+    assert _field_names(SpreadCurve) == ANALYSIS_FIELDS + ["mode", "params"]
+    assert all(hasattr(SpreadCurve, stage) for stage in STAGES)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_perfbench(name, monkeypatch=None):
+    """perfbench/<name>.py as the module <name>, without running it as a
+    script; with monkeypatch, also in sys.modules until the test ends."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    if monkeypatch is not None:
+        monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    # workloads.py imports its sibling inputs.py by the bare name, and a
+    # dataclass finds its module's globals through sys.modules
+    _load_perfbench("inputs", monkeypatch)
+    return _load_perfbench("workloads", monkeypatch)
 
 
 def test_traced_names_resolve():
     # perfbench/tracing.py rebinds these functions by name, and abelode.__all__
     # pins only some of them: a renamed or deleted one would otherwise fail
     # only when the traced benchmark runs.  The tracer is not installed.
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_perfbench("tracing")
     targets = list(tracing.SPANS) + [t for ts in tracing.COUNTED.values() for t in ts]
     for name in targets:
         assert callable(tracing._resolve(name)), name
+
+
+def test_benchmark_set_up_builds_its_inputs(workloads, tmp_path, capsys):
+    # perfbench/setup_child.py times importing the package and building each
+    # kind of input a workload names; a record it reads that changed shape
+    # would otherwise show only as a failed benchmark run
+    equation_cfg = tmp_path / "equation.cfg"
+    equation_cfg.write_text(workloads.inputs.cli_equations(0, 0)[0].config_text())
+    param_cfg = tmp_path / "params.cfg"
+    param_cfg.write_text(workloads.SPREAD_CONFIGS["spread-r0"])
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "cases": [[2, None]],
+        "equations": [list(workloads.inputs.stiff_equations(0, 0)[0].coefficients)],
+        "equation_configs": [str(equation_cfg)],
+        "param_configs": [str(param_cfg)],
+    }))
+    _load_perfbench("setup_child").main(str(spec))
+    assert float(capsys.readouterr().out) > 0.0
+
+
+def test_benchmark_case_ops_pass_their_oracles(workloads, tmp_path):
+    # each op of the cases workload is run_case plus rate_bound, checked by
+    # the workload's own oracle, for cases 1-3 and the case-2 long run
+    ops = workloads.cases_workload(0, tmp_path, 1).rounds[0]
+    assert sorted(op.name for op in ops) == [
+        "case 1", "case 2", "case 2 x_max=200000", "case 3"]
+    for op in ops:
+        assert op.check(op.execute()) == [], op.name
 
 
 def test_derived_attributes_read_their_sources(case_runs):
@@ -177,7 +238,7 @@ def test_derived_attributes_read_their_sources(case_runs):
     assert curve.plateau_bp == 1e4 * curve.diagnostics.L_numeric
 
     config = equation_config(parse_pairs("degree = 2\ncoefficients = 1 | 0 | -1\nx_end = 10\n"))
-    assert config.degree == len(config.coefficients) - 1 == config.build().degree == 2
+    assert config.degree == config.equation.degree == 2 and config.build() is config.equation
 
     report = case1_calibration_check(MertonParams(1.0, 1.0, 0.02), 2.0)
     assert report.target == CASE1_TARGET
