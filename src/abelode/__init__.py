@@ -9,150 +9,55 @@ method (radau), bound the convergence rate and diagnose the plateau
 machinery to a credit-spread model (finance) and three bundled case
 studies (cases).  config and cli provide the file format and command
 line on top.
+
+``import abelode`` loads none of these modules: each exported name is
+resolved from its defining module on access (PEP 562), which loads that
+module the first time, so a caller pays only for the modules it reaches;
+``abelode.integrate`` loads core, expr and radau, not the branch,
+hypothesis, finance or reduction modules.  Each CLI subcommand likewise
+imports only the modules it runs.
 """
 
-from .core import (
-    AbelEquation,
-    LeadingCoefficientError,
-    NormalForm,
-    build_equation,
-    eval_drhs,
-    eval_rhs,
-    normalize,
-)
-from .equilibrium import (
-    BranchError,
-    BranchPoint,
-    EquilibriumBranch,
-    GridSpec,
-    ZeroEigenvalueError,
-    branch_derivative,
-    branch_limit,
-    continue_branch,
-    real_roots,
-    smallest_positive_root,
-)
-from .expr import Expr, ExprDomainError, ExprError, ExprSyntaxError, parse
-from .hypotheses import (
-    HypothesisEntry,
-    HypothesisReport,
-    check_asymptotic,
-    check_structural,
-    verify,
-)
-from .radau import (
-    ButcherTableau,
-    IntegrationResult,
-    NewtonFailure,
-    OrderTestError,
-    SolverConfig,
-    empirical_order,
-    integrate,
-    integrate_rhs,
-    radau_tableau,
-    stability_value,
-    step,
-)
-from .rate import (
-    PlateauDiagnostics,
-    RateBound,
-    diagnose,
-    phi,
-    rate_bound,
-    remainder_constant,
-)
-from .reduction import (
-    NotASolutionError,
-    ReducedEquation,
-    ReductionError,
-    SecondKindForm,
-    WrongDegreeError,
-    reduce_about,
-    roundtrip_check,
-    to_second_kind,
-)
-from .finance import (
-    CalibrationReport,
-    MertonParams,
-    SpreadCurve,
-    case1_calibration_check,
-    omega_exact,
-    omega_expansion,
-    spread_coefficients,
-    spread_curve,
-    spread_normal_form,
-)
-from .cases import CaseRun, CaseStudy, get_case, run_case
-from .config import ConfigError, EquationConfig
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelEquation",
-    "BranchError",
-    "BranchPoint",
-    "ButcherTableau",
-    "CalibrationReport",
-    "CaseRun",
-    "CaseStudy",
-    "ConfigError",
-    "EquationConfig",
-    "EquilibriumBranch",
-    "Expr",
-    "ExprDomainError",
-    "ExprError",
-    "ExprSyntaxError",
-    "GridSpec",
-    "HypothesisEntry",
-    "HypothesisReport",
-    "IntegrationResult",
-    "LeadingCoefficientError",
-    "MertonParams",
-    "NewtonFailure",
-    "NormalForm",
-    "NotASolutionError",
-    "OrderTestError",
-    "PlateauDiagnostics",
-    "RateBound",
-    "ReducedEquation",
-    "ReductionError",
-    "SecondKindForm",
-    "SolverConfig",
-    "SpreadCurve",
-    "WrongDegreeError",
-    "ZeroEigenvalueError",
-    "branch_derivative",
-    "branch_limit",
-    "build_equation",
-    "case1_calibration_check",
-    "check_asymptotic",
-    "check_structural",
-    "continue_branch",
-    "diagnose",
-    "empirical_order",
-    "eval_drhs",
-    "eval_rhs",
-    "get_case",
-    "integrate",
-    "integrate_rhs",
-    "normalize",
-    "omega_exact",
-    "omega_expansion",
-    "parse",
-    "phi",
-    "radau_tableau",
-    "rate_bound",
-    "real_roots",
-    "reduce_about",
-    "remainder_constant",
-    "roundtrip_check",
-    "run_case",
-    "smallest_positive_root",
-    "spread_coefficients",
-    "spread_curve",
-    "spread_normal_form",
-    "stability_value",
-    "step",
-    "to_second_kind",
-    "verify",
-]
+#: the names the package exports, by defining module
+_EXPORTS = {
+    "core": ["AbelEquation", "LeadingCoefficientError", "NormalForm", "build_equation",
+             "eval_drhs", "eval_rhs", "normalize"],
+    "equilibrium": ["BranchError", "BranchPoint", "EquilibriumBranch", "GridSpec",
+                    "ZeroEigenvalueError", "branch_derivative", "branch_limit",
+                    "continue_branch", "real_roots", "smallest_positive_root"],
+    "expr": ["Expr", "ExprDomainError", "ExprError", "ExprSyntaxError", "parse"],
+    "hypotheses": ["HypothesisEntry", "HypothesisReport", "check_asymptotic",
+                   "check_structural", "verify"],
+    "radau": ["ButcherTableau", "IntegrationResult", "NewtonFailure", "OrderTestError",
+              "SolverConfig", "empirical_order", "integrate", "integrate_rhs",
+              "radau_tableau", "stability_value", "step"],
+    "rate": ["PlateauDiagnostics", "RateBound", "diagnose", "phi", "rate_bound",
+             "remainder_constant"],
+    "reduction": ["NotASolutionError", "ReducedEquation", "ReductionError", "SecondKindForm",
+                  "WrongDegreeError", "reduce_about", "roundtrip_check", "to_second_kind"],
+    "finance": ["CalibrationReport", "MertonParams", "SpreadCurve", "case1_calibration_check",
+                "omega_exact", "omega_expansion", "spread_coefficients", "spread_curve",
+                "spread_normal_form"],
+    "cases": ["CaseRun", "CaseStudy", "get_case", "run_case"],
+    "config": ["ConfigError", "EquationConfig"],
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    # looked up on every access and never bound here, so that a name
+    # rebound in its defining module (say, by a tracer and back) is the
+    # object the next access returns
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

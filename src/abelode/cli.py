@@ -28,11 +28,9 @@ from .config import ConfigError, equation_config, load_pairs, merton_params, sol
 from .equilibrium import (BranchError, EquilibriumBranch, GridSpec, ZeroEigenvalueError,
                           branch_slopes)
 from .expr import ExprError
-from .finance import spread_curve
 from .hypotheses import HypothesisReport
 from .radau import (IntegrationResult, NewtonFailure, OrderTestError, SolverConfig,
                     empirical_order)
-from .reduction import ReductionError, reduce_about
 
 __all__ = ["main"]
 
@@ -80,8 +78,10 @@ def _write_lines(path: str, lines: list[str]) -> None:
 
 def _write_csv(path: str, header: str, rows, preamble=()) -> None:
     """The preamble lines, the header, then one line per row with every cell
-    as _g17 gives it (an integer cell keeps its digits)."""
-    _write_lines(path, [*preamble, header, *(",".join(map(_g17, row)) for row in rows)])
+    as _g17 gives it (an integer cell keeps its digits), by one %-format of
+    the whole row."""
+    row_format = ",".join(["%.17g"] * (header.count(",") + 1))
+    _write_lines(path, [*preamble, header, *(row_format % tuple(row) for row in rows)])
 
 
 def _write_branch(path: str, nf, branch: EquilibriumBranch) -> None:
@@ -127,6 +127,11 @@ def _branch_outputs(run: Analysis, out_dir: str, want_report: bool) -> Optional[
     return run.report
 
 
+def _numeric_failure(err: Exception) -> int:
+    print(f"numeric failure: {err}", file=sys.stderr)
+    return EXIT_NUMERIC
+
+
 def _exit_code(result: Optional[IntegrationResult], report: Optional[HypothesisReport]) -> int:
     """Numeric failure for an unfinished integration (saying why on stderr),
     else hypothesis failure for a report with a fail entry."""
@@ -157,7 +162,9 @@ def _config_analysis(args) -> Analysis:
 def _cmd_case(args) -> int:
     if args.long_run and args.id != 2:
         raise ValueError(f"--long-run is for case 2 only, got case {args.id}")
-    x_max = 2e5 if args.long_run and args.x_max is None else args.x_max
+    if args.long_run and args.x_max is not None:
+        raise ValueError("--long-run and --x-max are mutually exclusive")
+    x_max = 2e5 if args.long_run else args.x_max
     run = run_case(args.id, x_max, _solver_from_flags(args))
 
     out_dir = _ensure_dir(args.out or f"case{args.id}-output")
@@ -194,6 +201,8 @@ def _cmd_hypotheses(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .reduction import ReductionError, reduce_about
+
     if (args.case is None) == (args.config is None):
         raise ConfigError("reduce needs exactly one of --case or --config")
     if args.case is not None:
@@ -207,7 +216,10 @@ def _cmd_reduce(args) -> int:
     if not x_end > equation.x0:
         raise ValueError(f"x_max={x_end!r} must exceed x0={equation.x0!r}")
 
-    reduced = reduce_about(equation, args.ep, kind="equilibrium")
+    try:
+        reduced = reduce_about(equation, args.ep, kind="equilibrium")
+    except ReductionError as err:  # a ValueError, but a numeric failure
+        return _numeric_failure(err)
     at_start = reduced.coefficients(equation.x0)
     pretty = ", ".join(f"{value:g}" for value in at_start)
     print(f"c at x0={equation.x0:g}: ({pretty})")
@@ -225,6 +237,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_spread(args) -> int:
+    from .finance import spread_curve
+
     params = None
     base = None
     if args.literal_case1 and args.config is not None:
@@ -356,10 +370,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ReductionError, BranchError, ZeroEigenvalueError, NewtonFailure,
-            OrderTestError, ExprError) as err:
-        print(f"numeric failure: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except (BranchError, ZeroEigenvalueError, NewtonFailure, OrderTestError,
+            ExprError) as err:
+        return _numeric_failure(err)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,11 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 from .core import AbelEquation, build_equation
 from .expr import ExprError
-from .finance import MertonParams
 from .radau import SolverConfig
+
+if TYPE_CHECKING:
+    from .finance import MertonParams
 
 __all__ = [
     "ConfigError",
@@ -158,6 +161,9 @@ def equation_config(pairs: dict[str, str]) -> EquationConfig:
 
 
 def merton_params(pairs: dict[str, str]) -> MertonParams:
+    # finance imports cases and so the branch pipeline: loaded for param configs only
+    from .finance import MertonParams
+
     for key in ("sigma0_sq", "mu"):
         if key not in pairs:
             raise ConfigError(f"missing required parameter {key!r}")

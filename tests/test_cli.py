@@ -4,9 +4,12 @@ import math
 import os
 import contextlib
 
+import numpy as np
 import pytest
 
-from abelode.cli import main
+from abelode import get_case, reduce_about
+from abelode.cli import _g17, _write_csv, main
+from abelode.reduction import NotASolutionError
 
 RICCATI_CFG = "degree = 2\ncoefficients = 1 | 0 | -1\nx0 = 0\ny0 = 0\nx_end = 10\n"
 CASE3_CFG = ("degree = 3\ncoefficients = 3 - 2*exp(-2*x) | -4 | 0 | 1\n"
@@ -77,6 +80,15 @@ class TestCaseCommand:
         code, out, err = run(["case", case_id, "--long-run", "--out", tmp_path / "o"])
         assert code == 64
         assert err == f"error: --long-run is for case 2 only, got case {case_id}\n"
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_long_run_with_x_max_is_usage_error(self, tmp_path):
+        # both flags set the horizon; neither silently yields to the other
+        code, out, err = run(["case", "2", "--long-run", "--x-max", "100",
+                              "--out", tmp_path / "o"])
+        assert code == 64
+        assert err == "error: --long-run and --x-max are mutually exclusive\n"
         assert out == ""
         assert not (tmp_path / "o").exists()
 
@@ -325,9 +337,15 @@ class TestReduceCommand:
         assert run(["reduce", "--ep", "1"])[0] == 64
 
     def test_non_equilibrium_pivot_is_numeric_error(self, tmp_path):
-        code, _, err = run(["reduce", "--case", "1", "--ep", "0.5"])
-        assert code == 1
-        assert err != ""
+        # NotASolutionError is a ValueError, yet a numeric failure (exit 1), not a usage error
+        with pytest.raises(NotASolutionError) as raised:
+            reduce_about(get_case(1).equation, 0.5)
+        cfg = tmp_path / "c1.cfg"
+        cfg.write_text("degree = 3\ncoefficients = 1 | -3 | 1 | 1\nx_end = 20\n")
+        for picked in (["--case", "1"], ["--config", cfg]):
+            code, out, err = run(["reduce", *picked, "--ep", "0.5", "--out", tmp_path / "red"])
+            assert (code, out, err) == (1, "", f"numeric failure: {raised.value}\n"), picked
+            assert not (tmp_path / "red").exists()
 
     @pytest.mark.parametrize("x_max", ["-5", "0"])
     @pytest.mark.parametrize("source", ["case", "config"])
@@ -397,6 +415,23 @@ class TestOrderTestCommand:
         assert lines[0] == "h,error"
         observed = float(lines[-1].split(":")[1])
         assert 4.5 <= observed <= 5.5
+
+
+class TestCsvRows:
+    def test_row_bytes_match_g17_per_cell(self, tmp_path):
+        # one %-format per row writes what _g17 gives for each cell
+        rows = [
+            (-0.0, math.nan, 5e-324, 1e308),
+            (0.1 + 0.2, 1 / 3, -math.inf, 2.0 ** 0.5),
+            (3, -7, 12345678901234567890, 0),
+            (np.int64(42), np.int32(-5), np.float64(1e-300), np.float64(-2.5e17)),
+            [1.2345678901234567, 9007199254740993, math.pi, math.inf],
+        ]
+        path = tmp_path / "rows.csv"
+        _write_csv(str(path), "a,b,c,d", rows, ["# preamble"])
+        expected = ["# preamble", "a,b,c,d", *(",".join(map(_g17, row)) for row in rows)]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+        assert path.read_text().splitlines()[2] == "-0,nan,4.9406564584124654e-324,1e+308"
 
 
 class TestTopLevel:

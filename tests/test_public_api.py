@@ -1,13 +1,17 @@
-"""The package's public surface: the names it exports, the parameters of
-its functions and the fields of the records its pipelines return; the
-private names its modules take from one another; and the calls the
-benchmark under perfbench/ makes into the package."""
+"""The package's public surface: the names it exports, the modules an
+entry point loads, the parameters of its functions and the fields of the
+records its pipelines return; the private names its modules take from one
+another; and the calls the benchmark under perfbench/ makes into the
+package."""
 
 import ast
 import dataclasses
+import importlib
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -97,6 +101,99 @@ def _field_names(record):
 def test_exported_names():
     assert sorted(abelode.__all__) == PUBLIC_NAMES
     assert all(hasattr(abelode, name) for name in PUBLIC_NAMES)
+
+
+def test_exports_are_their_defining_modules_objects():
+    for name in abelode.__all__:
+        value = getattr(abelode, name)
+        assert value.__module__.startswith("abelode."), name
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+
+
+def test_dir_and_star_import_cover_every_export():
+    assert set(abelode.__all__) <= set(dir(abelode))
+    namespace = {}
+    exec("from abelode import *", namespace)
+    assert all(namespace[name] is getattr(abelode, name) for name in abelode.__all__)
+
+
+def test_unknown_attribute_and_submodule_import():
+    with pytest.raises(AttributeError) as raised:
+        abelode.no_such_name
+    assert str(raised.value) == "module 'abelode' has no attribute 'no_such_name'"
+    from abelode import config
+    assert config is sys.modules["abelode.config"]
+
+
+def test_exports_follow_a_rebinding_in_their_module(monkeypatch):
+    # perfbench/tracing.py wraps a function where its module binds it and
+    # later puts the original back: the package must not keep either one
+    from abelode import radau
+    original = radau.integrate
+
+    def wrapper(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(radau, "integrate", wrapper)
+    assert abelode.integrate is wrapper
+    monkeypatch.undo()
+    assert abelode.integrate is original
+    assert "integrate" not in vars(abelode)
+
+
+SRC = Path(abelode.__file__).resolve().parent.parent
+
+
+def _modules_after(code: str, cwd) -> set[str]:
+    """The abelode modules in sys.modules of a fresh interpreter that ran code."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = code + ("\nimport sys\nprint(*sorted(m for m in sys.modules"
+                    " if m.partition('.')[0] == 'abelode'))\n")
+    done = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True)
+    return set(done.stdout.splitlines()[-1].split())
+
+
+#: the benchmark's stiff set-up (perfbench/setup_child.py) on one equation
+STIFF_SET_UP = """
+import abelode
+from abelode import config
+equation = abelode.build_equation(["1", "-3", "1", "1"], x0=0.0)
+abelode.normalize(equation)
+solver = abelode.SolverConfig(atol=1e-11, rtol=1e-11)
+"""
+
+
+def test_integrating_loads_only_the_integrator(tmp_path):
+    # an integrate-only caller never loads the branch, hypothesis, rate,
+    # case, finance or reduction modules, at set-up or in the op
+    integrator = {"abelode", "abelode.config", "abelode.core", "abelode.expr", "abelode.radau"}
+    assert _modules_after(STIFF_SET_UP, tmp_path) == integrator
+    assert _modules_after(STIFF_SET_UP + "abelode.integrate(equation, 0.0, 5.0, solver)\n",
+                          tmp_path) == integrator
+
+
+@pytest.mark.parametrize("argv,loaded,not_loaded", [
+    (["case", "1"], {"cases", "hypotheses"}, {"finance", "reduction"}),
+    (["hypotheses", "{config}"], {"hypotheses"}, {"finance", "reduction"}),
+    (["order-test"], {"radau"}, {"finance", "reduction"}),
+    (["spread", "--literal-case1"], {"finance"}, {"reduction"}),
+    (["reduce", "--case", "1", "--ep", "1"], {"reduction"}, {"finance"}),
+], ids=["case", "hypotheses", "order-test", "spread", "reduce"])
+def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loaded, not_loaded):
+    # python -m abelode.cli ARGV, in a fresh interpreter
+    config = tmp_path / "case3.cfg"
+    config.write_text("degree = 3\ncoefficients = 3 - 2*exp(-2*x) | -4 | 0 | 1\nx_end = 20\n")
+    args = [a.format(config=config) for a in argv]
+    if args[0] != "order-test":
+        args += ["--out", str(tmp_path / "out")]
+    modules = _modules_after(
+        f"import runpy, sys\nsys.argv = ['abelode', *{args!r}]\n"
+        "try:\n    runpy.run_module('abelode.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exit:\n    assert exit.code == 0, exit.code\n", tmp_path)
+    assert {f"abelode.{m}" for m in loaded} <= modules
+    assert not {f"abelode.{m}" for m in not_loaded} & modules
 
 
 def test_function_parameters():
