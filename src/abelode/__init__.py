@@ -27,15 +27,14 @@ _EXPORTS = {
     "core": ["AbelEquation", "LeadingCoefficientError", "NormalForm", "build_equation",
              "eval_drhs", "eval_rhs", "normalize"],
     "equilibrium": ["BranchError", "BranchPoint", "EquilibriumBranch", "GridSpec",
-                    "ZeroEigenvalueError", "branch_derivative", "branch_limit",
-                    "continue_branch", "real_roots", "smallest_positive_root"],
+                    "ZeroEigenvalueError", "branch_limit", "continue_branch", "real_roots"],
     "expr": ["Expr", "ExprDomainError", "ExprError", "ExprSyntaxError", "parse"],
     "hypotheses": ["HypothesisEntry", "HypothesisReport", "check_asymptotic",
                    "check_structural", "verify"],
     "radau": ["ButcherTableau", "IntegrationResult", "NewtonFailure", "OrderTestError",
               "SolverConfig", "empirical_order", "integrate", "integrate_rhs",
               "radau_tableau", "stability_value", "step"],
-    "rate": ["PlateauDiagnostics", "RateBound", "diagnose", "phi", "rate_bound",
+    "rate": ["PlateauDiagnostics", "RateBound", "diagnose", "rate_bound",
              "remainder_constant"],
     "reduction": ["NotASolutionError", "ReducedEquation", "ReductionError", "SecondKindForm",
                   "WrongDegreeError", "reduce_about", "roundtrip_check", "to_second_kind"],

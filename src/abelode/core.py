@@ -52,8 +52,6 @@ __all__ = [
     "normalize",
     "eval_rhs",
     "eval_drhs",
-    "eval_F",
-    "eval_dF",
 ]
 
 
@@ -108,9 +106,6 @@ class NormalForm:
     def degree(self) -> int:
         return self.equation.degree
 
-    def a_n(self, x: float) -> float:
-        return self.equation.leading(x)
-
     def _nonzero_leading(self, x: float, an: float | None = None) -> float:
         """a_n(x) (evaluated unless given), raising LeadingCoefficientError
         where it vanishes."""
@@ -136,7 +131,7 @@ class NormalForm:
         return an, [v / an for v in row[:-1]] + [1.0]
 
     def a_n_grid(self, xs) -> np.ndarray:
-        """a_n at every abscissa of xs, as a_n gives it point by point."""
+        """a_n at every abscissa of xs, as equation.leading gives it pointwise."""
         return self.equation.leading.eval_array(xs)
 
     def _sample_all(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -165,14 +160,6 @@ class NormalForm:
             leading, rows = zip(*(self.sample(x) for x in xs.tolist()))
             return np.array(leading), np.array(rows)
         return sampled
-
-    def lam(self, k: int, x: float) -> float:
-        """lambda_k(x); k == degree returns the monic leading 1."""
-        return 1.0 if k == self.degree else self.sample(x)[1][k]
-
-    def lambdas(self, x: float) -> list[float]:
-        """[lambda_0(x), ..., lambda_{n-1}(x)]."""
-        return self.sample(x)[1][:-1]
 
 
 # Probe offsets past x0 used to reject a leading coefficient that vanishes
@@ -251,12 +238,3 @@ def eval_drhs(equation: AbelEquation, x: float, y: float) -> float:
     """d/dy of the right-hand side: sum_{k>=1} k a_k(x) y^{k-1}."""
     return _horner(_derivative_row(equation.row(x)), y)
 
-
-def eval_F(nf: NormalForm, x: float, y: float) -> float:
-    """Monic polynomial F(x, y) = y^n + sum_{k<n} lambda_k(x) y^k."""
-    return _horner(nf.sample(x)[1], y)
-
-
-def eval_dF(nf: NormalForm, x: float, y: float) -> float:
-    """dF/dy = n y^{n-1} + sum_{1<=k<n} k lambda_k(x) y^{k-1} (lambda_n == 1)."""
-    return _horner(_derivative_row(nf.sample(x)[1]), y)

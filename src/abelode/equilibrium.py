@@ -21,15 +21,14 @@ the nearest crosses zero.  Only the top level of that isolation, on grid
 rows and refinement midpoints alike, skips the brackets that end below
 a floor a few BISECT_TOL under 0 (_branch_floor): they hold no root the
 branch can select, so they are neither bisected nor polished.  The
-derivative levels, real_roots and smallest_positive_root keep every
-root.  The branch starts at the smallest positive root and walks the
-table by column runs: for each column it reaches, np.flatnonzero finds
-the rows whose move leaves that column, jumps or vanishes, and
-searchsorted the next of them, so the walk takes one Python step per
-run, not per row.  A jump larger than 0.25 (1 + E_prev) triggers one
-local grid refinement before the branch is declared lost.  The branch
-stores x, E and the stability eigenvalue Lambda(x) = dF/dy (x, E(x)) as
-arrays.
+derivative levels and real_roots keep every root.  The branch starts at
+the smallest positive root and walks the table by column runs: for each
+column it reaches, np.flatnonzero finds the rows whose move leaves that
+column, jumps or vanishes, and searchsorted the next of them, so the
+walk takes one Python step per run, not per row.  A jump larger than
+0.25 (1 + E_prev) triggers one local grid refinement before the branch
+is declared lost.  The branch stores x, E and the stability eigenvalue
+Lambda(x) = dF/dy (x, E(x)) as arrays.
 
 The branch slope E' = -(dF/dx) / Lambda comes from branch_slopes for
 all points at once: dF/dx is a finite difference of rows sampled at
@@ -61,9 +60,7 @@ __all__ = [
     "BranchError",
     "ZeroEigenvalueError",
     "real_roots",
-    "smallest_positive_root",
     "continue_branch",
-    "branch_derivative",
     "branch_slopes",
     "branch_limit",
 ]
@@ -199,6 +196,8 @@ class EquilibriumBranch:
         """The refinement midpoints among xs."""
         return int(self.xs.size) - self.grid.count
 
+    # perfbench's branch observer (perfbench/tracing.py) counts len(points);
+    # points and BranchPoint can go once it reads xs.size instead
     @property
     def points(self) -> list[BranchPoint]:
         return [BranchPoint(*p) for p in zip(
@@ -469,11 +468,6 @@ def real_roots(nf: NormalForm, x: float) -> list[float]:
     return _isolate_roots([x], np.array([nf.sample(x)[1]]))[0].tolist()
 
 
-def smallest_positive_root(nf: NormalForm, x: float) -> float | None:
-    """Smallest root strictly above POSITIVE_THRESHOLD, or None."""
-    return next((r for r in real_roots(nf, x) if r > POSITIVE_THRESHOLD), None)
-
-
 def _moves(prev: np.ndarray, nxt: np.ndarray):
     """Where each root of each row of prev (M, w) moves in the same row of
     nxt (M, w'), both ascending and NaN-padded: the column of the nearest
@@ -634,14 +628,6 @@ def branch_slopes(nf: NormalForm, xs, es, lams):
         dfdx, undefined = _dF_dx(nf, xs, es)
         slopes = np.where(lams == 0.0, np.nan, -dfdx / lams)
     return slopes, undefined
-
-
-def branch_derivative(nf: NormalForm, point: BranchPoint) -> float:
-    """E'(x) at one branch point: branch_slopes on a stack of one (NaN where
-    dF/dx is undefined)."""
-    if point.Lambda == 0.0:
-        raise ZeroEigenvalueError(point.x)
-    return float(branch_slopes(nf, [point.x], [point.E], [point.Lambda])[0][0])
 
 
 def branch_limit(branch: EquilibriumBranch) -> float | None:

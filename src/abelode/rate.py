@@ -46,7 +46,6 @@ __all__ = [
     "PlateauDiagnostics",
     "damped_drift",
     "log_phi",
-    "phi",
     "remainder_constant",
     "rate_bound",
     "diagnose",
@@ -95,17 +94,6 @@ def log_phi(nf: NormalForm, branch: EquilibriumBranch, x) -> np.ndarray:
             g_hi = an[:, 1] * branch.interp_Lambda(x)
             out[part] += (x - xs[i]) / 6.0 * (g[i] + 4.0 * g_mid + g_hi)
     return out
-
-
-def phi(nf: NormalForm, branch: EquilibriumBranch, x: float, x_from: float | None = None) -> float:
-    """Damping factor Phi(x), optionally re-based to start at x_from.
-
-    Multiplicative by construction:
-    phi(x2) == phi(x1) * phi(x2, x_from=x1) up to floating-point rounding.
-    """
-    start = branch.x_start if x_from is None else x_from
-    a, b = log_phi(nf, branch, [start, x]).tolist()
-    return math.exp(b - a)
 
 
 def remainder_constant(branch: EquilibriumBranch) -> float:

@@ -9,11 +9,10 @@ from strategies import expressions, grids
 from abelode.core import (
     LeadingCoefficientError,
     NormalForm,
+    _derivative_row,
     _horner,
     build_equation,
-    eval_dF,
     eval_drhs,
-    eval_F,
     eval_rhs,
     normalize,
 )
@@ -54,11 +53,8 @@ class TestNormalize:
     def test_lambda_is_coefficient_ratio(self):
         eq = build_equation(["4", "-6", "2", "2"], 0.0)
         nf = normalize(eq)
-        assert nf.lam(0, 0.0) == 2.0
-        assert nf.lam(1, 0.0) == -3.0
-        assert nf.lam(2, 0.0) == 1.0
-        assert nf.lam(3, 0.0) == 1.0  # top coefficient of the monic form
-        assert nf.lambdas(0.0) == [2.0, -3.0, 1.0]
+        # lambda_0..lambda_2, then the top coefficient of the monic form
+        assert nf.sample(0.0) == (2.0, [2.0, -3.0, 1.0, 1.0])
 
     def test_vanishing_leading_coefficient_rejected(self):
         eq = build_equation(["1", "0", "0", "x"], 0.0)  # a3(x0) = 0
@@ -81,15 +77,14 @@ class TestNormalize:
     def test_leading_zero_missed_by_probes_is_typed(self):
         # probes sit at x0 + {0, 0.5, 1, 2, 5, 10}; a3 vanishes at x = 3
         nf = normalize(build_equation(["1", "-3", "1", "x - 3"], 0.0))
-        for call in (lambda: nf.lambdas(3.0), lambda: nf.lam(0, 3.0)):
+        for call in (lambda: nf.sample(3.0), lambda: nf.sample_grid([2.0, 3.0])):
             with pytest.raises(LeadingCoefficientError, match="x=3.0"):
                 call()
-        assert nf.lam(3, 3.0) == 1.0  # the monic leading 1 needs no division
 
     def test_sign_changing_leading_ok_if_probes_miss_zero(self):
         eq = build_equation(["1", "0", "0", "1 - 1/x"], 2.0)
         nf = normalize(eq)
-        assert nf.a_n(2.0) == 0.5
+        assert nf.sample(2.0)[0] == 0.5
 
 
 class TestEvaluation:
@@ -108,7 +103,7 @@ class TestEvaluation:
         eq = cubic(a0, a1, a2, a3)
         nf = normalize(eq)
         assert eval_rhs(eq, 0.0, y) == pytest.approx(
-            a3 * eval_F(nf, 0.0, y), rel=1e-12, abs=1e-12)
+            a3 * _horner(nf.sample(0.0)[1], y), rel=1e-12, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(a0=coeff_floats, a1=coeff_floats, a2=coeff_floats,
@@ -123,7 +118,7 @@ class TestEvaluation:
         # F = y^3 + y^2 - 3y + 1, dF = 3y^2 + 2y - 3
         nf = normalize(build_equation(["1", "-3", "1", "1"], 0.0))
         for y in (-2.0, 0.0, 0.4142, 3.0):
-            assert eval_dF(nf, 0.0, y) == pytest.approx(
+            assert _horner(_derivative_row(nf.sample(0.0)[1]), y) == pytest.approx(
                 3 * y * y + 2 * y - 3, rel=1e-13, abs=1e-13)
 
     def test_x_dependence_flows_through(self):

@@ -8,22 +8,18 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from abelode import equilibrium
 from abelode.cases import get_case
-from abelode.core import LeadingCoefficientError, NormalForm, build_equation, eval_F, normalize
+from abelode.core import LeadingCoefficientError, NormalForm, _horner, build_equation, normalize
 from abelode.equilibrium import (
     POSITIVE_THRESHOLD,
     BranchError,
-    BranchPoint,
     GridSpec,
-    ZeroEigenvalueError,
     _branch_floor,
     _isolate_roots,
     _moves,
-    branch_derivative,
     branch_limit,
     branch_slopes,
     continue_branch,
     real_roots,
-    smallest_positive_root,
 )
 from abelode.expr import ExprDomainError
 from oracles import WalkError, bisect_scan_roots, reference_walk, slope_in_y
@@ -33,22 +29,28 @@ def monic_cubic(c0, c1, c2, x0=0.0):
     return normalize(build_equation([repr(c0), repr(c1), repr(c2), "1"], x0))
 
 
+def _smallest_positive_root(nf, x):
+    """The smallest real root of F(x, .) above POSITIVE_THRESHOLD, or None."""
+    return next((r for r in real_roots(nf, x) if r > POSITIVE_THRESHOLD), None)
+
+
 def _scalar_dF_dx(nf, x, e):
-    """dF/dx at (x, e) from eval_F point by point, and its kind: centred
-    where x +- h both evaluate, else one-sided against x itself."""
+    """dF/dx at (x, e) from F = Horner on the monic row, sampled point by
+    point, and its kind: centred where x +- h both evaluate, else one-sided
+    against x itself."""
     h = max(1e-6, 1e-8 * abs(x))
     sides = []
     for side in (x + h, x - h):
         try:
-            sides.append(eval_F(nf, side, e))
+            sides.append(_horner(nf.sample(side)[1], e))
         except (ExprDomainError, LeadingCoefficientError):
             sides.append(None)
     hi, lo = sides
     if hi is not None and lo is not None:
         return (hi - lo) / (2.0 * h), "centred"
     if hi is not None:
-        return (hi - eval_F(nf, x, e)) / h, "forward"
-    return (eval_F(nf, x, e) - lo) / h, "backward"
+        return (hi - _horner(nf.sample(x)[1], e)) / h, "forward"
+    return (_horner(nf.sample(x)[1], e) - lo) / h, "backward"
 
 
 def _filler(degree, count=2000):
@@ -265,13 +267,13 @@ class TestRealRoots:
 
     def test_smallest_positive_root(self):
         nf = monic_cubic(1.0, -2.5, -1.0)  # roots near -1, 0.5, ~2 region
-        sp = smallest_positive_root(nf, 0.0)
+        sp = _smallest_positive_root(nf, 0.0)
         roots = [r for r in real_roots(nf, 0.0) if r > 0]
         assert sp == min(roots)
 
     def test_no_positive_root_returns_none(self):
         nf = monic_cubic(6.0, 11.0, 6.0)  # roots -1, -2, -3
-        assert smallest_positive_root(nf, 0.0) is None
+        assert _smallest_positive_root(nf, 0.0) is None
 
     @pytest.mark.parametrize("a0, a3, problem", [
         # the real root is ~1e133, but lambda_0 = -1e200 / 1e-200 is -inf
@@ -477,14 +479,14 @@ class TestBranchContinuation:
         nf = normalize(eq)
         branch = continue_branch(nf, GridSpec(1.0 + 1e-3, 50.0, 2001, "log"))
         for x in (2.0, 10.0):
-            direct = smallest_positive_root(nf, x)
+            direct = _smallest_positive_root(nf, x)
             assert branch.interp_E(x) == pytest.approx(direct, abs=1e-5)
 
     def test_known_interior_values(self):
         eq = build_equation(["1 - 1/x", "-2", "-2", "1"], 1.0)
         nf = normalize(eq)
-        assert smallest_positive_root(nf, 2.0) == pytest.approx(0.21039176784345762, abs=1e-10)
-        assert smallest_positive_root(nf, 10.0) == pytest.approx(0.3492991040274609, abs=1e-10)
+        assert _smallest_positive_root(nf, 2.0) == pytest.approx(0.21039176784345762, abs=1e-10)
+        assert _smallest_positive_root(nf, 10.0) == pytest.approx(0.3492991040274609, abs=1e-10)
 
     def test_covers(self):
         nf = monic_cubic(1.0, -3.0, 1.0)
@@ -617,28 +619,24 @@ class TestBranchDerivative:
         eq = build_equation(["3 - 2*exp(-2*x)", "-4", "0", "1"], 0.0)
         nf = normalize(eq)
         branch = continue_branch(nf, GridSpec(0.0, 20.0, 401, "linear"))
+        slopes, _ = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
         for idx in (3, 50, 200):
-            p = branch.points[idx]
-            exact = -(4.0 * math.exp(-2.0 * p.x)) / p.Lambda
+            exact = -(4.0 * math.exp(-2.0 * branch.xs[idx])) / branch.eigenvalues[idx]
             # abs floor: deep in the tail the slope itself is ~1e-8 and the
             # finite difference only resolves it to ~1e-11
-            assert branch_derivative(nf, p) == pytest.approx(exact, rel=1e-4, abs=1e-10)
+            assert slopes[idx] == pytest.approx(exact, rel=1e-4, abs=1e-10)
 
     def test_flat_branch_has_zero_derivative(self):
         nf = monic_cubic(1.0, -3.0, 1.0)
         branch = continue_branch(nf, GridSpec(0.0, 20.0, 101, "linear"))
-        assert branch_derivative(nf, branch.points[50]) == pytest.approx(0.0, abs=1e-9)
-
-    def test_zero_eigenvalue_raises(self):
-        nf = monic_cubic(1.0, -3.0, 1.0)
-        with pytest.raises(ZeroEigenvalueError):
-            branch_derivative(nf, BranchPoint(0.0, 1.0, 0.0))
+        slopes, _ = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
+        assert slopes[50] == pytest.approx(0.0, abs=1e-9)
 
     def test_one_sided_differences_at_both_domain_edges(self):
         # x - x^2 < 0 just outside [0, 1]: the first point takes the forward
         # difference, the last the backward one (it used to raise); 1 - x < 0
         # right of 1, so only the last point of that branch is one-sided.
-        # Every point matches the scalar difference of eval_F bit for bit
+        # Every point matches the scalar difference of F bit for bit
         for coefficient, count, edges in (
             ("sqrt(x - x*x)", 201, {0: "forward", 200: "backward"}),
             ("sqrt(1-x)", 2001, {2000: "backward"}),
@@ -648,10 +646,11 @@ class TestBranchDerivative:
             branch = continue_branch(nf, GridSpec(0.0, 1.0, count))
             slopes, undefined = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
             assert not undefined.any()
-            reference = [_scalar_dF_dx(nf, p.x, p.E) for p in branch.points]
+            reference = [_scalar_dF_dx(nf, x, e)
+                         for x, e in zip(branch.xs.tolist(), branch.values.tolist())]
             assert {i: kind for i, (_, kind) in enumerate(reference) if kind != "centred"} == edges
-            assert slopes.tolist() == [-d / p.Lambda for (d, _), p in zip(reference, branch.points)]
-            assert branch_derivative(nf, branch.points[-1]) == slopes[-1]
+            assert slopes.tolist() == [
+                -d / lam for (d, _), lam in zip(reference, branch.eigenvalues.tolist())]
 
     def test_each_stencil_point_is_sampled_at_most_once(self, monkeypatch):
         # 1 - x < 0 just right of the last point, so the all-points pass over
@@ -666,18 +665,18 @@ class TestBranchDerivative:
         slopes, undefined = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
         assert len(calls) <= 2 * branch.xs.size
         monkeypatch.undo()
-        reference = [_scalar_dF_dx(nf, p.x, p.E)[0] for p in branch.points]
-        assert slopes.tolist() == [-d / p.Lambda for d, p in zip(reference, branch.points)]
+        reference = [_scalar_dF_dx(nf, x, e)[0]
+                     for x, e in zip(branch.xs.tolist(), branch.values.tolist())]
+        assert slopes.tolist() == [
+            -d / lam for d, lam in zip(reference, branch.eigenvalues.tolist())]
         assert not undefined.any()
 
     def test_undefined_where_neither_side_evaluates(self):
         # sqrt(-(x - 1)^2) evaluates at x = 1 only
         nf = normalize(build_equation(["sqrt(0 - (x - 1)^2) - 1", "1"], 1.0))
-        point = BranchPoint(1.0, 1.0, -1.0)
         slopes, undefined = branch_slopes(nf, [1.0, 2.0], [1.0, 1.0], [-1.0, 0.0])
         assert undefined.tolist() == [True, True]
         assert np.isnan(slopes).all()
-        assert math.isnan(branch_derivative(nf, point))
 
     def test_slopes_are_nan_at_a_zero_eigenvalue(self):
         nf = monic_cubic(1.0, -3.0, 1.0)

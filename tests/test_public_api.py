@@ -11,18 +11,20 @@ import importlib.util
 import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import abelode
 from abelode import (
     AbelEquation, CalibrationReport, CaseRun, CaseStudy, EquationConfig, EquilibriumBranch,
     GridSpec, HypothesisReport, IntegrationResult, MertonParams, NormalForm, ReducedEquation,
-    SpreadCurve, branch_limit, build_equation, case1_calibration_check, continue_branch, normalize,
-    spread_curve,
+    SpreadCurve, branch_limit, build_equation, case1_calibration_check, continue_branch,
+    integrate, normalize, rate_bound, spread_curve,
 )
 from abelode.cases import Analysis
 from abelode.config import equation_config, parse_pairs
@@ -37,19 +39,17 @@ PUBLIC_NAMES = [
     "LeadingCoefficientError", "MertonParams", "NewtonFailure", "NormalForm",
     "NotASolutionError", "OrderTestError", "PlateauDiagnostics", "RateBound",
     "ReducedEquation", "ReductionError", "SecondKindForm", "SolverConfig", "SpreadCurve",
-    "WrongDegreeError", "ZeroEigenvalueError", "branch_derivative", "branch_limit",
-    "build_equation", "case1_calibration_check", "check_asymptotic", "check_structural",
-    "continue_branch", "diagnose", "empirical_order", "eval_drhs", "eval_rhs", "get_case",
-    "integrate", "integrate_rhs", "normalize", "omega_exact", "omega_expansion", "parse",
-    "phi", "radau_tableau", "rate_bound", "real_roots", "reduce_about", "remainder_constant",
-    "roundtrip_check", "run_case", "smallest_positive_root", "spread_coefficients",
-    "spread_curve", "spread_normal_form", "stability_value", "step", "to_second_kind",
-    "verify",
+    "WrongDegreeError", "ZeroEigenvalueError", "branch_limit", "build_equation",
+    "case1_calibration_check", "check_asymptotic", "check_structural", "continue_branch",
+    "diagnose", "empirical_order", "eval_drhs", "eval_rhs", "get_case", "integrate",
+    "integrate_rhs", "normalize", "omega_exact", "omega_expansion", "parse", "radau_tableau",
+    "rate_bound", "real_roots", "reduce_about", "remainder_constant", "roundtrip_check",
+    "run_case", "spread_coefficients", "spread_curve", "spread_normal_form", "stability_value",
+    "step", "to_second_kind", "verify",
 ]
 
 #: parameter names of every exported function, in order
 PARAMETERS = {
-    "branch_derivative": ["nf", "point"],
     "branch_limit": ["branch"],
     "build_equation": ["coeff_sources", "x0", "description"],
     "case1_calibration_check": ["p", "x_ref", "solve_eta2"],
@@ -66,7 +66,6 @@ PARAMETERS = {
     "omega_exact": ["p", "x", "s"],
     "omega_expansion": ["p", "x", "s"],
     "parse": ["source"],
-    "phi": ["nf", "branch", "x", "x_from"],
     "radau_tableau": [],
     "rate_bound": ["nf", "branch", "result"],
     "real_roots": ["nf", "x"],
@@ -74,7 +73,6 @@ PARAMETERS = {
     "remainder_constant": ["branch"],
     "roundtrip_check": ["equation", "pivot", "y0", "x_end", "kind", "config", "checkpoints"],
     "run_case": ["case_id", "x_max", "config"],
-    "smallest_positive_root": ["nf", "x"],
     "spread_coefficients": ["p", "x"],
     "spread_curve": ["params", "x0", "x_end", "config", "literal_case1"],
     "spread_normal_form": ["p", "x"],
@@ -115,6 +113,13 @@ def test_dir_and_star_import_cover_every_export():
     namespace = {}
     exec("from abelode import *", namespace)
     assert all(namespace[name] is getattr(abelode, name) for name in abelode.__all__)
+    # a name deleted from a module but left in its __all__ breaks its star
+    # import; a package export must be in its module's __all__
+    for info in pkgutil.iter_modules(abelode.__path__):
+        module = importlib.import_module(f"abelode.{info.name}")
+        assert [name for name in module.__all__ if not hasattr(module, name)] == [], info.name
+    for name, module in abelode._MODULE_OF.items():
+        assert name in importlib.import_module(f"abelode.{module}").__all__, name
 
 
 def test_unknown_attribute_and_submodule_import():
@@ -270,6 +275,33 @@ def test_traced_names_resolve():
     targets = list(tracing.SPANS) + [t for ts in tracing.COUNTED.values() for t in ts]
     for name in targets:
         assert callable(tracing._resolve(name)), name
+
+
+def test_traced_records_have_what_the_observers_read(case_runs):
+    # perfbench/tracing.py's observers read counters off what continue_branch,
+    # integrate and rate_bound return: a renamed or deleted attribute would
+    # otherwise fail only when the traced benchmark runs.  The tracer is not
+    # installed; each observer runs the real call it is given.
+    tracing = _load_perfbench("tracing")
+    tracer = tracing.Tracer()
+    run = case_runs[1]
+    # case 1's branch, and E = exp(x), which refines at 28 of its 30 cells
+    refining = normalize(build_equation(["exp(x)", "-1"], 0.0))
+    inputs = ((run.nf, run.grid), (refining, GridSpec(0.0, 10.0, 31)))
+    branches = [tracing._observe_branch(tracer, continue_branch, args, {}) for args in inputs]
+    result = tracing._observe_integrate(
+        tracer, integrate, (run.equation, run.y0, run.x_end, run.config), {})
+    bound = tracing._observe_rate_bound(tracer, rate_bound, (run.nf, run.branch, result), {})
+    assert branches[1].refinements == 28
+    assert dict(tracer.counts) == {
+        "equilibrium.branch_points": sum(b.xs.size for b in branches),
+        "equilibrium.refinements": sum(b.refinements for b in branches),
+        "equilibrium.ambiguous_points": sum(b.ambiguous_count for b in branches),
+        "radau.runtime_warnings": 0,
+        "radau.accepted": result.n_accepted,
+        "radau.newton_iters": result.n_newton_iters,
+        "rate.nonfinite_bound_points": int(np.count_nonzero(~np.isfinite(bound.bound))),
+    }
 
 
 def test_benchmark_set_up_builds_its_inputs(workloads, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,34 +12,41 @@ from abelode.core import build_equation, normalize
 from abelode.equilibrium import BranchPoint, EquilibriumBranch, GridSpec, continue_branch
 from abelode.hypotheses import verify
 from abelode.radau import integrate
-from abelode.rate import _log_cumtrapz, diagnose, phi, rate_bound, remainder_constant
+from abelode.rate import _log_cumtrapz, diagnose, log_phi, rate_bound, remainder_constant
 
 
 class TestPhi:
     def test_constant_damping_is_pure_exponential(self, case_runs):
         run = case_runs[1]
         rate = run.branch.eigenvalues[0]  # flat branch: a_n * Lambda constant
-        for x in (0.5, 5.0, 17.3):
-            assert phi(run.nf, run.branch, x) == pytest.approx(
-                math.exp(rate * x), rel=1e-9)
+        xs = np.array([0.5, 5.0, 17.3])
+        assert np.exp(log_phi(run.nf, run.branch, xs)) == pytest.approx(
+            np.exp(rate * xs), rel=1e-9)
 
     def test_starts_at_one_and_decreases(self, case_runs):
         run = case_runs[3]
-        assert phi(run.nf, run.branch, run.branch.x_start) == 1.0
-        values = [phi(run.nf, run.branch, x) for x in (1.0, 2.0, 5.0, 10.0)]
-        assert all(a > b for a, b in zip(values, values[1:]))
+        assert log_phi(run.nf, run.branch, [run.branch.x_start]).tolist() == [0.0]
+        values = np.exp(log_phi(run.nf, run.branch, [1.0, 2.0, 5.0, 10.0]))
+        assert (values[1:] < values[:-1]).all()
 
     def test_restart_point_shifts_normalization(self, case_runs):
+        # additive: the integral to 10 is the one to 4 plus the one over the
+        # same branch restarted at the grid point 4
         run = case_runs[1]
-        full = phi(run.nf, run.branch, 10.0)
-        head = phi(run.nf, run.branch, 4.0)
-        tail = phi(run.nf, run.branch, 10.0, x_from=4.0)
-        assert head * tail == pytest.approx(full, rel=1e-10)
+        branch = run.branch
+        at = int(np.searchsorted(branch.xs, 4.0))
+        restarted = dataclasses.replace(
+            branch, xs=branch.xs[at:], values=branch.values[at:],
+            eigenvalues=branch.eigenvalues[at:], leading=branch.leading[at:],
+            rows=branch.rows[at:])
+        head, full = log_phi(run.nf, branch, [4.0, 10.0])
+        tail = log_phi(run.nf, restarted, [10.0])[0]
+        assert head + tail == pytest.approx(full, rel=1e-10)
 
     def test_out_of_range_message_prints_plain_floats(self, case_runs):
         run = case_runs[3]
         with pytest.raises(ValueError) as info:
-            phi(run.nf, run.branch, 5.0, x_from=-1.0)
+            log_phi(run.nf, run.branch, [-1.0, 5.0])
         assert str(info.value) == "x=-1.0 outside the branch range [0.0, 100.0]"
 
     def test_cell_midpoints_near_the_largest_float(self, case_runs):
@@ -48,7 +56,7 @@ class TestPhi:
         nf = case_runs[1].nf
         branch = continue_branch(nf, GridSpec(0.0, 1e308, 2001))
         assert verify(nf, branch).entries["B3"].status == "pass"
-        assert phi(nf, branch, 0.99995e308) == 0.0
+        assert np.exp(log_phi(nf, branch, [0.99995e308])).tolist() == [0.0]
 
 
 @st.composite
