@@ -19,7 +19,8 @@ Two evaluators read the trees:
     expressions (Expr(x), the probes of a leading coefficient) and
     explains failures: its ExprDomainError names the operation and the x.
 
-Grammar (EBNF, whitespace insignificant):
+Grammar (EBNF; whitespace, the characters str.isspace takes, may stand
+before any token):
 
     expr    = term   { ("+" | "-") term } ;
     term    = factor { ("*" | "/") factor } ;
@@ -28,6 +29,16 @@ Grammar (EBNF, whitespace insignificant):
     atom    = NUMBER | "x" | "pi" | "e"
             | FUNC "(" expr ")" | "(" expr ")" ;
     FUNC    = "exp" | "log" | "sqrt" | "abs" ;
+    NUMBER  = ( DIGIT { DIGIT } [ "." { DIGIT } ] | "." DIGIT { DIGIT } )
+              [ ("e" | "E") [ "+" | "-" ] DIGIT { DIGIT } ] ;
+    NAME    = LETTER { LETTER } ;
+    DIGIT   = a character str.isdigit takes ;
+    LETTER  = "_" | a character str.isalpha takes ;
+
+Each NUMBER and NAME is as long as it can be: "pi2" is pi and a trailing
+"2", "1e+" is 1 and a trailing "e+".  A NAME but x, pi, e and FUNC is an
+unknown identifier, and a NUMBER float() rejects, such as one with a
+superscript digit, is a bad number.
 
 "^" binds tightest and is right-associative ("2^3^2" is 2^(3^2) = 512),
 unary minus binds tighter than "*" and "/" but looser than "^"
@@ -64,9 +75,10 @@ ExprDomainError names the same first x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
 from functools import lru_cache
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,7 +103,7 @@ _CONSTANTS = {
     "e": math.e,
 }
 
-#: deepest nesting accepted (see _Parser); parsing recurses at most five
+#: deepest nesting accepted (see _climb); parsing recurses at most four
 #: frames per level, evaluation, printing and code generation one
 _MAX_DEPTH = 100
 
@@ -159,8 +171,7 @@ def _elementwise(fn):
     return apply
 
 
-@dataclass(frozen=True)
-class _Num:
+class _Num(NamedTuple):
     value: float
 
     def eval(self, x: float) -> float:
@@ -174,8 +185,7 @@ class _Num:
     precedence = 5
 
 
-@dataclass(frozen=True)
-class _Var:
+class _Var(NamedTuple):
     def eval(self, x: float) -> float:
         return x
 
@@ -185,8 +195,7 @@ class _Var:
     precedence = 5
 
 
-@dataclass(frozen=True)
-class _Const:
+class _Const(NamedTuple):
     name: str
 
     def eval(self, x: float) -> float:
@@ -200,8 +209,7 @@ class _Const:
     precedence = 5
 
 
-@dataclass(frozen=True)
-class _Neg:
+class _Neg(NamedTuple):
     operand: object
 
     precedence = 3
@@ -226,8 +234,7 @@ class _Neg:
 _BIN_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
 
-@dataclass(frozen=True)
-class _Bin:
+class _Bin(NamedTuple):
     op: str
     left: object
     right: object
@@ -288,8 +295,7 @@ class _Bin:
         return f"{left} {self.op} {right}" if prec == 1 else f"{left}{self.op}{right}"
 
 
-@dataclass(frozen=True)
-class _Call:
+class _Call(NamedTuple):
     name: str
     argument: object
 
@@ -321,156 +327,113 @@ class _Call:
 
 
 def _format_number(value: float) -> str:
+    if value == math.inf:
+        return "1e999"  # a literal that overflows, as the one parsed did
     text = repr(value)
     return text[:-2] if text.endswith(".0") else text
 
 
-class _Tokenizer:
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
+#: one token after optional whitespace: a NUMBER, a run of name letters or
+#: any other character; the regex classes are ASCII (see _stand_in)
+_TOKEN = re.compile(r"\s*((?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[A-Za-z_]+|\S)")
 
-    def error(self, message: str, position: int | None = None) -> ExprSyntaxError:
-        where = self.pos if position is None else position
-        return ExprSyntaxError(message, self.source, where)
+_TOO_DEEP = f"expression nested deeper than {_MAX_DEPTH} levels"
 
-    def _skip_space(self) -> None:
-        while self.pos < len(self.source) and self.source[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str | None:
-        self._skip_space()
-        if self.pos >= len(self.source):
-            return None
-        return self.source[self.pos]
+def _stand_in(ch: str) -> str:
+    """ch, or for a non-ASCII character an ASCII one of its class: "0" for
+    str.isdigit, "a" for str.isalpha, "$" for any other but whitespace.
+    _TOKEN's whitespace class is str.isspace, but the regex digit and word
+    classes differ from str.isdigit and str.isalpha beyond ASCII, so
+    _TOKEN runs over the stand-ins of a non-ASCII text."""
+    if ch.isascii() or ch.isspace():
+        return ch
+    return "0" if ch.isdigit() else "a" if ch.isalpha() else "$"
 
-    def take_operator(self, chars: str) -> str | None:
-        ch = self.peek()
-        if ch is not None and ch in chars:
-            self.pos += 1
-            return ch
-        return None
 
-    def expect(self, ch: str) -> None:
-        if self.take_operator(ch) is None:
-            raise self.error(f"expected {ch!r}")
+class _Refusal(Exception):
+    """A syntax error at the token that was next when ``remaining`` tokens,
+    the end marker included, were left: at its start, or its end if past."""
 
-    def take_number(self) -> float | None:
-        self._skip_space()
-        src, i = self.source, self.pos
-        start = i
-        while i < len(src) and src[i].isdigit():
-            i += 1
-        if i < len(src) and src[i] == ".":
-            i += 1
-            while i < len(src) and src[i].isdigit():
-                i += 1
-        if i == start or (i == start + 1 and src[start] == "."):
-            return None
-        if i < len(src) and src[i] in "eE":
-            j = i + 1
-            if j < len(src) and src[j] in "+-":
-                j += 1
-            if j < len(src) and src[j].isdigit():
-                while j < len(src) and src[j].isdigit():
-                    j += 1
-                i = j
-        text = src[start:i]
-        self.pos = i
+    def __init__(self, message: str, remaining: int, past: bool = False):
+        super().__init__(message)
+        self.message, self.remaining, self.past = message, remaining, past
+
+
+def _climb(tokens: list, level: int, floor: int) -> tuple[object, int]:
+    """Precedence climbing over tokens, next token last: an operand and the
+    binary operators of precedence floor or more after it, as (node, tree
+    height).  level is the nesting of the text, both capped at _MAX_DEPTH.
+
+    A refusal stands where the parser stands: just past the last token
+    taken, or at the next token once the parser has looked at it."""
+    token = tokens.pop()
+    if token == "-":
+        if level >= _MAX_DEPTH:
+            raise _Refusal(_TOO_DEEP, len(tokens) + 1, past=True)
+        # the operand is a factor, so "-x^2" is -(x^2) and "-x*y" is (-x)*y
+        operand, height = _climb(tokens, level + 1, 4)
+        node, height = _Neg(operand), height + 1
+        if height > _MAX_DEPTH:
+            raise _Refusal(_TOO_DEEP, len(tokens))
+    else:
+        node, height = _atom(token, tokens, level)
+    while True:
+        op = tokens[-1]
+        precedence = _BIN_PRECEDENCE.get(op, 0)
+        if precedence < floor:
+            return node, height
+        tokens.pop()
+        if precedence == 4:
+            # the exponent is a factor too: "2^-3" parses, "^" right-associates
+            if level >= _MAX_DEPTH:
+                raise _Refusal(_TOO_DEEP, len(tokens) + 1, past=True)
+            right, right_height = _climb(tokens, level + 1, 4)
+        else:
+            right, right_height = _climb(tokens, level, precedence + 1)
+        node, height = _Bin(op, node, right), 1 + max(height, right_height)
+        if height > _MAX_DEPTH:
+            raise _Refusal(_TOO_DEEP, len(tokens))
+
+
+def _atom(token: str, tokens: list, level: int) -> tuple[object, int]:
+    """The atom that token, just taken, starts, as _climb's (node, height)."""
+    if token == "x":
+        return _Var(), 1
+    first = token[:1]
+    if first.isdigit() or (first == "." and token != "."):
         try:
-            return float(text)
+            return _Num(float(token)), 1
         except ValueError:
-            raise self.error(f"bad number {text!r}", start) from None
+            raise _Refusal(f"bad number {token!r}", len(tokens) + 1) from None
+    if token == "(":
+        if level >= _MAX_DEPTH:
+            raise _Refusal(_TOO_DEEP, len(tokens) + 1, past=True)
+        node, height = _climb(tokens, level + 1, 1)
+        _close(tokens)
+        return node, height
+    if token in _FUNCTIONS:
+        if tokens[-1] != "(":
+            raise _Refusal("expected '('", len(tokens))
+        tokens.pop()
+        if level >= _MAX_DEPTH:
+            raise _Refusal(_TOO_DEEP, len(tokens) + 1, past=True)
+        argument, height = _climb(tokens, level + 1, 1)
+        _close(tokens)
+        if height >= _MAX_DEPTH:
+            raise _Refusal(_TOO_DEEP, len(tokens) + 1, past=True)
+        return _Call(token, argument), height + 1
+    if token in _CONSTANTS:
+        return _Const(token), 1
+    if first.isalpha() or first == "_":
+        raise _Refusal(f"unknown identifier {token!r}", len(tokens) + 1)
+    raise _Refusal("expected a number, name or parenthesis", len(tokens) + 1)
 
-    def take_name(self) -> tuple[str, int] | None:
-        self._skip_space()
-        src, i = self.source, self.pos
-        start = i
-        while i < len(src) and (src[i].isalpha() or src[i] == "_"):
-            i += 1
-        if i == start:
-            return None
-        self.pos = i
-        return src[start:i], start
 
-    def at_end(self) -> bool:
-        return self.peek() is None
-
-
-class _Parser:
-    """Recursive descent; parse_* take the nesting level of their text and
-    return (node, tree height), both capped at _MAX_DEPTH."""
-
-    def __init__(self, source: str):
-        self.tokens = _Tokenizer(source)
-
-    def parse(self) -> object:
-        node, _ = self.parse_expr(0)
-        if not self.tokens.at_end():
-            raise self.tokens.error("unexpected trailing input")
-        return node
-
-    def _limit(self, depth: int) -> int:
-        if depth > _MAX_DEPTH:
-            raise self.tokens.error(f"expression nested deeper than {_MAX_DEPTH} levels")
-        return depth
-
-    def parse_expr(self, level: int) -> tuple[object, int]:
-        node, height = self.parse_term(level)
-        while True:
-            op = self.tokens.take_operator("+-")
-            if op is None:
-                return node, height
-            right, right_height = self.parse_term(level)
-            node = _Bin(op, node, right)
-            height = self._limit(1 + max(height, right_height))
-
-    def parse_term(self, level: int) -> tuple[object, int]:
-        node, height = self.parse_factor(level)
-        while True:
-            op = self.tokens.take_operator("*/")
-            if op is None:
-                return node, height
-            right, right_height = self.parse_factor(level)
-            node = _Bin(op, node, right)
-            height = self._limit(1 + max(height, right_height))
-
-    def parse_factor(self, level: int) -> tuple[object, int]:
-        if self.tokens.take_operator("-"):
-            operand, height = self.parse_factor(self._limit(level + 1))
-            return _Neg(operand), self._limit(height + 1)
-        return self.parse_power(level)
-
-    def parse_power(self, level: int) -> tuple[object, int]:
-        base, height = self.parse_atom(level)
-        if self.tokens.take_operator("^"):
-            # recurse through factor so "2^-3" parses and "^" right-associates
-            exponent, exp_height = self.parse_factor(self._limit(level + 1))
-            return _Bin("^", base, exponent), self._limit(1 + max(height, exp_height))
-        return base, height
-
-    def parse_atom(self, level: int) -> tuple[object, int]:
-        number = self.tokens.take_number()
-        if number is not None:
-            return _Num(number), 1
-        if self.tokens.take_operator("("):
-            node = self.parse_expr(self._limit(level + 1))
-            self.tokens.expect(")")
-            return node
-        name_token = self.tokens.take_name()
-        if name_token is not None:
-            name, start = name_token
-            if name in _FUNCTIONS:
-                self.tokens.expect("(")
-                argument, height = self.parse_expr(self._limit(level + 1))
-                self.tokens.expect(")")
-                return _Call(name, argument), self._limit(height + 1)
-            if name == "x":
-                return _Var(), 1
-            if name in _CONSTANTS:
-                return _Const(name), 1
-            raise self.tokens.error(f"unknown identifier {name!r}", start)
-        raise self.tokens.error("expected a number, name or parenthesis")
+def _close(tokens: list) -> None:
+    if tokens[-1] != ")":
+        raise _Refusal("expected ')'", len(tokens))
+    tokens.pop()
 
 
 class Expr:
@@ -525,7 +488,24 @@ def parse(source: str) -> Expr:
         raise ExprSyntaxError("expression must be a string", str(source), 0)
     if not source.strip():
         raise ExprSyntaxError("empty expression", source, 0)
-    return Expr(source, _Parser(source).parse())
+    lexed = source if source.isascii() else "".join(map(_stand_in, source))
+    if lexed is source:
+        tokens = _TOKEN.findall(source)
+    else:
+        tokens = [source[slice(*match.span(1))] for match in _TOKEN.finditer(lexed)]
+    tokens.append("")  # the end marker, which no rule takes
+    tokens.reverse()
+    count = len(tokens)
+    try:
+        node, _ = _climb(tokens, 0, 1)
+        if tokens[-1]:
+            raise _Refusal("unexpected trailing input", len(tokens))
+    except _Refusal as refusal:
+        spans = [match.span(1) for match in _TOKEN.finditer(lexed)]
+        spans.append((len(source), len(source)))
+        position = spans[count - refusal.remaining][refusal.past]
+        raise ExprSyntaxError(refusal.message, source, position) from None
+    return Expr(source, node)
 
 
 def compile_row(exprs):

@@ -325,3 +325,168 @@ def reference_integrate(row, x0, y0, x_end, config, checkpoints=None):
             "n_accepted": len(xs) - 1, "n_rejected": rejected,
             "n_newton_failures": newton_failures, "n_newton_iters": total_iters,
             "final_x": xs[-1], "final_y": ys[-1], "status": status, "message": message}
+
+
+class ReferenceSyntaxError(Exception):
+    """reference_parse refused its text: message and UTF-8 byte offset are
+    formatted as ExprSyntaxError formats them."""
+
+    def __init__(self, message, source, position):
+        offset = len(source[:position].encode("utf-8"))
+        super().__init__(f"{message} at byte {offset} in {source!r}")
+        self.offset = offset
+
+
+_REFERENCE_DEPTH = 100
+_REFERENCE_FUNCTIONS = ("exp", "log", "sqrt", "abs")
+_REFERENCE_CONSTANTS = ("pi", "e")
+
+
+class _ReferenceParser:
+    """The character-at-a-time tokenizer and five-level recursive descent
+    that expr.parse used until it read a token list, kept as they were."""
+
+    def __init__(self, source):
+        self.source, self.pos = source, 0
+
+    def error(self, message, position=None):
+        return ReferenceSyntaxError(message, self.source, self.pos if position is None else position)
+
+    def peek(self):
+        while self.pos < len(self.source) and self.source[self.pos].isspace():
+            self.pos += 1
+        return self.source[self.pos] if self.pos < len(self.source) else None
+
+    def take_operator(self, chars):
+        ch = self.peek()
+        if ch is not None and ch in chars:
+            self.pos += 1
+            return ch
+        return None
+
+    def expect(self, ch):
+        if self.take_operator(ch) is None:
+            raise self.error(f"expected {ch!r}")
+
+    def take_number(self):
+        self.peek()
+        src, i = self.source, self.pos
+        start = i
+        while i < len(src) and src[i].isdigit():
+            i += 1
+        if i < len(src) and src[i] == ".":
+            i += 1
+            while i < len(src) and src[i].isdigit():
+                i += 1
+        if i == start or (i == start + 1 and src[start] == "."):
+            return None
+        if i < len(src) and src[i] in "eE":
+            j = i + 1
+            if j < len(src) and src[j] in "+-":
+                j += 1
+            if j < len(src) and src[j].isdigit():
+                while j < len(src) and src[j].isdigit():
+                    j += 1
+                i = j
+        text = src[start:i]
+        self.pos = i
+        try:
+            return float(text)
+        except ValueError:
+            raise self.error(f"bad number {text!r}", start) from None
+
+    def take_name(self):
+        self.peek()
+        src, i = self.source, self.pos
+        start = i
+        while i < len(src) and (src[i].isalpha() or src[i] == "_"):
+            i += 1
+        if i == start:
+            return None
+        self.pos = i
+        return src[start:i], start
+
+    def limit(self, depth):
+        if depth > _REFERENCE_DEPTH:
+            raise self.error(f"expression nested deeper than {_REFERENCE_DEPTH} levels")
+        return depth
+
+    def parse(self):
+        node, _ = self.parse_expr(0)
+        if self.peek() is not None:
+            raise self.error("unexpected trailing input")
+        return node
+
+    def parse_expr(self, level):
+        node, height = self.parse_term(level)
+        while True:
+            op = self.take_operator("+-")
+            if op is None:
+                return node, height
+            right, right_height = self.parse_term(level)
+            node = ("bin", op, node, right)
+            height = self.limit(1 + max(height, right_height))
+
+    def parse_term(self, level):
+        node, height = self.parse_factor(level)
+        while True:
+            op = self.take_operator("*/")
+            if op is None:
+                return node, height
+            right, right_height = self.parse_factor(level)
+            node = ("bin", op, node, right)
+            height = self.limit(1 + max(height, right_height))
+
+    def parse_factor(self, level):
+        if self.take_operator("-"):
+            operand, height = self.parse_factor(self.limit(level + 1))
+            return ("neg", operand), self.limit(height + 1)
+        return self.parse_power(level)
+
+    def parse_power(self, level):
+        base, height = self.parse_atom(level)
+        if self.take_operator("^"):
+            exponent, exp_height = self.parse_factor(self.limit(level + 1))
+            return ("bin", "^", base, exponent), self.limit(1 + max(height, exp_height))
+        return base, height
+
+    def parse_atom(self, level):
+        number = self.take_number()
+        if number is not None:
+            return ("num", number), 1
+        if self.take_operator("("):
+            node = self.parse_expr(self.limit(level + 1))
+            self.expect(")")
+            return node
+        name_token = self.take_name()
+        if name_token is not None:
+            name, start = name_token
+            if name in _REFERENCE_FUNCTIONS:
+                self.expect("(")
+                argument, height = self.parse_expr(self.limit(level + 1))
+                self.expect(")")
+                return ("call", name, argument), self.limit(height + 1)
+            if name == "x":
+                return ("x",), 1
+            if name in _REFERENCE_CONSTANTS:
+                return ("const", name), 1
+            raise self.error(f"unknown identifier {name!r}", start)
+        raise self.error("expected a number, name or parenthesis")
+
+
+def reference_parse(source):
+    """The syntax tree expr.parse gives source, as nested tuples: ("num", value),
+    ("x",), ("const", name), ("neg", operand), ("bin", op, left, right) and
+    ("call", name, argument); or the ReferenceSyntaxError it raises.
+
+    It walks the text one character at a time: whitespace is str.isspace,
+    digits str.isdigit and name letters str.isalpha or "_", so non-ASCII
+    text lexes by the same rules as ASCII.  Nesting of parentheses, calls,
+    unary minuses and "^" deeper than 100, or a tree more than 100 high,
+    is refused where the parser stands when it counts the 101st level.
+    """
+    if not isinstance(source, str):
+        raise ReferenceSyntaxError("expression must be a string", str(source), 0)
+    if not source.strip():
+        raise ReferenceSyntaxError("empty expression", source, 0)
+    return _ReferenceParser(source).parse()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import ReferenceSyntaxError, reference_parse
 from strategies import expressions, grids
 
 from abelode import expr as expr_module
@@ -136,6 +137,103 @@ class TestErrors:
         assert f(2.0) == 0.5
 
 
+class TestEdges:
+    """Where str.isspace, str.isdigit and str.isalpha reach beyond ASCII, and
+    where a number or a name ends."""
+
+    @pytest.mark.parametrize("source,message,offset", [
+        ("\u00b2", "bad number '\u00b2'", 0),  # a digit, not a decimal
+        ("1\u00b2", "bad number '1\u00b2'", 0),
+        ("x\u00b2", "unexpected trailing input", 1),  # not a name letter
+        ("\u00e9+1", "unknown identifier '\u00e9'", 0),
+        ("(\u00e9)", "unknown identifier '\u00e9'", 1),
+        ("\u0663+\u00e9", "unknown identifier '\u00e9'", 3),  # after a two-byte digit
+        ("\u2177", "expected a number, name or parenthesis", 0),  # a letter number
+        ("1e", "unexpected trailing input", 1),
+        ("1e+", "unexpected trailing input", 1),
+        ("1_0", "unexpected trailing input", 1),
+        ("pi2", "unexpected trailing input", 2),
+        ("x_", "unknown identifier 'x_'", 0),
+        ("E", "unknown identifier 'E'", 0),
+    ])
+    def test_refused(self, source, message, offset):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(source)
+        assert str(info.value) == f"{message} at byte {offset} in {source!r}"
+        assert info.value.offset == offset
+
+    @pytest.mark.parametrize("source,pretty", [
+        ("\u0663*x", "3*x"),  # an Arabic-Indic decimal digit
+        ("x\u00a0+1", "x + 1"),
+        ("x +  1", "x + 1"),
+        ("1.e5", "100000"),
+    ])
+    def test_accepted(self, source, pretty):
+        assert parse(source).pretty() == pretty
+
+
+def _shape(node):
+    """A syntax tree as the nested tuples reference_parse gives."""
+    kind = type(node).__name__
+    if kind == "_Num":
+        return ("num", node.value)
+    if kind == "_Var":
+        return ("x",)
+    if kind == "_Const":
+        return ("const", node.name)
+    if kind == "_Neg":
+        return ("neg", _shape(node.operand))
+    if kind == "_Bin":
+        return ("bin", node.op, _shape(node.left), _shape(node.right))
+    return ("call", node.name, _shape(node.argument))
+
+
+def _parsed(parser, error, source):
+    """The tree parser gives source, or its error's message and offset."""
+    try:
+        return parser(source)
+    except error as err:
+        return str(err), err.offset
+
+
+#: text pieces: every character the grammar reads, the function names and
+#: pi, whitespace str.isspace takes (ASCII, no-break, em and file separator)
+#: and four non-ASCII characters whose class the str methods decide: a name
+#: letter, a digit that is not a decimal, a letter number, a decimal digit
+_PIECES = tuple("0123456789.eE+-*/^()x_$") + (
+    "exp", "log", "sqrt", "abs", "pi", " ", "\t", "\n", "\xa0", "\u2003", "\x1c",
+    "\u00e9", "\u00b2", "\u2177", "\u0663")
+
+#: the deep shapes of TestErrors, refused and accepted
+_DEEP_TEXTS = [
+    "(" * 2000 + "1" + ")" * 2000, "1" + "+1" * 3000, "-" * 5000 + "1", "2" + "^2" * 3000,
+    "(" * 99 + "x" + ")" * 99, "(" * 100 + "x" + ")" * 100, "1" + "+1" * 99, "1" + "+1" * 100,
+    "-" * 99 + "1", "-" * 100 + "1", "2" + "^2" * 99, "2" + "^2" * 100,
+    "exp(" * 99 + "x" + ")" * 99, "exp(" * 100 + "x" + ")" * 100, "x" + "^-x" * 50,
+    "(" * 99 + "x" + ")" * 98, "exp(" * 99 + "x" + ")" * 98 + "+",
+]
+
+
+class TestReferenceParser:
+    """parse gives reference_parse's tree node for node, so the same pretty()
+    and evaluation, or its error with the same message and offset."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(source=st.one_of(st.lists(st.sampled_from(_PIECES), max_size=25).map("".join),
+                            expressions))
+    def test_matches_reference(self, source):
+        self._check(source)
+
+    @pytest.mark.parametrize("source", _DEEP_TEXTS)
+    def test_deep_text_matches_reference(self, source):
+        self._check(source)
+
+    @staticmethod
+    def _check(source):
+        got = _parsed(lambda text: _shape(parse(text).ast), ExprSyntaxError, source)
+        assert got == _parsed(reference_parse, ReferenceSyntaxError, source)
+
+
 class TestRoundTrip:
     def test_pretty_reparses_to_same_values(self):
         for src in ("2*x + 1", "-x^2", "exp(-2*x)/(1 + x^2)", "x/(x+1)"):
@@ -143,6 +241,23 @@ class TestRoundTrip:
             g = parse(f.pretty())
             for x in (0.0, 0.3, 2.0, 17.5):
                 assert g(x) == f(x)
+
+    @pytest.mark.parametrize("source,pretty", [
+        ("1e999", "1e999"),
+        ("2^1e999", "2^1e999"),
+        ("1E+400*0 + x", "1e999*0 + x"),
+    ])
+    def test_overflowing_literal_prints_as_one_that_overflows(self, source, pretty):
+        assert parse(source).pretty() == pretty
+
+    @settings(max_examples=300, deadline=None)
+    @given(source=st.one_of(expressions, st.sampled_from(["1e999", "2^1e999", "x - 1e400"])),
+           xs=grids)
+    def test_pretty_reparses_to_the_same_expression(self, source, xs):
+        expr = parse(source)
+        again = parse(expr.pretty())
+        assert again.pretty() == expr.pretty()
+        assert _outcome(_scalar(again), xs) == _outcome(_scalar(expr), xs)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -217,9 +332,9 @@ class TestArrayEvaluation:
         assert grid is not None and expr._grid is grid
 
     @pytest.mark.parametrize("source,xs", [
-        ("(-x)^3", [1.0, 2.5, -3.0]),         # negative base, integer exponent
-        ("1/(1e300*x*x)", [1.0, 1e10]),       # an inf inside, a finite result
-        ("(1e300*x - 1e300*x)^0", [1e10]),    # nan^0 = 1
+        ("(-x)^3", [1.0, 2.5, -3.0]),  # negative base, integer exponent
+        ("1/(1e300*x*x)", [1.0, 1e10]),  # an inf inside, a finite result
+        ("(1e300*x - 1e300*x)^0", [1e10]),  # nan^0 = 1
         ("3 - 2*exp(-2*x)", [0.0, 0.5, 7.0]),
     ])
     def test_finite_results_match(self, source, xs):
