@@ -24,9 +24,10 @@ Scalar rows come from one compiled function per equation,
 AbelEquation.row (see expr.compile_row), which NormalForm.sample reads
 too.  Where it cannot give a finite row, it raises the tree walk's
 ExprDomainError, which names the failing operation and x; sample then
-re-runs the walk a_n first, so a vanishing a_n raises
-LeadingCoefficientError before a_0..a_{n-1} are evaluated.  Grids go
-through Expr.eval_array, compile_row's code run on the whole grid.
+walks a_n alone, so a failing a_n, or a vanishing one
+(LeadingCoefficientError), is reported before the row's own error.
+NormalForm.sample_grid samples a grid, with the mask of where sample
+raises, by Expr.eval_array (compile_row's code run on the whole grid).
 
 All types are immutable after construction and can be shared freely
 across threads; the only state they hold beyond their fields is the
@@ -123,43 +124,38 @@ class NormalForm:
         try:
             row = self.equation.row(x)
         except ExprDomainError:
-            # the tree walk explains the failure: a_n and its zero check
-            # first, then a_0..a_{n-1}
-            an = self._nonzero_leading(x)
-            return an, [c(x) / an for c in self.equation.coeffs[:-1]] + [1.0]
+            # a_n and its zero check come first; else the row's error is
+            # the first failing a_0..a_{n-1}
+            self._nonzero_leading(x)
+            raise
         an = self._nonzero_leading(x, row[-1])
         return an, [v / an for v in row[:-1]] + [1.0]
 
-    def a_n_grid(self, xs) -> np.ndarray:
-        """a_n at every abscissa of xs, as equation.leading gives it pointwise."""
-        return self.equation.leading.eval_array(xs)
-
-    def _sample_all(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """sample_grid's arrays from one eval_array pass per coefficient, or
-        None where a coefficient fails at some abscissa or a_n vanishes."""
-        try:
-            values = [c.eval_array(xs) for c in self.equation.coeffs]
-        except ExprDomainError:
-            return None
-        leading = values[-1]
-        if not leading.all():
-            return None
-        with np.errstate(over="ignore"):
-            monic = [v / leading for v in values[:-1]]
-        return leading, np.stack(monic + [np.ones(xs.size)], axis=1)
-
-    def sample_grid(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """sample at every abscissa of xs as arrays: a_n with shape (N,) and
-        the monic rows with shape (N, n+1), bit for bit the stacked sample(x),
-        or the error that the first failing sample(x) raises."""
+    def sample_grid(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """sample at every abscissa of xs as arrays: a_n with shape (N,), the
+        monic rows with shape (N, n+1) and the mask of abscissae where
+        sample(x) returns; the stacked sample(x) there, bit for bit, and NaN
+        where it raises.  One eval_array pass per coefficient where every
+        one evaluates and a_n vanishes nowhere, else sample point by point."""
         xs = np.asarray(xs, dtype=float)
-        sampled = self._sample_all(xs)
-        if sampled is None:
-            # point by point, so a_n, its zero check and a_0..a_{n-1} fail
-            # in the order sample meets them
-            leading, rows = zip(*(self.sample(x) for x in xs.tolist()))
-            return np.array(leading), np.array(rows)
-        return sampled
+        try:
+            *values, leading = [c.eval_array(xs) for c in self.equation.coeffs]
+            if leading.all():
+                with np.errstate(over="ignore"):
+                    monic = [v / leading for v in values]
+                rows = np.stack(monic + [np.ones(xs.size)], axis=1)
+                return leading, rows, np.ones(xs.size, dtype=bool)
+        except ExprDomainError:
+            pass
+        leading, rows = np.full(xs.size, np.nan), np.full((xs.size, self.degree + 1), np.nan)
+        defined = np.zeros(xs.size, dtype=bool)
+        for i, x in enumerate(xs.tolist()):
+            try:
+                leading[i], rows[i] = self.sample(x)
+            except (ExprDomainError, LeadingCoefficientError):
+                continue
+            defined[i] = True
+        return leading, rows, defined
 
 
 # Probe offsets past x0 used to reject a leading coefficient that vanishes

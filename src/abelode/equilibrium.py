@@ -28,12 +28,14 @@ column, jumps or vanishes, and searchsorted the next of them, so the
 walk takes one Python step per run, not per row.  A jump larger than
 0.25 (1 + E_prev) triggers one local grid refinement before the branch
 is declared lost.  The branch stores x, E and the stability eigenvalue
-Lambda(x) = dF/dy (x, E(x)) as arrays.
+Lambda(x) = dF/dy (x, E(x)) as arrays.  Where NormalForm.sample_grid's
+mask says the coefficients fail, the first such grid point raises what
+NormalForm.sample raises there.
 
 The branch slope E' = -(dF/dx) / Lambda comes from branch_slopes for
 all points at once: dF/dx is a finite difference of rows sampled at
 x +- h, one-sided where the coefficients fail on one side (a domain
-edge), undefined where they fail on both, by NormalForm.sample's rule.
+edge), undefined where they fail on both, as sample_grid's mask says.
 """
 
 from __future__ import annotations
@@ -44,14 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    LeadingCoefficientError,
-    NormalForm,
-    _derivative_row,
-    _horner,
-    _require_real,
-)
-from .expr import ExprDomainError
+from .core import NormalForm, _derivative_row, _horner, _require_real
 
 __all__ = [
     "GridSpec",
@@ -516,12 +511,15 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
     The sampled a_n and rows, midpoints included, are kept as the
     branch's table; the root table is not.
 
-    Raises BranchError if a sampled lambda_k is not finite, if the first
-    grid point has no positive root, if the branch vanishes or if a jump
-    survives one local refinement.
+    Raises what NormalForm.sample raises at the first grid point where it
+    fails.  Raises BranchError if a sampled lambda_k is not finite, if the
+    first grid point has no positive root, if the branch vanishes or if a
+    jump survives one local refinement.
     """
     xs = grid.xs().tolist()
-    leading, rows = nf.sample_grid(xs)
+    leading, rows, defined = nf.sample_grid(xs)
+    if not defined.all():
+        nf.sample(xs[int(defined.argmin())])  # raises the first failing point's error
     floor = _branch_floor(rows.shape[1] - 1)
     table = _isolate_roots(xs, rows, floor)
 
@@ -576,24 +574,6 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
     return EquilibriumBranch(xs, values, lambdas, grid, ambiguous, leading=leading, rows=rows)
 
 
-def _F_where_defined(nf: NormalForm, xs: np.ndarray, ys: np.ndarray):
-    """F(x, y) at each point, and the mask of points where the coefficients
-    evaluate (F is NaN elsewhere): one all-points pass, or, where it fails,
-    one pass of sample point by point that catches each failure, so each
-    point is sampled at most once."""
-    sampled = nf._sample_all(xs)
-    if sampled is None:
-        f, ok = np.full(xs.size, np.nan), np.zeros(xs.size, dtype=bool)
-        for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
-            try:
-                f[i] = _horner(nf.sample(x)[1], y)
-            except (ExprDomainError, LeadingCoefficientError):
-                continue
-            ok[i] = True
-        return f, ok
-    return _horner(list(sampled[1].T), ys), np.ones(xs.size, dtype=bool)
-
-
 def _dF_dx(nf: NormalForm, xs: np.ndarray, es: np.ndarray):
     """dF/dx at each point (x, E), E held fixed, and the mask of points where
     it is undefined (NaN there).
@@ -601,15 +581,18 @@ def _dF_dx(nf: NormalForm, xs: np.ndarray, es: np.ndarray):
     A centred difference with h = max(1e-6, 1e-8 |x|) where the coefficients
     evaluate at both x - h and x + h.  At a domain edge, where only one side
     evaluates, the one-sided difference between that side and x itself;
-    undefined where neither side evaluates, or x itself does not.
+    undefined where neither side evaluates, or x itself does not.  F is
+    Horner on sample_grid's rows, NaN where they are.
     """
     h = np.maximum(1e-6, 1e-8 * np.abs(xs))
-    f, ok = _F_where_defined(nf, np.concatenate((xs + h, xs - h)), np.concatenate((es, es)))
+    _, rows, ok = nf.sample_grid(np.concatenate((xs + h, xs - h)))
+    f = _horner(list(rows.T), np.concatenate((es, es)))
     f_hi, f_lo, hi, lo = f[:xs.size], f[xs.size:], ok[:xs.size], ok[xs.size:]
     f_at, at = np.full(xs.size, np.nan), np.zeros(xs.size, dtype=bool)
     edge = hi != lo
     if edge.any():
-        f_at[edge], at[edge] = _F_where_defined(nf, xs[edge], es[edge])
+        _, rows, at[edge] = nf.sample_grid(xs[edge])
+        f_at[edge] = _horner(list(rows.T), es[edge])
     centred = hi & lo
     values = np.where(
         centred, (f_hi - f_lo) / (2.0 * h),

@@ -282,10 +282,11 @@ class _Bin(NamedTuple):
         right = self.right.pretty()
         # "^" is right-associative, the rest left-associative: parenthesize
         # the side whose implicit grouping the bare text would get wrong.
+        # An exponent is a factor, so a unary minus there needs none.
         if self.op == "^":
             if self.left.precedence <= prec:
                 left = f"({left})"
-            if self.right.precedence < prec:
+            if self.right.precedence < prec and not isinstance(self.right, _Neg):
                 right = f"({right})"
         else:
             if self.left.precedence < prec:

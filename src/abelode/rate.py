@@ -25,7 +25,7 @@ range raises OverflowError before E' is formed; and a damped drift
 Phi_N I_N below the normal floats is a lost total: the finite-difference
 E' is exactly 0 below about 2e-10, so a divergent integral stops growing
 there.  Every a_n and E' outside the branch's table is evaluated for all
-points at once (NormalForm.a_n_grid, branch_slopes).
+points at once (Expr.eval_array on a_n, branch_slopes).
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ def log_phi(nf: NormalForm, branch: EquilibriumBranch, x) -> np.ndarray:
     elsewhere."""
     xs, lams = branch.xs, branch.eigenvalues
     g = branch.leading * lams
-    g_mid = nf.a_n_grid(0.5 * xs[:-1] + 0.5 * xs[1:]) * (0.5 * (lams[:-1] + lams[1:]))
+    an_mid = nf.equation.leading.eval_array(0.5 * xs[:-1] + 0.5 * xs[1:])
+    g_mid = an_mid * (0.5 * (lams[:-1] + lams[1:]))
     cells = np.diff(xs) / 6.0 * (g[:-1] + 4.0 * g_mid + g[1:])
     prefix = np.concatenate(([0.0], np.cumsum(cells)))
 
@@ -88,7 +89,7 @@ def log_phi(nf: NormalForm, branch: EquilibriumBranch, x) -> np.ndarray:
         mid = 0.5 * xs[i] + 0.5 * x
         # a_n at mid and x interleaved: a failing point raises as it
         # would if the points were taken one by one
-        an = nf.a_n_grid(np.stack([mid, x], axis=1).ravel()).reshape(-1, 2)
+        an = nf.equation.leading.eval_array(np.stack([mid, x], axis=1).ravel()).reshape(-1, 2)
         with np.errstate(all="ignore"):
             g_mid = an[:, 0] * branch.interp_Lambda(mid)
             g_hi = an[:, 1] * branch.interp_Lambda(x)
@@ -181,7 +182,7 @@ def rate_bound(
     logs, log_drift = damped_drift(nf, branch, xs)
     phi_vals = np.array(list(map(math.exp, logs.tolist())))
     z_abs = np.abs(ys - branch.interp_E(xs))
-    log_feedback = _log_cumtrapz(z_abs * np.abs(nf.a_n_grid(xs)), xs, logs)
+    log_feedback = _log_cumtrapz(z_abs * np.abs(nf.equation.leading.eval_array(xs)), xs, logs)
     with np.errstate(all="ignore"):
         drift = np.exp(logs + log_drift)
         feedback = np.exp(logs + log_feedback)

@@ -77,9 +77,10 @@ class TestNormalize:
     def test_leading_zero_missed_by_probes_is_typed(self):
         # probes sit at x0 + {0, 0.5, 1, 2, 5, 10}; a3 vanishes at x = 3
         nf = normalize(build_equation(["1", "-3", "1", "x - 3"], 0.0))
-        for call in (lambda: nf.sample(3.0), lambda: nf.sample_grid([2.0, 3.0])):
-            with pytest.raises(LeadingCoefficientError, match="x=3.0"):
-                call()
+        with pytest.raises(LeadingCoefficientError, match="x=3.0"):
+            nf.sample(3.0)
+        assert _grid(nf, [2.0, 3.0]) == _stacked(nf, [2.0, 3.0])
+        assert _grid(nf, [2.0, 3.0])[0] == [True, False]
 
     def test_sign_changing_leading_ok_if_probes_miss_zero(self):
         eq = build_equation(["1", "0", "0", "1 - 1/x"], 2.0)
@@ -195,20 +196,29 @@ class TestHorner:
 
 
 def _stacked(nf, xs):
-    """sample at each point, stacked; or the first error, as (type, message)."""
-    try:
-        leading, rows = zip(*(nf.sample(x) for x in xs))
-        return np.array(leading).tobytes(), np.array(rows).tobytes()
-    except (ExprDomainError, LeadingCoefficientError) as err:
-        return type(err), str(err)
+    """sample at each point: the mask of points where it returns, and the
+    bytes of a_n and of the rows there, stacked."""
+    defined, leading, rows = [], [], []
+    for x in xs:
+        try:
+            an, row = nf.sample(x)
+        except (ExprDomainError, LeadingCoefficientError):
+            defined.append(False)
+            continue
+        defined.append(True)
+        leading.append(an)
+        rows.append(row)
+    return defined, np.array(leading).tobytes(), np.array(rows).tobytes()
 
 
 def _grid(nf, xs):
-    try:
-        leading, rows = nf.sample_grid(xs)
-        return leading.tobytes(), rows.tobytes()
-    except (ExprDomainError, LeadingCoefficientError) as err:
-        return type(err), str(err)
+    """sample_grid in _stacked's terms, after checking that a_n and the row
+    are NaN wherever the mask is False."""
+    leading, rows, defined = nf.sample_grid(xs)
+    assert leading.shape == defined.shape == (len(xs),)
+    assert rows.shape == (len(xs), nf.degree + 1)
+    assert np.isnan(leading[~defined]).all() and np.isnan(rows[~defined]).all()
+    return defined.tolist(), leading[defined].tobytes(), rows[defined].tobytes()
 
 
 class TestSampleGrid:
@@ -224,7 +234,7 @@ class TestSampleGrid:
         assert _grid(nf, xs) == _stacked(nf, xs)
 
     @pytest.mark.parametrize("sources,xs", [
-        # a_n vanishes at 1 before a_0 fails at 2; then a_0 fails first
+        # a_n vanishes at 1 and a_0 fails at 2, met in either order
         (["log(2 - x)", "x - 1"], [0.0, 1.0, 2.0]),
         (["log(2 - x)", "x - 1"], [0.0, 2.0, 1.0]),
         # at one point a_n fails before a_0 is evaluated

@@ -543,6 +543,27 @@ class TestBranchContinuation:
         assert str(caught.value) == f"{message} at x={x!r}"
         assert caught.value.x == x
 
+    @pytest.mark.parametrize("coefficients,grid,error,message,x", [
+        # a_n = x - 1 vanishes at 1 before a_0 = log(2 - x) fails at 2
+        pytest.param(["log(2 - x)", "x - 1"], GridSpec(0.0, 2.0, 3), LeadingCoefficientError,
+                     "leading coefficient a1 vanishes at x=1.0", 1.0, id="leading-first"),
+        # a_0 = log(1 - x) fails at 1 before a_n = x - 2 vanishes at 2
+        pytest.param(["log(1 - x)", "x - 2"], GridSpec(0.0, 2.0, 3), ExprDomainError,
+                     "log(0.0) outside real domain at x=1.0", 1.0, id="a0-first"),
+        # both fail at 2: a_n's zero check comes first
+        pytest.param(["log(2 - x)", "2 - x"], GridSpec(0.0, 2.0, 3), LeadingCoefficientError,
+                     "leading coefficient a1 vanishes at x=2.0", 2.0, id="same-point"),
+        # a_3 vanishes at 3, between normalize's probes
+        pytest.param(["1", "-3", "1", "x - 3"], GridSpec(2.0, 4.0, 3), LeadingCoefficientError,
+                     "leading coefficient a3 vanishes at x=3.0", 3.0, id="probes-missed"),
+    ])
+    def test_raises_the_first_failing_samples_error(self, coefficients, grid, error, message, x):
+        nf = NormalForm(build_equation(coefficients, grid.x_start))
+        for call in (lambda: continue_branch(nf, grid), lambda: nf.sample(x)):
+            with pytest.raises(error) as caught:
+                call()
+            assert str(caught.value) == message
+
     def test_moves_keeps_the_first_of_two_equally_near_roots(self):
         # exact float ties built into the table: each prev root lies 0.25
         # from two roots of its row; the first in ascending order is kept,

@@ -167,6 +167,10 @@ class TestEdges:
         ("x\u00a0+1", "x + 1"),
         ("x +  1", "x + 1"),
         ("1.e5", "100000"),
+        # a negated exponent prints bare: the exponent is a factor
+        ("2^(-x)*x", "2^-x*x"),
+        ("2^(-(x + 1))", "2^-(x + 1)"),
+        ("2^(-x)^2", "2^(-x)^2"),
     ])
     def test_accepted(self, source, pretty):
         assert parse(source).pretty() == pretty
@@ -236,9 +240,13 @@ class TestReferenceParser:
 
 class TestRoundTrip:
     def test_pretty_reparses_to_same_values(self):
-        for src in ("2*x + 1", "-x^2", "exp(-2*x)/(1 + x^2)", "x/(x+1)"):
+        # an exponent is a factor, so "^-" chains print without parentheses:
+        # with them, 34 pairs would nest past the 100-level limit
+        for src in ("2*x + 1", "-x^2", "exp(-2*x)/(1 + x^2)", "x/(x+1)",
+                    "2" + "^-2" * 34, "2^-x^2", "2^-x*x", "2^-(x + 1)", "exp(-x)^-0.5"):
             f = parse(src)
             g = parse(f.pretty())
+            assert g.pretty() == f.pretty()
             for x in (0.0, 0.3, 2.0, 17.5):
                 assert g(x) == f(x)
 

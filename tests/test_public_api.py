@@ -91,6 +91,9 @@ PRIVATE_IMPORTS = {
     "reduction": ["core._PROBE_OFFSETS", "core._horner", "core._taylor_shift"],
 }
 
+#: X._name reads each module makes of an underscore name it does not define
+PRIVATE_READS = {}
+
 
 def _field_names(record):
     return [field.name for field in dataclasses.fields(record)]
@@ -210,13 +213,32 @@ def test_function_parameters():
             for name, fn in functions.items()} == PARAMETERS
 
 
+def _foreign_reads(tree) -> list[str]:
+    """Each X._name read in the module, sorted, where X is not self or cls
+    and the module neither defines nor assigns _name itself."""
+    own = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            own.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            own.add(node.attr)
+    return sorted(
+        f"{ast.unparse(node.value)}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and node.attr not in own
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")))
+
+
 def test_private_imports():
-    # a module taking another's underscore name couples to its internals:
-    # each new coupling is an edit to this table
+    # a module taking or reading another's underscore name couples to its
+    # internals: each new coupling is an edit to these tables
     source_dir = Path(abelode.__file__).resolve().parent
-    found = {}
+    found, reads = {}, {}
     for path in sorted(source_dir.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads[path.stem] = _foreign_reads(tree)
         for node in ast.walk(tree):
             if not isinstance(node, ast.ImportFrom):
                 continue
@@ -226,6 +248,7 @@ def test_private_imports():
                     f"{module.removeprefix('abelode.')}.{alias.name}" for alias in node.names
                     if alias.name.startswith("_"))
     assert {module: names for module, names in found.items() if names} == PRIVATE_IMPORTS
+    assert {module: names for module, names in reads.items() if names} == PRIVATE_READS
 
 
 #: the Analysis inputs every run record starts with; its stages are not fields
