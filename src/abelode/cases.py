@@ -76,10 +76,7 @@ def get_case(case_id: int) -> CaseStudy:
         return CaseStudy(
             id=1,
             # y' = 1 - 3y + y^2 + y^3, also finance's literal spread equation
-            equation=build_equation(
-                ("1", "-3", "1", "1"), x0=0.0,
-                description="constant coefficients, limit -1+sqrt(2)",
-            ),
+            equation=build_equation(("1", "-3", "1", "1"), x0=0.0),
             exact_limit=-1.0 + math.sqrt(2.0),
             default_x_end=20.0,
             reference_results=(
@@ -89,10 +86,7 @@ def get_case(case_id: int) -> CaseStudy:
     if case_id == 2:
         return CaseStudy(
             id=2,
-            equation=build_equation(
-                ["1 - 1/x", "-2", "-2", "1"], x0=1.0,
-                description="branch degenerate at x0, limit (3-sqrt(5))/2",
-            ),
+            equation=build_equation(["1 - 1/x", "-2", "-2", "1"], x0=1.0),
             exact_limit=(3.0 - math.sqrt(5.0)) / 2.0,
             default_x_end=20.0,
             reference_results=(
@@ -104,10 +98,7 @@ def get_case(case_id: int) -> CaseStudy:
     if case_id == 3:
         return CaseStudy(
             id=3,
-            equation=build_equation(
-                ["3 - 2*exp(-2*x)", "-4", "0", "1"], x0=0.0,
-                description="exponentially settling constant term, limit 1",
-            ),
+            equation=build_equation(["3 - 2*exp(-2*x)", "-4", "0", "1"], x0=0.0),
             exact_limit=1.0,
             default_x_end=20.0,
             reference_results=(

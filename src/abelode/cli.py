@@ -255,7 +255,6 @@ def _cmd_spread(args) -> int:
         x0=args.x0,
         x_end=args.x_max if args.x_max is not None else 20.0,
         config=config,
-        literal_case1=args.literal_case1,
     )
 
     out_dir = _ensure_dir(args.out or "spread-output")

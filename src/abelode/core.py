@@ -28,6 +28,8 @@ walks a_n alone, so a failing a_n, or a vanishing one
 (LeadingCoefficientError), is reported before the row's own error.
 NormalForm.sample_grid samples a grid, with the mask of where sample
 raises, by Expr.eval_array (compile_row's code run on the whole grid).
+These are the only checks of a_n: normalize evaluates nothing, so a zero
+of a_n outside the abscissae a run samples is never met.
 
 All types are immutable after construction and can be shared freely
 across threads; the only state they hold beyond their fields is the
@@ -67,7 +69,6 @@ class AbelEquation:
 
     coeffs: tuple[Expr, ...]  # ascending order a_0 .. a_n
     x0: float
-    description: str = ""
 
     def __post_init__(self):
         if self.degree < 1:
@@ -88,13 +89,9 @@ class AbelEquation:
         return compile_row(self.coeffs)
 
 
-def build_equation(
-    coeff_sources: list[str] | tuple[str, ...],
-    x0: float,
-    description: str = "",
-) -> AbelEquation:
+def build_equation(coeff_sources: list[str] | tuple[str, ...], x0: float) -> AbelEquation:
     """Build an equation from coefficient strings in ascending order a_0..a_n."""
-    return AbelEquation(tuple(map(parse, coeff_sources)), float(x0), description)
+    return AbelEquation(tuple(map(parse, coeff_sources)), float(x0))
 
 
 @dataclass(frozen=True)
@@ -158,18 +155,11 @@ class NormalForm:
         return leading, rows, defined
 
 
-# Probe offsets past x0 used to reject a leading coefficient that vanishes
-# somewhere obvious; a zero elsewhere raises LeadingCoefficientError from
-# the normal form at the abscissa where it is met.
-_PROBE_OFFSETS = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0)
-
-
 def normalize(equation: AbelEquation) -> NormalForm:
-    """Return the monic normal form, probing a_n != 0 near x0."""
-    nf = NormalForm(equation)
-    for offset in _PROBE_OFFSETS:
-        nf._nonzero_leading(equation.x0 + offset)
-    return nf
+    """The monic normal form of equation.  Nothing is evaluated here: a
+    vanishing or failing a_n is refused where a stage samples it (sample
+    raises, sample_grid masks)."""
+    return NormalForm(equation)
 
 
 def _require_real(name: str, value) -> None:

@@ -16,7 +16,7 @@ Two evaluators read the trees:
     evaluated once per call, and a subexpression without x once, when the
     row is compiled; Expr.eval_array runs its code on grids (below).
   * Expr.eval walks the tree one node at a time.  It evaluates single
-    expressions (Expr(x), the probes of a leading coefficient) and
+    expressions (Expr(x), a_n where NormalForm.sample walks it alone) and
     explains failures: its ExprDomainError names the operation and the x.
 
 Grammar (EBNF; whitespace, the characters str.isspace takes, may stand

@@ -16,7 +16,8 @@ with the plateau reported in basis points.
 Two curve modes exist because the constant triple is not exactly
 attainable from the parametric formulas (lambda_k inherit x-dependence
 through Q): "parametric" builds the coefficients from MertonParams,
-"literal" runs the constant-coefficient equation as-is.
+"literal-case1" (no params) runs case 1's constant-coefficient equation
+as-is.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "omega_expansion",
     "quadratic_residual",
     "case1_calibration_check",
-    "literal_case1_equation",
     "parametric_equation",
     "spread_curve",
 ]
@@ -240,12 +240,6 @@ def case1_calibration_check(
     return CalibrationReport(x_ref, lambdas, eta2_solution, note)
 
 
-def literal_case1_equation() -> AbelEquation:
-    """Constant-coefficient spread equation with the triple (1, -3, 1):
-    case 1's equation (x0 = LITERAL_X0) under its own description."""
-    return replace(get_case(1).equation, description="constant-coefficient spread equation")
-
-
 def parametric_equation(p: MertonParams, x0: float = PARAMETRIC_X0) -> AbelEquation:
     """Monic spread equation with coefficient expressions baked from params.
 
@@ -259,21 +253,20 @@ def parametric_equation(p: MertonParams, x0: float = PARAMETRIC_X0) -> AbelEquat
     lam2 = f"-{u} + 3*{r}"
     lam1 = f"2*{u}^2 - 2*{u}*{r} + 3*{r}^2"
     lam0 = f"2*{u}^2*{r} - {u}*{r}^2 + {r}^3"
-    return build_equation(
-        [lam0, lam1, lam2, "1"],
-        x0=x0,
-        description="parametric spread equation",
-    )
+    return build_equation([lam0, lam1, lam2, "1"], x0=x0)
 
 
 @dataclass(frozen=True, kw_only=True)
 class SpreadCurve(Analysis):
-    """The Analysis of one spread run, with its mode and params: the curve
-    (xs, s) is result's trajectory, and plateau_bp the numeric plateau in
-    basis points (1e4 per unit spread)."""
+    """The Analysis of one spread run, with its params (None in the literal
+    mode): the curve (xs, s) is result's trajectory, and plateau_bp the
+    numeric plateau in basis points (1e4 per unit spread)."""
 
-    mode: str
     params: Optional[MertonParams]
+
+    @property
+    def mode(self) -> str:
+        return "literal-case1" if self.params is None else "parametric"
 
     @property
     def xs(self) -> np.ndarray:
@@ -293,22 +286,21 @@ def spread_curve(
     x0: Optional[float] = None,
     x_end: float = 20.0,
     config: Optional[SolverConfig] = None,
-    literal_case1: bool = False,
 ) -> SpreadCurve:
     """Integrate the spread equation from s(x0) = 0 and diagnose it before
     returning; report runs when first read.
 
-    literal_case1=True runs the constant triple (params ignored for the
-    coefficients); otherwise params are required.  Where the branch
+    Without params this is the literal mode: case 1's constant triple
+    from x0 (default LITERAL_X0).  With params the coefficients come from
+    parametric_equation, x0 (default PARAMETRIC_X0) must be positive and
+    the volatility factor positive on the working grid.  Where the branch
     cannot be continued, the curve is still integrated and diagnosed
     without it, and branch and report raise the BranchError.
     """
-    if literal_case1:
+    if params is None:
         start = LITERAL_X0 if x0 is None else x0
-        equation = replace(literal_case1_equation(), x0=float(start))
+        equation = replace(get_case(1).equation, x0=float(start))
     else:
-        if params is None:
-            raise ValueError("parametric mode needs MertonParams")
         start = PARAMETRIC_X0 if x0 is None else x0
         if not start > 0.0:
             raise ValueError("parametric mode needs x0 > 0 (1/x singularity)")
@@ -317,12 +309,9 @@ def spread_curve(
         raise ValueError(f"x_end={x_end!r} must exceed x0={start!r}")
 
     grid = GridSpec(start, x_end, 801, "linear")
-    if params is not None and not literal_case1:
-        if not params.volatility_positive_on(grid.xs()):
-            raise ValueError("volatility factor not positive on the working range")
+    if params is not None and not params.volatility_positive_on(grid.xs()):
+        raise ValueError("volatility factor not positive on the working range")
 
-    curve = SpreadCurve(equation, 0.0, x_end, grid, config or SolverConfig(),
-                        mode="literal-case1" if literal_case1 else "parametric",
-                        params=params)
+    curve = SpreadCurve(equation, 0.0, x_end, grid, config or SolverConfig(), params=params)
     curve.diagnostics  # continues the branch, integrates and diagnoses
     return curve

@@ -20,12 +20,13 @@ one prefix sum, plus a partial cell off the grid, so that re-based
 factors Phi(x2)/Phi(x1) are consistent by construction.  The integrals
 of K are trapezoid sums of v / Phi kept as logs, summed by one
 np.logaddexp.accumulate pass (damped_drift; rate_bound and B3 read it).
-Two guards remain: Phi, or its growth over one cell, past the float
-range raises OverflowError before E' is formed; and a damped drift
-Phi_N I_N below the normal floats is a lost total: the finite-difference
-E' is exactly 0 below about 2e-10, so a divergent integral stops growing
-there.  Every a_n and E' outside the branch's table is evaluated for all
-points at once (Expr.eval_array on a_n, branch_slopes).
+Two guards remain: a log Phi that is not finite, or Phi or its growth
+over one cell past the float range, raises OverflowError before E' is
+formed; and a damped drift Phi_N I_N below the normal floats is a lost
+total: the finite-difference E' is exactly 0 below about 2e-10, so a
+divergent integral stops growing there.  Every a_n and E' outside the
+branch's table is evaluated for all points at once (Expr.eval_array on
+a_n, branch_slopes).
 """
 
 from __future__ import annotations
@@ -66,13 +67,15 @@ def log_phi(nf: NormalForm, branch: EquilibriumBranch, x) -> np.ndarray:
     """int_{x_start}^{x} a_n Lambda ds at every abscissa of the 1-D x, each
     inside the branch range: the Simpson prefix sum at grid points, plus a
     partial Simpson on [xs[i], x] (Lambda linear within the parent cell)
-    elsewhere."""
+    elsewhere.  Where the sums leave the floats they are infinite or NaN,
+    with no warning: damped_drift refuses them."""
     xs, lams = branch.xs, branch.eigenvalues
     g = branch.leading * lams
     an_mid = nf.equation.leading.eval_array(0.5 * xs[:-1] + 0.5 * xs[1:])
-    g_mid = an_mid * (0.5 * (lams[:-1] + lams[1:]))
-    cells = np.diff(xs) / 6.0 * (g[:-1] + 4.0 * g_mid + g[1:])
-    prefix = np.concatenate(([0.0], np.cumsum(cells)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_mid = an_mid * (0.5 * (lams[:-1] + lams[1:]))
+        cells = np.diff(xs) / 6.0 * (g[:-1] + 4.0 * g_mid + g[1:])
+        prefix = np.concatenate(([0.0], np.cumsum(cells)))
 
     x = np.asarray(x, dtype=float)
     outside = np.flatnonzero(~branch.covers(x))
@@ -130,13 +133,16 @@ def damped_drift(nf: NormalForm, branch: EquilibriumBranch, xs: np.ndarray):
     """The drift term of K at the abscissae xs of the branch range, as logs:
     (log Phi re-based to 0 at xs[0], log int_{x_0}^{x_i} Phi^{-1} |E'| ds by
     the trapezoid rule, -inf where it is 0; see _log_cumtrapz).  Raises
-    OverflowError where Phi, or a one-cell ratio Phi_i / Phi_{i-1}, exceeds
-    the float range, before E' is formed; then, at the first point where E'
-    has no value, ZeroEigenvalueError where Lambda = 0, else ExprDomainError.
+    OverflowError where log Phi is not finite or Phi, or a one-cell ratio
+    Phi_i / Phi_{i-1}, exceeds the float range, before E' is formed; then,
+    at the first point where E' has no value, ZeroEigenvalueError where
+    Lambda = 0, else ExprDomainError.
     """
     logs = log_phi(nf, branch, xs)
-    logs -= logs[0]
-    if max(logs.max(), np.diff(logs).max(initial=0.0)) > LOG_MAX:
+    with np.errstate(over="ignore", invalid="ignore"):
+        logs -= logs[0]
+        growth = max(logs.max(), np.diff(logs).max(initial=0.0))
+    if not (np.isfinite(logs).all() and growth <= LOG_MAX):
         raise OverflowError("Phi or its growth over one cell exceeds the float range")
     e_vals = branch.interp_E(xs)
     lam_vals = branch.interp_Lambda(xs)

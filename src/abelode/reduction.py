@@ -32,13 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .core import (
-    AbelEquation,
-    _PROBE_OFFSETS,
-    _horner,
-    _taylor_shift,
-    eval_rhs,
-)
+from .core import AbelEquation, _horner, _taylor_shift, eval_rhs
 from .expr import compile_row
 from .radau import IntegrationResult, SolverConfig, integrate, integrate_rhs
 
@@ -59,6 +53,9 @@ SOLUTION_RESIDUAL_TOL = 1e-6
 CONSTANCY_TOL = 1e-10
 
 _FD_STEP = 1e-5
+
+# offsets past x0 of the points where a pivot is checked
+_PROBE_OFFSETS = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 
 class ReductionError(ValueError):

@@ -213,7 +213,7 @@ def test_criterion_11_finance_consistency():
                   for j in range(5)]
     ratios = [a / b for a, b in zip(remainders, remainders[1:])]
 
-    curve = spread_curve(literal_case1=True)
+    curve = spread_curve()
     plateau_error = abs(curve.plateau_bp - 1e4 * (math.sqrt(2.0) - 1.0))
     xs = np.asarray(curve.xs)
     ss = np.asarray(curve.s)

@@ -14,6 +14,8 @@ from abelode.reduction import NotASolutionError
 RICCATI_CFG = "degree = 2\ncoefficients = 1 | 0 | -1\nx0 = 0\ny0 = 0\nx_end = 10\n"
 CASE3_CFG = ("degree = 3\ncoefficients = 3 - 2*exp(-2*x) | -4 | 0 | 1\n"
              "x0 = 0\ny0 = 0\nx_end = 20\n")
+FAR_ZERO_CFG = ("degree = 3\ncoefficients = 10 - x | -3*(10 - x) | 10 - x | 10 - x\n"
+                "x0 = 0\ny0 = 0\nx_end = 5\n")
 CASE1_ONE_STEP_CFG = ("degree = 3\ncoefficients = 1 | -3 | 1 | 1\n"
                       "x0 = 0\ny0 = 0\nx_end = 20\nmax_steps = 1\n")
 
@@ -26,6 +28,15 @@ def run(argv):
     except SystemExit as ex:  # argparse-level usage errors
         code = ex.code
     return code, out.getvalue(), err.getvalue()
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def read_report(out_dir):
+    """out_dir/report.json as strict JSON: NaN and Infinity are refused."""
+    return json.loads((out_dir / "report.json").read_text(), parse_constant=_not_json)
 
 
 def read_rows(path):
@@ -60,7 +71,7 @@ class TestCaseCommand:
 
     def test_report_json(self, tmp_path):
         run(["case", "1", "--out", tmp_path / "c1"])
-        payload = json.loads((tmp_path / "c1" / "report.json").read_text())
+        payload = read_report(tmp_path / "c1")
         assert {c["id"]: c["status"] for c in payload["checks"]} == {
             k: "pass" for k in ("A1", "A2", "A3", "A4", "B1", "B2", "B3")}
 
@@ -151,6 +162,15 @@ class TestIntegrateCommand:
         names = sorted(p.name for p in (tmp_path / "full").iterdir())
         assert names == ["branch.csv", "report.json", "trajectory.csv"]
 
+    def test_branch_past_a_leading_zero_beyond_the_range(self, tmp_path):
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(FAR_ZERO_CFG)
+        code, out, err = run(["integrate", cfg, "--branch", "--out", tmp_path / "b"])
+        assert (code, err) == (0, "")
+        assert out.startswith("final_x=5 final_y=0.41421356237309509 ")
+        _, rows = read_rows(tmp_path / "b" / "branch.csv")
+        assert len(rows) == 2001 and rows[-1][0] == "5"
+
     def test_branch_flag_alone_writes_no_report(self, tmp_path):
         cfg = tmp_path / "c3.cfg"
         cfg.write_text(CASE3_CFG)
@@ -221,11 +241,10 @@ class TestHypothesesCommand:
         code, out, _ = run(["hypotheses", cfg, "--out", tmp_path / "h"])
         assert code == 2
         assert "A1" in out and "fail" in out
-        assert (tmp_path / "h" / "report.json").exists()
+        assert read_report(tmp_path / "h")["checks"][0]["status"] == "fail"
 
     def test_leading_zero_on_the_grid_exits_64(self, tmp_path):
-        # the normalize probes at x0 + {0, ..., 10} miss x = 3; the branch
-        # grid hits it exactly
+        # the branch grid hits the zero of a3 at x = 3 exactly
         cfg = tmp_path / "lead.cfg"
         cfg.write_text("degree = 3\ncoefficients = 1 | -3 | 1 | x - 3\n"
                        "x0 = 0\ny0 = 0\nx_end = 20\n")
@@ -233,6 +252,27 @@ class TestHypothesesCommand:
         assert code == 64
         assert "vanishes at x=3.0" in err
         assert "Traceback" not in err
+
+    def test_leading_zero_past_the_range_is_never_met(self, tmp_path):
+        # a3 = 10 - x vanishes at x = 10, twice the horizon: no stage samples it
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(FAR_ZERO_CFG)
+        code, _, err = run(["hypotheses", cfg, "--out", tmp_path / "h"])
+        assert (code, err) == (0, "")
+        a1 = read_report(tmp_path / "h")["checks"][0]
+        assert (a1["id"], a1["status"], a1["witness"]) == ("A1", "pass", {"m": 5.0})
+
+    def test_log_phi_overflow_is_inconclusive_strict_json(self, tmp_path):
+        # log Phi overflows over cells 5e304 wide: B3 is the Phi-range note,
+        # not a NaN tail share, and no numpy warning reaches stderr
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("degree = 3\ncoefficients = 10 | -30 | 10 | 10\n"
+                       "x0 = 0\ny0 = 0\nx_end = 1e308\n")
+        code, _, err = run(["hypotheses", cfg, "--out", tmp_path / "h"])
+        assert (code, err) == (0, "")
+        assert read_report(tmp_path / "h")["checks"][-1] == {
+            "id": "B3", "note": "Phi or its growth over one grid cell exceeds the float range",
+            "status": "inconclusive", "witness": {}}
 
     def test_non_finite_lambda_is_a_numeric_failure(self, tmp_path):
         # lambda_0 = -1e200 / 1e-200 overflows to -inf; the real root is
@@ -253,7 +293,7 @@ class TestHypothesesCommand:
         code, out, err = run(["hypotheses", cfg, "--out", tmp_path / "h"])
         assert code == 0, err
         assert "B3" in out
-        assert (tmp_path / "h" / "report.json").exists()
+        assert "B3_integral" in read_report(tmp_path / "h")["checks"][-1]["witness"]
         _, rows = read_rows(tmp_path / "h" / "branch.csv")
         assert rows[-1][0] == "1" and math.isfinite(float(rows[-1][3]))
 
@@ -285,7 +325,7 @@ class TestHypothesesCommand:
         assert code == 0
         assert "pass" in out
         # an unambiguous branch adds no branch object and no footer line
-        assert "branch" not in json.loads((tmp_path / "h" / "report.json").read_text())
+        assert "branch" not in read_report(tmp_path / "h")
         assert out.splitlines()[-1] == "(grid-verified sampling check, not a proof)"
 
     def test_ambiguous_branch_note_reaches_the_report_and_the_table(self, tmp_path):
@@ -298,7 +338,7 @@ class TestHypothesesCommand:
         assert code == 0
         note = ("2001 grid point(s) had a second positive stable root;"
                 " the continuation kept the nearest root")
-        payload = json.loads((tmp_path / "h" / "report.json").read_text())
+        payload = read_report(tmp_path / "h")
         assert payload["branch"] == {"ambiguous_count": 2001, "refinements": 0, "note": note}
         assert out.splitlines()[-2:] == ["(grid-verified sampling check, not a proof)",
                                          f"(branch: {note})"]

@@ -16,6 +16,7 @@ from abelode.core import (
     eval_rhs,
     normalize,
 )
+from abelode.equilibrium import GridSpec, continue_branch
 from abelode.expr import Expr, ExprDomainError
 
 coeff_floats = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
@@ -56,33 +57,44 @@ class TestNormalize:
         # lambda_0..lambda_2, then the top coefficient of the monic form
         assert nf.sample(0.0) == (2.0, [2.0, -3.0, 1.0, 1.0])
 
+    def test_evaluates_nothing(self):
+        # a3 = 10 - x vanishes at x = 10, past a range that ends at 5
+        eq = build_equation(["10 - x", "-3*(10 - x)", "10 - x", "10 - x"], 0.0)
+        nf = normalize(eq)
+        assert nf == NormalForm(eq) and nf.equation is eq
+        assert nf.sample(5.0)[0] == 5.0
+
+    # normalize refuses nothing: the first stage that samples x0 does
     def test_vanishing_leading_coefficient_rejected(self):
-        eq = build_equation(["1", "0", "0", "x"], 0.0)  # a3(x0) = 0
+        nf = normalize(build_equation(["1", "0", "0", "x"], 0.0))  # a3(x0) = 0
         with pytest.raises(LeadingCoefficientError):
-            normalize(eq)
+            nf.sample(0.0)
 
     @pytest.mark.parametrize("degree", [1, 3, 5])
     def test_vanishing_leading_coefficient_is_named_by_degree(self, degree):
-        eq = build_equation(["1"] * degree + ["x"], 0.0)
-        with pytest.raises(LeadingCoefficientError,
-                           match=rf"^leading coefficient a{degree} vanishes at x=0\.0$"):
-            normalize(eq)
+        nf = normalize(build_equation(["1"] * degree + ["x"], 0.0))
+        message = rf"^leading coefficient a{degree} vanishes at x=0\.0$"
+        with pytest.raises(LeadingCoefficientError, match=message):
+            nf.sample(0.0)
+        with pytest.raises(LeadingCoefficientError, match=message):
+            continue_branch(nf, GridSpec(0.0, 1.0, 11))
 
     def test_leading_zero_away_from_x0_rejected(self):
-        # probes reach x0 + 2, where 2 - x crosses zero
-        eq = build_equation(["1", "0", "0", "2 - x"], 0.0)
-        with pytest.raises(LeadingCoefficientError):
-            normalize(eq)
+        # the branch grid meets 2 - x = 0 at its third point
+        nf = normalize(build_equation(["1", "0", "0", "2 - x"], 0.0))
+        with pytest.raises(LeadingCoefficientError,
+                           match=r"^leading coefficient a3 vanishes at x=2\.0$"):
+            continue_branch(nf, GridSpec(0.0, 4.0, 5))
 
-    def test_leading_zero_missed_by_probes_is_typed(self):
-        # probes sit at x0 + {0, 0.5, 1, 2, 5, 10}; a3 vanishes at x = 3
+    def test_leading_zero_met_by_sample_is_typed(self):
         nf = normalize(build_equation(["1", "-3", "1", "x - 3"], 0.0))
         with pytest.raises(LeadingCoefficientError, match="x=3.0"):
             nf.sample(3.0)
         assert _grid(nf, [2.0, 3.0]) == _stacked(nf, [2.0, 3.0])
         assert _grid(nf, [2.0, 3.0])[0] == [True, False]
 
-    def test_sign_changing_leading_ok_if_probes_miss_zero(self):
+    def test_leading_zero_left_of_x0_is_never_met(self):
+        # a3 = 1 - 1/x vanishes at x = 1, left of x0 = 2
         eq = build_equation(["1", "0", "0", "1 - 1/x"], 2.0)
         nf = normalize(eq)
         assert nf.sample(2.0)[0] == 0.5
@@ -228,9 +240,7 @@ class TestSampleGrid:
         xs=grids,
     )
     def test_equals_stacked_sample(self, sources, xs):
-        # no normalize: its probes would reject a vanishing a_n up front
-        eq = build_equation(sources, 0.0)
-        nf = NormalForm(eq)
+        nf = normalize(build_equation(sources, 0.0))
         assert _grid(nf, xs) == _stacked(nf, xs)
 
     @pytest.mark.parametrize("sources,xs", [

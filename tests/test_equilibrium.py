@@ -553,9 +553,9 @@ class TestBranchContinuation:
         # both fail at 2: a_n's zero check comes first
         pytest.param(["log(2 - x)", "2 - x"], GridSpec(0.0, 2.0, 3), LeadingCoefficientError,
                      "leading coefficient a1 vanishes at x=2.0", 2.0, id="same-point"),
-        # a_3 vanishes at 3, between normalize's probes
+        # a_3 vanishes at 3, the grid's middle point
         pytest.param(["1", "-3", "1", "x - 3"], GridSpec(2.0, 4.0, 3), LeadingCoefficientError,
-                     "leading coefficient a3 vanishes at x=3.0", 3.0, id="probes-missed"),
+                     "leading coefficient a3 vanishes at x=3.0", 3.0, id="inside-the-grid"),
     ])
     def test_raises_the_first_failing_samples_error(self, coefficients, grid, error, message, x):
         nf = NormalForm(build_equation(coefficients, grid.x_start))

@@ -10,7 +10,6 @@ from abelode.equilibrium import BranchError
 from abelode.finance import (
     MertonParams,
     case1_calibration_check,
-    literal_case1_equation,
     omega_exact,
     omega_expansion,
     parametric_equation,
@@ -168,15 +167,15 @@ class TestCalibration:
 
 class TestSpreadCurve:
     def test_literal_mode_reaches_the_documented_plateau(self):
-        curve = spread_curve(literal_case1=True)
-        assert curve.mode == "literal-case1"
+        curve = spread_curve()  # no params: the literal mode
+        assert curve.mode == "literal-case1" and curve.params is None
         assert curve.plateau_bp == pytest.approx(1e4 * (math.sqrt(2.0) - 1.0), abs=0.01)
         assert curve.diagnostics.trapping_ok and curve.diagnostics.monotone_ok
         assert curve.s[0] == 0.0
         assert curve.s[-1] == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-8)
 
     def test_literal_mode_decay_rate(self):
-        curve = spread_curve(literal_case1=True)
+        curve = spread_curve()
         xs = np.asarray(curve.xs)
         ss = np.asarray(curve.s)
         plateau = curve.plateau_bp / 1e4
@@ -185,14 +184,15 @@ class TestSpreadCurve:
         assert slope == pytest.approx(-1.66, abs=0.1)
 
     def test_literal_equation_coefficients(self):
-        eq = literal_case1_equation()
-        assert eq.degree == 3
+        # case 1's equation, started at x0
+        eq = spread_curve(x0=0.5, x_end=1.0).equation
+        assert eq == replace(cases.get_case(1).equation, x0=0.5)
         assert [c(0.0) for c in eq.coeffs] == [1.0, -3.0, 1.0, 1.0]
 
     def test_parametric_zero_rate_spread_is_identically_zero(self):
         p = MertonParams(sigma0_sq=1.2, mu=1.5, r=0.0, eta1=0.1, eta2=0.05)
         curve = spread_curve(params=p)
-        assert curve.mode == "parametric"
+        assert curve.mode == "parametric" and curve.params is p
         assert curve.result.completed
         assert float(np.max(np.abs(curve.s))) == 0.0
         assert curve.plateau_bp == 0.0
@@ -214,10 +214,9 @@ class TestSpreadCurve:
         assert eq.coeffs[0](2.0) == pytest.approx(lam0, rel=1e-12)
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({}, "parametric mode needs MertonParams"),
         ({"params": MertonParams(1.2, 1.5), "x0": 0.0},
          "parametric mode needs x0 > 0 (1/x singularity)"),
-        ({"literal_case1": True, "x0": 25.0}, "x_end=20.0 must exceed x0=25.0"),
+        ({"x0": 25.0}, "x_end=20.0 must exceed x0=25.0"),
         ({"params": MertonParams(1.2, 1.5, eta2=-1.0)},
          "volatility factor not positive on the working range"),
     ])
@@ -227,7 +226,7 @@ class TestSpreadCurve:
 
     def test_hypothesis_report_attached_on_request(self):
         # the report is the lazy Analysis stage: verified when first read
-        curve = spread_curve(literal_case1=True)
+        curve = spread_curve()
         assert "diagnostics" in vars(curve) and "report" not in vars(curve)
         assert curve.report["A4"].status == "pass"
         assert curve.report is vars(curve)["report"]

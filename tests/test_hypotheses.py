@@ -218,6 +218,17 @@ class TestSharedDrift:
         assert entry.witness == {}
         assert entry.note == B3_PHI_RANGE
 
+    def test_log_phi_past_the_float_range_is_inconclusive(self):
+        # a_n Lambda is about -17 on cells 5e304 wide: the Simpson prefix sum
+        # of log Phi overflows to -inf, which is refused (with no numpy
+        # warning) before E' is formed, as a Phi past the float range is
+        nf = normalize(build_equation(["10", "-30", "10", "10"], 0.0))
+        branch = continue_branch(nf, GridSpec(0.0, 1e308, 2001))
+        entry = verify(nf, branch)["B3"]
+        assert (entry.status, entry.witness, entry.note) == ("inconclusive", {}, B3_PHI_RANGE)
+        with pytest.raises(OverflowError):
+            damped_drift(nf, branch, branch.xs)
+
 
 class TestDomainEdge:
     def test_right_domain_edge_does_not_raise(self):

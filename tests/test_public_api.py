@@ -51,7 +51,7 @@ PUBLIC_NAMES = [
 #: parameter names of every exported function, in order
 PARAMETERS = {
     "branch_limit": ["branch"],
-    "build_equation": ["coeff_sources", "x0", "description"],
+    "build_equation": ["coeff_sources", "x0"],
     "case1_calibration_check": ["p", "x_ref", "solve_eta2"],
     "check_asymptotic": ["nf", "branch"],
     "check_structural": ["nf", "branch"],
@@ -74,7 +74,7 @@ PARAMETERS = {
     "roundtrip_check": ["equation", "pivot", "y0", "x_end", "kind", "config", "checkpoints"],
     "run_case": ["case_id", "x_max", "config"],
     "spread_coefficients": ["p", "x"],
-    "spread_curve": ["params", "x0", "x_end", "config", "literal_case1"],
+    "spread_curve": ["params", "x0", "x_end", "config"],
     "spread_normal_form": ["p", "x"],
     "stability_value": ["z"],
     "step": ["row", "x", "y", "h", "config"],
@@ -88,7 +88,7 @@ PRIVATE_IMPORTS = {
     "hypotheses": ["rate._drift_integral"],
     "radau": ["core._derivative_row", "core._horner", "core._require_real", "expr._compile"],
     "rate": ["core._taylor_shift"],
-    "reduction": ["core._PROBE_OFFSETS", "core._horner", "core._taylor_shift"],
+    "reduction": ["core._horner", "core._taylor_shift"],
 }
 
 #: X._name reads each module makes of an underscore name it does not define
@@ -264,7 +264,7 @@ def test_case_run_fields():
 
 def test_spread_curve_fields():
     assert issubclass(SpreadCurve, Analysis)
-    assert _field_names(SpreadCurve) == ANALYSIS_FIELDS + ["mode", "params"]
+    assert _field_names(SpreadCurve) == ANALYSIS_FIELDS + ["params"]
     assert all(hasattr(SpreadCurve, stage) for stage in STAGES)
 
 
@@ -357,7 +357,7 @@ def test_benchmark_case_ops_pass_their_oracles(workloads, tmp_path):
 
 
 def test_derived_attributes_read_their_sources(case_runs):
-    # seventeen values that other fields of the same record, or a constant,
+    # eighteen values that other fields of the same record, or a constant,
     # determine are read-only properties, so no record can contradict itself
     derived = [(AbelEquation, "degree"), (NormalForm, "degree"), (ReducedEquation, "degree"),
                (EquationConfig, "degree"), (CaseStudy, "x0"), (EquilibriumBranch, "L"),
@@ -365,8 +365,8 @@ def test_derived_attributes_read_their_sources(case_runs):
                (IntegrationResult, "n_accepted"),
                (IntegrationResult, "final_x"), (IntegrationResult, "final_y"),
                (CalibrationReport, "target"), (CalibrationReport, "deviation"),
-               (CaseRun, "gap"), (SpreadCurve, "xs"), (SpreadCurve, "s"),
-               (SpreadCurve, "plateau_bp")]
+               (CaseRun, "gap"), (SpreadCurve, "mode"), (SpreadCurve, "xs"),
+               (SpreadCurve, "s"), (SpreadCurve, "plateau_bp")]
     for record, name in derived:
         assert name not in _field_names(record), (record.__name__, name)
         attribute = getattr(record, name)
@@ -385,7 +385,8 @@ def test_derived_attributes_read_their_sources(case_runs):
         assert result.final_x.hex() == float(result.xs[-1]).hex()
         assert result.final_y.hex() == float(result.ys[-1]).hex()
 
-    curve = spread_curve(literal_case1=True)
+    curve = spread_curve()
+    assert curve.params is None and curve.mode == "literal-case1"
     assert curve.xs is curve.result.xs and curve.s is curve.result.ys
     assert curve.plateau_bp == 1e4 * curve.diagnostics.L_numeric
 
