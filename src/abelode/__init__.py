@@ -14,8 +14,10 @@ line on top.
 resolved from its defining module on access (PEP 562), which loads that
 module the first time, so a caller pays only for the modules it reaches;
 ``abelode.integrate`` loads core, expr and radau, not the branch,
-hypothesis, finance or reduction modules.  Each CLI subcommand likewise
-imports only the modules it runs.
+hypothesis, finance or reduction modules.  ``abelode.get_case`` loads
+cases besides those three, and a run's branch, report and diagnostics
+stages load equilibrium, hypotheses and rate when they first run.  Each
+CLI subcommand likewise imports only the modules it runs.
 """
 
 from importlib import import_module
@@ -24,10 +26,10 @@ __version__ = "0.1.0"
 
 #: the names the package exports, by defining module
 _EXPORTS = {
-    "core": ["AbelEquation", "LeadingCoefficientError", "NormalForm", "build_equation",
-             "eval_drhs", "eval_rhs", "normalize"],
-    "equilibrium": ["BranchError", "BranchPoint", "EquilibriumBranch", "GridSpec",
-                    "ZeroEigenvalueError", "branch_limit", "continue_branch", "real_roots"],
+    "core": ["AbelEquation", "BranchError", "LeadingCoefficientError", "NormalForm",
+             "ZeroEigenvalueError", "build_equation", "eval_drhs", "eval_rhs", "normalize"],
+    "equilibrium": ["BranchPoint", "EquilibriumBranch", "GridSpec", "branch_limit",
+                    "continue_branch", "real_roots"],
     "expr": ["Expr", "ExprDomainError", "ExprError", "ExprSyntaxError", "parse"],
     "hypotheses": ["HypothesisEntry", "HypothesisReport", "check_asymptotic",
                    "check_structural", "verify"],
@@ -38,9 +40,8 @@ _EXPORTS = {
              "remainder_constant"],
     "reduction": ["NotASolutionError", "ReducedEquation", "ReductionError", "SecondKindForm",
                   "WrongDegreeError", "reduce_about", "roundtrip_check", "to_second_kind"],
-    "finance": ["CalibrationReport", "MertonParams", "SpreadCurve", "case1_calibration_check",
-                "omega_exact", "omega_expansion", "spread_coefficients", "spread_curve",
-                "spread_normal_form"],
+    "finance": ["MertonParams", "SpreadCurve", "omega_exact", "omega_expansion",
+                "spread_coefficients", "spread_curve", "spread_normal_form"],
     "cases": ["CaseRun", "CaseStudy", "get_case", "run_case"],
     "config": ["ConfigError", "EquationConfig"],
 }

@@ -21,6 +21,11 @@ Branch grids are case-tuned:
 
 Integration always starts exactly at the case's x0 with y = 0.  Analysis
 is the pipeline every caller (run_case, spread_curve, the CLI) reads.
+
+Importing this module loads only core, expr and radau, so reading a case
+equation (get_case) loads no branch, hypothesis or rate code: each
+Analysis stage imports its module (equilibrium, hypotheses, rate) when it
+first runs, and branch_grid imports GridSpec.
 """
 
 from __future__ import annotations
@@ -28,13 +33,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .core import AbelEquation, NormalForm, build_equation, normalize
-from .equilibrium import BranchError, EquilibriumBranch, GridSpec, continue_branch
-from .hypotheses import HypothesisReport, verify
+from .core import AbelEquation, BranchError, NormalForm, build_equation, normalize
 from .radau import IntegrationResult, SolverConfig, integrate
-from .rate import PlateauDiagnostics, diagnose
+
+if TYPE_CHECKING:
+    from .equilibrium import EquilibriumBranch, GridSpec
+    from .hypotheses import HypothesisReport
+    from .rate import PlateauDiagnostics
 
 __all__ = ["ReferenceRow", "CaseStudy", "Analysis", "CaseRun", "get_case", "run_case"]
 
@@ -61,6 +68,8 @@ class CaseStudy:
         return self.equation.x0
 
     def branch_grid(self, x_max: Optional[float] = None) -> GridSpec:
+        from .equilibrium import GridSpec
+
         horizon = self.default_x_end if x_max is None else x_max
         if self.id == 1:
             return GridSpec(0.0, max(20.0, horizon), 2001, "linear")
@@ -135,6 +144,8 @@ class Analysis:
 
     @cached_property
     def _continued(self) -> EquilibriumBranch | BranchError:
+        from .equilibrium import continue_branch
+
         try:
             return continue_branch(self.nf, self.grid)
         except BranchError as err:
@@ -148,6 +159,8 @@ class Analysis:
 
     @cached_property
     def report(self) -> HypothesisReport:
+        from .hypotheses import verify
+
         return verify(self.nf, self.branch)
 
     @cached_property
@@ -156,6 +169,8 @@ class Analysis:
 
     @cached_property
     def diagnostics(self) -> PlateauDiagnostics:
+        from .rate import diagnose
+
         branch = None if isinstance(self._continued, BranchError) else self._continued
         return diagnose(self.result, branch, self.config)
 

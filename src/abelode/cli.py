@@ -19,18 +19,20 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .cases import Analysis, get_case, run_case
 from .config import ConfigError, equation_config, load_pairs, merton_params, solver_config
-from .equilibrium import (BranchError, EquilibriumBranch, GridSpec, ZeroEigenvalueError,
-                          branch_slopes)
+from .core import BranchError, ZeroEigenvalueError
 from .expr import ExprError
-from .hypotheses import HypothesisReport
 from .radau import (IntegrationResult, NewtonFailure, OrderTestError, SolverConfig,
                     empirical_order)
+
+if TYPE_CHECKING:
+    from .equilibrium import EquilibriumBranch
+    from .hypotheses import HypothesisReport
 
 __all__ = ["main"]
 
@@ -85,6 +87,8 @@ def _write_csv(path: str, header: str, rows, preamble=()) -> None:
 
 
 def _write_branch(path: str, nf, branch: EquilibriumBranch) -> None:
+    from .equilibrium import branch_slopes
+
     slopes, _ = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
     columns = (branch.xs, branch.values, branch.eigenvalues, slopes)
     _write_csv(path, "x,E,Lambda,E_prime", zip(*(c.tolist() for c in columns)))
@@ -153,6 +157,8 @@ def _solver_from_flags(args, base: SolverConfig | None = None) -> SolverConfig:
 
 def _config_analysis(args) -> Analysis:
     """The config file's equation on a 2,001-point linear grid from x0."""
+    from .equilibrium import GridSpec
+
     eq_cfg = equation_config(load_pairs(args.config))
     grid = GridSpec(eq_cfg.equation.x0, eq_cfg.x_end, 2001, "linear")
     return Analysis(eq_cfg.equation, eq_cfg.y0, eq_cfg.x_end, grid,
@@ -216,8 +222,9 @@ def _cmd_reduce(args) -> int:
     if not x_end > equation.x0:
         raise ValueError(f"x_max={x_end!r} must exceed x0={equation.x0!r}")
 
+    xs = np.linspace(equation.x0, x_end, 101).tolist()  # the rows of reduce.csv
     try:
-        reduced = reduce_about(equation, args.ep, kind="equilibrium")
+        reduced = reduce_about(equation, args.ep, xs, kind="equilibrium")
     except ReductionError as err:  # a ValueError, but a numeric failure
         return _numeric_failure(err)
     at_start = reduced.coefficients(equation.x0)
@@ -226,7 +233,6 @@ def _cmd_reduce(args) -> int:
 
     out_dir = _ensure_dir(args.out or "reduce-output")
     header = "x," + ",".join(f"c{k}" for k in range(1, reduced.degree + 1))
-    xs = np.linspace(equation.x0, x_end, 101).tolist()
     _write_csv(os.path.join(out_dir, "reduce.csv"), header,
                ([x] + reduced.coefficients(x) for x in xs))
     if args.gnuplot:

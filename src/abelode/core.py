@@ -51,6 +51,8 @@ __all__ = [
     "AbelEquation",
     "NormalForm",
     "LeadingCoefficientError",
+    "BranchError",
+    "ZeroEigenvalueError",
     "build_equation",
     "normalize",
     "eval_rhs",
@@ -60,6 +62,22 @@ __all__ = [
 
 class LeadingCoefficientError(ValueError):
     """Leading coefficient vanished at some x; no normal form exists there."""
+
+
+class BranchError(RuntimeError):
+    """Branch continuation or root isolation failed; carries the offending x."""
+
+    def __init__(self, message: str, x: float):
+        super().__init__(f"{message} at x={x!r}")
+        self.x = x
+
+
+class ZeroEigenvalueError(RuntimeError):
+    """dF/dy vanished on the branch; implicit derivative undefined."""
+
+    def __init__(self, x: float):
+        super().__init__(f"dF/dy vanishes at x={x!r}; branch derivative undefined")
+        self.x = x
 
 
 @dataclass(frozen=True)

@@ -46,14 +46,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NormalForm, _derivative_row, _horner, _require_real
+from .core import BranchError, NormalForm, _derivative_row, _horner, _require_real
 
 __all__ = [
     "GridSpec",
     "BranchPoint",
     "EquilibriumBranch",
-    "BranchError",
-    "ZeroEigenvalueError",
     "real_roots",
     "continue_branch",
     "branch_slopes",
@@ -77,22 +75,6 @@ JUMP_FRACTION = 0.25
 #: tail window and relative spread for the numerical limit estimate
 LIMIT_TAIL_WINDOW = 16
 LIMIT_TOL = 1e-7
-
-
-class BranchError(RuntimeError):
-    """Branch continuation or root isolation failed; carries the offending x."""
-
-    def __init__(self, message: str, x: float):
-        super().__init__(f"{message} at x={x!r}")
-        self.x = x
-
-
-class ZeroEigenvalueError(RuntimeError):
-    """dF/dy vanished on the branch; implicit derivative undefined."""
-
-    def __init__(self, x: float):
-        super().__init__(f"dF/dy vanishes at x={x!r}; branch derivative undefined")
-        self.x = x
 
 
 @dataclass(frozen=True)

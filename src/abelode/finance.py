@@ -9,15 +9,18 @@ term structure of the credit spread s(x) into a cubic equation
 after normalization.  This module provides the exact coefficient
 formulas (both the raw a_k and the normalized lambda_k, cross-checkable
 against each other), the explicit stable root omega of the underlying
-quadratic with its small-spread Taylor expansion, a calibration probe
-against the constant triple (1, -3, 1), and the spread-curve pipeline
-with the plateau reported in basis points.
+quadratic with its small-spread Taylor expansion, and the spread-curve
+pipeline with the plateau reported in basis points.
 
-Two curve modes exist because the constant triple is not exactly
-attainable from the parametric formulas (lambda_k inherit x-dependence
-through Q): "parametric" builds the coefficients from MertonParams,
-"literal-case1" (no params) runs case 1's constant-coefficient equation
-as-is.
+Two curve modes exist because case 1's constant triple (lambda2,
+lambda1, lambda0) = (1, -3, 1) is out of reach of the parametric
+formulas: with u = mu^2 / (sigma0_sq Q(x)),
+
+    lambda1 = 2 u^2 - 2 u r + 3 r^2 = 2 (u - r/2)^2 + 5 r^2 / 2 > 0
+
+for every parameter set (u != 0 because mu != 0), never -3.
+"parametric" builds the coefficients from MertonParams, "literal-case1"
+(no params) runs case 1's constant-coefficient equation as-is.
 """
 
 from __future__ import annotations
@@ -30,28 +33,20 @@ import numpy as np
 
 from .cases import Analysis, get_case
 from .core import AbelEquation, build_equation
-from .equilibrium import GridSpec
 from .radau import SolverConfig
 
 __all__ = [
     "MertonParams",
     "SpreadCurve",
-    "CalibrationReport",
-    "CASE1_TARGET",
     "volatility_factor",
     "spread_coefficients",
     "spread_normal_form",
     "omega_exact",
     "omega_expansion",
     "quadratic_residual",
-    "case1_calibration_check",
     "parametric_equation",
     "spread_curve",
 ]
-
-#: constant normal-form triple (lambda2, lambda1, lambda0) of the
-#: reference constant-coefficient equation
-CASE1_TARGET = (1.0, -3.0, 1.0)
 
 LITERAL_X0 = 0.0
 PARAMETRIC_X0 = 0.01  # 1/x factors make the raw coefficients singular at 0
@@ -166,80 +161,6 @@ def quadratic_residual(p: MertonParams, x: float, s: float, omega: float) -> flo
     return 0.5 * sq * x * x * omega * omega + p.mu * x * omega - (s + p.r)
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
-    x_ref: float
-    lambdas: tuple[float, float, float]
-    eta2_solution: Optional[float]
-    note: str
-
-    @property
-    def target(self) -> tuple[float, float, float]:
-        return CASE1_TARGET
-
-    @property
-    def deviation(self) -> tuple[float, float, float]:
-        return tuple(l - t for l, t in zip(self.lambdas, CASE1_TARGET))
-
-
-def _lambda0_at(p: MertonParams, x_ref: float, eta2: float) -> float:
-    probe = MertonParams(p.sigma0_sq, p.mu, p.r, p.eta1, eta2)
-    return spread_normal_form(probe, x_ref)[2]
-
-
-def _solve_eta2(p: MertonParams, x_ref: float, target: float) -> Optional[float]:
-    # Q(x_ref) > 0 requires eta2 > -(1 + eta1*x_ref)/x_ref^2
-    eta2_min = -(1.0 + p.eta1 * x_ref) / (x_ref * x_ref)
-    lo = eta2_min + 1e-9 * (1.0 + abs(eta2_min))
-    hi = max(eta2_min + 1.0, 1.0)
-    f = lambda e: _lambda0_at(p, x_ref, e) - target  # noqa: E731
-    f_lo = f(lo)
-    f_hi = f(hi)
-    expansions = 0
-    while f_lo * f_hi > 0.0 and expansions < 60:
-        hi = eta2_min + 2.0 * (hi - eta2_min)
-        f_hi = f(hi)
-        expansions += 1
-    if f_lo * f_hi > 0.0 or not (math.isfinite(f_lo) and math.isfinite(f_hi)):
-        return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
-def case1_calibration_check(
-    p: MertonParams,
-    x_ref: float,
-    solve_eta2: bool = False,
-) -> CalibrationReport:
-    """How far the parametric normal form at x_ref sits from (1, -3, 1).
-
-    With solve_eta2=True additionally bisects eta2 so that lambda0 at
-    x_ref hits the target constant term (when a bracketing root exists;
-    r = 0 forces lambda0 = 0 and no solution).  x_ref must be finite and
-    positive.
-    """
-    if not 0.0 < x_ref < math.inf:
-        raise ValueError(f"x_ref must be finite and positive, got {x_ref!r}")
-    lambdas = spread_normal_form(p, x_ref)
-    eta2_solution = None
-    note = "parametric normal form evaluated at the reference point"
-    if solve_eta2:
-        eta2_solution = _solve_eta2(p, x_ref, CASE1_TARGET[2])
-        if eta2_solution is None:
-            note = "no eta2 makes the constant term hit the target at x_ref"
-        else:
-            note = "eta2 bisected so the constant term hits the target at x_ref"
-    return CalibrationReport(x_ref, lambdas, eta2_solution, note)
-
-
 def parametric_equation(p: MertonParams, x0: float = PARAMETRIC_X0) -> AbelEquation:
     """Monic spread equation with coefficient expressions baked from params.
 
@@ -297,6 +218,8 @@ def spread_curve(
     cannot be continued, the curve is still integrated and diagnosed
     without it, and branch and report raise the BranchError.
     """
+    from .equilibrium import GridSpec
+
     if params is None:
         start = LITERAL_X0 if x0 is None else x0
         equation = replace(get_case(1).equation, x0=float(start))

@@ -42,8 +42,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import NormalForm
-from .equilibrium import POSITIVE_THRESHOLD, EquilibriumBranch, ZeroEigenvalueError
+from .core import NormalForm, ZeroEigenvalueError
+from .equilibrium import POSITIVE_THRESHOLD, EquilibriumBranch
 from .expr import ExprDomainError
 from .rate import damped_drift, _drift_integral
 

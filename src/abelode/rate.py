@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NormalForm, _taylor_shift
-from .equilibrium import EquilibriumBranch, ZeroEigenvalueError, branch_slopes
+from .core import NormalForm, ZeroEigenvalueError, _taylor_shift
+from .equilibrium import EquilibriumBranch, branch_slopes
 from .expr import ExprDomainError
 from .radau import IntegrationResult, SolverConfig
 

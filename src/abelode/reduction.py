@@ -10,14 +10,17 @@ because the right-hand side is a polynomial in y and the shift is its
 Taylor expansion at g.  The leading coefficient is preserved: c_n = a_n.
 
 The pivot g must actually be a solution, otherwise a spurious constant
-term is silently dropped; ``reduce`` therefore verifies the pivot at
-probe points first and refuses otherwise.  Two pivot kinds are
+term is silently dropped; ``reduce_about`` therefore verifies the pivot
+at the abscissae its caller works on (the command line's reduce.csv
+rows, roundtrip_check's x0 and marks) and refuses otherwise.  A
+coefficient is evaluated at those abscissae only, so one undefined
+outside the working range never fails the check.  Two pivot kinds are
 supported:
 
   * "equilibrium": a constant c that is a root of the right-hand side
-    for every x (checked algebraically at the probes, plus constancy),
+    at every abscissa (checked algebraically, plus constancy),
   * "solution": an explicit function, checked by finite-difference
-    residual g'(x) - rhs(x, g(x)) at the probes.
+    residual g'(x) - rhs(x, g(x)) at every abscissa.
 
 For cubic equations the reduced form converts to an Abel equation of
 the second kind in w = 1/v:
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .core import AbelEquation, _horner, _taylor_shift, eval_rhs
+from .core import AbelEquation, _horner, _taylor_shift
 from .expr import compile_row
 from .radau import IntegrationResult, SolverConfig, integrate, integrate_rhs
 
@@ -54,16 +57,13 @@ CONSTANCY_TOL = 1e-10
 
 _FD_STEP = 1e-5
 
-# offsets past x0 of the points where a pivot is checked
-_PROBE_OFFSETS = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0)
-
 
 class ReductionError(ValueError):
     pass
 
 
 class NotASolutionError(ReductionError):
-    """The proposed pivot fails the residual check at a probe point."""
+    """The proposed pivot fails the residual check at a checked abscissa."""
 
 
 class WrongDegreeError(ReductionError):
@@ -131,17 +131,13 @@ class SecondKindForm:
         return w_prime - self.rhs(x, w)
 
 
-def _probe_points(equation: AbelEquation) -> list[float]:
-    return [equation.x0 + d for d in _PROBE_OFFSETS]
+def _coefficient_scale(row: list[float], y: float) -> float:
+    return 1.0 + _horner([abs(value) for value in row], abs(y))
 
 
-def _coefficient_scale(equation: AbelEquation, x: float, y: float) -> float:
-    return 1.0 + _horner([abs(value) for value in equation.row(x)], abs(y))
-
-
-def _check_equilibrium_pivot(equation: AbelEquation, pivot, probes) -> None:
-    values = [pivot(x) for x in probes]
-    for x, value in zip(probes, values):
+def _check_equilibrium_pivot(equation: AbelEquation, pivot, xs) -> None:
+    values = [pivot(x) for x in xs]
+    for x, value in zip(xs, values):
         if not math.isfinite(value):
             raise NotASolutionError(f"pivot value {value!r} is not finite at x={x!r}")
     center = values[0]
@@ -150,9 +146,10 @@ def _check_equilibrium_pivot(equation: AbelEquation, pivot, probes) -> None:
         raise NotASolutionError(
             f"equilibrium pivot is not constant: spread {spread:.3e} across probes"
         )
-    for x, value in zip(probes, values):
-        residual = eval_rhs(equation, x, value)
-        scale = _coefficient_scale(equation, x, value)
+    for x, value in zip(xs, values):
+        row = equation.row(x)
+        residual = _horner(row, value)
+        scale = _coefficient_scale(row, value)
         if not abs(residual) <= EQUILIBRIUM_RESIDUAL_TOL * scale:
             raise NotASolutionError(
                 f"pivot value {value!r} is not a root at x={x!r}: "
@@ -160,13 +157,14 @@ def _check_equilibrium_pivot(equation: AbelEquation, pivot, probes) -> None:
             )
 
 
-def _check_solution_pivot(equation: AbelEquation, pivot, probes) -> None:
-    for x in probes:
+def _check_solution_pivot(equation: AbelEquation, pivot, xs) -> None:
+    for x in xs:
         h = _FD_STEP * (1.0 + abs(x))
         derivative = (pivot(x + h) - pivot(x - h)) / (2.0 * h)
         value = pivot(x)
-        residual = derivative - eval_rhs(equation, x, value)
-        scale = _coefficient_scale(equation, x, value)
+        row = equation.row(x)
+        residual = derivative - _horner(row, value)
+        scale = _coefficient_scale(row, value)
         if not abs(residual) <= SOLUTION_RESIDUAL_TOL * scale:
             raise NotASolutionError(
                 f"pivot is not a solution at x={x!r}: residual {residual:.3e}"
@@ -176,24 +174,28 @@ def _check_solution_pivot(equation: AbelEquation, pivot, probes) -> None:
 def reduce_about(
     equation: AbelEquation,
     pivot,
+    xs,
     kind: str = "equilibrium",
 ) -> ReducedEquation:
-    """Build the deviation equation around a verified pivot.
+    """Build the deviation equation around a pivot verified at each
+    abscissa of xs, in order (a refusal names the first failing one).
 
     pivot is a constant (float) or callable; kind selects the residual
     check: "equilibrium" for constant roots, "solution" for explicit
     solutions.
     """
+    xs = [float(x) for x in xs]
+    if not xs:
+        raise ValueError("no abscissa to check the pivot at")
     if isinstance(pivot, (int, float)):
         value = float(pivot)
         pivot_fn = lambda x, _v=value: _v  # noqa: E731
     else:
         pivot_fn = pivot
-    probes = _probe_points(equation)
     if kind == "equilibrium":
-        _check_equilibrium_pivot(equation, pivot_fn, probes)
+        _check_equilibrium_pivot(equation, pivot_fn, xs)
     elif kind == "solution":
-        _check_solution_pivot(equation, pivot_fn, probes)
+        _check_solution_pivot(equation, pivot_fn, xs)
     else:
         raise ValueError(f"unknown pivot kind {kind!r}")
     return ReducedEquation(equation, pivot_fn)
@@ -221,15 +223,16 @@ def roundtrip_check(
 
     Returns (max |y - (pivot + v)| over checkpoints, original run,
     reduced run).  Both runs are forced to land on the checkpoints so no
-    interpolation error enters the comparison.
+    interpolation error enters the comparison.  The pivot is checked at
+    x0 and at every checkpoint, x_end the last.
     """
-    reduced = reduce_about(equation, pivot, kind)
     x0 = equation.x0
     if checkpoints is None:
         count = 9
         span = x_end - x0
         checkpoints = [x0 + span * (i + 1) / (count + 1) for i in range(count)]
     marks = sorted({float(p) for p in checkpoints if x0 < p <= x_end} | {float(x_end)})
+    reduced = reduce_about(equation, pivot, [x0, *marks], kind)
 
     original = integrate(equation, y0, x_end, config, checkpoints=marks)
     v0 = y0 - reduced.pivot(x0)

@@ -379,13 +379,35 @@ class TestReduceCommand:
     def test_non_equilibrium_pivot_is_numeric_error(self, tmp_path):
         # NotASolutionError is a ValueError, yet a numeric failure (exit 1), not a usage error
         with pytest.raises(NotASolutionError) as raised:
-            reduce_about(get_case(1).equation, 0.5)
+            reduce_about(get_case(1).equation, 0.5, [0.0])
         cfg = tmp_path / "c1.cfg"
         cfg.write_text("degree = 3\ncoefficients = 1 | -3 | 1 | 1\nx_end = 20\n")
         for picked in (["--case", "1"], ["--config", cfg]):
             code, out, err = run(["reduce", *picked, "--ep", "0.5", "--out", tmp_path / "red"])
             assert (code, out, err) == (1, "", f"numeric failure: {raised.value}\n"), picked
             assert not (tmp_path / "red").exists()
+
+    def test_pivot_valid_on_the_range_is_accepted(self, tmp_path):
+        # every row is sqrt(5 - x) (y - 1)^2, so 1 is an equilibrium on the
+        # tabulated [0, 4], though the coefficients fail past x = 5
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("degree = 2\ncoefficients = sqrt(5 - x) | -2*sqrt(5 - x) | sqrt(5 - x)\n"
+                       "x0 = 0\nx_end = 4\n")
+        code, out, err = run(["reduce", "--config", cfg, "--ep", "1", "--out", tmp_path / "red"])
+        assert (code, out, err) == (0, "c at x0=0: (0, 2.23607)\n", "")
+        _, rows = read_rows(tmp_path / "red" / "reduce.csv")
+        assert [row[0] for row in rows[::50]] == ["0", "2", "4"]
+
+    def test_pivot_failing_inside_the_range_is_refused(self, tmp_path):
+        # a_0 = 2 (x - 11) past x = 11: 0 is refused at the first row of
+        # reduce.csv past 11 (56 * 0.2), and no file is written
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("degree = 1\ncoefficients = abs(x - 11) - (11 - x) | -1\nx_end = 20\n")
+        code, out, err = run(["reduce", "--config", cfg, "--ep", "0", "--out", tmp_path / "red"])
+        assert (code, out) == (1, "")
+        assert err == ("numeric failure: pivot value 0.0 is not a root at "
+                       "x=11.200000000000001: residual 4.000e-01\n")
+        assert not (tmp_path / "red").exists()
 
     @pytest.mark.parametrize("x_max", ["-5", "0"])
     @pytest.mark.parametrize("source", ["case", "config"])

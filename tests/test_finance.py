@@ -5,11 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from abelode import cases
-from abelode.equilibrium import BranchError
+from abelode import cases, equilibrium
+from abelode.core import BranchError
 from abelode.finance import (
     MertonParams,
-    case1_calibration_check,
     omega_exact,
     omega_expansion,
     parametric_equation,
@@ -104,6 +103,17 @@ class TestCoefficientMaps:
             p0 = replace(p, r=0.0)
             assert spread_normal_form(p0, x)[2] == 0.0
 
+    def test_linear_term_is_positive(self):
+        # lambda_1 = 2 (u - r/2)^2 + 5 r^2 / 2 > 0 with u = mu^2 / (sigma0_sq Q),
+        # so case 1's triple (1, -3, 1) is out of reach of every parameter set
+        rng = np.random.default_rng(1703)
+        for _ in range(500):
+            p, x = sample_params(rng)
+            lam1 = spread_normal_form(p, x)[1]
+            u = p.mu**2 / (p.sigma0_sq * p.Q(x))
+            assert lam1 > 0.0
+            assert lam1 == pytest.approx(2.0 * (u - p.r / 2.0) ** 2 + 2.5 * p.r**2, rel=1e-12)
+
     def test_x_must_be_positive(self):
         with pytest.raises(ValueError):
             spread_coefficients(BASE, 0.0)
@@ -130,39 +140,6 @@ class TestOmega:
         p = MertonParams(sigma0_sq=1.0, mu=2.0, r=0.0)
         s = 1e-8
         assert omega_exact(p, 1.0, s) == pytest.approx(s / (p.mu * 1.0), rel=1e-6)
-
-
-class TestCalibration:
-    def test_deviation_reported_against_target(self):
-        p = MertonParams(sigma0_sq=2.0, mu=-3.0, r=0.01, eta1=1.0)
-        report = case1_calibration_check(p, 1.0)
-        assert report.target == (1.0, -3.0, 1.0)
-        assert report.lambdas == pytest.approx((-2.22, 10.0803, 0.101026), rel=1e-12)
-        assert report.deviation == pytest.approx(
-            tuple(l - t for l, t in zip(report.lambdas, report.target)), rel=1e-12)
-        assert report.eta2_solution is None
-
-    def test_eta2_bisection_hits_constant_target(self):
-        p = MertonParams(sigma0_sq=2.0, mu=-3.0, r=0.01, eta1=1.0)
-        report = case1_calibration_check(p, 1.0, solve_eta2=True)
-        assert report.eta2_solution == pytest.approx(-1.3638285391840024, abs=1e-9)
-        solved = replace(p, eta2=report.eta2_solution)
-        assert spread_normal_form(solved, 1.0)[2] == pytest.approx(1.0, abs=1e-10)
-
-    @pytest.mark.parametrize("solve_eta2", [False, True])
-    @pytest.mark.parametrize("x_ref", [math.nan, math.inf, 0.0, -1.0])
-    def test_reference_point_must_be_finite_and_positive(self, x_ref, solve_eta2):
-        # nan and inf used to give NaN lambdas silently, and 0.0 with
-        # solve_eta2 a raw ZeroDivisionError
-        p = MertonParams(sigma0_sq=2.0, mu=-3.0, r=0.01, eta1=1.0)
-        message = f"x_ref must be finite and positive, got {x_ref!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            case1_calibration_check(p, x_ref, solve_eta2)
-
-    def test_zero_rate_has_no_eta2_solution(self):
-        p = MertonParams(sigma0_sq=2.0, mu=-3.0, r=0.0, eta1=1.0)
-        report = case1_calibration_check(p, 1.0, solve_eta2=True)
-        assert report.eta2_solution is None  # constant term is identically zero
 
 
 class TestSpreadCurve:
@@ -237,8 +214,8 @@ class TestSpreadCurve:
         # branch, branch and report raise the BranchError on every read, and
         # the failing continuation runs once
         calls = []
-        original = cases.continue_branch
-        monkeypatch.setattr(cases, "continue_branch",
+        original = equilibrium.continue_branch
+        monkeypatch.setattr(equilibrium, "continue_branch",
                             lambda *args: calls.append(args) or original(*args))
         curve = spread_curve(params=MertonParams(1.2, 1.5, 0.0))
         for _ in range(2):

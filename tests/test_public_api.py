@@ -21,26 +21,25 @@ import pytest
 
 import abelode
 from abelode import (
-    AbelEquation, CalibrationReport, CaseRun, CaseStudy, EquationConfig, EquilibriumBranch,
-    GridSpec, HypothesisReport, IntegrationResult, MertonParams, NormalForm, ReducedEquation,
-    SpreadCurve, branch_limit, build_equation, case1_calibration_check, continue_branch,
-    integrate, normalize, rate_bound, spread_curve,
+    AbelEquation, CaseRun, CaseStudy, EquationConfig, EquilibriumBranch, GridSpec,
+    HypothesisReport, IntegrationResult, NormalForm, ReducedEquation, SpreadCurve,
+    branch_limit, build_equation, continue_branch, integrate, normalize, rate_bound,
+    spread_curve,
 )
 from abelode.cases import Analysis
 from abelode.config import equation_config, parse_pairs
-from abelode.finance import CASE1_TARGET
 from abelode.hypotheses import GRID_VERIFIED
 
 PUBLIC_NAMES = [
-    "AbelEquation", "BranchError", "BranchPoint", "ButcherTableau", "CalibrationReport",
-    "CaseRun", "CaseStudy", "ConfigError", "EquationConfig", "EquilibriumBranch", "Expr",
+    "AbelEquation", "BranchError", "BranchPoint", "ButcherTableau", "CaseRun", "CaseStudy",
+    "ConfigError", "EquationConfig", "EquilibriumBranch", "Expr",
     "ExprDomainError", "ExprError", "ExprSyntaxError", "GridSpec", "HypothesisEntry",
     "HypothesisReport", "IntegrationResult",
     "LeadingCoefficientError", "MertonParams", "NewtonFailure", "NormalForm",
     "NotASolutionError", "OrderTestError", "PlateauDiagnostics", "RateBound",
     "ReducedEquation", "ReductionError", "SecondKindForm", "SolverConfig", "SpreadCurve",
     "WrongDegreeError", "ZeroEigenvalueError", "branch_limit", "build_equation",
-    "case1_calibration_check", "check_asymptotic", "check_structural", "continue_branch",
+    "check_asymptotic", "check_structural", "continue_branch",
     "diagnose", "empirical_order", "eval_drhs", "eval_rhs", "get_case", "integrate",
     "integrate_rhs", "normalize", "omega_exact", "omega_expansion", "parse", "radau_tableau",
     "rate_bound", "real_roots", "reduce_about", "remainder_constant", "roundtrip_check",
@@ -52,7 +51,6 @@ PUBLIC_NAMES = [
 PARAMETERS = {
     "branch_limit": ["branch"],
     "build_equation": ["coeff_sources", "x0"],
-    "case1_calibration_check": ["p", "x_ref", "solve_eta2"],
     "check_asymptotic": ["nf", "branch"],
     "check_structural": ["nf", "branch"],
     "continue_branch": ["nf", "grid"],
@@ -69,7 +67,7 @@ PARAMETERS = {
     "radau_tableau": [],
     "rate_bound": ["nf", "branch", "result"],
     "real_roots": ["nf", "x"],
-    "reduce_about": ["equation", "pivot", "kind"],
+    "reduce_about": ["equation", "pivot", "xs", "kind"],
     "remainder_constant": ["branch"],
     "roundtrip_check": ["equation", "pivot", "y0", "x_end", "kind", "config", "checkpoints"],
     "run_case": ["case_id", "x_max", "config"],
@@ -182,12 +180,40 @@ def test_integrating_loads_only_the_integrator(tmp_path):
                           tmp_path) == integrator
 
 
+#: the benchmark's cases set-up (perfbench/setup_child.py) on the three cases
+CASES_SET_UP = """
+import abelode
+from abelode import config
+for case_id in (1, 2, 3):
+    abelode.normalize(abelode.get_case(case_id).equation)
+"""
+
+#: the modules of the branch, report and diagnostics stages
+STAGE_MODULES = ("equilibrium", "hypotheses", "rate")
+
+
+def test_reading_a_case_loads_no_analysis_stage(tmp_path):
+    # a case equation needs no stage module; a run loads them when its
+    # stages first run
+    cases = {"abelode", "abelode.cases", "abelode.config", "abelode.core", "abelode.expr",
+             "abelode.radau"}
+    stages = {f"abelode.{m}" for m in STAGE_MODULES}
+    assert _modules_after(CASES_SET_UP, tmp_path) == cases
+    assert _modules_after(CASES_SET_UP + "abelode.run_case(1)\n", tmp_path) == cases | stages
+
+
+def test_reading_model_parameters_loads_no_analysis_stage(tmp_path):
+    code = ("from abelode import config\n"
+            "config.merton_params(config.parse_pairs('sigma0_sq = 1.2\\nmu = 1.5\\n'))\n")
+    assert not _modules_after(code, tmp_path) & {f"abelode.{m}" for m in STAGE_MODULES}
+
+
 @pytest.mark.parametrize("argv,loaded,not_loaded", [
     (["case", "1"], {"cases", "hypotheses"}, {"finance", "reduction"}),
     (["hypotheses", "{config}"], {"hypotheses"}, {"finance", "reduction"}),
-    (["order-test"], {"radau"}, {"finance", "reduction"}),
+    (["order-test"], {"radau"}, {"finance", "reduction", *STAGE_MODULES}),
     (["spread", "--literal-case1"], {"finance"}, {"reduction"}),
-    (["reduce", "--case", "1", "--ep", "1"], {"reduction"}, {"finance"}),
+    (["reduce", "--case", "1", "--ep", "1"], {"reduction"}, {"finance", *STAGE_MODULES}),
 ], ids=["case", "hypotheses", "order-test", "spread", "reduce"])
 def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loaded, not_loaded):
     # python -m abelode.cli ARGV, in a fresh interpreter
@@ -357,14 +383,13 @@ def test_benchmark_case_ops_pass_their_oracles(workloads, tmp_path):
 
 
 def test_derived_attributes_read_their_sources(case_runs):
-    # eighteen values that other fields of the same record, or a constant,
-    # determine are read-only properties, so no record can contradict itself
+    # sixteen values that other fields of the same record determine are
+    # read-only properties, so no record can contradict itself
     derived = [(AbelEquation, "degree"), (NormalForm, "degree"), (ReducedEquation, "degree"),
                (EquationConfig, "degree"), (CaseStudy, "x0"), (EquilibriumBranch, "L"),
                (EquilibriumBranch, "note"), (HypothesisReport, "note"),
                (IntegrationResult, "n_accepted"),
                (IntegrationResult, "final_x"), (IntegrationResult, "final_y"),
-               (CalibrationReport, "target"), (CalibrationReport, "deviation"),
                (CaseRun, "gap"), (SpreadCurve, "mode"), (SpreadCurve, "xs"),
                (SpreadCurve, "s"), (SpreadCurve, "plateau_bp")]
     for record, name in derived:
@@ -392,10 +417,6 @@ def test_derived_attributes_read_their_sources(case_runs):
 
     config = equation_config(parse_pairs("degree = 2\ncoefficients = 1 | 0 | -1\nx_end = 10\n"))
     assert config.degree == config.equation.degree == 2 and config.build() is config.equation
-
-    report = case1_calibration_check(MertonParams(1.0, 1.0, 0.02), 2.0)
-    assert report.target == CASE1_TARGET
-    assert report.deviation == tuple(l - t for l, t in zip(report.lambdas, CASE1_TARGET))
 
     # (y+1)(y-1)(y-2)(y-3)(y-4): two positive stable roots at each of 101 points
     nf = normalize(build_equation(["24", "-26", "-15", "25", "-9", "1"], 0.0))

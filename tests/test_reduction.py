@@ -19,6 +19,9 @@ from abelode.reduction import (
 
 CASE1_SOURCES = ["1", "-3", "1", "1"]
 
+#: abscissae a pivot is checked at
+PROBES = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0]
+
 
 def case1():
     return build_equation(CASE1_SOURCES, 0.0)
@@ -26,14 +29,14 @@ def case1():
 
 class TestReduceAbout:
     def test_shift_about_unit_equilibrium(self):
-        red = reduce_about(case1(), 1.0)
+        red = reduce_about(case1(), 1.0, PROBES)
         assert tuple(red.c(k, 0.0) for k in (1, 2, 3)) == (2.0, 4.0, 1.0)
         assert red.coefficients(0.0) == [2.0, 4.0, 1.0]
         assert red.degree == 3
 
     def test_shifted_equation_has_matching_slope(self):
         # du/dx at u must equal dy/dx at y = pivot + u
-        red = reduce_about(case1(), 1.0)
+        red = reduce_about(case1(), 1.0, PROBES)
         from abelode.core import eval_rhs
         for u in (-0.3, 0.1, 0.8):
             assert red.rhs(0.5, u) == pytest.approx(
@@ -53,7 +56,7 @@ class TestReduceAbout:
         c0_adjusted = float(c0 - base(g))  # make g an exact root
         eq = build_equation(
             [repr(c0_adjusted), repr(c1), repr(c2), "1"], 0.0)
-        red = reduce_about(eq, g)
+        red = reduce_about(eq, g, PROBES)
         shifted = sum(red.c(k, 0.0) * u ** k for k in (1, 2, 3))
         direct = np.polynomial.polynomial.Polynomial(
             (c0_adjusted, c1, c2, 1.0))(g + u)
@@ -95,16 +98,31 @@ class TestReduceAbout:
 
     def test_pivot_must_be_a_root(self):
         with pytest.raises(NotASolutionError):
-            reduce_about(case1(), 0.5)
+            reduce_about(case1(), 0.5, PROBES)
 
     def test_constant_pivot_must_stay_a_root_along_x(self):
         eq = build_equation(["3 - 2*exp(-2*x)", "-4", "0", "1"], 0.0)
         with pytest.raises(NotASolutionError):
-            reduce_about(eq, 1.0)  # a root only in the x -> infinity limit
+            reduce_about(eq, 1.0, PROBES)  # a root only in the x -> infinity limit
+
+    def test_checked_only_at_the_given_abscissae(self):
+        # a coefficient undefined past x = 5 is never evaluated on [0, 4]; a
+        # constant term nonzero only past x = 11 is refused at the first
+        # abscissa there, and passes where none is past it
+        root = build_equation(["sqrt(5 - x)", "-2*sqrt(5 - x)", "sqrt(5 - x)"], 0.0)
+        assert reduce_about(root, 1.0, [0.0, 2.0, 4.0]).degree == 2
+        with pytest.raises(ExprDomainError, match=r"^sqrt\(-5\.0\) outside real domain at x=10\.0$"):
+            reduce_about(root, 1.0, [0.0, 10.0])
+        kink = build_equation(["abs(x - 11) - (11 - x)", "-1"], 0.0)
+        assert reduce_about(kink, 0.0, [0.0, 11.0]).degree == 1
+        with pytest.raises(NotASolutionError, match=r"^pivot value 0\.0 is not a root at x=11\.5: "):
+            reduce_about(kink, 0.0, [0.0, 11.5, 20.0])
+        with pytest.raises(ValueError, match="^no abscissa to check the pivot at$"):
+            reduce_about(kink, 0.0, [])
 
     def test_solution_pivot_accepted(self):
         riccati = build_equation(["1", "0", "-1"], 0.0)
-        red = reduce_about(riccati, math.tanh, kind="solution")
+        red = reduce_about(riccati, math.tanh, PROBES, kind="solution")
         assert red.degree == 2
         # shifted linear coefficient is -2*tanh(x)
         assert red.c(1, 1.0) == pytest.approx(-2.0 * math.tanh(1.0), rel=1e-12)
@@ -112,7 +130,7 @@ class TestReduceAbout:
     def test_non_solution_pivot_rejected(self):
         riccati = build_equation(["1", "0", "-1"], 0.0)
         with pytest.raises(NotASolutionError):
-            reduce_about(riccati, lambda x: x, kind="solution")
+            reduce_about(riccati, lambda x: x, PROBES, kind="solution")
 
 
 class TestNonFinitePivot:
@@ -125,12 +143,12 @@ class TestNonFinitePivot:
     def test_rejected(self, pivot, kind, match):
         # abs(nan) > tol is False: NaN used to pass both residual checks
         with pytest.raises(NotASolutionError, match=match):
-            reduce_about(case1(), pivot, kind)
+            reduce_about(case1(), pivot, PROBES, kind)
 
 
 class TestSecondKind:
     def test_coefficient_triple(self):
-        form = to_second_kind(reduce_about(case1(), 1.0))
+        form = to_second_kind(reduce_about(case1(), 1.0, PROBES))
         assert (form.c1(0.0), form.c2(0.0), form.c3(0.0)) == (2.0, 4.0, 1.0)
 
     @pytest.mark.parametrize("x", [0.0, 1.5, 7.0])
@@ -138,19 +156,19 @@ class TestSecondKind:
     def test_residual_vanishes_on_the_reciprocal_deviation(self, x, v):
         # w = 1/v turns v' = rhs(x, v) into w' = -rhs(x, v) / v^2, the
         # second-kind equation: the residual is rounding alone
-        reduced = reduce_about(case1(), 1.0)
+        reduced = reduce_about(case1(), 1.0, PROBES)
         w_prime = -reduced.rhs(x, v) / v**2
         residual = to_second_kind(reduced).residual(x, 1.0 / v, w_prime)
         assert abs(residual) <= 1e-12 * (1.0 + abs(w_prime))
 
     def test_zero_state_rejected(self):
-        form = to_second_kind(reduce_about(case1(), 1.0))
+        form = to_second_kind(reduce_about(case1(), 1.0, PROBES))
         with pytest.raises(ZeroDivisionError):
             form.rhs(0.0, 0.0)
 
     def test_only_cubic_equations_transform(self):
         riccati = build_equation(["1", "0", "-1"], 0.0)
-        red = reduce_about(riccati, math.tanh, kind="solution")
+        red = reduce_about(riccati, math.tanh, PROBES, kind="solution")
         with pytest.raises(WrongDegreeError):
             to_second_kind(red)
 
