@@ -109,6 +109,18 @@ def test_exports_are_their_defining_modules_objects():
         assert getattr(importlib.import_module(value.__module__), name) is value, name
 
 
+def test_stage_exceptions_are_defined_in_core():
+    # the CLI's except clause names them without loading equilibrium, whose
+    # raisers take the same classes from core
+    from abelode import core, equilibrium, hypotheses, rate
+    for name in ("BranchError", "ZeroEigenvalueError"):
+        cls = getattr(core, name)
+        assert cls.__module__ == "abelode.core"
+        assert getattr(abelode, name) is cls
+    assert equilibrium.BranchError is core.BranchError
+    assert hypotheses.ZeroEigenvalueError is rate.ZeroEigenvalueError is core.ZeroEigenvalueError
+
+
 def test_dir_and_star_import_cover_every_export():
     assert set(abelode.__all__) <= set(dir(abelode))
     namespace = {}
@@ -206,6 +218,26 @@ def test_reading_model_parameters_loads_no_analysis_stage(tmp_path):
     code = ("from abelode import config\n"
             "config.merton_params(config.parse_pairs('sigma0_sq = 1.2\\nmu = 1.5\\n'))\n")
     assert not _modules_after(code, tmp_path) & {f"abelode.{m}" for m in STAGE_MODULES}
+
+
+@pytest.mark.parametrize("stage,loaded,not_loaded", [
+    ("branch", {"equilibrium"}, {"hypotheses", "rate"}),
+    ("diagnostics", {"rate"}, {"hypotheses"}),
+    ("report", {"hypotheses", "rate"}, set()),
+])
+def test_each_stage_loads_its_module_when_it_first_runs(tmp_path, stage, loaded, not_loaded):
+    # an unread case run has loaded equilibrium only for its grid's GridSpec;
+    # reading one stage loads that stage's module and the modules it reads,
+    # and no other
+    code = CASES_SET_UP + (
+        "case = abelode.get_case(1)\n"
+        "run = abelode.CaseRun(case.equation, 0.0, 20.0, case.branch_grid(20.0),\n"
+        "                      config.SolverConfig(), case=case)\n")
+    before = _modules_after(code, tmp_path)
+    assert not before & {f"abelode.{m}" for m in ("hypotheses", "rate")}
+    after = _modules_after(code + f"run.{stage}\n", tmp_path)
+    assert {f"abelode.{m}" for m in loaded} <= after
+    assert not {f"abelode.{m}" for m in not_loaded} & after
 
 
 @pytest.mark.parametrize("argv,loaded,not_loaded", [

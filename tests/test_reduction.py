@@ -180,6 +180,18 @@ class TestRoundTrip:
         assert original.completed and shifted.completed
         assert original.final_x == shifted.final_x == 5.0
 
+    def test_pivot_checked_at_x0_and_the_marks(self):
+        # coefficients undefined past x = 5 are never evaluated on [0, 4]; a
+        # constant term nonzero past x = 11 is refused at the first mark there
+        root = build_equation(["sqrt(5 - x)", "-2*sqrt(5 - x)", "sqrt(5 - x)"], 0.0)
+        worst, _, _ = roundtrip_check(root, 1.0, 0.5, 4.0)
+        assert worst <= 1e-6
+        kink = build_equation(["abs(x - 11) - (11 - x)", "-1"], 0.0)
+        worst, _, _ = roundtrip_check(kink, 0.0, 0.5, 11.0, checkpoints=[2.0, 8.0])
+        assert worst <= 1e-6
+        with pytest.raises(NotASolutionError, match=r"^pivot value 0\.0 is not a root at x=12\.0: "):
+            roundtrip_check(kink, 0.0, 0.5, 20.0, checkpoints=[2.0, 8.0, 12.0])
+
     def test_solution_pivot_round_trip(self):
         riccati = build_equation(["1", "0", "-1"], 0.0)
         worst, _, _ = roundtrip_check(riccati, math.tanh, 0.5, 3.0, kind="solution")
