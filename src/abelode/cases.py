@@ -135,7 +135,7 @@ class Analysis:
     equation: AbelEquation
     y0: float
     x_end: float
-    grid: GridSpec
+    grid: Optional[GridSpec]  # None only where branch, report and diagnostics go unread
     config: SolverConfig
 
     @cached_property

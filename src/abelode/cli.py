@@ -155,12 +155,15 @@ def _solver_from_flags(args, base: SolverConfig | None = None) -> SolverConfig:
     return replace(config, **updates) if updates else config
 
 
-def _config_analysis(args) -> Analysis:
-    """The config file's equation on a 2,001-point linear grid from x0."""
-    from .equilibrium import GridSpec
-
+def _config_analysis(args, branch: bool) -> Analysis:
+    """The config file's equation on a 2,001-point linear grid from x0, or
+    with no grid (and no equilibrium import) for a run that reads no branch."""
     eq_cfg = equation_config(load_pairs(args.config))
-    grid = GridSpec(eq_cfg.equation.x0, eq_cfg.x_end, 2001, "linear")
+    grid = None
+    if branch:
+        from .equilibrium import GridSpec
+
+        grid = GridSpec(eq_cfg.equation.x0, eq_cfg.x_end, 2001, "linear")
     return Analysis(eq_cfg.equation, eq_cfg.y0, eq_cfg.x_end, grid,
                     _solver_from_flags(args, eq_cfg.solver))
 
@@ -185,12 +188,12 @@ def _cmd_case(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    run = _config_analysis(args)
+    want_branch = args.branch or args.hypotheses
+    run = _config_analysis(args, want_branch)
     result = run.result
     out_dir = _ensure_dir(args.out or "integrate-output")
     _write_trajectory(out_dir, result, args.gnuplot)
 
-    want_branch = args.branch or args.hypotheses
     report = _branch_outputs(run, out_dir, args.hypotheses) if want_branch else None
 
     print(
@@ -201,7 +204,7 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_hypotheses(args) -> int:
-    run = _config_analysis(args)
+    run = _config_analysis(args, True)
     out_dir = _ensure_dir(args.out or "hypotheses-output")
     return _exit_code(None, _branch_outputs(run, out_dir, True))
 

@@ -5,14 +5,21 @@ F(x, .).  Roots are isolated by recursing on the derivative polynomial:
 the real critical points split the line into intervals where F is
 strictly monotone, so every real root inside the Cauchy-type bound
 R = 2 (1 + max_k |lambda_k(x)|) is caught by a sign change (or sits at a
-critical point, for multiple roots).  Sign changes are bisected to 1e-12
-and polished with at most 5 Newton steps.  Bisection is in sign-step
-form (_bisect): each midpoint moves by -sign(F) times a halving step,
-for a step count fixed up front.  One kernel does this for a whole stack
-of rows in lockstep (every bracket of every distinct row bisected at
-once), with each row's roots bit-identical to what it gives alone; a run
-of bitwise-identical adjacent rows, at any recursion level, is isolated
-once, and a single abscissa is a stack of one.
+critical point where |F| is within Higham's Horner error bound of 0, for
+multiple roots).  Each sign change is located to 1e-12 (_bisect) and
+polished with at most 5 Newton steps.  _bisect first lets Newton predict
+the root from the bracket's midpoint and keeps the prediction x only
+where a certificate proves it: Horner's F at x -+ 2^-41 has opposite
+signs, each larger than the same rounding bound, so the exact polynomial
+of the sampled row has a root within 2^-41 of x.  The brackets it does
+not certify (exact zeros, near-multiple roots, extreme rows, |x| past
+2^12) are bisected in sign-step form as before: each midpoint moves by
+-sign(F) times a halving step, for a step count fixed up front.  One
+kernel does this for a whole stack of rows in lockstep (every bracket of
+every distinct row at once), with each row's roots bit-identical to what
+it gives alone; a run of bitwise-identical adjacent rows, at any
+recursion level, is isolated once, and a single abscissa is a stack of
+one.
 
 A branch E(x) is continued across a grid: every grid row is sampled and
 isolated up front, and one array pass finds where each root of each row
@@ -68,6 +75,15 @@ _TOL_MANTISSA, _TOL_EXPONENT = math.frexp(BISECT_TOL)
 
 #: |F| <= NEWTON_RESIDUAL_TOL * scale stops the Newton polish
 NEWTON_RESIDUAL_TOL = 1e-13
+
+#: Newton steps of _bisect's prediction, and the half width 2^-41 of the
+#: bracket that certifies it (2^-40 < BISECT_TOL wide)
+PREDICTION_STEPS = 12
+CERTIFIED_HALF_WIDTH = 2.0 ** -41
+
+#: factor on Higham's Horner error bound, for both the certificate and the
+#: multiple-root rule (_rounding_bound)
+ROUNDING_MARGIN = 2.0
 
 #: relative jump allowed between consecutive branch values
 JUMP_FRACTION = 0.25
@@ -215,26 +231,112 @@ def _check_rows(xs, rows: np.ndarray) -> None:
         raise BranchError(f"lambda_{k} = {value!r} {problem}", float(xs[i]))
 
 
-def _sign_steps(rows: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                flo: np.ndarray):
-    """The brackets [lo, hi] of rows[r] (flo the value at lo) in _bisect's
-    form, sorted by step count, descending: the order, and the sorted
-    counts, ends o, offsets y and first steps s w / 4.
-
-    A bracket across 0 is first cut to the side where F changes sign, read
-    from F(0) = c_0.  Bracket k takes the ceil(log2(w_k / BISECT_TOL))
-    steps that leave x the midpoint of a bracket at most BISECT_TOL wide,
-    or fewer where the steps left would move x by less than a quarter ulp
-    of o (the result by at most one ulp).  Temporaries die on return.
-    """
+def _cut(rows: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+         flo: np.ndarray):
+    """The brackets [lo, hi] of rows[r] (flo the value at lo) with each one
+    across 0 cut to the side where F changes sign, read from F(0) = c_0; a
+    bracket with F(0) = 0 keeps [0, hi].  A cut bracket is cut no further."""
     across = (lo < 0.0) & (0.0 < hi)
     f0 = np.sign(rows[r, 0])
     right = f0 == np.sign(flo)
-    lo = np.where(across & (right | (f0 == 0.0)), 0.0, lo)
-    hi = np.where(across & ~right, 0.0, hi)
+    return (np.where(across & (right | (f0 == 0.0)), 0.0, lo),
+            np.where(across & ~right, 0.0, hi))
+
+
+def _rounding_bound(cols, t):
+    """ROUNDING_MARGIN times Higham's a-priori bound gamma_{2n} sum |c_k| |t|^k
+    on the rounding error of Horner's rule from the leading coefficient at t,
+    for the polynomials with ascending coefficient columns cols (degree n =
+    len(cols) - 1; Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 5.1), gamma_m = m u / (1 - m u), u = 2^-53.
+
+    The sum is itself Horner's rule, on |c_k| and |t|, so it is at least the
+    computed |F(t)|, and inf wherever that overflows.  The margin covers its
+    own rounding, and the underflow the bound leaves out: for a monic row
+    and |t| >= 2^-41 each underflow adds at most 2^-1075 |t|^j, j < n, far
+    below gamma_{2n} |t|^n; at t = 0 Horner gives c_0 exactly.
+    """
+    n = len(cols) - 1
+    gamma = 2 * n * 2.0 ** -53 / (1.0 - 2 * n * 2.0 ** -53)
+    return ROUNDING_MARGIN * gamma * _horner(np.abs(cols), np.abs(t))
+
+
+def _predict(cols, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray):
+    """Newton's prediction x of the root in each cut bracket [lo, hi] of the
+    monic polynomials with coefficient columns cols (flo the value at lo),
+    and the mask of the brackets where it is certified.
+
+    x starts at the bracket's midpoint and takes PREDICTION_STEPS Newton
+    steps on F and F' by Horner from the leading 1, each clamped to the
+    bracket.  The loop ends early once every x has reached a fixed point or
+    a 2-cycle of the step, which repeat at every later step, and a 2-cycle
+    ends on its lower point, so no x depends on when the loop ended (that
+    is, on the other brackets).  x is certified where
+    u = x - CERTIFIED_HALF_WIDTH and v = x + CERTIFIED_HALF_WIDTH, each
+    rounded toward x, lie in the bracket, and Horner's F(u) and -F(v) have
+    the sign of flo, each by more than _rounding_bound: the exact polynomial
+    of the row then changes sign in (u, v), so it has a root within
+    CERTIFIED_HALF_WIDTH of x (Rump, Verification methods, Acta Numerica
+    19, 2010).  A NaN x is not certified, nor one so large that u = x = v.
+    Each bracket's x and mask depend on its own data only.
+    """
+    x = lo + 0.5 * (hi - lo)
+    prev = np.full_like(x, np.nan)
+    f, d, step = (np.empty_like(x) for _ in range(3))
+    for _ in range(PREDICTION_STEPS):
+        # (f, d) = (F, F') by Horner from the leading 1: F = x + c_{n-1} and
+        # F' = 1 to start, and each later step d = d x + f, f = f x + c_k
+        np.add(x, cols[-2], out=f)
+        np.add(x, f, out=d)
+        f *= x
+        f += cols[-3]
+        for c in cols[-4::-1]:
+            d *= x
+            d += f
+            f *= x
+            f += c
+        np.divide(f, d, out=step)
+        np.subtract(x, step, out=step)
+        np.maximum(step, lo, out=step)
+        np.minimum(step, hi, out=step)
+        # a fixed point or a 2-cycle repeats at every later step
+        settled = (step == x) | (step == prev)
+        prev, x, step = x, step, prev
+        if settled.all():
+            break
+    # a 2-cycle ends on the lower of its points, however many steps ran
+    x = np.where(settled, np.minimum(x, prev), x)
+    # u and v rounded toward x where x -+ CERTIFIED_HALF_WIDTH is not a
+    # float; x - u and v - x are exact wherever u and v lie in the bracket,
+    # on x's side of 0 (Sterbenz)
+    u, v = x - CERTIFIED_HALF_WIDTH, x + CERTIFIED_HALF_WIDTH
+    u = np.where(x - u > CERTIFIED_HALF_WIDTH, np.nextafter(u, x), u)
+    v = np.where(v - x > CERTIFIED_HALF_WIDTH, np.nextafter(v, x), v)
+    sign = np.sign(flo)
+    certified = (lo <= u) & (v <= hi)
+    certified &= sign * _horner(cols, u) > _rounding_bound(cols, u)
+    certified &= -sign * _horner(cols, v) > _rounding_bound(cols, v)
+    return x, certified
+
+
+def _sign_steps(rows: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                flo: np.ndarray) -> np.ndarray:
+    """Bisect the cut brackets [lo, hi] (_cut) of the monic rows rows[r] (flo
+    the value at lo) to BISECT_TOL, in sign-step form.
+
+    A bracket of width w is its end o nearest 0, the offset y of its
+    midpoint x = o + y, and the signed width s w, s = +1 where F(lo) < 0;
+    step k moves y by -sign(F(x)) s w 2^-(k+2).  Stepping x itself would
+    round it to the precision of the far end, out of reach of a root
+    nearer o than that; y halves toward o exactly.  Bracket k takes the
+    ceil(log2(w_k / BISECT_TOL)) steps that leave x the midpoint of a
+    bracket at most BISECT_TOL wide, or fewer where the steps left would
+    move x by less than a quarter ulp of o (the result by at most one ulp).
+    The brackets are sorted by step count, so the ones still stepping are a
+    prefix and every step is a slice.  An exact 0 of F stops x (sign 0).
+    """
     width = hi - lo
     nearer = np.abs(lo) <= np.abs(hi)
-    origin = np.where(nearer, lo, hi)
     mantissa, exponent = np.frexp(width)
     # ceil(log2(w / BISECT_TOL)) from the exponents, without the quotient,
     # which overflows for w above about 1.8e296
@@ -242,29 +344,13 @@ def _sign_steps(rows: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     # |x| >= |o|, where floats are at least ulp(o) apart, and the steps from
     # k on move x by less than w 2^-(k+1): below ulp(o) / 4 from
     # k = exponent(w) - exponent(o) + 54 on (o = 0 caps nothing)
+    origin = np.where(nearer, lo, hi)
     steps = np.minimum(steps, exponent - np.frexp(origin)[1] + 54)
     steps = np.where(width > 0.0, np.maximum(steps, 0), 0)
     order = np.argsort(-steps, kind="stable")
-    return (order, steps[order], origin[order],
-            (np.where(nearer, 0.5, -0.5) * width)[order],
-            (0.25 * np.copysign(width, -flo))[order])
-
-
-def _bisect(rows: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-            flo: np.ndarray) -> np.ndarray:
-    """Bisect the brackets [lo, hi] of the monic rows rows[r] (flo the value
-    at lo) to BISECT_TOL, in sign-step form.
-
-    A bracket of width w is its end o nearest 0, the offset y of its
-    midpoint x = o + y, and the signed width s w, s = +1 where F(lo) < 0;
-    step k moves y by -sign(F(x)) s w 2^-(k+2).  Stepping x itself would
-    round it to the precision of the far end, out of reach of a root
-    nearer o than that; y halves toward o exactly.  Each bracket takes a
-    step count fixed up front (_sign_steps), and the brackets are sorted by
-    it, so the ones still stepping are a prefix and every step is a slice.
-    An exact 0 of F stops x (sign 0).
-    """
-    order, steps, origin, offset, step = _sign_steps(rows, r, lo, hi, flo)
+    steps, origin = steps[order], origin[order]
+    offset = (np.where(nearer, 0.5, -0.5) * width)[order]
+    step = (0.25 * np.copysign(width, -flo))[order]
     cols = rows[r[order]].T
     # brackets [0, m) step while k is in [stop[m], stop[m - 1]), for each m
     # where that range is not empty
@@ -292,12 +378,30 @@ def _bisect(rows: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return root
 
 
+def _bisect(rows: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            flo: np.ndarray) -> np.ndarray:
+    """The root in each bracket [lo, hi] of the monic rows rows[r] (flo the
+    value at lo) to BISECT_TOL: each bracket across 0 is cut (_cut), Newton
+    predicts its root and a rounding-error bound certifies the prediction
+    within CERTIFIED_HALF_WIDTH < BISECT_TOL / 2 (_predict); the brackets
+    it does not certify are bisected by the sign steps (_sign_steps), each
+    as it would be alone.
+    """
+    lo, hi = _cut(rows, r, lo, hi, flo)
+    root, certified = _predict(rows.T.take(r, axis=1), lo, hi, flo)
+    if not certified.all():
+        rest = ~certified
+        root[rest] = _sign_steps(rows, r[rest], lo[rest], hi[rest], flo[rest])
+    return root
+
+
 def _bracket_roots(rows: np.ndarray, deriv: np.ndarray, r: np.ndarray, lo: np.ndarray,
                    hi: np.ndarray, flo: np.ndarray, tol: np.ndarray) -> np.ndarray:
     """Roots of the monic polynomials rows[r] in the brackets [lo, hi] (row
-    r[k] for bracket k, flo its value at lo), bisected to BISECT_TOL (_bisect)
-    and then polished by at most 5 Newton steps (deriv holds the derivative
-    rows) kept inside the bracket, stopping where |F| <= tol.
+    r[k] for bracket k, flo its value at lo), located to BISECT_TOL by
+    _bisect (a certified Newton prediction, else the sign steps) and then
+    polished by at most 5 Newton steps (deriv holds the derivative rows)
+    kept inside the bracket, stopping where |F| <= tol.
 
     Every bracket steps at once.  rows and deriv are indexed by bracket
     once per phase, and the copies are gone when this returns.
@@ -331,10 +435,11 @@ def _isolate(rows: np.ndarray, floor: float = -math.inf) -> np.ndarray:
 
     The rows step in lockstep through one algorithm.  The roots of the
     derivative rows (recursively) split [-R, R], R = 2 (1 + max |lambda_k|),
-    into intervals where the row is monotone; a critical point where the row
-    is ~0 without changing sign is a multiple root, an exact 0 at +-R is a
-    root, and every sign change is bisected and then polished by at most 5
-    Newton steps kept inside its bracket (_bracket_roots).  Roots within
+    into intervals where the row is monotone; a critical point where |F| is
+    within _rounding_bound of 0 and F does not change sign is a multiple
+    root, an exact 0 at +-R is a root, and every sign change is located by
+    _bisect and then polished by at most 5 Newton steps kept inside its
+    bracket (_bracket_roots).  Roots within
     4 BISECT_TOL (relative) of the previous one are merged.  Only the first
     row of each run of bitwise-identical adjacent rows is isolated; since a
     row's roots do not depend on its neighbours, the others copy its bytes.
@@ -359,11 +464,12 @@ def _isolate(rows: np.ndarray, floor: float = -math.inf) -> np.ndarray:
     vals = _horner(rows.T[:, :, None], pts)
     scale = 1.0 + np.max(np.abs(rows), axis=1)
 
-    # a critical point with |F| ~ 0 is a multiple root when F does not
-    # change sign through it (a sign change is bisected below)
+    # a critical point where |F| is within the rounding bound of 0 is a
+    # multiple root when F does not change sign through it (a sign change
+    # is bisected below)
     mid_vals = vals[:, 1:-1]
     multiple = (
-        (np.abs(mid_vals) <= (1e-12 * scale)[:, None])
+        (np.abs(mid_vals) <= _rounding_bound(rows.T[:, :, None], pts[:, 1:-1]))
         & (vals[:, :-2] * mid_vals >= 0.0)
         & (mid_vals * vals[:, 2:] >= 0.0)
     )
@@ -407,9 +513,11 @@ def _isolate(rows: np.ndarray, floor: float = -math.inf) -> np.ndarray:
 def _isolate_roots(xs, rows: np.ndarray, floor: float = -math.inf) -> np.ndarray:
     """Real roots of the monic rows (N, n+1) sampled at xs, as _isolate
     gives them (floor as there), after _check_rows.  Overflow inside the
-    kernel gives inf silently, as it does in Python float arithmetic."""
+    kernel gives inf silently, as it does in Python float arithmetic, and
+    so does a Newton prediction's division by F' = 0 (inf or NaN, which the
+    certificate refuses)."""
     _check_rows(xs, rows)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return _isolate(rows, floor)
 
 

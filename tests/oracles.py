@@ -5,6 +5,7 @@ second opinion computed by a different method.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -490,3 +491,90 @@ def reference_parse(source):
     if not source.strip():
         raise ReferenceSyntaxError("empty expression", source, 0)
     return _ReferenceParser(source).parse()
+
+
+#: the sign steps' bracket width target and its frexp parts, frozen
+_REFERENCE_BISECT_TOL = 1e-12
+_REFERENCE_TOL_MANTISSA, _REFERENCE_TOL_EXPONENT = math.frexp(_REFERENCE_BISECT_TOL)
+
+
+def reference_bisect(rows, r, lo, hi, flo):
+    """The root in each bracket [lo, hi] of the monic rows rows[r] (flo the
+    value at lo), as equilibrium._bisect gave it before Newton's prediction:
+    a frozen copy of the lockstep sign steps alone, kept as reference_parse
+    is kept for the parser.
+
+    A bracket across 0 is cut to the side where F changes sign, read from
+    F(0) = c_0.  A bracket of width w is then its end o nearest 0, the
+    offset y of its midpoint and the signed width; step k moves y by
+    -sign(F(o + y)) s w 2^-(k+2), s = +1 where F(lo) < 0, for
+    ceil(log2(w / 1e-12)) steps, capped where the steps left move x by
+    less than a quarter ulp of o.  Needs numpy errors on overflow and
+    invalid operations ignored, as the kernel runs.
+    """
+    across = (lo < 0.0) & (0.0 < hi)
+    f0 = np.sign(rows[r, 0])
+    right = f0 == np.sign(flo)
+    lo = np.where(across & (right | (f0 == 0.0)), 0.0, lo)
+    hi = np.where(across & ~right, 0.0, hi)
+    width = hi - lo
+    nearer = np.abs(lo) <= np.abs(hi)
+    origin = np.where(nearer, lo, hi)
+    mantissa, exponent = np.frexp(width)
+    steps = exponent - _REFERENCE_TOL_EXPONENT + (mantissa > _REFERENCE_TOL_MANTISSA)
+    steps = np.minimum(steps, exponent - np.frexp(origin)[1] + 54)
+    steps = np.where(width > 0.0, np.maximum(steps, 0), 0)
+    order = np.argsort(-steps, kind="stable")
+    steps, origin = steps[order], origin[order]
+    offset = (np.where(nearer, 0.5, -0.5) * width)[order]
+    step = (0.25 * np.copysign(width, -flo))[order]
+    cols = rows[r[order]].T
+    stop = np.append(steps, 0)
+    counts = np.flatnonzero(stop[1:] < stop[:-1])[::-1] + 1
+    xs, work = np.empty_like(offset), np.empty_like(offset)
+    for m, first, last in zip(counts.tolist(), stop[counts].tolist(),
+                              stop[counts - 1].tolist()):
+        o, y, s, top = origin[:m], offset[:m], step[:m], cols[-2, :m]
+        x, f = xs[:m], work[:m]
+        rest = [c[:m] for c in cols[-3::-1]]
+        for _ in range(first, last):
+            np.add(o, y, out=x)
+            np.add(x, top, out=f)
+            for c in rest:
+                f *= x
+                f += c
+            np.sign(f, out=f)
+            f *= s
+            y -= f
+            s *= 0.5
+    root = np.empty_like(offset)
+    root[order] = origin + offset
+    return root
+
+
+def exact_sign(row, t):
+    """The sign (-1, 0 or 1) of the exact polynomial with the ascending float
+    coefficients row at the rational t: each coefficient as a Fraction
+    c_k = C_k / D, t = p / q, and Horner on the integers
+    A_k = A_{k+1} p + C_k q^(n-k), so A_0 = D q^n F(t) exactly."""
+    ratios = [Fraction(c) for c in row]
+    scale = math.lcm(*(c.denominator for c in ratios))
+    t = Fraction(t)
+    p, q = t.numerator, t.denominator
+    acc, power = 0, 1
+    for c in reversed(ratios):
+        acc = acc * p + c.numerator * (scale // c.denominator) * power
+        power *= q
+    return (acc > 0) - (acc < 0)
+
+
+def polyroots_60(row):
+    """Every complex root of the polynomial with the ascending float
+    coefficients row, by mpmath.polyroots at 60 digits, or None where it
+    does not converge."""
+    with mpmath.workdps(60):
+        try:
+            return mpmath.polyroots([mpmath.mpf(c) for c in reversed(row)],
+                                    maxsteps=200, extraprec=60)
+        except mpmath.libmp.NoConvergence:
+            return None

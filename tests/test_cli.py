@@ -306,16 +306,21 @@ class TestHypothesesCommand:
         assert code == 1
         assert "integration failed" in err
 
-    @pytest.mark.parametrize("command", ["hypotheses", "integrate"])
-    def test_overflowing_span_exits_64_at_once(self, tmp_path, command):
+    @pytest.mark.parametrize("command, message", [
+        (["hypotheses"], "grid span overflows for [-1e+308, 1e+308]"),
+        (["integrate", "--branch"], "grid span overflows for [-1e+308, 1e+308]"),
+        # a run without a branch builds no grid: the integrator refuses it
+        (["integrate"], "x_end - x0 overflows for x0=-1e+308, x_end=1e+308"),
+    ])
+    def test_overflowing_span_exits_64_at_once(self, tmp_path, command, message):
         # x_end - x0 overflows: hypotheses used to warn, write a branch.csv
         # starting at nan and exit 64; integrate to make max_steps attempts
         cfg = tmp_path / "span.cfg"
         cfg.write_text("degree = 3\ncoefficients = 1 | -3 | 1 | 1\n"
                        "x0 = -1e308\nx_end = 1e308\n")
-        code, out, err = run([command, cfg, "--out", tmp_path / "o"])
+        code, out, err = run([*command, cfg, "--out", tmp_path / "o"])
         assert (code, out) == (64, "")
-        assert err == "error: grid span overflows for [-1e+308, 1e+308]\n"
+        assert err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
 
     def test_passing_report_exits_0(self, tmp_path):

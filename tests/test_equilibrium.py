@@ -1,5 +1,7 @@
 import math
 import re
+from fractions import Fraction
+from functools import cache
 
 import mpmath
 import numpy as np
@@ -22,7 +24,8 @@ from abelode.equilibrium import (
     real_roots,
 )
 from abelode.expr import ExprDomainError
-from oracles import WalkError, bisect_scan_roots, reference_walk, slope_in_y
+from oracles import (WalkError, bisect_scan_roots, exact_sign, polyroots_60, reference_bisect,
+                     reference_walk, slope_in_y)
 
 
 def monic_cubic(c0, c1, c2, x0=0.0):
@@ -465,6 +468,150 @@ class TestLockstepIsolation:
         assert np.max(np.abs(np.array(reference) - alone)) <= 1e-9
 
 
+def _kernel_brackets(run):
+    """Every bracket _bisect was given while run() ran, one tuple per call:
+    the rows of its brackets (K, n+1), lo, hi and flo as given, the roots it
+    returned and the mask of those _predict certified."""
+    calls, masks = [], []
+    bisect, predict = equilibrium._bisect, equilibrium._predict
+
+    def recording_predict(*args):
+        root, certified = predict(*args)
+        masks.append(certified.copy())
+        return root, certified
+
+    def recording_bisect(rows, r, lo, hi, flo):
+        root = bisect(rows, r, lo, hi, flo)
+        calls.append((rows[r], lo, hi, flo, root.copy(), masks.pop()))
+        return root
+
+    equilibrium._bisect, equilibrium._predict = recording_bisect, recording_predict
+    try:
+        run()
+    finally:
+        equilibrium._bisect, equilibrium._predict = bisect, predict
+    return calls
+
+
+def _seeded_rows():
+    """200 monic rows of degree 1-5 with coefficients uniform on [-5, 5],
+    then TestLockstepIsolation's extreme rows (seeds 0-2, both tops)."""
+    rng = np.random.default_rng(37)
+    rows = [np.append(rng.uniform(-5.0, 5.0, n), 1.0) for n in rng.integers(1, 6, 200)]
+    for seed in (0, 1, 2):
+        for top in (103.0, None):
+            rows += _extreme_rows(np.random.default_rng(seed), 80, top)
+    return rows
+
+
+@cache
+def _brackets(source):
+    """_kernel_brackets of the full root table of case 1, 2 or 3 on its grid
+    (every recursion level, no floor), or of the seeded rows, one stack per
+    degree."""
+    if source == "seeded":
+        stacks = [np.vstack([row for row in _seeded_rows() if len(row) == n + 1])
+                  for n in range(1, 6)]
+        return _kernel_brackets(lambda: [_isolate_roots(np.arange(len(stack)), stack)
+                                         for stack in stacks])
+    case = get_case(source)
+    nf, xs = normalize(case.equation), case.branch_grid().xs()
+    return _kernel_brackets(lambda: _isolate_roots(xs, nf.sample_grid(xs)[1]))
+
+
+#: the certificate's half width, and the most a certified root and the
+#: sign steps' midpoint of the same bracket can differ: that midpoint is
+#: within BISECT_TOL / 2 of a root, the certified root within 2^-41
+HALF_WIDTH = Fraction(1, 2 ** 41)
+CERTIFIED_FROM_BISECTED = 0.5e-12 + 2.0 ** -41
+
+
+class TestCertifiedPrediction:
+    """Newton's prediction in _bisect is kept only where a rounding-error
+    bound proves a root within 2^-41 of it; every other bracket is bisected
+    by the sign steps, bit for bit as before (tests/oracles.py keeps a
+    frozen copy of them as reference_bisect)."""
+
+    SOURCES = [1, 2, 3, "seeded"]
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_certified_roots_bracket_an_exact_sign_change(self, source):
+        # the exact polynomial of the sampled row changes sign strictly
+        # between x - 2^-41 and x + 2^-41, and where mpmath's roots at 60
+        # digits converge one of them lies within 2^-41 of x
+        checked, polyroots = 0, {}
+        for rows, _, _, _, roots, certified in _brackets(source):
+            for row, x in zip(rows[certified].tolist(), roots[certified].tolist()):
+                x = Fraction(x)
+                assert exact_sign(row, x - HALF_WIDTH) * exact_sign(row, x + HALF_WIDTH) == -1
+                key = tuple(row)
+                if key not in polyroots:
+                    polyroots[key] = polyroots_60(row)
+                if polyroots[key] is not None:
+                    with mpmath.workdps(60):
+                        assert min(abs(mpmath.mpf(x.numerator) / x.denominator - root)
+                                   for root in polyroots[key]) <= mpmath.mpf(2) ** -41
+                checked += 1
+        assert checked >= {1: 5, 2: 6000, 3: 1000, "seeded": 600}[source]
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_against_the_frozen_sign_steps(self, source):
+        # uncertified brackets are the frozen copy's bytes; certified roots
+        # lie within CERTIFIED_FROM_BISECTED max(1, |r|) of its root r
+        uncertified = 0
+        for rows, lo, hi, flo, roots, certified in _brackets(source):
+            with np.errstate(over="ignore", invalid="ignore"):
+                reference = reference_bisect(rows, np.arange(len(rows)), lo, hi, flo)
+            assert roots[~certified].tobytes() == reference[~certified].tobytes()
+            r = reference[certified]
+            assert np.all(np.abs(roots[certified] - r)
+                          <= CERTIFIED_FROM_BISECTED * np.maximum(1.0, np.abs(r)))
+            uncertified += np.count_nonzero(~certified)
+        if source == "seeded":
+            assert uncertified > 0  # the sign steps still run on these rows
+
+    @pytest.mark.parametrize("cid", [1, 2, 3])
+    def test_cases_certify_every_bracket(self, cid, monkeypatch):
+        # at every recursion level, in continuation and in real_roots, the
+        # sign-step loop runs on no bracket of the bundled cases
+        stepped = []
+        monkeypatch.setattr(equilibrium, "_sign_steps",
+                            lambda rows, r, *args: stepped.append(r.size))
+        case = get_case(cid)
+        nf, grid = normalize(case.equation), case.branch_grid()
+        continue_branch(nf, grid)
+        for x in (grid.x_start, grid.x_end):
+            real_roots(nf, x)
+        assert stepped == []
+        assert all(certified.all() for *_, certified in _brackets(cid))
+
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5])
+    def test_seeded_rows_same_alone_as_in_a_shuffled_batch(self, degree):
+        # certified and bisected brackets share one stack, and the Newton
+        # loop's early end waits for all of them: each row still gets the
+        # bytes it gets alone
+        rows = [row for row in _seeded_rows() if len(row) == degree + 1]
+        case_rows = normalize(get_case(2).equation).sample_grid(
+            get_case(2).branch_grid().xs())[1]
+        if degree == 3:
+            rows += list(case_rows[::50])
+        batch = np.vstack(rows)[np.random.default_rng(degree).permutation(len(rows))]
+        table = _isolate_roots(np.arange(len(batch)), batch)
+        for row, in_batch in zip(batch, table):
+            alone = _isolate_roots([0.0], row[None, :])[0]
+            assert in_batch[~np.isnan(in_batch)].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("row", [
+        [2.906851056804989e-116, -6.108402901089156e-223, 1.0],
+        [4.246093795072795e-261, -4.712264628286275e-182, 1.0],
+    ])
+    def test_no_multiple_root_where_a_tiny_row_has_none(self, row):
+        # F > 0 everywhere; the critical point's |F| was below the old
+        # absolute threshold 1e-12 (1 + max |c_k|), and far exceeds the
+        # rounding bound there
+        assert _isolate_roots([0.0], np.array([row])).shape == (1, 0)
+
+
 class TestBranchContinuation:
     def test_constant_coefficients_give_flat_branch(self):
         nf = monic_cubic(1.0, -3.0, 1.0)
@@ -576,11 +723,11 @@ class TestBranchContinuation:
 
     def test_tie_goes_to_the_first_root(self):
         # m is the double root at x = 0; at x = 1 the roots of
-        # y^2 - 2.5 y + 1.5 lie at the same float distance from it, and the
-        # lower one, first in ascending order, is kept
-        m = 1.2499999999999645
+        # y^2 - 3.75 y + 3.375 lie at the same float distance from it, and
+        # the lower one, first in ascending order, is kept
+        m = 1.8749999999999998
         nf = normalize(build_equation(
-            [f"(1 - x)*{m * m!r} + x*1.5", f"(1 - x)*({-2 * m!r}) - x*2.5", "1"], 0.0))
+            [f"(1 - x)*{m * m!r} + x*3.375", f"(1 - x)*({-2 * m!r}) - x*3.75", "1"], 0.0))
         low, high = real_roots(nf, 1.0)
         assert real_roots(nf, 0.0) == [m] and m - low == high - m
         branch = continue_branch(nf, GridSpec(0.0, 1.0, 2))

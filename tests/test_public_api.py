@@ -246,7 +246,11 @@ def test_each_stage_loads_its_module_when_it_first_runs(tmp_path, stage, loaded,
     (["order-test"], {"radau"}, {"finance", "reduction", *STAGE_MODULES}),
     (["spread", "--literal-case1"], {"finance"}, {"reduction"}),
     (["reduce", "--case", "1", "--ep", "1"], {"reduction"}, {"finance", *STAGE_MODULES}),
-], ids=["case", "hypotheses", "order-test", "spread", "reduce"])
+    (["integrate", "{config}"], {"radau"}, {"finance", "reduction", *STAGE_MODULES}),
+    (["integrate", "{config}", "--branch"], {"equilibrium"}, {"hypotheses", "finance",
+                                                             "reduction"}),
+], ids=["case", "hypotheses", "order-test", "spread", "reduce", "integrate",
+        "integrate-branch"])
 def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loaded, not_loaded):
     # python -m abelode.cli ARGV, in a fresh interpreter
     config = tmp_path / "case3.cfg"
