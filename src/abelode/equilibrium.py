@@ -6,12 +6,13 @@ the real critical points split the line into intervals where F is
 strictly monotone, so every real root inside the Cauchy-type bound
 R = 2 (1 + max_k |lambda_k(x)|) is caught by a sign change (or sits at a
 critical point where |F| is within Higham's Horner error bound of 0, for
-multiple roots).  Each sign change is located to 1e-12 (_bisect) and
-polished with at most 5 Newton steps.  _bisect first lets Newton predict
-the root from the bracket's midpoint and keeps the prediction x only
-where a certificate proves it: Horner's F at x -+ 2^-41 has opposite
-signs, each larger than the same rounding bound, so the exact polynomial
-of the sampled row has a root within 2^-41 of x.  The brackets it does
+multiple roots, where that bound is finite).  Each sign change is
+located to 1e-12 (_bisect) and polished with at most 5 Newton steps.
+_bisect first lets Newton predict the root from the bracket's midpoint
+and keeps the prediction x only where a certificate proves it: Horner's
+F at x -+ 2^-41 has opposite signs, each larger than the same rounding
+bound, so the exact polynomial of the sampled row has a root within
+2^-41 of x.  The brackets it does
 not certify (exact zeros, near-multiple roots, extreme rows, |x| past
 2^12) are bisected in sign-step form as before: each midpoint moves by
 -sign(F) times a halving step, for a step count fixed up front.  One
@@ -251,7 +252,8 @@ def _rounding_bound(cols, t):
     section 5.1), gamma_m = m u / (1 - m u), u = 2^-53.
 
     The sum is itself Horner's rule, on |c_k| and |t|, so it is at least the
-    computed |F(t)|, and inf wherever that overflows.  The margin covers its
+    computed |F(t)|, and inf wherever that overflows: an inf bound
+    certifies no root and makes no multiple root.  The margin covers its
     own rounding, and the underflow the bound leaves out: for a monic row
     and |t| >= 2^-41 each underflow adds at most 2^-1075 |t|^j, j < n, far
     below gamma_{2n} |t|^n; at t = 0 Horner gives c_0 exactly.
@@ -267,11 +269,12 @@ def _predict(cols, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray):
     and the mask of the brackets where it is certified.
 
     x starts at the bracket's midpoint and takes PREDICTION_STEPS Newton
-    steps on F and F' by Horner from the leading 1, each clamped to the
-    bracket.  The loop ends early once every x has reached a fixed point or
-    a 2-cycle of the step, which repeat at every later step, and a 2-cycle
-    ends on its lower point, so no x depends on when the loop ended (that
-    is, on the other brackets).  x is certified where
+    steps, F and F' by Horner from the leading coefficient (_horner on the
+    row and its derivative row), each clamped to the bracket.  The loop ends
+    early once every x has reached a fixed point or a 2-cycle of the step,
+    which repeat at every later step, and a 2-cycle ends on its lower
+    point, so no x depends on when the loop ended (that is, on the other
+    brackets).  x is certified where
     u = x - CERTIFIED_HALF_WIDTH and v = x + CERTIFIED_HALF_WIDTH, each
     rounded toward x, lie in the bracket, and Horner's F(u) and -F(v) have
     the sign of flo, each by more than _rounding_bound: the exact polynomial
@@ -280,28 +283,14 @@ def _predict(cols, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray):
     19, 2010).  A NaN x is not certified, nor one so large that u = x = v.
     Each bracket's x and mask depend on its own data only.
     """
+    dcols = _derivative_row(cols)
     x = lo + 0.5 * (hi - lo)
     prev = np.full_like(x, np.nan)
-    f, d, step = (np.empty_like(x) for _ in range(3))
     for _ in range(PREDICTION_STEPS):
-        # (f, d) = (F, F') by Horner from the leading 1: F = x + c_{n-1} and
-        # F' = 1 to start, and each later step d = d x + f, f = f x + c_k
-        np.add(x, cols[-2], out=f)
-        np.add(x, f, out=d)
-        f *= x
-        f += cols[-3]
-        for c in cols[-4::-1]:
-            d *= x
-            d += f
-            f *= x
-            f += c
-        np.divide(f, d, out=step)
-        np.subtract(x, step, out=step)
-        np.maximum(step, lo, out=step)
-        np.minimum(step, hi, out=step)
+        step = np.minimum(np.maximum(x - _horner(cols, x) / _horner(dcols, x), lo), hi)
         # a fixed point or a 2-cycle repeats at every later step
         settled = (step == x) | (step == prev)
-        prev, x, step = x, step, prev
+        prev, x = x, step
         if settled.all():
             break
     # a 2-cycle ends on the lower of its points, however many steps ran
@@ -436,13 +425,13 @@ def _isolate(rows: np.ndarray, floor: float = -math.inf) -> np.ndarray:
     The rows step in lockstep through one algorithm.  The roots of the
     derivative rows (recursively) split [-R, R], R = 2 (1 + max |lambda_k|),
     into intervals where the row is monotone; a critical point where |F| is
-    within _rounding_bound of 0 and F does not change sign is a multiple
-    root, an exact 0 at +-R is a root, and every sign change is located by
-    _bisect and then polished by at most 5 Newton steps kept inside its
-    bracket (_bracket_roots).  Roots within
-    4 BISECT_TOL (relative) of the previous one are merged.  Only the first
-    row of each run of bitwise-identical adjacent rows is isolated; since a
-    row's roots do not depend on its neighbours, the others copy its bytes.
+    within a finite _rounding_bound of 0 and F does not change sign is a
+    multiple root, an exact 0 at +-R is a root, and every sign change is
+    located by _bisect and then polished by at most 5 Newton steps kept
+    inside its bracket (_bracket_roots).  Roots within 4 BISECT_TOL
+    (relative) of the previous one are merged.  Only the first row of each
+    run of bitwise-identical adjacent rows is isolated; since a row's roots
+    do not depend on its neighbours, the others copy its bytes.
     Rows must pass _check_rows.
     """
     n, width = rows.shape
@@ -466,10 +455,11 @@ def _isolate(rows: np.ndarray, floor: float = -math.inf) -> np.ndarray:
 
     # a critical point where |F| is within the rounding bound of 0 is a
     # multiple root when F does not change sign through it (a sign change
-    # is bisected below)
+    # is bisected below); a bound that overflows proves nothing
     mid_vals = vals[:, 1:-1]
+    near_zero = _rounding_bound(rows.T[:, :, None], pts[:, 1:-1])
     multiple = (
-        (np.abs(mid_vals) <= _rounding_bound(rows.T[:, :, None], pts[:, 1:-1]))
+        (np.abs(mid_vals) <= near_zero) & np.isfinite(near_zero)
         & (vals[:, :-2] * mid_vals >= 0.0)
         & (mid_vals * vals[:, 2:] >= 0.0)
     )

@@ -602,13 +602,19 @@ class TestCertifiedPrediction:
             assert in_batch[~np.isnan(in_batch)].tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("row", [
-        [2.906851056804989e-116, -6.108402901089156e-223, 1.0],
-        [4.246093795072795e-261, -4.712264628286275e-182, 1.0],
-    ])
-    def test_no_multiple_root_where_a_tiny_row_has_none(self, row):
         # F > 0 everywhere; the critical point's |F| was below the old
         # absolute threshold 1e-12 (1 + max |c_k|), and far exceeds the
         # rounding bound there
+        [2.906851056804989e-116, -6.108402901089156e-223, 1.0],
+        [4.246093795072795e-261, -4.712264628286275e-182, 1.0],
+        # y^2 (y^2 - 1e80 y + 2.7e159) + 1 >= 1: F and the bound overflow
+        # at both critical points past 0, and an inf bound proves nothing
+        [1.0, 0.0, 2.7e159, -1e80, 1.0],
+        # y^2 (y - 2^256)^2 + 1 >= 1: Horner gives F = 1 at the critical
+        # point 2^256, where only the bound overflows
+        [1.0, 0.0, 2.0 ** 512, -(2.0 ** 257), 1.0],
+    ])
+    def test_no_spurious_multiple_root(self, row):
         assert _isolate_roots([0.0], np.array([row])).shape == (1, 0)
 
 
