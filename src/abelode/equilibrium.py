@@ -12,15 +12,16 @@ _bisect first lets Newton predict the root from the bracket's midpoint
 and keeps the prediction x only where a certificate proves it: Horner's
 F at x -+ 2^-41 has opposite signs, each larger than the same rounding
 bound, so the exact polynomial of the sampled row has a root within
-2^-41 of x.  The brackets it does
-not certify (exact zeros, near-multiple roots, extreme rows, |x| past
-2^12) are bisected in sign-step form as before: each midpoint moves by
--sign(F) times a halving step, for a step count fixed up front.  One
-kernel does this for a whole stack of rows in lockstep (every bracket of
-every distinct row at once), with each row's roots bit-identical to what
-it gives alone; a run of bitwise-identical adjacent rows, at any
-recursion level, is isolated once, and a single abscissa is a stack of
-one.
+2^-41 of x.  The brackets it does not certify (exact zeros,
+near-multiple roots, extreme rows, |x| past 2^12; none on the bundled
+cases) are bisected in sign-step form as before: each midpoint moves by
+-sign(F) times a halving step, for a step count fixed up front, in one
+plain loop over the brackets still stepping.  One kernel does this for a
+whole stack of rows in lockstep (every bracket of every distinct row at
+once, its rows and derivative rows gathered once per call), with each
+row's roots bit-identical to what it gives alone; a run of
+bitwise-identical adjacent rows, at any recursion level, is isolated
+once, and a single abscissa is a stack of one.
 
 A branch E(x) is continued across a grid: every grid row is sampled and
 isolated up front, and one array pass finds where each root of each row
@@ -232,13 +233,13 @@ def _check_rows(xs, rows: np.ndarray) -> None:
         raise BranchError(f"lambda_{k} = {value!r} {problem}", float(xs[i]))
 
 
-def _cut(rows: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-         flo: np.ndarray):
-    """The brackets [lo, hi] of rows[r] (flo the value at lo) with each one
-    across 0 cut to the side where F changes sign, read from F(0) = c_0; a
-    bracket with F(0) = 0 keeps [0, hi].  A cut bracket is cut no further."""
+def _cut(c0: np.ndarray, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray):
+    """The brackets [lo, hi] (flo the value at lo) with each one across 0 cut
+    to the side where F changes sign, read from F(0) = c0, the constant
+    coefficient of its row; a bracket with F(0) = 0 keeps [0, hi].  A cut
+    bracket is cut no further."""
     across = (lo < 0.0) & (0.0 < hi)
-    f0 = np.sign(rows[r, 0])
+    f0 = np.sign(c0)
     right = f0 == np.sign(flo)
     return (np.where(across & (right | (f0 == 0.0)), 0.0, lo),
             np.where(across & ~right, 0.0, hi))
@@ -263,10 +264,11 @@ def _rounding_bound(cols, t):
     return ROUNDING_MARGIN * gamma * _horner(np.abs(cols), np.abs(t))
 
 
-def _predict(cols, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray):
+def _predict(cols, dcols, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray):
     """Newton's prediction x of the root in each cut bracket [lo, hi] of the
-    monic polynomials with coefficient columns cols (flo the value at lo),
-    and the mask of the brackets where it is certified.
+    monic polynomials with coefficient columns cols and derivative columns
+    dcols (flo the value at lo), and the mask of the brackets where it is
+    certified.
 
     x starts at the bracket's midpoint and takes PREDICTION_STEPS Newton
     steps, F and F' by Horner from the leading coefficient (_horner on the
@@ -283,7 +285,6 @@ def _predict(cols, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray):
     19, 2010).  A NaN x is not certified, nor one so large that u = x = v.
     Each bracket's x and mask depend on its own data only.
     """
-    dcols = _derivative_row(cols)
     x = lo + 0.5 * (hi - lo)
     prev = np.full_like(x, np.nan)
     for _ in range(PREDICTION_STEPS):
@@ -308,10 +309,10 @@ def _predict(cols, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray):
     return x, certified
 
 
-def _sign_steps(rows: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                flo: np.ndarray) -> np.ndarray:
-    """Bisect the cut brackets [lo, hi] (_cut) of the monic rows rows[r] (flo
-    the value at lo) to BISECT_TOL, in sign-step form.
+def _sign_steps(cols, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray) -> np.ndarray:
+    """Bisect the cut brackets [lo, hi] (_cut) of the monic polynomials with
+    coefficient columns cols (flo the value at lo) to BISECT_TOL, in
+    sign-step form.
 
     A bracket of width w is its end o nearest 0, the offset y of its
     midpoint x = o + y, and the signed width s w, s = +1 where F(lo) < 0;
@@ -321,8 +322,8 @@ def _sign_steps(rows: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     ceil(log2(w_k / BISECT_TOL)) steps that leave x the midpoint of a
     bracket at most BISECT_TOL wide, or fewer where the steps left would
     move x by less than a quarter ulp of o (the result by at most one ulp).
-    The brackets are sorted by step count, so the ones still stepping are a
-    prefix and every step is a slice.  An exact 0 of F stops x (sign 0).
+    Each step evaluates F (_horner) at the brackets that still step.  An
+    exact 0 of F stops x (sign 0).
     """
     width = hi - lo
     nearer = np.abs(lo) <= np.abs(hi)
@@ -336,69 +337,50 @@ def _sign_steps(rows: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     origin = np.where(nearer, lo, hi)
     steps = np.minimum(steps, exponent - np.frexp(origin)[1] + 54)
     steps = np.where(width > 0.0, np.maximum(steps, 0), 0)
-    order = np.argsort(-steps, kind="stable")
-    steps, origin = steps[order], origin[order]
-    offset = (np.where(nearer, 0.5, -0.5) * width)[order]
-    step = (0.25 * np.copysign(width, -flo))[order]
-    cols = rows[r[order]].T
-    # brackets [0, m) step while k is in [stop[m], stop[m - 1]), for each m
-    # where that range is not empty
-    stop = np.append(steps, 0)
-    counts = np.flatnonzero(stop[1:] < stop[:-1])[::-1] + 1
-    xs, work = np.empty_like(offset), np.empty_like(offset)
-    for m, first, last in zip(counts.tolist(), stop[counts].tolist(),
-                              stop[counts - 1].tolist()):
-        o, y, s, top = origin[:m], offset[:m], step[:m], cols[-2, :m]
-        x, f = xs[:m], work[:m]
-        rest = [c[:m] for c in cols[-3::-1]]
-        for _ in range(first, last):
-            np.add(o, y, out=x)
-            # monic Horner: the leading 1 makes the first step x + c_{n-1}
-            np.add(x, top, out=f)
-            for c in rest:
-                f *= x
-                f += c
-            np.sign(f, out=f)
-            f *= s
-            y -= f
-            s *= 0.5
-    root = np.empty_like(offset)
-    root[order] = origin + offset
-    return root
+    offset = np.where(nearer, 0.5, -0.5) * width
+    step = 0.25 * np.copysign(width, -flo)
+    for k in range(steps.max()):
+        live = np.flatnonzero(steps > k)
+        f = _horner(cols[:, live], origin[live] + offset[live])
+        offset[live] -= np.sign(f) * step[live]
+        step *= 0.5
+    return origin + offset
 
 
-def _bisect(rows: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-            flo: np.ndarray) -> np.ndarray:
-    """The root in each bracket [lo, hi] of the monic rows rows[r] (flo the
-    value at lo) to BISECT_TOL: each bracket across 0 is cut (_cut), Newton
-    predicts its root and a rounding-error bound certifies the prediction
-    within CERTIFIED_HALF_WIDTH < BISECT_TOL / 2 (_predict); the brackets
-    it does not certify are bisected by the sign steps (_sign_steps), each
-    as it would be alone.
+def _bisect(cols, dcols, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray) -> np.ndarray:
+    """The root in each bracket [lo, hi] of the monic polynomials with
+    coefficient columns cols and derivative columns dcols (flo the value at
+    lo) to BISECT_TOL: each bracket across 0 is cut (_cut), Newton predicts
+    its root and a rounding-error bound certifies the prediction within
+    CERTIFIED_HALF_WIDTH < BISECT_TOL / 2 (_predict); the brackets it does
+    not certify are bisected by the sign steps (_sign_steps), each as it
+    would be alone.
     """
-    lo, hi = _cut(rows, r, lo, hi, flo)
-    root, certified = _predict(rows.T.take(r, axis=1), lo, hi, flo)
+    lo, hi = _cut(cols[0], lo, hi, flo)
+    root, certified = _predict(cols, dcols, lo, hi, flo)
     if not certified.all():
         rest = ~certified
-        root[rest] = _sign_steps(rows, r[rest], lo[rest], hi[rest], flo[rest])
+        root[rest] = _sign_steps(cols[:, rest], lo[rest], hi[rest], flo[rest])
     return root
 
 
-def _bracket_roots(rows: np.ndarray, deriv: np.ndarray, r: np.ndarray, lo: np.ndarray,
-                   hi: np.ndarray, flo: np.ndarray, tol: np.ndarray) -> np.ndarray:
+def _bracket_roots(rows: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                   flo: np.ndarray, tol: np.ndarray) -> np.ndarray:
     """Roots of the monic polynomials rows[r] in the brackets [lo, hi] (row
     r[k] for bracket k, flo its value at lo), located to BISECT_TOL by
     _bisect (a certified Newton prediction, else the sign steps) and then
-    polished by at most 5 Newton steps (deriv holds the derivative rows)
-    kept inside the bracket, stopping where |F| <= tol.
+    polished by at most 5 Newton steps kept inside the bracket, stopping
+    where |F| <= tol.
 
-    Every bracket steps at once.  rows and deriv are indexed by bracket
-    once per phase, and the copies are gone when this returns.
+    Every bracket steps at once.  The bracket rows and their derivative
+    rows are gathered once, as coefficient columns, and every phase reads
+    them.
     """
     if not r.size:  # no sign change in any row
         return lo
-    root = _bisect(rows, r, lo, hi, flo)
-    cols, dcols = rows[r].T, deriv[r].T
+    cols = rows.T.take(r, axis=1)
+    dcols = _derivative_row(cols)
+    root = _bisect(cols, dcols, lo, hi, flo)
     fr = _horner(cols, root)
     live = np.ones(root.shape, dtype=bool)
     for _ in range(5):
@@ -469,7 +451,7 @@ def _isolate(rows: np.ndarray, floor: float = -math.inf) -> np.ndarray:
     fa, fb = vals[:, :-1], vals[:, 1:]
     bracket = (pts[:, 1:] >= floor) & (fa != 0.0) & (fb != 0.0) & ~(fa * fb > 0.0)
     r, j = np.nonzero(bracket)
-    root = _bracket_roots(rows, deriv, r, pts[:, :-1][r, j], pts[:, 1:][r, j], fa[r, j],
+    root = _bracket_roots(rows, r, pts[:, :-1][r, j], pts[:, 1:][r, j], fa[r, j],
                           NEWTON_RESIDUAL_TOL * scale[r])
 
     polished = np.full(fa.shape, np.nan)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .core import AbelEquation, _horner, _taylor_shift
+from .core import AbelEquation, _horner, _require_real, _taylor_shift
 from .expr import compile_row
 from .radau import IntegrationResult, SolverConfig, integrate, integrate_rhs
 
@@ -144,7 +144,8 @@ def _check_equilibrium_pivot(equation: AbelEquation, pivot, xs) -> None:
     spread = max(values) - min(values)
     if not spread <= CONSTANCY_TOL * (1.0 + abs(center)):
         raise NotASolutionError(
-            f"equilibrium pivot is not constant: spread {spread:.3e} across probes"
+            f"equilibrium pivot is not constant: spread {spread:.3e} "
+            "across the checked abscissae"
         )
     for x, value in zip(xs, values):
         row = equation.row(x)
@@ -180,18 +181,20 @@ def reduce_about(
     """Build the deviation equation around a pivot verified at each
     abscissa of xs, in order (a refusal names the first failing one).
 
-    pivot is a constant (float) or callable; kind selects the residual
-    check: "equilibrium" for constant roots, "solution" for explicit
-    solutions.
+    pivot is a callable or a constant: any real number but a bool (an int,
+    a float, a numpy real, a Fraction); anything else raises a ValueError
+    before a coefficient is evaluated.  kind selects the residual check:
+    "equilibrium" for constant roots, "solution" for explicit solutions.
     """
     xs = [float(x) for x in xs]
     if not xs:
         raise ValueError("no abscissa to check the pivot at")
-    if isinstance(pivot, (int, float)):
+    if callable(pivot):
+        pivot_fn = pivot
+    else:
+        _require_real("pivot", pivot)
         value = float(pivot)
         pivot_fn = lambda x, _v=value: _v  # noqa: E731
-    else:
-        pivot_fn = pivot
     if kind == "equilibrium":
         _check_equilibrium_pivot(equation, pivot_fn, xs)
     elif kind == "solution":

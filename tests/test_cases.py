@@ -152,9 +152,9 @@ class TestArrayEvaluation:
         brackets = []
         original = equilibrium._bisect
 
-        def counted(rows, r, *args):
-            brackets.append((rows.shape[1] - 1, r.size))
-            return original(rows, r, *args)
+        def counted(cols, *args):
+            brackets.append((len(cols) - 1, cols.shape[1]))
+            return original(cols, *args)
 
         monkeypatch.setattr(equilibrium, "_bisect", counted)
         run = case_runs[cid]

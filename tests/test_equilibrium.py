@@ -480,9 +480,9 @@ def _kernel_brackets(run):
         masks.append(certified.copy())
         return root, certified
 
-    def recording_bisect(rows, r, lo, hi, flo):
-        root = bisect(rows, r, lo, hi, flo)
-        calls.append((rows[r], lo, hi, flo, root.copy(), masks.pop()))
+    def recording_bisect(cols, dcols, lo, hi, flo):
+        root = bisect(cols, dcols, lo, hi, flo)
+        calls.append((cols.T, lo, hi, flo, root.copy(), masks.pop()))
         return root
 
     equilibrium._bisect, equilibrium._predict = recording_bisect, recording_predict
@@ -570,13 +570,38 @@ class TestCertifiedPrediction:
         if source == "seeded":
             assert uncertified > 0  # the sign steps still run on these rows
 
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_every_bracket_through_the_sign_steps(self, source, monkeypatch):
+        # with no prediction certified, every bracket, at every step count,
+        # takes the sign steps and gives the frozen copy's bytes
+        predict = equilibrium._predict
+
+        def uncertified(*args):
+            x, certified = predict(*args)
+            return x, np.zeros_like(certified)
+
+        monkeypatch.setattr(equilibrium, "_predict", uncertified)
+        brackets, binades = 0, set()
+        # uncached: _brackets holds the brackets of the unpatched kernel
+        for rows, lo, hi, flo, roots, certified in _brackets.__wrapped__(source):
+            assert not certified.any()
+            with np.errstate(over="ignore", invalid="ignore"):
+                reference = reference_bisect(rows, np.arange(len(rows)), lo, hi, flo)
+            assert roots.tobytes() == reference.tobytes()
+            brackets += roots.size
+            binades.update(np.frexp(hi - lo)[1].tolist())
+        assert brackets >= {1: 5, 2: 6000, 3: 1000, "seeded": 2300}[source]
+        # widths over hundreds of binades on the seeded rows, so their step
+        # counts are mixed
+        assert len(binades) >= {1: 2, 2: 2, 3: 3, "seeded": 500}[source]
+
     @pytest.mark.parametrize("cid", [1, 2, 3])
     def test_cases_certify_every_bracket(self, cid, monkeypatch):
         # at every recursion level, in continuation and in real_roots, the
         # sign-step loop runs on no bracket of the bundled cases
         stepped = []
         monkeypatch.setattr(equilibrium, "_sign_steps",
-                            lambda rows, r, *args: stepped.append(r.size))
+                            lambda cols, *args: stepped.append(cols.shape[1]))
         case = get_case(cid)
         nf, grid = normalize(case.equation), case.branch_grid()
         continue_branch(nf, grid)
@@ -759,9 +784,9 @@ class TestBranchContinuation:
         brackets = []
         original = equilibrium._bisect
 
-        def counted(rows, r, *args):
-            brackets.append((rows.shape[1] - 1, r.size))
-            return original(rows, r, *args)
+        def counted(cols, *args):
+            brackets.append((len(cols) - 1, cols.shape[1]))
+            return original(cols, *args)
 
         monkeypatch.setattr(equilibrium, "_bisect", counted)
         continue_branch(nf, case.branch_grid())

@@ -86,7 +86,7 @@ PRIVATE_IMPORTS = {
     "hypotheses": ["rate._drift_integral"],
     "radau": ["core._derivative_row", "core._horner", "core._require_real", "expr._compile"],
     "rate": ["core._taylor_shift"],
-    "reduction": ["core._horner", "core._taylor_shift"],
+    "reduction": ["core._horner", "core._require_real", "core._taylor_shift"],
 }
 
 #: X._name reads each module makes of an underscore name it does not define

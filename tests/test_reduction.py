@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,6 +146,37 @@ class TestNonFinitePivot:
         # abs(nan) > tol is False: NaN used to pass both residual checks
         with pytest.raises(NotASolutionError, match=match):
             reduce_about(case1(), pivot, PROBES, kind)
+
+
+class TestPivotTypes:
+    # np.float32, np.int64 and Fraction constants used to be called as
+    # functions (TypeError), True was taken as 1.0 and a string raised a
+    # TypeError; log(x - 100) fails wherever it is evaluated, so a refusal
+    # here comes before any coefficient is
+    UNDEFINED = ["log(x - 100)", "-3", "1", "1"]
+
+    @pytest.mark.parametrize("pivot", [
+        1, 1.0, np.float64(1.0), np.float32(1.0), np.int64(1), Fraction(1),
+    ])
+    def test_real_constants_accepted(self, pivot):
+        assert reduce_about(case1(), pivot, PROBES).coefficients(0.0) == [2.0, 4.0, 1.0]
+        worst, _, _ = roundtrip_check(case1(), pivot, 0.0, 1.0)
+        assert worst <= 1e-6
+
+    @pytest.mark.parametrize("pivot", [True, False, "1", None, 1j, [1.0]])
+    def test_others_refused_before_evaluation(self, pivot):
+        message = f"^pivot must be a real number, got {re.escape(repr(pivot))}$"
+        eq = build_equation(self.UNDEFINED, 0.0)
+        for kind in ("equilibrium", "solution"):
+            with pytest.raises(ValueError, match=message):
+                reduce_about(eq, pivot, PROBES, kind)
+        with pytest.raises(ValueError, match=message):
+            roundtrip_check(eq, pivot, 0.0, 1.0)
+
+    def test_non_constant_equilibrium_pivot_refused(self):
+        with pytest.raises(NotASolutionError, match=r"^equilibrium pivot is not constant: "
+                           r"spread 1\.000e\+01 across the checked abscissae$"):
+            reduce_about(case1(), lambda x: x, PROBES)
 
 
 class TestSecondKind:
