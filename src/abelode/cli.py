@@ -225,19 +225,19 @@ def _cmd_reduce(args) -> int:
     if not x_end > equation.x0:
         raise ValueError(f"x_max={x_end!r} must exceed x0={equation.x0!r}")
 
-    xs = np.linspace(equation.x0, x_end, 101).tolist()  # the rows of reduce.csv
+    xs = np.linspace(equation.x0, x_end, 101)  # the rows of reduce.csv, x0 the first
     try:
         reduced = reduce_about(equation, args.ep, xs, kind="equilibrium")
     except ReductionError as err:  # a ValueError, but a numeric failure
         return _numeric_failure(err)
-    at_start = reduced.coefficients(equation.x0)
-    pretty = ", ".join(f"{value:g}" for value in at_start)
+    table = reduced.coefficients(xs)
+    pretty = ", ".join(f"{value:g}" for value in table[0].tolist())
     print(f"c at x0={equation.x0:g}: ({pretty})")
 
     out_dir = _ensure_dir(args.out or "reduce-output")
     header = "x," + ",".join(f"c{k}" for k in range(1, reduced.degree + 1))
     _write_csv(os.path.join(out_dir, "reduce.csv"), header,
-               ([x] + reduced.coefficients(x) for x in xs))
+               np.column_stack([xs, table]).tolist())
     if args.gnuplot:
         _write_gnuplot(out_dir, "reduce.gp", "reduce.csv",
                        [(k + 1, f"c{k}") for k in range(1, reduced.degree + 1)],

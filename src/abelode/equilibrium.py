@@ -14,9 +14,9 @@ F at x -+ 2^-41 has opposite signs, each larger than the same rounding
 bound, so the exact polynomial of the sampled row has a root within
 2^-41 of x.  The brackets it does not certify (exact zeros,
 near-multiple roots, extreme rows, |x| past 2^12; none on the bundled
-cases) are bisected in sign-step form as before: each midpoint moves by
--sign(F) times a halving step, for a step count fixed up front, in one
-plain loop over the brackets still stepping.  One kernel does this for a
+cases) are bisected in sign-step form: each midpoint moves by -sign(F)
+times a halving step, for a step count fixed up front, in one plain
+loop over the brackets still stepping.  One kernel does this for a
 whole stack of rows in lockstep (every bracket of every distinct row at
 once, its rows and derivative rows gathered once per call), with each
 row's roots bit-identical to what it gives alone; a run of

@@ -10,17 +10,17 @@ because the right-hand side is a polynomial in y and the shift is its
 Taylor expansion at g.  The leading coefficient is preserved: c_n = a_n.
 
 The pivot g must actually be a solution, otherwise a spurious constant
-term is silently dropped; ``reduce_about`` therefore verifies the pivot
-at the abscissae its caller works on (the command line's reduce.csv
-rows, roundtrip_check's x0 and marks) and refuses otherwise.  A
-coefficient is evaluated at those abscissae only, so one undefined
-outside the working range never fails the check.  Two pivot kinds are
-supported:
-
-  * "equilibrium": a constant c that is a root of the right-hand side
-    at every abscissa (checked algebraically, plus constancy),
-  * "solution": an explicit function, checked by finite-difference
-    residual g'(x) - rhs(x, g(x)) at every abscissa.
+term is silently dropped; ``reduce_about`` therefore checks it at the
+abscissae its caller works on (the command line's reduce.csv rows,
+roundtrip_check's x0 and marks), so a coefficient undefined outside that
+range is never evaluated, and refuses at the first that fails.  An
+equilibrium (a constant, finite and the same everywhere) is a solution
+whose derivative is 0: the residual rhs(x, g), or g' - rhs(x, g) with g'
+by central difference, must be within a tolerance of the scale
+1 + sum_k |a_k| |g|^k, and that scale finite (an overflow proves nothing).
+The pivot and the base row are sampled one abscissa at a time, all before
+any residual is tested; the residual, its scale and the reduced table are
+array arithmetic over all abscissae, and row(x) is the same on one.
 
 For cubic equations the reduced form converts to an Abel equation of
 the second kind in w = 1/v:
@@ -34,6 +34,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
+
+import numpy as np
 
 from .core import AbelEquation, _horner, _require_real, _taylor_shift
 from .expr import compile_row
@@ -84,26 +86,29 @@ class ReducedEquation:
     def c(self, k: int, x: float) -> float:
         if not 1 <= k <= self.degree:
             raise ValueError(f"coefficient index {k} outside 1..{self.degree}")
-        return self.coefficients(x)[k - 1]
+        return self.row(x)[k]
 
     @cached_property
     def _tail_row(self):
         """x -> [a_1(x), ..., a_n(x)]: one compiled function, built on first use."""
         return compile_row(self.base.coeffs[1:])
 
-    def coefficients(self, x: float) -> list[float]:
-        """[c_1(x), ..., c_degree(x)]: the base row Taylor-shifted to the pivot.
-
-        a_0 enters only the dropped c_0 (the pivot residual): not evaluated.
-        """
-        return _taylor_shift([0.0] + self._tail_row(x), self.pivot(x))[1:]
+    def coefficients(self, xs) -> np.ndarray:
+        """c_1..c_degree at each abscissa of xs, shape (N, degree): one Taylor
+        shift of the rows' columns, the stacked row(x)[1:] bit for bit.  a_0
+        enters only the dropped c_0 (the pivot residual): not evaluated."""
+        xs = np.asarray(xs, dtype=float).tolist()
+        tail = np.array([self._tail_row(x) for x in xs]).reshape(len(xs), self.degree)
+        pivot = np.array([self.pivot(x) for x in xs], dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as row(x) gives
+            return np.stack(_taylor_shift([0.0, *tail.T], pivot)[1:], axis=1)
 
     def rhs(self, x: float, v: float) -> float:
         return _horner(self.row(x), v)
 
     def row(self, x: float) -> list[float]:
         """[0, c_1(x), ..., c_degree(x)]: the ascending coefficients in v of v'."""
-        return [0.0] + self.coefficients(x)
+        return [0.0] + _taylor_shift([0.0] + self._tail_row(x), self.pivot(x))[1:]
 
 
 @dataclass(frozen=True)
@@ -124,52 +129,47 @@ class SecondKindForm:
     def rhs(self, x: float, w: float) -> float:
         if w == 0.0:
             raise ZeroDivisionError("second-kind variable hit zero")
-        c1, c2, c3 = self.reduced.coefficients(x)
+        _, c1, c2, c3 = self.reduced.row(x)
         return -(c1 * w + c2 + c3 / w)
 
     def residual(self, x: float, w: float, w_prime: float) -> float:
         return w_prime - self.rhs(x, w)
 
 
-def _coefficient_scale(row: list[float], y: float) -> float:
-    return 1.0 + _horner([abs(value) for value in row], abs(y))
-
-
-def _check_equilibrium_pivot(equation: AbelEquation, pivot, xs) -> None:
-    values = [pivot(x) for x in xs]
-    for x, value in zip(xs, values):
-        if not math.isfinite(value):
-            raise NotASolutionError(f"pivot value {value!r} is not finite at x={x!r}")
-    center = values[0]
-    spread = max(values) - min(values)
-    if not spread <= CONSTANCY_TOL * (1.0 + abs(center)):
-        raise NotASolutionError(
-            f"equilibrium pivot is not constant: spread {spread:.3e} "
-            "across the checked abscissae"
-        )
-    for x, value in zip(xs, values):
-        row = equation.row(x)
-        residual = _horner(row, value)
-        scale = _coefficient_scale(row, value)
-        if not abs(residual) <= EQUILIBRIUM_RESIDUAL_TOL * scale:
+def _check_pivot(equation: AbelEquation, pivot, xs: list[float], kind: str) -> None:
+    """Raise NotASolutionError at the first abscissa of xs where the pivot
+    fails the check of its kind (see the module docstring)."""
+    values = np.array([pivot(x) for x in xs], dtype=float)
+    if kind == "equilibrium":
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            i = bad[0]
+            raise NotASolutionError(f"pivot value {values[i].item()!r} is not finite at x={xs[i]!r}")
+        spread = values.max() - values.min()
+        if not spread <= CONSTANCY_TOL * (1.0 + abs(values[0])):
             raise NotASolutionError(
-                f"pivot value {value!r} is not a root at x={x!r}: "
-                f"residual {residual:.3e}"
+                f"equilibrium pivot is not constant: spread {spread:.3e} "
+                "across the checked abscissae"
             )
-
-
-def _check_solution_pivot(equation: AbelEquation, pivot, xs) -> None:
-    for x in xs:
-        h = _FD_STEP * (1.0 + abs(x))
-        derivative = (pivot(x + h) - pivot(x - h)) / (2.0 * h)
-        value = pivot(x)
-        row = equation.row(x)
-        residual = derivative - _horner(row, value)
-        scale = _coefficient_scale(row, value)
-        if not abs(residual) <= SOLUTION_RESIDUAL_TOL * scale:
-            raise NotASolutionError(
-                f"pivot is not a solution at x={x!r}: residual {residual:.3e}"
-            )
+        tol = EQUILIBRIUM_RESIDUAL_TOL
+    else:
+        grid = np.array(xs)
+        h = _FD_STEP * (1.0 + abs(grid))
+        ahead = np.array([pivot(x) for x in (grid + h).tolist()], dtype=float)
+        behind = np.array([pivot(x) for x in (grid - h).tolist()], dtype=float)
+        tol = SOLUTION_RESIDUAL_TOL
+    columns = np.array([equation.row(x) for x in xs]).T
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below: the scale is not finite
+        residual = _horner(columns, values)
+        if kind == "solution":
+            residual = (ahead - behind) / (2.0 * h) - residual
+        scale = 1.0 + _horner(abs(columns), abs(values))
+    bad = np.flatnonzero(~(np.isfinite(scale) & (abs(residual) <= tol * scale)))
+    if bad.size:
+        i = bad[0]
+        where = (f"pivot value {values[i].item()!r} is not a root" if kind == "equilibrium"
+                 else "pivot is not a solution")
+        raise NotASolutionError(f"{where} at x={xs[i]!r}: residual {residual[i].item():.3e}")
 
 
 def reduce_about(
@@ -195,12 +195,9 @@ def reduce_about(
         _require_real("pivot", pivot)
         value = float(pivot)
         pivot_fn = lambda x, _v=value: _v  # noqa: E731
-    if kind == "equilibrium":
-        _check_equilibrium_pivot(equation, pivot_fn, xs)
-    elif kind == "solution":
-        _check_solution_pivot(equation, pivot_fn, xs)
-    else:
+    if kind not in ("equilibrium", "solution"):
         raise ValueError(f"unknown pivot kind {kind!r}")
+    _check_pivot(equation, pivot_fn, xs, kind)
     return ReducedEquation(equation, pivot_fn)
 
 
@@ -246,9 +243,6 @@ def roundtrip_check(
             f"{original.status} / {deviation.status}"
         )
 
-    worst = 0.0
-    for mark in marks:
-        y_direct = original.interp(mark)
-        y_via = reduced.pivot(mark) + deviation.interp(mark)
-        worst = max(worst, abs(y_direct - y_via))
-    return worst, original, deviation
+    pivot_values = np.array([reduced.pivot(mark) for mark in marks], dtype=float)
+    gap = original.interp(marks) - (pivot_values + deviation.interp(marks))
+    return abs(gap).max().item(), original, deviation

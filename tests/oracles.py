@@ -578,3 +578,40 @@ def polyroots_60(row):
                                     maxsteps=200, extraprec=60)
         except mpmath.libmp.NoConvergence:
             return None
+
+
+def reference_check_pivot(row_at, pivot, xs, kind):
+    """The degree reduction's pivot check as two per-abscissa loops, one per
+    pivot kind, frozen: row_at(x) is the base row [a_0(x), ..., a_n(x)].
+    Returns (refusal, scales): the message of the refusal it would raise,
+    or None where it accepts, and the coefficient scale
+    1 + sum_k |a_k| |g|^k at each abscissa whose residual it tested."""
+    scales = []
+    if kind == "equilibrium":
+        values = [pivot(x) for x in xs]
+        for x, value in zip(xs, values):
+            if not math.isfinite(value):
+                return f"pivot value {value!r} is not finite at x={x!r}", scales
+        center = values[0]
+        spread = max(values) - min(values)
+        if not spread <= 1e-10 * (1.0 + abs(center)):
+            return (f"equilibrium pivot is not constant: spread {spread:.3e} "
+                    "across the checked abscissae"), scales
+        for x, value in zip(xs, values):
+            row = row_at(x)
+            residual = _horner(row, value)
+            scales.append(1.0 + _horner([abs(v) for v in row], abs(value)))
+            if not abs(residual) <= 1e-8 * scales[-1]:
+                return (f"pivot value {value!r} is not a root at x={x!r}: "
+                        f"residual {residual:.3e}"), scales
+        return None, scales
+    for x in xs:
+        h = 1e-5 * (1.0 + abs(x))
+        derivative = (pivot(x + h) - pivot(x - h)) / (2.0 * h)
+        value = pivot(x)
+        row = row_at(x)
+        residual = derivative - _horner(row, value)
+        scales.append(1.0 + _horner([abs(v) for v in row], abs(value)))
+        if not abs(residual) <= 1e-6 * scales[-1]:
+            return f"pivot is not a solution at x={x!r}: residual {residual:.3e}", scales
+    return None, scales

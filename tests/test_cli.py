@@ -414,6 +414,17 @@ class TestReduceCommand:
                        "x=11.200000000000001: residual 4.000e-01\n")
         assert not (tmp_path / "red").exists()
 
+    @pytest.mark.parametrize("ep,residual", [("1e308", "inf"), ("1e200", "inf"),
+                                             ("-1e155", "-inf")])
+    def test_overflowing_pivot_is_refused(self, tmp_path, ep, residual):
+        # the residual and its scale overflow together; such a pivot once
+        # passed and wrote inf into reduce.csv
+        code, out, err = run(["reduce", "--case", "1", f"--ep={ep}", "--out", tmp_path / "red"])
+        assert (code, out) == (1, "")
+        assert err == (f"numeric failure: pivot value {float(ep)!r} is not a root at x=0.0: "
+                       f"residual {residual}\n")
+        assert not (tmp_path / "red").exists()
+
     @pytest.mark.parametrize("x_max", ["-5", "0"])
     @pytest.mark.parametrize("source", ["case", "config"])
     def test_x_max_at_or_below_x0_is_usage_error(self, tmp_path, source, x_max):

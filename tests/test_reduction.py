@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import taylor_power_sum
+from oracles import reference_check_pivot, taylor_power_sum
 
 from abelode.core import _taylor_shift, build_equation
 from abelode.expr import ExprDomainError
@@ -29,11 +29,56 @@ def case1():
     return build_equation(CASE1_SOURCES, 0.0)
 
 
+def seeded_pivot_case(seed):
+    """A seeded equation whose a_1..a_n are linear in x, a pivot built to
+    solve it (a constant root for an even seed, the exact solution
+    u + v exp(-w x) for an odd one, each up to rounding) and seeded
+    abscissae in [0, 6]."""
+    rng = np.random.default_rng(seed)
+    kind = ("equilibrium", "solution")[seed % 2]
+    pairs = [rng.uniform(-3, 3, 2).tolist() for _ in range(int(rng.integers(1, 6)))]
+    xs = np.sort(rng.uniform(0.0, 6.0, int(rng.integers(1, 12)))).tolist()
+    u, v, w = rng.uniform(-2, 2, 3).tolist()
+    if kind == "equilibrium":
+        # a_0 = -sum_k a_k u^k
+        p0, q0 = (-sum(pair[i] * u ** k for k, pair in enumerate(pairs, 1)) for i in (0, 1))
+        head = f"({p0!r}) + ({q0!r})*x"
+        pivot = lambda x: u  # noqa: E731
+    else:
+        # a_0 = g' - sum_k a_k g^k
+        g = f"(({u!r}) + ({v!r})*exp(({-w!r})*x))"
+        terms = " + ".join(f"(({p!r}) + ({q!r})*x)*{g}^{k}" for k, (p, q) in enumerate(pairs, 1))
+        head = f"({-v * w!r})*exp(({-w!r})*x) - ({terms})"
+        pivot = lambda x: u + v * math.exp(-w * x)  # noqa: E731
+    tail = [f"({p!r}) + ({q!r})*x" for p, q in pairs]
+    return build_equation([head, *tail], 0.0), pivot, xs, kind
+
+
+def perturbed(pivot, xs, rng):
+    """pivot as it is, moved by a seeded offset, drifting along x, NaN at one
+    abscissa of xs, scaled up to 1e60..1e308 or wiggling on the scale of
+    the difference step, by rng."""
+    variant = int(rng.integers(0, 6))
+    size = 10.0 ** rng.uniform(-13, -3)
+    if variant == 1:
+        return lambda x: pivot(x) + size
+    if variant == 2:
+        return lambda x: pivot(x) + size * x
+    if variant == 3:
+        bad = xs[int(rng.integers(len(xs)))]
+        return lambda x: math.nan if x == bad else pivot(x)
+    if variant == 4:
+        return lambda x, huge=10.0 ** rng.uniform(60, 308): pivot(x) * huge
+    if variant == 5:
+        return lambda x: pivot(x) + 1e-6 * math.sin(1e5 * x)
+    return pivot
+
+
 class TestReduceAbout:
     def test_shift_about_unit_equilibrium(self):
         red = reduce_about(case1(), 1.0, PROBES)
         assert tuple(red.c(k, 0.0) for k in (1, 2, 3)) == (2.0, 4.0, 1.0)
-        assert red.coefficients(0.0) == [2.0, 4.0, 1.0]
+        assert red.coefficients([0.0]).tolist() == [[2.0, 4.0, 1.0]]
         assert red.degree == 3
 
     def test_shifted_equation_has_matching_slope(self):
@@ -75,11 +120,10 @@ class TestReduceAbout:
                  for _ in range(degree + 1)]
         eq = build_equation([f"({p!r}) + ({q!r})*x" for p, q in pairs], 0.0)
         red = ReducedEquation(eq, lambda x: 0.5 + math.sin(x))
-        for x in np.linspace(0.0, 4.0, 9):
-            x = float(x)
+        xs = np.linspace(0.0, 4.0, 9).tolist()
+        for x, got in zip(xs, red.coefficients(xs).tolist()):
             values, scales = taylor_power_sum(
                 [p + q * x for p, q in pairs], 0.5 + math.sin(x))
-            got = red.coefficients(x)
             assert len(got) == degree
             for k in range(1, degree + 1):
                 assert abs(got[k - 1] - values[k]) <= 1e-12 * scales[k]
@@ -91,12 +135,12 @@ class TestReduceAbout:
         # fails, the tree walk's error names it
         eq = build_equation(["log(x)", "-1", "sqrt(1 - x)", "1"], 0.0)
         red = ReducedEquation(eq, lambda x: 0.25)
-        for x in (0.0, 0.5, 1.0):
-            row = [0.0] + [coeff(x) for coeff in eq.coeffs[1:]]
-            assert red.coefficients(x) == _taylor_shift(row, 0.25)[1:]
+        xs = [0.0, 0.5, 1.0]
+        rows = [[0.0] + [coeff(x) for coeff in eq.coeffs[1:]] for x in xs]
+        assert red.coefficients(xs).tolist() == [_taylor_shift(row, 0.25)[1:] for row in rows]
         with pytest.raises(ExprDomainError,
                            match=r"^sqrt\(-1\.0\) outside real domain at x=2\.0$"):
-            red.coefficients(2.0)
+            red.coefficients([0.0, 2.0, 3.0])
 
     def test_pivot_must_be_a_root(self):
         with pytest.raises(NotASolutionError):
@@ -135,6 +179,54 @@ class TestReduceAbout:
             reduce_about(riccati, lambda x: x, PROBES, kind="solution")
 
 
+class TestAgainstPerPointCheck:
+    def test_same_outcome_where_the_scale_is_finite(self):
+        # where the per-point copy's scale overflows it proved nothing, and
+        # the array check refuses
+        outcomes = set()
+        for seed in range(240):
+            equation, pivot, xs, kind = seeded_pivot_case(seed)
+            pivot = perturbed(pivot, xs, np.random.default_rng([seed, 1]))
+            refusal, scales = reference_check_pivot(equation.row, pivot, xs, kind)
+            try:
+                reduce_about(equation, pivot, xs, kind)
+                got = None
+            except NotASolutionError as err:
+                got = str(err)
+            if all(map(math.isfinite, scales)):
+                assert got == refusal, seed
+                outcomes.add((kind, got is None))
+            else:
+                assert got is not None, seed
+        assert len(outcomes) == 4
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_table_is_the_stacked_scalar_rows(self, seed):
+        # an even seed's pivot is a constant, an odd seed's a function of x
+        equation, pivot, xs, _ = seeded_pivot_case(seed)
+        red = ReducedEquation(equation, pivot)
+        table = red.coefficients(xs)
+        assert table.shape == (len(xs), red.degree)
+        assert table.tobytes() == np.array([red.row(x)[1:] for x in xs]).tobytes()
+
+
+class TestOverflowingScale:
+    @pytest.mark.parametrize("kind", ["equilibrium", "solution"])
+    @pytest.mark.parametrize("value", [1e308, 1e200, -1e155])
+    def test_refused(self, value, kind):
+        # the residual and its scale both overflow: |inf| <= tol * inf once
+        # let such a pivot pass
+        with pytest.raises(NotASolutionError, match=r"^pivot .* at x=0\.0: residual -?inf$"):
+            reduce_about(case1(), lambda x: value, PROBES, kind)
+
+    def test_exact_root_with_an_overflowing_scale_is_refused(self):
+        # F(1) is 0 exactly, but the scale 1 + 2 * 1.5e308 overflows
+        eq = build_equation(["0", "1.5e308", "-1.5e308"], 0.0)
+        with pytest.raises(NotASolutionError, match=r"^pivot value 1\.0 is not a root at x=0\.0: "
+                           r"residual 0\.000e\+00$"):
+            reduce_about(eq, 1.0, PROBES)
+
+
 class TestNonFinitePivot:
     @pytest.mark.parametrize("pivot,kind,match", [
         (math.nan, "equilibrium", "is not finite"),
@@ -159,7 +251,7 @@ class TestPivotTypes:
         1, 1.0, np.float64(1.0), np.float32(1.0), np.int64(1), Fraction(1),
     ])
     def test_real_constants_accepted(self, pivot):
-        assert reduce_about(case1(), pivot, PROBES).coefficients(0.0) == [2.0, 4.0, 1.0]
+        assert reduce_about(case1(), pivot, PROBES).coefficients([0.0]).tolist() == [[2.0, 4.0, 1.0]]
         worst, _, _ = roundtrip_check(case1(), pivot, 0.0, 1.0)
         assert worst <= 1e-6
 
@@ -209,7 +301,7 @@ class TestSecondKind:
 class TestRoundTrip:
     def test_equilibrium_pivot_round_trip(self):
         worst, original, shifted = roundtrip_check(case1(), 1.0, 0.0, 5.0)
-        assert worst <= 1e-6
+        assert type(worst) is float and worst <= 1e-6
         assert original.completed and shifted.completed
         assert original.final_x == shifted.final_x == 5.0
 
