@@ -19,8 +19,8 @@ whose derivative is 0: the residual rhs(x, g), or g' - rhs(x, g) with g'
 by central difference, must be within a tolerance of the scale
 1 + sum_k |a_k| |g|^k, and that scale finite (an overflow proves nothing).
 The pivot and the base row are sampled one abscissa at a time, all before
-any residual is tested; the residual, its scale and the reduced table are
-array arithmetic over all abscissae, and row(x) is the same on one.
+any residual is tested; the residual and its scale are array arithmetic
+over all abscissae.  The reduced table is the stacked row(x).
 
 For cubic equations the reduced form converts to an Abel equation of
 the second kind in w = 1/v:
@@ -30,7 +30,6 @@ the second kind in w = 1/v:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -58,6 +57,12 @@ SOLUTION_RESIDUAL_TOL = 1e-6
 CONSTANCY_TOL = 1e-10
 
 _FD_STEP = 1e-5
+
+# the residual tolerance and the refusal of each pivot kind
+_PIVOT_KINDS = {
+    "equilibrium": (EQUILIBRIUM_RESIDUAL_TOL, "pivot value {!r} is not a root"),
+    "solution": (SOLUTION_RESIDUAL_TOL, "pivot is not a solution"),
+}
 
 
 class ReductionError(ValueError):
@@ -94,14 +99,10 @@ class ReducedEquation:
         return compile_row(self.base.coeffs[1:])
 
     def coefficients(self, xs) -> np.ndarray:
-        """c_1..c_degree at each abscissa of xs, shape (N, degree): one Taylor
-        shift of the rows' columns, the stacked row(x)[1:] bit for bit.  a_0
-        enters only the dropped c_0 (the pivot residual): not evaluated."""
+        """c_1..c_degree at each abscissa of xs, shape (N, degree): the
+        stacked row(x)[1:]."""
         xs = np.asarray(xs, dtype=float).tolist()
-        tail = np.array([self._tail_row(x) for x in xs]).reshape(len(xs), self.degree)
-        pivot = np.array([self.pivot(x) for x in xs], dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as row(x) gives
-            return np.stack(_taylor_shift([0.0, *tail.T], pivot)[1:], axis=1)
+        return np.array([self.row(x)[1:] for x in xs], dtype=float).reshape(len(xs), self.degree)
 
     def rhs(self, x: float, v: float) -> float:
         return _horner(self.row(x), v)
@@ -139,25 +140,26 @@ class SecondKindForm:
 def _check_pivot(equation: AbelEquation, pivot, xs: list[float], kind: str) -> None:
     """Raise NotASolutionError at the first abscissa of xs where the pivot
     fails the check of its kind (see the module docstring)."""
+    tol, refusal = _PIVOT_KINDS[kind]
     values = np.array([pivot(x) for x in xs], dtype=float)
     if kind == "equilibrium":
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             i = bad[0]
             raise NotASolutionError(f"pivot value {values[i].item()!r} is not finite at x={xs[i]!r}")
-        spread = values.max() - values.min()
+        spread = values.max().item() - values.min().item()  # inf, not a warning, past the range
         if not spread <= CONSTANCY_TOL * (1.0 + abs(values[0])):
             raise NotASolutionError(
                 f"equilibrium pivot is not constant: spread {spread:.3e} "
                 "across the checked abscissae"
             )
-        tol = EQUILIBRIUM_RESIDUAL_TOL
     else:
         grid = np.array(xs)
         h = _FD_STEP * (1.0 + abs(grid))
-        ahead = np.array([pivot(x) for x in (grid + h).tolist()], dtype=float)
-        behind = np.array([pivot(x) for x in (grid - h).tolist()], dtype=float)
-        tol = SOLUTION_RESIDUAL_TOL
+        with np.errstate(over="ignore"):  # x -+ h past the largest float is -+inf
+            ahead_xs, behind_xs = (grid + h).tolist(), (grid - h).tolist()
+        ahead = np.array([pivot(x) for x in ahead_xs], dtype=float)
+        behind = np.array([pivot(x) for x in behind_xs], dtype=float)
     columns = np.array([equation.row(x) for x in xs]).T
     with np.errstate(over="ignore", invalid="ignore"):  # refused below: the scale is not finite
         residual = _horner(columns, values)
@@ -167,9 +169,8 @@ def _check_pivot(equation: AbelEquation, pivot, xs: list[float], kind: str) -> N
     bad = np.flatnonzero(~(np.isfinite(scale) & (abs(residual) <= tol * scale)))
     if bad.size:
         i = bad[0]
-        where = (f"pivot value {values[i].item()!r} is not a root" if kind == "equilibrium"
-                 else "pivot is not a solution")
-        raise NotASolutionError(f"{where} at x={xs[i]!r}: residual {residual[i].item():.3e}")
+        raise NotASolutionError(f"{refusal.format(values[i].item())} at x={xs[i]!r}: "
+                                f"residual {residual[i].item():.3e}")
 
 
 def reduce_about(
@@ -195,7 +196,7 @@ def reduce_about(
         _require_real("pivot", pivot)
         value = float(pivot)
         pivot_fn = lambda x, _v=value: _v  # noqa: E731
-    if kind not in ("equilibrium", "solution"):
+    if kind not in _PIVOT_KINDS:
         raise ValueError(f"unknown pivot kind {kind!r}")
     _check_pivot(equation, pivot_fn, xs, kind)
     return ReducedEquation(equation, pivot_fn)

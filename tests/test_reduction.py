@@ -233,11 +233,22 @@ class TestNonFinitePivot:
         (math.inf, "equilibrium", "is not finite"),
         (lambda x: math.nan if x > 0.0 else 1.0, "equilibrium", "is not finite"),
         (lambda x: math.nan, "solution", "residual nan"),
+        (lambda x: 1e308 if x > 0.0 else -1e308, "equilibrium", r"^equilibrium pivot is not "
+         r"constant: spread inf across the checked abscissae$"),
     ])
     def test_rejected(self, pivot, kind, match):
-        # abs(nan) > tol is False: NaN used to pass both residual checks
+        # abs(nan) > tol is False: NaN used to pass both residual checks; a
+        # spread past the float range is inf, not a RuntimeWarning
         with pytest.raises(NotASolutionError, match=match):
             reduce_about(case1(), pivot, PROBES, kind)
+
+    def test_difference_step_past_the_largest_float(self):
+        # x + h overflows to inf at the largest float: the pivot is called
+        # there, as at any abscissa, and the constant root passes
+        largest = np.finfo(float).max.item()
+        calls = []
+        reduce_about(case1(), lambda x: calls.append(x) or 1.0, [largest], "solution")
+        assert calls[:2] == [largest, math.inf] and len(calls) == 3
 
 
 class TestPivotTypes:
