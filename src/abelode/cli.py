@@ -231,6 +231,12 @@ def _cmd_reduce(args) -> int:
     except ReductionError as err:  # a ValueError, but a numeric failure
         return _numeric_failure(err)
     table = reduced.coefficients(xs)
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:  # a finite pivot can still shift to inf - inf or inf * 0
+        i, k = bad[0].tolist()
+        return _numeric_failure(ReductionError(
+            f"reduced coefficient c{k + 1} = {table[i, k].item()!r} is not finite "
+            f"at x={xs[i].item()!r}"))
     pretty = ", ".join(f"{value:g}" for value in table[0].tolist())
     print(f"c at x0={equation.x0:g}: ({pretty})")
 

@@ -151,18 +151,20 @@ class NormalForm:
         monic rows with shape (N, n+1) and the mask of abscissae where
         sample(x) returns; the stacked sample(x) there, bit for bit, and NaN
         where it raises.  One eval_array pass per coefficient where every
-        one evaluates and a_n vanishes nowhere, else sample point by point."""
+        one evaluates and a_n vanishes nowhere, else sample point by point.
+        The rows are the transpose of contiguous coefficient columns, so a
+        column (rows.T[k]) is read without a stride."""
         xs = np.asarray(xs, dtype=float)
         try:
             *values, leading = [c.eval_array(xs) for c in self.equation.coeffs]
             if leading.all():
                 with np.errstate(over="ignore"):
                     monic = [v / leading for v in values]
-                rows = np.stack(monic + [np.ones(xs.size)], axis=1)
+                rows = np.stack(monic + [np.ones(xs.size)]).T
                 return leading, rows, np.ones(xs.size, dtype=bool)
         except ExprDomainError:
             pass
-        leading, rows = np.full(xs.size, np.nan), np.full((xs.size, self.degree + 1), np.nan)
+        leading, rows = np.full(xs.size, np.nan), np.full((self.degree + 1, xs.size), np.nan).T
         defined = np.zeros(xs.size, dtype=bool)
         for i, x in enumerate(xs.tolist()):
             try:

@@ -7,44 +7,36 @@ strictly monotone, so every real root inside the Cauchy-type bound
 R = 2 (1 + max_k |lambda_k(x)|) is caught by a sign change (or sits at a
 critical point where |F| is within Higham's Horner error bound of 0, for
 multiple roots, where that bound is finite).  Each sign change is
-located to 1e-12 (_bisect) and polished with at most 5 Newton steps.
-_bisect first lets Newton predict the root from the bracket's midpoint
-and keeps the prediction x only where a certificate proves it: Horner's
-F at x -+ 2^-41 has opposite signs, each larger than the same rounding
-bound, so the exact polynomial of the sampled row has a root within
-2^-41 of x.  The brackets it does not certify (exact zeros,
-near-multiple roots, extreme rows, |x| past 2^12; none on the bundled
-cases) are bisected in sign-step form: each midpoint moves by -sign(F)
-times a halving step, for a step count fixed up front, in one plain
-loop over the brackets still stepping.  One kernel does this for a
-whole stack of rows in lockstep (every bracket of every distinct row at
-once, its rows and derivative rows gathered once per call), with each
-row's roots bit-identical to what it gives alone; a run of
-bitwise-identical adjacent rows, at any recursion level, is isolated
-once, and a single abscissa is a stack of one.
+located to 1e-12 (_bisect): Newton's prediction from the bracket's
+midpoint is kept where a certificate proves it (Horner's F at x -+ 2^-41
+has opposite signs, each beyond the same rounding bound), and the other
+brackets (none on the bundled cases) are bisected in sign-step form.
+At most 5 Newton steps polish each root, except a prediction certified
+at a fixed point of the Newton step, which the polish cannot move.  One
+kernel does this for a stack of rows in lockstep, every pass a ufunc
+over coefficient columns (rows.T, read without a stride), and returns
+root columns; each row's roots are bit-identical to what it gives alone,
+a run of bitwise-identical adjacent rows is isolated once, and a single
+abscissa is a stack of one.
 
 A branch E(x) is continued across a grid: every grid row is sampled and
-isolated up front, and one array pass finds where each root of each row
-moves in the next: the nearest root, or the smallest positive root if
-the nearest crosses zero.  Only the top level of that isolation, on grid
-rows and refinement midpoints alike, skips the brackets that end below
-a floor a few BISECT_TOL under 0 (_branch_floor): they hold no root the
-branch can select, so they are neither bisected nor polished.  The
-derivative levels and real_roots keep every root.  The branch starts at
-the smallest positive root and walks the table by column runs: for each
-column it reaches, np.flatnonzero finds the rows whose move leaves that
-column, jumps or vanishes, and searchsorted the next of them, so the
-walk takes one Python step per run, not per row.  A jump larger than
-0.25 (1 + E_prev) triggers one local grid refinement before the branch
-is declared lost.  The branch stores x, E and the stability eigenvalue
-Lambda(x) = dF/dy (x, E(x)) as arrays.  Where NormalForm.sample_grid's
-mask says the coefficients fail, the first such grid point raises what
-NormalForm.sample raises there.
+isolated up front, skipping (on grid rows and refinement midpoints) the
+brackets that end below a floor a few BISECT_TOL under 0
+(_branch_floor), which hold no root the branch can select.  The branch
+starts at the smallest positive root and walks the root table by runs of
+one column.  The first time it reaches a column, _moves finds where each
+of its roots moves in the next row (the nearest root, or the smallest
+positive root if the nearest crosses zero), one pass per column of the
+next rows; the run ends where the move leaves the column, jumps or
+vanishes.  A jump larger than 0.25 (1 + E_prev) triggers one local grid
+refinement before the branch is declared lost.  The branch stores x, E
+and the stability eigenvalue Lambda(x) = dF/dy (x, E(x)) as arrays.  The
+first grid point where NormalForm.sample_grid's mask says the
+coefficients fail raises what NormalForm.sample raises there.
 
-The branch slope E' = -(dF/dx) / Lambda comes from branch_slopes for
-all points at once: dF/dx is a finite difference of rows sampled at
-x +- h, one-sided where the coefficients fail on one side (a domain
-edge), undefined where they fail on both, as sample_grid's mask says.
+The branch slope E' = -(dF/dx) / Lambda comes from branch_slopes for all
+points at once: dF/dx is a finite difference of rows sampled at x +- h,
+one-sided at a domain edge, undefined where both sides fail.
 """
 
 from __future__ import annotations
@@ -267,46 +259,43 @@ def _rounding_bound(cols, t):
 def _predict(cols, dcols, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray):
     """Newton's prediction x of the root in each cut bracket [lo, hi] of the
     monic polynomials with coefficient columns cols and derivative columns
-    dcols (flo the value at lo), and the mask of the brackets where it is
-    certified.
+    dcols (flo the value at lo), the mask of the brackets where it is
+    certified and the mask of those where x is a fixed point of the step.
 
     x starts at the bracket's midpoint and takes PREDICTION_STEPS Newton
-    steps, F and F' by Horner from the leading coefficient (_horner on the
-    row and its derivative row), each clamped to the bracket.  The loop ends
-    early once every x has reached a fixed point or a 2-cycle of the step,
-    which repeat at every later step, and a 2-cycle ends on its lower
-    point, so no x depends on when the loop ended (that is, on the other
-    brackets).  x is certified where
-    u = x - CERTIFIED_HALF_WIDTH and v = x + CERTIFIED_HALF_WIDTH, each
-    rounded toward x, lie in the bracket, and Horner's F(u) and -F(v) have
-    the sign of flo, each by more than _rounding_bound: the exact polynomial
-    of the row then changes sign in (u, v), so it has a root within
-    CERTIFIED_HALF_WIDTH of x (Rump, Verification methods, Acta Numerica
-    19, 2010).  A NaN x is not certified, nor one so large that u = x = v.
-    Each bracket's x and mask depend on its own data only.
+    steps, F and F' by Horner from the leading coefficient, each clamped to
+    the bracket.  The loop ends early once every x has reached a fixed
+    point or a 2-cycle of the step, which repeat at every later step, and a
+    2-cycle ends on its lower point, so no x depends on when the loop ended.
+    x is certified where u = x - CERTIFIED_HALF_WIDTH and
+    v = x + CERTIFIED_HALF_WIDTH, each rounded toward x, lie in the bracket,
+    and Horner's F(u) and -F(v) have the sign of flo, each by more than
+    _rounding_bound: the exact polynomial of the row then changes sign in
+    (u, v), so it has a root within CERTIFIED_HALF_WIDTH of x (Rump,
+    Verification methods, Acta Numerica 19, 2010).  A NaN x is not
+    certified, nor one so large that u = x = v.  Each bracket's x and masks
+    depend on its own data only.
     """
     x = lo + 0.5 * (hi - lo)
     prev = np.full_like(x, np.nan)
     for _ in range(PREDICTION_STEPS):
         step = np.minimum(np.maximum(x - _horner(cols, x) / _horner(dcols, x), lo), hi)
-        # a fixed point or a 2-cycle repeats at every later step
-        settled = (step == x) | (step == prev)
+        fixed = step == x
+        settled = fixed | (step == prev)
         prev, x = x, step
         if settled.all():
             break
-    # a 2-cycle ends on the lower of its points, however many steps ran
     x = np.where(settled, np.minimum(x, prev), x)
-    # u and v rounded toward x where x -+ CERTIFIED_HALF_WIDTH is not a
-    # float; x - u and v - x are exact wherever u and v lie in the bracket,
-    # on x's side of 0 (Sterbenz)
+    # u and v rounded toward x where x -+ CERTIFIED_HALF_WIDTH is not a float;
+    # x - u and v - x are exact where u, v lie in the bracket (Sterbenz)
     u, v = x - CERTIFIED_HALF_WIDTH, x + CERTIFIED_HALF_WIDTH
-    u = np.where(x - u > CERTIFIED_HALF_WIDTH, np.nextafter(u, x), u)
-    v = np.where(v - x > CERTIFIED_HALF_WIDTH, np.nextafter(v, x), v)
+    low, high = x - u > CERTIFIED_HALF_WIDTH, v - x > CERTIFIED_HALF_WIDTH
+    u[low], v[high] = np.nextafter(u[low], x[low]), np.nextafter(v[high], x[high])
     sign = np.sign(flo)
     certified = (lo <= u) & (v <= hi)
     certified &= sign * _horner(cols, u) > _rounding_bound(cols, u)
     certified &= -sign * _horner(cols, v) > _rounding_bound(cols, v)
-    return x, certified
+    return x, certified, fixed
 
 
 def _sign_steps(cols, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray) -> np.ndarray:
@@ -322,8 +311,8 @@ def _sign_steps(cols, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray) -> np.nda
     ceil(log2(w_k / BISECT_TOL)) steps that leave x the midpoint of a
     bracket at most BISECT_TOL wide, or fewer where the steps left would
     move x by less than a quarter ulp of o (the result by at most one ulp).
-    Each step evaluates F (_horner) at the brackets that still step.  An
-    exact 0 of F stops x (sign 0).
+    Ordered by descending step count, the brackets that still step are a
+    prefix: each step evaluates F on slices.  An exact 0 of F stops x.
     """
     width = hi - lo
     nearer = np.abs(lo) <= np.abs(hi)
@@ -337,160 +326,165 @@ def _sign_steps(cols, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray) -> np.nda
     origin = np.where(nearer, lo, hi)
     steps = np.minimum(steps, exponent - np.frexp(origin)[1] + 54)
     steps = np.where(width > 0.0, np.maximum(steps, 0), 0)
-    offset = np.where(nearer, 0.5, -0.5) * width
-    step = 0.25 * np.copysign(width, -flo)
-    for k in range(steps.max()):
-        live = np.flatnonzero(steps > k)
-        f = _horner(cols[:, live], origin[live] + offset[live])
-        offset[live] -= np.sign(f) * step[live]
-        step *= 0.5
-    return origin + offset
+    order = np.argsort(-steps, kind="stable")
+    cols, origin = cols.take(order, axis=1), origin[order]
+    offset = (np.where(nearer, 0.5, -0.5) * width)[order]
+    step = (0.25 * np.copysign(width, -flo))[order]
+    # step k moves the first m brackets, those with more than k steps
+    for m in np.searchsorted(-steps[order], -np.arange(steps.max())).tolist():
+        offset[:m] -= np.sign(_horner(cols[:, :m], origin[:m] + offset[:m])) * step[:m]
+        step[:m] *= 0.5
+    root = np.empty_like(origin)
+    root[order] = origin + offset
+    return root
 
 
-def _bisect(cols, dcols, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray) -> np.ndarray:
+def _bisect(cols, dcols, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray):
     """The root in each bracket [lo, hi] of the monic polynomials with
     coefficient columns cols and derivative columns dcols (flo the value at
-    lo) to BISECT_TOL: each bracket across 0 is cut (_cut), Newton predicts
-    its root and a rounding-error bound certifies the prediction within
-    CERTIFIED_HALF_WIDTH < BISECT_TOL / 2 (_predict); the brackets it does
-    not certify are bisected by the sign steps (_sign_steps), each as it
-    would be alone.
+    lo) to BISECT_TOL, and the mask of the roots Newton's polish may move:
+    each bracket across 0 is cut (_cut), Newton predicts its root and a
+    rounding-error bound certifies it within CERTIFIED_HALF_WIDTH <
+    BISECT_TOL / 2 (_predict); the sign steps bisect the others, each as it
+    would be alone.  A prediction certified at a fixed point is final: it
+    lies inside its bracket, so its unclamped step x - F/F' is x, the
+    polish's own candidate, which the polish refuses (|F| does not fall).
     """
     lo, hi = _cut(cols[0], lo, hi, flo)
-    root, certified = _predict(cols, dcols, lo, hi, flo)
-    if not certified.all():
-        rest = ~certified
-        root[rest] = _sign_steps(cols[:, rest], lo[rest], hi[rest], flo[rest])
-    return root
+    root, certified, fixed = _predict(cols, dcols, lo, hi, flo)
+    rest = ~certified
+    if rest.any():
+        root[rest] = _sign_steps(cols.compress(rest, axis=1), lo[rest], hi[rest], flo[rest])
+    return root, ~(certified & fixed)
 
 
-def _bracket_roots(rows: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+def _bracket_roots(cols: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                    flo: np.ndarray, tol: np.ndarray) -> np.ndarray:
-    """Roots of the monic polynomials rows[r] in the brackets [lo, hi] (row
-    r[k] for bracket k, flo its value at lo), located to BISECT_TOL by
-    _bisect (a certified Newton prediction, else the sign steps) and then
-    polished by at most 5 Newton steps kept inside the bracket, stopping
-    where |F| <= tol.
-
-    Every bracket steps at once.  The bracket rows and their derivative
-    rows are gathered once, as coefficient columns, and every phase reads
-    them.
-    """
+    """Roots of the monic polynomials with coefficient columns cols[:, r] in
+    the brackets [lo, hi] (column r[k] for bracket k, flo its value at lo),
+    located to BISECT_TOL by _bisect, all brackets at once, and polished
+    where _bisect allows by at most 5 Newton steps kept inside the bracket,
+    stopping where |F| <= tol.  The bracket columns and their derivative
+    columns are gathered once, and every phase reads them."""
     if not r.size:  # no sign change in any row
         return lo
-    cols = rows.T.take(r, axis=1)
-    dcols = _derivative_row(cols)
-    root = _bisect(cols, dcols, lo, hi, flo)
-    fr = _horner(cols, root)
-    live = np.ones(root.shape, dtype=bool)
+    cols = cols.take(r, axis=1)
+    dcols = cols[1:] * np.arange(1.0, len(cols))[:, None]
+    root, polish = _bisect(cols, dcols, lo, hi, flo)
+    at = np.flatnonzero(polish)
+    x, cols, dcols = root[at], cols.take(at, axis=1), dcols.take(at, axis=1)
+    lo, hi, tol = lo[at], hi[at], tol[at]
+    fx = _horner(cols, x)
+    live = np.ones(x.shape, dtype=bool)
     for _ in range(5):
-        live &= ~(np.abs(fr) <= tol)
-        d = _horner(dcols, root)
-        live &= d != 0.0
-        candidate = root - fr / np.where(live, d, 1.0)
-        live &= (lo <= candidate) & (candidate <= hi)
-        fc = _horner(cols, candidate)
-        live &= ~(np.abs(fc) >= np.abs(fr))
         if not live.any():
             break
-        root = np.where(live, candidate, root)
-        fr = np.where(live, fc, fr)
+        live &= ~(np.abs(fx) <= tol)
+        d = _horner(dcols, x)
+        live &= d != 0.0
+        candidate = x - fx / np.where(live, d, 1.0)
+        live &= (lo <= candidate) & (candidate <= hi)
+        fc = _horner(cols, candidate)
+        live &= ~(np.abs(fc) >= np.abs(fx))
+        x = np.where(live, candidate, x)
+        fx = np.where(live, fc, fx)
+    root[at] = x
     return root
 
 
-def _isolate(rows: np.ndarray, floor: float = -math.inf) -> np.ndarray:
-    """Real roots of every monic row of rows (N, m+1), ascending coefficients
-    with a leading 1: an (N, w) array, each row ascending and NaN-padded.
-    A bracket whose upper end lies below floor is neither bisected nor
-    polished, so its root is missing; the derivative rows keep every root.
+def _isolate(cols: np.ndarray, floor: float = -math.inf) -> np.ndarray:
+    """Real roots of every monic polynomial with coefficient columns cols
+    (m+1, N), ascending with a leading row of ones: (w, N) root columns,
+    each polynomial's roots ascending down its column, NaN-padded.  A
+    bracket whose upper end lies below floor is neither bisected nor
+    polished, so its root is missing; the derivative levels keep every root.
 
-    The rows step in lockstep through one algorithm.  The roots of the
-    derivative rows (recursively) split [-R, R], R = 2 (1 + max |lambda_k|),
-    into intervals where the row is monotone; a critical point where |F| is
-    within a finite _rounding_bound of 0 and F does not change sign is a
-    multiple root, an exact 0 at +-R is a root, and every sign change is
-    located by _bisect and then polished by at most 5 Newton steps kept
-    inside its bracket (_bracket_roots).  Roots within 4 BISECT_TOL
-    (relative) of the previous one are merged.  Only the first row of each
-    run of bitwise-identical adjacent rows is isolated; since a row's roots
-    do not depend on its neighbours, the others copy its bytes.
-    Rows must pass _check_rows.
+    The roots of the derivatives (recursively) split [-R, R],
+    R = 2 (1 + max |lambda_k|), into intervals where F is monotone.  They
+    come back ascending and within their own bound R' <= R, none at -R'
+    (where |F'| exceeds half its leading term), so the partition is -R, the
+    critical columns up to the first at or above R, and R.  A critical point where |F| is within a finite
+    _rounding_bound of 0 and F does not change sign is a multiple root, an
+    exact 0 at +-R is a root, and every sign change is located by
+    _bracket_roots.  The candidates are taken in ascending order, as a
+    stable sort of [multiple roots, -R, brackets, R] would order them
+    (equal ones differ in bits only at 0, where a multiple root has
+    F(0) = 0 and so no bracket next to it), and merged into the last kept
+    one within 4 BISECT_TOL (relative).  Only the first of each run of
+    bitwise-identical adjacent polynomials is isolated; the others copy its
+    bytes.  The rows of cols.T must pass _check_rows.
     """
-    n, width = rows.shape
+    width, n = cols.shape
     if width == 2:
-        return -rows[:, :1]
+        return -cols[:1]
     if n > 1:
         # compare bits: rows with 0.0 and -0.0 have different roots
-        bits = rows.view(np.int64)
-        first = np.append(True, np.any(bits[1:] != bits[:-1], axis=1))
+        bits = cols.view(np.int64)
+        first = np.append(True, np.logical_or.reduce(bits[:, 1:] != bits[:, :-1]))
         if not first.all():
-            return _isolate(rows[first], floor)[np.cumsum(first) - 1]
-    deriv = np.stack(_derivative_row(rows.T), axis=1)
-    critical = _isolate(deriv / deriv[:, -1:])
+            return _isolate(cols.compress(first, axis=1), floor).take(np.cumsum(first) - 1, axis=1)
+    deriv = cols[1:] * np.arange(1.0, width)[:, None]
+    critical = _isolate(deriv / deriv[-1])
+    k = len(critical)
 
-    bound = (2.0 * (1.0 + np.max(np.abs(rows[:, :-1]), axis=1)))[:, None]
-    inside = (-bound < critical) & (critical < bound)
-    # partition [-R, interior critical points, R], NaN-padded on the right
-    pts = np.sort(np.hstack([-bound, np.where(inside, critical, np.nan), bound]), axis=1)
-    vals = _horner(rows.T[:, :, None], pts)
-    scale = 1.0 + np.max(np.abs(rows), axis=1)
+    top = np.max(np.abs(cols[:-1]), axis=0)
+    bound, scale = 2.0 * (1.0 + top), 1.0 + np.maximum(top, np.abs(cols[-1]))
+    # partition [-R, critical points inside (-R, R), R], NaN-padded below;
+    # none lies at or below -R, so the ones inside lead each column
+    inside = critical < bound
+    j, below = np.arange(k + 1)[:, None], inside.sum(axis=0)
+    inner = np.vstack([np.where(inside, critical, np.nan), np.full(n, np.nan)])
+    pts = np.vstack([-bound, np.where(j == below, bound, inner)])
+    vals = _horner(cols, pts)
 
     # a critical point where |F| is within the rounding bound of 0 is a
     # multiple root when F does not change sign through it (a sign change
     # is bisected below); a bound that overflows proves nothing
-    mid_vals = vals[:, 1:-1]
-    near_zero = _rounding_bound(rows.T[:, :, None], pts[:, 1:-1])
+    mid_vals = vals[1:-1]
+    near_zero = _rounding_bound(cols, pts[1:-1])
     multiple = (
         (np.abs(mid_vals) <= near_zero) & np.isfinite(near_zero)
-        & (vals[:, :-2] * mid_vals >= 0.0)
-        & (mid_vals * vals[:, 2:] >= 0.0)
+        & (vals[:-2] * mid_vals >= 0.0)
+        & (mid_vals * vals[2:] >= 0.0)
     )
     # an exact zero at a partition point is left to the critical-point rule
     # or the neighbouring interval, except at the ends +-R
-    f_end = vals[np.arange(n), np.count_nonzero(~np.isnan(pts), axis=1) - 1]
-    fa, fb = vals[:, :-1], vals[:, 1:]
-    bracket = (pts[:, 1:] >= floor) & (fa != 0.0) & (fb != 0.0) & ~(fa * fb > 0.0)
-    r, j = np.nonzero(bracket)
-    root = _bracket_roots(rows, r, pts[:, :-1][r, j], pts[:, 1:][r, j], fa[r, j],
-                          NEWTON_RESIDUAL_TOL * scale[r])
+    fa, fb = vals[:-1], vals[1:]
+    at = np.flatnonzero((pts[1:] >= floor) & (fa != 0.0) & (fb != 0.0) & ~(fa * fb > 0.0))
+    polished = np.full((k + 1, n), np.nan)
+    polished.flat[at] = _bracket_roots(cols, at % n, pts.ravel()[at], pts.ravel()[at + n],
+                                       fa.ravel()[at], NEWTON_RESIDUAL_TOL * scale[at % n])
 
-    polished = np.full(fa.shape, np.nan)
-    polished[r, j] = root
-    # a stable sort over a fixed candidate order (multiple roots, -R, the
-    # brackets left to right, R) decides which of two equal roots, 0.0 and
-    # -0.0, is kept
-    found = np.sort(
-        np.hstack([
-            np.where(multiple, pts[:, 1:-1], np.nan),
-            np.where(vals[:, :1] == 0.0, -bound, np.nan),
-            polished,
-            np.where(f_end[:, None] == 0.0, bound, np.nan),
-        ]),
-        axis=1, kind="stable",
-    )
+    # the candidates in ascending order: -R, bracket 0, critical point 1,
+    # bracket 1, ..., R (each bracket root lies in its bracket)
+    candidates = [np.where(vals[0] == 0.0, -bound, np.nan), polished[0]]
+    for i in range(k):
+        candidates += [np.where(multiple[i], pts[i + 1], np.nan), polished[i + 1]]
+    candidates.append(np.where(_horner(cols, bound) == 0.0, bound, np.nan))
 
-    merged = np.full(found.shape, np.nan)
-    count = np.zeros(n, dtype=np.intp)
-    last = np.full(n, np.nan)
-    for candidate in found.T:
+    merged = np.full(len(candidates) * n, np.nan)
+    slot, count, last = np.arange(n), np.zeros(n, dtype=np.intp), np.full(n, np.nan)
+    for candidate in candidates:
         keep = ~np.isnan(candidate) & ~(
             np.abs(candidate - last) <= 4.0 * BISECT_TOL * np.maximum(1.0, np.abs(candidate))
         )
-        merged[keep, count[keep]] = candidate[keep]
-        count += keep
-        last = np.where(keep, candidate, last)
-    return merged[:, : count.max(initial=0)]
+        if keep.any():
+            merged[(slot + count * n)[keep]] = candidate[keep]
+            count += keep
+            last = np.where(keep, candidate, last)
+    w = count.max(initial=0)
+    return merged[:w * n].reshape(w, n)
 
 
 def _isolate_roots(xs, rows: np.ndarray, floor: float = -math.inf) -> np.ndarray:
-    """Real roots of the monic rows (N, n+1) sampled at xs, as _isolate
-    gives them (floor as there), after _check_rows.  Overflow inside the
-    kernel gives inf silently, as it does in Python float arithmetic, and
-    so does a Newton prediction's division by F' = 0 (inf or NaN, which the
-    certificate refuses)."""
+    """Real roots of the monic rows (N, n+1) sampled at xs, after
+    _check_rows, as _isolate gives them (floor as there) but transposed to
+    one row per x (N, w).  Overflow inside the kernel gives inf silently,
+    as in Python float arithmetic, and so does a Newton prediction's
+    division by F' = 0 (inf or NaN, which the certificate refuses)."""
     _check_rows(xs, rows)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _isolate(rows, floor)
+        return _isolate(np.ascontiguousarray(rows.T), floor).T
 
 
 def _branch_floor(n: int) -> float:
@@ -526,114 +520,119 @@ def real_roots(nf: NormalForm, x: float) -> list[float]:
 
 
 def _moves(prev: np.ndarray, nxt: np.ndarray):
-    """Where each root of each row of prev (M, w) moves in the same row of
-    nxt (M, w'), both ascending and NaN-padded: the column of the nearest
-    root (the first of equally near ones), or of the smallest root above
-    POSITIVE_THRESHOLD if the nearest is at or below it, -1 where there is
-    none (the branch vanished); and whether that move jumps by more than
-    JUMP_FRACTION (1 + |prev|).  Entries for prev's padding mean nothing."""
-    if nxt.shape[1] == 0:  # no row has a root: one column of padding
-        nxt = np.full((len(nxt), 1), np.nan)
+    """Where each root of the root column prev (M,) moves in the next rows'
+    root columns nxt (w', M), one pass per column of nxt: the column of the
+    nearest root (the first of equally near ones), or of the smallest root
+    above POSITIVE_THRESHOLD if the nearest is at or below it, -1 where
+    there is none (the branch vanished); and whether that move jumps by
+    more than JUMP_FRACTION (1 + |prev|).  prev's NaN padding means nothing."""
+    nearest, smallest = np.zeros(prev.shape, dtype=np.intp), np.full(prev.shape, -1)
+    near, low, best = (np.full(prev.shape, v) for v in (np.nan, np.nan, np.inf))
     with np.errstate(over="ignore", invalid="ignore"):
-        distance = np.abs(nxt[:, None, :] - prev[:, :, None])
-        nearest = np.argmin(np.where(np.isnan(distance), np.inf, distance), axis=2)
-        positive = nxt > POSITIVE_THRESHOLD
-        smallest = np.where(positive.any(axis=1), positive.argmax(axis=1), -1)[:, None]
-        move = np.where(np.take_along_axis(nxt, nearest, axis=1) > POSITIVE_THRESHOLD,
-                        nearest, smallest)
-        chosen = np.take_along_axis(nxt, np.maximum(move, 0), axis=1)
+        for c, roots in enumerate(nxt):
+            distance = np.abs(roots - prev)
+            distance[np.isnan(distance)] = np.inf
+            closer = (distance < best) | (c == 0)
+            best = np.where(closer, distance, best)
+            nearest, near = np.where(closer, c, nearest), np.where(closer, roots, near)
+            first = (roots > POSITIVE_THRESHOLD) & (smallest < 0)
+            smallest, low = np.where(first, c, smallest), np.where(first, roots, low)
+        far = near > POSITIVE_THRESHOLD
+        move, chosen = np.where(far, nearest, smallest), np.where(far, near, low)
         jump = (move >= 0) & (np.abs(chosen - prev) > JUMP_FRACTION * (1.0 + np.abs(prev)))
     return move, jump
 
 
-def _hop(prev: np.ndarray, col: int, nxt: np.ndarray, x: float) -> int:
-    """The column of nxt that prev[0, col] moves to (stacks of one); raises
+def _hop(prev: float, nxt: np.ndarray, x: float) -> int:
+    """The root column of nxt (w, 1) that the root prev moves to; raises
     BranchError at x if the branch vanishes or jumps there."""
-    move, jump = _moves(prev, nxt)
-    if move[0, col] < 0:
+    move, jump = _moves(np.array([prev]), nxt)
+    if move[0] < 0:
         raise BranchError("equilibrium branch vanished", x)
-    if jump[0, col]:
+    if jump[0]:
         raise BranchError("branch lost (jump beyond threshold)", x)
-    return int(move[0, col])
+    return int(move[0])
 
 
 def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
     """Continue the smallest-positive-root branch across the grid.
 
-    Every grid point is sampled once, up front, the roots of all rows are
-    isolated in one lockstep call and _moves maps every root to the next
-    row's in one pass.  That call, like each midpoint's, bisects only the
-    brackets that end at or above _branch_floor: the roots below it are
-    missing from the table, and the branch is the one the full table
-    gives.  What stays sequential is a walk over runs of one column,
-    each ended by the next row where the move out of it changes column,
-    jumps or vanishes (np.flatnonzero once per column reached, then
-    searchsorted), and the refining jumps, each midpoint sampled,
-    isolated and hopped through (_moves on stacks of one) on its own.
-    The sampled a_n and rows, midpoints included, are kept as the
-    branch's table; the root table is not.
+    Every grid point is sampled once, up front, and the roots of all rows
+    are isolated in one lockstep call, as root columns, bisecting only the
+    brackets that end at or above _branch_floor (so is each midpoint); the
+    branch is the one the full table gives.  The walk goes by runs of one
+    root column: the first time it reaches a column, _moves maps that
+    column into the next rows' columns and np.flatnonzero finds the rows
+    whose move leaves it, jumps or vanishes; searchsorted ends each run.  A
+    refining jump samples, isolates and hops through its midpoint on its
+    own.  The sampled a_n and rows, midpoints included, are the branch's
+    table; the root table is not kept.
 
     Raises what NormalForm.sample raises at the first grid point where it
     fails.  Raises BranchError if a sampled lambda_k is not finite, if the
     first grid point has no positive root, if the branch vanishes or if a
     jump survives one local refinement.
     """
-    xs = grid.xs().tolist()
-    leading, rows, defined = nf.sample_grid(xs)
+    grid_xs = grid.xs()
+    xs = grid_xs.tolist()
+    leading, rows, defined = nf.sample_grid(grid_xs)
     if not defined.all():
         nf.sample(xs[int(defined.argmin())])  # raises the first failing point's error
     floor = _branch_floor(rows.shape[1] - 1)
-    table = _isolate_roots(xs, rows, floor)
+    table = _isolate_roots(xs, rows, floor).T
 
-    positive = table[0] > POSITIVE_THRESHOLD
+    positive = table[:, 0] > POSITIVE_THRESHOLD
     if not positive.any():
         raise BranchError("no positive equilibrium at the first grid point", xs[0])
     col = int(positive.argmax())
-    move, jump = _moves(table[:-1], table[1:])
 
     # walk by runs: in column col from row i through the next row whose
     # move out of col changes column, jumps or vanishes (or the last row)
     last = len(xs) - 1
-    stops = {}  # column -> those rows, ascending, then last
+    runs = {}  # column -> its moves, jumps, and those rows then last
     cols = np.empty(len(xs), dtype=np.intp)
     midpoints = []  # (grid index it precedes, x, a_n, row, E)
     i = 0
     while True:
-        if col not in stops:
-            stops[col] = np.append(np.flatnonzero((move[:, col] != col) | jump[:, col]), last)
-        end = int(stops[col][stops[col].searchsorted(i)])
+        if col not in runs:
+            move, jump = _moves(table[col, :-1], table[:, 1:])
+            runs[col] = move, jump, np.append(np.flatnonzero((move != col) | jump), last)
+        move, jump, stops = runs[col]
+        end = int(stops[stops.searchsorted(i)])
         cols[i:end + 1] = col
         if end == last:
             break
         i = end + 1
-        nxt = int(move[end, col])
+        nxt = int(move[end])
         if nxt < 0:
             raise BranchError("equilibrium branch vanished", xs[i])
-        if jump[end, col]:
+        if jump[end]:
             # refine once: step through the midpoint in the grid metric
             mid = grid.midpoint(xs[end], xs[i])
             mid_an, mid_row = nf.sample(mid)
-            mid_roots = _isolate_roots([mid], np.array([mid_row]), floor)
-            at = _hop(table[end:i], col, mid_roots, mid)
-            nxt = _hop(mid_roots, at, table[i:i + 1], xs[i])
-            midpoints.append((i, mid, mid_an, mid_row, mid_roots[0, at]))
+            mid_roots = _isolate_roots([mid], np.array([mid_row]), floor).T
+            at = _hop(table[col, end], mid_roots, mid)
+            nxt = _hop(mid_roots[at, 0], table[:, i:i + 1], xs[i])
+            midpoints.append((i, mid, mid_an, mid_row, mid_roots[at, 0]))
         col = nxt
 
-    values = table[np.arange(len(xs)), cols]
+    values = table[cols, np.arange(len(xs))]
+    coefficients = rows.T
     with np.errstate(over="ignore", invalid="ignore"):
         # grid points with more than one positive root where dF/dy < 0
-        slope = _horner([c[:, None] for c in _derivative_row(rows.T)], table)
-        stable = np.count_nonzero((table > POSITIVE_THRESHOLD) & (slope < 0.0), axis=1)
+        slope = _horner(_derivative_row(coefficients), table)
+        stable = np.count_nonzero((table > POSITIVE_THRESHOLD) & (slope < 0.0), axis=0)
         ambiguous = int(np.count_nonzero(stable > 1))
         if midpoints:
             at, mid_xs, mid_leading, mid_rows, mid_values = zip(*midpoints)
-            xs = np.insert(xs, at, mid_xs)
+            grid_xs = np.insert(grid_xs, at, mid_xs)
             values = np.insert(values, at, mid_values)
             leading = np.insert(leading, at, mid_leading)
-            rows = np.insert(rows, at, mid_rows, axis=0)
-        lambdas = _horner(_derivative_row(rows.T), values)
+            coefficients = np.insert(coefficients, at, np.transpose(mid_rows), axis=1)
+        lambdas = _horner(_derivative_row(coefficients), values)
 
-    return EquilibriumBranch(xs, values, lambdas, grid, ambiguous, leading=leading, rows=rows)
+    return EquilibriumBranch(grid_xs, values, lambdas, grid, ambiguous, leading=leading,
+                             rows=coefficients.T)
 
 
 def _dF_dx(nf: NormalForm, xs: np.ndarray, es: np.ndarray):

@@ -552,6 +552,136 @@ def reference_bisect(rows, r, lo, hi, flo):
     return root
 
 
+#: the root kernel's polish tolerance, rounding margin, positive threshold
+#: and jump fraction, frozen with reference_isolate and reference_moves
+_REFERENCE_RESIDUAL_TOL = 1e-13
+_REFERENCE_MARGIN = 2.0
+_REFERENCE_THRESHOLD = 1e-12
+_REFERENCE_JUMP = 0.25
+
+
+def _reference_rounding_bound(cols, t):
+    n = len(cols) - 1
+    gamma = 2 * n * 2.0 ** -53 / (1.0 - 2 * n * 2.0 ** -53)
+    return _REFERENCE_MARGIN * gamma * _horner([np.abs(c) for c in cols], np.abs(t))
+
+
+def _reference_bracket_roots(rows, r, lo, hi, flo, tol, bisect):
+    """bisect's roots of the brackets of rows[r], then the Newton polish of
+    every bracket: at most 5 steps kept inside [lo, hi] that lower |F|."""
+    if not r.size:
+        return lo
+    cols = rows.T.take(r, axis=1)
+    dcols = [k * c for k, c in enumerate(cols)][1:]
+    root = bisect(cols, dcols, lo, hi, flo)
+    fr = _horner(list(cols), root)
+    live = np.ones(root.shape, dtype=bool)
+    for _ in range(5):
+        live &= ~(np.abs(fr) <= tol)
+        d = _horner(dcols, root)
+        live &= d != 0.0
+        candidate = root - fr / np.where(live, d, 1.0)
+        live &= (lo <= candidate) & (candidate <= hi)
+        fc = _horner(list(cols), candidate)
+        live &= ~(np.abs(fc) >= np.abs(fr))
+        if not live.any():
+            break
+        root = np.where(live, candidate, root)
+        fr = np.where(live, fc, fr)
+    return root
+
+
+def reference_isolate(rows, bisect, floor=-math.inf):
+    """Real roots of every monic row of rows (N, m+1), ascending and
+    NaN-padded (N, w), as equilibrium._isolate gave them while it worked on
+    rows: a frozen copy of its row-major passes, kept as reference_bisect
+    is kept for the sign steps.  The partition sorts [-R, the critical
+    points inside (-R, R), R] per row; every bracket is polished; the
+    candidates (multiple roots, -R, brackets, R) are stably sorted per row
+    and merged by one 2-D assignment per candidate column.
+
+    bisect(cols, dcols, lo, hi, flo) locates the roots of the brackets
+    [lo, hi] of the polynomials with coefficient columns cols to 1e-12 (the
+    package's equilibrium._bisect, or any frozen copy).  Needs numpy errors
+    on overflow, invalid operations and division ignored, as the kernel
+    runs.
+    """
+    n, width = rows.shape
+    if width == 2:
+        return -rows[:, :1]
+    if n > 1:
+        bits = rows.view(np.int64)
+        first = np.append(True, np.any(bits[1:] != bits[:-1], axis=1))
+        if not first.all():
+            return reference_isolate(rows[first], bisect, floor)[np.cumsum(first) - 1]
+    deriv = np.stack([k * c for k, c in enumerate(rows.T)][1:], axis=1)
+    critical = reference_isolate(deriv / deriv[:, -1:], bisect)
+
+    bound = (2.0 * (1.0 + np.max(np.abs(rows[:, :-1]), axis=1)))[:, None]
+    inside = (-bound < critical) & (critical < bound)
+    pts = np.sort(np.hstack([-bound, np.where(inside, critical, np.nan), bound]), axis=1)
+    vals = _horner(list(rows.T[:, :, None]), pts)
+    scale = 1.0 + np.max(np.abs(rows), axis=1)
+
+    mid_vals = vals[:, 1:-1]
+    near_zero = _reference_rounding_bound(list(rows.T[:, :, None]), pts[:, 1:-1])
+    multiple = (
+        (np.abs(mid_vals) <= near_zero) & np.isfinite(near_zero)
+        & (vals[:, :-2] * mid_vals >= 0.0)
+        & (mid_vals * vals[:, 2:] >= 0.0)
+    )
+    f_end = vals[np.arange(n), np.count_nonzero(~np.isnan(pts), axis=1) - 1]
+    fa, fb = vals[:, :-1], vals[:, 1:]
+    bracket = (pts[:, 1:] >= floor) & (fa != 0.0) & (fb != 0.0) & ~(fa * fb > 0.0)
+    r, j = np.nonzero(bracket)
+    root = _reference_bracket_roots(rows, r, pts[:, :-1][r, j], pts[:, 1:][r, j], fa[r, j],
+                                    _REFERENCE_RESIDUAL_TOL * scale[r], bisect)
+    polished = np.full(fa.shape, np.nan)
+    polished[r, j] = root
+    found = np.sort(
+        np.hstack([
+            np.where(multiple, pts[:, 1:-1], np.nan),
+            np.where(vals[:, :1] == 0.0, -bound, np.nan),
+            polished,
+            np.where(f_end[:, None] == 0.0, bound, np.nan),
+        ]),
+        axis=1, kind="stable",
+    )
+    merged = np.full(found.shape, np.nan)
+    count = np.zeros(n, dtype=np.intp)
+    last = np.full(n, np.nan)
+    for candidate in found.T:
+        keep = ~np.isnan(candidate) & ~(
+            np.abs(candidate - last) <= 4.0 * _REFERENCE_BISECT_TOL
+            * np.maximum(1.0, np.abs(candidate)))
+        merged[keep, count[keep]] = candidate[keep]
+        count += keep
+        last = np.where(keep, candidate, last)
+    return merged[:, : count.max(initial=0)]
+
+
+def reference_moves(prev, nxt):
+    """Where each root of each row of prev (M, w) moves in the same row of
+    nxt (M, w'), as equilibrium._moves gave it for whole tables in one
+    (M, w, w') broadcast: the column of the nearest root (the first of
+    equally near ones), or of the smallest root above 1e-12 if the nearest
+    is at or below it, -1 where there is none; and whether the move jumps
+    by more than 0.25 (1 + |prev|).  A frozen copy."""
+    if nxt.shape[1] == 0:
+        nxt = np.full((len(nxt), 1), np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        distance = np.abs(nxt[:, None, :] - prev[:, :, None])
+        nearest = np.argmin(np.where(np.isnan(distance), np.inf, distance), axis=2)
+        positive = nxt > _REFERENCE_THRESHOLD
+        smallest = np.where(positive.any(axis=1), positive.argmax(axis=1), -1)[:, None]
+        move = np.where(np.take_along_axis(nxt, nearest, axis=1) > _REFERENCE_THRESHOLD,
+                        nearest, smallest)
+        chosen = np.take_along_axis(nxt, np.maximum(move, 0), axis=1)
+        jump = (move >= 0) & (np.abs(chosen - prev)
+                              > _REFERENCE_JUMP * (1.0 + np.abs(prev)))
+    return move, jump
+
+
 def exact_sign(row, t):
     """The sign (-1, 0 or 1) of the exact polynomial with the ascending float
     coefficients row at the rational t: each coefficient as a Fraction

@@ -425,6 +425,18 @@ class TestReduceCommand:
                        f"residual {residual}\n")
         assert not (tmp_path / "red").exists()
 
+    def test_non_finite_reduced_coefficient_is_refused(self, tmp_path):
+        # 0 is an exact root of y^2 1e308 + y 1e308, but the Taylor shift
+        # forms 2 a_2 = inf and then inf * 0 = NaN for c_1; such a table once
+        # printed c at x0=0: (nan, 1e+308) and wrote nan into reduce.csv
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("degree = 2\ncoefficients = 0 | 1e308 | 1e308\nx0 = 0\ny0 = 0\n"
+                       "x_end = 1\n")
+        code, out, err = run(["reduce", "--config", cfg, "--ep", "0", "--out", tmp_path / "red"])
+        assert (code, out) == (1, "")
+        assert err == "numeric failure: reduced coefficient c1 = nan is not finite at x=0.0\n"
+        assert not (tmp_path / "red").exists()
+
     @pytest.mark.parametrize("x_max", ["-5", "0"])
     @pytest.mark.parametrize("source", ["case", "config"])
     def test_x_max_at_or_below_x0_is_usage_error(self, tmp_path, source, x_max):

@@ -25,7 +25,7 @@ from abelode.equilibrium import (
 )
 from abelode.expr import ExprDomainError
 from oracles import (WalkError, bisect_scan_roots, exact_sign, polyroots_60, reference_bisect,
-                     reference_walk, slope_in_y)
+                     reference_isolate, reference_moves, reference_walk, slope_in_y)
 
 
 def monic_cubic(c0, c1, c2, x0=0.0):
@@ -476,14 +476,14 @@ def _kernel_brackets(run):
     bisect, predict = equilibrium._bisect, equilibrium._predict
 
     def recording_predict(*args):
-        root, certified = predict(*args)
+        root, certified, fixed = predict(*args)
         masks.append(certified.copy())
-        return root, certified
+        return root, certified, fixed
 
     def recording_bisect(cols, dcols, lo, hi, flo):
-        root = bisect(cols, dcols, lo, hi, flo)
+        root, polish = bisect(cols, dcols, lo, hi, flo)
         calls.append((cols.T, lo, hi, flo, root.copy(), masks.pop()))
-        return root
+        return root, polish
 
     equilibrium._bisect, equilibrium._predict = recording_bisect, recording_predict
     try:
@@ -577,8 +577,8 @@ class TestCertifiedPrediction:
         predict = equilibrium._predict
 
         def uncertified(*args):
-            x, certified = predict(*args)
-            return x, np.zeros_like(certified)
+            x, certified, fixed = predict(*args)
+            return x, np.zeros_like(certified), fixed
 
         monkeypatch.setattr(equilibrium, "_predict", uncertified)
         brackets, binades = 0, set()
@@ -641,6 +641,124 @@ class TestCertifiedPrediction:
     ])
     def test_no_spurious_multiple_root(self, row):
         assert _isolate_roots([0.0], np.array([row])).shape == (1, 0)
+
+
+def _kernel_bisect(cols, dcols, lo, hi, flo):
+    """The kernel's bracket location alone (cut, certified prediction, sign
+    steps), as reference_isolate takes it."""
+    return equilibrium._bisect(cols, dcols, lo, hi, flo)[0]
+
+
+def _assert_frozen(rows, floor=-math.inf):
+    """The lockstep kernel gives the frozen row-major kernel's bytes."""
+    rows = np.asarray(rows, dtype=float)
+    table = _isolate_roots(np.arange(len(rows)), rows, floor)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        reference = reference_isolate(rows, _kernel_bisect, floor)
+    assert table.shape == reference.shape
+    assert table.tobytes() == reference.tobytes()
+
+
+@st.composite
+def coefficient_stacks(draw):
+    """1-40 monic rows of one degree (1-5), coefficients on [-5, 5] with
+    exact zeros of both signs, and the same rows repeated."""
+    degree = draw(st.integers(1, 5))
+    coefficient = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.0]), st.floats(-5.0, 5.0))
+    rows = draw(st.lists(st.lists(coefficient, min_size=degree, max_size=degree),
+                         min_size=1, max_size=40))
+    rows = np.array([row + [1.0] for row in rows])
+    return rows[draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=60))]
+
+
+@cache
+def _case_table(cid, x_max=None):
+    """The rows of case cid's branch grid and their full root table."""
+    case = get_case(cid)
+    xs = case.branch_grid(x_max).xs()
+    rows = normalize(case.equation).sample_grid(xs)[1]
+    return rows, _isolate_roots(xs, rows)
+
+
+class TestFrozenKernel:
+    """The column-major kernel (sort-free partition, candidates merged in
+    ascending order, polish only where a prediction was not certified at a
+    fixed point) gives the bytes of the frozen row-major copies in
+    tests/oracles.py (reference_isolate, reference_moves)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=coefficient_stacks(), floored=st.booleans())
+    def test_generated_stacks(self, rows, floored):
+        _assert_frozen(rows, _branch_floor(rows.shape[1] - 1) if floored else -math.inf)
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=run_batches())
+    def test_runs_of_identical_rows(self, batch):
+        _assert_frozen(batch)
+
+    @settings(max_examples=40, deadline=None)
+    @given(built=constructed_rows())
+    def test_constructed_rows(self, built):
+        row = built[0]
+        _assert_frozen(np.vstack([_filler(len(row) - 1, 40), row]))
+
+    @pytest.mark.parametrize("rows", [
+        [[0.0, 1.0], [-0.0, 1.0]],
+        [[0.0, 0.0, 1.0], [0.0, -0.0, 1.0], [-0.0, 0.0, 1.0]],
+        [[0.0, 0.0, 0.0, 1.0]] * 2 + [[0.0, 0.0, -0.0, 1.0]] * 3 + [[0.0, -0.0, 0.0, 1.0]],
+        [[-0.0, 0.0, -0.0, 0.0, 1.0], [0.0, -0.0, 0.0, -0.0, 1.0]],
+    ])
+    def test_rows_that_differ_by_the_sign_of_zero(self, rows):
+        _assert_frozen(rows)
+
+    @pytest.mark.parametrize("top", [103.0, None], ids=["to-1e103", "to-row-limit"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_extreme_magnitude_rows(self, seed, top):
+        rows = _extreme_rows(np.random.default_rng(seed), 80, top)
+        for degree in range(1, 6):
+            stack = [row for row in rows if len(row) == degree + 1]
+            if stack:
+                _assert_frozen(stack)
+                _assert_frozen(stack, _branch_floor(degree))
+
+    @pytest.mark.parametrize("cid, x_max", [(1, None), (2, None), (3, None), (2, 2e5)])
+    def test_case_tables(self, cid, x_max):
+        rows, _ = _case_table(cid, x_max)
+        _assert_frozen(rows)
+        _assert_frozen(rows, _branch_floor(rows.shape[1] - 1))
+
+    @pytest.mark.parametrize("cid, x_max", [(1, None), (2, None), (3, None), (2, 2e5)])
+    def test_moves_of_every_column(self, cid, x_max):
+        # each root column's moves are the frozen whole-table moves' column,
+        # on the full table and on a table whose columns change with the row
+        _, table = _case_table(cid, x_max)
+        shuffled = table[np.random.default_rng(cid).permutation(len(table))]
+        for roots in (table, shuffled):
+            move, jump = reference_moves(roots[:-1], roots[1:])
+            for col in range(roots.shape[1]):
+                got = _moves(roots.T[col, :-1], roots.T[:, 1:])
+                assert got[0].tolist() == move[:, col].tolist()
+                assert got[1].tolist() == jump[:, col].tolist()
+
+    @pytest.mark.parametrize("source", [1, 2, 3, "seeded"])
+    def test_critical_points_lie_within_the_derivative_bound(self, source):
+        # the sort-free partition rests on this: the derivative level's
+        # roots lie in [-R', R'] with R' <= R and none at or below -R, so
+        # the critical points inside (-R, R) lead each ascending column
+        if source == "seeded":
+            stacks = [np.vstack([row for row in _seeded_rows() if len(row) == n + 1])
+                      for n in range(2, 6)]
+        else:
+            stacks = [_case_table(source)[0]]
+        for rows in stacks:
+            deriv = rows[:, 1:] * np.arange(1.0, rows.shape[1])
+            deriv = deriv / deriv[:, -1:]
+            critical = _isolate_roots(np.arange(len(rows)), deriv)
+            bound = 2.0 * (1.0 + np.max(np.abs(rows[:, :-1]), axis=1))
+            inner = 2.0 * (1.0 + np.max(np.abs(deriv[:, :-1]), axis=1))
+            assert np.all(inner <= bound)
+            assert np.all(np.isnan(critical) | (np.abs(critical) <= inner[:, None]))
+            assert np.all(np.isnan(critical) | (critical > -bound[:, None]))
 
 
 class TestBranchContinuation:
@@ -748,7 +866,8 @@ class TestBranchContinuation:
         # unless it is at or below POSITIVE_THRESHOLD (third row)
         prev = np.array([[1.0, np.nan], [0.5, 2.0], [0.25, np.nan]])
         nxt = np.array([[0.75, 1.25, np.nan], [0.25, 0.75, 2.0], [0.0, 0.5, np.nan]])
-        move, jump = _moves(prev, nxt)
+        # one call per root column of prev, stacked back into rows
+        move, jump = (np.stack(a, axis=1) for a in zip(*(_moves(c, nxt.T) for c in prev.T)))
         assert move[0, 0] == 0 and move[1].tolist() == [0, 2] and move[2, 0] == 1
         assert not jump[0, 0] and not jump[1].any() and not jump[2, 0]
 
