@@ -14,10 +14,12 @@ line on top.
 resolved from its defining module on access (PEP 562), which loads that
 module the first time, so a caller pays only for the modules it reaches;
 ``abelode.integrate`` loads core, expr and radau, not the branch,
-hypothesis, finance or reduction modules.  ``abelode.get_case`` loads
-cases besides those three, and a run's branch, report and diagnostics
-stages load equilibrium, hypotheses and rate when they first run.  Each
-CLI subcommand likewise imports only the modules it runs.
+hypothesis, finance or reduction modules.  ``abelode.get_case`` and
+``abelode.SolverConfig`` load no radau: the first loads cases, core and
+expr, the second core and expr, and a run's branch, report, result and
+diagnostics stages load equilibrium, hypotheses, radau and rate when they
+first run.  Each CLI subcommand likewise imports only the modules it
+runs, so hypotheses and reduce load no integrator.
 """
 
 from importlib import import_module
@@ -26,16 +28,16 @@ __version__ = "0.1.0"
 
 #: the names the package exports, by defining module
 _EXPORTS = {
-    "core": ["AbelEquation", "BranchError", "LeadingCoefficientError", "NormalForm",
-             "ZeroEigenvalueError", "build_equation", "eval_drhs", "eval_rhs", "normalize"],
+    "core": ["AbelEquation", "BranchError", "LeadingCoefficientError", "NewtonFailure",
+             "NormalForm", "OrderTestError", "SolverConfig", "ZeroEigenvalueError",
+             "build_equation", "eval_drhs", "eval_rhs", "normalize"],
     "equilibrium": ["BranchPoint", "EquilibriumBranch", "GridSpec", "branch_limit",
                     "continue_branch", "real_roots"],
     "expr": ["Expr", "ExprDomainError", "ExprError", "ExprSyntaxError", "parse"],
     "hypotheses": ["HypothesisEntry", "HypothesisReport", "check_asymptotic",
                    "check_structural", "verify"],
-    "radau": ["ButcherTableau", "IntegrationResult", "NewtonFailure", "OrderTestError",
-              "SolverConfig", "empirical_order", "integrate", "integrate_rhs",
-              "radau_tableau", "stability_value", "step"],
+    "radau": ["ButcherTableau", "IntegrationResult", "empirical_order", "integrate",
+              "integrate_rhs", "radau_tableau", "stability_value", "step"],
     "rate": ["PlateauDiagnostics", "RateBound", "diagnose", "rate_bound",
              "remainder_constant"],
     "reduction": ["NotASolutionError", "ReducedEquation", "ReductionError", "SecondKindForm",

@@ -22,10 +22,10 @@ Branch grids are case-tuned:
 Integration always starts exactly at the case's x0 with y = 0.  Analysis
 is the pipeline every caller (run_case, spread_curve, the CLI) reads.
 
-Importing this module loads only core, expr and radau, so reading a case
-equation (get_case) loads no branch, hypothesis or rate code: each
-Analysis stage imports its module (equilibrium, hypotheses, rate) when it
-first runs, and branch_grid imports GridSpec.
+Importing this module loads only core and expr, so reading a case
+equation (get_case) loads no integrator, branch, hypothesis or rate code:
+each Analysis stage imports its module (equilibrium, hypotheses, radau,
+rate) when it first runs, and branch_grid imports GridSpec.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import TYPE_CHECKING, Optional
 
-from .core import AbelEquation, BranchError, NormalForm, build_equation, normalize
-from .radau import IntegrationResult, SolverConfig, integrate
+from .core import AbelEquation, BranchError, NormalForm, SolverConfig, build_equation, normalize
 
 if TYPE_CHECKING:
     from .equilibrium import EquilibriumBranch, GridSpec
     from .hypotheses import HypothesisReport
+    from .radau import IntegrationResult
     from .rate import PlateauDiagnostics
 
 __all__ = ["ReferenceRow", "CaseStudy", "Analysis", "CaseRun", "get_case", "run_case"]
@@ -165,6 +165,8 @@ class Analysis:
 
     @cached_property
     def result(self) -> IntegrationResult:
+        from .radau import integrate
+
         return integrate(self.equation, self.y0, self.x_end, self.config)
 
     @cached_property

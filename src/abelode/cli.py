@@ -25,14 +25,14 @@ import numpy as np
 
 from .cases import Analysis, get_case, run_case
 from .config import ConfigError, equation_config, load_pairs, merton_params, solver_config
-from .core import BranchError, ZeroEigenvalueError
+from .core import (BranchError, NewtonFailure, OrderTestError, SolverConfig,
+                   ZeroEigenvalueError)
 from .expr import ExprError
-from .radau import (IntegrationResult, NewtonFailure, OrderTestError, SolverConfig,
-                    empirical_order)
 
 if TYPE_CHECKING:
     from .equilibrium import EquilibriumBranch
     from .hypotheses import HypothesisReport
+    from .radau import IntegrationResult
 
 __all__ = ["main"]
 
@@ -297,6 +297,8 @@ def _cmd_spread(args) -> int:
 
 
 def _cmd_order_test(args) -> int:
+    from .radau import empirical_order
+
     case = get_case(1)
     slope, errors = empirical_order(
         case.equation, 0.0, 2.0, list(ORDER_TEST_STEPS)

@@ -28,9 +28,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
-from .core import AbelEquation, build_equation
+from .core import AbelEquation, SolverConfig, build_equation
 from .expr import ExprError
-from .radau import SolverConfig
 
 if TYPE_CHECKING:
     from .finance import MertonParams

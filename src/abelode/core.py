@@ -31,6 +31,13 @@ raises, by Expr.eval_array (compile_row's code run on the whole grid).
 These are the only checks of a_n: normalize evaluates nothing, so a zero
 of a_n outside the abscissae a run samples is never met.
 
+SolverConfig, the integrator's tolerances and guards, and the exceptions
+every stage raises (BranchError, ZeroEigenvalueError, NewtonFailure and
+OrderTestError) live here beside the equation types, so that a caller
+which only builds a configuration or names an exception loads no stage
+module: radau, the only module that integrates, is loaded by the first
+integration.
+
 All types are immutable after construction and can be shared freely
 across threads; the only state they hold beyond their fields is the
 compiled row, built on first use and the same whichever thread builds it.
@@ -53,6 +60,9 @@ __all__ = [
     "LeadingCoefficientError",
     "BranchError",
     "ZeroEigenvalueError",
+    "NewtonFailure",
+    "OrderTestError",
+    "SolverConfig",
     "build_equation",
     "normalize",
     "eval_rhs",
@@ -78,6 +88,14 @@ class ZeroEigenvalueError(RuntimeError):
     def __init__(self, x: float):
         super().__init__(f"dF/dy vanishes at x={x!r}; branch derivative undefined")
         self.x = x
+
+
+class NewtonFailure(RuntimeError):
+    """Stage iteration did not converge within newton_max_iters."""
+
+
+class OrderTestError(RuntimeError):
+    """Reference or fixed-step run failed during the order measurement."""
 
 
 @dataclass(frozen=True)
@@ -189,6 +207,53 @@ def _require_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
+def _require_finite(**values) -> None:
+    """Raise ValueError naming the first value that is not a finite real
+    number."""
+    for name, value in values.items():
+        _require_real(name, value)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Tolerances and guards for both integration loops.
+
+    h0 defaults to 1e-3 (x_end - x0) and h_max to (x_end - x0)/10 at
+    integrate() time when left as None.  The fixed-step loop reads the
+    Newton settings (atol and rtol through the Newton threshold) and
+    max_steps, its limit on (x_end - x0) / h.
+    """
+
+    atol: float = 1e-9
+    rtol: float = 1e-9
+    h0: float | None = None
+    h_min: float = 1e-12
+    h_max: float | None = None
+    newton_tol: float = 1e-2
+    newton_max_iters: int = 10
+    max_steps: int = 10_000_000
+
+    def __post_init__(self):
+        for name in ("atol", "rtol", "h0", "h_min", "h_max", "newton_tol"):
+            value = getattr(self, name)
+            if value is not None or name not in ("h0", "h_max"):  # None: the default
+                _require_finite(**{name: value})
+        if self.atol <= 0.0 or self.rtol < 0.0:
+            raise ValueError("atol must be positive and rtol non-negative")
+        for name in ("h0", "h_min", "h_max", "newton_tol"):
+            value = getattr(self, name)
+            if value is not None and value <= 0.0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        for name in ("newton_max_iters", "max_steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.newton_max_iters < 1:
+            raise ValueError("newton_max_iters must be >= 1")
+
+
 def _horner(coefficients: list[float], y: float) -> float:
     """Value at y of the polynomial with ascending coefficients c_0..c_{m-1}
     (floats, or arrays that broadcast with y), by Horner's rule from the
@@ -226,13 +291,40 @@ def _taylor_shift(coefficients: list, g):
     Entry k is (1/k!) d^k/dy^k at g = sum_{j>=k} binom(j, k) c_j g^{j-k},
     summed by Horner in g from the highest power down.  Coefficients and g
     may be floats or equal-length arrays (one polynomial per entry, the
-    same operations element-wise).
+    same operations element-wise).  Where an entry is not finite, it is
+    summed again with every c_j pre-scaled by the same exact power of two,
+    chosen so that no binom(j, k) c_j overflows, and scaled back
+    (_rescaled_entry); a finite entry is never touched.
     """
     n = len(coefficients)
-    return [
-        _horner([math.comb(j, k) * coefficients[j] for j in range(k, n)], g)
-        for k in range(n)
-    ]
+    shifted = []
+    for k in range(n):
+        entry = _horner([math.comb(j, k) * coefficients[j] for j in range(k, n)], g)
+        finite = math.isfinite(entry) if isinstance(entry, float) else np.isfinite(entry).all()
+        shifted.append(entry if finite else _rescaled_entry(coefficients, g, k, entry))
+    return shifted
+
+
+def _rescaled_entry(coefficients: list, g, k: int, entry):
+    """Entry k of _taylor_shift where its plain sum gave entry, not finite:
+    the sum again from the c_j times 2^-e, then times 2^e, with e the least
+    shift that keeps the n - k terms binom(j, k) c_j 2^-e, and their sum
+    where |g| <= 1, inside the float range (entry itself where e <= 0: no
+    term overflowed).  Both scalings are exact unless a scaled c_j is
+    subnormal.  An array entry keeps entry wherever that is finite."""
+    n = len(coefficients)
+    peak = max(float(np.max(np.abs(c), where=np.isfinite(c), initial=0.0))
+               for c in coefficients[k:])
+    shift = math.frexp(peak)[1] + (math.comb(n - 1, k) * (n - k)).bit_length() - 1023
+    if shift <= 0:
+        return entry
+    down, up = 2.0 ** -shift, 2.0 ** shift
+    with np.errstate(over="ignore", invalid="ignore"):
+        rescaled = _horner([math.comb(j, k) * (coefficients[j] * down) for j in range(k, n)],
+                           g) * up
+    if isinstance(entry, float):
+        return rescaled
+    return np.where(np.isfinite(entry), entry, rescaled)
 
 
 def eval_rhs(equation: AbelEquation, x: float, y: float) -> float:

@@ -32,8 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .cases import Analysis, get_case
-from .core import AbelEquation, build_equation
-from .radau import SolverConfig
+from .core import AbelEquation, SolverConfig, build_equation
 
 __all__ = [
     "MertonParams",

@@ -13,7 +13,10 @@ The plateau theory needs, on the working range:
 Every check samples a finite grid, so a "pass" is always grid-verified
 sampling evidence, never a proof; the report says so explicitly.  Checks
 never raise: violations, endpoint degeneracies and undecidable tails
-become fail or inconclusive entries with witnesses.
+become fail or inconclusive entries with witnesses.  A witness value is a
+float and may be inf or nan (Lambda overflows where the branch root is
+near the float range); the report's JSON writes such a value as null and
+names it in the entry's note, so every report.json is strict JSON.
 
 A3 scans the branch grid, plus the equation's x0 where the branch starts
 right of it, so a left end the branch had to step away from (case 2) is
@@ -118,11 +121,11 @@ class HypothesisReport:
         payload = {
             "note": self.note,
             "grid": self.grid_info,
-            "checks": [asdict(self.entries[k]) for k in sorted(self.entries)],
+            "checks": [_json_entry(self.entries[k]) for k in sorted(self.entries)],
         }
         if self.branch:
             payload["branch"] = self.branch
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
     def format_table(self) -> str:
         lines = [f"{'check':<6} {'status':<13} witness"]
@@ -136,6 +139,19 @@ class HypothesisReport:
         if self.branch:
             lines.append(f"(branch: {self.branch['note']})")
         return "\n".join(lines)
+
+
+def _json_entry(entry: HypothesisEntry) -> dict:
+    """asdict(entry), with each witness value that is not finite written as
+    None (JSON null) and named, with its value, at the end of the note."""
+    record = asdict(entry)
+    dropped = [f"{name}={value!r}" for name, value in sorted(entry.witness.items())
+               if not math.isfinite(value)]
+    if dropped:
+        record["witness"] = {name: value if math.isfinite(value) else None
+                             for name, value in entry.witness.items()}
+        record["note"] = f"{entry.note}; not finite, written as null: {', '.join(dropped)}"
+    return record
 
 
 def _grid_info(xs: np.ndarray, label: str) -> dict:

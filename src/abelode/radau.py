@@ -23,14 +23,16 @@ once per stage solve by Cayley-Hamilton,
     (I - zA)^-1 = (I + z P1 + z^2 P2) / Q(z),
     P1 = A - tr(A) I,  P2 = A^2 - tr(A) A + (tr(A)^2 - tr(A^2))/2 I,
 
-with Q(z) = det(I - zA) the denominator of R(z); a zero or non-finite Q is
-a NewtonFailure.  The first row of a run fixes its length m: every row
-sampled later must have m coefficients too (ValueError naming x if not),
-and an empty first row is a ValueError.  The step attempt and its stage
-solve, two generated functions per row length m, are made on first use
-(_step_attempt, _stage_solver) as straight-line float code: rows unpacked
-into locals, Horner one flat statement per coefficient from the leading
-one (_horner_lines), the inverse nine statements with the tableau as
+with Q(z) = det(I - zA) the denominator of R(z).  Where Q overflows at a
+finite z the same inverse is formed in w = 1/z (_inverse_lines); a zero
+Q, or a z that is not finite, is a NewtonFailure.  The first row of a
+run fixes its length m: every row sampled later must have m coefficients
+too (ValueError naming x if not), and an empty first row is a
+ValueError.  The step attempt and its stage solve, two generated
+functions per row length m, are made on first use (_step_attempt,
+_stage_solver) as straight-line float code: rows unpacked into locals,
+Horner one flat statement per coefficient from the leading one
+(_horner_lines), the inverse nine statements with the tableau as
 literals, and the finiteness and convergence tests chained comparisons.
 Written for rows of any length, an attempt spent most of its time on
 interpreter overhead (loops, calls, tuple unpacking), not arithmetic.
@@ -76,17 +78,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AbelEquation, _derivative_row, _horner, _require_real
+from .core import (AbelEquation, NewtonFailure, OrderTestError, SolverConfig, _derivative_row,
+                   _horner, _require_finite)
 from .expr import _compile
 
 __all__ = [
     "ButcherTableau",
-    "SolverConfig",
     "StepResult",
     "IntegrationResult",
-    "NewtonFailure",
     "PoleError",
-    "OrderTestError",
     "radau_tableau",
     "stability_value",
     "step",
@@ -99,16 +99,8 @@ __all__ = [
 STEP_DOUBLING_DENOM = 2.0**5 - 1.0  # order 5
 
 
-class NewtonFailure(RuntimeError):
-    """Stage iteration did not converge within newton_max_iters."""
-
-
 class PoleError(ZeroDivisionError):
     """Stability function evaluated exactly at a pole."""
-
-
-class OrderTestError(RuntimeError):
-    """Reference or fixed-step run failed during the order measurement."""
 
 
 @dataclass(frozen=True)
@@ -162,6 +154,9 @@ _A, _B, _C, _EYE, _P1, _P2 = _tableau_floats()
 #: Q(z) = det(I - z A), the denominator of R(z), as code for a float or complex z
 _DENOMINATOR = "1.0 - (3.0 / 5.0) * z + (3.0 / 20.0) * z * z - (1.0 / 60.0) * z * z * z"
 
+#: Q(z) w^3 with w = 1/z, as code in w, ww = w^2 and www = w^3
+_REVERSED_DENOMINATOR = "www - (3.0 / 5.0) * ww + (3.0 / 20.0) * w - (1.0 / 60.0)"
+
 
 def _define(title, signature, lines, **names):
     """The function `def signature:` with the given body lines, compiled as
@@ -176,13 +171,24 @@ def _inverse_lines():
     """Statements setting m00 .. m22 to (I - z A)^-1 row by row from z, as
     (I + z P1 + z^2 P2) / Q(z) by Cayley-Hamilton, the tableau as literals
     (repr round-trips a finite float; the 0.0 + and 1.0 + terms keep the
-    sign of a zero).  Every entry is NaN where Q(z) is zero or not finite,
-    so the Newton update built from it is non-finite and the stage solve
-    fails cleanly."""
-    cells = zip([f"m{i}{j}" for i in range(3) for j in range(3)], _EYE, _P1, _P2)
-    return [f"q = {_DENOMINATOR}", "scale = 1.0 / q if q != 0.0 and ninf < q < inf else nan",
-            "zz = z * z",
-            *(f"{m} = ({e!r} + z * {u!r} + zz * {v!r}) * scale" for m, e, u, v in cells)]
+    sign of a zero).  Where Q(z) overflows at a finite z (|z| past about
+    2.2e103) the same matrix is formed in w = 1/z, as (I w^3 + P1 w^2 +
+    P2 w) / (Q(z) w^3).  Every entry is NaN where Q(z) is zero or z is not
+    finite, so the Newton update built from it is non-finite and the stage
+    solve fails cleanly."""
+    cells = list(zip([f"m{i}{j}" for i in range(3) for j in range(3)], _EYE, _P1, _P2))
+    return [f"q = {_DENOMINATOR}",
+            "if ninf < q < inf or not ninf < z < inf:",
+            "    scale = 1.0 / q if q != 0.0 and ninf < q < inf else nan",
+            "    zz = z * z",
+            *(f"    {m} = ({e!r} + z * {u!r} + zz * {v!r}) * scale" for m, e, u, v in cells),
+            "else:",
+            "    w = 1.0 / z",
+            "    ww = w * w",
+            "    www = ww * w",
+            f"    scale = 1.0 / ({_REVERSED_DENOMINATOR})",
+            *(f"    {m} = ({e!r} * www + {u!r} * ww + {v!r} * w) * scale"
+              for m, e, u, v in cells)]
 
 
 _stability_denominator = _define("stability denominator", "Q(z)", [f"return {_DENOMINATOR}"])
@@ -200,15 +206,6 @@ def stability_value(z: complex) -> complex:
     return num / den
 
 
-def _require_finite(**values) -> None:
-    """Raise ValueError naming the first value that is not a finite real
-    number."""
-    for name, value in values.items():
-        _require_real(name, value)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 def _span(x0, y0, x_end) -> float:
     """x_end - x0, which must be finite and positive, for finite real x0, y0
     and x_end (ValueError)."""
@@ -218,44 +215,6 @@ def _span(x0, y0, x_end) -> float:
     if not math.isfinite(float(x_end) - float(x0)):  # numpy scalars would warn
         raise ValueError(f"x_end - x0 overflows for x0={x0!r}, x_end={x_end!r}")
     return x_end - x0
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances and guards for both loops.
-
-    h0 defaults to 1e-3 (x_end - x0) and h_max to (x_end - x0)/10 at
-    integrate() time when left as None.  The fixed-step loop reads the
-    Newton settings (atol and rtol through the Newton threshold) and
-    max_steps, its limit on (x_end - x0) / h.
-    """
-
-    atol: float = 1e-9
-    rtol: float = 1e-9
-    h0: float | None = None
-    h_min: float = 1e-12
-    h_max: float | None = None
-    newton_tol: float = 1e-2
-    newton_max_iters: int = 10
-    max_steps: int = 10_000_000
-
-    def __post_init__(self):
-        for name in ("atol", "rtol", "h0", "h_min", "h_max", "newton_tol"):
-            value = getattr(self, name)
-            if value is not None or name not in ("h0", "h_max"):  # None: the default
-                _require_finite(**{name: value})
-        if self.atol <= 0.0 or self.rtol < 0.0:
-            raise ValueError("atol must be positive and rtol non-negative")
-        for name in ("h0", "h_min", "h_max", "newton_tol"):
-            value = getattr(self, name)
-            if value is not None and value <= 0.0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
-        for name in ("newton_max_iters", "max_steps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.newton_max_iters < 1:
-            raise ValueError("newton_max_iters must be >= 1")
 
 
 @dataclass(frozen=True)

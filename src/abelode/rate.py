@@ -34,13 +34,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import NormalForm, ZeroEigenvalueError, _taylor_shift
+from .core import NormalForm, SolverConfig, ZeroEigenvalueError, _taylor_shift
 from .equilibrium import EquilibriumBranch, branch_slopes
 from .expr import ExprDomainError
-from .radau import IntegrationResult, SolverConfig
+
+if TYPE_CHECKING:
+    from .radau import IntegrationResult
 
 __all__ = [
     "RateBound",

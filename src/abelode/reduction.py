@@ -32,13 +32,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .core import AbelEquation, _horner, _require_real, _taylor_shift
+from .core import AbelEquation, SolverConfig, _horner, _require_real, _taylor_shift
 from .expr import compile_row
-from .radau import IntegrationResult, SolverConfig, integrate, integrate_rhs
+
+if TYPE_CHECKING:
+    from .radau import IntegrationResult
 
 __all__ = [
     "ReductionError",
@@ -227,6 +229,8 @@ def roundtrip_check(
     interpolation error enters the comparison.  The pivot is checked at
     x0 and at every checkpoint, x_end the last.
     """
+    from .radau import integrate, integrate_rhs
+
     x0 = equation.x0
     if checkpoints is None:
         count = 9

@@ -202,15 +202,23 @@ def _horner(coefficients, y):
 def _reference_solve(row, x, y, h, config, tableau):
     """Simplified Newton for the three stage slopes, one stage at a time:
     the predictor f(x, y) and J = df/dy(x, y) from a fresh row(x), the
-    inverse of I - hJ A as (I + z P1 + z^2 P2) / det(I - zA), the stage
-    rows sampled at the first iteration whose stage values are finite."""
+    inverse of I - hJ A as (I + z P1 + z^2 P2) / det(I - zA), or where
+    det(I - zA) overflows at a finite z as (I w^3 + P1 w^2 + P2 w) /
+    (det(I - zA) w^3) with w = 1/z, the stage rows sampled at the first
+    iteration whose stage values are finite."""
     A, _, c, eye, P1, P2 = tableau
     start = row(x)
     z = h * _horner([k * start[k] for k in range(1, len(start))], y)
     q = 1.0 - (3.0 / 5.0) * z + (3.0 / 20.0) * z * z - (1.0 / 60.0) * z * z * z
-    scale = 1.0 / q if q != 0.0 and math.isfinite(q) else math.nan
-    M = [[(eye[i][j] + z * P1[i][j] + z * z * P2[i][j]) * scale for j in range(3)]
-         for i in range(3)]
+    if math.isfinite(q) or not math.isfinite(z):
+        scale = 1.0 / q if q != 0.0 and math.isfinite(q) else math.nan
+        M = [[(eye[i][j] + z * P1[i][j] + z * z * P2[i][j]) * scale for j in range(3)]
+             for i in range(3)]
+    else:
+        w = 1.0 / z
+        scale = 1.0 / (w * w * w - (3.0 / 5.0) * (w * w) + (3.0 / 20.0) * w - (1.0 / 60.0))
+        M = [[(eye[i][j] * (w * w * w) + P1[i][j] * (w * w) + P2[i][j] * w) * scale
+              for j in range(3)] for i in range(3)]
     k = [_horner(start, y)] * 3
     threshold = config.newton_tol * (config.atol / h + config.rtol * abs(y))
     stage_rows = None

@@ -284,6 +284,26 @@ class TestHypothesesCommand:
         assert code == 1
         assert err == "numeric failure: lambda_0 = -inf is not finite at x=0.0\n"
 
+    def test_non_finite_witness_is_null_in_strict_json(self, tmp_path):
+        # the branch root is about 3.2e299, so Lambda = F'(E) overflows: A4's
+        # worst_value is inf and B2's alpha0 -inf, once written as Infinity
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("degree = 3\ncoefficients = -x | 0 | 1e300 | -pi\n"
+                       "x0 = 0\nx_end = 20\n")
+        code, out, err = run(["hypotheses", cfg, "--out", tmp_path / "h"])
+        assert (code, err) == (2, "")
+        assert "A4     fail          worst_value=inf worst_x=0" in out
+        assert "B2     fail          alpha0=-inf" in out
+        checks = {c["id"]: c for c in read_report(tmp_path / "h")["checks"]}
+        assert checks["A4"]["witness"] == {"worst_value": None, "worst_x": 0.0}
+        assert checks["A4"]["note"] == ("non-negative eigenvalue on the branch; "
+                                        "not finite, written as null: worst_value=inf")
+        assert checks["B2"]["witness"] == {"alpha0": None}
+        assert checks["B2"]["note"] == ("no positive decay floor; "
+                                        "not finite, written as null: alpha0=-inf")
+        assert all(None not in c["witness"].values()
+                   for key, c in checks.items() if key not in ("A4", "B2"))
+
     def test_right_domain_edge_writes_the_report(self, tmp_path):
         # sqrt(1 - x) is undefined just right of x_end = 1; the branch's
         # last E' takes the backward difference instead of raising
@@ -426,16 +446,29 @@ class TestReduceCommand:
         assert not (tmp_path / "red").exists()
 
     def test_non_finite_reduced_coefficient_is_refused(self, tmp_path):
-        # 0 is an exact root of y^2 1e308 + y 1e308, but the Taylor shift
-        # forms 2 a_2 = inf and then inf * 0 = NaN for c_1; such a table once
-        # printed c at x0=0: (nan, 1e+308) and wrote nan into reduce.csv
+        # 1 is an exact root of 8e307 (y^3 - 1), and the residual's scale
+        # 1 + 1.6e308 is finite, but the exact c_1 = 3 8e307 = 2.4e308 is
+        # past the float range; such a table once wrote inf into reduce.csv
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("degree = 3\ncoefficients = -8e307 | 0 | 0 | 8e307\nx0 = 0\ny0 = 0\n"
+                       "x_end = 1\n")
+        code, out, err = run(["reduce", "--config", cfg, "--ep", "1", "--out", tmp_path / "red"])
+        assert (code, out) == (1, "")
+        assert err == "numeric failure: reduced coefficient c1 = inf is not finite at x=0.0\n"
+        assert not (tmp_path / "red").exists()
+
+    def test_overflowing_binomial_term_is_tabulated(self, tmp_path):
+        # 0 is an exact root of y^2 1e308 + y 1e308; the Taylor shift's
+        # 2 a_2 overflows, and inf * 0 once made c_1 NaN and the table a
+        # refusal, where the exact c_1 is 1e308
         cfg = tmp_path / "huge.cfg"
         cfg.write_text("degree = 2\ncoefficients = 0 | 1e308 | 1e308\nx0 = 0\ny0 = 0\n"
                        "x_end = 1\n")
         code, out, err = run(["reduce", "--config", cfg, "--ep", "0", "--out", tmp_path / "red"])
-        assert (code, out) == (1, "")
-        assert err == "numeric failure: reduced coefficient c1 = nan is not finite at x=0.0\n"
-        assert not (tmp_path / "red").exists()
+        assert (code, out, err) == (0, "c at x0=0: (1e+308, 1e+308)\n", "")
+        header, rows = read_rows(tmp_path / "red" / "reduce.csv")
+        assert header == ["x", "c1", "c2"] and len(rows) == 101
+        assert {tuple(row[1:]) for row in rows} == {("1e+308", "1e+308")}
 
     @pytest.mark.parametrize("x_max", ["-5", "0"])
     @pytest.mark.parametrize("source", ["case", "config"])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from abelode.core import (
     NormalForm,
     _derivative_row,
     _horner,
+    _taylor_shift,
     build_equation,
     eval_drhs,
     eval_rhs,
@@ -206,6 +208,87 @@ class TestHorner:
                 value *= 2.0  # a result never shares memory with an input
         assert (rows.tobytes(), y.tobytes()) == saved
 
+
+
+def _binomial_horner(coefficients, g):
+    """The Taylor shift as summed before the rescaling: binom(j, k) c_j
+    formed first, then Horner in g."""
+    n = len(coefficients)
+    return [_horner([math.comb(j, k) * coefficients[j] for j in range(k, n)], g)
+            for k in range(n)]
+
+
+def _exact_shift(coefficients, g):
+    """Each Taylor-shift entry and Higham's Horner error bound for it, in
+    rational arithmetic: gamma_{2m+1} sum_j binom(j, k) |c_j| |g|^{j-k} for
+    m = n - 1 - k, one more rounding for forming binom(j, k) c_j."""
+    n, u = len(coefficients), Fraction(1, 2**53)
+    row, g = [Fraction(c) for c in coefficients], Fraction(g)
+    out = []
+    for k in range(n):
+        terms = [math.comb(j, k) * row[j] * g ** (j - k) for j in range(k, n)]
+        rounds = 2 * (n - 1 - k) + 1
+        out.append((sum(terms), rounds * u / (1 - rounds * u) * sum(map(abs, terms))))
+    return out
+
+
+class TestTaylorShift:
+    """core._taylor_shift rescales an entry whose binomial terms overflow."""
+
+    def test_overflowing_binomial_term_is_rescaled(self):
+        # binom(2, 1) 1e308 overflows and inf * 0 was NaN; the exact c_1 is 1e308
+        row = [0.0, 1e308, 1e308]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(_binomial_horner(row, 0.0)[1])
+            got = _taylor_shift(row, 0.0)
+        assert [Fraction(v) for v in got] == [exact for exact, _ in _exact_shift(row, 0.0)]
+        assert got == [0.0, 1e308, 1e308]
+
+    def test_random_rows_against_exact_rationals(self):
+        # rows of degrees 1-5 with coefficients up to the float range, so
+        # that binom(j, k) c_j overflows on many: each entry is within its
+        # rounding bound of the exact value, or inf where even that bound
+        # cannot bring the exact value into range
+        rng = np.random.default_rng(41)
+        largest = Fraction(np.finfo(float).max)
+        rescaled = 0
+        for _ in range(600):
+            n = int(rng.integers(2, 7))
+            row = (rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(304.0, 308.25, n)).tolist()
+            g = float(rng.choice([0.0, rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0)]))
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, plain = _taylor_shift(row, g), _binomial_horner(row, g)
+            for value, before, (exact, bound) in zip(got, plain, _exact_shift(row, g)):
+                if math.isfinite(before):
+                    assert value.hex() == before.hex()
+                else:
+                    rescaled += 1
+                if abs(exact) + bound < largest:
+                    assert math.isfinite(value) and abs(Fraction(value) - exact) <= bound
+                elif abs(exact) - bound > largest:
+                    assert math.isinf(value) and (value > 0) == (exact > 0)
+        assert rescaled > 150
+
+    def test_arrays_match_scalar_entries_bit_for_bit(self):
+        # one polynomial per array entry; entries that never overflow keep
+        # the plain binomial sum's bits
+        rng = np.random.default_rng(7)
+        scale = np.where(rng.random((4, 50)) < 0.5, 1.0, 1e307)
+        rows = rng.uniform(-1.0, 1.0, (4, 50)) * scale * 10.0 ** rng.uniform(-3.0, 1.25, (4, 50))
+        g = rng.uniform(-1.5, 1.5, 50)
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifted = _taylor_shift(list(rows), g)
+            scalar = [_taylor_shift(rows[:, i].tolist(), float(g[i])) for i in range(50)]
+            plain = _binomial_horner(list(rows), g)
+        assert np.array(shifted).T.tobytes() == np.array(scalar).tobytes()
+        finite = np.isfinite(plain)
+        assert not finite.all()
+        assert np.array(shifted)[finite].tobytes() == np.array(plain)[finite].tobytes()
+
+    def test_non_finite_coefficients_stay_non_finite(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _taylor_shift([math.nan, 1e308, math.inf], 0.0)
+        assert math.isnan(got[0]) and math.isnan(got[1]) and got[2] == math.inf
 
 def _stacked(nf, xs):
     """sample at each point: the mask of points where it returns, and the

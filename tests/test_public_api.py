@@ -84,7 +84,7 @@ PARAMETERS = {
 PRIVATE_IMPORTS = {
     "equilibrium": ["core._derivative_row", "core._horner", "core._require_real"],
     "hypotheses": ["rate._drift_integral"],
-    "radau": ["core._derivative_row", "core._horner", "core._require_real", "expr._compile"],
+    "radau": ["core._derivative_row", "core._horner", "core._require_finite", "expr._compile"],
     "rate": ["core._taylor_shift"],
     "reduction": ["core._horner", "core._require_real", "core._taylor_shift"],
 }
@@ -119,6 +119,17 @@ def test_stage_exceptions_are_defined_in_core():
         assert getattr(abelode, name) is cls
     assert equilibrium.BranchError is core.BranchError
     assert hypotheses.ZeroEigenvalueError is rate.ZeroEigenvalueError is core.ZeroEigenvalueError
+
+
+def test_solver_config_and_exceptions_are_defined_in_core():
+    # config, cases, finance, reduction and the CLI name them without
+    # loading the integrator, which takes the same objects from core
+    from abelode import config, core, radau
+    for name in ("SolverConfig", "NewtonFailure", "OrderTestError"):
+        value = getattr(core, name)
+        assert value.__module__ == "abelode.core"
+        assert getattr(abelode, name) is value is getattr(radau, name)
+    assert config.SolverConfig is core.SolverConfig
 
 
 def test_dir_and_star_import_cover_every_export():
@@ -185,11 +196,12 @@ solver = abelode.SolverConfig(atol=1e-11, rtol=1e-11)
 
 def test_integrating_loads_only_the_integrator(tmp_path):
     # an integrate-only caller never loads the branch, hypothesis, rate,
-    # case, finance or reduction modules, at set-up or in the op
-    integrator = {"abelode", "abelode.config", "abelode.core", "abelode.expr", "abelode.radau"}
-    assert _modules_after(STIFF_SET_UP, tmp_path) == integrator
+    # case, finance or reduction modules, at set-up or in the op; its
+    # set-up loads no radau, and its first integration does
+    set_up = {"abelode", "abelode.config", "abelode.core", "abelode.expr"}
+    assert _modules_after(STIFF_SET_UP, tmp_path) == set_up
     assert _modules_after(STIFF_SET_UP + "abelode.integrate(equation, 0.0, 5.0, solver)\n",
-                          tmp_path) == integrator
+                          tmp_path) == set_up | {"abelode.radau"}
 
 
 #: the benchmark's cases set-up (perfbench/setup_child.py) on the three cases
@@ -205,11 +217,10 @@ STAGE_MODULES = ("equilibrium", "hypotheses", "rate")
 
 
 def test_reading_a_case_loads_no_analysis_stage(tmp_path):
-    # a case equation needs no stage module; a run loads them when its
-    # stages first run
-    cases = {"abelode", "abelode.cases", "abelode.config", "abelode.core", "abelode.expr",
-             "abelode.radau"}
-    stages = {f"abelode.{m}" for m in STAGE_MODULES}
+    # a case equation needs no stage module and no integrator; a run loads
+    # them when its stages first run
+    cases = {"abelode", "abelode.cases", "abelode.config", "abelode.core", "abelode.expr"}
+    stages = {f"abelode.{m}" for m in (*STAGE_MODULES, "radau")}
     assert _modules_after(CASES_SET_UP, tmp_path) == cases
     assert _modules_after(CASES_SET_UP + "abelode.run_case(1)\n", tmp_path) == cases | stages
 
@@ -221,9 +232,10 @@ def test_reading_model_parameters_loads_no_analysis_stage(tmp_path):
 
 
 @pytest.mark.parametrize("stage,loaded,not_loaded", [
-    ("branch", {"equilibrium"}, {"hypotheses", "rate"}),
-    ("diagnostics", {"rate"}, {"hypotheses"}),
-    ("report", {"hypotheses", "rate"}, set()),
+    ("branch", {"equilibrium"}, {"hypotheses", "radau", "rate"}),
+    ("diagnostics", {"radau", "rate"}, {"hypotheses"}),
+    ("report", {"hypotheses", "rate"}, {"radau"}),
+    ("result", {"radau"}, {"hypotheses", "rate"}),
 ])
 def test_each_stage_loads_its_module_when_it_first_runs(tmp_path, stage, loaded, not_loaded):
     # an unread case run has loaded equilibrium only for its grid's GridSpec;
@@ -234,18 +246,19 @@ def test_each_stage_loads_its_module_when_it_first_runs(tmp_path, stage, loaded,
         "run = abelode.CaseRun(case.equation, 0.0, 20.0, case.branch_grid(20.0),\n"
         "                      config.SolverConfig(), case=case)\n")
     before = _modules_after(code, tmp_path)
-    assert not before & {f"abelode.{m}" for m in ("hypotheses", "rate")}
+    assert not before & {f"abelode.{m}" for m in ("hypotheses", "radau", "rate")}
     after = _modules_after(code + f"run.{stage}\n", tmp_path)
     assert {f"abelode.{m}" for m in loaded} <= after
     assert not {f"abelode.{m}" for m in not_loaded} & after
 
 
 @pytest.mark.parametrize("argv,loaded,not_loaded", [
-    (["case", "1"], {"cases", "hypotheses"}, {"finance", "reduction"}),
-    (["hypotheses", "{config}"], {"hypotheses"}, {"finance", "reduction"}),
+    (["case", "1"], {"cases", "hypotheses", "radau"}, {"finance", "reduction"}),
+    (["hypotheses", "{config}"], {"hypotheses"}, {"finance", "radau", "reduction"}),
     (["order-test"], {"radau"}, {"finance", "reduction", *STAGE_MODULES}),
-    (["spread", "--literal-case1"], {"finance"}, {"reduction"}),
-    (["reduce", "--case", "1", "--ep", "1"], {"reduction"}, {"finance", *STAGE_MODULES}),
+    (["spread", "--literal-case1"], {"finance", "radau"}, {"reduction"}),
+    (["reduce", "--case", "1", "--ep", "1"], {"reduction"}, {"finance", "radau",
+                                                            *STAGE_MODULES}),
     (["integrate", "{config}"], {"radau"}, {"finance", "reduction", *STAGE_MODULES}),
     (["integrate", "{config}", "--branch"], {"equilibrium"}, {"hypotheses", "finance",
                                                              "reduction"}),

@@ -104,13 +104,25 @@ class TestNewtonInverse:
 
     def test_nan_entries_exactly_where_the_denominator_fails(self):
         # Q(3.637834252744496) is 0.0 in floats (the real pole of R);
-        # Q(1e103) is about -1.7e307, Q(1e110) overflows to -inf
+        # Q(1e103) is about -1.7e307; Q(1e110) overflows to -inf, but z is
+        # finite there and the inverse is formed in 1/z
         for z in (3.637834252744496, 3.6378342527444965, 1e103, -1e103, 1e110, -1e110,
                   math.inf, -math.inf, math.nan, 0.0, -0.0, -5.0):
             q = radau._stability_denominator(z)
             entries = _newton_inverse(z)
-            fails = q == 0.0 or not math.isfinite(q)
+            fails = q == 0.0 or not math.isfinite(z)
             assert [math.isnan(e) for e in entries] == [fails] * 9, z
+
+    def test_reciprocal_form_past_the_denominator_overflow(self):
+        # |z| past about 2.2e103, where Q(z) overflows: (I w^3 + P1 w^2 + P2 w)
+        # / (Q(z) w^3) with w = 1/z, against numpy's LU inverse of I - z A
+        A = radau_tableau().A
+        for z in (2.3e103, 1e110, 1e150, 1e200, 1e300, 1.7e308):
+            for signed in (z, -z):
+                assert not math.isfinite(radau._stability_denominator(signed))
+                exact = np.linalg.inv(np.eye(3) - signed * A)
+                got = np.array(_newton_inverse(signed)).reshape(3, 3)
+                assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact)), signed
 
 
 #: (row, y, h) whose first stage iteration is non-finite, for step at x = 0
@@ -124,9 +136,15 @@ _OVERFLOWING_STAGES = [
     (lambda x: [0.0, 1e308, 1e308], 10.0, 1.0),
     # finite f, but J = 2e308 y overflows: Q(hJ) is not finite
     (lambda x: [0.0, 0.0, 1e308], 1e-300, 1.0),
-    # finite f and J = 2e150, but Q(hJ) ~ -(hJ)^3/60 overflows
-    (lambda x: [0.0, 0.0, 1e300], 1e-150, 1.0),
+    # f = 1e20 and J = 2e160: Q(hJ) ~ -(hJ)^3/60 overflows, so the
+    # inverse is formed in 1/(hJ), and the first stage slopes overflow
+    (lambda x: [0.0, 0.0, 1e300], 1e-140, 1.0),
 ]
+
+#: (row, y, h) for step at x = 0 with f = 1 and J = 2e150: Q(hJ) overflows,
+#: the inverse in 1/(hJ) is finite, and the stage values overflow only in
+#: iteration 2 (Q's overflow once made the inverse NaN in iteration 1)
+_PAST_THE_OVERFLOW = (lambda x: [0.0, 0.0, 1e300], 1e-150, 1.0)
 
 
 def _sized_row(size):
@@ -294,7 +312,8 @@ class TestIntegrateOracle:
         assert _result_fields(integrate_rhs(_huge_constant_slope, 0.0, 1.0, 3e10, config)) == \
             _result_fields(reference_integrate(_huge_constant_slope, 0.0, 1.0, 3e10, config))
 
-    @pytest.mark.parametrize("row, y, h", [_LONG_ROW] + _OVERFLOWING_STAGES)
+    @pytest.mark.parametrize("row, y, h",
+                             [_LONG_ROW] + _OVERFLOWING_STAGES + [_PAST_THE_OVERFLOW])
     def test_special_rows_match_reference(self, row, y, h):
         config = SolverConfig(max_steps=2000)
         assert _result_fields(integrate_rhs(row, 0.0, y, h, config, [0.3 * h])) == \
@@ -402,6 +421,24 @@ class TestAdaptiveIntegration:
         assert float(r.message.rpartition("=")[2]) == r.final_x
         assert r.n_accepted + r.n_rejected < 1000
         assert np.all(np.diff(r.xs) > 0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_stage_solve_past_the_denominator_overflow(self):
+        row, y, h = _PAST_THE_OVERFLOW
+        config = SolverConfig()
+        got = _attempt_outcome(_package_attempt, row, 0.0, y, h, config)
+        assert got == _attempt_outcome(reference_attempt, row, 0.0, y, h, config)
+        assert got == "non-finite stage update in iteration 2 at x=0.0, h=1.0"
+
+    def test_horizon_at_the_float_range(self):
+        # case 1 to x_end = 1e308: steps near h = 1e103 make |hJ| overflow
+        # Q(hJ), which once failed every stage solve there, so the run ended
+        # at max_steps near x = 5.3e105
+        L = math.sqrt(2.0) - 1.0
+        r = integrate(get_case(1).equation, 0.0, 1e308, SolverConfig(max_steps=3000))
+        assert r.completed, r.message
+        assert r.final_x == 1e308
+        assert abs(r.final_y - L) <= 1e-15
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_stage_is_a_newton_failure(self):
