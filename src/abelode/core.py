@@ -20,16 +20,16 @@ _horner's operations inline, bit for bit: radau generates its start values
 and its stage solve per row length as flat Horner statements, each from
 the leading coefficient too.
 
-Scalar rows come from one compiled function per equation,
-AbelEquation.row (see expr.compile_row), which NormalForm.sample reads
-too.  Where it cannot give a finite row, it raises the tree walk's
-ExprDomainError, which names the failing operation and x; sample then
-walks a_n alone, so a failing a_n, or a vanishing one
-(LeadingCoefficientError), is reported before the row's own error.
-NormalForm.sample_grid samples a grid, with the mask of where sample
-raises, by Expr.eval_array (compile_row's code run on the whole grid).
-These are the only checks of a_n: normalize evaluates nothing, so a zero
-of a_n outside the abscissae a run samples is never met.
+Coefficient rows come from two compiled functions per equation:
+AbelEquation.row (expr.compile_row) at one x, which NormalForm.sample
+reads, and AbelEquation.grid (expr.compile_grid) for a whole grid, the
+only way a table is built.  Where a row is not finite, both raise the
+tree walk's ExprDomainError, which names the failing operation and x;
+sample then walks a_n alone, so a failing a_n, or a vanishing one
+(LeadingCoefficientError), is reported before the row's own error, and
+NormalForm.sample_grid masks where sample raises.  These are the only
+checks of a_n: normalize evaluates nothing, so a zero of a_n outside the
+abscissae a run samples is never met.
 
 SolverConfig, the integrator's tolerances and guards, and the exceptions
 every stage raises (BranchError, ZeroEigenvalueError, NewtonFailure and
@@ -40,7 +40,7 @@ integration.
 
 All types are immutable after construction and can be shared freely
 across threads; the only state they hold beyond their fields is the
-compiled row, built on first use and the same whichever thread builds it.
+compiled row and grid, built on first use, alike whichever thread builds them.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import Expr, ExprDomainError, compile_row, parse
+from .expr import Expr, ExprDomainError, compile_grid, compile_row, parse
 
 __all__ = [
     "AbelEquation",
@@ -124,6 +124,11 @@ class AbelEquation:
         function, built on first use."""
         return compile_row(self.coeffs)
 
+    @cached_property
+    def grid(self):
+        """xs -> the (n+1, N) array of the columns row(x), built on first use."""
+        return compile_grid(self.coeffs)
+
 
 def build_equation(coeff_sources: list[str] | tuple[str, ...], x0: float) -> AbelEquation:
     """Build an equation from coefficient strings in ascending order a_0..a_n."""
@@ -168,18 +173,19 @@ class NormalForm:
         """sample at every abscissa of xs as arrays: a_n with shape (N,), the
         monic rows with shape (N, n+1) and the mask of abscissae where
         sample(x) returns; the stacked sample(x) there, bit for bit, and NaN
-        where it raises.  One eval_array pass per coefficient where every
-        one evaluates and a_n vanishes nowhere, else sample point by point.
+        where it raises.  One equation.grid call where every coefficient
+        evaluates and a_n vanishes nowhere, else sample point by point.
         The rows are the transpose of contiguous coefficient columns, so a
         column (rows.T[k]) is read without a stride."""
         xs = np.asarray(xs, dtype=float)
         try:
-            *values, leading = [c.eval_array(xs) for c in self.equation.coeffs]
+            columns = self.equation.grid(xs)
+            leading = columns[-1].copy()
             if leading.all():
                 with np.errstate(over="ignore"):
-                    monic = [v / leading for v in values]
-                rows = np.stack(monic + [np.ones(xs.size)]).T
-                return leading, rows, np.ones(xs.size, dtype=bool)
+                    columns[:-1] /= leading
+                columns[-1] = 1.0
+                return leading, columns.T, np.ones(xs.size, dtype=bool)
         except ExprDomainError:
             pass
         leading, rows = np.full(xs.size, np.nan), np.full((self.degree + 1, xs.size), np.nan).T

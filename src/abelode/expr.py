@@ -5,16 +5,15 @@ Coefficient functions a_k(x) enter the system as strings like
 small immutable syntax trees that can be evaluated repeatedly during
 root finding and integration.
 
-Two evaluators read the trees:
+One generator (_generate) turns a row of trees into code, and eval explains:
 
-  * compile_row(exprs) returns one generated Python function per
-    coefficient row (x -> [e_0(x), ..., e_m(x)]), the scalar path: the
-    integrator and every point-wise sample call it.  It runs eval's IEEE
-    operations in eval's order, so its values are eval's bit for bit, and
-    where eval would raise it runs the tree walk, which raises eval's
-    ExprDomainError.  A subexpression shared by the row's expressions is
-    evaluated once per call, and a subexpression without x once, when the
-    row is compiled; Expr.eval_array runs its code on grids (below).
+  * compile_row(exprs) returns one generated function per coefficient row
+    (x -> [e_0(x), ..., e_m(x)]), the scalar path of the integrator and of
+    point-wise samples, and compile_grid(exprs) the same code for a grid
+    (below), the path of every table.  Both run eval's IEEE operations in
+    eval's order, so their values are eval's bit for bit, and where eval
+    would raise they run the tree walk, which raises its ExprDomainError.
+    A shared subexpression is evaluated once per call, one without x once.
   * Expr.eval walks the tree one node at a time.  It evaluates single
     expressions (Expr(x), a_n where NormalForm.sample walks it alone) and
     explains failures: its ExprDomainError names the operation and the x.
@@ -60,16 +59,15 @@ in its own namespace, holding its own constants, and keeps its own
 ``source``, so two equations that differ only in their numbers get two
 rows with one code object.
 
-Expr.eval_array evaluates a 1-D grid at once and returns exactly what
-eval gives point by point, bit for bit: compile_row's code for the one
-expression, built on first use, with x the float64 grid.  "+ - * /" and
-unary minus run as numpy operations (correctly rounded, like Python
-floats), exp, log, sqrt, abs and "^" per element through math, because
-numpy's exp and power differ from math's in the last bit on a few
-percent of arguments.  "/" raises on a zero divisor element, as float
-division does (numpy's gives inf).  Where the code raises or a value is
-not finite, eval re-runs over the points in order, so the same
-ExprDomainError names the same first x.
+compile_grid evaluates a row on a 1-D grid at once, as the columns of
+what compile_row gives point by point, bit for bit; Expr.eval_array is
+the row of one expression.  "+ - * /" and unary minus run as numpy
+operations (correctly rounded, like Python floats), exp, log, sqrt, abs
+and "^" per element through math, because numpy's exp and power differ
+from math's in the last bit on a few percent of arguments.  "/" raises on
+a zero divisor element, as float division does (numpy's gives inf).
+Where the code raises or a value is not finite, eval re-runs over the
+points in order, so the same ExprDomainError names the same first x.
 """
 
 from __future__ import annotations
@@ -87,6 +85,7 @@ __all__ = [
     "ExprError",
     "ExprSyntaxError",
     "ExprDomainError",
+    "compile_grid",
     "compile_row",
     "parse",
 ]
@@ -462,18 +461,12 @@ class Expr:
         return value
 
     def eval_array(self, xs) -> np.ndarray:
-        """Evaluate at every abscissa of the 1-D xs: a new array of the values
-        eval gives point by point, or the ExprDomainError eval raises at the
-        first failing point.  Runs compile_row's code for [self] on the grid
-        as a _Grid, functions per element, the result copied out by np.full."""
+        """Evaluate at every abscissa of the 1-D xs: the values eval gives
+        point by point, or the ExprDomainError eval raises at the first
+        failing point; compile_grid([self]), built on first use."""
         if self._grid is None:
-            self._grid = _generate(
-                [self], "_grid", "arg.view(_Grid)", "_count(_isfinite({0})) == _size({0})",
-                "_full(x.shape, {})", _elementwise, _Grid=_Grid, _count=np.count_nonzero,
-                _isfinite=np.isfinite, _size=np.size, _full=np.full,
-                _walk=lambda xs: np.array([self.eval(x) for x in xs.tolist()], dtype=float))
-        with np.errstate(all="ignore"):
-            return self._grid(np.asarray(xs, dtype=float))
+            self._grid = compile_grid([self])
+        return self._grid(xs)[0]
 
     def pretty(self) -> str:
         """Render with minimal parentheses; parse(pretty()) evaluates identically."""
@@ -543,9 +536,27 @@ def compile_row(exprs):
                      _inf=math.inf, _ninf=-math.inf, _walk=lambda x: [e.eval(x) for e in exprs])
 
 
+def compile_grid(exprs):
+    """Compile expressions into one function xs -> the (len(exprs), N) array
+    of the columns compile_row(exprs)(x) for the 1-D xs, or the ExprDomainError
+    it raises at the first failing x: the row's code on the whole grid, numpy's
+    warnings off, and the tree walk point by point where that fails."""
+    exprs = tuple(exprs)
+
+    def walk(arg):
+        rows = [[e.eval(x) for e in exprs] for x in np.asarray(arg, dtype=float).tolist()]
+        return np.array(rows).reshape(-1, len(exprs)).T.copy()
+
+    return np.errstate(all="ignore")(_generate(
+        exprs, "_grid", "_grid_of(arg)", "_count(_isfinite({0})) == _size({0})",
+        "_array([_full(x.shape, t) for t in ({},)])", _elementwise, _count=np.count_nonzero,
+        _isfinite=np.isfinite, _size=np.size, _array=np.array, _full=np.full,
+        _grid_of=lambda arg: np.asarray(arg, dtype=float).view(_Grid), _walk=walk))
+
+
 def _generate(exprs, name, prologue, test, out, call=None, **helpers):
-    """compile_row's generated function name(arg) with x = prologue; test and out
-    are formatted with result names, and a bound function enters as call(it)."""
+    """compile_row's or compile_grid's function name(arg) with x = prologue; test
+    and out are formatted with result names, and a bound function enters as call(it)."""
     namespace = {"__builtins__": {}, "_errors": (ZeroDivisionError, OverflowError, ValueError),
                  **helpers}
     names = {}  # value (float.hex for floats) -> bound name

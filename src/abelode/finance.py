@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .cases import Analysis, get_case
-from .core import AbelEquation, SolverConfig, build_equation
+from .core import AbelEquation, SolverConfig, _require_finite, build_equation
 
 __all__ = [
     "MertonParams",
@@ -62,10 +62,8 @@ class MertonParams:
     eta2: float = 0.0
 
     def __post_init__(self):
-        for name in ("sigma0_sq", "mu", "r", "eta1", "eta2"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        _require_finite(sigma0_sq=self.sigma0_sq, mu=self.mu, r=self.r, eta1=self.eta1,
+                        eta2=self.eta2)
         if not self.sigma0_sq > 0.0:
             raise ValueError(f"sigma0_sq must be positive, got {self.sigma0_sq!r}")
         if self.mu == 0.0:
@@ -116,18 +114,10 @@ def spread_coefficients(p: MertonParams, x: float) -> tuple[float, float, float,
 
 
 def spread_normal_form(p: MertonParams, x: float) -> tuple[float, float, float]:
-    """Normalized coefficients (lambda2, lambda1, lambda0) = (a2, a1, a0)/a3."""
-    ss = p.sigma0_sq
-    mu = p.mu
-    r = p.r
-    q = p.Q(x)
-    if q == 0.0:
-        raise ValueError(f"volatility factor vanishes at x={x!r}")
-    mu2 = mu * mu
-    u = mu2 / (ss * q)
-    lam2 = -u + 3.0 * r
-    lam1 = 2.0 * u * u - 2.0 * u * r + 3.0 * r * r
-    lam0 = 2.0 * u * u * r - u * r * r + r**3
+    """Normalized coefficients (lambda2, lambda1, lambda0) = (a2, a1, a0)/a3:
+    parametric_equation's coefficients at x.  Where Q(x) = 0 the division
+    by it raises ExprDomainError (a ValueError) naming x."""
+    lam0, lam1, lam2, _ = parametric_equation(p, x).row(x)
     return lam2, lam1, lam0
 
 

@@ -17,8 +17,9 @@ returning its ascending coefficients at x.  Implicit stages are solved by
 simplified Newton in plain floats.  Horner over the start row and over its
 derivative row gives the predictor f(x, y) and the analytic scalar
 Jacobian J = df/dy(x, y), each started at its leading coefficient as
-core._horner starts; the iteration matrix I - zA (z = hJ) is inverted
-once per stage solve by Cayley-Hamilton,
+core._horner starts, and a J that overflows (some k c_k past the floats)
+summed again by core._rescaled_entry; the iteration matrix I - zA
+(z = hJ) is inverted once per stage solve by Cayley-Hamilton,
 
     (I - zA)^-1 = (I + z P1 + z^2 P2) / Q(z),
     P1 = A - tr(A) I,  P2 = A^2 - tr(A) A + (tr(A)^2 - tr(A^2))/2 I,
@@ -79,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AbelEquation, NewtonFailure, OrderTestError, SolverConfig, _derivative_row,
-                   _horner, _require_finite)
+                   _horner, _rescaled_entry, _require_finite)
 from .expr import _compile
 
 __all__ = [
@@ -259,10 +260,12 @@ def _horner_lines(name: str, coefficients: list[str], y: str) -> list[str]:
 def _start_lines(m: int, row: str, y: str) -> list[str]:
     """Statements setting value and slope to f(x, y) and df/dy(x, y) from the
     row of length m >= 1 named row: core._horner on the row and on its
-    derivative row (_horner_lines), each from its leading coefficient."""
+    derivative row (_horner_lines), each from its leading coefficient; a
+    slope that is not finite is summed again by core._rescaled_entry."""
     names = [f"c_{k}" for k in range(m)]
     return [f"[{', '.join(names)}] = {row}", *_horner_lines("value", names, y),
-            *_horner_lines("slope", [f"{k} * c_{k}" for k in range(1, m)], y)]
+            *_horner_lines("slope", [f"{k} * c_{k}" for k in range(1, m)], y),
+            f"if not ninf < slope < inf: slope = _rescaled_entry({row}, {y}, 1, slope)"]
 
 
 @functools.cache
@@ -372,7 +375,7 @@ def _step_attempt(m: int):
         "    end if x_half + half == x + h else None)",
         f"err = abs(y_coarse - y_fine) / {STEP_DOUBLING_DENOM!r}",
         "return y_coarse, err, iters + iters2 + iters3, (k0, k1, k2), end",
-    ], solve=_stage_solver(m))
+    ], solve=_stage_solver(m), _rescaled_entry=_rescaled_entry)
 
 
 def step(row, x, y, h, config=None) -> StepResult:
@@ -555,9 +558,12 @@ def integrate_fixed_rhs(row, x0: float, y0: float, x_end: float, h: float,
         h_try = min(h, float(x_end - x))
         if x + h_try == x:
             raise ValueError(f"step size {h_try!r} does not advance x={x!r}")
+        slope = _horner(_derivative_row(start), y)
+        if not math.isfinite(slope):  # as _start_lines rescales it
+            slope = _rescaled_entry(start, y, 1, slope)
         # the row at x + h_try starts the next step (a truncated step is the last)
         y, _, _, _, step_iters, start = solve(
-            _horner(start, y), _horner(_derivative_row(start), y), row, x, y, h_try,
+            _horner(start, y), slope, row, x, y, h_try,
             newton_tol * (atol / h_try + rtol * abs(y)), last, None)
         x = x_end if h_try < h else x + h
         total_iters += step_iters

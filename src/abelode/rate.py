@@ -25,8 +25,8 @@ over one cell past the float range, raises OverflowError before E' is
 formed; and a damped drift Phi_N I_N below the normal floats is a lost
 total: the finite-difference E' is exactly 0 below about 2e-10, so a
 divergent integral stops growing there.  Every a_n and E' outside the
-branch's table is evaluated for all points at once (Expr.eval_array on
-a_n, branch_slopes).
+branch's table is evaluated for all points at once (a_n by
+Expr.eval_array, compile_grid's row of one; E' by branch_slopes).
 """
 
 from __future__ import annotations

@@ -18,9 +18,10 @@ equilibrium (a constant, finite and the same everywhere) is a solution
 whose derivative is 0: the residual rhs(x, g), or g' - rhs(x, g) with g'
 by central difference, must be within a tolerance of the scale
 1 + sum_k |a_k| |g|^k, and that scale finite (an overflow proves nothing).
-The pivot and the base row are sampled one abscissa at a time, all before
-any residual is tested; the residual and its scale are array arithmetic
-over all abscissae.  The reduced table is the stacked row(x).
+The pivot is sampled one abscissa at a time and the base rows by one
+AbelEquation.grid call, before any residual is tested; the residual and
+its scale are array arithmetic over all abscissae.  The reduced table is
+the stacked row(x).
 
 For cubic equations the reduced form converts to an Abel equation of
 the second kind in w = 1/v:
@@ -162,7 +163,7 @@ def _check_pivot(equation: AbelEquation, pivot, xs: list[float], kind: str) -> N
             ahead_xs, behind_xs = (grid + h).tolist(), (grid - h).tolist()
         ahead = np.array([pivot(x) for x in ahead_xs], dtype=float)
         behind = np.array([pivot(x) for x in behind_xs], dtype=float)
-    columns = np.array([equation.row(x) for x in xs]).T
+    columns = equation.grid(xs)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below: the scale is not finite
         residual = _horner(columns, values)
         if kind == "solution":

@@ -199,16 +199,30 @@ def _horner(coefficients, y):
     return acc
 
 
+def _jacobian(row, y):
+    """df/dy at y by Horner on the k c_k; where that is not finite, Horner
+    on the k (c_k 2^-e), times 2^e, for the e that brings the m - 1 terms
+    k c_k 2^-e and their sum where |y| <= 1 below 2^1024 in whole powers of
+    two: the exponent of the largest finite |c_k| (k >= 1) plus the bit
+    length of (m - 1)^2, less 1024 (no rescaling where e <= 0)."""
+    slope = _horner([k * row[k] for k in range(1, len(row))], y)
+    finite = [abs(c) for c in row[1:] if math.isfinite(c)]
+    e = math.frexp(max(finite, default=0.0))[1] + ((len(row) - 1) ** 2).bit_length() - 1024
+    if math.isfinite(slope) or e <= 0:
+        return slope
+    return _horner([k * (row[k] * 2.0 ** -e) for k in range(1, len(row))], y) * 2.0 ** e
+
+
 def _reference_solve(row, x, y, h, config, tableau):
     """Simplified Newton for the three stage slopes, one stage at a time:
-    the predictor f(x, y) and J = df/dy(x, y) from a fresh row(x), the
+    the predictor f(x, y) and J = df/dy(x, y) (_jacobian) from a fresh row(x), the
     inverse of I - hJ A as (I + z P1 + z^2 P2) / det(I - zA), or where
     det(I - zA) overflows at a finite z as (I w^3 + P1 w^2 + P2 w) /
     (det(I - zA) w^3) with w = 1/z, the stage rows sampled at the first
     iteration whose stage values are finite."""
     A, _, c, eye, P1, P2 = tableau
     start = row(x)
-    z = h * _horner([k * start[k] for k in range(1, len(start))], y)
+    z = h * _jacobian(start, y)
     q = 1.0 - (3.0 / 5.0) * z + (3.0 / 20.0) * z * z - (1.0 / 60.0) * z * z * z
     if math.isfinite(q) or not math.isfinite(z):
         scale = 1.0 / q if q != 0.0 and math.isfinite(q) else math.nan

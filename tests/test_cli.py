@@ -3,9 +3,15 @@ import json
 import math
 import os
 import contextlib
+import tempfile
+from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from strategies import expressions
 
 from abelode import get_case, reduce_about
 from abelode.cli import _g17, _write_csv, main
@@ -596,3 +602,31 @@ class TestTopLevel:
                 print("more")
         assert code == 1
         assert err.getvalue() == ""
+
+
+class TestGeneratedConfigs:
+    """The config subcommands on generated equations: whatever the
+    coefficients, a run ends in a declared exit code, any report it writes
+    is strict JSON, and no warning or exception escapes."""
+
+    COMMANDS = (["hypotheses", "{cfg}"], ["integrate", "{cfg}", "--hypotheses"],
+                ["reduce", "--config", "{cfg}", "--ep", "0"])
+
+    # 60 examples of three in-process runs each, each example within 20 s
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=60, deadline=timedelta(seconds=20),
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(sources=st.lists(expressions, min_size=2, max_size=5))
+    def test_exit_codes_and_reports(self, sources):
+        config = (f"degree = {len(sources) - 1}\ncoefficients = {' | '.join(sources)}\n"
+                  "x0 = 0\ny0 = 0\nx_end = 5\nmax_steps = 400\n")
+        with tempfile.TemporaryDirectory() as scratch:
+            cfg = Path(scratch) / "eq.cfg"
+            cfg.write_text(config)
+            for i, command in enumerate(self.COMMANDS):
+                out_dir = Path(scratch) / f"out{i}"
+                code, out, err = run([a.format(cfg=cfg) for a in command] + ["--out", out_dir])
+                assert code in (0, 1, 2, 64), (command, code, err)
+                assert "Traceback" not in out + err
+                if (out_dir / "report.json").exists():
+                    read_report(out_dir)

@@ -7,6 +7,7 @@ import pytest
 
 from abelode import cases, equilibrium
 from abelode.core import BranchError
+from abelode.expr import ExprDomainError
 from abelode.finance import (
     MertonParams,
     omega_exact,
@@ -73,6 +74,17 @@ class TestParams:
         with pytest.raises(ValueError):
             MertonParams(**bad)
 
+    @pytest.mark.parametrize("bad, message", [
+        # died in math.isfinite with a TypeError
+        (dict(sigma0_sq="1.2", mu=1.5), "sigma0_sq must be a real number, got '1.2'"),
+        # was taken as 1.0
+        (dict(sigma0_sq=True, mu=1.5), "sigma0_sq must be a real number, got True"),
+        (dict(sigma0_sq=1.2, mu=1.5, eta2=None), "eta2 must be a real number, got None"),
+    ])
+    def test_parameters_must_be_real_numbers(self, bad, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MertonParams(**bad)
+
 
 class TestCoefficientMaps:
     def test_reference_point_values(self):
@@ -113,6 +125,11 @@ class TestCoefficientMaps:
             u = p.mu**2 / (p.sigma0_sq * p.Q(x))
             assert lam1 > 0.0
             assert lam1 == pytest.approx(2.0 * (u - p.r / 2.0) ** 2 + 2.5 * p.r**2, rel=1e-12)
+
+    def test_vanishing_volatility_factor_is_a_domain_error(self):
+        p = MertonParams(sigma0_sq=1.0, mu=1.0, r=0.0, eta2=-0.25)  # Q(2) = 0
+        with pytest.raises(ExprDomainError, match=r"^division by zero at x=2\.0$"):
+            spread_normal_form(p, 2.0)
 
     def test_x_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -183,12 +200,14 @@ class TestSpreadCurve:
         assert curve.result.final_x < 20.0
 
     def test_parametric_equation_matches_direct_normal_form(self):
+        # the normal form taken directly from spread_coefficients' raw a_k, the
+        # independent derivation (spread_normal_form reads this equation)
         p = MertonParams(sigma0_sq=1.2, mu=1.5, r=0.01, eta1=0.1, eta2=0.05)
         eq = parametric_equation(p, 0.5)
-        lam2, lam1, lam0 = spread_normal_form(p, 2.0)
-        assert eq.coeffs[2](2.0) == pytest.approx(lam2, rel=1e-12)
-        assert eq.coeffs[1](2.0) == pytest.approx(lam1, rel=1e-12)
-        assert eq.coeffs[0](2.0) == pytest.approx(lam0, rel=1e-12)
+        a3, a2, a1, a0 = spread_coefficients(p, 2.0)
+        assert eq.coeffs[2](2.0) == pytest.approx(a2 / a3, rel=1e-12)
+        assert eq.coeffs[1](2.0) == pytest.approx(a1 / a3, rel=1e-12)
+        assert eq.coeffs[0](2.0) == pytest.approx(a0 / a3, rel=1e-12)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"params": MertonParams(1.2, 1.5), "x0": 0.0},

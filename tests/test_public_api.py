@@ -83,8 +83,10 @@ PARAMETERS = {
 #: underscore names each module of the package imports from another one
 PRIVATE_IMPORTS = {
     "equilibrium": ["core._derivative_row", "core._horner", "core._require_real"],
+    "finance": ["core._require_finite"],
     "hypotheses": ["rate._drift_integral"],
-    "radau": ["core._derivative_row", "core._horner", "core._require_finite", "expr._compile"],
+    "radau": ["core._derivative_row", "core._horner", "core._rescaled_entry",
+              "core._require_finite", "expr._compile"],
     "rate": ["core._taylor_shift"],
     "reduction": ["core._horner", "core._require_real", "core._taylor_shift"],
 }

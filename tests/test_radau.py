@@ -134,8 +134,9 @@ _OVERFLOWING_STAGES = [
     (lambda x: [1e300], 1.0, 1e10),
     # the Jacobian and the predictor overflow
     (lambda x: [0.0, 1e308, 1e308], 10.0, 1.0),
-    # finite f, but J = 2e308 y overflows: Q(hJ) is not finite
-    (lambda x: [0.0, 0.0, 1e308], 1e-300, 1.0),
+    # finite f = 1.44e308, but J = 2.4e308 overflows, from the rescaled row
+    # too: Q(hJ) is not finite
+    (lambda x: [0.0, 0.0, 1e308], 1.2, 1.0),
     # f = 1e20 and J = 2e160: Q(hJ) ~ -(hJ)^3/60 overflows, so the
     # inverse is formed in 1/(hJ), and the first stage slopes overflow
     (lambda x: [0.0, 0.0, 1e300], 1e-140, 1.0),
@@ -145,6 +146,11 @@ _OVERFLOWING_STAGES = [
 #: the inverse in 1/(hJ) is finite, and the stage values overflow only in
 #: iteration 2 (Q's overflow once made the inverse NaN in iteration 1)
 _PAST_THE_OVERFLOW = (lambda x: [0.0, 0.0, 1e300], 1e-150, 1.0)
+
+
+#: (row, y, h) for step at x = 0 whose Jacobian overflows in Horner (2 c_2 =
+#: inf) but is J = 2e8 from the row scaled by 2^-3, so the stages converge
+_RESCALED_JACOBIAN = (lambda x: [0.0, 0.0, 1e308], 1e-300, 1.0)
 
 
 def _sized_row(size):
@@ -313,7 +319,8 @@ class TestIntegrateOracle:
             _result_fields(reference_integrate(_huge_constant_slope, 0.0, 1.0, 3e10, config))
 
     @pytest.mark.parametrize("row, y, h",
-                             [_LONG_ROW] + _OVERFLOWING_STAGES + [_PAST_THE_OVERFLOW])
+                             [_LONG_ROW] + _OVERFLOWING_STAGES
+                             + [_PAST_THE_OVERFLOW, _RESCALED_JACOBIAN])
     def test_special_rows_match_reference(self, row, y, h):
         config = SolverConfig(max_steps=2000)
         assert _result_fields(integrate_rhs(row, 0.0, y, h, config, [0.3 * h])) == \
@@ -439,6 +446,14 @@ class TestAdaptiveIntegration:
         assert r.completed, r.message
         assert r.final_x == 1e308
         assert abs(r.final_y - L) <= 1e-15
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_jacobian_is_rescaled(self):
+        # 2 c_2 = inf made J = inf 0 = NaN at y = 0, so every attempt was a
+        # Newton failure and the run ended newton-failure after 30 halvings
+        r = integrate(build_equation(["0", "1e308", "1e308"], 0.0), 0.0, 1.0)
+        assert r.completed, r.message
+        assert (r.n_accepted, r.final_y) == (13, 0.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_stage_is_a_newton_failure(self):
@@ -635,6 +650,14 @@ class TestFixedStep:
         r = integrate_fixed_rhs(lambda x: [0.0, -1.0], 0.0, 1.0, 1.0, 0.3)
         assert r.final_x == 1.0
         assert abs(r.final_y - math.exp(-1.0)) < 1e-6
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_jacobian_is_rescaled(self):
+        # the fixed-step loop forms J as the adaptive one does: 2 c_2 = inf
+        # once made it NaN at y = 0, and the first stage solve raised
+        row = build_equation(["0", "1e308", "1e308"], 0.0).row
+        r = integrate_fixed_rhs(row, 0.0, 0.0, 1.0, 0.1)
+        assert r.completed and r.final_x == 1.0 and r.final_y == 0.0
 
     def test_order_five_on_smooth_problem(self):
         eq = build_equation(["0", "-1"], 0.0)  # dy/dx = -y

@@ -328,6 +328,12 @@ class TestRoundTrip:
         with pytest.raises(NotASolutionError, match=r"^pivot value 0\.0 is not a root at x=12\.0: "):
             roundtrip_check(kink, 0.0, 0.5, 20.0, checkpoints=[2.0, 8.0, 12.0])
 
+    def test_overflowing_jacobian_round_trip(self):
+        # both runs ended newton-failure while 2 c_2 = inf made J NaN at y = 0
+        worst, original, shifted = roundtrip_check(
+            build_equation(["0", "1e308", "1e308"], 0.0), 0.0, 0.0, 1.0)
+        assert worst == 0.0 and original.completed and shifted.completed
+
     def test_solution_pivot_round_trip(self):
         riccati = build_equation(["1", "0", "-1"], 0.0)
         worst, _, _ = roundtrip_check(riccati, math.tanh, 0.5, 3.0, kind="solution")
