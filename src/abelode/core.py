@@ -339,6 +339,12 @@ def eval_rhs(equation: AbelEquation, x: float, y: float) -> float:
 
 
 def eval_drhs(equation: AbelEquation, x: float, y: float) -> float:
-    """d/dy of the right-hand side: sum_{k>=1} k a_k(x) y^{k-1}."""
-    return _horner(_derivative_row(equation.row(x)), y)
+    """d/dy of the right-hand side: sum_{k>=1} k a_k(x) y^{k-1} via Horner
+    on the k a_k; a result that is not finite (some k a_k past the floats)
+    is summed again by _rescaled_entry, as the integrator's Jacobian is."""
+    row = equation.row(x)
+    slope = _horner(_derivative_row(row), y)
+    if not math.isfinite(slope):
+        slope = _rescaled_entry(row, y, 1, slope)
+    return slope
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from scipy.integrate import solve_ivp
 
 
 def _opposite_signs(u, v):
@@ -213,9 +214,26 @@ def _jacobian(row, y):
     return _horner([k * (row[k] * 2.0 ** -e) for k in range(1, len(row))], y) * 2.0 ** e
 
 
-def _reference_solve(row, x, y, h, config, tableau):
-    """Simplified Newton for the three stage slopes, one stage at a time:
-    the predictor f(x, y) and J = df/dy(x, y) (_jacobian) from a fresh row(x), the
+def _slope_seeds(c, k, shift):
+    """The full step's collocation slope polynomial, the quadratic through
+    (c_j, k_j), at the half step nodes shift + c_i/2, by Lagrange weights
+    w_ij = prod_{m != j} (t_i - c_m) / (c_j - c_m), each seed summed as
+    w_i0 k_0 + w_i1 k_1 + w_i2 k_2."""
+    seeds = []
+    for ci in c:
+        t = shift + 0.5 * ci
+        w = []
+        for j in range(3):
+            m, n = [i for i in range(3) if i != j]
+            w.append(((t - c[m]) / (c[j] - c[m])) * ((t - c[n]) / (c[j] - c[n])))
+        seeds.append(w[0] * k[0] + w[1] * k[1] + w[2] * k[2])
+    return seeds
+
+
+def _reference_solve(row, x, y, h, config, tableau, seeds=None):
+    """Simplified Newton for the three stage slopes, one stage at a time,
+    from the given starting slopes (f(x, y) three times by default):
+    J = df/dy(x, y) (_jacobian) from a fresh row(x), the
     inverse of I - hJ A as (I + z P1 + z^2 P2) / det(I - zA), or where
     det(I - zA) overflows at a finite z as (I w^3 + P1 w^2 + P2 w) /
     (det(I - zA) w^3) with w = 1/z, the stage rows sampled at the first
@@ -233,7 +251,7 @@ def _reference_solve(row, x, y, h, config, tableau):
         scale = 1.0 / (w * w * w - (3.0 / 5.0) * (w * w) + (3.0 / 20.0) * w - (1.0 / 60.0))
         M = [[(eye[i][j] * (w * w * w) + P1[i][j] * (w * w) + P2[i][j] * w) * scale
               for j in range(3)] for i in range(3)]
-    k = [_horner(start, y)] * 3
+    k = [_horner(start, y)] * 3 if seeds is None else list(seeds)
     threshold = config.newton_tol * (config.atol / h + config.rtol * abs(y))
     stage_rows = None
     for iterations in range(1, config.newton_max_iters + 1):
@@ -260,27 +278,41 @@ def reference_attempt(row, x, y, h, config):
     """One Radau IIA step attempt with step doubling, in plain Python.
 
     row(x) gives the ascending coefficients in y of f(x, y); config is read
-    for atol, rtol, newton_tol and newton_max_iters.  Each of the three
-    basic steps (h, then h/2 twice) solves its own stages from scratch.
+    for atol, rtol, newton_tol and newton_max_iters.  The full step starts
+    its stages at f(x, y); the two half steps start theirs at the full
+    step's collocation slope polynomial at their nodes (_slope_seeds).
     Returns (y_next, err_est, newton_iters, stages) of the full step and
     the error estimate |y_h - y_{h/2,h/2}| / 31; raises
     ReferenceNewtonFailure with the integrator's message when a stage
     solve fails.
     """
     tableau = _radau_floats()
-    b = tableau[1]
+    b, c = tableau[1], tableau[2]
     y, h = float(y), float(h)
 
-    def basic(x, y, h):
-        k, iterations = _reference_solve(row, x, y, h, config, tableau)
+    def basic(x, y, h, seeds=None):
+        k, iterations = _reference_solve(row, x, y, h, config, tableau, seeds)
         return y + h * (b[0] * k[0] + b[1] * k[1] + b[2] * k[2]), iterations, tuple(k)
 
     y_coarse, iters, stages = basic(x, y, h)
     half = 0.5 * h
-    y_half, iters2, _ = basic(x, y, half)
-    y_fine, iters3, _ = basic(x + half, y_half, half)
+    y_half, iters2, _ = basic(x, y, half, _slope_seeds(c, stages, 0.0))
+    y_fine, iters3, _ = basic(x + half, y_half, half, _slope_seeds(c, stages, 0.5))
     err = abs(y_coarse - y_fine) / (2.0 ** 5 - 1.0)
     return y_coarse, err, iters + iters2 + iters3, stages
+
+
+def scipy_radau(row, y0, xs):
+    """y at each of xs of y' = f(x, y), y(xs[0]) = y0, where row(x) gives the
+    ascending coefficients in y of f: scipy's Radau IIA at rtol = 1e-13 and
+    atol = 1e-16 with the analytic Jacobian (slope_in_y), read off its dense
+    output between its own steps."""
+    run = solve_ivp(lambda x, y: [_horner(row(x), y[0])], (xs[0], xs[-1]), [y0],
+                    method="Radau", t_eval=xs, rtol=1e-13, atol=1e-16,
+                    jac=lambda x, y: [[slope_in_y(row(x), y[0])]])
+    if run.status != 0:
+        raise RuntimeError(f"scipy's Radau failed: {run.message}")
+    return run.y[0]
 
 
 def reference_integrate(row, x0, y0, x_end, config, checkpoints=None):

@@ -236,8 +236,8 @@ class TestIntegrateCommand:
                        "x0 = 0\ny0 = 0\nx_end = 2\n")
         code, _, err = run(["integrate", cfg, "--out", tmp_path / "i"])
         assert code == 1
-        assert err == ("numeric failure: sqrt(-0.009837907115941125) outside real domain"
-                       " at x=1.0098379071159411\n")
+        assert err == ("numeric failure: sqrt(-0.00983790427220077) outside real domain"
+                       " at x=1.0098379042722008\n")
 
 
 class TestHypothesesCommand:

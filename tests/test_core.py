@@ -129,6 +129,12 @@ class TestEvaluation:
         fd = (eval_rhs(eq, 0.0, y + h) - eval_rhs(eq, 0.0, y - h)) / (2 * h)
         assert eval_drhs(eq, 0.0, y) == pytest.approx(fd, rel=1e-6, abs=1e-5)
 
+    def test_overflowing_derivative_term_is_rescaled(self):
+        # 2 a_2 = inf made inf * 0 + 1e308 = NaN at y = 0; the exact value is 1e308
+        eq = build_equation(["0", "1e308", "1e308"], 0.0)
+        assert eval_drhs(eq, 0.0, 0.0) == 1e308
+        assert eval_rhs(eq, 0.0, 0.0) == 0.0
+
     def test_dF_on_known_cubic(self):
         # F = y^3 + y^2 - 3y + 1, dF = 3y^2 + 2y - 3
         nf = normalize(build_equation(["1", "-3", "1", "1"], 0.0))
