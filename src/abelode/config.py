@@ -160,7 +160,8 @@ def equation_config(pairs: dict[str, str]) -> EquationConfig:
 
 
 def merton_params(pairs: dict[str, str]) -> MertonParams:
-    # finance imports cases and so the branch pipeline: loaded for param configs only
+    # finance, and cases, which it imports, serve param configs only: an
+    # equation config loads neither
     from .finance import MertonParams
 
     for key in ("sigma0_sq", "mu"):

@@ -12,13 +12,17 @@ and stability work on; the integrator consumes the raw right-hand side
 as the row AbelEquation.row(x).
 
 Every polynomial in y is handled as one coefficient row (ascending
-powers) evaluated once per abscissa; _horner, _derivative_row and
-_taylor_shift do the arithmetic on such a row.  _horner starts at the
-leading coefficient, which gives what a 0.0 seed gives wherever that
-coefficient is nonzero and y finite (see _horner).  The integrator runs
-_horner's operations inline, bit for bit: radau generates its start values
-and its stage solve per row length as flat Horner statements, each from
-the leading coefficient too.
+powers) evaluated once per abscissa; _horner and _taylor_entry do the
+arithmetic on such a row.  _horner gives the value, and _taylor_entry
+entry k of the Taylor expansion in y, (1/k!) d^k/dy^k: the y-derivative
+(k = 1) for Lambda = dF/dy and the integrator's Jacobian, the entries
+k >= 2 for the rate bound's remainder constant and the entries k >= 1 for
+the reduction about a solution.  _horner starts at the leading
+coefficient, which gives what a 0.0 seed gives wherever that coefficient
+is nonzero and y finite (see _horner).  The integrator runs _horner's
+operations inline, bit for bit: radau generates its start values and its
+stage solve per row length as flat Horner statements, each from the
+leading coefficient too.
 
 Coefficient rows come from two compiled functions per equation:
 AbelEquation.row (expr.compile_row) at one x, which NormalForm.sample
@@ -286,39 +290,23 @@ def _horner(coefficients: list[float], y: float) -> float:
     return acc
 
 
-def _derivative_row(coefficients: list[float]) -> list[float]:
-    """Ascending coefficients of the y-derivative: [k c_k for k >= 1]."""
-    return [k * c for k, c in enumerate(coefficients)][1:]
+def _taylor_entry(coefficients: list, g, k: int):
+    """Entry k of the row's Taylor expansion at g, (1/k!) d^k/dy^k at g =
+    sum_{j>=k} binom(j, k) c_j g^{j-k}: _horner on the binom(j, k) c_j, from
+    the leading term.  Coefficients and g may be floats or equal-length
+    arrays (one polynomial per element, the same operations element-wise).
 
-
-def _taylor_shift(coefficients: list, g):
-    """Ascending coefficients in v of the polynomial at y = g + v.
-
-    Entry k is (1/k!) d^k/dy^k at g = sum_{j>=k} binom(j, k) c_j g^{j-k},
-    summed by Horner in g from the highest power down.  Coefficients and g
-    may be floats or equal-length arrays (one polynomial per entry, the
-    same operations element-wise).  Where an entry is not finite, it is
-    summed again with every c_j pre-scaled by the same exact power of two,
-    chosen so that no binom(j, k) c_j overflows, and scaled back
-    (_rescaled_entry); a finite entry is never touched.
+    A finite entry is returned as summed.  One that is not finite is summed
+    again from the c_j times 2^-e, then times 2^e, with e the least shift
+    that keeps the n - k terms binom(j, k) c_j 2^-e, and their sum where
+    |g| <= 1, inside the float range; where e <= 0 no term overflowed and
+    the plain sum stands.  Both scalings are exact unless a scaled c_j is
+    subnormal.  An array entry keeps the plain sum wherever that is finite.
     """
     n = len(coefficients)
-    shifted = []
-    for k in range(n):
-        entry = _horner([math.comb(j, k) * coefficients[j] for j in range(k, n)], g)
-        finite = math.isfinite(entry) if isinstance(entry, float) else np.isfinite(entry).all()
-        shifted.append(entry if finite else _rescaled_entry(coefficients, g, k, entry))
-    return shifted
-
-
-def _rescaled_entry(coefficients: list, g, k: int, entry):
-    """Entry k of _taylor_shift where its plain sum gave entry, not finite:
-    the sum again from the c_j times 2^-e, then times 2^e, with e the least
-    shift that keeps the n - k terms binom(j, k) c_j 2^-e, and their sum
-    where |g| <= 1, inside the float range (entry itself where e <= 0: no
-    term overflowed).  Both scalings are exact unless a scaled c_j is
-    subnormal.  An array entry keeps entry wherever that is finite."""
-    n = len(coefficients)
+    entry = _horner([math.comb(j, k) * coefficients[j] for j in range(k, n)], g)
+    if math.isfinite(entry) if isinstance(entry, float) else np.isfinite(entry).all():
+        return entry
     peak = max(float(np.max(np.abs(c), where=np.isfinite(c), initial=0.0))
                for c in coefficients[k:])
     shift = math.frexp(peak)[1] + (math.comb(n - 1, k) * (n - k)).bit_length() - 1023
@@ -339,12 +327,7 @@ def eval_rhs(equation: AbelEquation, x: float, y: float) -> float:
 
 
 def eval_drhs(equation: AbelEquation, x: float, y: float) -> float:
-    """d/dy of the right-hand side: sum_{k>=1} k a_k(x) y^{k-1} via Horner
-    on the k a_k; a result that is not finite (some k a_k past the floats)
-    is summed again by _rescaled_entry, as the integrator's Jacobian is."""
-    row = equation.row(x)
-    slope = _horner(_derivative_row(row), y)
-    if not math.isfinite(slope):
-        slope = _rescaled_entry(row, y, 1, slope)
-    return slope
-
+    """d/dy of the right-hand side: sum_{k>=1} k a_k(x) y^{k-1}, entry 1 of
+    the row's Taylor expansion (_taylor_entry), as the integrator's
+    Jacobian is."""
+    return _taylor_entry(equation.row(x), y, 1)

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BranchError, NormalForm, _derivative_row, _horner, _require_real
+from .core import BranchError, NormalForm, _horner, _require_real, _taylor_entry
 
 __all__ = [
     "GridSpec",
@@ -358,18 +358,18 @@ def _bisect(cols, dcols, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray):
     return root, ~(certified & fixed)
 
 
-def _bracket_roots(cols: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                   flo: np.ndarray, tol: np.ndarray) -> np.ndarray:
+def _bracket_roots(cols: np.ndarray, deriv: np.ndarray, r: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray, flo: np.ndarray, tol: np.ndarray) -> np.ndarray:
     """Roots of the monic polynomials with coefficient columns cols[:, r] in
     the brackets [lo, hi] (column r[k] for bracket k, flo its value at lo),
     located to BISECT_TOL by _bisect, all brackets at once, and polished
     where _bisect allows by at most 5 Newton steps kept inside the bracket,
-    stopping where |F| <= tol.  The bracket columns and their derivative
-    columns are gathered once, and every phase reads them."""
+    stopping where |F| <= tol.  deriv holds the derivative columns of cols,
+    k c_k, as _isolate forms them for its recursion; the bracket columns of
+    both are gathered once, and every phase reads them."""
     if not r.size:  # no sign change in any row
         return lo
-    cols = cols.take(r, axis=1)
-    dcols = cols[1:] * np.arange(1.0, len(cols))[:, None]
+    cols, dcols = cols.take(r, axis=1), deriv.take(r, axis=1)
     root, polish = _bisect(cols, dcols, lo, hi, flo)
     at = np.flatnonzero(polish)
     x, cols, dcols = root[at], cols.take(at, axis=1), dcols.take(at, axis=1)
@@ -452,8 +452,9 @@ def _isolate(cols: np.ndarray, floor: float = -math.inf) -> np.ndarray:
     fa, fb = vals[:-1], vals[1:]
     at = np.flatnonzero((pts[1:] >= floor) & (fa != 0.0) & (fb != 0.0) & ~(fa * fb > 0.0))
     polished = np.full((k + 1, n), np.nan)
-    polished.flat[at] = _bracket_roots(cols, at % n, pts.ravel()[at], pts.ravel()[at + n],
-                                       fa.ravel()[at], NEWTON_RESIDUAL_TOL * scale[at % n])
+    polished.flat[at] = _bracket_roots(cols, deriv, at % n, pts.ravel()[at],
+                                       pts.ravel()[at + n], fa.ravel()[at],
+                                       NEWTON_RESIDUAL_TOL * scale[at % n])
 
     # the candidates in ascending order: -R, bracket 0, critical point 1,
     # bracket 1, ..., R (each bracket root lies in its bracket)
@@ -620,7 +621,7 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
     coefficients = rows.T
     with np.errstate(over="ignore", invalid="ignore"):
         # grid points with more than one positive root where dF/dy < 0
-        slope = _horner(_derivative_row(coefficients), table)
+        slope = _taylor_entry(coefficients, table, 1)
         stable = np.count_nonzero((table > POSITIVE_THRESHOLD) & (slope < 0.0), axis=0)
         ambiguous = int(np.count_nonzero(stable > 1))
         if midpoints:
@@ -629,7 +630,7 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
             values = np.insert(values, at, mid_values)
             leading = np.insert(leading, at, mid_leading)
             coefficients = np.insert(coefficients, at, np.transpose(mid_rows), axis=1)
-        lambdas = _horner(_derivative_row(coefficients), values)
+        lambdas = _taylor_entry(coefficients, values, 1)
 
     return EquilibriumBranch(grid_xs, values, lambdas, grid, ambiguous, leading=leading,
                              rows=coefficients.T)

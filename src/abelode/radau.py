@@ -14,11 +14,12 @@ L-stable method with stability function
 
 The right-hand side is a polynomial in y, given as a function row(x)
 returning its ascending coefficients at x.  Implicit stages are solved by
-simplified Newton in plain floats.  Horner over the start row and over its
-derivative row gives f(x, y) and the analytic scalar Jacobian
-J = df/dy(x, y), each started at its leading coefficient as core._horner
-starts, and a J that overflows (some k c_k past the floats) summed again
-by core._rescaled_entry.  The full step starts its three stage slopes at
+simplified Newton in plain floats.  Horner over the start row and over the
+k c_k gives f(x, y) and the analytic scalar Jacobian J = df/dy(x, y), each
+started at its leading coefficient as core._horner starts: J is entry 1
+of the row's Taylor expansion (core._taylor_entry), which also sums a J
+that is not finite (some k c_k past the floats) again from the row scaled
+by a power of two.  The full step starts its three stage slopes at
 f(x, y).  The two half steps of the error estimate start theirs at the
 full step's collocation slope polynomial u', the quadratic through
 (c_j, k_j), at their own nodes: u'(c_i/2) and u'(1/2 + c_i/2), nine
@@ -87,8 +88,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AbelEquation, NewtonFailure, OrderTestError, SolverConfig, _derivative_row,
-                   _horner, _rescaled_entry, _require_finite)
+from .core import (AbelEquation, NewtonFailure, OrderTestError, SolverConfig, _horner,
+                   _require_finite, _taylor_entry)
 from .expr import _compile
 
 __all__ = [
@@ -287,13 +288,13 @@ def _horner_lines(name: str, coefficients: list[str], y: str) -> list[str]:
 def _start_lines(m: int, row: str, y: str, value: bool = True) -> list[str]:
     """Statements setting slope to df/dy(x, y), and with value also value to
     f(x, y), from the row of length m >= 1 named row: core._horner on the
-    row and on its derivative row (_horner_lines), each from its leading
-    coefficient; a slope that is not finite is summed again by
-    core._rescaled_entry."""
+    row and on the k c_k (_horner_lines), each from its leading coefficient,
+    the operations of core._taylor_entry(row, y, 1); a slope that is not
+    finite is handed to _taylor_entry, which sums it again rescaled."""
     names = [f"c_{k}" for k in range(m)]
     return [f"[{', '.join(names)}] = {row}", *(_horner_lines("value", names, y) if value else []),
             *_horner_lines("slope", [f"{k} * c_{k}" for k in range(1, m)], y),
-            f"if not ninf < slope < inf: slope = _rescaled_entry({row}, {y}, 1, slope)"]
+            f"if not ninf < slope < inf: slope = _taylor_entry({row}, {y}, 1)"]
 
 
 def _seed_lines(name: str, weights) -> list[str]:
@@ -417,7 +418,7 @@ def _step_attempt(m: int):
         "    end if x_half + half == x + h else None)",
         f"err = abs(y_coarse - y_fine) / {STEP_DOUBLING_DENOM!r}",
         "return y_coarse, err, iters + iters2 + iters3, (k0, k1, k2), end",
-    ], solve=_stage_solver(m), _rescaled_entry=_rescaled_entry)
+    ], solve=_stage_solver(m), _taylor_entry=_taylor_entry)
 
 
 def step(row, x, y, h, config=None) -> StepResult:
@@ -603,10 +604,8 @@ def integrate_fixed_rhs(row, x0: float, y0: float, x_end: float, h: float,
         h_try = min(h, float(x_end - x))
         if x + h_try == x:
             raise ValueError(f"step size {h_try!r} does not advance x={x!r}")
-        slope = _horner(_derivative_row(start), y)
-        if not math.isfinite(slope):  # as _start_lines rescales it
-            slope = _rescaled_entry(start, y, 1, slope)
-        value = _horner(start, y)
+        # the Jacobian as the generated attempt forms it (_start_lines)
+        slope, value = _taylor_entry(start, y, 1), _horner(start, y)
         # the row at x + h_try starts the next step (a truncated step is the last)
         y, _, _, _, step_iters, start = solve(
             value, value, value, slope, row, x, y, h_try,

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import NormalForm, SolverConfig, ZeroEigenvalueError, _taylor_shift
+from .core import NormalForm, SolverConfig, ZeroEigenvalueError, _taylor_entry
 from .equilibrium import EquilibriumBranch, branch_slopes
 from .expr import ExprDomainError
 
@@ -105,11 +105,13 @@ def log_phi(nf: NormalForm, branch: EquilibriumBranch, x) -> np.ndarray:
 
 def remainder_constant(branch: EquilibriumBranch) -> float:
     """C_R = max over the branch grid of sum_{k>=2} |(1/k!) d^k F/dy^k| M_E^{k-2};
-    the (1/k!) d^k F/dy^k at (x, E) are the branch's own rows Taylor-shifted
-    to E, all points at once, so no coefficient is evaluated again."""
+    the (1/k!) d^k F/dy^k at (x, E) are the entries k >= 2 of the branch's
+    own rows' Taylor expansions at E (core._taylor_entry), all points at
+    once, so no coefficient is evaluated again."""
     m_e = branch.sup_E
-    shifted = _taylor_shift(list(branch.rows.T), branch.values)
-    terms = [np.abs(t) * m_e ** i for i, t in enumerate(shifted[2:])]
+    columns = list(branch.rows.T)
+    terms = [np.abs(_taylor_entry(columns, branch.values, k)) * m_e ** (k - 2)
+             for k in range(2, len(columns))]
     return float(np.max(sum(terms, np.zeros(branch.xs.size)), initial=0.0))
 
 
@@ -238,8 +240,10 @@ def diagnose(
 
     Trapping and monotonicity allow a slack of 10 (atol + rtol |y|); trapping
     is checked at accepted points the branch covers (everywhere it exists).
-    converged means the trajectory moved at most 1e-8 over the last 10% of
-    the x-range.
+    converged means the run completed and the trajectory moved at most 1e-8
+    over the last 10% of its x-range: a run that stopped early (not
+    result.completed) never converged, even where it ended without
+    advancing, so that its window is empty.
     """
     config = config or SolverConfig()
     xs, ys = result.xs, result.ys
@@ -263,7 +267,7 @@ def diagnose(
 
     window = PLATEAU_WINDOW_FRACTION * (xs[-1] - xs[0])
     y_before = float(result.interp(xs[-1] - window))
-    converged = abs(result.final_y - y_before) <= PLATEAU_TOL
+    converged = result.completed and abs(result.final_y - y_before) <= PLATEAU_TOL
 
     return PlateauDiagnostics(
         trapping_ok,

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .core import AbelEquation, SolverConfig, _horner, _require_real, _taylor_shift
+from .core import AbelEquation, SolverConfig, _horner, _require_real, _taylor_entry
 from .expr import compile_row
 
 if TYPE_CHECKING:
@@ -111,8 +111,11 @@ class ReducedEquation:
         return _horner(self.row(x), v)
 
     def row(self, x: float) -> list[float]:
-        """[0, c_1(x), ..., c_degree(x)]: the ascending coefficients in v of v'."""
-        return [0.0] + _taylor_shift([0.0] + self._tail_row(x), self.pivot(x))[1:]
+        """[0, c_1(x), ..., c_degree(x)]: the ascending coefficients in v of v',
+        entries 1..degree of the Taylor expansion at the pivot (the constant
+        a_0 is left out, so entry 0 is not formed)."""
+        coefficients, g = [0.0] + self._tail_row(x), self.pivot(x)
+        return [0.0] + [_taylor_entry(coefficients, g, k) for k in range(1, len(coefficients))]
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -17,6 +18,18 @@ def case_runs():
     """One shared pipeline run per case study; each run_case takes about
     6-15 ms on a 2-core x86_64 virtual machine."""
     return {cid: run_case(cid) for cid in (1, 2, 3)}
+
+
+@pytest.fixture
+def stiff_inputs(monkeypatch):
+    """perfbench/inputs.py, loaded by path as the module inputs (a dataclass
+    finds its module's globals through sys.modules until the test ends)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "inputs", module)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -517,6 +517,16 @@ class TestSpreadCommand:
         assert code == 0
         assert out.startswith("plateau_bp=0.0000")
 
+    def test_run_stopped_at_max_steps_has_not_converged(self, tmp_path):
+        # the run stops before its first step; it used to print converged=True
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("sigma0_sq = 1.2\nmu = 1.5\nr = 0\neta1 = 0.1\neta2 = 0.05\n"
+                       "max_steps = 1\n")
+        code, out, err = run(["spread", "--config", cfg, "--out", tmp_path / "s"])
+        assert code == 1
+        assert out == "plateau_bp=0.0000 converged=False\n"
+        assert err == "integration failed: step-failure: max_steps=1 exceeded\n"
+
     def test_parametric_positive_rate_fails_numerically(self, tmp_path):
         cfg = tmp_path / "m.cfg"
         cfg.write_text("sigma0_sq = 1.2\nmu = 1.5\nr = 0.01\neta1 = 0.1\neta2 = 0.05\n")

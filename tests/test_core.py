@@ -10,9 +10,8 @@ from strategies import expressions, grids
 from abelode.core import (
     LeadingCoefficientError,
     NormalForm,
-    _derivative_row,
     _horner,
-    _taylor_shift,
+    _taylor_entry,
     build_equation,
     eval_drhs,
     eval_rhs,
@@ -139,7 +138,7 @@ class TestEvaluation:
         # F = y^3 + y^2 - 3y + 1, dF = 3y^2 + 2y - 3
         nf = normalize(build_equation(["1", "-3", "1", "1"], 0.0))
         for y in (-2.0, 0.0, 0.4142, 3.0):
-            assert _horner(_derivative_row(nf.sample(0.0)[1]), y) == pytest.approx(
+            assert _taylor_entry(nf.sample(0.0)[1], y, 1) == pytest.approx(
                 3 * y * y + 2 * y - 3, rel=1e-13, abs=1e-13)
 
     def test_x_dependence_flows_through(self):
@@ -216,8 +215,13 @@ class TestHorner:
 
 
 
+def _taylor_entries(coefficients, g):
+    """_taylor_entry for every k, 0..n-1."""
+    return [_taylor_entry(coefficients, g, k) for k in range(len(coefficients))]
+
+
 def _binomial_horner(coefficients, g):
-    """The Taylor shift as summed before the rescaling: binom(j, k) c_j
+    """The Taylor entries as summed before the rescaling: binom(j, k) c_j
     formed first, then Horner in g."""
     n = len(coefficients)
     return [_horner([math.comb(j, k) * coefficients[j] for j in range(k, n)], g)
@@ -225,7 +229,7 @@ def _binomial_horner(coefficients, g):
 
 
 def _exact_shift(coefficients, g):
-    """Each Taylor-shift entry and Higham's Horner error bound for it, in
+    """Each Taylor entry and Higham's Horner error bound for it, in
     rational arithmetic: gamma_{2m+1} sum_j binom(j, k) |c_j| |g|^{j-k} for
     m = n - 1 - k, one more rounding for forming binom(j, k) c_j."""
     n, u = len(coefficients), Fraction(1, 2**53)
@@ -239,14 +243,15 @@ def _exact_shift(coefficients, g):
 
 
 class TestTaylorShift:
-    """core._taylor_shift rescales an entry whose binomial terms overflow."""
+    """core._taylor_entry, taken for every k (the Taylor shift of a row),
+    rescales an entry whose binomial terms overflow."""
 
     def test_overflowing_binomial_term_is_rescaled(self):
         # binom(2, 1) 1e308 overflows and inf * 0 was NaN; the exact c_1 is 1e308
         row = [0.0, 1e308, 1e308]
         with np.errstate(over="ignore", invalid="ignore"):
             assert math.isnan(_binomial_horner(row, 0.0)[1])
-            got = _taylor_shift(row, 0.0)
+            got = _taylor_entries(row, 0.0)
         assert [Fraction(v) for v in got] == [exact for exact, _ in _exact_shift(row, 0.0)]
         assert got == [0.0, 1e308, 1e308]
 
@@ -263,7 +268,7 @@ class TestTaylorShift:
             row = (rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(304.0, 308.25, n)).tolist()
             g = float(rng.choice([0.0, rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0)]))
             with np.errstate(over="ignore", invalid="ignore"):
-                got, plain = _taylor_shift(row, g), _binomial_horner(row, g)
+                got, plain = _taylor_entries(row, g), _binomial_horner(row, g)
             for value, before, (exact, bound) in zip(got, plain, _exact_shift(row, g)):
                 if math.isfinite(before):
                     assert value.hex() == before.hex()
@@ -283,8 +288,8 @@ class TestTaylorShift:
         rows = rng.uniform(-1.0, 1.0, (4, 50)) * scale * 10.0 ** rng.uniform(-3.0, 1.25, (4, 50))
         g = rng.uniform(-1.5, 1.5, 50)
         with np.errstate(over="ignore", invalid="ignore"):
-            shifted = _taylor_shift(list(rows), g)
-            scalar = [_taylor_shift(rows[:, i].tolist(), float(g[i])) for i in range(50)]
+            shifted = _taylor_entries(list(rows), g)
+            scalar = [_taylor_entries(rows[:, i].tolist(), float(g[i])) for i in range(50)]
             plain = _binomial_horner(list(rows), g)
         assert np.array(shifted).T.tobytes() == np.array(scalar).tobytes()
         finite = np.isfinite(plain)
@@ -293,7 +298,7 @@ class TestTaylorShift:
 
     def test_non_finite_coefficients_stay_non_finite(self):
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _taylor_shift([math.nan, 1e308, math.inf], 0.0)
+            got = _taylor_entries([math.nan, 1e308, math.inf], 0.0)
         assert math.isnan(got[0]) and math.isnan(got[1]) and got[2] == math.inf
 
 def _stacked(nf, xs):

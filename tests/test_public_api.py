@@ -82,13 +82,12 @@ PARAMETERS = {
 
 #: underscore names each module of the package imports from another one
 PRIVATE_IMPORTS = {
-    "equilibrium": ["core._derivative_row", "core._horner", "core._require_real"],
+    "equilibrium": ["core._horner", "core._require_real", "core._taylor_entry"],
     "finance": ["core._require_finite"],
     "hypotheses": ["rate._drift_integral"],
-    "radau": ["core._derivative_row", "core._horner", "core._rescaled_entry",
-              "core._require_finite", "expr._compile"],
-    "rate": ["core._taylor_shift"],
-    "reduction": ["core._horner", "core._require_real", "core._taylor_shift"],
+    "radau": ["core._horner", "core._require_finite", "core._taylor_entry", "expr._compile"],
+    "rate": ["core._taylor_entry"],
+    "reduction": ["core._horner", "core._require_real", "core._taylor_entry"],
 }
 
 #: X._name reads each module makes of an underscore name it does not define

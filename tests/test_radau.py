@@ -1,10 +1,7 @@
 import dataclasses
 import functools
-import importlib.util
 import math
 import re
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -391,17 +388,6 @@ class TestHalfStepSeeds:
         assert total <= 1054
 
 
-def _stiff_inputs(monkeypatch):
-    """perfbench/inputs.py, loaded by path as the module inputs (a dataclass
-    finds its module's globals through sys.modules until the test ends)."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "inputs", module)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestAccuracy:
     """Every accepted point of a run is within 100 (atol + rtol |y_ref|) of
     y_ref from scipy's Radau at rtol = 1e-13, atol = 1e-16 (scipy_radau).
@@ -410,8 +396,8 @@ class TestAccuracy:
     the factor 100 was fixed before the first run."""
 
     @pytest.mark.parametrize("index", [0, 1, 22, 23])
-    def test_generated_stiff_equations(self, index, monkeypatch):
-        generated = _stiff_inputs(monkeypatch).stiff_equations(901, 0)[index]
+    def test_generated_stiff_equations(self, index, stiff_inputs):
+        generated = stiff_inputs.stiff_equations(901, 0)[index]
         self.check(build_equation(list(generated.coefficients), 0.0), generated.x_end,
                    SolverConfig(atol=1e-11, rtol=1e-11))
 

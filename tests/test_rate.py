@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import log_damped_trapezoid, taylor_power_sum
 
-from abelode import run_case
-from abelode.core import build_equation, normalize
+from abelode import get_case, run_case
+from abelode.core import SolverConfig, build_equation, normalize
 from abelode.equilibrium import BranchPoint, EquilibriumBranch, GridSpec, continue_branch
 from abelode.hypotheses import verify
 from abelode.radau import integrate
@@ -167,6 +167,25 @@ class TestRateBound:
         margin = np.asarray(rb.bound) - deviation
         assert margin.min() >= 0.0
 
+    @pytest.mark.parametrize("batch", [0, 1, 2])
+    def test_bound_dominates_on_generated_families(self, stiff_inputs, batch):
+        # equations whose branch and limit are known by construction
+        # (perfbench/inputs.py); the allowance 4 eps max(|y|, E) for the
+        # rounding of y - E and of the bound's sum was fixed before the
+        # first run
+        config = SolverConfig(atol=1e-11, rtol=1e-11)
+        for generated in stiff_inputs.stiff_equations(901, batch):
+            equation = build_equation(list(generated.coefficients), 0.0)
+            nf = normalize(equation)
+            result = integrate(equation, 0.0, generated.x_end, config)
+            assert result.completed, result.message
+            branch = continue_branch(nf, GridSpec(0.0, generated.x_end, 2001))
+            rb = rate_bound(nf, branch, result)
+            ys, es = result.ys[branch.covers(result.xs)], branch.interp_E(rb.xs)
+            assert np.isfinite(rb.bound).all()
+            slack = 4.0 * np.finfo(float).eps * np.maximum(np.abs(ys), es)
+            assert (rb.bound >= np.abs(ys - es) - slack).all()
+
     def test_right_domain_edge(self):
         # sqrt(1 - x) fails just right of x = 1, where the trajectory ends;
         # E' there takes the backward difference instead of raising
@@ -217,6 +236,16 @@ class TestDiagnose:
             math.sqrt(2.0) - 1.0, abs=1e-9)
         # the slow case is honest about still drifting at x = 20
         assert not case_runs[2].diagnostics.converged
+
+    def test_run_that_never_advanced_has_not_converged(self):
+        # every step falls below h_min at x0: the run ends with no accepted
+        # step, and an empty plateau window used to read as converged
+        result = integrate(get_case(1).equation, 0.0, 20.0,
+                           SolverConfig(atol=1e-300, rtol=0.0, h_min=0.015))
+        assert result.status == "step-failure" and result.n_accepted == 0
+        d = diagnose(result, None)
+        assert not d.converged
+        assert d.L_numeric == 0.0
 
     def test_branchless_diagnosis_checks_lower_barrier_only(self, case_runs):
         d = diagnose(case_runs[1].result, None)

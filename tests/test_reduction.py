@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import reference_check_pivot, taylor_power_sum
 
-from abelode.core import _taylor_shift, build_equation
+from abelode.core import _taylor_entry, build_equation
 from abelode.expr import ExprDomainError
 from abelode.reduction import (
     NotASolutionError,
@@ -137,7 +137,8 @@ class TestReduceAbout:
         red = ReducedEquation(eq, lambda x: 0.25)
         xs = [0.0, 0.5, 1.0]
         rows = [[0.0] + [coeff(x) for coeff in eq.coeffs[1:]] for x in xs]
-        assert red.coefficients(xs).tolist() == [_taylor_shift(row, 0.25)[1:] for row in rows]
+        assert red.coefficients(xs).tolist() == [[_taylor_entry(row, 0.25, k) for k in range(1, 4)]
+                                                 for row in rows]
         with pytest.raises(ExprDomainError,
                            match=r"^sqrt\(-1\.0\) outside real domain at x=2\.0$"):
             red.coefficients([0.0, 2.0, 3.0])
