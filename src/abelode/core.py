@@ -24,10 +24,12 @@ operations inline, bit for bit: radau generates its start values and its
 stage solve per row length as flat Horner statements, each from the
 leading coefficient too.
 
-Coefficient rows come from two compiled functions per equation:
+Coefficient rows come from compiled functions per equation:
 AbelEquation.row (expr.compile_row) at one x, which NormalForm.sample
 reads, and AbelEquation.grid (expr.compile_grid) for a whole grid, the
-only way a table is built.  Where a row is not finite, both raise the
+only way a table is built.  A third, AbelEquation.dual (dual.compile_dual,
+loaded on first use), gives a grid's table and its x-derivatives in one
+pass, for the branch slope.  Where a row is not finite, all raise the
 tree walk's ExprDomainError, which names the failing operation and x;
 sample then walks a_n alone, so a failing a_n, or a vanishing one
 (LeadingCoefficientError), is reported before the row's own error, and
@@ -44,7 +46,8 @@ integration.
 
 All types are immutable after construction and can be shared freely
 across threads; the only state they hold beyond their fields is the
-compiled row and grid, built on first use, alike whichever thread builds them.
+compiled row, grid and dual, built on first use, alike whichever thread
+builds them.
 """
 
 from __future__ import annotations
@@ -132,6 +135,16 @@ class AbelEquation:
     def grid(self):
         """xs -> the (n+1, N) array of the columns row(x), built on first use."""
         return compile_grid(self.coeffs)
+
+    @cached_property
+    def dual(self):
+        """xs -> (values, slopes), one entry per coefficient: its row of
+        grid(xs), bit for bit, and its x-derivative at xs (a float value and
+        0.0 for a coefficient without x), built on first use; see
+        dual.compile_dual."""
+        from .dual import compile_dual
+
+        return compile_dual(self.coeffs)
 
 
 def build_equation(coeff_sources: list[str] | tuple[str, ...], x0: float) -> AbelEquation:

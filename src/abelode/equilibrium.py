@@ -35,8 +35,10 @@ first grid point where NormalForm.sample_grid's mask says the
 coefficients fail raises what NormalForm.sample raises there.
 
 The branch slope E' = -(dF/dx) / Lambda comes from branch_slopes for all
-points at once: dF/dx is a finite difference of rows sampled at x +- h,
-one-sided at a domain edge, undefined where both sides fail.
+points at once: dF/dx is exact up to rounding, formed from the
+coefficients and their x-derivatives that one forward-mode pass over the
+row's generated grid code gives (AbelEquation.dual), and undefined where a
+coefficient or its derivative does not evaluate.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import BranchError, NormalForm, _horner, _require_real, _taylor_entry
+from .expr import ExprDomainError
 
 __all__ = [
     "GridSpec",
@@ -636,43 +639,61 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
                              rows=coefficients.T)
 
 
-def _dF_dx(nf: NormalForm, xs: np.ndarray, es: np.ndarray):
-    """dF/dx at each point (x, E), E held fixed, and the mask of points where
-    it is undefined (NaN there).
+def _coefficient_slopes(equation, xs: np.ndarray):
+    """equation.dual(xs) with NaN where the row does not evaluate, and the
+    mask of those abscissae.  Where the one pass raises, the row is sampled
+    point by point and the pass runs again on the points where it evaluates."""
+    try:
+        return (*equation.dual(xs), np.zeros(xs.size, dtype=bool))
+    except ExprDomainError:
+        pass
+    undefined = np.zeros(xs.size, dtype=bool)
+    for i, x in enumerate(xs.tolist()):
+        try:
+            equation.row(x)
+        except ExprDomainError:
+            undefined[i] = True
 
-    A centred difference with h = max(1e-6, 1e-8 |x|) where the coefficients
-    evaluate at both x - h and x + h.  At a domain edge, where only one side
-    evaluates, the one-sided difference between that side and x itself;
-    undefined where neither side evaluates, or x itself does not.  F is
-    Horner on sample_grid's rows, NaN where they are.
-    """
-    h = np.maximum(1e-6, 1e-8 * np.abs(xs))
-    _, rows, ok = nf.sample_grid(np.concatenate((xs + h, xs - h)))
-    f = _horner(list(rows.T), np.concatenate((es, es)))
-    f_hi, f_lo, hi, lo = f[:xs.size], f[xs.size:], ok[:xs.size], ok[xs.size:]
-    f_at, at = np.full(xs.size, np.nan), np.zeros(xs.size, dtype=bool)
-    edge = hi != lo
-    if edge.any():
-        _, rows, at[edge] = nf.sample_grid(xs[edge])
-        f_at[edge] = _horner(list(rows.T), es[edge])
-    centred = hi & lo
-    values = np.where(
-        centred, (f_hi - f_lo) / (2.0 * h),
-        np.where(hi, (f_hi - f_at) / h, (f_at - f_lo) / h),
-    )
-    undefined = ~centred & ~at
-    return np.where(undefined, np.nan, values), undefined
+    def spread(part):
+        if not isinstance(part, np.ndarray):
+            return part
+        full = np.full(xs.size, np.nan)
+        full[~undefined] = part
+        return full
+
+    values, slopes = equation.dual(xs[~undefined])
+    return [*map(spread, values)], [*map(spread, slopes)], undefined
 
 
 def branch_slopes(nf: NormalForm, xs, es, lams):
     """Implicit derivative E' = -(dF/dx) / Lambda at each point (x, E, Lambda),
-    all points at once, and the mask of points where dF/dx is undefined
-    (see _dF_dx).  E' is NaN there and where Lambda == 0."""
+    all points at once, and the mask of points where dF/dx is undefined: a
+    coefficient or its x-derivative does not evaluate there, or a_n = 0.
+    E' is NaN there and where Lambda == 0.
+
+    The a_k and their exact x-derivatives a_k' come from one
+    AbelEquation.dual pass, and dF/dx = sum_k lambda_k' E^k is one Horner
+    over lambda_k' = (a_k' - lambda_k a_n') / a_n (a_k' / a_n where a_n has
+    no x), up to the last lambda_k with x; with none, dF/dx is 0.
+    """
     xs, es, lams = (np.asarray(v, dtype=float) for v in (xs, es, lams))
     with np.errstate(all="ignore"):
-        dfdx, undefined = _dF_dx(nf, xs, es)
-        slopes = np.where(lams == 0.0, np.nan, -dfdx / lams)
-    return slopes, undefined
+        values, slopes, undefined = _coefficient_slopes(nf.equation, xs)
+        leading, lead_slope = values[-1], slopes[-1]
+        if isinstance(lead_slope, np.ndarray):
+            monic = [(s - a / leading * lead_slope) / leading
+                     for a, s in zip(values[:-1], slopes[:-1])]
+        else:
+            monic = [s / leading if isinstance(s, np.ndarray) else 0.0 for s in slopes[:-1]]
+        varying = [k for k, slope in enumerate(monic) if isinstance(slope, np.ndarray)]
+        dfdx = _horner(monic[:varying[-1] + 1], es) if varying else np.zeros(xs.size)
+        undefined |= leading == 0.0
+        for slope in slopes:
+            if isinstance(slope, np.ndarray):
+                undefined |= ~np.isfinite(slope)
+        e_prime = -dfdx / lams
+        e_prime[undefined | (lams == 0.0)] = np.nan
+    return e_prime, undefined
 
 
 def branch_limit(branch: EquilibriumBranch) -> float | None:

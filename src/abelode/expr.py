@@ -14,6 +14,11 @@ One generator (_generate) turns a row of trees into code, and eval explains:
     eval's order, so their values are eval's bit for bit, and where eval
     would raise they run the tree walk, which raises its ExprDomainError.
     A shared subexpression is evaluated once per call, one without x once.
+  * dual.compile_dual(exprs) runs the same code a third time, over
+    value/slope pairs: the values are compile_grid's, bit for bit, and the
+    slopes their x-derivatives by forward-mode differentiation, the branch
+    slope's input.  It lives in its own module, loaded by the first run that
+    reads a branch slope.
   * Expr.eval walks the tree one node at a time.  It evaluates single
     expressions (Expr(x), a_n where NormalForm.sample walks it alone) and
     explains failures: its ExprDomainError names the operation and the x.
@@ -555,8 +560,9 @@ def compile_grid(exprs):
 
 
 def _generate(exprs, name, prologue, test, out, call=None, **helpers):
-    """compile_row's or compile_grid's function name(arg) with x = prologue; test
-    and out are formatted with result names, and a bound function enters as call(it)."""
+    """compile_row's, compile_grid's or dual.compile_dual's function name(arg) with
+    x = prologue; test and out are formatted with result names, and a bound
+    function enters as call(it)."""
     namespace = {"__builtins__": {}, "_errors": (ZeroDivisionError, OverflowError, ValueError),
                  **helpers}
     names = {}  # value (float.hex for floats) -> bound name

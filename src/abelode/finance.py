@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -117,8 +118,15 @@ def spread_normal_form(p: MertonParams, x: float) -> tuple[float, float, float]:
     """Normalized coefficients (lambda2, lambda1, lambda0) = (a2, a1, a0)/a3:
     parametric_equation's coefficients at x.  Where Q(x) = 0 the division
     by it raises ExprDomainError (a ValueError) naming x."""
-    lam0, lam1, lam2, _ = parametric_equation(p, x).row(x)
+    lam0, lam1, lam2, _ = _parametric_row(p)(x)
     return lam2, lam1, lam0
+
+
+@lru_cache(maxsize=64)
+def _parametric_row(p: MertonParams):
+    """parametric_equation(p)'s compiled row, which does not depend on x0:
+    parsed and compiled once per MertonParams."""
+    return parametric_equation(p).row
 
 
 def omega_exact(p: MertonParams, x: float, s: float) -> float:

@@ -431,12 +431,14 @@ def step(row, x, y, h, config=None) -> StepResult:
     collocation slope polynomial, so err_est and newton_iters depend on
     the full step's stages as well as on the half steps' own.
 
-    x, y and h must be finite real numbers and h positive, and row(x)
-    must not be empty (ValueError).
+    x, y and h must be finite real numbers and h positive with h/2 > 0 (not
+    the smallest subnormal), and row(x) must not be empty (ValueError).
     """
     _require_finite(x=x, y=y, h=h)
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h!r}")
+    if 0.5 * h == 0.0:
+        raise ValueError(f"step size {h!r} has no half step")
     start = _first_row(row, x)
     return StepResult(*_step_attempt(len(start))(start, row, x, y, h, config or SolverConfig())[:4])
 
@@ -446,7 +448,7 @@ class IntegrationResult:
     """Accepted trajectory plus counters.
 
     status is "completed", "step-failure" (h under h_min, a step too small
-    to change x, or max_steps attempts used), or "newton-failure" (stages
+    to change x or to halve, or max_steps attempts used), or "newton-failure" (stages
     diverged even at h_min); message carries the detail.
     n_rejected counts every rejected attempt; n_newton_failures those whose
     stage solve failed, the rest failed the error test.
@@ -532,6 +534,10 @@ def integrate_rhs(row, x0: float, y0: float, x_end: float, config: SolverConfig 
         if x + h_try == x:
             return _finish(xs, ys, hs, iters, rejected, newton_failures, total_iters,
                            "step-failure", f"step size {h_try!r} does not advance x={x!r}")
+        if 0.5 * h_try == 0.0:
+            # the smallest subnormal: step doubling would divide by h/2 = 0
+            return _finish(xs, ys, hs, iters, rejected, newton_failures, total_iters,
+                           "step-failure", f"step size {h_try!r} has no half step at x={x!r}")
 
         try:
             y_next, err, newton_iters, _, end = attempt(start, row, x, y, h_try, config)

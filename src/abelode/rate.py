@@ -23,8 +23,12 @@ np.logaddexp.accumulate pass (damped_drift; rate_bound and B3 read it).
 Two guards remain: a log Phi that is not finite, or Phi or its growth
 over one cell past the float range, raises OverflowError before E' is
 formed; and a damped drift Phi_N I_N below the normal floats is a lost
-total: the finite-difference E' is exactly 0 below about 2e-10, so a
-divergent integral stops growing there.  Every a_n and E' outside the
+total: with B2 the damped drift tends to |E'| / (a_n |Lambda|), so E'
+has left the normal floats there too, and an E' that underflows to 0
+stops a divergent integral from growing.  E' is exact (branch_slopes), so
+this happens only where E' itself underflows, no longer below the 2e-10
+that a finite difference resolved; the guard stays until B3 decides from
+the tail's growth rate instead of the sum.  Every a_n and E' outside the
 branch's table is evaluated for all points at once (a_n by
 Expr.eval_array, compile_grid's row of one; E' by branch_slopes).
 """
@@ -131,7 +135,7 @@ class RateBound:
 def _undefined_slope(x: float) -> str:
     """Why E' has no value at x (the mask branch_slopes returns)."""
     return (f"branch derivative undefined at x={x!r}: "
-            "the coefficients do not evaluate on either side")
+            "a coefficient or its x-derivative does not evaluate there")
 
 
 def damped_drift(nf: NormalForm, branch: EquilibriumBranch, xs: np.ndarray):

@@ -327,7 +327,7 @@ def reference_integrate(row, x0, y0, x_end, config, checkpoints=None):
     err <= atol + rtol |y|, and the next h is h clamp(0.9 (tol/err)^(1/6),
     0.2, 5) (5 when err = 0), capped at h_max.  The run stops with
     "step-failure" before attempt max_steps + 1, before an attempt whose
-    x + h rounds back to x, or once h falls below h_min, and with
+    x + h rounds back to x or whose h/2 is 0, or once h falls below h_min, and with
     "newton-failure" once a halved step does.  Returns
     the IntegrationResult fields as a dict of plain Python values.
     """
@@ -349,6 +349,9 @@ def reference_integrate(row, x0, y0, x_end, config, checkpoints=None):
         h_try = target - x if truncated else h
         if x + h_try == x:
             status, message = "step-failure", f"step size {h_try!r} does not advance x={x!r}"
+            break
+        if 0.5 * h_try == 0.0:
+            status, message = "step-failure", f"step size {h_try!r} has no half step at x={x!r}"
             break
         try:
             y_next, err, newton_iters, _ = reference_attempt(row, x, y, h_try, config)
@@ -799,3 +802,155 @@ def reference_check_pivot(row_at, pivot, xs, kind):
         if not abs(residual) <= 1e-6 * scales[-1]:
             return f"pivot is not a solution at x={x!r}: residual {residual:.3e}", scales
     return None, scales
+
+
+class _IllConditioned(Exception):
+    """reference_slope does not judge this point."""
+
+
+_FLOAT_CALLS = {"exp": math.exp, "log": math.log, "sqrt": math.sqrt, "abs": abs}
+_MP_CALLS = {"exp": mpmath.exp, "log": mpmath.log, "sqrt": mpmath.sqrt, "abs": abs}
+_FLOAT_CONSTANTS = {"pi": math.pi, "e": math.e}
+
+
+def _has_x(tree):
+    return tree[0] == "x" or any(isinstance(t, tuple) and _has_x(t) for t in tree[1:])
+
+
+def _mp_value(tree, t):
+    """The expression at the mpf t in mpmath, every number and constant the
+    float the parser reads, so the function is the one floats approximate."""
+    kind = tree[0]
+    if kind == "num":
+        return mpmath.mpf(tree[1])
+    if kind == "x":
+        return t
+    if kind == "const":
+        return mpmath.mpf(_FLOAT_CONSTANTS[tree[1]])
+    if kind == "neg":
+        return 0 - _mp_value(tree[1], t)
+    if kind == "call":
+        return _MP_CALLS[tree[1]](_mp_value(tree[2], t))
+    op, a, b = tree[1], _mp_value(tree[2], t), _mp_value(tree[3], t)
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        return a / b
+    return mpmath.power(a, b)
+
+
+def _apart_from_kinks(value, scale):
+    """A kink or pole of the node at value = 0 lies more than 1e-15 times
+    its derivative scale from x: far outside mpmath.diff's steps."""
+    if not (value != 0 and abs(value) > 1e-15 * scale):
+        raise _IllConditioned
+
+
+def _node(tree, x):
+    """(float value, exact value, derivative scale) of the subtree at x.
+
+    The float value is the tree walk's (Python floats, math functions).  The
+    scale bounds |d/dx| of the node by the chain rule on absolute values:
+    each rule of the forward mode's rounding is a sum of terms no larger.
+    Raises _IllConditioned where the float value is off its exact value by
+    more than 1e-12 relative, a value or scale is nonzero outside
+    [1e-150, 1e150] (so no product of two of them under- or overflows), or
+    x is near a kink, pole or branch cut of a node."""
+    kind = tree[0]
+    if kind == "num":
+        f, v, d = tree[1], mpmath.mpf(tree[1]), mpmath.mpf(0)
+    elif kind == "x":
+        f, v, d = x, mpmath.mpf(x), mpmath.mpf(1)
+    elif kind == "const":
+        f = _FLOAT_CONSTANTS[tree[1]]
+        v, d = mpmath.mpf(f), mpmath.mpf(0)
+    elif kind == "neg":
+        fu, vu, d = _node(tree[1], x)
+        f, v = 0.0 - fu, 0 - vu
+    elif kind == "call":
+        name = tree[1]
+        fu, vu, du = _node(tree[2], x)
+        if name == "log" and not vu > 0:
+            raise _IllConditioned
+        if name != "exp":
+            _apart_from_kinks(vu, du)
+        try:
+            f = _FLOAT_CALLS[name](fu)
+        except (OverflowError, ValueError):
+            raise _IllConditioned from None
+        v = _MP_CALLS[name](vu)
+        if name == "exp":
+            d = abs(v) * du
+        elif name == "log":
+            d = du / abs(vu)
+        elif name == "sqrt":
+            d = du / (2 * abs(v))
+        else:
+            d = du
+    else:
+        op = tree[1]
+        fa, va, da = _node(tree[2], x)
+        fb, vb, db = _node(tree[3], x)
+        try:
+            if op == "+":
+                f, v, d = fa + fb, va + vb, da + db
+            elif op == "-":
+                f, v, d = fa - fb, va - vb, da + db
+            elif op == "*":
+                f, v, d = fa * fb, va * vb, da * abs(vb) + abs(va) * db
+            elif op == "/":
+                _apart_from_kinks(vb, db)
+                f, v = fa / fb, va / vb
+                d = da / abs(vb) + abs(va) * db / vb ** 2
+            else:
+                f = math.pow(fa, fb)
+                if _has_x(tree[3]):
+                    if not va > 0:
+                        raise _IllConditioned
+                    _apart_from_kinks(va, da)
+                    v = mpmath.power(va, vb)
+                    d = abs(v) * (db * (abs(mpmath.log(va)) + 1) + abs(vb) * da / abs(va))
+                else:
+                    if not (vb >= 0 and vb == int(vb)):
+                        if va < 0 and vb != int(vb):
+                            raise _IllConditioned
+                        _apart_from_kinks(va, da)
+                    v = mpmath.power(va, vb)
+                    d = abs(vb) * abs(mpmath.power(va, vb - 1)) * da if da else mpmath.mpf(0)
+        except (OverflowError, ValueError, ZeroDivisionError):
+            raise _IllConditioned from None
+    if not math.isfinite(f) or isinstance(v, mpmath.mpc):
+        raise _IllConditioned
+    for value in (v, d):
+        if value != 0 and not 1e-150 <= abs(value) <= 1e150:
+            raise _IllConditioned
+    if not abs(mpmath.mpf(f) - v) <= 1e-12 * abs(v):
+        raise _IllConditioned
+    return f, v, d
+
+
+#: digits mpmath.diff carries beyond the dps it must get right: it differences
+#: f(x + h) and f(x - h), which cancel down to f' h, and _node bounds every
+#: node's value by 1e150 and the scale by 1e-150 from below
+_DIFF_GUARD_DIGITS = 300
+
+
+def reference_slope(source, x, dps=50):
+    """(d/dx of the expression at x by mpmath.diff to dps digits, the scale
+    its float forward-mode slope is judged against), or None where the
+    point is ill-conditioned for floats or near a kink (see _node)."""
+    tree = reference_parse(source)
+    with mpmath.workdps(dps):
+        try:
+            _, _, scale = _node(tree, float(x))
+        except _IllConditioned:
+            return None
+    with mpmath.workdps(dps + _DIFF_GUARD_DIGITS):
+        exact = mpmath.diff(lambda t: _mp_value(tree, t), mpmath.mpf(x))
+    if isinstance(exact, mpmath.mpc):
+        return None
+    return exact, scale

@@ -186,6 +186,33 @@ class TestIntegrateCommand:
             "branch.csv", "trajectory.csv"]
         assert out.startswith("final_x=20 final_y=")
 
+    def test_step_with_no_half_step_is_a_step_failure(self, tmp_path):
+        # h0 = 5e-324 halves to 0: the run ends before the step (exit 1)
+        # instead of dividing by h/2 = 0
+        cfg = tmp_path / "h0.cfg"
+        cfg.write_text("degree = 3\ncoefficients = 1 | -3 | 1 | 1\nx0 = 0\ny0 = 0\n"
+                       "x_end = 20\nh0 = 5e-324\n")
+        code, _, err = run(["integrate", cfg, "--out", tmp_path / "o"])
+        assert code == 1
+        assert "step size 5e-324 has no half step at x=0.0" in err
+
+    def test_b3_integral_does_not_move_with_a_shift_of_x(self, tmp_path):
+        # case 3 shifted by c: E' is exact at every scale of x, so the witness
+        # agrees across c (a finite difference with step 1e-8 |x| read
+        # 13.769 at c = 0 and 1.67e8 at c = 1e9); tail_share is taken over the
+        # last decade of absolute x, so it is not compared
+        integrals = []
+        for c in (0.0, 1e3, 1e6, 1e9):
+            cfg = tmp_path / f"shift{c:g}.cfg"
+            cfg.write_text(f"degree = 3\ncoefficients = 3 - 2*exp(-2*(x - {c!r})) | -4 | 0 | 1\n"
+                           f"x0 = {c!r}\ny0 = 0\nx_end = {c + 20.0!r}\n")
+            code, _, err = run(["integrate", cfg, "--hypotheses", "--out", tmp_path / f"{c:g}"])
+            assert code == 0, err
+            b3 = read_report(tmp_path / f"{c:g}")["checks"][-1]
+            assert b3["id"] == "B3"
+            integrals.append(b3["witness"]["B3_integral"])
+        assert max(integrals) - min(integrals) <= 1e-9 * integrals[0]
+
     def test_gnuplot_companion(self, tmp_path):
         cfg = tmp_path / "c3.cfg"
         cfg.write_text(CASE3_CFG)
@@ -311,10 +338,10 @@ class TestHypothesesCommand:
                    for key, c in checks.items() if key not in ("A4", "B2"))
 
     def test_right_domain_edge_writes_the_report(self, tmp_path):
-        # sqrt(1 - x) is undefined just right of x_end = 1; the branch's
-        # last E' takes the backward difference instead of raising
+        # (1 - x)^1.5 is undefined just right of x_end = 1, and its slope is
+        # finite there: the branch's last E' reads nothing past the edge
         cfg = tmp_path / "edge.cfg"
-        cfg.write_text("degree = 2\ncoefficients = 3 + sqrt(1-x) | -4 - sqrt(1-x) | 1\n"
+        cfg.write_text("degree = 2\ncoefficients = 3 + (1-x)^1.5 | -4 - (1-x)^1.5 | 1\n"
                        "x0 = 0\ny0 = 0\nx_end = 1\n")
         code, out, err = run(["hypotheses", cfg, "--out", tmp_path / "h"])
         assert code == 0, err
@@ -322,6 +349,20 @@ class TestHypothesesCommand:
         assert "B3_integral" in read_report(tmp_path / "h")["checks"][-1]["witness"]
         _, rows = read_rows(tmp_path / "h" / "branch.csv")
         assert rows[-1][0] == "1" and math.isfinite(float(rows[-1][3]))
+
+    def test_infinite_coefficient_slope_at_the_edge(self, tmp_path):
+        # sqrt(1 - x) has an infinite slope at x_end = 1: B3 is inconclusive
+        # there, and branch.csv's last E' is nan
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text("degree = 2\ncoefficients = 3 + sqrt(1-x) | -4 - sqrt(1-x) | 1\n"
+                       "x0 = 0\ny0 = 0\nx_end = 1\n")
+        code, out, err = run(["hypotheses", cfg, "--out", tmp_path / "h"])
+        assert code == 0, err
+        b3 = read_report(tmp_path / "h")["checks"][-1]
+        assert b3["status"] == "inconclusive" and "x=1.0" in b3["note"]
+        _, rows = read_rows(tmp_path / "h" / "branch.csv")
+        assert rows[-1][:1] == ["1"] and rows[-1][3] == "nan"
+        assert all(math.isfinite(float(row[3])) for row in rows[:-1])
 
     def test_never_integrates(self, tmp_path):
         # one solver step cannot reach x_end, which only integrate notices

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from abelode import equilibrium
 from abelode.cases import get_case
-from abelode.core import LeadingCoefficientError, NormalForm, _horner, build_equation, normalize
+from abelode.core import LeadingCoefficientError, NormalForm, build_equation, normalize
 from abelode.equilibrium import (
     POSITIVE_THRESHOLD,
     BranchError,
@@ -35,25 +35,6 @@ def monic_cubic(c0, c1, c2, x0=0.0):
 def _smallest_positive_root(nf, x):
     """The smallest real root of F(x, .) above POSITIVE_THRESHOLD, or None."""
     return next((r for r in real_roots(nf, x) if r > POSITIVE_THRESHOLD), None)
-
-
-def _scalar_dF_dx(nf, x, e):
-    """dF/dx at (x, e) from F = Horner on the monic row, sampled point by
-    point, and its kind: centred where x +- h both evaluate, else one-sided
-    against x itself."""
-    h = max(1e-6, 1e-8 * abs(x))
-    sides = []
-    for side in (x + h, x - h):
-        try:
-            sides.append(_horner(nf.sample(side)[1], e))
-        except (ExprDomainError, LeadingCoefficientError):
-            sides.append(None)
-    hi, lo = sides
-    if hi is not None and lo is not None:
-        return (hi - lo) / (2.0 * h), "centred"
-    if hi is not None:
-        return (hi - _horner(nf.sample(x)[1], e)) / h, "forward"
-    return (_horner(nf.sample(x)[1], e) - lo) / h, "backward"
 
 
 def _filler(degree, count=2000):
@@ -950,47 +931,67 @@ class TestBranchDerivative:
         slopes, _ = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
         assert slopes[50] == pytest.approx(0.0, abs=1e-9)
 
-    def test_one_sided_differences_at_both_domain_edges(self):
-        # x - x^2 < 0 just outside [0, 1]: the first point takes the forward
-        # difference, the last the backward one (it used to raise); 1 - x < 0
-        # right of 1, so only the last point of that branch is one-sided.
-        # Every point matches the scalar difference of F bit for bit
-        for coefficient, count, edges in (
-            ("sqrt(x - x*x)", 201, {0: "forward", 200: "backward"}),
-            ("sqrt(1-x)", 2001, {2000: "backward"}),
-        ):
-            nf = normalize(build_equation(
-                [f"3 + {coefficient}", f"-4 - {coefficient}", "1"], 0.0))
-            branch = continue_branch(nf, GridSpec(0.0, 1.0, count))
-            slopes, undefined = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
-            assert not undefined.any()
-            reference = [_scalar_dF_dx(nf, x, e)
-                         for x, e in zip(branch.xs.tolist(), branch.values.tolist())]
-            assert {i: kind for i, (_, kind) in enumerate(reference) if kind != "centred"} == edges
-            assert slopes.tolist() == [
-                -d / lam for (d, _), lam in zip(reference, branch.eigenvalues.tolist())]
-
-    def test_each_stencil_point_is_sampled_at_most_once(self, monkeypatch):
-        # 1 - x < 0 just right of the last point, so the all-points pass over
-        # the 4,002-point stencil fails and each point is sampled once on its
-        # own; the one-sided point x = 1 then evaluates in one array pass
-        nf = normalize(build_equation(["3 + sqrt(1-x)", "-4 - sqrt(1-x)", "1"], 0.0))
-        branch = continue_branch(nf, GridSpec(0.0, 1.0, 2001))
-        calls = []
-        sample = NormalForm.sample
-        monkeypatch.setattr(NormalForm, "sample",
-                            lambda self, x: calls.append(x) or sample(self, x))
+    @pytest.mark.parametrize("case_id,x_max", [(2, None), (3, None), (2, 2e5)])
+    def test_closed_forms_on_the_case_grids(self, case_id, x_max):
+        # case 2: dF/dx = dlambda_0/dx = 1/x^2; case 3: 4 exp(-2x); on every
+        # point of the branch grid, within a few roundings of each side
+        case = get_case(case_id)
+        nf = normalize(case.equation)
+        branch = continue_branch(nf, case.branch_grid(x_max))
         slopes, undefined = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
-        assert len(calls) <= 2 * branch.xs.size
-        monkeypatch.undo()
-        reference = [_scalar_dF_dx(nf, x, e)[0]
-                     for x, e in zip(branch.xs.tolist(), branch.values.tolist())]
-        assert slopes.tolist() == [
-            -d / lam for d, lam in zip(reference, branch.eigenvalues.tolist())]
         assert not undefined.any()
+        xs, lams = branch.xs.tolist(), branch.eigenvalues.tolist()
+        if case_id == 2:
+            exact = [-1.0 / (x * x * lam) for x, lam in zip(xs, lams)]
+        else:
+            exact = [-4.0 * math.exp(-2.0 * x) / lam for x, lam in zip(xs, lams)]
+        assert np.all(np.abs(slopes - exact) <= 1e-14 * np.abs(exact))
+
+    def test_rows_without_x_give_exactly_zero(self):
+        # case 1: no coefficient has x, so dF/dx is +0.0 and E' = -0.0 / Lambda
+        # is +0.0 at every point (Lambda < 0), the bytes branch.csv always had
+        nf = normalize(get_case(1).equation)
+        branch = continue_branch(nf, get_case(1).branch_grid())
+        values, slopes = nf.equation.dual(branch.xs)
+        assert slopes == (0.0, 0.0, 0.0, 0.0)
+        assert values == (1.0, -3.0, 1.0, 1.0)
+        e_prime, undefined = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
+        assert not undefined.any()
+        assert e_prime.tobytes() == np.zeros(branch.xs.size).tobytes()
+
+    def test_sqrt_slope_is_undefined_where_its_argument_vanishes(self):
+        # sqrt(x - x^2) evaluates on [0, 1] with an infinite slope at both
+        # ends; inside, E' is exact: E = 1 and 3 + sqrt(x - x^2) are the
+        # roots, so dF/dx = -(1 - E) d sqrt/dx and E' is 0 up to rounding
+        nf = normalize(build_equation(["3 + sqrt(x - x*x)", "-4 - sqrt(x - x*x)", "1"], 0.0))
+        branch = continue_branch(nf, GridSpec(0.0, 1.0, 201))
+        slopes, undefined = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
+        assert np.flatnonzero(undefined).tolist() == [0, 200]
+        assert np.isnan(slopes[undefined]).all()
+        assert np.all(np.abs(slopes[1:-1]) <= 1e-12)
+
+    def test_each_point_is_sampled_at_most_once_where_the_pass_fails(self, rows_sampled,
+                                                                    monkeypatch):
+        # log(x - 0.5) fails on [0, 0.5]: the one pass raises, each abscissa's
+        # row is sampled once, and the pass runs again on the points left
+        equation = build_equation(["3 + log(x - 0.5)", "-4 - log(x - 0.5)", "1"], 0.0)
+        nf = normalize(equation)
+        xs = np.linspace(0.0, 1.0, 2001)
+        es, lams = np.ones(xs.size), np.full(xs.size, -2.0)
+        calls = []
+        dual = equation.dual
+        monkeypatch.setitem(vars(equation), "dual",
+                            lambda xs: calls.append(len(xs)) or dual(xs))
+        slopes, undefined = branch_slopes(nf, xs, es, lams)
+        assert calls == [2001, 1000] and len(rows_sampled) == 2001
+        assert undefined.tolist() == (xs <= 0.5).tolist()
+        assert np.isnan(slopes[undefined]).all()
+        # dF/dx = (1 - E) / (x - 0.5) = 0 at E = 1
+        assert np.all(slopes[~undefined] == 0.0)
 
     def test_undefined_where_neither_side_evaluates(self):
-        # sqrt(-(x - 1)^2) evaluates at x = 1 only
+        # sqrt(-(x - 1)^2) evaluates at x = 1 only, where its argument
+        # vanishes, so its slope is undefined there too
         nf = normalize(build_equation(["sqrt(0 - (x - 1)^2) - 1", "1"], 1.0))
         slopes, undefined = branch_slopes(nf, [1.0, 2.0], [1.0, 1.0], [-1.0, 0.0])
         assert undefined.tolist() == [True, True]

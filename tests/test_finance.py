@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from abelode import cases, equilibrium
+from abelode import cases, core, equilibrium, finance
 from abelode.core import BranchError
 from abelode.expr import ExprDomainError
 from abelode.finance import (
@@ -130,6 +130,20 @@ class TestCoefficientMaps:
         p = MertonParams(sigma0_sq=1.0, mu=1.0, r=0.0, eta2=-0.25)  # Q(2) = 0
         with pytest.raises(ExprDomainError, match=r"^division by zero at x=2\.0$"):
             spread_normal_form(p, 2.0)
+
+    def test_repeated_params_parse_the_coefficients_once(self, monkeypatch):
+        # the row does not depend on x0: 500 calls parse the four coefficient
+        # texts once, and read what parametric_equation's row gives
+        parsed = []
+        parse = core.parse
+        monkeypatch.setattr(core, "parse", lambda source: parsed.append(source) or parse(source))
+        finance._parametric_row.cache_clear()
+        p = MertonParams(sigma0_sq=1.2, mu=1.5, r=0.01, eta1=0.1, eta2=0.05)
+        xs = [0.05 + 0.02 * i for i in range(500)]
+        values = [spread_normal_form(p, x) for x in xs]
+        assert len(parsed) == 4
+        equation = parametric_equation(p)
+        assert values == [tuple(equation.row(x)[2::-1]) for x in xs]
 
     def test_x_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -232,16 +232,27 @@ class TestSharedDrift:
 
 class TestDomainEdge:
     def test_right_domain_edge_does_not_raise(self):
-        # sqrt(1 - x) fails just right of x = 1, the last grid point; E = 1
-        # there, and B3 gets a value instead of an ExprDomainError
-        nf = normalize(build_equation(["3 + sqrt(1-x)", "-4 - sqrt(1-x)", "1"], 0.0))
+        # (1 - x)^1.5 fails just right of x = 1, the last grid point, and
+        # its slope is finite there; E = 1, and B3 gets a value instead of an
+        # ExprDomainError, as nothing past the edge is evaluated
+        nf = normalize(build_equation(["3 + (1-x)^1.5", "-4 - (1-x)^1.5", "1"], 0.0))
         branch = continue_branch(nf, GridSpec(0.0, 1.0, 201))
         report = verify(nf, branch)
         assert "B3_integral" in report["B3"].witness
         assert report["A1"].status == "pass"
 
+    def test_infinite_coefficient_slope_at_the_edge_is_inconclusive(self):
+        # sqrt(1 - x) has an infinite slope at x = 1, so E' is undefined there
+        # and B3 names that point
+        nf = normalize(build_equation(["3 + sqrt(1-x)", "-4 - sqrt(1-x)", "1"], 0.0))
+        branch = continue_branch(nf, GridSpec(0.0, 1.0, 201))
+        entry = verify(nf, branch)["B3"]
+        assert entry.status == "inconclusive"
+        assert entry.note == ("branch derivative undefined at x=1.0: "
+                              "a coefficient or its x-derivative does not evaluate there")
+
     def test_undefined_branch_derivative_is_inconclusive(self):
-        # sqrt(-(x - 1)^2) evaluates at x = 1 only, so E' has no difference
+        # sqrt(-(x - 1)^2) evaluates at x = 1 only, where its slope is infinite
         nf = normalize(build_equation(["sqrt(0 - (x - 1)^2) - 1", "1"], 1.0))
         branch = EquilibriumBranch([1.0, 2.0], [1.0, 1.0], [-1.0, -1.0],
                                    GridSpec(1.0, 2.0, 2),
@@ -249,7 +260,7 @@ class TestDomainEdge:
         entry = check_asymptotic(nf, branch)["B3"]
         assert entry.status == "inconclusive"
         assert entry.note == ("branch derivative undefined at x=1.0: "
-                              "the coefficients do not evaluate on either side")
+                              "a coefficient or its x-derivative does not evaluate there")
 
     def test_zero_eigenvalue_note_wins_at_the_same_point(self):
         # both points are undefined; the first also has Lambda = 0

@@ -82,6 +82,7 @@ PARAMETERS = {
 
 #: underscore names each module of the package imports from another one
 PRIVATE_IMPORTS = {
+    "dual": ["expr._divisor", "expr._elementwise", "expr._generate"],
     "equilibrium": ["core._horner", "core._require_real", "core._taylor_entry"],
     "finance": ["core._require_finite"],
     "hypotheses": ["rate._drift_integral"],
@@ -219,9 +220,9 @@ STAGE_MODULES = ("equilibrium", "hypotheses", "rate")
 
 def test_reading_a_case_loads_no_analysis_stage(tmp_path):
     # a case equation needs no stage module and no integrator; a run loads
-    # them when its stages first run
+    # them when its stages first run, and B3's branch slopes load dual
     cases = {"abelode", "abelode.cases", "abelode.config", "abelode.core", "abelode.expr"}
-    stages = {f"abelode.{m}" for m in (*STAGE_MODULES, "radau")}
+    stages = {f"abelode.{m}" for m in (*STAGE_MODULES, "radau", "dual")}
     assert _modules_after(CASES_SET_UP, tmp_path) == cases
     assert _modules_after(CASES_SET_UP + "abelode.run_case(1)\n", tmp_path) == cases | stages
 
@@ -233,10 +234,10 @@ def test_reading_model_parameters_loads_no_analysis_stage(tmp_path):
 
 
 @pytest.mark.parametrize("stage,loaded,not_loaded", [
-    ("branch", {"equilibrium"}, {"hypotheses", "radau", "rate"}),
-    ("diagnostics", {"radau", "rate"}, {"hypotheses"}),
-    ("report", {"hypotheses", "rate"}, {"radau"}),
-    ("result", {"radau"}, {"hypotheses", "rate"}),
+    ("branch", {"equilibrium"}, {"dual", "hypotheses", "radau", "rate"}),
+    ("diagnostics", {"radau", "rate"}, {"dual", "hypotheses"}),
+    ("report", {"dual", "hypotheses", "rate"}, {"radau"}),
+    ("result", {"radau"}, {"dual", "hypotheses", "rate"}),
 ])
 def test_each_stage_loads_its_module_when_it_first_runs(tmp_path, stage, loaded, not_loaded):
     # an unread case run has loaded equilibrium only for its grid's GridSpec;
@@ -254,15 +255,15 @@ def test_each_stage_loads_its_module_when_it_first_runs(tmp_path, stage, loaded,
 
 
 @pytest.mark.parametrize("argv,loaded,not_loaded", [
-    (["case", "1"], {"cases", "hypotheses", "radau"}, {"finance", "reduction"}),
-    (["hypotheses", "{config}"], {"hypotheses"}, {"finance", "radau", "reduction"}),
-    (["order-test"], {"radau"}, {"finance", "reduction", *STAGE_MODULES}),
-    (["spread", "--literal-case1"], {"finance", "radau"}, {"reduction"}),
-    (["reduce", "--case", "1", "--ep", "1"], {"reduction"}, {"finance", "radau",
+    (["case", "1"], {"cases", "dual", "hypotheses", "radau"}, {"finance", "reduction"}),
+    (["hypotheses", "{config}"], {"dual", "hypotheses"}, {"finance", "radau", "reduction"}),
+    (["order-test"], {"radau"}, {"dual", "finance", "reduction", *STAGE_MODULES}),
+    (["spread", "--literal-case1"], {"finance", "radau"}, {"dual", "reduction"}),
+    (["reduce", "--case", "1", "--ep", "1"], {"reduction"}, {"dual", "finance", "radau",
                                                             *STAGE_MODULES}),
-    (["integrate", "{config}"], {"radau"}, {"finance", "reduction", *STAGE_MODULES}),
-    (["integrate", "{config}", "--branch"], {"equilibrium"}, {"hypotheses", "finance",
-                                                             "reduction"}),
+    (["integrate", "{config}"], {"radau"}, {"dual", "finance", "reduction", *STAGE_MODULES}),
+    (["integrate", "{config}", "--branch"], {"dual", "equilibrium"}, {"hypotheses", "finance",
+                                                                     "reduction"}),
 ], ids=["case", "hypotheses", "order-test", "spread", "reduce", "integrate",
         "integrate-branch"])
 def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loaded, not_loaded):

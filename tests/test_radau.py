@@ -303,6 +303,9 @@ class TestIntegrateOracle:
              config=SolverConfig(atol=1e-3, rtol=1e-3, h0=1.0 - 5e-13, h_max=1.0), checkpoints=None)
     @example(row=([0.0, -1.0], None), x0=0.0, y0=1.0, span=1.0, max_steps=2000, h_min=1e-12,
              config=SolverConfig(atol=1e-3, rtol=1e-3, h0=1.0 - 5e-11, h_max=1.0), checkpoints=None)
+    # a first step of 5e-324, the smallest subnormal, has no half step
+    @example(row=([0.0] * 6, None), x0=0.0, y0=0.0, span=1.0, max_steps=2000, h_min=1e-12,
+             config=SolverConfig(atol=1e-9, rtol=1e-9), checkpoints=[5e-324])
     def test_integrate_rhs_matches_reference(self, row, x0, y0, span, config, max_steps, h_min,
                                              checkpoints):
         row = _row_function(*row)
@@ -680,6 +683,7 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("x,y,h,message", [
         (0.0, 1.0, 0.0, "h must be positive, got 0.0"),
         (0.0, 1.0, -0.1, "h must be positive, got -0.1"),
+        (0.0, 1.0, 5e-324, "step size 5e-324 has no half step"),
         (0.0, 1.0, math.nan, "h must be finite, got nan"),
         (0.0, 1.0, math.inf, "h must be finite, got inf"),
         (0.0, 1.0, "0.1", "h must be a real number, got '0.1'"),

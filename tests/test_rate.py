@@ -187,9 +187,9 @@ class TestRateBound:
             assert (rb.bound >= np.abs(ys - es) - slack).all()
 
     def test_right_domain_edge(self):
-        # sqrt(1 - x) fails just right of x = 1, where the trajectory ends;
-        # E' there takes the backward difference instead of raising
-        eq = build_equation(["3 + sqrt(1-x)", "-4 - sqrt(1-x)", "1"], 0.0)
+        # (1 - x)^1.5 fails just right of x = 1, where the trajectory ends,
+        # and its slope is finite there; nothing past the edge is evaluated
+        eq = build_equation(["3 + (1-x)^1.5", "-4 - (1-x)^1.5", "1"], 0.0)
         nf = normalize(eq)
         branch = continue_branch(nf, GridSpec(0.0, 1.0, 201))
         rb = rate_bound(nf, branch, integrate(eq, 0.0, 1.0))
