@@ -86,11 +86,8 @@ def _write_csv(path: str, header: str, rows, preamble=()) -> None:
     _write_lines(path, [*preamble, header, *(row_format % tuple(row) for row in rows)])
 
 
-def _write_branch(path: str, nf, branch: EquilibriumBranch) -> None:
-    from .equilibrium import branch_slopes
-
-    slopes, _ = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
-    columns = (branch.xs, branch.values, branch.eigenvalues, slopes)
+def _write_branch(path: str, branch: EquilibriumBranch) -> None:
+    columns = (branch.xs, branch.values, branch.eigenvalues, branch.slopes)
     _write_csv(path, "x,E,Lambda,E_prime", zip(*(c.tolist() for c in columns)))
 
 
@@ -123,7 +120,7 @@ def _write_trajectory(out_dir: str, result: IntegrationResult, gnuplot: bool) ->
 def _branch_outputs(run: Analysis, out_dir: str, want_report: bool) -> Optional[HypothesisReport]:
     """branch.csv, then (if wanted) report.json and the printed table, from
     an Analysis (a CaseRun is one); returns the report or None."""
-    _write_branch(os.path.join(out_dir, "branch.csv"), run.nf, run.branch)
+    _write_branch(os.path.join(out_dir, "branch.csv"), run.branch)
     if not want_report:
         return None
     _write_lines(os.path.join(out_dir, "report.json"), [run.report.to_json()])

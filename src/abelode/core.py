@@ -26,16 +26,17 @@ leading coefficient too.
 
 Coefficient rows come from compiled functions per equation:
 AbelEquation.row (expr.compile_row) at one x, which NormalForm.sample
-reads, and AbelEquation.grid (expr.compile_grid) for a whole grid, the
-only way a table is built.  A third, AbelEquation.dual (dual.compile_dual,
-loaded on first use), gives a grid's table and its x-derivatives in one
-pass, for the branch slope.  Where a row is not finite, all raise the
-tree walk's ExprDomainError, which names the failing operation and x;
-sample then walks a_n alone, so a failing a_n, or a vanishing one
+reads, and AbelEquation.grid (expr.compile_dual) for a whole grid, the
+only way a table is built: one pass gives the table and its
+x-derivatives, and NormalForm.sample_grid forms the monic rows and their
+x-slopes from it.  Where a row is not finite, both raise the tree walk's
+ExprDomainError, which names the failing operation and x; sample then
+walks a_n alone, so a failing a_n, or a vanishing one
 (LeadingCoefficientError), is reported before the row's own error, and
-NormalForm.sample_grid masks where sample raises.  These are the only
-checks of a_n: normalize evaluates nothing, so a zero of a_n outside the
-abscissae a run samples is never met.
+sample_grid masks where sample raises: it samples each abscissa's row
+once and runs the pass again on those where it evaluates.  These are the
+only checks of a_n: normalize evaluates nothing, so a zero of a_n
+outside the abscissae a run samples is never met.
 
 SolverConfig, the integrator's tolerances and guards, and the exceptions
 every stage raises (BranchError, ZeroEigenvalueError, NewtonFailure and
@@ -46,8 +47,8 @@ integration.
 
 All types are immutable after construction and can be shared freely
 across threads; the only state they hold beyond their fields is the
-compiled row, grid and dual, built on first use, alike whichever thread
-builds them.
+compiled row and grid, built on first use, alike whichever thread builds
+them.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import Expr, ExprDomainError, compile_grid, compile_row, parse
+from .expr import Expr, ExprDomainError, compile_dual, compile_row, parse
 
 __all__ = [
     "AbelEquation",
@@ -133,17 +134,10 @@ class AbelEquation:
 
     @cached_property
     def grid(self):
-        """xs -> the (n+1, N) array of the columns row(x), built on first use."""
-        return compile_grid(self.coeffs)
-
-    @cached_property
-    def dual(self):
-        """xs -> (values, slopes), one entry per coefficient: its row of
-        grid(xs), bit for bit, and its x-derivative at xs (a float value and
-        0.0 for a coefficient without x), built on first use; see
-        dual.compile_dual."""
-        from .dual import compile_dual
-
+        """xs -> (values, slopes): the (n+1, N) array of the columns row(x)
+        and the coefficients' x-derivatives at xs (an (N,) array each, the
+        float 0.0 for a coefficient without x); one compiled function
+        (expr.compile_dual), built on first use."""
         return compile_dual(self.coeffs)
 
 
@@ -186,34 +180,58 @@ class NormalForm:
         an = self._nonzero_leading(x, row[-1])
         return an, [v / an for v in row[:-1]] + [1.0]
 
-    def sample_grid(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """sample at every abscissa of xs as arrays: a_n with shape (N,), the
-        monic rows with shape (N, n+1) and the mask of abscissae where
-        sample(x) returns; the stacked sample(x) there, bit for bit, and NaN
-        where it raises.  One equation.grid call where every coefficient
-        evaluates and a_n vanishes nowhere, else sample point by point.
+    def sample_grid(self, xs) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
+        """sample at every abscissa of xs as arrays, and the x-slopes of the
+        monic row: a_n with shape (N,), the monic rows with shape (N, n+1),
+        the slopes [lambda_0', ..., lambda_{n-1}', 0.0] and the mask of
+        abscissae where sample(x) returns; the stacked sample(x) there, bit
+        for bit, and NaN where it raises.  lambda_k' = (a_k' - lambda_k a_n')
+        / a_n (a_k' / a_n where a_n has no x) is an (N,) array, or the float
+        0.0 where neither a_k nor a_n has x, and NaN where sample raises or
+        a coefficient's x-derivative is not finite.  One equation.grid pass
+        where every coefficient evaluates; else each abscissa's row is
+        sampled once, and the pass runs on the abscissae where it evaluates.
         The rows are the transpose of contiguous coefficient columns, so a
         column (rows.T[k]) is read without a stride."""
         xs = np.asarray(xs, dtype=float)
+        defined = np.ones(xs.size, dtype=bool)
         try:
-            columns = self.equation.grid(xs)
-            leading = columns[-1].copy()
-            if leading.all():
-                with np.errstate(over="ignore"):
-                    columns[:-1] /= leading
-                columns[-1] = 1.0
-                return leading, columns.T, np.ones(xs.size, dtype=bool)
+            columns, slopes = self.equation.grid(xs)
         except ExprDomainError:
-            pass
-        leading, rows = np.full(xs.size, np.nan), np.full((self.degree + 1, xs.size), np.nan).T
-        defined = np.zeros(xs.size, dtype=bool)
-        for i, x in enumerate(xs.tolist()):
-            try:
-                leading[i], rows[i] = self.sample(x)
-            except (ExprDomainError, LeadingCoefficientError):
-                continue
-            defined[i] = True
-        return leading, rows, defined
+            for i, x in enumerate(xs.tolist()):
+                try:
+                    self.equation.row(x)
+                except ExprDomainError:
+                    defined[i] = False
+
+            def spread(part):
+                full = np.full(part.shape[:-1] + xs.shape, np.nan)
+                full[..., defined] = part
+                return full
+
+            part, part_slopes = self.equation.grid(xs[defined])
+            columns = spread(part)
+            slopes = [spread(s) if isinstance(s, np.ndarray) else s for s in part_slopes]
+        leading = columns[-1].copy()
+        defined &= leading != 0.0
+        leading[~defined] = np.nan
+        no_slope = ~defined
+        for slope in slopes:
+            if isinstance(slope, np.ndarray):
+                no_slope |= ~np.isfinite(slope)
+        with np.errstate(all="ignore"):
+            columns[:-1] /= leading
+            lead_slope = slopes[-1]
+            if isinstance(lead_slope, np.ndarray):
+                monic = [(s - lam * lead_slope) / leading for lam, s in zip(columns, slopes[:-1])]
+            else:
+                monic = [s / leading if isinstance(s, np.ndarray) else 0.0 for s in slopes[:-1]]
+        for slope in monic:
+            if isinstance(slope, np.ndarray):
+                slope[no_slope] = np.nan
+        columns[-1] = 1.0
+        columns[:, ~defined] = np.nan
+        return leading, columns.T, [*monic, 0.0], defined
 
 
 def normalize(equation: AbelEquation) -> NormalForm:

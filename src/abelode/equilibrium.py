@@ -29,16 +29,19 @@ of its roots moves in the next row (the nearest root, or the smallest
 positive root if the nearest crosses zero), one pass per column of the
 next rows; the run ends where the move leaves the column, jumps or
 vanishes.  A jump larger than 0.25 (1 + E_prev) triggers one local grid
-refinement before the branch is declared lost.  The branch stores x, E
-and the stability eigenvalue Lambda(x) = dF/dy (x, E(x)) as arrays.  The
+refinement before the branch is declared lost; a midpoint is sampled
+as a stack of one.  The branch stores x, E, the stability eigenvalue
+Lambda(x) = dF/dy (x, E(x)) and the branch slope E' as arrays.  The
 first grid point where NormalForm.sample_grid's mask says the
 coefficients fail raises what NormalForm.sample raises there.
 
-The branch slope E' = -(dF/dx) / Lambda comes from branch_slopes for all
-points at once: dF/dx is exact up to rounding, formed from the
-coefficients and their x-derivatives that one forward-mode pass over the
-row's generated grid code gives (AbelEquation.dual), and undefined where a
-coefficient or its derivative does not evaluate.
+The branch slope E' = -(dF/dx) / Lambda is exact up to rounding: dF/dx =
+sum_k lambda_k' E^k is one Horner over the x-slopes of the monic row
+that the samples' one forward-mode pass gives (NormalForm.sample_grid),
+undefined where a coefficient or its derivative does not evaluate.  The
+continuation forms it at every branch point from the samples it takes,
+so B3 and branch.csv evaluate no coefficient; branch_slopes forms it at
+other points by one fresh pass there.
 """
 
 from __future__ import annotations
@@ -151,9 +154,13 @@ class EquilibriumBranch:
     positive stable root coexisted with the tracked one, and note says so
     when there are any; refinements is the number of midpoints.  leading
     (N,) and rows (N, n+1) are a_n and the monic row [lambda_0, ..., 1] at
-    each point, as sampled by the continuation.  L is branch_limit's
-    estimate from the values.  covers(x) is x_start <= x <= x_end, for a
-    float or element-wise for an array.
+    each point, as sampled by the continuation.  slopes (N,) is the branch
+    slope E' = -(dF/dx) / Lambda at each point, from the x-slopes of the
+    same samples, and undefined_slopes (N,) the mask of the points where
+    dF/dx is undefined (a coefficient or its x-derivative does not evaluate
+    there); E' is NaN there and where Lambda = 0 (see branch_slopes).  L is
+    branch_limit's estimate from the values.  covers(x) is
+    x_start <= x <= x_end, for a float or element-wise for an array.
     """
 
     xs: np.ndarray
@@ -163,14 +170,19 @@ class EquilibriumBranch:
     ambiguous_count: int = 0
     leading: np.ndarray = field(kw_only=True)
     rows: np.ndarray = field(kw_only=True)
+    slopes: np.ndarray = field(kw_only=True)
+    undefined_slopes: np.ndarray = field(kw_only=True)
 
     def __post_init__(self):
-        columns = (self.xs, self.values, self.eigenvalues, self.leading, self.rows)
-        self.xs, self.values, self.eigenvalues, self.leading, self.rows = (
+        columns = (self.xs, self.values, self.eigenvalues, self.leading, self.rows, self.slopes)
+        self.xs, self.values, self.eigenvalues, self.leading, self.rows, self.slopes = (
             np.asarray(a, dtype=float) for a in columns)
-        if any(a.shape[:1] != self.xs.shape for a in (self.values, self.eigenvalues,
-                                                      self.leading, self.rows)):
-            raise ValueError("values, eigenvalues, leading and rows must have one entry per x")
+        self.undefined_slopes = np.asarray(self.undefined_slopes, dtype=bool)
+        if any(a.shape[:1] != self.xs.shape for a in (self.values, self.eigenvalues, self.leading,
+                                                      self.rows, self.slopes,
+                                                      self.undefined_slopes)):
+            raise ValueError("values, eigenvalues, leading, rows, slopes and undefined_slopes "
+                             "must have one entry per x")
 
     @property
     def L(self) -> float | None:
@@ -579,7 +591,7 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
     """
     grid_xs = grid.xs()
     xs = grid_xs.tolist()
-    leading, rows, defined = nf.sample_grid(grid_xs)
+    leading, rows, slopes, defined = nf.sample_grid(grid_xs)
     if not defined.all():
         nf.sample(xs[int(defined.argmin())])  # raises the first failing point's error
     floor = _branch_floor(rows.shape[1] - 1)
@@ -613,11 +625,13 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
         if jump[end]:
             # refine once: step through the midpoint in the grid metric
             mid = grid.midpoint(xs[end], xs[i])
-            mid_an, mid_row = nf.sample(mid)
-            mid_roots = _isolate_roots([mid], np.array([mid_row]), floor).T
+            mid_an, mid_rows, mid_slopes, mid_defined = nf.sample_grid([mid])
+            if not mid_defined[0]:
+                nf.sample(mid)  # raises its error
+            mid_roots = _isolate_roots([mid], mid_rows, floor).T
             at = _hop(table[col, end], mid_roots, mid)
             nxt = _hop(mid_roots[at, 0], table[:, i:i + 1], xs[i])
-            midpoints.append((i, mid, mid_an, mid_row, mid_roots[at, 0]))
+            midpoints.append((i, mid, mid_an[0], mid_rows[0], mid_slopes, mid_roots[at, 0]))
         col = nxt
 
     values = table[cols, np.arange(len(xs))]
@@ -628,72 +642,51 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
         stable = np.count_nonzero((table > POSITIVE_THRESHOLD) & (slope < 0.0), axis=0)
         ambiguous = int(np.count_nonzero(stable > 1))
         if midpoints:
-            at, mid_xs, mid_leading, mid_rows, mid_values = zip(*midpoints)
+            at, mid_xs, mid_leading, mid_rows, mid_slopes, mid_values = zip(*midpoints)
             grid_xs = np.insert(grid_xs, at, mid_xs)
             values = np.insert(values, at, mid_values)
             leading = np.insert(leading, at, mid_leading)
             coefficients = np.insert(coefficients, at, np.transpose(mid_rows), axis=1)
+            slopes = [np.insert(s, at, [m[k][0] for m in mid_slopes])
+                      if isinstance(s, np.ndarray) else s for k, s in enumerate(slopes)]
         lambdas = _taylor_entry(coefficients, values, 1)
+    # every branch point is defined: continuation raised at the first that is not
+    e_prime, undefined = _implicit_slopes(slopes, np.ones(values.size, dtype=bool), values,
+                                          lambdas)
 
     return EquilibriumBranch(grid_xs, values, lambdas, grid, ambiguous, leading=leading,
-                             rows=coefficients.T)
+                             rows=coefficients.T, slopes=e_prime, undefined_slopes=undefined)
 
 
-def _coefficient_slopes(equation, xs: np.ndarray):
-    """equation.dual(xs) with NaN where the row does not evaluate, and the
-    mask of those abscissae.  Where the one pass raises, the row is sampled
-    point by point and the pass runs again on the points where it evaluates."""
-    try:
-        return (*equation.dual(xs), np.zeros(xs.size, dtype=bool))
-    except ExprDomainError:
-        pass
-    undefined = np.zeros(xs.size, dtype=bool)
-    for i, x in enumerate(xs.tolist()):
-        try:
-            equation.row(x)
-        except ExprDomainError:
-            undefined[i] = True
-
-    def spread(part):
-        if not isinstance(part, np.ndarray):
-            return part
-        full = np.full(xs.size, np.nan)
-        full[~undefined] = part
-        return full
-
-    values, slopes = equation.dual(xs[~undefined])
-    return [*map(spread, values)], [*map(spread, slopes)], undefined
+def _implicit_slopes(slopes, defined, es, lams):
+    """E' = -(dF/dx) / Lambda at each point (E, Lambda), from the x-slopes
+    of the monic row and the mask of points where the row is defined there
+    (NormalForm.sample_grid's), and the mask of the points where dF/dx is
+    undefined: the row or a slope is.  E' is NaN there and where
+    Lambda == 0.  dF/dx = sum_k lambda_k' E^k is one Horner up to the last
+    lambda_k with x; with none, it is +0.0."""
+    varying = [k for k, slope in enumerate(slopes) if isinstance(slope, np.ndarray)]
+    undefined = ~defined
+    for k in varying:
+        undefined |= np.isnan(slopes[k])
+    with np.errstate(all="ignore"):
+        dfdx = _horner(slopes[:varying[-1] + 1], es) if varying else np.zeros(np.shape(es))
+        e_prime = -dfdx / lams
+    e_prime[undefined | (lams == 0.0)] = np.nan
+    return e_prime, undefined
 
 
 def branch_slopes(nf: NormalForm, xs, es, lams):
     """Implicit derivative E' = -(dF/dx) / Lambda at each point (x, E, Lambda),
     all points at once, and the mask of points where dF/dx is undefined: a
     coefficient or its x-derivative does not evaluate there, or a_n = 0.
-    E' is NaN there and where Lambda == 0.
-
-    The a_k and their exact x-derivatives a_k' come from one
-    AbelEquation.dual pass, and dF/dx = sum_k lambda_k' E^k is one Horner
-    over lambda_k' = (a_k' - lambda_k a_n') / a_n (a_k' / a_n where a_n has
-    no x), up to the last lambda_k with x; with none, dF/dx is 0.
-    """
-    xs, es, lams = (np.asarray(v, dtype=float) for v in (xs, es, lams))
-    with np.errstate(all="ignore"):
-        values, slopes, undefined = _coefficient_slopes(nf.equation, xs)
-        leading, lead_slope = values[-1], slopes[-1]
-        if isinstance(lead_slope, np.ndarray):
-            monic = [(s - a / leading * lead_slope) / leading
-                     for a, s in zip(values[:-1], slopes[:-1])]
-        else:
-            monic = [s / leading if isinstance(s, np.ndarray) else 0.0 for s in slopes[:-1]]
-        varying = [k for k, slope in enumerate(monic) if isinstance(slope, np.ndarray)]
-        dfdx = _horner(monic[:varying[-1] + 1], es) if varying else np.zeros(xs.size)
-        undefined |= leading == 0.0
-        for slope in slopes:
-            if isinstance(slope, np.ndarray):
-                undefined |= ~np.isfinite(slope)
-        e_prime = -dfdx / lams
-        e_prime[undefined | (lams == 0.0)] = np.nan
-    return e_prime, undefined
+    E' is NaN there and where Lambda == 0.  One NormalForm.sample_grid pass
+    over xs gives the x-slopes of the monic row (_implicit_slopes); at a
+    branch's own points this is the branch's slopes and undefined_slopes,
+    bit for bit."""
+    _, _, slopes, defined = nf.sample_grid(xs)
+    return _implicit_slopes(slopes, defined, np.asarray(es, dtype=float),
+                            np.asarray(lams, dtype=float))
 
 
 def branch_limit(branch: EquilibriumBranch) -> float | None:

@@ -9,16 +9,13 @@ One generator (_generate) turns a row of trees into code, and eval explains:
 
   * compile_row(exprs) returns one generated function per coefficient row
     (x -> [e_0(x), ..., e_m(x)]), the scalar path of the integrator and of
-    point-wise samples, and compile_grid(exprs) the same code for a grid
-    (below), the path of every table.  Both run eval's IEEE operations in
-    eval's order, so their values are eval's bit for bit, and where eval
-    would raise they run the tree walk, which raises its ExprDomainError.
-    A shared subexpression is evaluated once per call, one without x once.
-  * dual.compile_dual(exprs) runs the same code a third time, over
-    value/slope pairs: the values are compile_grid's, bit for bit, and the
-    slopes their x-derivatives by forward-mode differentiation, the branch
-    slope's input.  It lives in its own module, loaded by the first run that
-    reads a branch slope.
+    point-wise samples, and compile_dual(exprs) runs the same code on a
+    grid (below), the path of every table: xs -> (values, slopes), the
+    row's values at every abscissa and their x-derivatives.  Both run
+    eval's IEEE operations in eval's order, so their values are eval's bit
+    for bit, and where eval would raise they run the tree walk, which
+    raises its ExprDomainError.  A shared subexpression is evaluated once
+    per call, one without x once.
   * Expr.eval walks the tree one node at a time.  It evaluates single
     expressions (Expr(x), a_n where NormalForm.sample walks it alone) and
     explains failures: its ExprDomainError names the operation and the x.
@@ -64,15 +61,30 @@ in its own namespace, holding its own constants, and keeps its own
 ``source``, so two equations that differ only in their numbers get two
 rows with one code object.
 
-compile_grid evaluates a row on a 1-D grid at once, as the columns of
+compile_dual evaluates a row on a 1-D grid at once, as the columns of
 what compile_row gives point by point, bit for bit; Expr.eval_array is
-the row of one expression.  "+ - * /" and unary minus run as numpy
-operations (correctly rounded, like Python floats), exp, log, sqrt, abs
-and "^" per element through math, because numpy's exp and power differ
-from math's in the last bit on a few percent of arguments.  "/" raises on
-a zero divisor element, as float division does (numpy's gives inf).
-Where the code raises or a value is not finite, eval re-runs over the
-points in order, so the same ExprDomainError names the same first x.
+the values of one expression.  x is the pair (xs, 1), and each operation
+gives its value and, by the chain rule, its slope (forward-mode
+differentiation; Griewank and Walther, Evaluating Derivatives, 2nd ed.,
+SIAM 2008, ch. 3):
+
+  * "+ - * /" and "0.0 - a" by the sum, product and quotient rules;
+  * exp(u)' = exp(u) u', log(u)' = u'/u, sqrt(u)' = u'/(2 sqrt u) and
+    abs(u)' = sign(u) u', the last two undefined where u = 0;
+  * (a^b)' = b a^(b-1) a' where b has no x, else a^b (b' log a + b a'/a),
+    undefined where a <= 0.
+
+A value's "+ - * /" and unary minus run as numpy operations (correctly
+rounded, like Python floats), exp, log, sqrt, abs and "^" per element
+through math, because numpy's exp and power differ from math's in the
+last bit on a few percent of arguments.  "/" raises on a zero divisor
+element, as float division does (numpy's gives inf).  A slope runs as
+numpy operations with warnings off, so an undefined or overflowing slope
+is inf or NaN where it occurs, never an exception.  A subexpression
+without x is a float: it has no slope, and an expression without x gets
+its value repeated and the slope 0.0, with no array work.  Where the code
+raises or a value is not finite, eval re-runs over the points in order,
+so the same ExprDomainError names the same first x.
 """
 
 from __future__ import annotations
@@ -90,7 +102,7 @@ __all__ = [
     "ExprError",
     "ExprSyntaxError",
     "ExprDomainError",
-    "compile_grid",
+    "compile_dual",
     "compile_row",
     "parse",
 ]
@@ -150,29 +162,6 @@ def _divisor(values):
     if np.count_nonzero(values) < np.size(values):
         raise ZeroDivisionError
     return values
-
-
-class _Grid(np.ndarray):
-    """A float64 array whose "/" checks its divisor with _divisor."""
-
-    def __truediv__(self, other):
-        return np.divide(self, _divisor(other))
-
-    def __rtruediv__(self, other):
-        return np.divide(other, _divisor(self))
-
-
-def _elementwise(fn):
-    """fn applied through Python floats to each element of its array
-    arguments, a float standing for every element; fn itself on floats."""
-
-    def apply(*args):
-        if not any(isinstance(a, np.ndarray) for a in args):
-            return fn(*args)
-        columns = [a.tolist() if isinstance(a, np.ndarray) else repeat(a) for a in args]
-        return np.array(list(map(fn, *columns)), dtype=float).view(_Grid)
-
-    return apply
 
 
 class _Num(NamedTuple):
@@ -468,10 +457,11 @@ class Expr:
     def eval_array(self, xs) -> np.ndarray:
         """Evaluate at every abscissa of the 1-D xs: the values eval gives
         point by point, or the ExprDomainError eval raises at the first
-        failing point; compile_grid([self]), built on first use."""
+        failing point; the values of compile_dual([self]), built on first
+        use."""
         if self._grid is None:
-            self._grid = compile_grid([self])
-        return self._grid(xs)[0]
+            self._grid = compile_dual([self])
+        return self._grid(xs)[0][0]
 
     def pretty(self) -> str:
         """Render with minimal parentheses; parse(pretty()) evaluates identically."""
@@ -541,28 +531,133 @@ def compile_row(exprs):
                      _inf=math.inf, _ninf=-math.inf, _walk=lambda x: [e.eval(x) for e in exprs])
 
 
-def compile_grid(exprs):
-    """Compile expressions into one function xs -> the (len(exprs), N) array
-    of the columns compile_row(exprs)(x) for the 1-D xs, or the ExprDomainError
-    it raises at the first failing x: the row's code on the whole grid, numpy's
-    warnings off, and the tree walk point by point where that fails."""
+class _Dual:
+    """A subexpression with x on a grid: its value, computed as eval computes
+    it, element by element ("/" refusing a zero divisor as float division
+    does), and its x-derivative, both plain arrays.  The other operand of an
+    operation is a _Dual or a float without x."""
+
+    __slots__ = ("value", "slope")
+
+    def __init__(self, value, slope):
+        self.value, self.slope = value, slope
+
+    def __add__(self, other):
+        if isinstance(other, _Dual):
+            return _Dual(self.value + other.value, self.slope + other.slope)
+        return _Dual(self.value + other, self.slope)
+
+    def __radd__(self, other):
+        return _Dual(other + self.value, self.slope)
+
+    def __sub__(self, other):
+        if isinstance(other, _Dual):
+            return _Dual(self.value - other.value, self.slope - other.slope)
+        return _Dual(self.value - other, self.slope)
+
+    def __rsub__(self, other):
+        return _Dual(other - self.value, -self.slope)
+
+    def __mul__(self, other):
+        if isinstance(other, _Dual):
+            return _Dual(self.value * other.value,
+                         self.slope * other.value + self.value * other.slope)
+        return _Dual(self.value * other, self.slope * other)
+
+    def __rmul__(self, other):
+        return _Dual(other * self.value, other * self.slope)
+
+    def __truediv__(self, other):
+        # the value's divisor has no zero, so neither has the slope's
+        if isinstance(other, _Dual):
+            value = np.divide(self.value, _divisor(other.value))
+            return _Dual(value, (self.slope - value * other.slope) / other.value)
+        return _Dual(np.divide(self.value, _divisor(other)), self.slope / other)
+
+    def __rtruediv__(self, other):
+        value = np.divide(other, _divisor(self.value))
+        return _Dual(value, -(value * self.slope) / self.value)
+
+
+def _pow_slope(value, a, b):
+    if not isinstance(b, _Dual):
+        return b * np.power(a.value, b - 1.0) * a.slope
+    if not isinstance(a, _Dual):
+        return value * (b.slope * np.log(a))
+    return value * (b.slope * np.log(a.value) + b.value * a.slope / a.value)
+
+
+#: the slope of each function from its value and its arguments
+_SLOPES = {
+    math.exp: lambda value, u: value * u.slope,
+    math.log: lambda value, u: u.slope / u.value,
+    math.sqrt: lambda value, u: u.slope / (2.0 * value),
+    # sign(u) u' as u' / sign(u): infinite or NaN where u = 0
+    abs: lambda value, u: u.slope / np.sign(u.value),
+    math.pow: _pow_slope,
+}
+
+
+def _lift(fn):
+    """fn on pairs: its value through math, one Python float per element as
+    eval runs it, a float argument standing for every element, and the slope
+    _SLOPES gives; fn itself where no argument has x."""
+    slope = _SLOPES[fn]
+
+    def apply(*args):
+        if not any(isinstance(a, _Dual) for a in args):
+            return fn(*args)
+        columns = [a.value.tolist() if isinstance(a, _Dual) else repeat(a) for a in args]
+        value = np.array(list(map(fn, *columns)), dtype=float)
+        return _Dual(value, slope(value, *args))
+
+    return apply
+
+
+def _variable(arg):
+    x = np.asarray(arg, dtype=float)
+    return _Dual(x, np.ones(x.shape))
+
+
+def _finite(result) -> bool:
+    value = result.value if isinstance(result, _Dual) else result
+    return np.count_nonzero(np.isfinite(value)) == np.size(value)
+
+
+def _split(x, results):
+    """(values, slopes): the (len(results), N) array whose row k is result k
+    on the grid x, a float repeated where it has no x, and one slope per
+    result, a plain array, or 0.0 where it has no x."""
+    return (np.array([np.full(x.value.shape, t.value if isinstance(t, _Dual) else t)
+                      for t in results]),
+            tuple(t.slope if isinstance(t, _Dual) else 0.0 for t in results))
+
+
+def compile_dual(exprs):
+    """Compile expressions into one function xs -> (values, slopes) for the
+    1-D xs: values is the (len(exprs), N) array of the columns
+    compile_row(exprs)(x), bit for bit, and slopes holds one entry per
+    expression, its x-derivative at xs by forward-mode differentiation, inf
+    or NaN where that is undefined or overflows, and the float 0.0 for an
+    expression without x.  Where the code raises or a value is not finite,
+    the tree walk runs point by point and raises eval's ExprDomainError at
+    the first failing x."""
     exprs = tuple(exprs)
 
     def walk(arg):
         rows = [[e.eval(x) for e in exprs] for x in np.asarray(arg, dtype=float).tolist()]
-        return np.array(rows).reshape(-1, len(exprs)).T.copy()
+        values = np.array(rows).reshape(-1, len(exprs)).T.copy()
+        return values, tuple(np.full(values.shape[1], math.nan) for _ in exprs)
 
     return np.errstate(all="ignore")(_generate(
-        exprs, "_grid", "_grid_of(arg)", "_count(_isfinite({0})) == _size({0})",
-        "_array([_full(x.shape, t) for t in ({},)])", _elementwise, _count=np.count_nonzero,
-        _isfinite=np.isfinite, _size=np.size, _array=np.array, _full=np.full,
-        _grid_of=lambda arg: np.asarray(arg, dtype=float).view(_Grid), _walk=walk))
+        exprs, "_dual", "_variable(arg)", "_finite({0})", "_split(x, ({},))", _lift,
+        _variable=_variable, _finite=_finite, _split=_split, _walk=walk))
 
 
 def _generate(exprs, name, prologue, test, out, call=None, **helpers):
-    """compile_row's, compile_grid's or dual.compile_dual's function name(arg) with
-    x = prologue; test and out are formatted with result names, and a bound
-    function enters as call(it)."""
+    """compile_row's or compile_dual's function name(arg) with x = prologue;
+    test and out are formatted with result names, and a bound function
+    enters as call(it)."""
     namespace = {"__builtins__": {}, "_errors": (ZeroDivisionError, OverflowError, ValueError),
                  **helpers}
     names = {}  # value (float.hex for floats) -> bound name

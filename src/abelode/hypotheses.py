@@ -28,13 +28,14 @@ integral (or the integral is exactly zero), inconclusive otherwise,
 since a tail-dominated integral on every finite grid is the numerical
 signature of divergence.  The share comes from the log sums, so it lies
 in [0, 1] and stays defined where the integral overflows float64.  E' is
-exact (equilibrium.branch_slopes) and reads the coefficients at the grid
-points only; where a coefficient or its x-derivative does not evaluate
-there (sqrt(1 - x) at x = 1), or where Lambda = 0, B3 is inconclusive
-and the note says which (the first such point decides).  B3 is also inconclusive, with a
-note saying why, where a coefficient fails inside Phi's integral, and at
-rate's two guards, checked first and last, each with its own note
-(B3_PHI_RANGE, B3_OVERFLOW; see rate).
+exact, and B3 reads the one the branch stores (EquilibriumBranch.slopes),
+formed by the continuation from its own samples, so B3 evaluates no
+coefficient at the grid points; where a coefficient or its x-derivative
+does not evaluate there (sqrt(1 - x) at x = 1), or where Lambda = 0, B3
+is inconclusive and the note says which (the first such point decides).
+B3 is also inconclusive, with a note saying why, where a coefficient
+fails inside Phi's integral, and at rate's two guards, checked first and
+last, each with its own note (B3_PHI_RANGE, B3_OVERFLOW; see rate).
 """
 
 from __future__ import annotations

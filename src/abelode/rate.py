@@ -25,12 +25,14 @@ over one cell past the float range, raises OverflowError before E' is
 formed; and a damped drift Phi_N I_N below the normal floats is a lost
 total: with B2 the damped drift tends to |E'| / (a_n |Lambda|), so E'
 has left the normal floats there too, and an E' that underflows to 0
-stops a divergent integral from growing.  E' is exact (branch_slopes), so
-this happens only where E' itself underflows, no longer below the 2e-10
-that a finite difference resolved; the guard stays until B3 decides from
-the tail's growth rate instead of the sum.  Every a_n and E' outside the
-branch's table is evaluated for all points at once (a_n by
-Expr.eval_array, compile_grid's row of one; E' by branch_slopes).
+stops a divergent integral from growing.  E' is exact, so this happens
+only where E' itself underflows, no longer below the 2e-10 that a finite
+difference resolved; the guard stays until B3 decides from the tail's
+growth rate instead of the sum.  damped_drift reads E' from the branch
+at the branch's own points (B3) and elsewhere forms it by one
+branch_slopes pass over all the points asked for (the rate bound's
+accepted points); a_n outside the branch's table is evaluated for all
+points at once too, by Expr.eval_array.
 """
 
 from __future__ import annotations
@@ -153,12 +155,13 @@ def damped_drift(nf: NormalForm, branch: EquilibriumBranch, xs: np.ndarray):
         growth = max(logs.max(), np.diff(logs).max(initial=0.0))
     if not (np.isfinite(logs).all() and growth <= LOG_MAX):
         raise OverflowError("Phi or its growth over one cell exceeds the float range")
-    e_vals = branch.interp_E(xs)
     lam_vals = branch.interp_Lambda(xs)
-
-    # |E'| via the branch's implicit derivative; the interpolants return
-    # the stored values exactly at branch grid points
-    e_prime, undefined = branch_slopes(nf, xs, e_vals, lam_vals)
+    # |E'|: the branch's own on its own points, else one fresh pass there,
+    # at the interpolated E and Lambda
+    if np.array_equal(xs, branch.xs):
+        e_prime, undefined = branch.slopes, branch.undefined_slopes
+    else:
+        e_prime, undefined = branch_slopes(nf, xs, branch.interp_E(xs), lam_vals)
     stop = np.flatnonzero((lam_vals == 0.0) | undefined)
     if stop.size:
         x = float(xs[stop[0]])

@@ -166,7 +166,7 @@ def _check_pivot(equation: AbelEquation, pivot, xs: list[float], kind: str) -> N
             ahead_xs, behind_xs = (grid + h).tolist(), (grid - h).tolist()
         ahead = np.array([pivot(x) for x in ahead_xs], dtype=float)
         behind = np.array([pivot(x) for x in behind_xs], dtype=float)
-    columns = equation.grid(xs)
+    columns, _ = equation.grid(xs)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below: the scale is not finite
         residual = _horner(columns, values)
         if kind == "solution":

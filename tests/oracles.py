@@ -949,6 +949,10 @@ def reference_slope(source, x, dps=50):
             _, _, scale = _node(tree, float(x))
         except _IllConditioned:
             return None
+    if scale == 0:
+        # the scale bounds |d/dx|, so the slope is exactly 0, where
+        # mpmath.diff's own error would remain (9.5e-709 for x^3 at 0)
+        return mpmath.mpf(0), scale
     with mpmath.workdps(dps + _DIFF_GUARD_DIGITS):
         exact = mpmath.diff(lambda t: _mp_value(tree, t), mpmath.mpf(x))
     if isinstance(exact, mpmath.mpc):

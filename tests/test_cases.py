@@ -5,6 +5,7 @@ import pytest
 
 from abelode import cli, equilibrium
 from abelode.cases import get_case, run_case
+from abelode.core import AbelEquation
 from abelode.equilibrium import BranchPoint, continue_branch
 from abelode.hypotheses import verify
 from abelode.radau import integrate
@@ -130,6 +131,23 @@ class TestArrayEvaluation:
         rate_bound(run.nf, branch, run.result)
         assert rows_sampled == []
         assert eval_calls == []
+
+    def test_one_grid_pass_per_table(self, monkeypatch):
+        # case 3's run and rate bound evaluate the coefficient row once on the
+        # branch grid, where the branch keeps E' for B3 and branch.csv, and
+        # once on the accepted points
+        calls = []
+        compiled = vars(AbelEquation)["grid"]
+
+        def counted(self):
+            grid = compiled.__get__(self, AbelEquation)
+            return lambda xs: calls.append(len(xs)) or grid(xs)
+
+        monkeypatch.setattr(AbelEquation, "grid", property(counted))
+        run = run_case(3)
+        bound = rate_bound(run.nf, run.branch, run.result)
+        assert calls == [run.branch.xs.size, bound.xs.size]
+        assert run.branch.refinements == 0
 
     @pytest.mark.parametrize("cid", [1, 2, 3])
     def test_branch_isolates_its_table_in_one_call(self, case_runs, cid, monkeypatch):

@@ -193,7 +193,13 @@ class TestHorner:
     @settings(max_examples=200, deadline=None)
     @given(row=_nonzero_led_rows(None), y=_finite)
     def test_scalar_rows_match_the_zero_seed(self, row, y):
-        assert np.array(_horner(row, y)).tobytes() == np.array(_zero_seeded(row, y)).tobytes()
+        # which payload survives an addition of two NaNs is not fixed, even
+        # for one function and one input, so NaN results compare by NaN-ness
+        got, seeded = _horner(row, y), _zero_seeded(row, y)
+        if math.isnan(got) or math.isnan(seeded):
+            assert math.isnan(got) and math.isnan(seeded)
+        else:
+            assert np.array(got).tobytes() == np.array(seeded).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), width=st.integers(1, 5))
@@ -318,12 +324,16 @@ def _stacked(nf, xs):
 
 
 def _grid(nf, xs):
-    """sample_grid in _stacked's terms, after checking that a_n and the row
-    are NaN wherever the mask is False."""
-    leading, rows, defined = nf.sample_grid(xs)
+    """sample_grid in _stacked's terms, after checking that a_n, the row and
+    every slope that is an array are NaN wherever the mask is False, and
+    that the monic row's last slope is 0.0."""
+    leading, rows, slopes, defined = nf.sample_grid(xs)
     assert leading.shape == defined.shape == (len(xs),)
     assert rows.shape == (len(xs), nf.degree + 1)
     assert np.isnan(leading[~defined]).all() and np.isnan(rows[~defined]).all()
+    assert len(slopes) == nf.degree + 1 and slopes[-1] == 0.0
+    for slope in slopes:
+        assert slope == 0.0 if type(slope) is float else np.isnan(slope[~defined]).all()
     return defined.tolist(), leading[defined].tobytes(), rows[defined].tobytes()
 
 

@@ -1,5 +1,6 @@
-"""compile_dual: each row's values are compile_grid's bit for bit, errors
-included, and its slopes are the exact x-derivatives up to rounding."""
+"""compile_dual: each row's values are the columns compile_row gives point
+by point, bit for bit, errors included, and its slopes are the exact
+x-derivatives up to rounding."""
 
 import math
 
@@ -11,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 from strategies import expressions, grids
 from oracles import reference_slope
 
-from abelode.dual import compile_dual
-from abelode.expr import ExprDomainError, compile_grid, parse
+from abelode.expr import ExprDomainError, compile_dual, compile_row, parse
 
 #: expressions that read x ("exp" aside), so that most judged slopes are not 0
 varying = expressions.filter(lambda source: "x" in source.replace("exp", ""))
@@ -30,9 +30,17 @@ def _outcome(evaluate, xs):
         return str(err)
 
 
+def compile_grid(exprs):
+    """The grid path by points: compile_row(exprs) at each abscissa in
+    order, as (len(exprs), N) columns, or the ExprDomainError it raises at
+    the first failing one."""
+    row = compile_row(exprs)
+    return lambda xs: np.array([row(x) for x in xs], dtype=float).reshape(len(xs), len(exprs)).T
+
+
 def _values(dual):
-    """dual's values half as compile_grid's (len(exprs), N) columns."""
-    return lambda xs: np.array([np.full(len(xs), v) for v in dual(xs)[0]])
+    """dual's values half, the (len(exprs), N) columns."""
+    return lambda xs: dual(xs)[0]
 
 
 def _slope_at(dual, x):
@@ -67,9 +75,10 @@ class TestValues:
         assert _outcome(_values(compile_dual(exprs)), xs) == message
 
     def test_rows_without_x_do_no_array_work(self):
+        # each value is its constant repeated, and no slope is an array
         exprs = [parse(source) for source in ("1", "-3", "pi", "2^0.5")]
         values, slopes = compile_dual(exprs)(np.linspace(0.0, 1.0, 5))
-        assert values == (1.0, -3.0, math.pi, 2.0 ** 0.5)
+        assert values.tolist() == [[v] * 5 for v in (1.0, -3.0, math.pi, 2.0 ** 0.5)]
         assert slopes == (0.0, 0.0, 0.0, 0.0)
         assert all(type(s) is float for s in slopes)
 

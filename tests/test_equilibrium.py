@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from abelode import equilibrium
-from abelode.cases import get_case
+from abelode.cases import get_case, run_case
 from abelode.core import LeadingCoefficientError, NormalForm, build_equation, normalize
 from abelode.equilibrium import (
     POSITIVE_THRESHOLD,
@@ -952,9 +952,9 @@ class TestBranchDerivative:
         # is +0.0 at every point (Lambda < 0), the bytes branch.csv always had
         nf = normalize(get_case(1).equation)
         branch = continue_branch(nf, get_case(1).branch_grid())
-        values, slopes = nf.equation.dual(branch.xs)
+        values, slopes = nf.equation.grid(branch.xs)
         assert slopes == (0.0, 0.0, 0.0, 0.0)
-        assert values == (1.0, -3.0, 1.0, 1.0)
+        assert values.tolist() == [[v] * branch.xs.size for v in (1.0, -3.0, 1.0, 1.0)]
         e_prime, undefined = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
         assert not undefined.any()
         assert e_prime.tobytes() == np.zeros(branch.xs.size).tobytes()
@@ -979,15 +979,54 @@ class TestBranchDerivative:
         xs = np.linspace(0.0, 1.0, 2001)
         es, lams = np.ones(xs.size), np.full(xs.size, -2.0)
         calls = []
-        dual = equation.dual
-        monkeypatch.setitem(vars(equation), "dual",
-                            lambda xs: calls.append(len(xs)) or dual(xs))
+        grid = equation.grid
+        monkeypatch.setitem(vars(equation), "grid",
+                            lambda xs: calls.append(len(xs)) or grid(xs))
         slopes, undefined = branch_slopes(nf, xs, es, lams)
         assert calls == [2001, 1000] and len(rows_sampled) == 2001
         assert undefined.tolist() == (xs <= 0.5).tolist()
         assert np.isnan(slopes[undefined]).all()
         # dF/dx = (1 - E) / (x - 0.5) = 0 at E = 1
         assert np.all(slopes[~undefined] == 0.0)
+
+    @pytest.mark.parametrize("sources,grid", [
+        (["1", "-3", "1", "1"], GridSpec(0.0, 20.0, 101)),
+        (["3 - 2*exp(-2*x)", "-4", "0", "1"], GridSpec(0.0, 20.0, 401)),
+        (["3 + sqrt(x - x*x)", "-4 - sqrt(x - x*x)", "1"], GridSpec(0.0, 1.0, 201)),
+        (["exp(x)", "-1"], GridSpec(0.0, 10.0, 31)),
+    ], ids=["flat", "saturating", "sqrt", "refining"])
+    def test_stored_slopes_are_the_fresh_pass(self, sources, grid):
+        # the branch forms E' from the samples its continuation took,
+        # refinement midpoints included (exp(x) refines 28 of its 30 cells);
+        # one fresh pass at its own points gives the same bytes
+        nf = normalize(build_equation(sources, grid.x_start))
+        branch = continue_branch(nf, grid)
+        fresh = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
+        assert branch.slopes.tobytes() == fresh[0].tobytes()
+        assert branch.undefined_slopes.tolist() == fresh[1].tolist()
+
+    @pytest.mark.parametrize("case_id,x_max", [(1, None), (2, None), (3, None), (2, 2e5)])
+    def test_case_branches_store_the_fresh_pass(self, case_runs, case_id, x_max):
+        run = case_runs[case_id] if x_max is None else run_case(case_id, x_max)
+        branch = run.branch
+        fresh = branch_slopes(run.nf, branch.xs, branch.values, branch.eigenvalues)
+        assert branch.slopes.tobytes() == fresh[0].tobytes()
+        assert not branch.undefined_slopes.any() and not fresh[1].any()
+
+    def test_fallback_gives_the_stored_slopes(self, rows_sampled):
+        # log(x - 0.5) fails left of 0.5: a fresh pass over failing points
+        # and the branch's own raises, samples each point once and gives
+        # the stored E' at the branch's points, bit for bit
+        nf = normalize(build_equation(["3 + log(x - 0.5)", "-4 - log(x - 0.5)", "1"], 0.7))
+        branch = continue_branch(nf, GridSpec(0.7, 1.0, 201))
+        assert rows_sampled == []
+        xs = np.concatenate(([0.25, 0.5], branch.xs))
+        es = np.concatenate(([1.0, 1.0], branch.values))
+        lams = np.concatenate(([-2.0, -2.0], branch.eigenvalues))
+        slopes, undefined = branch_slopes(nf, xs, es, lams)
+        assert rows_sampled == xs.tolist()
+        assert undefined.tolist() == [True, True] + [False] * branch.xs.size
+        assert slopes[2:].tobytes() == branch.slopes.tobytes()
 
     def test_undefined_where_neither_side_evaluates(self):
         # sqrt(-(x - 1)^2) evaluates at x = 1 only, where its argument

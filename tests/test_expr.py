@@ -10,7 +10,7 @@ from strategies import expressions, grids
 
 from abelode import expr as expr_module
 from abelode.core import build_equation
-from abelode.expr import (ExprDomainError, ExprError, ExprSyntaxError, compile_grid, compile_row,
+from abelode.expr import (ExprDomainError, ExprError, ExprSyntaxError, compile_dual, compile_row,
                           parse)
 
 
@@ -293,6 +293,11 @@ def _scalar(expr):
     return lambda xs: [expr.eval(x) for x in xs]
 
 
+def _values(dual):
+    """dual's values half, the (len(exprs), N) columns."""
+    return lambda xs: dual(xs)[0]
+
+
 def _stacked(row, size):
     """The compiled row at each abscissa of xs, as (size, N) columns."""
     return lambda xs: np.array([row(x) for x in xs], dtype=float).reshape(len(xs), size).T
@@ -300,8 +305,8 @@ def _stacked(row, size):
 
 class TestArrayEvaluation:
     """eval_array gives eval's values bit for bit, or eval's error for the
-    first failing point; compile_grid gives compile_row's rows as columns,
-    or the error compile_row raises at the first failing point."""
+    first failing point; compile_dual's values are compile_row's rows as
+    columns, or the error compile_row raises at the first failing point."""
 
     @settings(max_examples=300, deadline=None)
     @given(source=expressions, xs=grids, rest=st.lists(expressions, max_size=3))
@@ -310,21 +315,21 @@ class TestArrayEvaluation:
         assert _outcome(expr.eval_array, xs) == _outcome(_scalar(expr), xs)
         exprs = [expr] + [parse(text) for text in rest]
         stacked = _stacked(compile_row(exprs), len(exprs))
-        assert _outcome(compile_grid(exprs), xs) == _outcome(stacked, xs)
+        assert _outcome(_values(compile_dual(exprs)), xs) == _outcome(stacked, xs)
 
     @pytest.mark.parametrize("xs", [[], [0.5, 2.0, 3.0]])
     def test_grid_is_new_contiguous_columns(self, xs):
         exprs = [parse(source) for source in ("x", "2", "1/x")]
         grid = np.array(xs)
-        columns = compile_grid(exprs)(grid)
+        columns, _ = compile_dual(exprs)(grid)
         assert type(columns) is np.ndarray and columns.flags.c_contiguous
         assert columns.shape == (3, len(xs)) and not np.shares_memory(columns, grid)
         assert columns.tobytes() == _stacked(compile_row(exprs), 3)(xs).tobytes()
 
     def test_failing_constant_on_an_empty_grid(self):
         # the code raises on no points too, and the walk's table is empty
-        grid = compile_grid([parse("x + log(0 - 1)"), parse("x")])
-        assert grid([]).shape == (2, 0)
+        grid = compile_dual([parse("x + log(0 - 1)"), parse("x")])
+        assert grid([])[0].shape == (2, 0)
         with pytest.raises(ExprDomainError, match=r"^log\(-1\.0\) outside real domain at x=0\.5$"):
             grid([0.5, 2.0])
 
@@ -332,13 +337,14 @@ class TestArrayEvaluation:
         # exp(-x) in three coefficients is one call in the code, one exp per abscissa
         calls = []
         exp = expr_module._FUNCTIONS["exp"]
-        monkeypatch.setitem(expr_module._FUNCTIONS, "exp",
-                            lambda value: calls.append(value) or exp(value))
+        counted = lambda value: calls.append(value) or exp(value)  # noqa: E731
+        monkeypatch.setitem(expr_module._FUNCTIONS, "exp", counted)
+        monkeypatch.setitem(expr_module._SLOPES, counted, expr_module._SLOPES[exp])
         exprs = [parse(source) for source in ("1 + exp(-x)", "2*exp(-x)", "exp(-x) - x")]
-        grid = compile_grid(exprs)
+        grid = compile_dual(exprs)
         assert len(re.findall(r"\b_k\d+\(", grid.source)) == 1
         xs = [0.0, 0.37, 12.5]
-        columns = grid(xs)
+        columns, _ = grid(xs)
         assert len(calls) == len(xs)
         assert columns.tobytes() == _stacked(compile_row(exprs), 3)(xs).tobytes()
 

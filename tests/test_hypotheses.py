@@ -6,7 +6,7 @@ import pytest
 
 from abelode.cases import Analysis, run_case
 from abelode.core import build_equation, normalize
-from abelode.equilibrium import EquilibriumBranch, GridSpec, continue_branch
+from abelode.equilibrium import EquilibriumBranch, GridSpec, branch_slopes, continue_branch
 from abelode.hypotheses import (
     ALPHA_FLOOR,
     B3_OVERFLOW,
@@ -18,6 +18,13 @@ from abelode.hypotheses import (
 )
 from abelode.radau import SolverConfig
 from abelode.rate import damped_drift, rate_bound
+
+
+def _slopes(nf, xs, values, eigenvalues):
+    """The slopes and undefined_slopes of a branch built by hand: E' from
+    one fresh pass at its points, as continue_branch stores it."""
+    e_prime, undefined = branch_slopes(nf, xs, values, eigenvalues)
+    return {"slopes": e_prime, "undefined_slopes": undefined}
 
 ALL_CHECKS = ("A1", "A2", "A3", "A4", "B1", "B2", "B3")
 
@@ -110,9 +117,11 @@ class TestTable:
         grid = GridSpec(1.0, 2.0, 5, "linear")
         xs = grid.xs()
         samples = [nf.sample(x) for x in xs.tolist()]
-        branch = EquilibriumBranch(xs, np.ones(xs.size), np.full(xs.size, -1.0), grid,
+        values, eigenvalues = np.ones(xs.size), np.full(xs.size, -1.0)
+        branch = EquilibriumBranch(xs, values, eigenvalues, grid,
                                    leading=[an for an, _ in samples],
-                                   rows=[row for _, row in samples])
+                                   rows=[row for _, row in samples],
+                                   **_slopes(nf, xs, values, eigenvalues))
         report = check_structural(nf, branch)
         assert report["A2"].status == "fail"
         assert report["A2"].witness == {"worst_x": 1.0}
@@ -129,7 +138,8 @@ class TestHandBuiltVerdicts:
         samples = [nf.sample(x) for x in grid.xs().tolist()]
         return nf, EquilibriumBranch(grid.xs(), values, eigenvalues, grid,
                                      leading=[an for an, _ in samples],
-                                     rows=[row for _, row in samples])
+                                     rows=[row for _, row in samples],
+                                     **_slopes(nf, grid.xs(), values, eigenvalues))
 
     def test_interior_point_without_positive_value_fails_a3(self):
         values = np.ones(5)
@@ -256,7 +266,9 @@ class TestDomainEdge:
         nf = normalize(build_equation(["sqrt(0 - (x - 1)^2) - 1", "1"], 1.0))
         branch = EquilibriumBranch([1.0, 2.0], [1.0, 1.0], [-1.0, -1.0],
                                    GridSpec(1.0, 2.0, 2),
-                                   leading=[1.0, 1.0], rows=[[-1.0, 1.0], [-1.0, 1.0]])
+                                   leading=[1.0, 1.0], rows=[[-1.0, 1.0], [-1.0, 1.0]],
+                                   **_slopes(nf, [1.0, 2.0], [1.0, 1.0], [-1.0, -1.0]))
+        assert branch.undefined_slopes.tolist() == [True, True]
         entry = check_asymptotic(nf, branch)["B3"]
         assert entry.status == "inconclusive"
         assert entry.note == ("branch derivative undefined at x=1.0: "
@@ -267,7 +279,9 @@ class TestDomainEdge:
         nf = normalize(build_equation(["sqrt(0 - (x - 2)^2) - 1", "1"], 1.0))
         branch = EquilibriumBranch([1.0, 2.0], [1.0, 1.0], [0.0, -1.0],
                                    GridSpec(1.0, 2.0, 2),
-                                   leading=[1.0, 1.0], rows=[[-1.0, 1.0], [-1.0, 1.0]])
+                                   leading=[1.0, 1.0], rows=[[-1.0, 1.0], [-1.0, 1.0]],
+                                   **_slopes(nf, [1.0, 2.0], [1.0, 1.0], [0.0, -1.0]))
+        assert branch.undefined_slopes.tolist() == [True, True]
         entry = check_asymptotic(nf, branch)["B3"]
         assert entry.note == "branch derivative undefined (zero eigenvalue) on the grid"
 
@@ -277,9 +291,11 @@ class TestThresholds:
         grid = GridSpec(0.0, 1.0, 5, "linear")
         xs = grid.xs()
         samples = [self.nf.sample(x) for x in xs.tolist()]
-        return EquilibriumBranch(xs, np.ones(xs.size), np.full(xs.size, eigenvalue), grid,
+        values, eigenvalues = np.ones(xs.size), np.full(xs.size, eigenvalue)
+        return EquilibriumBranch(xs, values, eigenvalues, grid,
                                  leading=[an for an, _ in samples],
-                                 rows=[row for _, row in samples])
+                                 rows=[row for _, row in samples],
+                                 **_slopes(self.nf, xs, values, eigenvalues))
 
     def setup_method(self):
         self.nf = normalize(build_equation(["1", "-3", "1", "1"], 0.0))
@@ -333,3 +349,55 @@ class TestReportPlumbing:
         for check in ALL_CHECKS:
             assert check in table
         assert "inconclusive" in table
+
+
+#: relative tolerance on L and alpha0 when every coefficient is scaled by c:
+#: the monic form absorbs c up to one rounding of each lambda_k = (c a_k) /
+#: (c a_n); fixed before the first run
+SCALE_TOL = 1e-14
+
+#: tolerances under a shift of x by s: each grid point x_i - s is off the
+#: unshifted one by about an ulp of s + 100 (1.2e-10 at s = 1e6), which
+#: moves E by |E'| times that, with |E'| <= 4 / |Lambda| and |Lambda| near 1;
+#: the tail holds E = 1 to its last bits; fixed before the first run
+SHIFT_E_TOL = 1e-8
+SHIFT_L_TOL = 1e-12
+
+
+def _run_report(sources, grid):
+    nf = normalize(build_equation(sources, grid.x_start))
+    branch = continue_branch(nf, grid)
+    return branch, verify(nf, branch)
+
+
+class TestMetamorphic:
+    """Changes of variable that the verdicts must not see."""
+
+    @pytest.mark.parametrize("c", [1e-9, 1e-13, 1e-300])
+    def test_scaling_every_coefficient(self, c):
+        # case 1 with every a_k times c, run to 20 / c: x scales by 1 / c
+        case1 = (1.0, -3.0, 1.0, 1.0)
+        _, base = _run_report([repr(a) for a in case1], GridSpec(0.0, 20.0, 2001))
+        _, scaled = _run_report([repr(c * a) for a in case1], GridSpec(0.0, 20.0 / c, 2001))
+        ids = sorted(base.entries)
+        assert len(ids) == 7
+        assert [scaled[k].status for k in ids] == [base[k].status for k in ids]
+        for key, name in (("B1", "L"), ("B2", "alpha0")):
+            assert scaled[key].witness[name] == pytest.approx(base[key].witness[name],
+                                                              rel=SCALE_TOL)
+
+    @pytest.mark.parametrize("s", [1.0, 1e3, 1e6])
+    def test_shifting_x(self, s):
+        # case 3 as 3 - 2 exp(-2 (x - s)) on [s, s + 100]; B3's tail window
+        # is the last decade of absolute x, so its status is not compared
+        source = "3 - 2*exp(-2*(x - {!r}))"
+        base_branch, base = _run_report([source.format(0.0), "-4", "0", "1"],
+                                        GridSpec(0.0, 100.0, 2001))
+        branch, shifted = _run_report([source.format(s), "-4", "0", "1"],
+                                      GridSpec(s, s + 100.0, 2001))
+        ids = ["A1", "A2", "A3", "A4", "B1", "B2"]
+        assert [shifted[k].status for k in ids] == [base[k].status for k in ids]
+        assert shifted["B1"].witness["L"] == pytest.approx(base["B1"].witness["L"],
+                                                           rel=SHIFT_L_TOL)
+        assert branch.values.shape == base_branch.values.shape
+        assert np.abs(branch.values - base_branch.values).max() <= SHIFT_E_TOL

@@ -82,7 +82,6 @@ PARAMETERS = {
 
 #: underscore names each module of the package imports from another one
 PRIVATE_IMPORTS = {
-    "dual": ["expr._divisor", "expr._elementwise", "expr._generate"],
     "equilibrium": ["core._horner", "core._require_real", "core._taylor_entry"],
     "finance": ["core._require_finite"],
     "hypotheses": ["rate._drift_integral"],
@@ -220,9 +219,9 @@ STAGE_MODULES = ("equilibrium", "hypotheses", "rate")
 
 def test_reading_a_case_loads_no_analysis_stage(tmp_path):
     # a case equation needs no stage module and no integrator; a run loads
-    # them when its stages first run, and B3's branch slopes load dual
+    # them when its stages first run
     cases = {"abelode", "abelode.cases", "abelode.config", "abelode.core", "abelode.expr"}
-    stages = {f"abelode.{m}" for m in (*STAGE_MODULES, "radau", "dual")}
+    stages = {f"abelode.{m}" for m in (*STAGE_MODULES, "radau")}
     assert _modules_after(CASES_SET_UP, tmp_path) == cases
     assert _modules_after(CASES_SET_UP + "abelode.run_case(1)\n", tmp_path) == cases | stages
 
@@ -233,12 +232,16 @@ def test_reading_model_parameters_loads_no_analysis_stage(tmp_path):
     assert not _modules_after(code, tmp_path) & {f"abelode.{m}" for m in STAGE_MODULES}
 
 
-@pytest.mark.parametrize("stage,loaded,not_loaded", [
-    ("branch", {"equilibrium"}, {"dual", "hypotheses", "radau", "rate"}),
-    ("diagnostics", {"radau", "rate"}, {"dual", "hypotheses"}),
-    ("report", {"dual", "hypotheses", "rate"}, {"radau"}),
-    ("result", {"radau"}, {"dual", "hypotheses", "rate"}),
-])
+#: (stage, modules its first read loads, modules it does not load)
+STAGE_LOADS = [
+    ("branch", {"equilibrium"}, {"hypotheses", "radau", "rate"}),
+    ("diagnostics", {"radau", "rate"}, {"hypotheses"}),
+    ("report", {"hypotheses", "rate"}, {"radau"}),
+    ("result", {"radau"}, {"hypotheses", "rate"}),
+]
+
+
+@pytest.mark.parametrize("stage,loaded,not_loaded", STAGE_LOADS)
 def test_each_stage_loads_its_module_when_it_first_runs(tmp_path, stage, loaded, not_loaded):
     # an unread case run has loaded equilibrium only for its grid's GridSpec;
     # reading one stage loads that stage's module and the modules it reads,
@@ -254,18 +257,23 @@ def test_each_stage_loads_its_module_when_it_first_runs(tmp_path, stage, loaded,
     assert not {f"abelode.{m}" for m in not_loaded} & after
 
 
-@pytest.mark.parametrize("argv,loaded,not_loaded", [
-    (["case", "1"], {"cases", "dual", "hypotheses", "radau"}, {"finance", "reduction"}),
-    (["hypotheses", "{config}"], {"dual", "hypotheses"}, {"finance", "radau", "reduction"}),
-    (["order-test"], {"radau"}, {"dual", "finance", "reduction", *STAGE_MODULES}),
-    (["spread", "--literal-case1"], {"finance", "radau"}, {"dual", "reduction"}),
-    (["reduce", "--case", "1", "--ep", "1"], {"reduction"}, {"dual", "finance", "radau",
+#: (argv, modules the subcommand loads, modules it does not load)
+SUBCOMMAND_LOADS = [
+    (["case", "1"], {"cases", "hypotheses", "radau"}, {"finance", "reduction"}),
+    (["hypotheses", "{config}"], {"hypotheses"}, {"finance", "radau", "reduction"}),
+    (["order-test"], {"radau"}, {"finance", "reduction", *STAGE_MODULES}),
+    (["spread", "--literal-case1"], {"finance", "radau"}, {"reduction"}),
+    (["reduce", "--case", "1", "--ep", "1"], {"reduction"}, {"finance", "radau",
                                                             *STAGE_MODULES}),
-    (["integrate", "{config}"], {"radau"}, {"dual", "finance", "reduction", *STAGE_MODULES}),
-    (["integrate", "{config}", "--branch"], {"dual", "equilibrium"}, {"hypotheses", "finance",
-                                                                     "reduction"}),
-], ids=["case", "hypotheses", "order-test", "spread", "reduce", "integrate",
-        "integrate-branch"])
+    (["integrate", "{config}"], {"radau"}, {"finance", "reduction", *STAGE_MODULES}),
+    (["integrate", "{config}", "--branch"], {"equilibrium"}, {"hypotheses", "finance",
+                                                            "reduction"}),
+]
+
+
+@pytest.mark.parametrize("argv,loaded,not_loaded", SUBCOMMAND_LOADS,
+                         ids=["case", "hypotheses", "order-test", "spread", "reduce", "integrate",
+                              "integrate-branch"])
 def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loaded, not_loaded):
     # python -m abelode.cli ARGV, in a fresh interpreter
     config = tmp_path / "case3.cfg"
@@ -279,6 +287,19 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loaded, not_load
         "except SystemExit as exit:\n    assert exit.code == 0, exit.code\n", tmp_path)
     assert {f"abelode.{m}" for m in loaded} <= modules
     assert not {f"abelode.{m}" for m in not_loaded} & modules
+
+
+def test_module_tables_name_modules_of_the_package():
+    # a module named in a not-loaded set that the package no longer has
+    # would pass vacuously, and a PRIVATE_IMPORTS key could outlive its module
+    modules = {info.name for info in pkgutil.iter_modules(abelode.__path__)}
+    named = {*PRIVATE_IMPORTS, *STAGE_MODULES}
+    for table in (STAGE_LOADS, SUBCOMMAND_LOADS):
+        for _, loaded, not_loaded in table:
+            named |= loaded | not_loaded
+    for names in PRIVATE_IMPORTS.values():
+        named |= {name.split(".")[0] for name in names}
+    assert named - modules == set()
 
 
 def test_function_parameters():

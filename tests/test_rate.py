@@ -9,7 +9,8 @@ from oracles import log_damped_trapezoid, taylor_power_sum
 
 from abelode import get_case, run_case
 from abelode.core import SolverConfig, build_equation, normalize
-from abelode.equilibrium import BranchPoint, EquilibriumBranch, GridSpec, continue_branch
+from abelode.equilibrium import (BranchPoint, EquilibriumBranch, GridSpec, branch_slopes,
+                                 continue_branch)
 from abelode.hypotheses import verify
 from abelode.radau import integrate
 from abelode.rate import _log_cumtrapz, diagnose, log_phi, rate_bound, remainder_constant
@@ -38,7 +39,8 @@ class TestPhi:
         restarted = dataclasses.replace(
             branch, xs=branch.xs[at:], values=branch.values[at:],
             eigenvalues=branch.eigenvalues[at:], leading=branch.leading[at:],
-            rows=branch.rows[at:])
+            rows=branch.rows[at:], slopes=branch.slopes[at:],
+            undefined_slopes=branch.undefined_slopes[at:])
         head, full = log_phi(run.nf, branch, [4.0, 10.0])
         tail = log_phi(run.nf, restarted, [10.0])[0]
         assert head + tail == pytest.approx(full, rel=1e-10)
@@ -127,10 +129,12 @@ class TestRemainderConstant:
         points = [BranchPoint(float(x), float(rng.uniform(0.1, 2.0)), -1.0) for x in xs]
         nf = normalize(eq)
         samples = [nf.sample(p.x) for p in points]
-        branch = EquilibriumBranch(xs, [p.E for p in points], [p.Lambda for p in points],
-                                   GridSpec(0.0, 5.0, 7),
+        values, eigenvalues = [p.E for p in points], [p.Lambda for p in points]
+        e_prime, undefined = branch_slopes(nf, xs, values, eigenvalues)
+        branch = EquilibriumBranch(xs, values, eigenvalues, GridSpec(0.0, 5.0, 7),
                                    leading=[an for an, _ in samples],
-                                   rows=[row for _, row in samples])
+                                   rows=[row for _, row in samples],
+                                   slopes=e_prime, undefined_slopes=undefined)
         m_e = max(p.E for p in points)
         want, scale = 0.0, 0.0
         for point in points:
