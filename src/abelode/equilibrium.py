@@ -40,14 +40,16 @@ sum_k lambda_k' E^k is one Horner over the x-slopes of the monic row
 that the samples' one forward-mode pass gives (NormalForm.sample_grid),
 undefined where a coefficient or its derivative does not evaluate.  The
 continuation forms it at every branch point from the samples it takes,
-so B3 and branch.csv evaluate no coefficient; branch_slopes forms it at
-other points by one fresh pass there.
+so B3 and branch.csv evaluate no coefficient.  branch_at, the one reader
+between grid points, forms a_n and E' by one pass there and reads E and
+Lambda as chords of the branch's values and eigenvalues.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +63,7 @@ __all__ = [
     "EquilibriumBranch",
     "real_roots",
     "continue_branch",
-    "branch_slopes",
+    "branch_at",
     "branch_limit",
 ]
 
@@ -158,7 +160,7 @@ class EquilibriumBranch:
     slope E' = -(dF/dx) / Lambda at each point, from the x-slopes of the
     same samples, and undefined_slopes (N,) the mask of the points where
     dF/dx is undefined (a coefficient or its x-derivative does not evaluate
-    there); E' is NaN there and where Lambda = 0 (see branch_slopes).  L is
+    there); E' is NaN there and where Lambda = 0 (see branch_at).  L is
     branch_limit's estimate from the values.  covers(x) is
     x_start <= x <= x_end, for a float or element-wise for an array.
     """
@@ -218,9 +220,6 @@ class EquilibriumBranch:
 
     def interp_E(self, x) -> np.ndarray | float:
         return np.interp(x, self.xs, self.values)
-
-    def interp_Lambda(self, x) -> np.ndarray | float:
-        return np.interp(x, self.xs, self.eigenvalues)
 
     @property
     def sup_E(self) -> float:
@@ -676,17 +675,26 @@ def _implicit_slopes(slopes, defined, es, lams):
     return e_prime, undefined
 
 
-def branch_slopes(nf: NormalForm, xs, es, lams):
-    """Implicit derivative E' = -(dF/dx) / Lambda at each point (x, E, Lambda),
-    all points at once, and the mask of points where dF/dx is undefined: a
-    coefficient or its x-derivative does not evaluate there, or a_n = 0.
-    E' is NaN there and where Lambda == 0.  One NormalForm.sample_grid pass
-    over xs gives the x-slopes of the monic row (_implicit_slopes); at a
-    branch's own points this is the branch's slopes and undefined_slopes,
-    bit for bit."""
-    _, _, slopes, defined = nf.sample_grid(xs)
-    return _implicit_slopes(slopes, defined, np.asarray(es, dtype=float),
-                            np.asarray(lams, dtype=float))
+#: branch_at's read of a branch, under the branch's own field names
+BranchReading = namedtuple("BranchReading", "xs leading values eigenvalues slopes undefined_slopes")
+
+
+def branch_at(nf: NormalForm, branch: EquilibriumBranch, xs) -> BranchReading:
+    """The branch at the abscissae xs, refused (ValueError) before any
+    evaluation unless covered: a_n, and E' = -(dF/dx) / Lambda with its
+    undefined mask, from one sample_grid pass (a_n alone where the row
+    does not evaluate: its value or its error); E and Lambda the chords of
+    the branch's values and eigenvalues, its own arrays at its own points."""
+    xs = np.asarray(xs, dtype=float)
+    outside = np.flatnonzero(~branch.covers(xs))
+    if outside.size:
+        raise ValueError(f"x={float(xs[outside[0]])!r} outside the branch range "
+                         f"[{branch.x_start!r}, {branch.x_end!r}]")
+    leading, _, slopes, defined = nf.sample_grid(xs)
+    for i, x in zip(np.flatnonzero(~defined).tolist(), xs[~defined].tolist()):
+        leading[i] = nf.equation.leading(x)
+    values, lams = branch.interp_E(xs), np.interp(xs, branch.xs, branch.eigenvalues)
+    return BranchReading(xs, leading, values, lams, *_implicit_slopes(slopes, defined, values, lams))
 
 
 def branch_limit(branch: EquilibriumBranch) -> float | None:

@@ -28,9 +28,10 @@ integral (or the integral is exactly zero), inconclusive otherwise,
 since a tail-dominated integral on every finite grid is the numerical
 signature of divergence.  The share comes from the log sums, so it lies
 in [0, 1] and stays defined where the integral overflows float64.  E' is
-exact, and B3 reads the one the branch stores (EquilibriumBranch.slopes),
-formed by the continuation from its own samples, so B3 evaluates no
-coefficient at the grid points; where a coefficient or its x-derivative
+exact, and B3 passes the branch itself as damped_drift's points, so it
+reads the E' the branch stores (EquilibriumBranch.slopes), formed by the
+continuation from its own samples, and evaluates no row at the grid
+points; where a coefficient or its x-derivative
 does not evaluate there (sqrt(1 - x) at x = 1), or where Lambda = 0, B3
 is inconclusive and the note says which (the first such point decides).
 B3 is also inconclusive, with a note saying why, where a coefficient
@@ -175,7 +176,8 @@ def check_structural(nf: NormalForm, branch: EquilibriumBranch) -> HypothesisRep
     domain boundary), in the interior it is a failure.
     """
     x0 = nf.equation.x0
-    xs = np.concatenate(([x0], branch.xs)) if branch.x_start > x0 else branch.xs
+    xs, values = ((np.concatenate(([x0], branch.xs)), np.concatenate(([np.nan], branch.values)))
+                  if branch.x_start > x0 else (branch.xs, branch.values))
     entries: dict[str, HypothesisEntry] = {}
 
     idx = int(np.argmin(branch.leading))
@@ -199,7 +201,6 @@ def check_structural(nf: NormalForm, branch: EquilibriumBranch) -> HypothesisRep
 
     # A3: the witness is the last failing interior point, else the last
     # failing endpoint; NaN marks a point the branch does not cover
-    values = np.where(branch.covers(xs), branch.interp_E(xs), np.nan)
     bad = np.flatnonzero(~(values > POSITIVE_THRESHOLD))
     interior = bad[(bad > 0) & (bad < xs.size - 1)]
     if bad.size == 0:
@@ -286,7 +287,7 @@ def check_asymptotic(
 def _check_b3(nf: NormalForm, branch: EquilibriumBranch) -> HypothesisEntry:
     xs = branch.xs
     try:
-        log_phi, log_drift = damped_drift(nf, branch, xs)
+        log_phi, log_drift = damped_drift(nf, branch, branch)
     except ZeroEigenvalueError:
         note = "branch derivative undefined (zero eigenvalue) on the grid"
         return HypothesisEntry("B3", "inconclusive", {}, note)

@@ -22,17 +22,18 @@ of K are trapezoid sums of v / Phi kept as logs, summed by one
 np.logaddexp.accumulate pass (damped_drift; rate_bound and B3 read it).
 Two guards remain: a log Phi that is not finite, or Phi or its growth
 over one cell past the float range, raises OverflowError before E' is
-formed; and a damped drift Phi_N I_N below the normal floats is a lost
+read; and a damped drift Phi_N I_N below the normal floats is a lost
 total: with B2 the damped drift tends to |E'| / (a_n |Lambda|), so E'
 has left the normal floats there too, and an E' that underflows to 0
 stops a divergent integral from growing.  E' is exact, so this happens
 only where E' itself underflows, no longer below the 2e-10 that a finite
 difference resolved; the guard stays until B3 decides from the tail's
-growth rate instead of the sum.  damped_drift reads E' from the branch
-at the branch's own points (B3) and elsewhere forms it by one
-branch_slopes pass over all the points asked for (the rate bound's
-accepted points); a_n outside the branch's table is evaluated for all
-points at once too, by Expr.eval_array.
+growth rate instead of the sum.  log_phi and damped_drift read points:
+the branch itself (B3, which evaluates no row) or a branch_at reading of
+it.  Besides a_n at the branch cells' midpoints, coefficients off the
+grid are read through branch_at, one row pass per point set: rate_bound's
+accepted points once (|y - E|, the feedback's a_n, the drift's E'), and
+log_phi's partial-cell midpoints.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import NormalForm, SolverConfig, ZeroEigenvalueError, _taylor_entry
-from .equilibrium import EquilibriumBranch, branch_slopes
+from .equilibrium import BranchReading, EquilibriumBranch, branch_at
 from .expr import ExprDomainError
 
 if TYPE_CHECKING:
@@ -72,12 +73,14 @@ PLATEAU_TOL = 1e-8
 LOG_MAX = math.log(sys.float_info.max)
 
 
-def log_phi(nf: NormalForm, branch: EquilibriumBranch, x) -> np.ndarray:
-    """int_{x_start}^{x} a_n Lambda ds at every abscissa of the 1-D x, each
-    inside the branch range: the Simpson prefix sum at grid points, plus a
-    partial Simpson on [xs[i], x] (Lambda linear within the parent cell)
-    elsewhere.  Where the sums leave the floats they are infinite or NaN,
-    with no warning: damped_drift refuses them."""
+def log_phi(nf: NormalForm, branch: EquilibriumBranch,
+            points: EquilibriumBranch | BranchReading) -> np.ndarray:
+    """int_{x_start}^{x} a_n Lambda ds at every x of points (the branch, or
+    a branch_at reading of it): the Simpson prefix sum at grid points, plus
+    a partial Simpson on [xs[i], x] elsewhere, reading a_n and Lambda at x
+    from points and at the cell's midpoint by one branch_at call for all
+    cells.  Where the sums leave the floats they are infinite or NaN, with
+    no warning: damped_drift refuses them."""
     xs, lams = branch.xs, branch.eigenvalues
     g = branch.leading * lams
     an_mid = nf.equation.leading.eval_array(0.5 * xs[:-1] + 0.5 * xs[1:])
@@ -86,25 +89,15 @@ def log_phi(nf: NormalForm, branch: EquilibriumBranch, x) -> np.ndarray:
         cells = np.diff(xs) / 6.0 * (g[:-1] + 4.0 * g_mid + g[1:])
         prefix = np.concatenate(([0.0], np.cumsum(cells)))
 
-    x = np.asarray(x, dtype=float)
-    outside = np.flatnonzero(~branch.covers(x))
-    if outside.size:
-        raise ValueError(
-            f"x={float(x[outside[0]])!r} outside the branch range "
-            f"[{branch.x_start!r}, {branch.x_end!r}]"
-        )
-    i = np.searchsorted(xs, x, side="right") - 1
+    i = np.searchsorted(xs, points.xs, side="right") - 1
     out = prefix[i]
-    part = np.flatnonzero((i < xs.size - 1) & (x != xs[i]))
+    part = np.flatnonzero((i < xs.size - 1) & (points.xs != xs[i]))
     if part.size:
-        i, x = i[part], x[part]
-        mid = 0.5 * xs[i] + 0.5 * x
-        # a_n at mid and x interleaved: a failing point raises as it
-        # would if the points were taken one by one
-        an = nf.equation.leading.eval_array(np.stack([mid, x], axis=1).ravel()).reshape(-1, 2)
+        i, x = i[part], points.xs[part]
+        mid = branch_at(nf, branch, 0.5 * xs[i] + 0.5 * x)
         with np.errstate(all="ignore"):
-            g_mid = an[:, 0] * branch.interp_Lambda(mid)
-            g_hi = an[:, 1] * branch.interp_Lambda(x)
+            g_mid = mid.leading * mid.eigenvalues
+            g_hi = points.leading[part] * points.eigenvalues[part]
             out[part] += (x - xs[i]) / 6.0 * (g[i] + 4.0 * g_mid + g_hi)
     return out
 
@@ -135,40 +128,34 @@ class RateBound:
 
 
 def _undefined_slope(x: float) -> str:
-    """Why E' has no value at x (the mask branch_slopes returns)."""
+    """Why E' has no value at x (the mask undefined_slopes)."""
     return (f"branch derivative undefined at x={x!r}: "
             "a coefficient or its x-derivative does not evaluate there")
 
 
-def damped_drift(nf: NormalForm, branch: EquilibriumBranch, xs: np.ndarray):
-    """The drift term of K at the abscissae xs of the branch range, as logs:
-    (log Phi re-based to 0 at xs[0], log int_{x_0}^{x_i} Phi^{-1} |E'| ds by
-    the trapezoid rule, -inf where it is 0; see _log_cumtrapz).  Raises
-    OverflowError where log Phi is not finite or Phi, or a one-cell ratio
-    Phi_i / Phi_{i-1}, exceeds the float range, before E' is formed; then,
-    at the first point where E' has no value, ZeroEigenvalueError where
-    Lambda = 0, else ExprDomainError.
+def damped_drift(nf: NormalForm, branch: EquilibriumBranch,
+                 points: EquilibriumBranch | BranchReading):
+    """The drift term of K at points (the branch, or a branch_at reading of
+    it), as logs: (log Phi re-based to 0 at the first point, log
+    int_{x_0}^{x_i} Phi^{-1} |E'| ds by the trapezoid rule, -inf where it
+    is 0; see _log_cumtrapz).  Raises OverflowError where log Phi is not
+    finite or Phi, or a one-cell ratio Phi_i / Phi_{i-1}, exceeds the
+    float range, before E' is read; then, at the first point where E' has
+    no value, ZeroEigenvalueError where Lambda = 0, else ExprDomainError.
     """
-    logs = log_phi(nf, branch, xs)
+    logs = log_phi(nf, branch, points)
     with np.errstate(over="ignore", invalid="ignore"):
         logs -= logs[0]
         growth = max(logs.max(), np.diff(logs).max(initial=0.0))
     if not (np.isfinite(logs).all() and growth <= LOG_MAX):
         raise OverflowError("Phi or its growth over one cell exceeds the float range")
-    lam_vals = branch.interp_Lambda(xs)
-    # |E'|: the branch's own on its own points, else one fresh pass there,
-    # at the interpolated E and Lambda
-    if np.array_equal(xs, branch.xs):
-        e_prime, undefined = branch.slopes, branch.undefined_slopes
-    else:
-        e_prime, undefined = branch_slopes(nf, xs, branch.interp_E(xs), lam_vals)
-    stop = np.flatnonzero((lam_vals == 0.0) | undefined)
+    stop = np.flatnonzero((points.eigenvalues == 0.0) | points.undefined_slopes)
     if stop.size:
-        x = float(xs[stop[0]])
-        if lam_vals[stop[0]] == 0.0:
+        x = float(points.xs[stop[0]])
+        if points.eigenvalues[stop[0]] == 0.0:
             raise ZeroEigenvalueError(x)
         raise ExprDomainError(_undefined_slope(x))
-    return logs, _log_cumtrapz(np.abs(e_prime), xs, logs)
+    return logs, _log_cumtrapz(np.abs(points.slopes), points.xs, logs)
 
 
 def _drift_integral(log_phi: np.ndarray, log_drift: np.ndarray) -> float:
@@ -190,6 +177,7 @@ def rate_bound(
     are carried as logs (see _log_cumtrapz) and multiplied by Phi as
     exp(log Phi + log I), so the bound stays finite where Phi underflows to
     0.  B3_integral is the undamped drift integral (see _drift_integral).
+    The accepted points are read once (branch_at): E, a_n and E' there.
     """
     mask = branch.covers(result.xs)
     xs = result.xs[mask]
@@ -197,10 +185,11 @@ def rate_bound(
     if xs.size < 2:
         raise ValueError("trajectory and branch share fewer than two points")
 
-    logs, log_drift = damped_drift(nf, branch, xs)
+    points = branch_at(nf, branch, xs)
+    logs, log_drift = damped_drift(nf, branch, points)
     phi_vals = np.array(list(map(math.exp, logs.tolist())))
-    z_abs = np.abs(ys - branch.interp_E(xs))
-    log_feedback = _log_cumtrapz(z_abs * np.abs(nf.equation.leading.eval_array(xs)), xs, logs)
+    z_abs = np.abs(ys - points.values)
+    log_feedback = _log_cumtrapz(z_abs * np.abs(points.leading), xs, logs)
     with np.errstate(all="ignore"):
         drift = np.exp(logs + log_drift)
         feedback = np.exp(logs + log_feedback)

@@ -7,6 +7,7 @@ from abelode import cli, equilibrium
 from abelode.cases import get_case, run_case
 from abelode.core import AbelEquation
 from abelode.equilibrium import BranchPoint, continue_branch
+from abelode.expr import Expr
 from abelode.hypotheses import verify
 from abelode.radau import integrate
 from abelode.rate import rate_bound
@@ -133,10 +134,13 @@ class TestArrayEvaluation:
         assert eval_calls == []
 
     def test_one_grid_pass_per_table(self, monkeypatch):
-        # case 3's run and rate bound evaluate the coefficient row once on the
-        # branch grid, where the branch keeps E' for B3 and branch.csv, and
-        # once on the accepted points
-        calls = []
+        # case 3's run evaluates the coefficient row once on the branch grid,
+        # where the branch keeps E' for B3 and branch.csv, and B3 a_n alone at
+        # the branch cells' midpoints; its rate bound evaluates each abscissa
+        # once: a_n alone at those midpoints again, and the row once on the
+        # accepted points and once on the midpoints of the partial cells (one
+        # per accepted point off the grid)
+        calls, arrays = [], []
         compiled = vars(AbelEquation)["grid"]
 
         def counted(self):
@@ -144,10 +148,19 @@ class TestArrayEvaluation:
             return lambda xs: calls.append(len(xs)) or grid(xs)
 
         monkeypatch.setattr(AbelEquation, "grid", property(counted))
+        eval_array = Expr.eval_array
+        monkeypatch.setattr(Expr, "eval_array",
+                            lambda self, xs: arrays.append(len(xs)) or eval_array(self, xs))
         run = run_case(3)
-        bound = rate_bound(run.nf, run.branch, run.result)
-        assert calls == [run.branch.xs.size, bound.xs.size]
+        assert calls == [run.branch.xs.size] and arrays == [run.branch.xs.size - 1]
         assert run.branch.refinements == 0
+        calls.clear()
+        arrays.clear()
+        bound = rate_bound(run.nf, run.branch, run.result)
+        off_grid = int(np.count_nonzero(~np.isin(bound.xs, run.branch.xs)))
+        assert (bound.xs.size, off_grid) == (34, 32)
+        assert arrays == [run.branch.xs.size - 1]
+        assert calls == [bound.xs.size, off_grid]
 
     @pytest.mark.parametrize("cid", [1, 2, 3])
     def test_branch_isolates_its_table_in_one_call(self, case_runs, cid, monkeypatch):

@@ -14,12 +14,13 @@ from abelode.core import LeadingCoefficientError, NormalForm, build_equation, no
 from abelode.equilibrium import (
     POSITIVE_THRESHOLD,
     BranchError,
+    EquilibriumBranch,
     GridSpec,
     _branch_floor,
     _isolate_roots,
     _moves,
+    branch_at,
     branch_limit,
-    branch_slopes,
     continue_branch,
     real_roots,
 )
@@ -912,13 +913,27 @@ class TestBranchContinuation:
         assert branch_limit(long) == pytest.approx(1.0, abs=1e-7)
 
 
+#: a generated coefficient, scale * (c + l * (L + A * exp(-k * x)))
+_GENERATED = re.compile(r"(\S+)\*\((\S+) \+ (\S+)\*\((\S+) \+ (\S+)\*exp\(-(\S+)\*x\)\)\)")
+
+
+def _chord_branch(xs, es, lams):
+    """A branch through the points (x, E, Lambda), built by hand: branch_at
+    reads E and Lambda off it and the rest from the equation, so its other
+    arrays are placeholders."""
+    n = len(xs)
+    return EquilibriumBranch(xs, es, lams, GridSpec(float(xs[0]), float(xs[-1]), n),
+                             leading=np.ones(n), rows=np.ones((n, 1)), slopes=np.zeros(n),
+                             undefined_slopes=np.zeros(n, dtype=bool))
+
+
 class TestBranchDerivative:
     def test_matches_implicit_formula(self):
         # a0 = 3 - 2 exp(-2x): dF/dx = 4 exp(-2x), so E' = -4 exp(-2x)/Lambda
         eq = build_equation(["3 - 2*exp(-2*x)", "-4", "0", "1"], 0.0)
         nf = normalize(eq)
         branch = continue_branch(nf, GridSpec(0.0, 20.0, 401, "linear"))
-        slopes, _ = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
+        slopes = branch_at(nf, branch, branch.xs).slopes
         for idx in (3, 50, 200):
             exact = -(4.0 * math.exp(-2.0 * branch.xs[idx])) / branch.eigenvalues[idx]
             # abs floor: deep in the tail the slope itself is ~1e-8 and the
@@ -928,7 +943,7 @@ class TestBranchDerivative:
     def test_flat_branch_has_zero_derivative(self):
         nf = monic_cubic(1.0, -3.0, 1.0)
         branch = continue_branch(nf, GridSpec(0.0, 20.0, 101, "linear"))
-        slopes, _ = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
+        slopes = branch_at(nf, branch, branch.xs).slopes
         assert slopes[50] == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("case_id,x_max", [(2, None), (3, None), (2, 2e5)])
@@ -938,7 +953,7 @@ class TestBranchDerivative:
         case = get_case(case_id)
         nf = normalize(case.equation)
         branch = continue_branch(nf, case.branch_grid(x_max))
-        slopes, undefined = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
+        _, _, _, _, slopes, undefined = branch_at(nf, branch, branch.xs)
         assert not undefined.any()
         xs, lams = branch.xs.tolist(), branch.eigenvalues.tolist()
         if case_id == 2:
@@ -946,6 +961,55 @@ class TestBranchDerivative:
         else:
             exact = [-4.0 * math.exp(-2.0 * x) / lam for x, lam in zip(xs, lams)]
         assert np.all(np.abs(slopes - exact) <= 1e-14 * np.abs(exact))
+
+    @pytest.mark.parametrize("batch", [0, 1, 2])
+    def test_generated_families_match_the_closed_form(self, stiff_inputs, batch):
+        # the generated families (perfbench/inputs.py) factor as F = (y - r1) Q(y)
+        # with r1 = L + A exp(-k x), so E' = r1' = -k A exp(-k x); each a_j is
+        # scale (c_j + l_j r1).  Error model, relative to the exact r1' at the
+        # float x (u = 2^-53), fixed before the first run:
+        # - dF/dx = sum lambda_k' E^k with lambda_k' = l_k r1' scale / a_n: the
+        #   exponent -k*x is rounded once (an error of at most u k x in exp's
+        #   argument), exp, the slope's products and the division by a_n round
+        #   at most 10 times, and Horner adds gamma_2n: (k x + 2n + 10) u times
+        #   the condition sum |l_k| E^k / |sum l_k E^k|;
+        # - Lambda = sum k lambda_k E^(k-1), each lambda_k formed with at most
+        #   8 roundings: (2n + 8) u sum k (|c_k| + |l_k r1|) E^(k-1) |scale / a_n|
+        #   / |Lambda|;
+        # - E's own error d = E - r1 (exact): E' at E is r1' Q / (Q + d Q'),
+        #   and |Q'/Q| < 6 on the family's ranges (r2 - E, E + r3 and q at
+        #   least 0.5), so at most 6 |d| / (1 - 6 |d|).
+        # The tolerance is twice their sum, for the second-order terms.
+        u = 2.0 ** -53
+        mpmath.mp.dps = 40
+        for generated in stiff_inputs.stiff_equations(901, batch):
+            sources = generated.coefficients
+            nf = normalize(build_equation(list(sources), 0.0))
+            branch = continue_branch(nf, GridSpec(0.0, generated.x_end, 2001))
+            matches = [_GENERATED.fullmatch(source) for source in sources]
+            scale, limit, amp, k = (float(matches[0][i]) for i in (1, 4, 5, 6))
+            c = np.array([float(m[2]) if m else float(a) / scale for m, a in zip(matches, sources)])
+            l = np.array([float(m[3]) if m else 0.0 for m in matches])
+            decay = [amp * mpmath.exp(-k * mpmath.mpf(x)) for x in branch.xs.tolist()]
+            r1 = np.array([float(limit + d) for d in decay])
+            slope = np.array([float(-k * d) for d in decay])
+            delta = np.abs([float(mpmath.mpf(e) - limit - d)
+                            for e, d in zip(branch.values.tolist(), decay)])
+            n, es = len(sources) - 1, branch.values
+            powers = es[:, None] ** np.arange(n + 1)
+            rel_f = ((k * branch.xs + 2 * n + 10) * u * (np.abs(l) * powers).sum(axis=1)
+                     / np.abs((l * powers).sum(axis=1)))
+            weights = np.arange(1, n + 1) * (np.abs(c[1:]) + np.abs(l[1:]) * np.abs(r1)[:, None])
+            rel_lam = ((2 * n + 8) * u * abs(scale / float(sources[-1]))
+                       * (weights * powers[:, :-1]).sum(axis=1) / np.abs(branch.eigenvalues))
+            rel_e = 6.0 * delta / (1.0 - 6.0 * delta)
+            assert not branch.undefined_slopes.any()
+            error = np.abs(branch.slopes - slope) / np.abs(slope)
+            assert (error <= 2.0 * (rel_f + rel_lam + rel_e)).all()
+            # branch_at at the branch's own points reads back what it stores
+            reading = branch_at(nf, branch, branch.xs)
+            for name in ("xs", "leading", "values", "eigenvalues", "slopes", "undefined_slopes"):
+                assert getattr(reading, name).tobytes() == getattr(branch, name).tobytes(), name
 
     def test_rows_without_x_give_exactly_zero(self):
         # case 1: no coefficient has x, so dF/dx is +0.0 and E' = -0.0 / Lambda
@@ -955,7 +1019,7 @@ class TestBranchDerivative:
         values, slopes = nf.equation.grid(branch.xs)
         assert slopes == (0.0, 0.0, 0.0, 0.0)
         assert values.tolist() == [[v] * branch.xs.size for v in (1.0, -3.0, 1.0, 1.0)]
-        e_prime, undefined = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
+        _, _, _, _, e_prime, undefined = branch_at(nf, branch, branch.xs)
         assert not undefined.any()
         assert e_prime.tobytes() == np.zeros(branch.xs.size).tobytes()
 
@@ -965,7 +1029,7 @@ class TestBranchDerivative:
         # roots, so dF/dx = -(1 - E) d sqrt/dx and E' is 0 up to rounding
         nf = normalize(build_equation(["3 + sqrt(x - x*x)", "-4 - sqrt(x - x*x)", "1"], 0.0))
         branch = continue_branch(nf, GridSpec(0.0, 1.0, 201))
-        slopes, undefined = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
+        _, _, _, _, slopes, undefined = branch_at(nf, branch, branch.xs)
         assert np.flatnonzero(undefined).tolist() == [0, 200]
         assert np.isnan(slopes[undefined]).all()
         assert np.all(np.abs(slopes[1:-1]) <= 1e-12)
@@ -976,13 +1040,14 @@ class TestBranchDerivative:
         # row is sampled once, and the pass runs again on the points left
         equation = build_equation(["3 + log(x - 0.5)", "-4 - log(x - 0.5)", "1"], 0.0)
         nf = normalize(equation)
+        # the chords of E = 1 and Lambda = -2 are exact
         xs = np.linspace(0.0, 1.0, 2001)
-        es, lams = np.ones(xs.size), np.full(xs.size, -2.0)
+        branch = _chord_branch([0.0, 1.0], [1.0, 1.0], [-2.0, -2.0])
         calls = []
         grid = equation.grid
         monkeypatch.setitem(vars(equation), "grid",
                             lambda xs: calls.append(len(xs)) or grid(xs))
-        slopes, undefined = branch_slopes(nf, xs, es, lams)
+        _, _, _, _, slopes, undefined = branch_at(nf, branch, xs)
         assert calls == [2001, 1000] and len(rows_sampled) == 2001
         assert undefined.tolist() == (xs <= 0.5).tolist()
         assert np.isnan(slopes[undefined]).all()
@@ -1001,29 +1066,30 @@ class TestBranchDerivative:
         # one fresh pass at its own points gives the same bytes
         nf = normalize(build_equation(sources, grid.x_start))
         branch = continue_branch(nf, grid)
-        fresh = branch_slopes(nf, branch.xs, branch.values, branch.eigenvalues)
-        assert branch.slopes.tobytes() == fresh[0].tobytes()
-        assert branch.undefined_slopes.tolist() == fresh[1].tolist()
+        fresh = branch_at(nf, branch, branch.xs)
+        assert branch.slopes.tobytes() == fresh.slopes.tobytes()
+        assert branch.undefined_slopes.tolist() == fresh.undefined_slopes.tolist()
 
     @pytest.mark.parametrize("case_id,x_max", [(1, None), (2, None), (3, None), (2, 2e5)])
     def test_case_branches_store_the_fresh_pass(self, case_runs, case_id, x_max):
         run = case_runs[case_id] if x_max is None else run_case(case_id, x_max)
         branch = run.branch
-        fresh = branch_slopes(run.nf, branch.xs, branch.values, branch.eigenvalues)
-        assert branch.slopes.tobytes() == fresh[0].tobytes()
-        assert not branch.undefined_slopes.any() and not fresh[1].any()
+        fresh = branch_at(run.nf, branch, branch.xs)
+        assert branch.slopes.tobytes() == fresh.slopes.tobytes()
+        assert not branch.undefined_slopes.any() and not fresh.undefined_slopes.any()
 
     def test_fallback_gives_the_stored_slopes(self, rows_sampled):
         # log(x - 0.5) fails left of 0.5: a fresh pass over failing points
-        # and the branch's own raises, samples each point once and gives
-        # the stored E' at the branch's points, bit for bit
+        # and the branch's own (read off a branch extended by hand to 0.25)
+        # raises, samples each point once and gives the stored E' at the
+        # branch's points, bit for bit
         nf = normalize(build_equation(["3 + log(x - 0.5)", "-4 - log(x - 0.5)", "1"], 0.7))
         branch = continue_branch(nf, GridSpec(0.7, 1.0, 201))
         assert rows_sampled == []
         xs = np.concatenate(([0.25, 0.5], branch.xs))
         es = np.concatenate(([1.0, 1.0], branch.values))
         lams = np.concatenate(([-2.0, -2.0], branch.eigenvalues))
-        slopes, undefined = branch_slopes(nf, xs, es, lams)
+        _, _, _, _, slopes, undefined = branch_at(nf, _chord_branch(xs, es, lams), xs)
         assert rows_sampled == xs.tolist()
         assert undefined.tolist() == [True, True] + [False] * branch.xs.size
         assert slopes[2:].tobytes() == branch.slopes.tobytes()
@@ -1032,15 +1098,62 @@ class TestBranchDerivative:
         # sqrt(-(x - 1)^2) evaluates at x = 1 only, where its argument
         # vanishes, so its slope is undefined there too
         nf = normalize(build_equation(["sqrt(0 - (x - 1)^2) - 1", "1"], 1.0))
-        slopes, undefined = branch_slopes(nf, [1.0, 2.0], [1.0, 1.0], [-1.0, 0.0])
+        branch = _chord_branch([1.0, 2.0], [1.0, 1.0], [-1.0, 0.0])
+        _, _, _, _, slopes, undefined = branch_at(nf, branch, [1.0, 2.0])
         assert undefined.tolist() == [True, True]
         assert np.isnan(slopes).all()
 
     def test_slopes_are_nan_at_a_zero_eigenvalue(self):
         nf = monic_cubic(1.0, -3.0, 1.0)
-        slopes, undefined = branch_slopes(nf, [0.0, 1.0], [1.0, 1.0], [0.0, -1.0])
+        branch = _chord_branch([0.0, 1.0], [1.0, 1.0], [0.0, -1.0])
+        _, _, _, _, slopes, undefined = branch_at(nf, branch, [0.0, 1.0])
         assert math.isnan(slopes[0]) and slopes[1] == 0.0
         assert not undefined.any()
+
+
+class TestBranchAt:
+    def test_off_grid_reads_are_the_chords_and_the_rows_slopes(self, case_runs):
+        # case 3 between its grid points: E and Lambda are the chords, a_n
+        # the row's, and E' = -4 exp(-2x) / Lambda at the chord's Lambda
+        run = case_runs[3]
+        xs = np.array([0.0125, 1.0, 7.3333, 99.99])
+        reading = branch_at(run.nf, run.branch, xs)
+        assert reading.xs.tolist() == xs.tolist()
+        assert reading.values.tobytes() == run.branch.interp_E(xs).tobytes()
+        assert reading.eigenvalues.tobytes() == np.interp(
+            xs, run.branch.xs, run.branch.eigenvalues).tobytes()
+        assert reading.leading.tolist() == [1.0] * xs.size
+        exact = [-4.0 * math.exp(-2.0 * x) / lam
+                 for x, lam in zip(xs.tolist(), reading.eigenvalues.tolist())]
+        assert np.all(np.abs(reading.slopes - exact) <= 1e-14 * np.abs(exact))
+        assert not reading.undefined_slopes.any()
+
+    def test_out_of_range_is_refused_before_any_evaluation(self, monkeypatch):
+        # a_n fails at the first cell's midpoint; the range is checked first
+        equation = build_equation(["-1", "1 + 0*log(abs(x - 0.0025))"], 0.0)
+        nf = normalize(equation)
+        branch = continue_branch(nf, GridSpec(0.0, 1.0, 201))
+        calls = []
+        monkeypatch.setitem(vars(equation), "grid", lambda xs: calls.append(len(xs)))
+        monkeypatch.setitem(vars(equation), "row", lambda x: calls.append(x))
+        with pytest.raises(ValueError) as info:
+            branch_at(nf, branch, [0.5, -1.0])
+        assert str(info.value) == "x=-1.0 outside the branch range [0.0, 1.0]"
+        assert calls == []
+
+    def test_leading_coefficient_alone_where_the_row_fails(self):
+        # lambda_0 fails at 0.00125 and a_n vanishes at 0.5: a_n is still
+        # read there, and E' is undefined; where a_n itself fails, its error
+        nf = normalize(build_equation(["-1 + 0*log(abs(x - 0.00125))", "2*x - 1"], 0.0))
+        branch = _chord_branch([0.0, 1.0], [1.0, 1.0], [-1.0, -1.0])
+        reading = branch_at(nf, branch, [0.00125, 0.5, 0.75])
+        assert reading.leading.tolist() == [2 * 0.00125 - 1.0, 0.0, 0.5]
+        assert reading.undefined_slopes.tolist() == [True, True, False]
+        assert np.isnan(reading.slopes[:2]).all() and not np.isnan(reading.slopes[2])
+        nf = normalize(build_equation(["-1", "1 + 0*log(abs(x - 0.00125))"], 0.0))
+        with pytest.raises(ExprDomainError, match=r"^log\(0\.0\) outside real domain at "
+                                                  r"x=0\.00125$"):
+            branch_at(nf, branch, [0.75, 0.00125])
 
 
 def _quadratic_coefficient(draw):

@@ -6,7 +6,7 @@ import pytest
 
 from abelode.cases import Analysis, run_case
 from abelode.core import build_equation, normalize
-from abelode.equilibrium import EquilibriumBranch, GridSpec, branch_slopes, continue_branch
+from abelode.equilibrium import EquilibriumBranch, GridSpec, branch_at, continue_branch
 from abelode.hypotheses import (
     ALPHA_FLOOR,
     B3_OVERFLOW,
@@ -22,9 +22,14 @@ from abelode.rate import damped_drift, rate_bound
 
 def _slopes(nf, xs, values, eigenvalues):
     """The slopes and undefined_slopes of a branch built by hand: E' from
-    one fresh pass at its points, as continue_branch stores it."""
-    e_prime, undefined = branch_slopes(nf, xs, values, eigenvalues)
-    return {"slopes": e_prime, "undefined_slopes": undefined}
+    one fresh branch_at read at its points (where its chords are its own
+    values and eigenvalues), as continue_branch stores it."""
+    n = len(xs)
+    bare = EquilibriumBranch(xs, values, eigenvalues, GridSpec(float(xs[0]), float(xs[-1]), n),
+                             leading=np.ones(n), rows=np.ones((n, 1)), slopes=np.zeros(n),
+                             undefined_slopes=np.zeros(n, dtype=bool))
+    reading = branch_at(nf, bare, xs)
+    return {"slopes": reading.slopes, "undefined_slopes": reading.undefined_slopes}
 
 ALL_CHECKS = ("A1", "A2", "A3", "A4", "B1", "B2", "B3")
 
@@ -185,10 +190,10 @@ class TestSharedDrift:
         # B3 and rate_bound read one log-space drift sum, each on its own
         # abscissae (the branch grid, the accepted points); bit for bit
         run = case_runs[3]
-        _, log_drift = damped_drift(run.nf, run.branch, run.branch.xs)
+        _, log_drift = damped_drift(run.nf, run.branch, run.branch)
         assert run.report["B3"].witness["B3_integral"] == math.exp(log_drift[-1])
         rb = rate_bound(run.nf, run.branch, run.result)
-        _, log_drift = damped_drift(run.nf, run.branch, rb.xs)
+        _, log_drift = damped_drift(run.nf, run.branch, branch_at(run.nf, run.branch, rb.xs))
         assert rb.B3_integral == math.exp(log_drift[-1])
 
     @pytest.mark.parametrize("a0,x_end", [
@@ -203,7 +208,7 @@ class TestSharedDrift:
         # the total is lost, not zero and not an overflow to report a share of
         nf = normalize(build_equation([a0, "-4", "0", "1"], 0.0))
         branch = continue_branch(nf, GridSpec(0.0, x_end, 2001, "linear"))
-        assert np.isfinite(damped_drift(nf, branch, branch.xs)[1]).any()
+        assert np.isfinite(damped_drift(nf, branch, branch)[1]).any()
         entry = verify(nf, branch)["B3"]
         assert entry.status == "inconclusive"
         assert entry.witness == {}
@@ -237,7 +242,7 @@ class TestSharedDrift:
         entry = verify(nf, branch)["B3"]
         assert (entry.status, entry.witness, entry.note) == ("inconclusive", {}, B3_PHI_RANGE)
         with pytest.raises(OverflowError):
-            damped_drift(nf, branch, branch.xs)
+            damped_drift(nf, branch, branch)
 
 
 class TestDomainEdge:

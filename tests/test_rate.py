@@ -9,8 +9,9 @@ from oracles import log_damped_trapezoid, taylor_power_sum
 
 from abelode import get_case, run_case
 from abelode.core import SolverConfig, build_equation, normalize
-from abelode.equilibrium import (BranchPoint, EquilibriumBranch, GridSpec, branch_slopes,
+from abelode.equilibrium import (BranchPoint, EquilibriumBranch, GridSpec, branch_at,
                                  continue_branch)
+from abelode.expr import ExprDomainError
 from abelode.hypotheses import verify
 from abelode.radau import integrate
 from abelode.rate import _log_cumtrapz, diagnose, log_phi, rate_bound, remainder_constant
@@ -21,13 +22,16 @@ class TestPhi:
         run = case_runs[1]
         rate = run.branch.eigenvalues[0]  # flat branch: a_n * Lambda constant
         xs = np.array([0.5, 5.0, 17.3])
-        assert np.exp(log_phi(run.nf, run.branch, xs)) == pytest.approx(
+        points = branch_at(run.nf, run.branch, xs)
+        assert np.exp(log_phi(run.nf, run.branch, points)) == pytest.approx(
             np.exp(rate * xs), rel=1e-9)
 
     def test_starts_at_one_and_decreases(self, case_runs):
         run = case_runs[3]
-        assert log_phi(run.nf, run.branch, [run.branch.x_start]).tolist() == [0.0]
-        values = np.exp(log_phi(run.nf, run.branch, [1.0, 2.0, 5.0, 10.0]))
+        start = branch_at(run.nf, run.branch, [run.branch.x_start])
+        assert log_phi(run.nf, run.branch, start).tolist() == [0.0]
+        points = branch_at(run.nf, run.branch, [1.0, 2.0, 5.0, 10.0])
+        values = np.exp(log_phi(run.nf, run.branch, points))
         assert (values[1:] < values[:-1]).all()
 
     def test_restart_point_shifts_normalization(self, case_runs):
@@ -41,15 +45,40 @@ class TestPhi:
             eigenvalues=branch.eigenvalues[at:], leading=branch.leading[at:],
             rows=branch.rows[at:], slopes=branch.slopes[at:],
             undefined_slopes=branch.undefined_slopes[at:])
-        head, full = log_phi(run.nf, branch, [4.0, 10.0])
-        tail = log_phi(run.nf, restarted, [10.0])[0]
+        head, full = log_phi(run.nf, branch, branch_at(run.nf, branch, [4.0, 10.0]))
+        tail = log_phi(run.nf, restarted, branch_at(run.nf, restarted, [10.0]))[0]
         assert head + tail == pytest.approx(full, rel=1e-10)
 
     def test_out_of_range_message_prints_plain_floats(self, case_runs):
         run = case_runs[3]
         with pytest.raises(ValueError) as info:
-            log_phi(run.nf, run.branch, [-1.0, 5.0])
+            branch_at(run.nf, run.branch, [-1.0, 5.0])
         assert str(info.value) == "x=-1.0 outside the branch range [0.0, 100.0]"
+
+    def test_partial_cells_read_a_n_alone_where_the_row_fails(self):
+        # the partial cell [0, 0.0025] has its midpoint at 0.00125, where
+        # a_0 fails: the cell reads a_n there, as a row without the log term
+        # does; where a_n itself fails, log_phi raises a_n's error
+        def logs(sources):
+            nf = normalize(build_equation(sources, 0.0))
+            branch = continue_branch(nf, GridSpec(0.0, 1.0, 201))
+            return log_phi(nf, branch, branch_at(nf, branch, [0.0025]))
+
+        assert logs(["-1 + 0*log(abs(x - 0.00125))", "1"]).tobytes() == \
+            logs(["-1", "1"]).tobytes()
+        with pytest.raises(ExprDomainError, match=r"at x=0\.00125$"):
+            logs(["-1", "1 + 0*log(abs(x - 0.00125))"])
+
+    def test_read_points_come_before_the_cell_midpoints(self):
+        # a_n fails at the first cell's midpoint, 0.0025, and at 0.5025: the
+        # read at 0.5025 raises there, before log_phi evaluates a_n at the
+        # cell midpoints; given points that evaluate, log_phi meets 0.0025
+        nf = normalize(build_equation(["-1", "1 + 0*log(abs((x - 0.0025)*(x - 0.5025)))"], 0.0))
+        branch = continue_branch(nf, GridSpec(0.0, 1.0, 201))
+        with pytest.raises(ExprDomainError, match=r"at x=0\.5025$"):
+            branch_at(nf, branch, [0.5025])
+        with pytest.raises(ExprDomainError, match=r"at x=0\.0025$"):
+            log_phi(nf, branch, branch_at(nf, branch, [0.5]))
 
     def test_cell_midpoints_near_the_largest_float(self, case_runs):
         # 0.5 * (a + b) overflows from cell 1798 of this grid on, and in the
@@ -58,7 +87,8 @@ class TestPhi:
         nf = case_runs[1].nf
         branch = continue_branch(nf, GridSpec(0.0, 1e308, 2001))
         assert verify(nf, branch).entries["B3"].status == "pass"
-        assert np.exp(log_phi(nf, branch, [0.99995e308])).tolist() == [0.0]
+        points = branch_at(nf, branch, [0.99995e308])
+        assert np.exp(log_phi(nf, branch, points)).tolist() == [0.0]
 
 
 @st.composite
@@ -130,11 +160,13 @@ class TestRemainderConstant:
         nf = normalize(eq)
         samples = [nf.sample(p.x) for p in points]
         values, eigenvalues = [p.E for p in points], [p.Lambda for p in points]
-        e_prime, undefined = branch_slopes(nf, xs, values, eigenvalues)
-        branch = EquilibriumBranch(xs, values, eigenvalues, GridSpec(0.0, 5.0, 7),
-                                   leading=[an for an, _ in samples],
-                                   rows=[row for _, row in samples],
-                                   slopes=e_prime, undefined_slopes=undefined)
+        bare = EquilibriumBranch(xs, values, eigenvalues, GridSpec(0.0, 5.0, 7),
+                                 leading=[an for an, _ in samples],
+                                 rows=[row for _, row in samples],
+                                 slopes=np.zeros(7), undefined_slopes=np.zeros(7, dtype=bool))
+        reading = branch_at(nf, bare, xs)
+        branch = dataclasses.replace(bare, slopes=reading.slopes,
+                                     undefined_slopes=reading.undefined_slopes)
         m_e = max(p.E for p in points)
         want, scale = 0.0, 0.0
         for point in points:
