@@ -30,13 +30,13 @@ signature of divergence.  The share comes from the log sums, so it lies
 in [0, 1] and stays defined where the integral overflows float64.  E' is
 exact, and B3 passes the branch itself as damped_drift's points, so it
 reads the E' the branch stores (EquilibriumBranch.slopes), formed by the
-continuation from its own samples, and evaluates no row at the grid
-points; where a coefficient or its x-derivative
-does not evaluate there (sqrt(1 - x) at x = 1), or where Lambda = 0, B3
-is inconclusive and the note says which (the first such point decides).
-B3 is also inconclusive, with a note saying why, where a coefficient
-fails inside Phi's integral, and at rate's two guards, checked first and
-last, each with its own note (B3_PHI_RANGE, B3_OVERFLOW; see rate).
+continuation from its own samples, and Phi from the a_n and Lambda it
+stores, so B3 evaluates no coefficient; where a coefficient or its
+x-derivative does not evaluate at a grid point (sqrt(1 - x) at x = 1),
+or where Lambda = 0 or, on a branch built by hand, a_n = 0, B3 is
+inconclusive and the note says which (the first such point decides).
+B3 is also inconclusive at rate's two guards, checked first and last,
+each with its own note (B3_PHI_RANGE, B3_OVERFLOW; see rate).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import NormalForm, ZeroEigenvalueError
+from .core import LeadingCoefficientError, NormalForm, ZeroEigenvalueError
 from .equilibrium import POSITIVE_THRESHOLD, EquilibriumBranch
 from .expr import ExprDomainError
 from .rate import damped_drift, _drift_integral
@@ -248,7 +248,7 @@ def check_asymptotic(
     nf: NormalForm,
     branch: EquilibriumBranch,
 ) -> HypothesisReport:
-    """B1..B3 over the branch tail."""
+    """B1..B3 over the branch tail, read off the branch alone (nf is unread)."""
     entries: dict[str, HypothesisEntry] = {}
 
     limit = branch.L
@@ -280,18 +280,18 @@ def check_asymptotic(
             "B2", "fail", {"alpha0": alpha0}, "no positive decay floor"
         )
 
-    entries["B3"] = _check_b3(nf, branch)
+    entries["B3"] = _check_b3(branch)
     return HypothesisReport(entries, _grid_info(branch.xs, "tail"))
 
 
-def _check_b3(nf: NormalForm, branch: EquilibriumBranch) -> HypothesisEntry:
+def _check_b3(branch: EquilibriumBranch) -> HypothesisEntry:
     xs = branch.xs
     try:
-        log_phi, log_drift = damped_drift(nf, branch, branch)
+        log_phi, log_drift = damped_drift(branch, branch)
     except ZeroEigenvalueError:
         note = "branch derivative undefined (zero eigenvalue) on the grid"
         return HypothesisEntry("B3", "inconclusive", {}, note)
-    except ExprDomainError as err:
+    except (ExprDomainError, LeadingCoefficientError) as err:
         return HypothesisEntry("B3", "inconclusive", {}, str(err))
     except OverflowError:
         return HypothesisEntry("B3", "inconclusive", {}, B3_PHI_RANGE)

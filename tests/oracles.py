@@ -85,6 +85,34 @@ def log_damped_trapezoid(values, xs, log_phi, dps=50):
     return np.array(out)
 
 
+def simpson_log_phi(xs, leading, eigenvalues, a_n, points):
+    """int_{x_0}^{x} a_n Lambda ds by composite Simpson, the rule log Phi
+    was computed by before it read the branch table alone, frozen here as
+    a reference.
+
+    xs, leading and eigenvalues are the branch's grid, a_n and Lambda
+    there; a_n(array) evaluates a_n, read at each cell's midpoint with
+    Lambda the chord of the cell's ends.  points is (x, a_n(x), Lambda(x))
+    arrays at the abscissae asked for, each inside [xs[0], xs[-1]]: the
+    prefix at grid points, plus a partial Simpson on [xs[i], x] elsewhere,
+    with a_n evaluated and Lambda interpolated at that cell's midpoint.
+    """
+    xs, eigenvalues = np.asarray(xs, dtype=float), np.asarray(eigenvalues, dtype=float)
+    g = np.asarray(leading, dtype=float) * eigenvalues
+    g_mid = a_n(0.5 * xs[:-1] + 0.5 * xs[1:]) * (0.5 * (eigenvalues[:-1] + eigenvalues[1:]))
+    cells = np.diff(xs) / 6.0 * (g[:-1] + 4.0 * g_mid + g[1:])
+    prefix = np.concatenate(([0.0], np.cumsum(cells)))
+    x, g_x = np.asarray(points[0], dtype=float), points[1] * points[2]
+    i = np.searchsorted(xs, x, side="right") - 1
+    out = prefix[i]
+    part = x != xs[i]
+    i, x = i[part], x[part]
+    mid = 0.5 * xs[i] + 0.5 * x
+    g_mid = a_n(mid) * np.interp(mid, xs, eigenvalues)
+    out[part] += (x - xs[i]) / 6.0 * (g[i] + 4.0 * g_mid + g_x[part])
+    return out
+
+
 def taylor_power_sum(coeffs, g):
     """Taylor coefficients of a polynomial about g, by the plain power sum.
 

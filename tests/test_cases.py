@@ -133,13 +133,12 @@ class TestArrayEvaluation:
         assert rows_sampled == []
         assert eval_calls == []
 
-    def test_one_grid_pass_per_table(self, monkeypatch):
+    def test_one_grid_pass_per_table(self, monkeypatch, eval_calls, rows_sampled):
         # case 3's run evaluates the coefficient row once on the branch grid,
-        # where the branch keeps E' for B3 and branch.csv, and B3 a_n alone at
-        # the branch cells' midpoints; its rate bound evaluates each abscissa
-        # once: a_n alone at those midpoints again, and the row once on the
-        # accepted points and once on the midpoints of the partial cells (one
-        # per accepted point off the grid)
+        # where the branch keeps a_n, Lambda and E' for B3 and branch.csv;
+        # its rate bound evaluates the row once on the accepted points, and
+        # Phi reads a_n and Lambda there from that reading and on the grid
+        # from the branch: nothing else is evaluated
         calls, arrays = [], []
         compiled = vars(AbelEquation)["grid"]
 
@@ -152,15 +151,15 @@ class TestArrayEvaluation:
         monkeypatch.setattr(Expr, "eval_array",
                             lambda self, xs: arrays.append(len(xs)) or eval_array(self, xs))
         run = run_case(3)
-        assert calls == [run.branch.xs.size] and arrays == [run.branch.xs.size - 1]
+        assert calls == [run.branch.xs.size] and arrays == []
         assert run.branch.refinements == 0
         calls.clear()
-        arrays.clear()
+        rows_sampled.clear()
         bound = rate_bound(run.nf, run.branch, run.result)
         off_grid = int(np.count_nonzero(~np.isin(bound.xs, run.branch.xs)))
         assert (bound.xs.size, off_grid) == (34, 32)
-        assert arrays == [run.branch.xs.size - 1]
-        assert calls == [bound.xs.size, off_grid]
+        assert calls == [bound.xs.size]
+        assert arrays == [] and rows_sampled == [] and eval_calls == []
 
     @pytest.mark.parametrize("cid", [1, 2, 3])
     def test_branch_isolates_its_table_in_one_call(self, case_runs, cid, monkeypatch):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from abelode.cases import Analysis, run_case
-from abelode.core import build_equation, normalize
+from abelode.core import AbelEquation, build_equation, normalize
 from abelode.equilibrium import EquilibriumBranch, GridSpec, branch_at, continue_branch
+from abelode.expr import Expr
 from abelode.hypotheses import (
     ALPHA_FLOOR,
     B3_OVERFLOW,
@@ -190,11 +191,25 @@ class TestSharedDrift:
         # B3 and rate_bound read one log-space drift sum, each on its own
         # abscissae (the branch grid, the accepted points); bit for bit
         run = case_runs[3]
-        _, log_drift = damped_drift(run.nf, run.branch, run.branch)
+        _, log_drift = damped_drift(run.branch, run.branch)
         assert run.report["B3"].witness["B3_integral"] == math.exp(log_drift[-1])
         rb = rate_bound(run.nf, run.branch, run.result)
-        _, log_drift = damped_drift(run.nf, run.branch, branch_at(run.nf, run.branch, rb.xs))
+        _, log_drift = damped_drift(run.branch, branch_at(run.nf, run.branch, rb.xs))
         assert rb.B3_integral == math.exp(log_drift[-1])
+
+    @pytest.mark.parametrize("cid", [1, 2, 3])
+    def test_verify_evaluates_no_coefficient(self, case_runs, cid, monkeypatch):
+        # every check reads the finished branch's table: with each way to
+        # evaluate a coefficient refused, verify still gives its B3 entry
+        def refuse(*args):
+            raise AssertionError("a coefficient was evaluated")
+
+        monkeypatch.setattr(AbelEquation, "grid", property(refuse))
+        monkeypatch.setattr(AbelEquation, "row", property(refuse))
+        monkeypatch.setattr(Expr, "eval_array", refuse)
+        monkeypatch.setattr(Expr, "eval", refuse)
+        run = case_runs[cid]
+        assert verify(run.nf, run.branch)["B3"] == run.report["B3"]
 
     @pytest.mark.parametrize("a0,x_end", [
         # Phi ~ exp(-x) underflows near x = 745, and E' ~ exp(-x/4) is below
@@ -208,7 +223,7 @@ class TestSharedDrift:
         # the total is lost, not zero and not an overflow to report a share of
         nf = normalize(build_equation([a0, "-4", "0", "1"], 0.0))
         branch = continue_branch(nf, GridSpec(0.0, x_end, 2001, "linear"))
-        assert np.isfinite(damped_drift(nf, branch, branch)[1]).any()
+        assert np.isfinite(damped_drift(branch, branch)[1]).any()
         entry = verify(nf, branch)["B3"]
         assert entry.status == "inconclusive"
         assert entry.witness == {}
@@ -234,7 +249,7 @@ class TestSharedDrift:
         assert entry.note == B3_PHI_RANGE
 
     def test_log_phi_past_the_float_range_is_inconclusive(self):
-        # a_n Lambda is about -17 on cells 5e304 wide: the Simpson prefix sum
+        # a_n Lambda is about -17 on cells 5e304 wide: the trapezoid prefix sum
         # of log Phi overflows to -inf, which is refused (with no numpy
         # warning) before E' is formed, as a Phi past the float range is
         nf = normalize(build_equation(["10", "-30", "10", "10"], 0.0))
@@ -242,7 +257,7 @@ class TestSharedDrift:
         entry = verify(nf, branch)["B3"]
         assert (entry.status, entry.witness, entry.note) == ("inconclusive", {}, B3_PHI_RANGE)
         with pytest.raises(OverflowError):
-            damped_drift(nf, branch, branch)
+            damped_drift(branch, branch)
 
 
 class TestDomainEdge:
@@ -278,6 +293,20 @@ class TestDomainEdge:
         assert entry.status == "inconclusive"
         assert entry.note == ("branch derivative undefined at x=1.0: "
                               "a coefficient or its x-derivative does not evaluate there")
+
+    def test_vanishing_leading_coefficient_is_inconclusive(self):
+        # continuation refuses a_n = 0 at a grid point; a branch built by
+        # hand with one there gets B3's note naming it, not an exception
+        nf = normalize(build_equation(["-1", "2*x - 3"], 1.0))
+        branch = EquilibriumBranch([1.0, 1.5], [1.0, 1.0], [-1.0, -1.0],
+                                   GridSpec(1.0, 1.5, 2),
+                                   leading=[-1.0, 0.0], rows=[[-1.0, 1.0], [-1.0, 1.0]],
+                                   **_slopes(nf, [1.0, 1.5], [1.0, 1.0], [-1.0, -1.0]))
+        assert branch.undefined_slopes.tolist() == [False, True]
+        report = verify(nf, branch)
+        assert report["A1"].status == "fail"
+        assert (report["B3"].status, report["B3"].note) == (
+            "inconclusive", "leading coefficient a1 vanishes at x=1.5")
 
     def test_zero_eigenvalue_note_wins_at_the_same_point(self):
         # both points are undefined; the first also has Lambda = 0

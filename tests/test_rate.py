@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import log_damped_trapezoid, taylor_power_sum
+from oracles import log_damped_trapezoid, simpson_log_phi, taylor_power_sum
 
 from abelode import get_case, run_case
-from abelode.core import SolverConfig, build_equation, normalize
+from abelode.core import LeadingCoefficientError, SolverConfig, build_equation, normalize
 from abelode.equilibrium import (BranchPoint, EquilibriumBranch, GridSpec, branch_at,
                                  continue_branch)
-from abelode.expr import ExprDomainError
 from abelode.hypotheses import verify
 from abelode.radau import integrate
-from abelode.rate import _log_cumtrapz, diagnose, log_phi, rate_bound, remainder_constant
+from abelode.rate import (_log_cumtrapz, damped_drift, diagnose, log_phi, rate_bound,
+                          remainder_constant)
 
 
 class TestPhi:
@@ -23,15 +23,15 @@ class TestPhi:
         rate = run.branch.eigenvalues[0]  # flat branch: a_n * Lambda constant
         xs = np.array([0.5, 5.0, 17.3])
         points = branch_at(run.nf, run.branch, xs)
-        assert np.exp(log_phi(run.nf, run.branch, points)) == pytest.approx(
+        assert np.exp(log_phi(run.branch, points)) == pytest.approx(
             np.exp(rate * xs), rel=1e-9)
 
     def test_starts_at_one_and_decreases(self, case_runs):
         run = case_runs[3]
         start = branch_at(run.nf, run.branch, [run.branch.x_start])
-        assert log_phi(run.nf, run.branch, start).tolist() == [0.0]
+        assert log_phi(run.branch, start).tolist() == [0.0]
         points = branch_at(run.nf, run.branch, [1.0, 2.0, 5.0, 10.0])
-        values = np.exp(log_phi(run.nf, run.branch, points))
+        values = np.exp(log_phi(run.branch, points))
         assert (values[1:] < values[:-1]).all()
 
     def test_restart_point_shifts_normalization(self, case_runs):
@@ -45,8 +45,8 @@ class TestPhi:
             eigenvalues=branch.eigenvalues[at:], leading=branch.leading[at:],
             rows=branch.rows[at:], slopes=branch.slopes[at:],
             undefined_slopes=branch.undefined_slopes[at:])
-        head, full = log_phi(run.nf, branch, branch_at(run.nf, branch, [4.0, 10.0]))
-        tail = log_phi(run.nf, restarted, branch_at(run.nf, restarted, [10.0]))[0]
+        head, full = log_phi(branch, branch_at(run.nf, branch, [4.0, 10.0]))
+        tail = log_phi(restarted, branch_at(run.nf, restarted, [10.0]))[0]
         assert head + tail == pytest.approx(full, rel=1e-10)
 
     def test_out_of_range_message_prints_plain_floats(self, case_runs):
@@ -55,40 +55,86 @@ class TestPhi:
             branch_at(run.nf, run.branch, [-1.0, 5.0])
         assert str(info.value) == "x=-1.0 outside the branch range [0.0, 100.0]"
 
-    def test_partial_cells_read_a_n_alone_where_the_row_fails(self):
-        # the partial cell [0, 0.0025] has its midpoint at 0.00125, where
-        # a_0 fails: the cell reads a_n there, as a row without the log term
-        # does; where a_n itself fails, log_phi raises a_n's error
-        def logs(sources):
-            nf = normalize(build_equation(sources, 0.0))
-            branch = continue_branch(nf, GridSpec(0.0, 1.0, 201))
-            return log_phi(nf, branch, branch_at(nf, branch, [0.0025]))
-
-        assert logs(["-1 + 0*log(abs(x - 0.00125))", "1"]).tobytes() == \
-            logs(["-1", "1"]).tobytes()
-        with pytest.raises(ExprDomainError, match=r"at x=0\.00125$"):
-            logs(["-1", "1 + 0*log(abs(x - 0.00125))"])
-
-    def test_read_points_come_before_the_cell_midpoints(self):
-        # a_n fails at the first cell's midpoint, 0.0025, and at 0.5025: the
-        # read at 0.5025 raises there, before log_phi evaluates a_n at the
-        # cell midpoints; given points that evaluate, log_phi meets 0.0025
-        nf = normalize(build_equation(["-1", "1 + 0*log(abs((x - 0.0025)*(x - 0.5025)))"], 0.0))
-        branch = continue_branch(nf, GridSpec(0.0, 1.0, 201))
-        with pytest.raises(ExprDomainError, match=r"at x=0\.5025$"):
-            branch_at(nf, branch, [0.5025])
-        with pytest.raises(ExprDomainError, match=r"at x=0\.0025$"):
-            log_phi(nf, branch, branch_at(nf, branch, [0.5]))
-
     def test_cell_midpoints_near_the_largest_float(self, case_runs):
-        # 0.5 * (a + b) overflows from cell 1798 of this grid on, and in the
-        # partial cell of the last x; 0.5 * a + 0.5 * b does not (a
-        # RuntimeWarning fails the test)
+        # log_phi forms no cell midpoint, whose 0.5 * (a + b) would overflow
+        # from cell 1798 of this grid on and in the partial cell of the last
+        # x; the halved widths (x_{i+1} - x_i) / 2 and (x - x_i) / 2 stay in
+        # the floats (a RuntimeWarning fails the test)
         nf = case_runs[1].nf
         branch = continue_branch(nf, GridSpec(0.0, 1e308, 2001))
         assert verify(nf, branch).entries["B3"].status == "pass"
         points = branch_at(nf, branch, [0.99995e308])
-        assert np.exp(log_phi(nf, branch, points)).tolist() == [0.0]
+        assert np.exp(log_phi(branch, points)).tolist() == [0.0]
+
+    def test_trapezoid_error_within_its_a_priori_bound(self):
+        # a_n = 1/(1+x) and the monic rows of case 1: Lambda is constant
+        # and log Phi = Lambda ln(1+x).  The trapezoid rule's error is
+        # h^2/12 (f'(x) - f'(0)) - h^4/720 (f'''(x) - f'''(0)) + ... for
+        # f = Lambda / (1+s), so it lies within |Lambda| h^2/12 (1 - (1+x)^-2)
+        # by about h^2/5 = 2e-5 of it; the allowance factor 1 + 1e-6 covers
+        # the prefix sum's rounding, at most 2,000 eps |log Phi| < 1e-12,
+        # which is below 1e-7 of the bound at every x >= h (fixed before the
+        # first run)
+        nf = normalize(build_equation(["1/(1+x)", "-3/(1+x)", "1/(1+x)", "1/(1+x)"], 0.0))
+        branch = continue_branch(nf, GridSpec(0.0, 20.0, 2001))
+        lam, h, xs = branch.eigenvalues[0], 0.01, branch.xs
+        assert np.abs(branch.eigenvalues - lam).max() <= 4 * np.finfo(float).eps * abs(lam)
+        bound = abs(lam) * h * h / 12.0 * (1.0 - (1.0 + xs) ** -2.0)
+        error = np.abs(log_phi(branch, branch) - lam * np.log1p(xs))
+        assert (error <= (1.0 + 1e-6) * bound).all()
+        assert error[-1] >= 0.5 * bound[-1]  # second order: the rule is not Simpson's
+
+    @pytest.mark.parametrize("cid,x_max", [(1, None), (2, None), (3, None), (2, 2e5)])
+    def test_cases_match_the_simpson_reference(self, cid, x_max):
+        # no case's a_n has x, so Simpson with a_n at the cell midpoints
+        # and the chord Lambda gives the trapezoid sum up to rounding: the
+        # branch grid and the accepted points the rate bound reads
+        run = run_case(cid, x_max)
+        points = branch_at(run.nf, run.branch, run.result.xs[run.branch.covers(run.result.xs)])
+        _assert_simpson_reference(run.nf, run.branch, points)
+
+    @pytest.mark.parametrize("batch", [0, 1, 2])
+    def test_generated_families_match_the_simpson_reference(self, stiff_inputs, batch):
+        # the 72 equations of stiff_equations(901, 0..2), whose a_n has no
+        # x, on GridSpec(0, x_end, 2001): the grid and a point 0.3 into
+        # every cell; |log Phi| reaches about 1e5 on them
+        for generated in stiff_inputs.stiff_equations(901, batch):
+            nf = normalize(build_equation(list(generated.coefficients), 0.0))
+            branch = continue_branch(nf, GridSpec(0.0, generated.x_end, 2001))
+            xs = branch.xs[:-1] + 0.3 * np.diff(branch.xs)
+            _assert_simpson_reference(nf, branch, branch_at(nf, branch, xs))
+
+    def test_vanishing_leading_coefficient_is_named(self):
+        # a_1 = 2x - 3 vanishes at 1.5, where every coefficient evaluates:
+        # damped_drift names it as NormalForm.sample does, not as an
+        # undefined E'
+        nf = normalize(build_equation(["-1", "2*x - 3"], 1.0))
+        branch = EquilibriumBranch([1.0, 2.0], [1.0, 1.0], [-1.0, -1.0], GridSpec(1.0, 2.0, 2),
+                                   leading=[-1.0, 1.0], rows=[[-1.0, 1.0], [-1.0, 1.0]],
+                                   slopes=[0.0, 0.0], undefined_slopes=[False, False])
+        message = r"^leading coefficient a1 vanishes at x=1\.5$"
+        with pytest.raises(LeadingCoefficientError, match=message):
+            nf.sample(1.5)
+        with pytest.raises(LeadingCoefficientError, match=message):
+            damped_drift(branch, branch_at(nf, branch, [1.25, 1.5, 1.75]))
+
+
+#: log Phi against the frozen Simpson reference, relative to max(1, |log
+#: Phi|): a few roundings of each of 2,000 cell terms; fixed before the
+#: first run
+SIMPSON_TOL = 1e-12
+
+
+def _assert_simpson_reference(nf, branch, points):
+    """log_phi on the branch itself and at points within SIMPSON_TOL of
+    oracles.simpson_log_phi."""
+    for at in (branch, points):
+        want = simpson_log_phi(branch.xs, branch.leading, branch.eigenvalues,
+                               nf.equation.leading.eval_array,
+                               (at.xs, at.leading, at.eigenvalues))
+        got = log_phi(branch, at)
+        assert np.isfinite(want).all()
+        assert (np.abs(got - want) <= SIMPSON_TOL * np.maximum(1.0, np.abs(want))).all()
 
 
 @st.composite
