@@ -81,6 +81,11 @@ __all__ = [
 class LeadingCoefficientError(ValueError):
     """Leading coefficient vanished at some x; no normal form exists there."""
 
+    def __init__(self, degree: int, x: float):
+        super().__init__(f"leading coefficient a{degree} vanishes at x={x!r}")
+        self.degree = degree
+        self.x = x
+
 
 class BranchError(RuntimeError):
     """Branch continuation or root isolation failed; carries the offending x."""
@@ -162,9 +167,7 @@ class NormalForm:
         if an is None:
             an = self.equation.leading(x)
         if an == 0.0:
-            raise LeadingCoefficientError(
-                f"leading coefficient a{self.degree} vanishes at x={x!r}"
-            )
+            raise LeadingCoefficientError(self.degree, x)
         return an
 
     def sample(self, x: float) -> tuple[float, list[float]]:

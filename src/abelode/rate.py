@@ -87,9 +87,6 @@ def log_phi(branch: EquilibriumBranch,
     with np.errstate(over="ignore", invalid="ignore"):
         g = branch.leading * branch.eigenvalues
         prefix = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(xs) * (g[:-1] + g[1:]))))
-    if points is branch:
-        return prefix
-
     i = np.searchsorted(xs, points.xs, side="right") - 1
     out = prefix[i]
     part = np.flatnonzero(points.xs != xs[i])
@@ -150,8 +147,7 @@ def damped_drift(branch: EquilibriumBranch, points: EquilibriumBranch | BranchRe
     if stop.size:
         x = float(points.xs[stop[0]])
         if points.leading[stop[0]] == 0.0:
-            raise LeadingCoefficientError(
-                f"leading coefficient a{branch.rows.shape[1] - 1} vanishes at x={x!r}")
+            raise LeadingCoefficientError(branch.rows.shape[1] - 1, x)
         if points.eigenvalues[stop[0]] == 0.0:
             raise ZeroEigenvalueError(x)
         raise ExprDomainError(_undefined_slope(x))

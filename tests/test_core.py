@@ -385,8 +385,7 @@ def _tree_sample(nf):
     def sample(x):
         an = coeffs[-1].eval(x)
         if an == 0.0:
-            raise LeadingCoefficientError(
-                f"leading coefficient a{len(coeffs) - 1} vanishes at x={x!r}")
+            raise LeadingCoefficientError(len(coeffs) - 1, x)
         return an, [c.eval(x) / an for c in coeffs[:-1]] + [1.0]
 
     return sample

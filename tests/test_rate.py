@@ -115,8 +115,9 @@ class TestPhi:
         message = r"^leading coefficient a1 vanishes at x=1\.5$"
         with pytest.raises(LeadingCoefficientError, match=message):
             nf.sample(1.5)
-        with pytest.raises(LeadingCoefficientError, match=message):
+        with pytest.raises(LeadingCoefficientError, match=message) as err:
             damped_drift(branch, branch_at(nf, branch, [1.25, 1.5, 1.75]))
+        assert (err.value.degree, err.value.x) == (1, 1.5)
 
 
 #: log Phi against the frozen Simpson reference, relative to max(1, |log
