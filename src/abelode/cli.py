@@ -48,6 +48,12 @@ def _g17(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _plateau(value: float, spec: str) -> str:
+    """A plateau estimate in the format spec, or none for the NaN of a run
+    that did not complete (rate.diagnose)."""
+    return "none" if math.isnan(value) else format(value, spec)
+
+
 def _finite_float(text: str) -> float:
     """argparse type for numeric flags: a finite float, else a usage error
     that names the flag."""
@@ -180,7 +186,8 @@ def _cmd_case(args) -> int:
                        [(2, "E(x)"), (3, "Lambda(x)")], "branch",
                        logx=args.id == 2)
 
-    print(f"case {args.id}: L_numeric={run.diagnostics.L_numeric:.9f}, gap={run.gap:.3e}")
+    print(f"case {args.id}: L_numeric={_plateau(run.diagnostics.L_numeric, '.9f')}, "
+          f"gap={run.gap:.3e}")
     return _exit_code(run.result, _branch_outputs(run, out_dir, True))
 
 
@@ -279,9 +286,9 @@ def _cmd_spread(args) -> int:
             + " mu=" + _g17(p.mu) + " r=" + _g17(p.r)
             + " eta1=" + _g17(p.eta1) + " eta2=" + _g17(p.eta2)
         )
-    preamble.append(f"# plateau_bp={_g17(curve.plateau_bp)}")
+    preamble.append(f"# plateau_bp={_plateau(curve.plateau_bp, '.17g')}")
     preamble.append(
-        f"# L_numeric={_g17(diag.L_numeric)} converged={diag.converged}"
+        f"# L_numeric={_plateau(diag.L_numeric, '.17g')} converged={diag.converged}"
         f" trapping_ok={diag.trapping_ok} monotone_ok={diag.monotone_ok}"
         f" max_violation={_g17(diag.max_violation)}"
     )
@@ -289,7 +296,7 @@ def _cmd_spread(args) -> int:
     if args.gnuplot:
         _write_gnuplot(out_dir, "spread.gp", "spread.csv", [(2, "s(x)")], "spread")
 
-    print(f"plateau_bp={curve.plateau_bp:.4f} converged={diag.converged}")
+    print(f"plateau_bp={_plateau(curve.plateau_bp, '.4f')} converged={diag.converged}")
     return _exit_code(curve.result, None)
 
 

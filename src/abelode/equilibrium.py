@@ -16,8 +16,12 @@ at a fixed point of the Newton step, which the polish cannot move.  One
 kernel does this for a stack of rows in lockstep, every pass a ufunc
 over coefficient columns (rows.T, read without a stride), and returns
 root columns; each row's roots are bit-identical to what it gives alone,
-a run of bitwise-identical adjacent rows is isolated once, and a single
-abscissa is a stack of one.
+and a run of bitwise-identical adjacent rows is isolated once.  A stack
+with one distinct row (a single abscissa, a refinement midpoint, the
+derivative levels of a table whose rows differ only in lambda_0, a
+constant table) runs the same steps on Python floats, bit for bit: a
+ufunc over one column moves one number, and numpy's cost per call, over
+the kernel's few hundred passes, is most of its time.
 
 A branch E(x) is continued across a grid: every grid row is sampled and
 isolated up front, skipping (on grid rows and refinement midpoints) the
@@ -256,7 +260,8 @@ def _rounding_bound(cols, t):
     on the rounding error of Horner's rule from the leading coefficient at t,
     for the polynomials with ascending coefficient columns cols (degree n =
     len(cols) - 1; Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    section 5.1), gamma_m = m u / (1 - m u), u = 2^-53.
+    section 5.1), gamma_m = m u / (1 - m u), u = 2^-53.  cols and t are
+    arrays, or one row's floats and a float.
 
     The sum is itself Horner's rule, on |c_k| and |t|, so it is at least the
     computed |F(t)|, and inf wherever that overflows: an inf bound
@@ -267,7 +272,7 @@ def _rounding_bound(cols, t):
     """
     n = len(cols) - 1
     gamma = 2 * n * 2.0 ** -53 / (1.0 - 2 * n * 2.0 ** -53)
-    return ROUNDING_MARGIN * gamma * _horner(np.abs(cols), np.abs(t))
+    return ROUNDING_MARGIN * gamma * _horner([abs(c) for c in cols], abs(t))
 
 
 def _predict(cols, dcols, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray):
@@ -426,7 +431,10 @@ def _isolate(cols: np.ndarray, floor: float = -math.inf) -> np.ndarray:
     F(0) = 0 and so no bracket next to it), and merged into the last kept
     one within 4 BISECT_TOL (relative).  Only the first of each run of
     bitwise-identical adjacent polynomials is isolated; the others copy its
-    bytes.  The rows of cols.T must pass _check_rows.
+    bytes.  A stack with one distinct polynomial runs these steps on its
+    Python floats (_isolate_row), bit for bit, in about an eighth of the
+    time numpy's passes over one column take.  The rows of cols.T must pass
+    _check_rows.
     """
     width, n = cols.shape
     if width == 2:
@@ -437,6 +445,8 @@ def _isolate(cols: np.ndarray, floor: float = -math.inf) -> np.ndarray:
         first = np.append(True, np.logical_or.reduce(bits[:, 1:] != bits[:, :-1]))
         if not first.all():
             return _isolate(cols.compress(first, axis=1), floor).take(np.cumsum(first) - 1, axis=1)
+    if n == 1:
+        return np.array(_isolate_row(cols[:, 0].tolist(), floor))[:, None]
     deriv = cols[1:] * np.arange(1.0, width)[:, None]
     critical = _isolate(deriv / deriv[-1])
     k = len(critical)
@@ -491,6 +501,134 @@ def _isolate(cols: np.ndarray, floor: float = -math.inf) -> np.ndarray:
     return merged[:w * n].reshape(w, n)
 
 
+# The one-row path: _isolate's steps on one row of Python floats, in the
+# same order, so each gives the lockstep kernel's bits.  Python floats
+# round as numpy's do; where Python differs (a division by zero, np.sign,
+# and np.maximum and np.minimum, which keep NaN), this code gives numpy's
+# results.
+
+def _sign(t: float) -> float:
+    """np.sign of a float: 0.0 for either zero, NaN for NaN."""
+    return 1.0 if t > 0.0 else -1.0 if t < 0.0 else 0.0 if t == 0.0 else t
+
+
+def _quotient(a: float, b: float) -> float:
+    """a / b as numpy divides: +-inf or NaN where b is a zero."""
+    if b != 0.0:
+        return a / b
+    if a == 0.0 or math.isnan(a):
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _predict_row(row: list, drow: list, lo: float, hi: float, flo: float):
+    """_predict for one cut bracket [lo, hi] of the monic row (drow its
+    derivative, flo the value at lo): x, whether it is certified, whether
+    it is a fixed point.  The clamps keep NaN, as np.maximum and np.minimum
+    do, and return the bound where the step equals it."""
+    x, prev = lo + 0.5 * (hi - lo), math.nan
+    for _ in range(PREDICTION_STEPS):
+        step = x - _quotient(_horner(row, x), _horner(drow, x))
+        step = step if step > lo or step != step else lo
+        step = step if step < hi or step != step else hi
+        fixed = step == x
+        settled = fixed or step == prev
+        prev, x = x, step
+        if settled:
+            x = x if x < prev else prev
+            break
+    u, v = x - CERTIFIED_HALF_WIDTH, x + CERTIFIED_HALF_WIDTH
+    if x - u > CERTIFIED_HALF_WIDTH:
+        u = math.nextafter(u, x)
+    if v - x > CERTIFIED_HALF_WIDTH:
+        v = math.nextafter(v, x)
+    sign = _sign(flo)
+    certified = (lo <= u and v <= hi
+                 and sign * _horner(row, u) > _rounding_bound(row, u)
+                 and -sign * _horner(row, v) > _rounding_bound(row, v))
+    return x, certified, fixed
+
+
+def _sign_steps_row(row: list, lo: float, hi: float, flo: float) -> float:
+    """_sign_steps for one cut bracket [lo, hi] of the monic row."""
+    width = hi - lo
+    nearer = abs(lo) <= abs(hi)
+    origin = lo if nearer else hi
+    mantissa, exponent = math.frexp(width)
+    steps = min(exponent - _TOL_EXPONENT + (mantissa > _TOL_MANTISSA),
+                exponent - math.frexp(origin)[1] + 54)
+    offset, step = (0.5 if nearer else -0.5) * width, 0.25 * math.copysign(width, -flo)
+    for _ in range(steps if width > 0.0 else 0):
+        offset -= _sign(_horner(row, origin + offset)) * step
+        step *= 0.5
+    return origin + offset
+
+
+def _bisect_row(row: list, drow: list, lo: float, hi: float, flo: float):
+    """_bisect for one bracket [lo, hi] of the monic row: its root to
+    BISECT_TOL and whether Newton's polish may move it."""
+    if lo < 0.0 < hi:  # _cut
+        f0 = _sign(row[0])
+        right = f0 == _sign(flo)
+        lo, hi = (0.0 if right or f0 == 0.0 else lo), (hi if right else 0.0)
+    root, certified, fixed = _predict_row(row, drow, lo, hi, flo)
+    if not certified:
+        root = _sign_steps_row(row, lo, hi, flo)
+    return root, not (certified and fixed)
+
+
+def _bracket_root_row(row: list, drow: list, lo: float, hi: float, flo: float,
+                      tol: float) -> float:
+    """_bracket_roots for one bracket [lo, hi] of the monic row: _bisect_row's
+    root, polished where it allows inside [lo, hi] as given."""
+    x, polish = _bisect_row(row, drow, lo, hi, flo)
+    if polish:
+        fx = _horner(row, x)
+        for _ in range(5):
+            d = _horner(drow, x)
+            if abs(fx) <= tol or d == 0.0:
+                break
+            candidate = x - fx / d
+            if not lo <= candidate <= hi:
+                break
+            fc = _horner(row, candidate)
+            if abs(fc) >= abs(fx):
+                break
+            x, fx = candidate, fc
+    return x
+
+
+def _isolate_row(row: list, floor: float = -math.inf) -> list:
+    """_isolate on one monic row of floats (floor as there): its real roots,
+    ascending, from the same partition, brackets, candidates and merge."""
+    if len(row) == 2:
+        return [-row[0]]
+    deriv = [k * c for k, c in enumerate(row[1:], 1)]
+    critical = _isolate_row([d / deriv[-1] for d in deriv])
+    top = max(abs(c) for c in row[:-1])
+    bound, tol = 2.0 * (1.0 + top), NEWTON_RESIDUAL_TOL * (1.0 + max(top, abs(row[-1])))
+    pts = [-bound] + [c for c in critical if c < bound] + [bound]
+    vals = [_horner(row, t) for t in pts]
+    # candidates in ascending order, as _isolate takes them
+    candidates = [-bound] if vals[0] == 0.0 else []
+    for i in range(1, len(pts)):
+        lo, hi, fa, fb = pts[i - 1], pts[i], vals[i - 1], vals[i]
+        if hi >= floor and fa != 0.0 and fb != 0.0 and not fa * fb > 0.0:
+            candidates.append(_bracket_root_row(row, deriv, lo, hi, fa, tol))
+        if i < len(pts) - 1:
+            near_zero = _rounding_bound(row, hi)
+            if (abs(fb) <= near_zero and math.isfinite(near_zero)
+                    and fa * fb >= 0.0 and fb * vals[i + 1] >= 0.0):
+                candidates.append(hi)
+    if vals[-1] == 0.0:
+        candidates.append(bound)
+    roots = []
+    for c in candidates:
+        if c == c and not (roots and abs(c - roots[-1]) <= 4.0 * BISECT_TOL * max(1.0, abs(c))):
+            roots.append(c)
+    return roots
+
+
 def _isolate_roots(xs, rows: np.ndarray, floor: float = -math.inf) -> np.ndarray:
     """Real roots of the monic rows (N, n+1) sampled at xs, after
     _check_rows, as _isolate gives them (floor as there) but transposed to
@@ -530,7 +668,8 @@ def _branch_floor(n: int) -> float:
 
 
 def real_roots(nf: NormalForm, x: float) -> list[float]:
-    """All real equilibria of F(x, .) in ascending order: a stack of one."""
+    """All real equilibria of F(x, .) in ascending order: a stack of one,
+    isolated on _isolate's one-row path."""
     return _isolate_roots([x], np.array([nf.sample(x)[1]]))[0].tolist()
 
 

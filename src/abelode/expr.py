@@ -62,11 +62,10 @@ in its own namespace, holding its own constants, and keeps its own
 rows with one code object.
 
 compile_dual evaluates a row on a 1-D grid at once, as the columns of
-what compile_row gives point by point, bit for bit; Expr.eval_array is
-the values of one expression.  x is the pair (xs, 1), and each operation
-gives its value and, by the chain rule, its slope (forward-mode
-differentiation; Griewank and Walther, Evaluating Derivatives, 2nd ed.,
-SIAM 2008, ch. 3):
+what compile_row gives point by point, bit for bit.  x is the pair
+(xs, 1), and each operation gives its value and, by the chain rule, its
+slope (forward-mode differentiation; Griewank and Walther, Evaluating
+Derivatives, 2nd ed., SIAM 2008, ch. 3):
 
   * "+ - * /" and "0.0 - a" by the sum, product and quotient rules;
   * exp(u)' = exp(u) u', log(u)' = u'/u, sqrt(u)' = u'/(2 sqrt u) and
@@ -433,16 +432,14 @@ def _close(tokens: list) -> None:
 class Expr:
     """A parsed expression in the single variable x.
 
-    Immutable but for eval_array's function, built on first use and the
-    same whichever thread builds it; safe to share between threads.
+    Immutable; safe to share between threads.
     """
 
-    __slots__ = ("source", "ast", "_grid")
+    __slots__ = ("source", "ast")
 
     def __init__(self, source: str, ast: object):
         self.source = source
         self.ast = ast
-        self._grid = None
 
     def __call__(self, x: float) -> float:
         return self.eval(x)
@@ -453,15 +450,6 @@ class Expr:
         if not math.isfinite(value):
             raise ExprDomainError(f"non-finite value {value!r} at x={x!r}")
         return value
-
-    def eval_array(self, xs) -> np.ndarray:
-        """Evaluate at every abscissa of the 1-D xs: the values eval gives
-        point by point, or the ExprDomainError eval raises at the first
-        failing point; the values of compile_dual([self]), built on first
-        use."""
-        if self._grid is None:
-            self._grid = compile_dual([self])
-        return self._grid(xs)[0][0]
 
     def pretty(self) -> str:
         """Render with minimal parentheses; parse(pretty()) evaluates identically."""

@@ -235,7 +235,9 @@ def diagnose(
     converged means the run completed and the trajectory moved at most 1e-8
     over the last 10% of its x-range: a run that stopped early (not
     result.completed) never converged, even where it ended without
-    advancing, so that its window is empty.
+    advancing, so that its window is empty.  L_numeric is the final value
+    of a completed run and NaN for one that stopped early, whose last value
+    estimates no plateau.
     """
     config = config or SolverConfig()
     xs, ys = result.xs, result.ys
@@ -264,7 +266,7 @@ def diagnose(
     return PlateauDiagnostics(
         trapping_ok,
         monotone_ok,
-        result.final_y,
+        result.final_y if result.completed else math.nan,
         converged,
         max(violations),
     )

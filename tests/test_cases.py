@@ -7,7 +7,6 @@ from abelode import cli, equilibrium
 from abelode.cases import get_case, run_case
 from abelode.core import AbelEquation
 from abelode.equilibrium import BranchPoint, continue_branch
-from abelode.expr import Expr
 from abelode.hypotheses import verify
 from abelode.radau import integrate
 from abelode.rate import rate_bound
@@ -139,7 +138,7 @@ class TestArrayEvaluation:
         # its rate bound evaluates the row once on the accepted points, and
         # Phi reads a_n and Lambda there from that reading and on the grid
         # from the branch: nothing else is evaluated
-        calls, arrays = [], []
+        calls = []
         compiled = vars(AbelEquation)["grid"]
 
         def counted(self):
@@ -147,11 +146,8 @@ class TestArrayEvaluation:
             return lambda xs: calls.append(len(xs)) or grid(xs)
 
         monkeypatch.setattr(AbelEquation, "grid", property(counted))
-        eval_array = Expr.eval_array
-        monkeypatch.setattr(Expr, "eval_array",
-                            lambda self, xs: arrays.append(len(xs)) or eval_array(self, xs))
         run = run_case(3)
-        assert calls == [run.branch.xs.size] and arrays == []
+        assert calls == [run.branch.xs.size]
         assert run.branch.refinements == 0
         calls.clear()
         rows_sampled.clear()
@@ -159,7 +155,7 @@ class TestArrayEvaluation:
         off_grid = int(np.count_nonzero(~np.isin(bound.xs, run.branch.xs)))
         assert (bound.xs.size, off_grid) == (34, 32)
         assert calls == [bound.xs.size]
-        assert arrays == [] and rows_sampled == [] and eval_calls == []
+        assert rows_sampled == [] and eval_calls == []
 
     @pytest.mark.parametrize("cid", [1, 2, 3])
     def test_branch_isolates_its_table_in_one_call(self, case_runs, cid, monkeypatch):
@@ -180,13 +176,18 @@ class TestArrayEvaluation:
         # coefficient that varies, so every case's derivative rows are one
         # row with at most 2 brackets (case 1: at most 5 brackets in all)
         brackets = []
-        original = equilibrium._bisect
+        original, original_row = equilibrium._bisect, equilibrium._bisect_row
 
         def counted(cols, *args):
             brackets.append((len(cols) - 1, cols.shape[1]))
             return original(cols, *args)
 
+        def counted_row(row, *args):
+            brackets.append((len(row) - 1, 1))
+            return original_row(row, *args)
+
         monkeypatch.setattr(equilibrium, "_bisect", counted)
+        monkeypatch.setattr(equilibrium, "_bisect_row", counted_row)
         run = case_runs[cid]
         continue_branch(run.nf, run.case.branch_grid())
         cubic = sum(n for degree, n in brackets if degree == 3)

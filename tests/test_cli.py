@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from strategies import expressions
 
-from abelode import get_case, reduce_about
+from abelode import SolverConfig, cli, get_case, reduce_about
 from abelode.cli import _g17, _write_csv, main
 from abelode.reduction import NotASolutionError
 
@@ -80,6 +80,13 @@ class TestCaseCommand:
         payload = read_report(tmp_path / "c1")
         assert {c["id"]: c["status"] for c in payload["checks"]} == {
             k: "pass" for k in ("A1", "A2", "A3", "A4", "B1", "B2", "B3")}
+
+    def test_run_that_did_not_complete_reports_no_plateau(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_solver_from_flags", lambda args: SolverConfig(max_steps=1))
+        code, out, err = run(["case", "1", "--out", tmp_path / "c1"])
+        assert code == 1
+        assert out.startswith("case 1: L_numeric=none, gap=")
+        assert err == "integration failed: step-failure: max_steps=1 exceeded\n"
 
     def test_longer_horizon(self, tmp_path):
         code, out, _ = run(["case", "2", "--x-max", "2000", "--out", tmp_path / "o"])
@@ -565,15 +572,21 @@ class TestSpreadCommand:
                        "max_steps = 1\n")
         code, out, err = run(["spread", "--config", cfg, "--out", tmp_path / "s"])
         assert code == 1
-        assert out == "plateau_bp=0.0000 converged=False\n"
+        assert out == "plateau_bp=none converged=False\n"
         assert err == "integration failed: step-failure: max_steps=1 exceeded\n"
 
     def test_parametric_positive_rate_fails_numerically(self, tmp_path):
         cfg = tmp_path / "m.cfg"
         cfg.write_text("sigma0_sq = 1.2\nmu = 1.5\nr = 0.01\neta1 = 0.1\neta2 = 0.05\n")
-        code, _, err = run(["spread", "--config", cfg, "--out", tmp_path / "s"])
+        code, out, err = run(["spread", "--config", cfg, "--out", tmp_path / "s"])
         assert code == 1
         assert "integration failed" in err
+        # the escaping trajectory's last value is no plateau
+        assert out == "plateau_bp=none converged=False\n"
+        meta = [l for l in (tmp_path / "s" / "spread.csv").read_text().splitlines()
+                if l.startswith("#")]
+        assert "# plateau_bp=none" in meta
+        assert any(l.startswith("# L_numeric=none converged=False ") for l in meta)
 
     def test_flag_conflicts(self, tmp_path):
         cfg = tmp_path / "m.cfg"

@@ -44,12 +44,13 @@ def _filler(degree, count=2000):
     return np.hstack([rng.uniform(-5.0, 5.0, (count, degree)), np.ones((count, 1))])
 
 
-def _isolated_in_batch(row, position):
-    """Roots of row isolated inside a 2001-row batch and isolated alone."""
+def _isolated_in_batch(row, position, floor=-math.inf):
+    """Roots of row isolated inside a 2001-row batch (the lockstep path) and
+    isolated alone (the one-row path)."""
     row = np.asarray(row, dtype=float)
     batch = np.insert(_filler(len(row) - 1), position, row, axis=0)
-    in_batch = _isolate_roots(np.arange(len(batch)), batch)[position]
-    alone = _isolate_roots([0.0], row[None, :])[0]
+    in_batch = _isolate_roots(np.arange(len(batch)), batch, floor)[position]
+    alone = _isolate_roots([0.0], row[None, :], floor)[0]
     return in_batch[~np.isnan(in_batch)], alone
 
 
@@ -305,7 +306,8 @@ def _scan_resolves(row, roots):
 
 class TestLockstepIsolation:
     """The lockstep kernel isolates each row exactly as it would alone, and
-    agrees with the scan oracle where the roots are well conditioned.
+    agrees with the scan oracle where the roots are well conditioned.  A
+    row alone takes the one-row path, so these tests compare the two paths.
 
     The oracle is asserted on rows built from their roots only: a random
     coefficient row can sit arbitrarily close to a multiple root, where
@@ -321,9 +323,11 @@ class TestLockstepIsolation:
         coefficients=st.integers(1, 5).flatmap(
             lambda n: st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)),
         position=st.integers(0, 2000),
+        floored=st.booleans(),
     )
-    def test_random_row_same_in_batch_as_alone(self, coefficients, position):
-        in_batch, alone = _isolated_in_batch(coefficients + [1.0], position)
+    def test_random_row_same_in_batch_as_alone(self, coefficients, position, floored):
+        floor = _branch_floor(len(coefficients)) if floored else -math.inf
+        in_batch, alone = _isolated_in_batch(coefficients + [1.0], position, floor)
         assert in_batch.tobytes() == alone.tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -440,6 +444,32 @@ class TestLockstepIsolation:
         assert roots.size == len(expected)
         assert np.all(np.abs(roots - expected) <= 1e-9 * np.maximum(1.0, np.abs(expected)))
 
+    def test_one_distinct_row_takes_the_one_row_path(self, monkeypatch):
+        # a stack with one distinct row never reaches the lockstep _bisect:
+        # real_roots, a midpoint's isolation and case 1's constant table at
+        # every level; case 2's 2,001 distinct rows do reach it
+        class Lockstep(Exception):
+            pass
+
+        def refuse(*args):
+            raise Lockstep
+
+        monkeypatch.setattr(equilibrium, "_bisect", refuse)
+        for cid in (1, 2, 3):
+            case = get_case(cid)
+            nf, grid = normalize(case.equation), case.branch_grid()
+            for x in (grid.x_start, grid.x_end):
+                assert real_roots(nf, x)
+        case = get_case(1)
+        continue_branch(normalize(case.equation), case.branch_grid())
+        case = get_case(2)
+        nf, grid = normalize(case.equation), case.branch_grid()
+        xs = grid.xs()
+        mid = grid.midpoint(xs[0], xs[1])
+        assert _isolate_roots([mid], nf.sample_grid([mid])[1]).shape == (1, 3)
+        with pytest.raises(Lockstep):
+            continue_branch(nf, grid)
+
     def test_scan_oracle_survives_underflowing_products(self):
         # the scan once tested signs by fa * fm < 0.0, which underflows to
         # -0.0 here and moved the bisection to a false root at 0.0004
@@ -451,11 +481,13 @@ class TestLockstepIsolation:
 
 
 def _kernel_brackets(run):
-    """Every bracket _bisect was given while run() ran, one tuple per call:
-    the rows of its brackets (K, n+1), lo, hi and flo as given, the roots it
-    returned and the mask of those _predict certified."""
+    """Every bracket _bisect or _bisect_row was given while run() ran, one
+    tuple per call: the rows of its brackets (K, n+1), lo, hi and flo as
+    given, the roots it returned and the mask of those _predict or
+    _predict_row certified (K = 1 on the one-row path)."""
     calls, masks = [], []
     bisect, predict = equilibrium._bisect, equilibrium._predict
+    bisect_row, predict_row = equilibrium._bisect_row, equilibrium._predict_row
 
     def recording_predict(*args):
         root, certified, fixed = predict(*args)
@@ -467,11 +499,23 @@ def _kernel_brackets(run):
         calls.append((cols.T, lo, hi, flo, root.copy(), masks.pop()))
         return root, polish
 
+    def recording_predict_row(*args):
+        root, certified, fixed = predict_row(*args)
+        masks.append(np.array([certified]))
+        return root, certified, fixed
+
+    def recording_bisect_row(row, drow, lo, hi, flo):
+        root, polish = bisect_row(row, drow, lo, hi, flo)
+        calls.append((np.array([row]), *np.array([[lo], [hi], [flo], [root]]), masks.pop()))
+        return root, polish
+
     equilibrium._bisect, equilibrium._predict = recording_bisect, recording_predict
+    equilibrium._bisect_row, equilibrium._predict_row = recording_bisect_row, recording_predict_row
     try:
         run()
     finally:
         equilibrium._bisect, equilibrium._predict = bisect, predict
+        equilibrium._bisect_row, equilibrium._predict_row = bisect_row, predict_row
     return calls
 
 
@@ -540,7 +584,7 @@ class TestCertifiedPrediction:
     def test_against_the_frozen_sign_steps(self, source):
         # uncertified brackets are the frozen copy's bytes; certified roots
         # lie within CERTIFIED_FROM_BISECTED max(1, |r|) of its root r
-        uncertified = 0
+        brackets = uncertified = 0
         for rows, lo, hi, flo, roots, certified in _brackets(source):
             with np.errstate(over="ignore", invalid="ignore"):
                 reference = reference_bisect(rows, np.arange(len(rows)), lo, hi, flo)
@@ -548,7 +592,9 @@ class TestCertifiedPrediction:
             r = reference[certified]
             assert np.all(np.abs(roots[certified] - r)
                           <= CERTIFIED_FROM_BISECTED * np.maximum(1.0, np.abs(r)))
+            brackets += roots.size
             uncertified += np.count_nonzero(~certified)
+        assert brackets >= {1: 5, 2: 6000, 3: 1000, "seeded": 2300}[source]
         if source == "seeded":
             assert uncertified > 0  # the sign steps still run on these rows
 
@@ -556,13 +602,18 @@ class TestCertifiedPrediction:
     def test_every_bracket_through_the_sign_steps(self, source, monkeypatch):
         # with no prediction certified, every bracket, at every step count,
         # takes the sign steps and gives the frozen copy's bytes
-        predict = equilibrium._predict
+        predict, predict_row = equilibrium._predict, equilibrium._predict_row
 
         def uncertified(*args):
             x, certified, fixed = predict(*args)
             return x, np.zeros_like(certified), fixed
 
+        def uncertified_row(*args):
+            x, _, fixed = predict_row(*args)
+            return x, False, fixed
+
         monkeypatch.setattr(equilibrium, "_predict", uncertified)
+        monkeypatch.setattr(equilibrium, "_predict_row", uncertified_row)
         brackets, binades = 0, set()
         # uncached: _brackets holds the brackets of the unpatched kernel
         for rows, lo, hi, flo, roots, certified in _brackets.__wrapped__(source):
@@ -584,6 +635,8 @@ class TestCertifiedPrediction:
         stepped = []
         monkeypatch.setattr(equilibrium, "_sign_steps",
                             lambda cols, *args: stepped.append(cols.shape[1]))
+        monkeypatch.setattr(equilibrium, "_sign_steps_row",
+                            lambda row, *args: stepped.append(1))
         case = get_case(cid)
         nf, grid = normalize(case.equation), case.branch_grid()
         continue_branch(nf, grid)
@@ -883,13 +936,18 @@ class TestBranchContinuation:
         case = get_case(2)
         nf, xs = normalize(case.equation), case.branch_grid().xs()
         brackets = []
-        original = equilibrium._bisect
+        original, original_row = equilibrium._bisect, equilibrium._bisect_row
 
         def counted(cols, *args):
             brackets.append((len(cols) - 1, cols.shape[1]))
             return original(cols, *args)
 
+        def counted_row(row, *args):
+            brackets.append((len(row) - 1, 1))
+            return original_row(row, *args)
+
         monkeypatch.setattr(equilibrium, "_bisect", counted)
+        monkeypatch.setattr(equilibrium, "_bisect_row", counted_row)
         continue_branch(nf, case.branch_grid())
         assert sum(n for degree, n in brackets if degree == 3) == 2 * 2001
         full = _isolate_roots(xs, nf.sample_grid(xs)[1])
@@ -898,7 +956,7 @@ class TestBranchContinuation:
             brackets.clear()
             roots = real_roots(nf, x)
             assert len(roots) == 3 and roots[0] < 0.0 < roots[1]
-            assert [n for degree, n in brackets if degree == 3] == [3]
+            assert sum(n for degree, n in brackets if degree == 3) == 3
 
     def test_limit_none_when_tail_still_moving(self):
         eq = build_equation(["3 - 2*exp(-2*x)", "-4", "0", "1"], 0.0)

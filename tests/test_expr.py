@@ -303,16 +303,22 @@ def _stacked(row, size):
     return lambda xs: np.array([row(x) for x in xs], dtype=float).reshape(len(xs), size).T
 
 
+def _array(expr):
+    """expr's values on a grid, as a row of one from compile_dual."""
+    return lambda xs: compile_dual([expr])(xs)[0][0]
+
+
 class TestArrayEvaluation:
-    """eval_array gives eval's values bit for bit, or eval's error for the
-    first failing point; compile_dual's values are compile_row's rows as
-    columns, or the error compile_row raises at the first failing point."""
+    """A row of one from compile_dual gives eval's values bit for bit, or
+    eval's error for the first failing point; compile_dual's values are
+    compile_row's rows as columns, or the error compile_row raises at the
+    first failing point."""
 
     @settings(max_examples=300, deadline=None)
     @given(source=expressions, xs=grids, rest=st.lists(expressions, max_size=3))
     def test_array_path_equals_scalar_path(self, source, xs, rest):
         expr = parse(source)
-        assert _outcome(expr.eval_array, xs) == _outcome(_scalar(expr), xs)
+        assert _outcome(_array(expr), xs) == _outcome(_scalar(expr), xs)
         exprs = [expr] + [parse(text) for text in rest]
         stacked = _stacked(compile_row(exprs), len(exprs))
         assert _outcome(_values(compile_dual(exprs)), xs) == _outcome(stacked, xs)
@@ -366,24 +372,15 @@ class TestArrayEvaluation:
     ])
     def test_first_failing_point_is_named(self, source, xs, message):
         expr = parse(source)
-        assert _outcome(expr.eval_array, xs) == _outcome(_scalar(expr), xs) == message
+        assert _outcome(_array(expr), xs) == _outcome(_scalar(expr), xs) == message
 
     @pytest.mark.parametrize("source", ["x", "2", "1/x", "exp(x)"])
     def test_result_is_a_new_plain_array(self, source):
         xs = np.array([1.0, 2.0])
-        values = parse(source).eval_array(xs)
+        values = _array(parse(source))(xs)
         assert type(values) is np.ndarray and not np.shares_memory(values, xs)
         values[:] = 5.0
         assert xs.tolist() == [1.0, 2.0]
-
-    def test_grid_function_is_built_on_first_use(self):
-        expr = parse("3 - 2*exp(-2*x)")
-        compile_row([expr])(1.0)
-        assert expr._grid is None
-        expr.eval_array([0.0, 1.0])
-        grid = expr._grid
-        expr.eval_array([2.0])
-        assert grid is not None and expr._grid is grid
 
     @pytest.mark.parametrize("source,xs", [
         ("(-x)^3", [1.0, 2.5, -3.0]),  # negative base, integer exponent
@@ -393,7 +390,7 @@ class TestArrayEvaluation:
     ])
     def test_finite_results_match(self, source, xs):
         expr = parse(source)
-        assert expr.eval_array(xs).tobytes() == np.array(_scalar(expr)(xs)).tobytes()
+        assert _array(expr)(xs).tobytes() == np.array(_scalar(expr)(xs)).tobytes()
 
     @pytest.mark.parametrize("source,low,high", [
         ("exp(x)", -700.0, 700.0),
@@ -408,7 +405,7 @@ class TestArrayEvaluation:
         # arguments; 4,000 points see that
         xs = np.random.default_rng(7).uniform(low, high, 4000)
         expr = parse(source)
-        assert expr.eval_array(xs).tobytes() == np.array(_scalar(expr)(xs.tolist())).tobytes()
+        assert _array(expr)(xs).tobytes() == np.array(_scalar(expr)(xs.tolist())).tobytes()
 
 
 def _row_outcome(row, x):

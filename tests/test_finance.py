@@ -212,6 +212,8 @@ class TestSpreadCurve:
         curve = spread_curve(params=p)
         assert not curve.result.completed
         assert curve.result.final_x < 20.0
+        # the escaping trajectory's last value is no plateau
+        assert math.isnan(curve.plateau_bp) and not curve.diagnostics.converged
 
     def test_parametric_equation_matches_direct_normal_form(self):
         # the normal form taken directly from spread_coefficients' raw a_k, the

@@ -206,7 +206,6 @@ class TestSharedDrift:
 
         monkeypatch.setattr(AbelEquation, "grid", property(refuse))
         monkeypatch.setattr(AbelEquation, "row", property(refuse))
-        monkeypatch.setattr(Expr, "eval_array", refuse)
         monkeypatch.setattr(Expr, "eval", refuse)
         run = case_runs[cid]
         assert verify(run.nf, run.branch)["B3"] == run.report["B3"]

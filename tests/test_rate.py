@@ -11,6 +11,7 @@ from abelode import get_case, run_case
 from abelode.core import LeadingCoefficientError, SolverConfig, build_equation, normalize
 from abelode.equilibrium import (BranchPoint, EquilibriumBranch, GridSpec, branch_at,
                                  continue_branch)
+from abelode.expr import compile_dual
 from abelode.hypotheses import verify
 from abelode.radau import integrate
 from abelode.rate import (_log_cumtrapz, damped_drift, diagnose, log_phi, rate_bound,
@@ -131,7 +132,7 @@ def _assert_simpson_reference(nf, branch, points):
     oracles.simpson_log_phi."""
     for at in (branch, points):
         want = simpson_log_phi(branch.xs, branch.leading, branch.eigenvalues,
-                               nf.equation.leading.eval_array,
+                               lambda xs: compile_dual([nf.equation.leading])(xs)[0][0],
                                (at.xs, at.leading, at.eigenvalues))
         got = log_phi(branch, at)
         assert np.isfinite(want).all()
@@ -328,7 +329,16 @@ class TestDiagnose:
         assert result.status == "step-failure" and result.n_accepted == 0
         d = diagnose(result, None)
         assert not d.converged
-        assert d.L_numeric == 0.0
+        assert math.isnan(d.L_numeric)
+
+    def test_run_stopped_early_reports_no_plateau(self, case_runs):
+        # case 1 stopped after one step ends at y = 0.0194, far from the
+        # plateau 0.414 the completed run finds
+        result = integrate(get_case(1).equation, 0.0, 20.0, SolverConfig(max_steps=1))
+        assert result.status == "step-failure" and 0.0 < result.final_y < 0.1
+        for branch in (None, case_runs[1].branch):
+            d = diagnose(result, branch)
+            assert math.isnan(d.L_numeric) and not d.converged
 
     def test_branchless_diagnosis_checks_lower_barrier_only(self, case_runs):
         d = diagnose(case_runs[1].result, None)
