@@ -96,7 +96,7 @@ def parse_pairs(text: str) -> dict[str, str]:
 
 def load_pairs(path: str) -> dict[str, str]:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as err:
         raise ConfigError(f"cannot read config {path!r}: {err}") from None

@@ -294,8 +294,8 @@ class SolverConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.newton_max_iters < 1:
-            raise ValueError("newton_max_iters must be >= 1")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 def _horner(coefficients: list[float], y: float) -> float:

@@ -19,7 +19,8 @@ root columns; each row's roots are bit-identical to what it gives alone,
 and a run of bitwise-identical adjacent rows is isolated once.  A stack
 with one distinct row (a single abscissa, a refinement midpoint, the
 derivative levels of a table whose rows differ only in lambda_0, a
-constant table) runs the same steps on Python floats, bit for bit: a
+constant table) runs the same steps, the sign steps aside (the lockstep
+_sign_steps on a one-column stack), on Python floats, bit for bit: a
 ufunc over one column moves one number, and numpy's cost per call, over
 the kernel's few hundred passes, is most of its time.
 
@@ -431,9 +432,10 @@ def _isolate(cols: np.ndarray, floor: float = -math.inf) -> np.ndarray:
     F(0) = 0 and so no bracket next to it), and merged into the last kept
     one within 4 BISECT_TOL (relative).  Only the first of each run of
     bitwise-identical adjacent polynomials is isolated; the others copy its
-    bytes.  A stack with one distinct polynomial runs these steps on its
-    Python floats (_isolate_row), bit for bit, in about an eighth of the
-    time numpy's passes over one column take.  The rows of cols.T must pass
+    bytes.  A stack with one distinct polynomial runs these steps, the
+    sign steps aside (_sign_steps on one column), on its Python floats
+    (_isolate_row), bit for bit, in about an eighth of the time numpy's
+    passes over one column take.  The rows of cols.T must pass
     _check_rows.
     """
     width, n = cols.shape
@@ -502,8 +504,9 @@ def _isolate(cols: np.ndarray, floor: float = -math.inf) -> np.ndarray:
 
 
 # The one-row path: _isolate's steps on one row of Python floats, in the
-# same order, so each gives the lockstep kernel's bits.  Python floats
-# round as numpy's do; where Python differs (a division by zero, np.sign,
+# same order, so each gives the lockstep kernel's bits (the sign steps are
+# _sign_steps itself, on a one-column stack).  Python floats round as
+# numpy's do; where Python differs (a division by zero, np.sign,
 # and np.maximum and np.minimum, which keep NaN), this code gives numpy's
 # results.
 
@@ -549,31 +552,18 @@ def _predict_row(row: list, drow: list, lo: float, hi: float, flo: float):
     return x, certified, fixed
 
 
-def _sign_steps_row(row: list, lo: float, hi: float, flo: float) -> float:
-    """_sign_steps for one cut bracket [lo, hi] of the monic row."""
-    width = hi - lo
-    nearer = abs(lo) <= abs(hi)
-    origin = lo if nearer else hi
-    mantissa, exponent = math.frexp(width)
-    steps = min(exponent - _TOL_EXPONENT + (mantissa > _TOL_MANTISSA),
-                exponent - math.frexp(origin)[1] + 54)
-    offset, step = (0.5 if nearer else -0.5) * width, 0.25 * math.copysign(width, -flo)
-    for _ in range(steps if width > 0.0 else 0):
-        offset -= _sign(_horner(row, origin + offset)) * step
-        step *= 0.5
-    return origin + offset
-
-
 def _bisect_row(row: list, drow: list, lo: float, hi: float, flo: float):
     """_bisect for one bracket [lo, hi] of the monic row: its root to
-    BISECT_TOL and whether Newton's polish may move it."""
+    BISECT_TOL and whether Newton's polish may move it.  A bracket the
+    certificate refuses takes _sign_steps as a stack of one column."""
     if lo < 0.0 < hi:  # _cut
         f0 = _sign(row[0])
         right = f0 == _sign(flo)
         lo, hi = (0.0 if right or f0 == 0.0 else lo), (hi if right else 0.0)
     root, certified, fixed = _predict_row(row, drow, lo, hi, flo)
     if not certified:
-        root = _sign_steps_row(row, lo, hi, flo)
+        root = float(_sign_steps(np.array(row)[:, None], np.array([lo]), np.array([hi]),
+                                 np.array([flo]))[0])
     return root, not (certified and fixed)
 
 

@@ -23,20 +23,22 @@ right of it, so a left end the branch had to step away from (case 2) is
 reported, not skipped, whoever calls verify.
 
 B3 reads the rate bound's log drift sums (rate.damped_drift): pass when
-the last decade [x_end/10, x_end] carries below 1% of the trapezoid
-integral (or the integral is exactly zero), inconclusive otherwise,
-since a tail-dominated integral on every finite grid is the numerical
-signature of divergence.  The share comes from the log sums, so it lies
-in [0, 1] and stays defined where the integral overflows float64.  E' is
-exact, and B3 passes the branch itself as damped_drift's points, so it
-reads the E' the branch stores (EquilibriumBranch.slopes), formed by the
-continuation from its own samples, and Phi from the a_n and Lambda it
-stores, so B3 evaluates no coefficient; where a coefficient or its
-x-derivative does not evaluate at a grid point (sqrt(1 - x) at x = 1),
-or where Lambda = 0 or, on a branch built by hand, a_n = 0, B3 is
-inconclusive and the note says which (the first such point decides).
-B3 is also inconclusive at rate's two guards, checked first and last,
-each with its own note (B3_PHI_RANGE, B3_OVERFLOW; see rate).
+the tail window [x_start + (x_end - x_start)/10, x_end] of the branch
+grid ([x_end/10, x_end] where x_start = 0; a shift of x moves it along)
+carries below 1% of the trapezoid integral (or the integral is exactly
+zero), inconclusive otherwise, since a tail-dominated integral on every
+finite grid is the numerical signature of divergence.  The share comes
+from the log sums, so it lies in [0, 1] and stays defined where the
+integral overflows float64.  E' is exact, and B3 passes the branch
+itself as damped_drift's points, so it reads the E' the branch stores
+(EquilibriumBranch.slopes), formed by the continuation from its own
+samples, and Phi from the a_n and Lambda it stores, so B3 evaluates no
+coefficient; where a coefficient or its x-derivative does not evaluate
+at a grid point (sqrt(1 - x) at x = 1), or where Lambda = 0 or, on a
+branch built by hand, a_n = 0, B3 is inconclusive and the note says
+which (the first such point decides).  B3 is also inconclusive at rate's
+two guards, checked first and last, each with its own note
+(B3_PHI_RANGE, B3_OVERFLOW; see rate).
 """
 
 from __future__ import annotations
@@ -301,11 +303,11 @@ def _check_b3(branch: EquilibriumBranch) -> HypothesisEntry:
     if math.isnan(total):
         return HypothesisEntry("B3", "inconclusive", {}, B3_OVERFLOW)
 
-    # I_i / I_N, in [0, 1] as the log sums never decrease; fraction[0] = 0
-    # also covers a decade start left of xs[0]
+    # I_i / I_N, in [0, 1] as the log sums never decrease
     with np.errstate(all="ignore"):
         fraction = np.exp(log_drift - log_drift[-1])
-    share = 1.0 - float(np.interp(float(xs[-1]) / 10.0, xs, fraction))
+    start = branch.x_start + (branch.x_end - branch.x_start) / 10.0
+    share = 1.0 - float(np.interp(start, xs, fraction))
     witness = {"tail_share": share}
     note = "integral overflows float64 and is dominated by the last decade of the grid"
     if math.isfinite(total):

@@ -175,6 +175,21 @@ class TestIntegrateCommand:
         names = sorted(p.name for p in (tmp_path / "full").iterdir())
         assert names == ["branch.csv", "report.json", "trajectory.csv"]
 
+    def test_config_with_a_byte_order_mark(self, tmp_path):
+        # an editor's UTF-8 byte-order mark once made the first key
+        # "\ufeffdegree", an unknown key (exit 64)
+        outputs = []
+        for name, text in (("plain", CASE3_CFG), ("bom", "\ufeff" + CASE3_CFG)):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text, encoding="utf-8")
+            code, out, err = run(["integrate", cfg, "--branch", "--hypotheses",
+                                  "--out", tmp_path / name])
+            assert code == 0, err
+            files = sorted((tmp_path / name).iterdir())
+            outputs.append((out, [(p.name, p.read_bytes()) for p in files]))
+        assert (tmp_path / "bom.cfg").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert outputs[1] == outputs[0]
+
     def test_branch_past_a_leading_zero_beyond_the_range(self, tmp_path):
         cfg = tmp_path / "far.cfg"
         cfg.write_text(FAR_ZERO_CFG)
@@ -206,9 +221,8 @@ class TestIntegrateCommand:
     def test_b3_integral_does_not_move_with_a_shift_of_x(self, tmp_path):
         # case 3 shifted by c: E' is exact at every scale of x, so the witness
         # agrees across c (a finite difference with step 1e-8 |x| read
-        # 13.769 at c = 0 and 1.67e8 at c = 1e9); tail_share is taken over the
-        # last decade of absolute x, so it is not compared
-        integrals = []
+        # 13.769 at c = 0 and 1.67e8 at c = 1e9), and so does the status
+        integrals, statuses = [], []
         for c in (0.0, 1e3, 1e6, 1e9):
             cfg = tmp_path / f"shift{c:g}.cfg"
             cfg.write_text(f"degree = 3\ncoefficients = 3 - 2*exp(-2*(x - {c!r})) | -4 | 0 | 1\n"
@@ -218,7 +232,9 @@ class TestIntegrateCommand:
             b3 = read_report(tmp_path / f"{c:g}")["checks"][-1]
             assert b3["id"] == "B3"
             integrals.append(b3["witness"]["B3_integral"])
+            statuses.append(b3["status"])
         assert max(integrals) - min(integrals) <= 1e-9 * integrals[0]
+        assert statuses == [statuses[0]] * 4
 
     def test_gnuplot_companion(self, tmp_path):
         cfg = tmp_path / "c3.cfg"
@@ -250,6 +266,8 @@ class TestIntegrateCommand:
         "degree = 2\ncoefficients = 1 | 0 | -1\nx_end = 1\nh0 = 0\n",       # zero h0
         "degree = 2\ncoefficients = 1 | 0 | -1\nx_end = 1\nh_max = -1\n",   # negative h_max
         "degree = 2\ncoefficients = 1 | 0 | -1\nx_end = 1\nnewton_tol = 0\n",  # zero tol
+        "degree = 2\ncoefficients = 1 | 0 | -1\nx_end = 1\nmax_steps = 0\n",  # no steps
+        "degree = 2\ncoefficients = 1 | 0 | -1\nx_end = 1\nnewton_max_iters = 0\n",
         pytest.param("degree = 2\ncoefficients = 1" + "+1" * 3000 + " | 0 | -1\nx_end = 1\n",
                      id="deep-expression"),
     ])

@@ -635,8 +635,6 @@ class TestCertifiedPrediction:
         stepped = []
         monkeypatch.setattr(equilibrium, "_sign_steps",
                             lambda cols, *args: stepped.append(cols.shape[1]))
-        monkeypatch.setattr(equilibrium, "_sign_steps_row",
-                            lambda row, *args: stepped.append(1))
         case = get_case(cid)
         nf, grid = normalize(case.equation), case.branch_grid()
         continue_branch(nf, grid)
@@ -644,6 +642,32 @@ class TestCertifiedPrediction:
             real_roots(nf, x)
         assert stepped == []
         assert all(certified.all() for *_, certified in _brackets(cid))
+
+    def test_one_row_refusals_take_the_lockstep_sign_steps(self, monkeypatch):
+        # a stack of one distinct row hands each bracket the certificate
+        # refuses to _sign_steps as a one-column stack, and the row gets the
+        # bytes it gets beside another row in a lockstep batch
+        sign_steps, stacks = equilibrium._sign_steps, []
+
+        def recording(cols, lo, hi, flo):
+            stacks.append((cols.shape[1], lo.shape, hi.shape, flo.shape))
+            return sign_steps(cols, lo, hi, flo)
+
+        monkeypatch.setattr(equilibrium, "_sign_steps", recording)
+        # the first block of _seeded_rows' extreme rows
+        rows, refused = _extreme_rows(np.random.default_rng(0), 80, 103.0), 0
+        for i, row in enumerate(rows):
+            stacks.clear()
+            alone = _isolate_roots([0.0], row[None, :])[0]
+            if not stacks:
+                continue
+            # at any level of the derivative recursion
+            assert all(shapes == (1, (1,), (1,), (1,)) for shapes in stacks)
+            other = next(r for r in rows[i + 1:] + rows[:i] if len(r) == len(row))
+            in_batch = _isolate_roots([0.0, 1.0], np.vstack([row, other]))[0]
+            assert in_batch[~np.isnan(in_batch)].tobytes() == alone.tobytes()
+            refused += 1
+        assert refused >= 5
 
     @pytest.mark.parametrize("degree", [2, 3, 4, 5])
     def test_seeded_rows_same_alone_as_in_a_shuffled_batch(self, degree):

@@ -395,6 +395,8 @@ SCALE_TOL = 1e-14
 #: the tail holds E = 1 to its last bits; fixed before the first run
 SHIFT_E_TOL = 1e-8
 SHIFT_L_TOL = 1e-12
+#: B3's tail share across a shift of x, relative; fixed before the first run
+SHIFT_B3_TOL = 1e-9
 
 
 def _run_report(sources, grid):
@@ -421,16 +423,29 @@ class TestMetamorphic:
 
     @pytest.mark.parametrize("s", [1.0, 1e3, 1e6])
     def test_shifting_x(self, s):
-        # case 3 as 3 - 2 exp(-2 (x - s)) on [s, s + 100]; B3's tail window
-        # is the last decade of absolute x, so its status is not compared
+        # case 3 as 3 - 2 exp(-2 (x - s)) on [s, s + 100]
         source = "3 - 2*exp(-2*(x - {!r}))"
         base_branch, base = _run_report([source.format(0.0), "-4", "0", "1"],
                                         GridSpec(0.0, 100.0, 2001))
         branch, shifted = _run_report([source.format(s), "-4", "0", "1"],
                                       GridSpec(s, s + 100.0, 2001))
-        ids = ["A1", "A2", "A3", "A4", "B1", "B2"]
+        ids = ["A1", "A2", "A3", "A4", "B1", "B2", "B3"]
         assert [shifted[k].status for k in ids] == [base[k].status for k in ids]
         assert shifted["B1"].witness["L"] == pytest.approx(base["B1"].witness["L"],
                                                            rel=SHIFT_L_TOL)
+        assert shifted["B3"].witness["tail_share"] == pytest.approx(
+            base["B3"].witness["tail_share"], rel=SHIFT_B3_TOL)
         assert branch.values.shape == base_branch.values.shape
         assert np.abs(branch.values - base_branch.values).max() <= SHIFT_E_TOL
+
+    def test_tail_window_of_a_grid_left_of_zero(self):
+        # case 2's equation shifted by -2999 onto [-2998.999, -1000]: the
+        # window starts a tenth into the grid, as it does unshifted on
+        # [1.001, 2000], where the 1/x tail leaves B3 inconclusive (a window
+        # at x_end / 10 = -100 would lie right of the grid and pass it)
+        rest = ["-2", "-2", "1"]
+        _, base = _run_report(["1 - 1/x", *rest], GridSpec(1.001, 2000.0, 2001))
+        _, shifted = _run_report(["1 - 1/(x + 3000)", *rest],
+                                 GridSpec(-2998.999, -1000.0, 2001))
+        assert base["B3"].status == shifted["B3"].status == "inconclusive"
+        assert shifted["B3"].witness["tail_share"] == base["B3"].witness["tail_share"] == 1.0

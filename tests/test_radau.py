@@ -708,6 +708,14 @@ class TestIntegerCounts:
             SolverConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["newton_max_iters", "max_steps"])
+    @pytest.mark.parametrize("value", [0, -1, np.int64(0)])
+    def test_count_below_one_is_rejected(self, field, value):
+        # max_steps = 0 used to construct, and integrate then stopped before
+        # its first attempt with "max_steps=0 exceeded"
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1$"):
+            SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["newton_max_iters", "max_steps"])
     def test_numpy_integer_count_is_accepted(self, field):
         config = SolverConfig(**{field: np.int64(3)})
         assert getattr(config, field) == 3
