@@ -311,16 +311,33 @@ def _horner(coefficients: list[float], y: float) -> float:
     which is c_{m-1} bit for bit wherever c_{m-1} is nonzero and y finite,
     so both seeds give the same result there.  They differ in the sign of
     a zero result where c_{m-1} is -0.0 and the rest of the row is zero,
-    and where y is not finite (0 inf is NaN).  The seed is never updated in
-    place: on the array paths it is the caller's column.
+    and where y is not finite (0 inf is NaN).
+
+    An array result is one new array: the first step c_{m-1} y + c_{m-2}
+    allocates it, and each later step multiplies and adds into it in place
+    (on floats, acc *= y is acc = acc * y).  Those are the rounded
+    operations of acc = acc * y + c, so no bit differs, and the caller's
+    columns and y are never written.  acc holds y's shape and type from the
+    first step on, so only adding a c can be refused: a c with more
+    dimensions, one that widens a size-1 axis of acc, or one numpy will not
+    cast into acc (a float c on integer rows); that step allocates.  A
+    float32 acc would take a float64 c at its own precision, so rows are
+    float64 arrays or floats.
     """
     if len(coefficients) == 0:
         return 0.0
-    acc = coefficients[-1]
-    for c in coefficients[-2::-1]:
-        acc = acc * y + c
-    if len(coefficients) == 1 and (np.ndim(acc) or np.ndim(y)):
-        return np.full(np.broadcast_shapes(np.shape(acc), np.shape(y)), acc)
+    if len(coefficients) == 1:
+        acc = coefficients[0]
+        if np.ndim(acc) or np.ndim(y):
+            return np.full(np.broadcast_shapes(np.shape(acc), np.shape(y)), acc)
+        return acc
+    acc = coefficients[-1] * y + coefficients[-2]
+    for c in coefficients[-3::-1]:
+        acc *= y
+        try:
+            acc += c
+        except (TypeError, ValueError):  # numpy refused to write c into acc
+            acc = acc + c
     return acc
 
 

@@ -134,13 +134,17 @@ class GridSpec:
 
     def midpoint(self, a: float, b: float) -> float:
         # refinement midpoint in the grid's own metric; sqrt(a) sqrt(b) only
-        # where a * b overflows or leaves the normal floats
+        # where a * b overflows or leaves the normal floats, and 0.5 a + 0.5 b
+        # only where a + b overflows (the span check admits such a grid)
         if self.spacing == "log":
             product = a * b
             if sys.float_info.min <= product < math.inf:
                 return math.sqrt(product)
             return math.sqrt(a) * math.sqrt(b)
-        return 0.5 * (a + b)
+        total = a + b
+        if math.isfinite(total):
+            return 0.5 * total
+        return 0.5 * a + 0.5 * b
 
 
 @dataclass(frozen=True)
@@ -256,13 +260,18 @@ def _cut(c0: np.ndarray, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray):
             np.where(across & ~right, 0.0, hi))
 
 
-def _rounding_bound(cols, t):
+def _rounding_bound(magnitudes, t):
     """ROUNDING_MARGIN times Higham's a-priori bound gamma_{2n} sum |c_k| |t|^k
     on the rounding error of Horner's rule from the leading coefficient at t,
-    for the polynomials with ascending coefficient columns cols (degree n =
-    len(cols) - 1; Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    section 5.1), gamma_m = m u / (1 - m u), u = 2^-53.  cols and t are
-    arrays, or one row's floats and a float.
+    for the polynomials whose ascending coefficient columns have the
+    magnitudes |c_k| given (degree n = len(magnitudes) - 1; Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 5.1), gamma_m =
+    m u / (1 - m u), u = 2^-53.  magnitudes and t are arrays, or one row's
+    floats and a float.  The caller forms the |c_k| once for all the points
+    it bounds: both ends of every certificate of one _predict call (one
+    bracket's on the one-row path), or the critical points of one kernel
+    level where the multiple-root rule needs a bound.  |c| is exact, so
+    where it is formed changes no bit.
 
     The sum is itself Horner's rule, on |c_k| and |t|, so it is at least the
     computed |F(t)|, and inf wherever that overflows: an inf bound
@@ -271,9 +280,9 @@ def _rounding_bound(cols, t):
     and |t| >= 2^-41 each underflow adds at most 2^-1075 |t|^j, j < n, far
     below gamma_{2n} |t|^n; at t = 0 Horner gives c_0 exactly.
     """
-    n = len(cols) - 1
+    n = len(magnitudes) - 1
     gamma = 2 * n * 2.0 ** -53 / (1.0 - 2 * n * 2.0 ** -53)
-    return ROUNDING_MARGIN * gamma * _horner([abs(c) for c in cols], abs(t))
+    return ROUNDING_MARGIN * gamma * _horner(magnitudes, abs(t))
 
 
 def _predict(cols, dcols, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray):
@@ -294,7 +303,8 @@ def _predict(cols, dcols, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray):
     (u, v), so it has a root within CERTIFIED_HALF_WIDTH of x (Rump,
     Verification methods, Acta Numerica 19, 2010).  A NaN x is not
     certified, nor one so large that u = x = v.  Each bracket's x and masks
-    depend on its own data only.
+    depend on its own data only.  The |c_k| of the bracket columns are
+    formed once, for both ends.
     """
     x = lo + 0.5 * (hi - lo)
     prev = np.full_like(x, np.nan)
@@ -311,10 +321,10 @@ def _predict(cols, dcols, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray):
     u, v = x - CERTIFIED_HALF_WIDTH, x + CERTIFIED_HALF_WIDTH
     low, high = x - u > CERTIFIED_HALF_WIDTH, v - x > CERTIFIED_HALF_WIDTH
     u[low], v[high] = np.nextafter(u[low], x[low]), np.nextafter(v[high], x[high])
-    sign = np.sign(flo)
+    sign, magnitudes = np.sign(flo), np.abs(cols)
     certified = (lo <= u) & (v <= hi)
-    certified &= sign * _horner(cols, u) > _rounding_bound(cols, u)
-    certified &= -sign * _horner(cols, v) > _rounding_bound(cols, v)
+    certified &= sign * _horner(cols, u) > _rounding_bound(magnitudes, u)
+    certified &= -sign * _horner(cols, v) > _rounding_bound(magnitudes, v)
     return x, certified, fixed
 
 
@@ -437,6 +447,15 @@ def _isolate(cols: np.ndarray, floor: float = -math.inf) -> np.ndarray:
     (_isolate_row), bit for bit, in about an eighth of the time numpy's
     passes over one column take.  The rows of cols.T must pass
     _check_rows.
+
+    Three passes whose results are known are skipped; none changes a bit.
+    The rounding bound is formed only at the critical points where F
+    keeps its sign on both sides, since every other point fails the rule
+    whatever the bound is.  The merge skips a candidate that holds no
+    entry in any column (the ends +-R without an exact zero, critical
+    points without a multiple root, a bracket row below the floor or
+    without a sign change): its NaNs keep nothing and move no last kept
+    value.  F(R) is read from the partition's values, not formed again.
     """
     width, n = cols.shape
     if width == 2:
@@ -465,14 +484,15 @@ def _isolate(cols: np.ndarray, floor: float = -math.inf) -> np.ndarray:
 
     # a critical point where |F| is within the rounding bound of 0 is a
     # multiple root when F does not change sign through it (a sign change
-    # is bisected below); a bound that overflows proves nothing
+    # is bisected below); a bound that overflows proves nothing.  The bound
+    # is formed only at the points where F keeps its sign, from their
+    # columns' |c_k|: elsewhere it decides nothing
     mid_vals = vals[1:-1]
-    near_zero = _rounding_bound(cols, pts[1:-1])
-    multiple = (
-        (np.abs(mid_vals) <= near_zero) & np.isfinite(near_zero)
-        & (vals[:-2] * mid_vals >= 0.0)
-        & (mid_vals * vals[2:] >= 0.0)
-    )
+    multiple = (vals[:-2] * mid_vals >= 0.0) & (mid_vals * vals[2:] >= 0.0)
+    kept = np.flatnonzero(multiple)
+    if kept.size:
+        near_zero = _rounding_bound(np.abs(cols.take(kept % n, axis=1)), pts[1:-1].flat[kept])
+        multiple.flat[kept] = (np.abs(mid_vals.flat[kept]) <= near_zero) & np.isfinite(near_zero)
     # an exact zero at a partition point is left to the critical-point rule
     # or the neighbouring interval, except at the ends +-R
     fa, fb = vals[:-1], vals[1:]
@@ -483,14 +503,25 @@ def _isolate(cols: np.ndarray, floor: float = -math.inf) -> np.ndarray:
                                        NEWTON_RESIDUAL_TOL * scale[at % n])
 
     # the candidates in ascending order: -R, bracket 0, critical point 1,
-    # bracket 1, ..., R (each bracket root lies in its bracket)
-    candidates = [np.where(vals[0] == 0.0, -bound, np.nan), polished[0]]
-    for i in range(k):
-        candidates += [np.where(multiple[i], pts[i + 1], np.nan), polished[i + 1]]
-    candidates.append(np.where(_horner(cols, bound) == 0.0, bound, np.nan))
+    # bracket 1, ..., R (each bracket root lies in its bracket), each only
+    # if some column holds an entry of it; F(R) is vals' entry at R, in row
+    # below + 1
+    slot = np.arange(n)
+    low, high = vals[0] == 0.0, vals[below + 1, slot] == 0.0
+    bracketed = np.zeros(k + 1, dtype=bool)
+    bracketed[at // n] = True
+    repeated = multiple.any(axis=1).tolist()
+    candidates = [np.where(low, -bound, np.nan)] if low.any() else []
+    for i, bisected in enumerate(bracketed.tolist()):
+        if bisected:
+            candidates.append(polished[i])
+        if i < k and repeated[i]:
+            candidates.append(np.where(multiple[i], pts[i + 1], np.nan))
+    if high.any():
+        candidates.append(np.where(high, bound, np.nan))
 
     merged = np.full(len(candidates) * n, np.nan)
-    slot, count, last = np.arange(n), np.zeros(n, dtype=np.intp), np.full(n, np.nan)
+    count, last = np.zeros(n, dtype=np.intp), np.full(n, np.nan)
     for candidate in candidates:
         keep = ~np.isnan(candidate) & ~(
             np.abs(candidate - last) <= 4.0 * BISECT_TOL * np.maximum(1.0, np.abs(candidate))
@@ -528,7 +559,9 @@ def _predict_row(row: list, drow: list, lo: float, hi: float, flo: float):
     """_predict for one cut bracket [lo, hi] of the monic row (drow its
     derivative, flo the value at lo): x, whether it is certified, whether
     it is a fixed point.  The clamps keep NaN, as np.maximum and np.minimum
-    do, and return the bound where the step equals it."""
+    do, and return the bound where the step equals it.  The row's |c_k| are
+    formed once, for both ends, and only where both lie in the bracket: the
+    rounding bounds decide nothing where they do not."""
     x, prev = lo + 0.5 * (hi - lo), math.nan
     for _ in range(PREDICTION_STEPS):
         step = x - _quotient(_horner(row, x), _horner(drow, x))
@@ -545,10 +578,11 @@ def _predict_row(row: list, drow: list, lo: float, hi: float, flo: float):
         u = math.nextafter(u, x)
     if v - x > CERTIFIED_HALF_WIDTH:
         v = math.nextafter(v, x)
-    sign = _sign(flo)
-    certified = (lo <= u and v <= hi
-                 and sign * _horner(row, u) > _rounding_bound(row, u)
-                 and -sign * _horner(row, v) > _rounding_bound(row, v))
+    certified = lo <= u and v <= hi
+    if certified:
+        sign, magnitudes = _sign(flo), [abs(c) for c in row]
+        certified = (sign * _horner(row, u) > _rounding_bound(magnitudes, u)
+                     and -sign * _horner(row, v) > _rounding_bound(magnitudes, v))
     return x, certified, fixed
 
 
@@ -590,7 +624,10 @@ def _bracket_root_row(row: list, drow: list, lo: float, hi: float, flo: float,
 
 def _isolate_row(row: list, floor: float = -math.inf) -> list:
     """_isolate on one monic row of floats (floor as there): its real roots,
-    ascending, from the same partition, brackets, candidates and merge."""
+    ascending, from the same partition, brackets, candidates and merge.
+    As there, the multiple-root rule forms its bound only where F keeps its
+    sign through a critical point, from the row's |c_k|, formed once for
+    the level when first needed."""
     if len(row) == 2:
         return [-row[0]]
     deriv = [k * c for k, c in enumerate(row[1:], 1)]
@@ -600,15 +637,15 @@ def _isolate_row(row: list, floor: float = -math.inf) -> list:
     pts = [-bound] + [c for c in critical if c < bound] + [bound]
     vals = [_horner(row, t) for t in pts]
     # candidates in ascending order, as _isolate takes them
-    candidates = [-bound] if vals[0] == 0.0 else []
+    candidates, magnitudes = [-bound] if vals[0] == 0.0 else [], None
     for i in range(1, len(pts)):
         lo, hi, fa, fb = pts[i - 1], pts[i], vals[i - 1], vals[i]
         if hi >= floor and fa != 0.0 and fb != 0.0 and not fa * fb > 0.0:
             candidates.append(_bracket_root_row(row, deriv, lo, hi, fa, tol))
-        if i < len(pts) - 1:
-            near_zero = _rounding_bound(row, hi)
-            if (abs(fb) <= near_zero and math.isfinite(near_zero)
-                    and fa * fb >= 0.0 and fb * vals[i + 1] >= 0.0):
+        if i < len(pts) - 1 and fa * fb >= 0.0 and fb * vals[i + 1] >= 0.0:
+            magnitudes = magnitudes or [abs(c) for c in row]
+            near_zero = _rounding_bound(magnitudes, hi)
+            if abs(fb) <= near_zero and math.isfinite(near_zero):
                 candidates.append(hi)
     if vals[-1] == 0.0:
         candidates.append(bound)
@@ -710,7 +747,9 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
     whose move leaves it, jumps or vanishes; searchsorted ends each run.  A
     refining jump samples, isolates and hops through its midpoint on its
     own.  The sampled a_n and rows, midpoints included, are the branch's
-    table; the root table is not kept.
+    table; the root table is not kept.  The grid stays an array: only an x
+    that goes into an error or a midpoint is made a Python float, where
+    float() gives the bits tolist() would.
 
     Raises what NormalForm.sample raises at the first grid point where it
     fails.  Raises BranchError if a sampled lambda_k is not finite, if the
@@ -718,23 +757,22 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
     jump survives one local refinement.
     """
     grid_xs = grid.xs()
-    xs = grid_xs.tolist()
     leading, rows, slopes, defined = nf.sample_grid(grid_xs)
     if not defined.all():
-        nf.sample(xs[int(defined.argmin())])  # raises the first failing point's error
+        nf.sample(float(grid_xs[defined.argmin()]))  # raises the first failing point's error
     floor = _branch_floor(rows.shape[1] - 1)
-    table = _isolate_roots(xs, rows, floor).T
+    table = _isolate_roots(grid_xs, rows, floor).T
 
     positive = table[:, 0] > POSITIVE_THRESHOLD
     if not positive.any():
-        raise BranchError("no positive equilibrium at the first grid point", xs[0])
+        raise BranchError("no positive equilibrium at the first grid point", float(grid_xs[0]))
     col = int(positive.argmax())
 
     # walk by runs: in column col from row i through the next row whose
     # move out of col changes column, jumps or vanishes (or the last row)
-    last = len(xs) - 1
+    last = grid_xs.size - 1
     runs = {}  # column -> its moves, jumps, and those rows then last
-    cols = np.empty(len(xs), dtype=np.intp)
+    cols = np.empty(grid_xs.size, dtype=np.intp)
     midpoints = []  # (grid index it precedes, x, a_n, row, E)
     i = 0
     while True:
@@ -749,20 +787,21 @@ def continue_branch(nf: NormalForm, grid: GridSpec) -> EquilibriumBranch:
         i = end + 1
         nxt = int(move[end])
         if nxt < 0:
-            raise BranchError("equilibrium branch vanished", xs[i])
+            raise BranchError("equilibrium branch vanished", float(grid_xs[i]))
         if jump[end]:
             # refine once: step through the midpoint in the grid metric
-            mid = grid.midpoint(xs[end], xs[i])
+            x = float(grid_xs[i])
+            mid = grid.midpoint(float(grid_xs[end]), x)
             mid_an, mid_rows, mid_slopes, mid_defined = nf.sample_grid([mid])
             if not mid_defined[0]:
                 nf.sample(mid)  # raises its error
             mid_roots = _isolate_roots([mid], mid_rows, floor).T
             at = _hop(table[col, end], mid_roots, mid)
-            nxt = _hop(mid_roots[at, 0], table[:, i:i + 1], xs[i])
+            nxt = _hop(mid_roots[at, 0], table[:, i:i + 1], x)
             midpoints.append((i, mid, mid_an[0], mid_rows[0], mid_slopes, mid_roots[at, 0]))
         col = nxt
 
-    values = table[cols, np.arange(len(xs))]
+    values = table[cols, np.arange(grid_xs.size)]
     coefficients = rows.T
     with np.errstate(over="ignore", invalid="ignore"):
         # grid points with more than one positive root where dF/dy < 0

@@ -82,11 +82,20 @@ def log_phi(branch: EquilibriumBranch,
     over the branch's table, plus (x - x_i) / 2 (g_i + g(x)) on a partial
     cell [x_i, x], g(x) from the reading (see the module docstring).  Where
     the sums leave the floats they are infinite or NaN, with no warning:
-    damped_drift refuses them."""
+    damped_drift refuses them.
+
+    Read at the branch itself (B3's call) whose abscissae strictly
+    increase, the result is the prefix itself: every x is then its own
+    x_i, so the lookup and the partial cells, all empty, add nothing.  A
+    repeated abscissa takes the general read, which gives it the prefix
+    at the last of its copies (a zero-width cell can add -0.0 or NaN)."""
     xs = branch.xs
     with np.errstate(over="ignore", invalid="ignore"):
         g = branch.leading * branch.eigenvalues
-        prefix = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(xs) * (g[:-1] + g[1:]))))
+        widths = np.diff(xs)
+        prefix = np.concatenate(([0.0], np.cumsum(0.5 * widths * (g[:-1] + g[1:]))))
+    if points is branch and (widths > 0.0).all():
+        return prefix
     i = np.searchsorted(xs, points.xs, side="right") - 1
     out = prefix[i]
     part = np.flatnonzero(points.xs != xs[i])

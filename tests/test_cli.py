@@ -93,6 +93,13 @@ class TestCaseCommand:
         assert code == 0
         assert out.splitlines()[0] == "case 2: L_numeric=0.381804174, gap=1.618e-04"
 
+    def test_branch_lost_names_a_plain_float(self, tmp_path):
+        # case 3's grid on [0, 3000] is too coarse: the branch is lost at the
+        # midpoint of its first cell
+        code, out, err = run(["case", "3", "--x-max", "3000", "--out", tmp_path / "o"])
+        assert code == 1
+        assert err == "numeric failure: branch lost (jump beyond threshold) at x=0.75\n"
+
     def test_long_run_flag(self, tmp_path):
         code, out, _ = run(["case", "2", "--long-run", "--out", tmp_path / "o"])
         assert code == 0

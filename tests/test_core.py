@@ -219,6 +219,60 @@ class TestHorner:
                 value *= 2.0  # a result never shares memory with an input
         assert (rows.tobytes(), y.tobytes()) == saved
 
+    @pytest.mark.parametrize("shape", ["floats", "points", "table"])
+    def test_in_place_steps_match_the_allocating_loop(self, shape):
+        # rows of 2-6 coefficients with NaN, +-inf and -0.0 among them, at
+        # points with the same: floats, (N,) points with (N,) columns, and
+        # (w, N) points with (N,) columns; the coefficients and y are not
+        # written, and every result is the allocating loop's bytes
+        rng = np.random.default_rng(51)
+        specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e308, -1e-320])
+        for m in range(2, 7):
+            columns = rng.uniform(-3.0, 3.0, (m, 12))
+            columns.flat[rng.choice(columns.size, 8, replace=False)] = rng.choice(specials, 8)
+            y = rng.uniform(-2.0, 2.0, (3, 12))
+            y.flat[rng.choice(y.size, 6, replace=False)] = rng.choice(specials, 6)
+            cases = {"floats": [(columns[:, j].tolist(), float(y[0, j])) for j in range(12)],
+                     "points": [(list(columns), y[0])],
+                     "table": [(list(columns), y)]}[shape]
+            for row, at in cases:
+                saved = [np.array(c).tobytes() for c in row], np.array(at).tobytes()
+                with np.errstate(all="ignore"):
+                    got, plain = _horner(row, at), _allocating(row, at)
+                assert ([np.array(c).tobytes() for c in row], np.array(at).tobytes()) == saved
+                assert np.array(got).tobytes() == np.array(plain).tobytes()
+
+    def test_lower_coefficient_of_higher_rank_takes_the_allocating_step(self):
+        # the leading coefficients and y are (N,), a lower one is (w, N) or
+        # (w, 1): the in-place step cannot hold it, and the result is the
+        # allocating loop's, in the broadcast shape
+        y = np.array([0.5, -2.0, 3.0])
+        for lower in (np.arange(6.0).reshape(2, 3), np.array([[1.5], [-0.0]])):
+            for row in ([lower, 1.0, np.array([2.0, -1.0, 0.25]), np.array([1.0, 4.0, -3.0])],
+                        [lower, np.full(3, -0.0), 2.0, 1.0]):
+                saved = [np.array(c).tobytes() for c in row]
+                got = _horner(row, y)
+                assert got.shape == (2, 3)
+                assert got.tobytes() == _allocating(row, y).tobytes()
+                assert [np.array(c).tobytes() for c in row] == saved
+
+    def test_float_coefficient_on_integer_rows(self):
+        # numpy will not add a float into an integer acc in place: that
+        # step allocates, as the loop does
+        row = [np.array([1.5, -0.5]), np.array([2, 3]), np.array([1, -1])]
+        y = np.array([2, 5])
+        assert _horner(row, y).tobytes() == _allocating(row, y).tobytes()
+        assert _horner(row[1:], y).dtype == np.int64
+
+
+def _allocating(coefficients, y):
+    """Horner's rule from the leading coefficient with a new array per step,
+    the loop _horner's in-place steps replaced."""
+    acc = coefficients[-1]
+    for c in coefficients[-2::-1]:
+        acc = acc * y + c
+    return acc
+
 
 
 def _taylor_entries(coefficients, g):

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import cache
 
@@ -195,6 +196,53 @@ class TestGridSpec:
         assert branch.xs[-1] == 1e300
         assert branch.xs[-2] == pytest.approx(10.0 ** 299.5, rel=1e-15)
         assert np.all(np.isfinite(branch.values))
+
+    @pytest.mark.parametrize("a,b", [
+        (1e308, 1.7e308),     # a + b overflows: 0.5 * (a + b) gave inf
+        (-1.7e308, -1e308),   # and -inf on the mirrored grid
+        (1.5e308, sys.float_info.max),
+        (-sys.float_info.max, -1.5e308),
+    ])
+    def test_linear_midpoint_stays_in_the_cell(self, a, b):
+        mid = GridSpec(a, b, 3).midpoint(a, b)
+        assert a < mid < b
+        exact = (Fraction(a) + Fraction(b)) / 2
+        assert abs(Fraction(mid) - exact) <= Fraction(math.ulp(float(exact)))
+
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-3.0, 7.5), (0.1, 0.2), (1e307, 1e308),
+                                     (-1e308, 1e308), (-0.0, 5e-324), (8.9e307, 8.9e307 + 2**971)])
+    def test_linear_midpoint_unchanged_where_the_sum_is_finite(self, a, b):
+        assert GridSpec(0.0, 1.0, 2).midpoint(a, b).hex() == (0.5 * (a + b)).hex()
+
+    @pytest.mark.parametrize("x_start,x_end,sign", [(1e308, 1.7e308, ""), (-1.7e308, -1e308, "-")])
+    def test_branch_refines_through_a_linear_midpoint_near_the_float_limit(self, x_start,
+                                                                           x_end, sign):
+        # E = |x| / 1e308 jumps from 1 to 1.7 across the one cell; its
+        # midpoint was +-inf, where the coefficient does not evaluate
+        nf = normalize(build_equation([f"{sign}x / 1e308", "-1"], x_start))
+        branch = continue_branch(nf, GridSpec(x_start, x_end, 2))
+        assert branch.refinements == 1
+        assert branch.xs[1] == x_start / 2 + x_end / 2
+        assert np.all(np.isfinite(branch.values))
+
+    @pytest.mark.parametrize("coefficients, grid, message", [
+        (["1", "1"], GridSpec(0.0, 2.0, 5),
+         "no positive equilibrium at the first grid point at x=0.0"),
+        (["1 - x", "-1"], GridSpec(0.0, 2.0, 5), "equilibrium branch vanished at x=1.0"),
+        # lost at a midpoint, then at the grid point after one
+        (["exp(x)", "-1"], GridSpec(0.0, 10.0, 21),
+         "branch lost (jump beyond threshold) at x=2.25"),
+        (["1 + 5*((x - 0.5) + abs(x - 0.5))", "-1"], GridSpec(0.0, 1.0, 2),
+         "branch lost (jump beyond threshold) at x=1.0"),
+    ])
+    def test_continuation_errors_carry_a_python_float(self, coefficients, grid, message):
+        # the grid stays an array in continue_branch: each x it puts into
+        # an error is a float, printed as a float is
+        nf = normalize(build_equation(coefficients, 0.0))
+        with pytest.raises(BranchError) as caught:
+            continue_branch(nf, grid)
+        assert type(caught.value.x) is float
+        assert str(caught.value) == message
 
 
 class TestRealRoots:

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import log_damped_trapezoid, simpson_log_phi, taylor_power_sum
 
-from abelode import get_case, run_case
+from abelode import get_case, rate, run_case
 from abelode.core import LeadingCoefficientError, SolverConfig, build_equation, normalize
-from abelode.equilibrium import (BranchPoint, EquilibriumBranch, GridSpec, branch_at,
-                                 continue_branch)
+from abelode.equilibrium import (BranchPoint, BranchReading, EquilibriumBranch, GridSpec,
+                                 branch_at, continue_branch)
 from abelode.expr import compile_dual
 from abelode.hypotheses import verify
 from abelode.radau import integrate
@@ -67,6 +67,31 @@ class TestPhi:
         points = branch_at(nf, branch, [0.99995e308])
         assert np.exp(log_phi(branch, points)).tolist() == [0.0]
 
+    @pytest.mark.parametrize("cid,x_max", [(1, None), (2, None), (3, None), (2, 2e5)])
+    def test_prefix_read_at_the_branch_is_the_general_read(self, cid, x_max, monkeypatch):
+        # B3 reads log Phi at the branch itself, which returns the prefix
+        # sums: the bytes the general read gives at a BranchReading of the
+        # branch's own arrays; verify's report is the one it gives when
+        # every read takes the general path
+        run = run_case(cid, x_max)
+        _assert_prefix_read(run.nf, run.branch, monkeypatch)
+
+    def test_prefix_read_with_a_repeated_abscissa(self, case_runs, monkeypatch):
+        # a span that holds fewer floats than the grid has points repeats
+        # abscissae; and a hand-built branch whose first cell has zero width
+        # and a_n Lambda < 0, where the general read gives -0.0 at the first
+        # point (the prefix at the last copy of x_0)
+        nf = case_runs[1].nf
+        branch = continue_branch(nf, GridSpec(1.0, 1.0 + 4 * 2.0 ** -52, 9))
+        assert (np.diff(branch.xs) == 0.0).any()
+        _assert_prefix_read(nf, branch, monkeypatch)
+        nf = normalize(build_equation(["1", "-1"], 1.0))
+        branch = EquilibriumBranch([1.0, 1.0, 2.0], [1.0] * 3, [1.0] * 3, GridSpec(1.0, 2.0, 3),
+                                   leading=[-1.0] * 3, rows=[[-1.0, 1.0]] * 3,
+                                   slopes=[0.0] * 3, undefined_slopes=[False] * 3)
+        assert math.copysign(1.0, log_phi(branch, branch)[0]) == -1.0
+        _assert_prefix_read(nf, branch, monkeypatch)
+
     def test_trapezoid_error_within_its_a_priori_bound(self):
         # a_n = 1/(1+x) and the monic rows of case 1: Lambda is constant
         # and log Phi = Lambda ln(1+x).  The trapezoid rule's error is
@@ -119,6 +144,28 @@ class TestPhi:
         with pytest.raises(LeadingCoefficientError, match=message) as err:
             damped_drift(branch, branch_at(nf, branch, [1.25, 1.5, 1.75]))
         assert (err.value.degree, err.value.x) == (1, 1.5)
+
+
+def _own_reading(branch):
+    """A BranchReading made of the branch's own arrays."""
+    return BranchReading(branch.xs, branch.leading, branch.values, branch.eigenvalues,
+                         branch.slopes, branch.undefined_slopes)
+
+
+def _assert_prefix_read(nf, branch, monkeypatch):
+    """log_phi and damped_drift at the branch itself give the bytes they
+    give at _own_reading of it, and so does verify with log_phi patched to
+    read every branch through _own_reading."""
+    reading = _own_reading(branch)
+    assert log_phi(branch, branch).tobytes() == log_phi(branch, reading).tobytes()
+    for at_branch, at_reading in zip(damped_drift(branch, branch), damped_drift(branch, reading)):
+        assert at_branch.tobytes() == at_reading.tobytes()
+    report = verify(nf, branch).to_json()
+    general = rate.log_phi
+    monkeypatch.setattr(rate, "log_phi", lambda branch, points: general(
+        branch, _own_reading(branch) if points is branch else points))
+    assert verify(nf, branch).to_json() == report
+    monkeypatch.undo()
 
 
 #: log Phi against the frozen Simpson reference, relative to max(1, |log
