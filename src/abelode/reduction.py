@@ -20,13 +20,12 @@ by central difference, must be within a tolerance of the scale
 1 + sum_k |a_k| |g|^k, and that scale finite (an overflow proves nothing).
 The pivot is sampled one abscissa at a time and the base rows by one
 AbelEquation.grid call, before any residual is tested; the residual and
-its scale are array arithmetic over all abscissae.  The reduced table is
-the stacked row(x).
+its scale are array arithmetic over all abscissae.
 
-For cubic equations the reduced form converts to an Abel equation of
-the second kind in w = 1/v:
+At every degree n >= 1 the reduced form converts, by w = 1/v, to the
+second-kind form (at n = 3 the Abel equation of the second kind):
 
-    -w' = c_1(x) w + c_2(x) + c_3(x) / w.
+    -w' = c_1(x) w + c_2(x) + c_3(x) / w + ... + c_n(x) / w^(n-2).
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .core import AbelEquation, SolverConfig, _horner, _require_real, _taylor_entry
-from .expr import compile_row
+from .expr import compile_dual, compile_row
 
 if TYPE_CHECKING:
     from .radau import IntegrationResult
@@ -46,7 +45,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ReductionError",
     "NotASolutionError",
-    "WrongDegreeError",
     "ReducedEquation",
     "SecondKindForm",
     "reduce_about",
@@ -76,10 +74,6 @@ class NotASolutionError(ReductionError):
     """The proposed pivot fails the residual check at a checked abscissa."""
 
 
-class WrongDegreeError(ReductionError):
-    """Second-kind conversion is only defined for cubic equations."""
-
-
 @dataclass(frozen=True)
 class ReducedEquation:
     """v' = sum_{k=1}^{degree} c_k(x) v^k for the deviation v = y - pivot."""
@@ -91,21 +85,29 @@ class ReducedEquation:
     def degree(self) -> int:
         return self.base.degree
 
-    def c(self, k: int, x: float) -> float:
-        if not 1 <= k <= self.degree:
-            raise ValueError(f"coefficient index {k} outside 1..{self.degree}")
-        return self.row(x)[k]
-
     @cached_property
     def _tail_row(self):
         """x -> [a_1(x), ..., a_n(x)]: one compiled function, built on first use."""
         return compile_row(self.base.coeffs[1:])
 
+    @cached_property
+    def _tail_grid(self):
+        """xs -> (a_1..a_n columns, x-slopes): expr.compile_dual, built on first use."""
+        return compile_dual(self.base.coeffs[1:])
+
     def coefficients(self, xs) -> np.ndarray:
-        """c_1..c_degree at each abscissa of xs, shape (N, degree): the
-        stacked row(x)[1:]."""
-        xs = np.asarray(xs, dtype=float).tolist()
-        return np.array([self.row(x)[1:] for x in xs], dtype=float).reshape(len(xs), self.degree)
+        """c_1..c_degree at each abscissa of xs, shape (N, degree): one pass of
+        a_1..a_n, the pivot as a float once per abscissa, and one array
+        _taylor_entry per c_k.  It is the stacked row(x)[1:] bit for bit but
+        where an entry is rescaled (the array rescale takes one shift for the
+        whole column), and a failing coefficient is raised before any pivot
+        call, as row(x) raises it at one abscissa."""
+        xs = np.asarray(xs, dtype=float)
+        tail, _ = self._tail_grid(xs)
+        g = np.array([self.pivot(x) for x in xs.tolist()], dtype=float)
+        columns = [None, *tail]  # entry 0, a_0, is never read
+        with np.errstate(over="ignore", invalid="ignore"):  # as on floats: inf or NaN, no warning
+            return np.column_stack([_taylor_entry(columns, g, k) for k in range(1, len(columns))])
 
     def rhs(self, x: float, v: float) -> float:
         return _horner(self.row(x), v)
@@ -120,24 +122,25 @@ class ReducedEquation:
 
 @dataclass(frozen=True)
 class SecondKindForm:
-    """-w' = c1(x) w + c2(x) + c3(x)/w with w = 1/v."""
+    """-w' = c_1(x) w + c_2(x) + c_3(x)/w + ... + c_n(x)/w^(n-2) with w = 1/v."""
 
     reduced: ReducedEquation
 
-    def c1(self, x: float) -> float:
-        return self.reduced.c(1, x)
-
-    def c2(self, x: float) -> float:
-        return self.reduced.c(2, x)
-
-    def c3(self, x: float) -> float:
-        return self.reduced.c(3, x)
-
     def rhs(self, x: float, w: float) -> float:
+        """The terms past c_2 are summed from c_n down, dividing by w at each
+        step, so a cubic's value is -(c1 * w + c2 + c3 / w) as written."""
         if w == 0.0:
             raise ZeroDivisionError("second-kind variable hit zero")
-        _, c1, c2, c3 = self.reduced.row(x)
-        return -(c1 * w + c2 + c3 / w)
+        row = self.reduced.row(x)
+        value = row[1] * w
+        if len(row) > 2:
+            value += row[2]
+        if len(row) > 3:
+            tail = row[-1]
+            for c in row[-2:2:-1]:  # c_{n-1} down to c_3
+                tail = tail / w + c
+            value += tail / w
+        return -value
 
     def residual(self, x: float, w: float, w_prime: float) -> float:
         return w_prime - self.rhs(x, w)
@@ -209,10 +212,6 @@ def reduce_about(
 
 
 def to_second_kind(reduced: ReducedEquation) -> SecondKindForm:
-    if reduced.degree != 3:
-        raise WrongDegreeError(
-            f"second-kind form needs a cubic equation, got degree {reduced.degree}"
-        )
     return SecondKindForm(reduced)
 
 

@@ -38,7 +38,7 @@ PUBLIC_NAMES = [
     "LeadingCoefficientError", "MertonParams", "NewtonFailure", "NormalForm",
     "NotASolutionError", "OrderTestError", "PlateauDiagnostics", "RateBound",
     "ReducedEquation", "ReductionError", "SecondKindForm", "SolverConfig", "SpreadCurve",
-    "WrongDegreeError", "ZeroEigenvalueError", "branch_limit", "build_equation",
+    "ZeroEigenvalueError", "branch_limit", "build_equation",
     "check_asymptotic", "check_structural", "continue_branch",
     "diagnose", "empirical_order", "eval_drhs", "eval_rhs", "get_case", "integrate",
     "integrate_rhs", "normalize", "omega_exact", "omega_expansion", "parse", "radau_tableau",

@@ -10,10 +10,10 @@ from oracles import reference_check_pivot, taylor_power_sum
 
 from abelode.core import _taylor_entry, build_equation
 from abelode.expr import ExprDomainError
+from abelode.radau import integrate
 from abelode.reduction import (
     NotASolutionError,
     ReducedEquation,
-    WrongDegreeError,
     reduce_about,
     roundtrip_check,
     to_second_kind,
@@ -54,6 +54,29 @@ def seeded_pivot_case(seed):
     return build_equation([head, *tail], 0.0), pivot, xs, kind
 
 
+def expansion_sources(n):
+    """The rows of (y - 1)(y + 2)^(n-1), ascending, as coefficient strings:
+    1 is an equilibrium of every degree n."""
+    poly = np.polynomial.polynomial
+    return [repr(c) for c in poly.polymul([-1.0, 1.0], poly.polypow([2.0, 1.0], n - 1)).tolist()]
+
+
+def table_input(case):
+    """(equation, pivot, xs): seeded_pivot_case's for an int seed; for
+    ("degree", n) a seeded degree-n equation whose a_1..a_n mix x and
+    exp(-x), a pivot in sin(x) and 41 abscissae in [0, 6]; for ("points", m)
+    the seeded cubic on m abscissae."""
+    if isinstance(case, int):
+        return seeded_pivot_case(case)[:3]
+    kind, size = case
+    degree, count = (size, 41) if kind == "degree" else (3, size)
+    rng = np.random.default_rng([degree, count])
+    tail = [f"({p!r}) + ({q!r})*x - ({r!r})*exp(-x)"
+            for p, q, r in rng.uniform(-3, 3, (degree, 3)).tolist()]
+    xs = np.linspace(0.0, 6.0, count).tolist()
+    return build_equation(["1", *tail], 0.0), lambda x: 0.5 + math.sin(x), xs
+
+
 def perturbed(pivot, xs, rng):
     """pivot as it is, moved by a seeded offset, drifting along x, NaN at one
     abscissa of xs, scaled up to 1e60..1e308 or wiggling on the scale of
@@ -77,7 +100,7 @@ def perturbed(pivot, xs, rng):
 class TestReduceAbout:
     def test_shift_about_unit_equilibrium(self):
         red = reduce_about(case1(), 1.0, PROBES)
-        assert tuple(red.c(k, 0.0) for k in (1, 2, 3)) == (2.0, 4.0, 1.0)
+        assert tuple(red.row(0.0)[k] for k in (1, 2, 3)) == (2.0, 4.0, 1.0)
         assert red.coefficients([0.0]).tolist() == [[2.0, 4.0, 1.0]]
         assert red.degree == 3
 
@@ -104,7 +127,7 @@ class TestReduceAbout:
         eq = build_equation(
             [repr(c0_adjusted), repr(c1), repr(c2), "1"], 0.0)
         red = reduce_about(eq, g, PROBES)
-        shifted = sum(red.c(k, 0.0) * u ** k for k in (1, 2, 3))
+        shifted = sum(red.row(0.0)[k] * u ** k for k in (1, 2, 3))
         direct = np.polynomial.polynomial.Polynomial(
             (c0_adjusted, c1, c2, 1.0))(g + u)
         assert shifted == pytest.approx(direct, rel=1e-9, abs=1e-9)
@@ -127,7 +150,7 @@ class TestReduceAbout:
             assert len(got) == degree
             for k in range(1, degree + 1):
                 assert abs(got[k - 1] - values[k]) <= 1e-12 * scales[k]
-                assert red.c(k, x) == got[k - 1]
+                assert red.row(x)[k] == got[k - 1]
 
     def test_constant_term_is_never_evaluated(self):
         # a_0 enters only the dropped pivot residual, so where it is
@@ -142,6 +165,21 @@ class TestReduceAbout:
         with pytest.raises(ExprDomainError,
                            match=r"^sqrt\(-1\.0\) outside real domain at x=2\.0$"):
             red.coefficients([0.0, 2.0, 3.0])
+
+    def test_coefficient_error_comes_before_the_pivot_error(self):
+        # the table evaluates a_1..a_n on every abscissa before it calls the
+        # pivot: a_2 failing at x = 2 is raised though the pivot fails at
+        # x = 0 first, and at one abscissa the table raises what row(x) does
+        eq = build_equation(["1", "-1", "sqrt(1 - x)", "1"], 0.0)
+        red = ReducedEquation(eq, math.log)
+        message = r"^sqrt\(-1\.0\) outside real domain at x=2\.0$"
+        with pytest.raises(ExprDomainError, match=message):
+            red.coefficients([0.0, 2.0])
+        for call in (lambda: red.coefficients([2.0]), lambda: red.row(2.0)):
+            with pytest.raises(ExprDomainError, match=message):
+                call()
+        with pytest.raises(ValueError, match="^math domain error$"):
+            red.coefficients([0.0, 0.5])
 
     def test_pivot_must_be_a_root(self):
         with pytest.raises(NotASolutionError):
@@ -172,7 +210,7 @@ class TestReduceAbout:
         red = reduce_about(riccati, math.tanh, PROBES, kind="solution")
         assert red.degree == 2
         # shifted linear coefficient is -2*tanh(x)
-        assert red.c(1, 1.0) == pytest.approx(-2.0 * math.tanh(1.0), rel=1e-12)
+        assert red.row(1.0)[1] == pytest.approx(-2.0 * math.tanh(1.0), rel=1e-12)
 
     def test_non_solution_pivot_rejected(self):
         riccati = build_equation(["1", "0", "-1"], 0.0)
@@ -201,10 +239,13 @@ class TestAgainstPerPointCheck:
                 assert got is not None, seed
         assert len(outcomes) == 4
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_table_is_the_stacked_scalar_rows(self, seed):
+    @pytest.mark.parametrize("case", [
+        *range(6), *(pytest.param(("degree", n), id=f"degree{n}") for n in range(1, 7)),
+        pytest.param(("points", 0), id="no-points"), pytest.param(("points", 1), id="one-point"),
+    ])
+    def test_table_is_the_stacked_scalar_rows(self, case):
         # an even seed's pivot is a constant, an odd seed's a function of x
-        equation, pivot, xs, _ = seeded_pivot_case(seed)
+        equation, pivot, xs = table_input(case)
         red = ReducedEquation(equation, pivot)
         table = red.coefficients(xs)
         assert table.shape == (len(xs), red.degree)
@@ -286,14 +327,18 @@ class TestPivotTypes:
 class TestSecondKind:
     def test_coefficient_triple(self):
         form = to_second_kind(reduce_about(case1(), 1.0, PROBES))
-        assert (form.c1(0.0), form.c2(0.0), form.c3(0.0)) == (2.0, 4.0, 1.0)
+        assert form.reduced.row(0.0)[1:] == [2.0, 4.0, 1.0]
 
-    @pytest.mark.parametrize("x", [0.0, 1.5, 7.0])
-    @pytest.mark.parametrize("v", [0.5, -0.3, 2.0])
-    def test_residual_vanishes_on_the_reciprocal_deviation(self, x, v):
+    @pytest.mark.parametrize("x,v,sources", [
+        pytest.param(x, v, sources, id=f"{v}-{x}{tag}")
+        for tag, sources in [("", CASE1_SOURCES),
+                             *((f"-degree{n}", expansion_sources(n)) for n in range(1, 7))]
+        for v in (0.5, -0.3, 2.0) for x in (0.0, 1.5, 7.0)
+    ])
+    def test_residual_vanishes_on_the_reciprocal_deviation(self, x, v, sources):
         # w = 1/v turns v' = rhs(x, v) into w' = -rhs(x, v) / v^2, the
         # second-kind equation: the residual is rounding alone
-        reduced = reduce_about(case1(), 1.0, PROBES)
+        reduced = reduce_about(build_equation(sources, 0.0), 1.0, PROBES)
         w_prime = -reduced.rhs(x, v) / v**2
         residual = to_second_kind(reduced).residual(x, 1.0 / v, w_prime)
         assert abs(residual) <= 1e-12 * (1.0 + abs(w_prime))
@@ -303,11 +348,22 @@ class TestSecondKind:
         with pytest.raises(ZeroDivisionError):
             form.rhs(0.0, 0.0)
 
-    def test_only_cubic_equations_transform(self):
+    @pytest.mark.parametrize("w0", [-2.0, 0.5, 2.0])
+    def test_riccati_about_tanh_against_closed_form(self, w0):
+        # y' = 1 - y^2 about tanh: c_1 = -2 tanh x and c_2 = -1, so the form is
+        # w' = 2 tanh(x) w + 1, solved by w = cosh(x)^2 (w0 + tanh x); y =
+        # tanh + 1/w then solves y' = 1 - y^2 from y(0) = 1/w0
         riccati = build_equation(["1", "0", "-1"], 0.0)
-        red = reduce_about(riccati, math.tanh, PROBES, kind="solution")
-        with pytest.raises(WrongDegreeError):
-            to_second_kind(red)
+        form = to_second_kind(reduce_about(riccati, math.tanh, PROBES, kind="solution"))
+        marks = [0.5, 1.0, 2.0, 3.0]
+        for x in [0.0, *marks]:
+            w = math.cosh(x) ** 2 * (w0 + math.tanh(x))
+            w_prime = 2.0 * math.sinh(x) * math.cosh(x) * (w0 + math.tanh(x)) + 1.0
+            assert abs(form.residual(x, w, w_prime)) <= 1e-12 * (1.0 + abs(w_prime))
+        result = integrate(riccati, 1.0 / w0, marks[-1], checkpoints=marks)
+        exact = [math.tanh(x) + 1.0 / (math.cosh(x) ** 2 * (w0 + math.tanh(x))) for x in marks]
+        assert result.completed
+        assert np.max(np.abs(result.interp(marks) - exact)) <= 1e-6
 
 
 class TestRoundTrip:
