@@ -352,18 +352,23 @@ def _taylor_entry(coefficients: list, g, k: int):
     that keeps the n - k terms binom(j, k) c_j 2^-e, and their sum where
     |g| <= 1, inside the float range; where e <= 0 no term overflowed and
     the plain sum stands.  Both scalings are exact unless a scaled c_j is
-    subnormal.  An array entry keeps the plain sum wherever that is finite.
+    subnormal.  An array entry keeps the plain sum wherever that is finite
+    and takes each element's own e from that element's c_j, so every
+    element is the scalar entry bit for bit.
     """
     n = len(coefficients)
     entry = _horner([math.comb(j, k) * coefficients[j] for j in range(k, n)], g)
     if math.isfinite(entry) if isinstance(entry, float) else np.isfinite(entry).all():
         return entry
-    peak = max(float(np.max(np.abs(c), where=np.isfinite(c), initial=0.0))
-               for c in coefficients[k:])
-    shift = math.frexp(peak)[1] + (math.comb(n - 1, k) * (n - k)).bit_length() - 1023
-    if shift <= 0:
+    # |c_j| per element, the non-finite ones as 0, and the largest of them
+    terms = np.abs(np.broadcast_arrays(*coefficients[k:], entry)[:-1])
+    peak = np.max(terms, axis=0, where=np.isfinite(terms), initial=0.0)
+    shift = np.maximum(np.frexp(peak)[1] + (math.comb(n - 1, k) * (n - k)).bit_length() - 1023, 0)
+    if not shift.any():
         return entry
-    down, up = 2.0 ** -shift, 2.0 ** shift
+    down, up = np.ldexp(1.0, -shift), np.ldexp(1.0, shift)  # 2^-e, 2^e; 1.0 where e <= 0
+    if isinstance(entry, float):
+        down, up = float(down), float(up)
     with np.errstate(over="ignore", invalid="ignore"):
         rescaled = _horner([math.comb(j, k) * (coefficients[j] * down) for j in range(k, n)],
                            g) * up

@@ -829,9 +829,10 @@ def _implicit_slopes(slopes, defined, es, lams):
     """E' = -(dF/dx) / Lambda at each point (E, Lambda), from the x-slopes
     of the monic row and the mask of points where the row is defined there
     (NormalForm.sample_grid's), and the mask of the points where dF/dx is
-    undefined: the row or a slope is.  E' is NaN there and where
-    Lambda == 0.  dF/dx = sum_k lambda_k' E^k is one Horner up to the last
-    lambda_k with x; with none, it is +0.0."""
+    undefined: the row or a slope is.  E' is NaN there and where Lambda is
+    0 or not finite, which no quotient by Lambda may be formed from.
+    dF/dx = sum_k lambda_k' E^k is one Horner up to the last lambda_k with
+    x; with none, it is +0.0."""
     varying = [k for k, slope in enumerate(slopes) if isinstance(slope, np.ndarray)]
     undefined = ~defined
     for k in varying:
@@ -839,7 +840,7 @@ def _implicit_slopes(slopes, defined, es, lams):
     with np.errstate(all="ignore"):
         dfdx = _horner(slopes[:varying[-1] + 1], es) if varying else np.zeros(np.shape(es))
         e_prime = -dfdx / lams
-    e_prime[undefined | (lams == 0.0)] = np.nan
+    e_prime[undefined | (lams == 0.0) | ~np.isfinite(lams)] = np.nan
     return e_prime, undefined
 
 

@@ -497,10 +497,13 @@ def compile_row(exprs):
     constant: compile_row evaluates it once with eval and binds the value,
     and nothing inside it, so every bound name occurs in the code.
     A constant subtree that raises there stays in the code, where it
-    raises at every x.  The assignments run in one try, and each distinct
-    result but a finite constant is tested by -inf < t < inf; where one
-    raises or a result is not finite, the function runs the tree walk on
-    its argument as given, which raises eval's ExprDomainError.
+    raises at every x.  The assignments run in one try, and the distinct
+    results but the finite constants are tested at once by one chained
+    comparison on their sum, -inf < t0 + t1 + ... < inf: a sum is finite
+    only where every term is.  Where an assignment raises or the sum is not
+    finite, the function runs the tree walk on its argument as given, which
+    raises eval's ExprDomainError where a result is not finite, and returns
+    the same values where finite results only sum past the float range.
 
     Every value and function enters the source as a name bound in the
     function's namespace, one name per distinct value (float.hex tells
@@ -515,7 +518,8 @@ def compile_row(exprs):
     own bound values, and its own ``source``.
     """
     exprs = tuple(exprs)
-    return _generate(exprs, "_row", "_float(arg)", "_ninf < {} < _inf", "[{}]", _float=float,
+    return _generate(exprs, "_row", "_float(arg)",
+                     lambda names: f"_ninf < {' + '.join(names)} < _inf", "[{}]", _float=float,
                      _inf=math.inf, _ninf=-math.inf, _walk=lambda x: [e.eval(x) for e in exprs])
 
 
@@ -638,13 +642,15 @@ def compile_dual(exprs):
         return values, tuple(np.full(values.shape[1], math.nan) for _ in exprs)
 
     return np.errstate(all="ignore")(_generate(
-        exprs, "_dual", "_variable(arg)", "_finite({0})", "_split(x, ({},))", _lift,
+        exprs, "_dual", "_variable(arg)",
+        lambda names: " and ".join(f"_finite({r})" for r in names), "_split(x, ({},))", _lift,
         _variable=_variable, _finite=_finite, _split=_split, _walk=walk))
 
 
 def _generate(exprs, name, prologue, test, out, call=None, **helpers):
     """compile_row's or compile_dual's function name(arg) with x = prologue;
-    test and out are formatted with result names, and a bound function
+    test(names) is the test of the distinct results that are not finite
+    constants, out is formatted with all result names, and a bound function
     enters as call(it)."""
     namespace = {"__builtins__": {}, "_errors": (ZeroDivisionError, OverflowError, ValueError),
                  **helpers}
@@ -686,11 +692,10 @@ def _generate(exprs, name, prologue, test, out, call=None, **helpers):
         mark(tree)
     results = [emit(tree) for tree in trees]
     # x and the _t locals are not in the namespace, so they read as nan here
-    tested = " and ".join(test.format(r) for r in dict.fromkeys(results)
-                          if not math.isfinite(namespace.get(r, math.nan)))
+    tested = [r for r in dict.fromkeys(results) if not math.isfinite(namespace.get(r, math.nan))]
     body = "".join(lines or ["        pass\n"])
     source = (f"def {name}(arg):\n    x = {prologue}\n    try:\n{body}    except _errors:\n"
-              f"        return _walk(arg)\n    if {tested or 'True'}:\n"
+              f"        return _walk(arg)\n    if {test(tested) if tested else 'True'}:\n"
               f"        return {out.format(', '.join(results))}\n    return _walk(arg)\n")
     exec(_compile(source, f"<compiled {name[1:]}>"), namespace)
     function = namespace[name]

@@ -44,12 +44,19 @@ _stage_solver) as straight-line float code: rows unpacked into locals,
 Horner one flat statement per coefficient from the leading one
 (_horner_lines), the inverse nine statements with the tableau as
 literals, and the finiteness and convergence tests chained comparisons.
-Written for rows of any length, an attempt spent most of its time on
-interpreter overhead (loops, calls, tuple unpacking), not arithmetic.
-The generated code runs the same IEEE operations in the same order as
-plain loops whose Horner also starts at the leading coefficient, so
-results are bit for bit theirs (reference_attempt and reference_integrate
-in tests/oracles.py).  A Horner seeded at 0.0 gives the same bits wherever
+An iteration tests convergence first and the update's finiteness only
+where that fails.  The stage values are tested before the stage rows are
+sampled, and after that only for rows of length 1: in a longer row's
+Horner sum a stage value that is not finite makes that stage's f, and
+so the whole update d = M (k - f), non-finite, and the update test
+raises the same NewtonFailure in the same iteration, while a row of
+length 1 gives f = a_0 whatever the stage values are.  Written for rows
+of any length, an attempt spent most of its time on interpreter overhead
+(loops, calls, tuple unpacking), not arithmetic.  The generated code
+runs the same IEEE operations in the same order as plain loops whose
+Horner also starts at the leading coefficient, so results are bit for
+bit theirs (reference_attempt and reference_integrate in
+tests/oracles.py).  A Horner seeded at 0.0 gives the same bits wherever
 a row's leading coefficient is nonzero; it differs only in the sign of a
 zero from a row of zeros led by -0.0 (core._horner).  Flat statements,
 unlike one nested Horner expression, compile for any degree: the nested
@@ -84,6 +91,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -323,12 +331,20 @@ def _stage_solver(m: int):
     iteration is straight-line code: Horner from the leading coefficient,
     one statement per coefficient and stage (_horner_lines), the update
     d = M r through the inline inverse M and k = k - d (k + (-d) bit for
-    bit), and the finiteness and convergence tests as chained comparisons
-    (the latter equal to max|d_i| <= threshold: the updates are finite
-    there and threshold is not negative).  Returns (y + h sum b_i k_i, k0,
-    k1, k2, iterations, row at x + h); raises NewtonFailure when the
-    iterations run out or a stage value or update is non-finite (it cannot
-    converge).
+    bit), then the convergence test, equal to max|d_i| <= threshold, and
+    where it fails the update's finiteness test, both chained comparisons
+    on inf and -inf held as locals.  A non-finite update never passes the
+    first: threshold is not negative, and an infinite one (atol / h past
+    the floats) is taken as the largest float, which every finite update
+    is within.  The iterations after the first test their stage values
+    only for m = 1: for m > 1 a stage value s that is not finite makes its
+    Horner sum f non-finite (each step multiplies a non-finite value by s
+    and adds a coefficient), so r = k - f is, and so is every d_i = sum_j
+    M_ij r_j, and the update test raises what the stage test would have,
+    in the same iteration; for m = 1, f = a_0 does not read s.  Returns
+    (y + h sum b_i k_i, k0, k1, k2, iterations, row at x + h); raises
+    NewtonFailure when the iterations run out or a stage value or update
+    is non-finite (it cannot converge).
     """
     # the tableau enters the code as literals: repr round-trips a finite float
     a, b, c = [repr(v) for v in _A], [repr(v) for v in _B], [repr(v) for v in _C]
@@ -336,34 +352,37 @@ def _stage_solver(m: int):
                     for i in range(3)]
     non_finite = ('raise NewtonFailure(f"non-finite stage update in iteration {iterations}'
                   ' at x={x!r}, h={h!r}")')
-    finite_stages = "if not (ninf < s0 < inf and ninf < s1 < inf and ninf < s2 < inf):"
+    finite_stages = ["if not (ninf < s0 < inf and ninf < s1 < inf and ninf < s2 < inf):",
+                     f"    {non_finite}"]
     iteration = [
         *(line for i in range(3)
           for line in _horner_lines(f"f{i}", [f"c{i}_{k}" for k in range(m)], f"s{i}")),
         *(f"r{i} = k{i} - f{i}" for i in range(3)),
         *(f"d{i} = m{i}0 * r0 + m{i}1 * r1 + m{i}2 * r2" for i in range(3)),
-        "if not (ninf < d0 < inf and ninf < d1 < inf and ninf < d2 < inf):",
-        f"    {non_finite}",
         *(f"k{i} = k{i} - d{i}" for i in range(3)),
         "if low <= d0 <= threshold and low <= d1 <= threshold and low <= d2 <= threshold:",
         f"    return y + h * ({b[0]} * k0 + {b[1]} * k1 + {b[2]} * k2),"
         " k0, k1, k2, iterations, p2",
+        "if not (ninf < d0 < inf and ninf < d1 < inf and ninf < d2 < inf):",
+        f"    {non_finite}",
         "if iterations == last:",
         '    raise NewtonFailure(f"no stage convergence in {last} iterations'
         ' at x={x!r}, h={h!r}")',
         "iterations += 1",
         *stage_values,
-        finite_stages,
-        f"    {non_finite}",
+        # where m > 1 the update test catches a non-finite stage value (docstring)
+        *(finite_stages if m == 1 else []),
     ]
     body = [
+        "ninf, inf = -1e999, 1e999",
         "z = h * slope",
         *_inverse_lines(),
+        # an infinite threshold would pass an infinite update as converged
+        f"if threshold == inf: threshold = {sys.float_info.max!r}",
         "low = -threshold",
         "iterations = 1",
         *stage_values,
-        finite_stages,
-        f"    {non_finite}",
+        *finite_stages,
         *(f"t{i} = x + {c[i]} * h" for i in range(3)),
         "p0, p1 = row(t0), row(t1)",
         "p2 = row(t2) if end is None else end",

@@ -98,10 +98,9 @@ class ReducedEquation:
     def coefficients(self, xs) -> np.ndarray:
         """c_1..c_degree at each abscissa of xs, shape (N, degree): one pass of
         a_1..a_n, the pivot as a float once per abscissa, and one array
-        _taylor_entry per c_k.  It is the stacked row(x)[1:] bit for bit but
-        where an entry is rescaled (the array rescale takes one shift for the
-        whole column), and a failing coefficient is raised before any pivot
-        call, as row(x) raises it at one abscissa."""
+        _taylor_entry per c_k.  It is the stacked row(x)[1:] bit for bit, and
+        a failing coefficient is raised before any pivot call, as row(x)
+        raises it at one abscissa."""
         xs = np.asarray(xs, dtype=float)
         tail, _ = self._tail_grid(xs)
         g = np.array([self.pivot(x) for x in xs.tolist()], dtype=float)

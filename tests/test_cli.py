@@ -369,6 +369,47 @@ class TestHypothesesCommand:
         assert all(None not in c["witness"].values()
                    for key, c in checks.items() if key not in ("A4", "B2"))
 
+    def test_infinite_eigenvalue_leaves_the_branch_slope_undefined(self, tmp_path):
+        # Lambda = F'(E) is inf at every branch point (E about 3.2e299), so
+        # E' = -(dF/dx) / Lambda is nan, not -0; no verdict reads it
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("degree = 3\ncoefficients = -x | 0 | 1e300 | -pi\n"
+                       "x0 = 0\nx_end = 20\n")
+        code, out, err = run(["hypotheses", cfg, "--out", tmp_path / "h"])
+        assert (code, err) == (2, "")
+        assert out == ("check  status        witness\n"
+                       "A1     fail          m=-3.14159265 worst_x=0\n"
+                       "A2     pass\n"
+                       "A3     pass          worst_value=3.18309886e+299\n"
+                       "A4     fail          worst_value=inf worst_x=0\n"
+                       "B1     pass          L=3.18309886e+299 sup_E=3.18309886e+299\n"
+                       "B2     fail          alpha0=-inf\n"
+                       "B3     inconclusive\n"
+                       "(grid-verified sampling check, not a proof)\n")
+        sampling = "grid-verified sampling check, not a proof"
+        assert read_report(tmp_path / "h") == {
+            "checks": [
+                {"id": "A1", "note": "leading coefficient not positive", "status": "fail",
+                 "witness": {"m": -3.141592653589793, "worst_x": 0.0}},
+                {"id": "A2", "note": sampling, "status": "pass", "witness": {}},
+                {"id": "A3", "note": sampling, "status": "pass",
+                 "witness": {"worst_value": 3.1830988618379066e+299}},
+                {"id": "A4", "note": ("non-negative eigenvalue on the branch; "
+                                      "not finite, written as null: worst_value=inf"),
+                 "status": "fail", "witness": {"worst_value": None, "worst_x": 0.0}},
+                {"id": "B1", "note": sampling, "status": "pass",
+                 "witness": {"L": 3.1830988618379066e+299, "sup_E": 3.183098861837907e+299}},
+                {"id": "B2", "note": "no positive decay floor; not finite, written as null: "
+                                     "alpha0=-inf", "status": "fail", "witness": {"alpha0": None}},
+                {"id": "B3", "note": "Phi or its growth over one grid cell exceeds the float range",
+                 "status": "inconclusive", "witness": {}}],
+            "grid": {"structural_count": 2001, "structural_end": 20.0, "structural_start": 0.0,
+                     "tail_count": 2001, "tail_end": 20.0, "tail_start": 0.0},
+            "note": sampling}
+        header, rows = read_rows(tmp_path / "h" / "branch.csv")
+        assert header == ["x", "E", "Lambda", "E_prime"] and len(rows) == 2001
+        assert {(row[2], row[3]) for row in rows} == {("inf", "nan")}
+
     def test_right_domain_edge_writes_the_report(self, tmp_path):
         # (1 - x)^1.5 is undefined just right of x_end = 1, and its slope is
         # finite there: the branch's last E' reads nothing past the edge

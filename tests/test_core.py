@@ -340,16 +340,30 @@ class TestTaylorShift:
                     assert math.isinf(value) and (value > 0) == (exact > 0)
         assert rescaled > 150
 
-    def test_arrays_match_scalar_entries_bit_for_bit(self):
-        # one polynomial per array entry; entries that never overflow keep
-        # the plain binomial sum's bits
+    @staticmethod
+    def _random_columns():
         rng = np.random.default_rng(7)
         scale = np.where(rng.random((4, 50)) < 0.5, 1.0, 1e307)
         rows = rng.uniform(-1.0, 1.0, (4, 50)) * scale * 10.0 ** rng.uniform(-3.0, 1.25, (4, 50))
-        g = rng.uniform(-1.5, 1.5, 50)
+        return rows, rng.uniform(-1.5, 1.5, 50)
+
+    @staticmethod
+    def _subnormal_scaled_columns():
+        # 0 | c | 0 | 7e307 + 3e307*x at x = 0 and 1 about g = 0: c_1 is
+        # rescaled at both, and the column's largest |c_3| (1e308, at x = 1)
+        # takes a larger shift than x = 0's own 7e307, under which c * 2^-e
+        # rounds differently in the subnormals
+        c = float.fromhex("0x1.0000000000014p-1022")
+        return np.array([[0.0, 0.0], [c, c], [0.0, 0.0], [7e307, 1e308]]), np.zeros(2)
+
+    @pytest.mark.parametrize("columns", ["_random_columns", "_subnormal_scaled_columns"])
+    def test_arrays_match_scalar_entries_bit_for_bit(self, columns):
+        # one polynomial per array entry; entries that never overflow keep
+        # the plain binomial sum's bits
+        rows, g = getattr(self, columns)()
         with np.errstate(over="ignore", invalid="ignore"):
             shifted = _taylor_entries(list(rows), g)
-            scalar = [_taylor_entries(rows[:, i].tolist(), float(g[i])) for i in range(50)]
+            scalar = [_taylor_entries(rows[:, i].tolist(), float(g[i])) for i in range(g.size)]
             plain = _binomial_horner(list(rows), g)
         assert np.array(shifted).T.tobytes() == np.array(scalar).tobytes()
         finite = np.isfinite(plain)

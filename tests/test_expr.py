@@ -470,6 +470,32 @@ class TestCompiledRow:
         for x, row in zip(xs, rows):
             assert np.array(row).tobytes() == _eval_outcome(exprs, x)
 
+    def test_finite_results_summing_past_the_float_range(self, eval_calls):
+        # each result is finite and their sum 2.5e308 + x is not: the one
+        # sum test sends the row to the tree walk, which returns its values
+        exprs = [parse(source) for source in ("1e308 + 0*x", "1.5e308 + 0*x", "x")]
+        row = compile_row(exprs)
+        assert "_ninf < _t1 + _t2 + x < _inf" in row.source
+        for x in (-2.0, -0.0, 3.5):
+            del eval_calls[:]
+            assert _row_outcome(row, x) == _eval_outcome(exprs, x) == \
+                np.array([1e308, 1.5e308, x]).tobytes()
+            assert eval_calls == [x] * 6  # the row's walk, then _eval_outcome's
+
+    @pytest.mark.parametrize("sources,x,message", [
+        # inf without a raise, and inf and -inf whose sum is NaN
+        (("1", "x*1e300", "x"), 1e10, r"^non-finite value inf at x=10000000000\.0$"),
+        (("1e308*x", "-1e308*x", "2"), 10.0, r"^non-finite value inf at x=10\.0$"),
+        # an operation that raises inside the generated code
+        (("x", "x^2", "exp(x)"), 1e200, r"^overflow evaluating '\^' at x=1e\+200$"),
+        (("x", "1", "exp(x)"), 1e3, r"^overflow in exp\(1000\.0\) at x=1000\.0$"),
+    ])
+    def test_one_non_finite_result_raises_the_walks_error(self, sources, x, message):
+        exprs = [parse(source) for source in sources]
+        with pytest.raises(ExprDomainError, match=message):
+            compile_row(exprs)(x)
+        assert _row_outcome(compile_row(exprs), x) == _eval_outcome(exprs, x)
+
     def test_nan_from_an_inf_literal_is_refused(self):
         expr = parse("1e999*0+1")
         with pytest.raises(ExprDomainError, match=r"^non-finite value nan at x=0\.0$"):

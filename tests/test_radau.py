@@ -236,6 +236,34 @@ class TestAttemptOracle:
         assert got == _attempt_outcome(reference_attempt, row, 0.0, y, h, config)
         assert got.startswith("non-finite stage update in iteration 1")
 
+    def test_infinite_update_under_an_infinite_threshold(self):
+        # at h = 1e-320 the Newton threshold newton_tol (atol / h + ...) is
+        # inf; a_0 jumps from -1e308 to 1e308 at the first stage's abscissa,
+        # so every update is -inf, which is not convergence but a failure
+        h = 1e-320
+        first = 0.0 + radau._C[0] * h
+
+        def row(x):
+            return [1e308 if x == first else -1e308, 1.0]
+
+        config = SolverConfig()
+        got = _attempt_outcome(_package_attempt, row, 0.0, 0.0, h, config)
+        assert got == _attempt_outcome(reference_attempt, row, 0.0, 0.0, h, config)
+        assert got == "non-finite stage update in iteration 1 at x=0.0, h=1e-320"
+
+    def test_length_one_row_with_stages_overflowing_later(self):
+        # y' = a_0(x) with a_0 = 1e308 past x = 0: the first iteration moves
+        # every k to 1e308, so the second's stage values y + h sum A_ij k_j
+        # overflow at h = 10; f does not read them, and the update would be
+        # 0, so only the stage-value test stops the solve
+        def row(x):
+            return [1e308 if x > 0.0 else 0.0]
+
+        config = SolverConfig()
+        got = _attempt_outcome(_package_attempt, row, 0.0, 0.0, 10.0, config)
+        assert got == _attempt_outcome(reference_attempt, row, 0.0, 0.0, 10.0, config)
+        assert got == "non-finite stage update in iteration 2 at x=0.0, h=10.0"
+
 
     def test_long_row_matches_reference(self):
         row, y, _ = _LONG_ROW
