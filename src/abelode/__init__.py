@@ -41,7 +41,7 @@ _EXPORTS = {
     "rate": ["PlateauDiagnostics", "RateBound", "diagnose", "rate_bound",
              "remainder_constant"],
     "reduction": ["NotASolutionError", "ReducedEquation", "ReductionError", "SecondKindForm",
-                  "reduce_about", "roundtrip_check", "to_second_kind"],
+                  "reduce_about", "roundtrip_check"],
     "finance": ["MertonParams", "SpreadCurve", "omega_exact", "omega_expansion",
                 "spread_coefficients", "spread_curve", "spread_normal_form"],
     "cases": ["CaseRun", "CaseStudy", "get_case", "run_case"],

@@ -228,6 +228,8 @@ def _cmd_reduce(args) -> int:
         x_end = args.x_max if args.x_max is not None else eq_cfg.x_end
     if not x_end > equation.x0:
         raise ValueError(f"x_max={x_end!r} must exceed x0={equation.x0!r}")
+    if not math.isfinite(x_end - equation.x0):  # linspace would write nan and inf rows
+        raise ValueError(f"x_end - x0 overflows for x0={equation.x0!r}, x_end={x_end!r}")
 
     xs = np.linspace(equation.x0, x_end, 101)  # the rows of reduce.csv, x0 the first
     try:

@@ -316,13 +316,17 @@ def _horner(coefficients: list[float], y: float) -> float:
     An array result is one new array: the first step c_{m-1} y + c_{m-2}
     allocates it, and each later step multiplies and adds into it in place
     (on floats, acc *= y is acc = acc * y).  Those are the rounded
-    operations of acc = acc * y + c, so no bit differs, and the caller's
-    columns and y are never written.  acc holds y's shape and type from the
-    first step on, so only adding a c can be refused: a c with more
-    dimensions, one that widens a size-1 axis of acc, or one numpy will not
-    cast into acc (a float c on integer rows); that step allocates.  A
-    float32 acc would take a float64 c at its own precision, so rows are
-    float64 arrays or floats.
+    operations of acc = acc * y + c, so no bit of a number differs, and the
+    caller's columns and y are never written.  A NaN result's sign and
+    payload are not fixed: where a NaN product meets a NaN coefficient
+    (0 inf + nan), numpy's in-place add keeps the coefficient's NaN and the
+    allocating add the product's.  No output shows them: CSV writes nan
+    and JSON null.  acc holds y's shape and type from the first step on,
+    so only adding a c can be refused: a c with more dimensions, one that
+    widens a size-1 axis of acc, or one numpy will not cast into acc (a
+    float c on integer rows); that step allocates.  A float32 acc would
+    take a float64 c at its own precision, so rows are float64 arrays or
+    floats.
     """
     if len(coefficients) == 0:
         return 0.0

@@ -119,7 +119,7 @@ _CONSTANTS = {
 }
 
 #: deepest nesting accepted (see _climb); parsing recurses at most four
-#: frames per level, evaluation, printing and code generation one
+#: frames per level, evaluation and code generation one
 _MAX_DEPTH = 100
 
 #: code objects _compile keeps, a few KB each: a long-lived process fed
@@ -171,20 +171,10 @@ class _Num(NamedTuple):
 
     operands = ()
 
-    def pretty(self) -> str:
-        return _format_number(self.value)
-
-    precedence = 5
-
 
 class _Var(NamedTuple):
     def eval(self, x: float) -> float:
         return x
-
-    def pretty(self) -> str:
-        return "x"
-
-    precedence = 5
 
 
 class _Const(NamedTuple):
@@ -195,16 +185,9 @@ class _Const(NamedTuple):
 
     operands = ()
 
-    def pretty(self) -> str:
-        return self.name
-
-    precedence = 5
-
 
 class _Neg(NamedTuple):
     operand: object
-
-    precedence = 3
 
     def eval(self, x: float) -> float:
         return 0.0 - self.operand.eval(x)
@@ -216,13 +199,8 @@ class _Neg(NamedTuple):
     def emit(self, bind, operand: str) -> str:
         return f"0.0 - {operand}"
 
-    def pretty(self) -> str:
-        inner = self.operand.pretty()
-        if self.operand.precedence < self.precedence:
-            inner = f"({inner})"
-        return f"-{inner}"
 
-
+#: the binding power of each binary operator, as _climb reads it
 _BIN_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
 
@@ -230,10 +208,6 @@ class _Bin(NamedTuple):
     op: str
     left: object
     right: object
-
-    @property
-    def precedence(self) -> int:
-        return _BIN_PRECEDENCE[self.op]
 
     def eval(self, x: float) -> float:
         a = self.left.eval(x)
@@ -268,31 +242,10 @@ class _Bin(NamedTuple):
             return f"{bind(math.pow)}({left}, {right})"
         return f"{left} {self.op} {right}"
 
-    def pretty(self) -> str:
-        prec = self.precedence
-        left = self.left.pretty()
-        right = self.right.pretty()
-        # "^" is right-associative, the rest left-associative: parenthesize
-        # the side whose implicit grouping the bare text would get wrong.
-        # An exponent is a factor, so a unary minus there needs none.
-        if self.op == "^":
-            if self.left.precedence <= prec:
-                left = f"({left})"
-            if self.right.precedence < prec and not isinstance(self.right, _Neg):
-                right = f"({right})"
-        else:
-            if self.left.precedence < prec:
-                left = f"({left})"
-            if self.right.precedence <= prec:
-                right = f"({right})"
-        return f"{left} {self.op} {right}" if prec == 1 else f"{left}{self.op}{right}"
-
 
 class _Call(NamedTuple):
     name: str
     argument: object
-
-    precedence = 5
 
     def eval(self, x: float) -> float:
         value = self.argument.eval(x)
@@ -314,16 +267,6 @@ class _Call(NamedTuple):
 
     def emit(self, bind, argument: str) -> str:
         return f"{bind(_FUNCTIONS[self.name])}({argument})"
-
-    def pretty(self) -> str:
-        return f"{self.name}({self.argument.pretty()})"
-
-
-def _format_number(value: float) -> str:
-    if value == math.inf:
-        return "1e999"  # a literal that overflows, as the one parsed did
-    text = repr(value)
-    return text[:-2] if text.endswith(".0") else text
 
 
 #: one token after optional whitespace: a NUMBER, a run of name letters or
@@ -450,10 +393,6 @@ class Expr:
         if not math.isfinite(value):
             raise ExprDomainError(f"non-finite value {value!r} at x={x!r}")
         return value
-
-    def pretty(self) -> str:
-        """Render with minimal parentheses; parse(pretty()) evaluates identically."""
-        return self.ast.pretty()
 
     def __repr__(self) -> str:
         return f"Expr({self.source!r})"

@@ -43,7 +43,6 @@ __all__ = [
     "spread_normal_form",
     "omega_exact",
     "omega_expansion",
-    "quadratic_residual",
     "parametric_equation",
     "spread_curve",
 ]
@@ -150,12 +149,6 @@ def omega_expansion(p: MertonParams, x: float, s: float) -> float:
     return t / (mu * x) - sq * t * t / (2.0 * mu**3 * x) + sq * sq * t**3 / (
         2.0 * mu**5 * x
     )
-
-
-def quadratic_residual(p: MertonParams, x: float, s: float, omega: float) -> float:
-    """Residual of  (1/2) sigma(x)^2 x^2 w^2 + mu x w - (s + r)  at w = omega."""
-    sq = volatility_factor(p, x)
-    return 0.5 * sq * x * x * omega * omega + p.mu * x * omega - (s + p.r)
 
 
 def parametric_equation(p: MertonParams, x0: float = PARAMETRIC_X0) -> AbelEquation:

@@ -110,17 +110,6 @@ class HypothesisReport:
     def has_fail(self) -> bool:
         return any(e.status == "fail" for e in self.entries.values())
 
-    @property
-    def all_pass(self) -> bool:
-        return all(e.status == "pass" for e in self.entries.values())
-
-    def merged(self, other: "HypothesisReport") -> "HypothesisReport":
-        entries = dict(self.entries)
-        entries.update(other.entries)
-        info = dict(self.grid_info)
-        info.update(other.grid_info)
-        return HypothesisReport(entries, info, {**self.branch, **other.branch})
-
     def to_json(self) -> str:
         payload = {
             "note": self.note,
@@ -246,11 +235,8 @@ def check_structural(nf: NormalForm, branch: EquilibriumBranch) -> HypothesisRep
     return HypothesisReport(entries, _grid_info(xs, "structural"))
 
 
-def check_asymptotic(
-    nf: NormalForm,
-    branch: EquilibriumBranch,
-) -> HypothesisReport:
-    """B1..B3 over the branch tail, read off the branch alone (nf is unread)."""
+def check_asymptotic(branch: EquilibriumBranch) -> HypothesisReport:
+    """B1..B3 over the branch tail, read off the branch alone."""
     entries: dict[str, HypothesisEntry] = {}
 
     limit = branch.L
@@ -319,10 +305,12 @@ def _check_b3(branch: EquilibriumBranch) -> HypothesisEntry:
 
 
 def verify(nf: NormalForm, branch: EquilibriumBranch) -> HypothesisReport:
-    """Structural and asymptotic checks combined into one report, with the
-    branch's ambiguity (ambiguous_count, refinements, note) where it had
-    ambiguous points."""
-    report = check_structural(nf, branch).merged(check_asymptotic(nf, branch))
+    """Structural and asymptotic checks in one report, the structural entries
+    and grid first, with the branch's ambiguity (ambiguous_count,
+    refinements, note) where it had ambiguous points."""
+    structural, asymptotic = check_structural(nf, branch), check_asymptotic(branch)
+    report = HypothesisReport({**structural.entries, **asymptotic.entries},
+                              {**structural.grid_info, **asymptotic.grid_info})
     if branch.ambiguous_count:
         report.branch = {"ambiguous_count": branch.ambiguous_count,
                          "refinements": branch.refinements, "note": branch.note}

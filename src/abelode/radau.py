@@ -224,8 +224,6 @@ def _inverse_lines():
 
 
 _stability_denominator = _define("stability denominator", "Q(z)", [f"return {_DENOMINATOR}"])
-_newton_inverse = _define("Newton inverse", "inverse(z)", [
-    *_inverse_lines(), f"return {', '.join(f'm{i}{j}' for i in range(3) for j in range(3))}"])
 
 
 def stability_value(z: complex) -> complex:

@@ -48,7 +48,6 @@ __all__ = [
     "ReducedEquation",
     "SecondKindForm",
     "reduce_about",
-    "to_second_kind",
     "roundtrip_check",
 ]
 
@@ -107,9 +106,6 @@ class ReducedEquation:
         columns = [None, *tail]  # entry 0, a_0, is never read
         with np.errstate(over="ignore", invalid="ignore"):  # as on floats: inf or NaN, no warning
             return np.column_stack([_taylor_entry(columns, g, k) for k in range(1, len(columns))])
-
-    def rhs(self, x: float, v: float) -> float:
-        return _horner(self.row(x), v)
 
     def row(self, x: float) -> list[float]:
         """[0, c_1(x), ..., c_degree(x)]: the ascending coefficients in v of v',
@@ -208,10 +204,6 @@ def reduce_about(
         raise ValueError(f"unknown pivot kind {kind!r}")
     _check_pivot(equation, pivot_fn, xs, kind)
     return ReducedEquation(equation, pivot_fn)
-
-
-def to_second_kind(reduced: ReducedEquation) -> SecondKindForm:
-    return SecondKindForm(reduced)
 
 
 def roundtrip_check(

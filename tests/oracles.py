@@ -795,6 +795,26 @@ def polyroots_60(row):
             return None
 
 
+def quadratic_residual(p, x, s, omega):
+    """Residual of  (1/2) sigma(x)^2 x^2 w^2 + mu x w - (s + r)  at w = omega,
+    sigma(x)^2 = sigma0_sq (1 + eta1 x + eta2 x^2) from the fields of the
+    model parameters p."""
+    sq = p.sigma0_sq * (1.0 + p.eta1 * x + p.eta2 * x * x)
+    return 0.5 * sq * x * x * omega * omega + p.mu * x * omega - (s + p.r)
+
+
+def linear_first_order(c1, antiderivative, c2, w0, x, dps=50):
+    """(w(x), w'(x)) as floats for w' = -(c1(t) w + c2(t)), w(0) = w0, where
+    antiderivative is C(t) = int_0^t c1: w = exp(-C(x)) (w0 - int_0^x c2
+    exp(C)), the integral by mpmath.quad, all at dps digits.  The callables
+    take and return mpmath numbers."""
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(x)
+        integral = mpmath.quad(lambda t: c2(t) * mpmath.exp(antiderivative(t)), [0, x])
+        w = mpmath.exp(-antiderivative(x)) * (mpmath.mpf(w0) - integral)
+        return float(w), float(-(c1(x) * w + c2(x)))
+
+
 def reference_check_pivot(row_at, pivot, xs, kind):
     """The degree reduction's pivot check as two per-abscissa loops, one per
     pivot kind, frozen: row_at(x) is the base row [a_0(x), ..., a_n(x)].

@@ -451,10 +451,14 @@ class TestHypothesesCommand:
         (["integrate", "--branch"], "grid span overflows for [-1e+308, 1e+308]"),
         # a run without a branch builds no grid: the integrator refuses it
         (["integrate"], "x_end - x0 overflows for x0=-1e+308, x_end=1e+308"),
+        # and reduce, before its reduce.csv rows are spaced over the span
+        (["reduce", "--ep", "0.41421356237309515", "--config"],
+         "x_end - x0 overflows for x0=-1e+308, x_end=1e+308"),
     ])
     def test_overflowing_span_exits_64_at_once(self, tmp_path, command, message):
         # x_end - x0 overflows: hypotheses used to warn, write a branch.csv
-        # starting at nan and exit 64; integrate to make max_steps attempts
+        # starting at nan and exit 64; integrate to make max_steps attempts;
+        # reduce to warn, write reduce.csv rows at x = nan and inf and exit 0
         cfg = tmp_path / "span.cfg"
         cfg.write_text("degree = 3\ncoefficients = 1 | -3 | 1 | 1\n"
                        "x0 = -1e308\nx_end = 1e308\n")

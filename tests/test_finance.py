@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import quadratic_residual
+
 from abelode import cases, core, equilibrium, finance
 from abelode.core import BranchError
 from abelode.expr import ExprDomainError
@@ -13,7 +15,6 @@ from abelode.finance import (
     omega_exact,
     omega_expansion,
     parametric_equation,
-    quadratic_residual,
     spread_coefficients,
     spread_curve,
     spread_normal_form,

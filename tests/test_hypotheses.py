@@ -41,7 +41,6 @@ class TestCaseReports:
         report = case_runs[cid].report
         for check in ALL_CHECKS:
             assert report[check].status == "pass", check
-        assert report.all_pass
         assert not report.has_fail
 
     def test_every_pass_is_labelled_as_sampling_only(self, case_runs):
@@ -55,7 +54,6 @@ class TestCaseReports:
         assert report["A3"].status == "inconclusive"
         assert report["A3"].witness["worst_x"] == 1.0
         assert not report.has_fail
-        assert not report.all_pass
 
     def test_divergent_damping_reciprocal_is_inconclusive(self, case_runs):
         entry = case_runs[2].report["B3"]
@@ -157,15 +155,15 @@ class TestHandBuiltVerdicts:
         assert entry.note == "no positive branch value at an interior grid point"
 
     def test_negative_limit_fails_b1(self):
-        nf, branch = self._branch(np.full(20, -0.5), np.full(20, -1.0))
-        entry = check_asymptotic(nf, branch)["B1"]
+        _, branch = self._branch(np.full(20, -0.5), np.full(20, -1.0))
+        entry = check_asymptotic(branch)["B1"]
         assert entry.status == "fail"
         assert entry.witness == {"L": -0.5}
         assert entry.note == "tail limit not positive"
 
     def test_decay_floor_inside_the_threshold_leaves_b2_open(self):
-        nf, branch = self._branch(np.ones(5), np.full(5, -0.5 * ALPHA_FLOOR))
-        entry = check_asymptotic(nf, branch)["B2"]
+        _, branch = self._branch(np.ones(5), np.full(5, -0.5 * ALPHA_FLOOR))
+        entry = check_asymptotic(branch)["B2"]
         assert entry.status == "inconclusive"
         assert entry.witness == {"alpha0": 0.5 * ALPHA_FLOOR}
         assert entry.note == "decay floor below the resolvable threshold"
@@ -288,7 +286,7 @@ class TestDomainEdge:
                                    leading=[1.0, 1.0], rows=[[-1.0, 1.0], [-1.0, 1.0]],
                                    **_slopes(nf, [1.0, 2.0], [1.0, 1.0], [-1.0, -1.0]))
         assert branch.undefined_slopes.tolist() == [True, True]
-        entry = check_asymptotic(nf, branch)["B3"]
+        entry = check_asymptotic(branch)["B3"]
         assert entry.status == "inconclusive"
         assert entry.note == ("branch derivative undefined at x=1.0: "
                               "a coefficient or its x-derivative does not evaluate there")
@@ -315,7 +313,7 @@ class TestDomainEdge:
                                    leading=[1.0, 1.0], rows=[[-1.0, 1.0], [-1.0, 1.0]],
                                    **_slopes(nf, [1.0, 2.0], [1.0, 1.0], [0.0, -1.0]))
         assert branch.undefined_slopes.tolist() == [True, True]
-        entry = check_asymptotic(nf, branch)["B3"]
+        entry = check_asymptotic(branch)["B3"]
         assert entry.note == "branch derivative undefined (zero eigenvalue) on the grid"
 
 
@@ -348,7 +346,7 @@ class TestThresholds:
 
     def test_phi_past_the_float_range_is_inconclusive(self):
         # a_n Lambda = 4000: Phi grows by exp(1000) inside each cell
-        entry = check_asymptotic(self.nf, self._flat_branch(4000.0))["B3"]
+        entry = check_asymptotic(self._flat_branch(4000.0))["B3"]
         assert entry.status == "inconclusive"
         assert entry.note == B3_PHI_RANGE
 
@@ -359,13 +357,17 @@ class TestThresholds:
 
 
 class TestReportPlumbing:
-    def test_merged_combines_both_halves(self, case_runs):
-        run = case_runs[1]
+    def test_verify_joins_both_halves_in_order(self, case_runs):
+        # A1..A4 then B1..B3, and the structural grid then the tail's
+        run = case_runs[2]
         structural = check_structural(run.nf, run.branch)
-        asymptotic = check_asymptotic(run.nf, run.branch)
-        merged = structural.merged(asymptotic)
-        for check in ALL_CHECKS:
-            assert merged[check] is not None
+        asymptotic = check_asymptotic(run.branch)
+        report = verify(run.nf, run.branch)
+        assert list(report.entries) == list(ALL_CHECKS)
+        assert report.entries == {**structural.entries, **asymptotic.entries}
+        assert list(report.grid_info.items()) == [*structural.grid_info.items(),
+                                                  *asymptotic.grid_info.items()]
+        assert report.branch == {}
 
     def test_json_round_trip_and_ordering(self, case_runs):
         payload = json.loads(case_runs[1].report.to_json())

@@ -12,6 +12,7 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,14 +45,14 @@ PUBLIC_NAMES = [
     "integrate_rhs", "normalize", "omega_exact", "omega_expansion", "parse", "radau_tableau",
     "rate_bound", "real_roots", "reduce_about", "remainder_constant", "roundtrip_check",
     "run_case", "spread_coefficients", "spread_curve", "spread_normal_form", "stability_value",
-    "step", "to_second_kind", "verify",
+    "step", "verify",
 ]
 
 #: parameter names of every exported function, in order
 PARAMETERS = {
     "branch_limit": ["branch"],
     "build_equation": ["coeff_sources", "x0"],
-    "check_asymptotic": ["nf", "branch"],
+    "check_asymptotic": ["branch"],
     "check_structural": ["nf", "branch"],
     "continue_branch": ["nf", "grid"],
     "diagnose": ["result", "branch", "config"],
@@ -76,7 +77,6 @@ PARAMETERS = {
     "spread_normal_form": ["p", "x"],
     "stability_value": ["z"],
     "step": ["row", "x", "y", "h", "config"],
-    "to_second_kind": ["reduced"],
     "verify": ["nf", "branch"],
 }
 
@@ -101,6 +101,44 @@ def _field_names(record):
 def test_exported_names():
     assert sorted(abelode.__all__) == PUBLIC_NAMES
     assert all(hasattr(abelode, name) for name in PUBLIC_NAMES)
+
+
+#: exported names that nothing reads but the tests, each with why it stays
+UNREAD_EXPORTS = {
+    "SecondKindForm": "the paper's second-kind form of the degree reduction, which "
+                      "test_reduction.py checks against closed forms and a quadrature",
+}
+
+#: a "layer.name" string, as perfbench/tracing.py names what it wraps
+_LAYER_NAME = re.compile(r"[a-z]+\.([A-Za-z_]\w*)")
+
+
+def _identifiers(path, layer_names=False) -> set[str]:
+    """The names and attribute names the file at path reads, and with
+    layer_names the name in each "layer.name" string."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif layer_names and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            match = _LAYER_NAME.fullmatch(node.value)
+            if match:
+                found.add(match[1])
+    return found
+
+
+def test_every_export_has_a_reader():
+    # an export read by no module of the package (its own module's uses
+    # count, __all__ strings do not), by perfbench and by no acceptance test
+    # is kept only by tests: it goes, or it is named above with its reason
+    source_dir = Path(abelode.__file__).resolve().parent
+    readers = set().union(
+        *(_identifiers(path) for path in source_dir.glob("*.py") if path.name != "__init__.py"),
+        *(_identifiers(path, layer_names=True) for path in PERFBENCH.glob("*.py")),
+        _identifiers(Path(__file__).with_name("test_acceptance.py")))
+    assert {name for name in abelode.__all__ if name not in readers} == set(UNREAD_EXPORTS)
 
 
 def test_exports_are_their_defining_modules_objects():

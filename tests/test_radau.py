@@ -18,7 +18,6 @@ from abelode.radau import (
     NewtonFailure,
     OrderTestError,
     SolverConfig,
-    _newton_inverse,
     empirical_order,
     integrate,
     integrate_fixed_rhs,
@@ -91,6 +90,12 @@ class TestStabilityFunction:
     def test_imaginary_axis_bounded(self):
         for w in (0.1, 1.0, 10.0, 50.0):
             assert abs(stability_value(1j * w)) <= 1.0 + 1e-12
+
+
+#: (I - z A)^-1 as its nine entries, row by row, from the statements the
+#: generated stage solver inlines
+_newton_inverse = radau._define("Newton inverse", "inverse(z)", [
+    *radau._inverse_lines(), f"return {', '.join(f'm{i}{j}' for i in range(3) for j in range(3))}"])
 
 
 class TestNewtonInverse:

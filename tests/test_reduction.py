@@ -2,21 +2,22 @@ import math
 import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_check_pivot, taylor_power_sum
+from oracles import linear_first_order, reference_check_pivot, taylor_power_sum
 
-from abelode.core import _taylor_entry, build_equation
+from abelode.core import SolverConfig, _horner, _taylor_entry, build_equation
 from abelode.expr import ExprDomainError
 from abelode.radau import integrate
 from abelode.reduction import (
     NotASolutionError,
     ReducedEquation,
+    SecondKindForm,
     reduce_about,
     roundtrip_check,
-    to_second_kind,
 )
 
 CASE1_SOURCES = ["1", "-3", "1", "1"]
@@ -109,7 +110,7 @@ class TestReduceAbout:
         red = reduce_about(case1(), 1.0, PROBES)
         from abelode.core import eval_rhs
         for u in (-0.3, 0.1, 0.8):
-            assert red.rhs(0.5, u) == pytest.approx(
+            assert _horner(red.row(0.5), u) == pytest.approx(
                 eval_rhs(case1(), 0.5, 1.0 + u), rel=1e-12, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -326,7 +327,7 @@ class TestPivotTypes:
 
 class TestSecondKind:
     def test_coefficient_triple(self):
-        form = to_second_kind(reduce_about(case1(), 1.0, PROBES))
+        form = SecondKindForm(reduce_about(case1(), 1.0, PROBES))
         assert form.reduced.row(0.0)[1:] == [2.0, 4.0, 1.0]
 
     @pytest.mark.parametrize("x,v,sources", [
@@ -339,12 +340,12 @@ class TestSecondKind:
         # w = 1/v turns v' = rhs(x, v) into w' = -rhs(x, v) / v^2, the
         # second-kind equation: the residual is rounding alone
         reduced = reduce_about(build_equation(sources, 0.0), 1.0, PROBES)
-        w_prime = -reduced.rhs(x, v) / v**2
-        residual = to_second_kind(reduced).residual(x, 1.0 / v, w_prime)
+        w_prime = -_horner(reduced.row(x), v) / v**2
+        residual = SecondKindForm(reduced).residual(x, 1.0 / v, w_prime)
         assert abs(residual) <= 1e-12 * (1.0 + abs(w_prime))
 
     def test_zero_state_rejected(self):
-        form = to_second_kind(reduce_about(case1(), 1.0, PROBES))
+        form = SecondKindForm(reduce_about(case1(), 1.0, PROBES))
         with pytest.raises(ZeroDivisionError):
             form.rhs(0.0, 0.0)
 
@@ -354,7 +355,7 @@ class TestSecondKind:
         # w' = 2 tanh(x) w + 1, solved by w = cosh(x)^2 (w0 + tanh x); y =
         # tanh + 1/w then solves y' = 1 - y^2 from y(0) = 1/w0
         riccati = build_equation(["1", "0", "-1"], 0.0)
-        form = to_second_kind(reduce_about(riccati, math.tanh, PROBES, kind="solution"))
+        form = SecondKindForm(reduce_about(riccati, math.tanh, PROBES, kind="solution"))
         marks = [0.5, 1.0, 2.0, 3.0]
         for x in [0.0, *marks]:
             w = math.cosh(x) ** 2 * (w0 + math.tanh(x))
@@ -365,6 +366,34 @@ class TestSecondKind:
         assert result.completed
         assert np.max(np.abs(result.interp(marks) - exact)) <= 1e-6
 
+    def test_riccati_about_a_known_solution_against_quadrature(self):
+        # y' = a_0 + a_1 y + y^2 with a_1 = -3 and the solution g = 0.5 +
+        # 0.3 exp(-0.7 x), so a_0 = g' - a_1 g - g^2; about g, c_1 = -3 + 2 g
+        # and c_2 = 1, and w = 1/(y - g) solves w' = -(c_1 w + c_2), one
+        # quadrature from w(0) = w0 (oracles.linear_first_order)
+        def g(x):
+            return 0.5 + 0.3 * math.exp(-0.7 * x)
+
+        def g_mp(t):
+            return mpmath.mpf("0.5") + mpmath.mpf("0.3") * mpmath.exp(-rate * t)
+
+        source = "(0.5 + 0.3*exp(-0.7*x))"
+        equation = build_equation([f"-0.21*exp(-0.7*x) + 3*{source} - {source}^2", "-3", "1"],
+                                  0.0)
+        marks = [0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0]
+        form = SecondKindForm(reduce_about(equation, g, [0.0, *marks], kind="solution"))
+        w0, rate = 5.0, mpmath.mpf("0.7")
+        exact = {x: linear_first_order(
+            lambda t: 2 * g_mp(t) - 3,
+            lambda t: -2 * t + mpmath.mpf("0.6") / rate * (1 - mpmath.exp(-rate * t)),
+            lambda t: mpmath.mpf(1), w0, x) for x in [0.0, *marks]}
+        for x, (w, w_prime) in exact.items():
+            assert abs(form.residual(x, w, w_prime)) <= 1e-12 * (1.0 + abs(w_prime))
+        result = integrate(equation, g(0.0) + 1.0 / w0, marks[-1],
+                           SolverConfig(atol=1e-12, rtol=1e-12), checkpoints=marks)
+        assert result.completed
+        trajectory = [g(x) + 1.0 / exact[x][0] for x in marks]
+        assert np.max(np.abs(result.interp(marks) - trajectory)) <= 1e-8
 
 class TestRoundTrip:
     def test_equilibrium_pivot_round_trip(self):
