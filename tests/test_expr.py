@@ -176,6 +176,20 @@ class TestEdges:
     def test_accepted(self, source, canonical):
         assert _shape(parse(source).ast) == _shape(parse(canonical).ast)
 
+    @pytest.mark.parametrize("source,canonical", [
+        ("1e999", "1e999"),
+        ("2^1e999", "2^1e999"),
+        ("1E+400*0 + x", "1e999*0 + x"),
+    ])
+    def test_overflowing_literal_parses_as_one_that_overflows(self, source, canonical):
+        # a literal past the float range is accepted as an inf number: the
+        # evaluation, not the parse, refuses the non-finite value it gives
+        shape = _shape(parse(source).ast)
+        assert shape == _shape(parse(canonical).ast)
+        assert math.inf in _numbers(shape)
+        with pytest.raises(ExprDomainError, match=r"^non-finite value "):
+            parse(source)(0.5)
+
 
 def _shape(node):
     """A syntax tree as the nested tuples reference_parse gives."""
@@ -191,6 +205,13 @@ def _shape(node):
     if kind == "_Bin":
         return ("bin", node.op, _shape(node.left), _shape(node.right))
     return ("call", node.name, _shape(node.argument))
+
+
+def _numbers(shape):
+    """The number literals of a _shape tree, left to right."""
+    if shape[0] == "num":
+        return [shape[1]]
+    return [value for part in shape[1:] if isinstance(part, tuple) for value in _numbers(part)]
 
 
 def _parsed(parser, error, source):
