@@ -14,12 +14,13 @@ line on top.
 resolved from its defining module on access (PEP 562), which loads that
 module the first time, so a caller pays only for the modules it reaches;
 ``abelode.integrate`` loads core, expr and radau, not the branch,
-hypothesis, finance or reduction modules.  ``abelode.get_case`` and
-``abelode.SolverConfig`` load no radau: the first loads cases, core and
-expr, the second core and expr, and a run's branch, report, result and
-diagnostics stages load equilibrium, hypotheses, radau and rate when they
-first run.  Each CLI subcommand likewise imports only the modules it
-runs, so hypotheses and reduce load no integrator.
+hypothesis, finance or reduction modules.  ``abelode.get_case`` loads
+cases, core and expr, and ``abelode.SolverConfig`` and
+``abelode.GridSpec`` core and expr, so none of them loads a stage: a run's
+branch, report, result and diagnostics stages load equilibrium,
+hypotheses, radau and rate when they first run.  Each CLI subcommand
+likewise imports only the modules it runs, so hypotheses and reduce load
+no integrator.
 """
 
 from importlib import import_module
@@ -28,11 +29,11 @@ __version__ = "0.1.0"
 
 #: the names the package exports, by defining module
 _EXPORTS = {
-    "core": ["AbelEquation", "BranchError", "LeadingCoefficientError", "NewtonFailure",
-             "NormalForm", "OrderTestError", "SolverConfig", "ZeroEigenvalueError",
-             "build_equation", "eval_drhs", "eval_rhs", "normalize"],
-    "equilibrium": ["BranchPoint", "EquilibriumBranch", "GridSpec", "branch_limit",
-                    "continue_branch", "real_roots"],
+    "core": ["AbelEquation", "BranchError", "GridSpec", "LeadingCoefficientError",
+             "NewtonFailure", "NormalForm", "OrderTestError", "SolverConfig",
+             "ZeroEigenvalueError", "build_equation", "eval_drhs", "eval_rhs", "normalize"],
+    "equilibrium": ["BranchPoint", "EquilibriumBranch", "branch_limit", "continue_branch",
+                    "real_roots"],
     "expr": ["Expr", "ExprDomainError", "ExprError", "ExprSyntaxError", "parse"],
     "hypotheses": ["HypothesisEntry", "HypothesisReport", "check_asymptotic",
                    "check_structural", "verify"],

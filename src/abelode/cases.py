@@ -23,9 +23,9 @@ Integration always starts exactly at the case's x0 with y = 0.  Analysis
 is the pipeline every caller (run_case, spread_curve, the CLI) reads.
 
 Importing this module loads only core and expr, so reading a case
-equation (get_case) loads no integrator, branch, hypothesis or rate code:
-each Analysis stage imports its module (equilibrium, hypotheses, radau,
-rate) when it first runs, and branch_grid imports GridSpec.
+equation (get_case) or its grid (branch_grid) loads no integrator,
+branch, hypothesis or rate code: each Analysis stage imports its module
+(equilibrium, hypotheses, radau, rate) when it first runs.
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import TYPE_CHECKING, Optional
 
-from .core import AbelEquation, BranchError, NormalForm, SolverConfig, build_equation, normalize
+from .core import (AbelEquation, BranchError, GridSpec, NormalForm, SolverConfig, _require_span,
+                   build_equation, normalize)
 
 if TYPE_CHECKING:
-    from .equilibrium import EquilibriumBranch, GridSpec
+    from .equilibrium import EquilibriumBranch
     from .hypotheses import HypothesisReport
     from .radau import IntegrationResult
     from .rate import PlateauDiagnostics
@@ -68,8 +69,6 @@ class CaseStudy:
         return self.equation.x0
 
     def branch_grid(self, x_max: Optional[float] = None) -> GridSpec:
-        from .equilibrium import GridSpec
-
         horizon = self.default_x_end if x_max is None else x_max
         if self.id == 1:
             return GridSpec(0.0, max(20.0, horizon), 2001, "linear")
@@ -135,7 +134,7 @@ class Analysis:
     equation: AbelEquation
     y0: float
     x_end: float
-    grid: Optional[GridSpec]  # None only where branch, report and diagnostics go unread
+    grid: GridSpec
     config: SolverConfig
 
     @cached_property
@@ -198,8 +197,7 @@ def run_case(
     case's default_x_end); every stage runs before it returns."""
     case = get_case(case_id)
     horizon = case.default_x_end if x_max is None else float(x_max)
-    if not horizon > case.x0:
-        raise ValueError(f"x_max={horizon!r} must exceed x0={case.x0!r}")
+    _require_span(x0=case.x0, x_max=horizon)
     run = CaseRun(case.equation, 0.0, horizon, case.branch_grid(horizon),
                   config or SolverConfig(), case=case)
     run.nf, run.branch, run.report, run.result, run.diagnostics  # every stage, in order

@@ -25,8 +25,8 @@ import numpy as np
 
 from .cases import Analysis, get_case, run_case
 from .config import ConfigError, equation_config, load_pairs, merton_params, solver_config
-from .core import (BranchError, NewtonFailure, OrderTestError, SolverConfig,
-                   ZeroEigenvalueError)
+from .core import (BranchError, GridSpec, NewtonFailure, OrderTestError, SolverConfig,
+                   ZeroEigenvalueError, _require_span)
 from .expr import ExprError
 
 if TYPE_CHECKING:
@@ -158,15 +158,11 @@ def _solver_from_flags(args, base: SolverConfig | None = None) -> SolverConfig:
     return replace(config, **updates) if updates else config
 
 
-def _config_analysis(args, branch: bool) -> Analysis:
-    """The config file's equation on a 2,001-point linear grid from x0, or
-    with no grid (and no equilibrium import) for a run that reads no branch."""
+def _config_analysis(args) -> Analysis:
+    """The config file's equation on a 2,001-point linear grid from x0 to
+    x_end."""
     eq_cfg = equation_config(load_pairs(args.config))
-    grid = None
-    if branch:
-        from .equilibrium import GridSpec
-
-        grid = GridSpec(eq_cfg.equation.x0, eq_cfg.x_end, 2001, "linear")
+    grid = GridSpec(eq_cfg.equation.x0, eq_cfg.x_end, 2001, "linear")
     return Analysis(eq_cfg.equation, eq_cfg.y0, eq_cfg.x_end, grid,
                     _solver_from_flags(args, eq_cfg.solver))
 
@@ -193,7 +189,7 @@ def _cmd_case(args) -> int:
 
 def _cmd_integrate(args) -> int:
     want_branch = args.branch or args.hypotheses
-    run = _config_analysis(args, want_branch)
+    run = _config_analysis(args)
     result = run.result
     out_dir = _ensure_dir(args.out or "integrate-output")
     _write_trajectory(out_dir, result, args.gnuplot)
@@ -208,7 +204,7 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_hypotheses(args) -> int:
-    run = _config_analysis(args, True)
+    run = _config_analysis(args)
     out_dir = _ensure_dir(args.out or "hypotheses-output")
     return _exit_code(None, _branch_outputs(run, out_dir, True))
 
@@ -226,10 +222,7 @@ def _cmd_reduce(args) -> int:
         eq_cfg = equation_config(load_pairs(args.config))
         equation = eq_cfg.equation
         x_end = args.x_max if args.x_max is not None else eq_cfg.x_end
-    if not x_end > equation.x0:
-        raise ValueError(f"x_max={x_end!r} must exceed x0={equation.x0!r}")
-    if not math.isfinite(x_end - equation.x0):  # linspace would write nan and inf rows
-        raise ValueError(f"x_end - x0 overflows for x0={equation.x0!r}, x_end={x_end!r}")
+    _require_span(x0=equation.x0, x_max=x_end)  # before linspace spaces rows over it
 
     xs = np.linspace(equation.x0, x_end, 101)  # the rows of reduce.csv, x0 the first
     try:

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
-from .core import AbelEquation, SolverConfig, build_equation
+from .core import AbelEquation, SolverConfig, _require_span, build_equation
 from .expr import ExprError
 
 if TYPE_CHECKING:
@@ -63,10 +63,6 @@ class EquationConfig:
     y0: float
     x_end: float
     solver: SolverConfig
-
-    @property
-    def degree(self) -> int:
-        return self.equation.degree
 
     def build(self) -> AbelEquation:
         return self.equation
@@ -149,8 +145,10 @@ def equation_config(pairs: dict[str, str]) -> EquationConfig:
     x0 = _get_float(pairs, "x0") if "x0" in pairs else 0.0
     y0 = _get_float(pairs, "y0") if "y0" in pairs else 0.0
     x_end = _get_float(pairs, "x_end")
-    if not x_end > x0:
-        raise ConfigError(f"x_end={x_end!r} must exceed x0={x0!r}")
+    try:
+        _require_span(x0=x0, x_end=x_end)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     solver = solver_config(pairs)
     try:
         equation = build_equation(sources, x0=x0)

@@ -38,12 +38,14 @@ once and runs the pass again on those where it evaluates.  These are the
 only checks of a_n: normalize evaluates nothing, so a zero of a_n
 outside the abscissae a run samples is never met.
 
-SolverConfig, the integrator's tolerances and guards, and the exceptions
-every stage raises (BranchError, ZeroEigenvalueError, NewtonFailure and
-OrderTestError) live here beside the equation types, so that a caller
-which only builds a configuration or names an exception loads no stage
-module: radau, the only module that integrates, is loaded by the first
-integration.
+SolverConfig, the integrator's tolerances and guards, GridSpec, the grid
+a branch is continued on, and the exceptions every stage raises
+(BranchError, ZeroEigenvalueError, NewtonFailure and OrderTestError) live
+here beside the equation types, so that a caller which only builds a
+configuration or a grid or names an exception loads no stage module.
+_require_span is the one check of an interval [x0, x_end], made before
+anything is evaluated on it, under the bound names the caller's user
+knows (a case run's x_max, a grid's x_start).
 
 All types are immutable after construction and can be shared freely
 across threads; the only state they hold beyond their fields is the
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -71,6 +74,7 @@ __all__ = [
     "NewtonFailure",
     "OrderTestError",
     "SolverConfig",
+    "GridSpec",
     "build_equation",
     "normalize",
     "eval_rhs",
@@ -258,6 +262,59 @@ def _require_finite(**values) -> None:
         _require_real(name, value)
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _require_span(**bounds) -> float:
+    """end - start for two keyword bounds, start first, each named by its
+    keyword: ValueError unless both are finite real numbers
+    (_require_finite), end exceeds start and end - start is finite."""
+    _require_finite(**bounds)
+    (start, u), (end, v) = bounds.items()
+    if not v > u:
+        raise ValueError(f"{end}={v!r} must exceed {start}={u!r}")
+    if not math.isfinite(float(v) - float(u)):  # numpy scalars would warn
+        raise ValueError(f"{end} - {start} overflows for {start}={u!r}, {end}={v!r}")
+    return v - u
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """A sampling grid on [x_start, x_end], linear or logarithmic."""
+
+    x_start: float
+    x_end: float
+    count: int
+    spacing: str = "linear"  # "linear" | "log"
+
+    def __post_init__(self):
+        if not isinstance(self.count, (int, np.integer)):
+            raise ValueError(f"grid count must be an integer, got {self.count!r}")
+        if self.count < 2:
+            raise ValueError("grid needs at least 2 points")
+        _require_span(x_start=self.x_start, x_end=self.x_end)
+        if self.spacing not in ("linear", "log"):
+            raise ValueError(f"unknown spacing {self.spacing!r}")
+        if self.spacing == "log" and self.x_start <= 0.0:
+            raise ValueError("log spacing needs x_start > 0")
+
+    def xs(self) -> np.ndarray:
+        if self.spacing == "log":
+            return np.geomspace(self.x_start, self.x_end, self.count)
+        return np.linspace(self.x_start, self.x_end, self.count)
+
+    def midpoint(self, a: float, b: float) -> float:
+        # refinement midpoint in the grid's own metric; sqrt(a) sqrt(b) only
+        # where a * b overflows or leaves the normal floats, and 0.5 a + 0.5 b
+        # only where a + b overflows (the span check admits such a grid)
+        if self.spacing == "log":
+            product = a * b
+            if sys.float_info.min <= product < math.inf:
+                return math.sqrt(product)
+            return math.sqrt(a) * math.sqrt(b)
+        total = a + b
+        if math.isfinite(total):
+            return 0.5 * total
+        return 0.5 * a + 0.5 * b
 
 
 @dataclass(frozen=True)

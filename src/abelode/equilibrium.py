@@ -53,17 +53,15 @@ Lambda as chords of the branch's values and eigenvalues.
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BranchError, NormalForm, _horner, _require_real, _taylor_entry
+from .core import BranchError, GridSpec, NormalForm, _horner, _taylor_entry
 from .expr import ExprDomainError
 
 __all__ = [
-    "GridSpec",
     "BranchPoint",
     "EquilibriumBranch",
     "real_roots",
@@ -98,53 +96,6 @@ JUMP_FRACTION = 0.25
 #: tail window and relative spread for the numerical limit estimate
 LIMIT_TAIL_WINDOW = 16
 LIMIT_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """A sampling grid on [x_start, x_end], linear or logarithmic."""
-
-    x_start: float
-    x_end: float
-    count: int
-    spacing: str = "linear"  # "linear" | "log"
-
-    def __post_init__(self):
-        if not isinstance(self.count, (int, np.integer)):
-            raise ValueError(f"grid count must be an integer, got {self.count!r}")
-        if self.count < 2:
-            raise ValueError("grid needs at least 2 points")
-        _require_real("x_start", self.x_start)
-        _require_real("x_end", self.x_end)
-        if not (math.isfinite(self.x_start) and math.isfinite(self.x_end)):
-            raise ValueError(f"grid bounds must be finite, got [{self.x_start!r}, {self.x_end!r}]")
-        if not self.x_end > self.x_start:
-            raise ValueError("x_end must exceed x_start")
-        if not math.isfinite(float(self.x_end) - float(self.x_start)):
-            raise ValueError(f"grid span overflows for [{self.x_start!r}, {self.x_end!r}]")
-        if self.spacing not in ("linear", "log"):
-            raise ValueError(f"unknown spacing {self.spacing!r}")
-        if self.spacing == "log" and self.x_start <= 0.0:
-            raise ValueError("log spacing needs x_start > 0")
-
-    def xs(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.x_start, self.x_end, self.count)
-        return np.linspace(self.x_start, self.x_end, self.count)
-
-    def midpoint(self, a: float, b: float) -> float:
-        # refinement midpoint in the grid's own metric; sqrt(a) sqrt(b) only
-        # where a * b overflows or leaves the normal floats, and 0.5 a + 0.5 b
-        # only where a + b overflows (the span check admits such a grid)
-        if self.spacing == "log":
-            product = a * b
-            if sys.float_info.min <= product < math.inf:
-                return math.sqrt(product)
-            return math.sqrt(a) * math.sqrt(b)
-        total = a + b
-        if math.isfinite(total):
-            return 0.5 * total
-        return 0.5 * a + 0.5 * b
 
 
 @dataclass(frozen=True)

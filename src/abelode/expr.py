@@ -177,15 +177,6 @@ class _Var(NamedTuple):
         return x
 
 
-class _Const(NamedTuple):
-    name: str
-
-    def eval(self, x: float) -> float:
-        return _CONSTANTS[self.name]
-
-    operands = ()
-
-
 class _Neg(NamedTuple):
     operand: object
 
@@ -360,7 +351,7 @@ def _atom(token: str, tokens: list, level: int) -> tuple[object, int]:
             raise _Refusal(_TOO_DEEP, len(tokens) + 1, past=True)
         return _Call(token, argument), height + 1
     if token in _CONSTANTS:
-        return _Const(token), 1
+        return _Num(_CONSTANTS[token]), 1
     if first.isalpha() or first == "_":
         raise _Refusal(f"unknown identifier {token!r}", len(tokens) + 1)
     raise _Refusal("expected a number, name or parenthesis", len(tokens) + 1)

@@ -33,7 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .cases import Analysis, get_case
-from .core import AbelEquation, SolverConfig, _require_finite, build_equation
+from .core import (AbelEquation, GridSpec, SolverConfig, _require_finite, _require_span,
+                   build_equation)
 
 __all__ = [
     "MertonParams",
@@ -208,8 +209,6 @@ def spread_curve(
     cannot be continued, the curve is still integrated and diagnosed
     without it, and branch and report raise the BranchError.
     """
-    from .equilibrium import GridSpec
-
     if params is None:
         start = LITERAL_X0 if x0 is None else x0
         equation = replace(get_case(1).equation, x0=float(start))
@@ -218,8 +217,7 @@ def spread_curve(
         if not start > 0.0:
             raise ValueError("parametric mode needs x0 > 0 (1/x singularity)")
         equation = parametric_equation(params, x0=start)
-    if not x_end > start:
-        raise ValueError(f"x_end={x_end!r} must exceed x0={start!r}")
+    _require_span(x0=start, x_end=x_end)
 
     grid = GridSpec(start, x_end, 801, "linear")
     if params is not None and not params.volatility_positive_on(grid.xs()):

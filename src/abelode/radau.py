@@ -97,7 +97,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AbelEquation, NewtonFailure, OrderTestError, SolverConfig, _horner,
-                   _require_finite, _taylor_entry)
+                   _require_finite, _require_span, _taylor_entry)
 from .expr import _compile
 
 __all__ = [
@@ -234,17 +234,6 @@ def stability_value(z: complex) -> complex:
     if den == 0.0:
         raise PoleError(f"stability function pole at z={z!r}")
     return num / den
-
-
-def _span(x0, y0, x_end) -> float:
-    """x_end - x0, which must be finite and positive, for finite real x0, y0
-    and x_end (ValueError)."""
-    _require_finite(x0=x0, y0=y0, x_end=x_end)
-    if not x_end > x0:
-        raise ValueError("x_end must exceed x0")
-    if not math.isfinite(float(x_end) - float(x0)):  # numpy scalars would warn
-        raise ValueError(f"x_end - x0 overflows for x0={x0!r}, x_end={x_end!r}")
-    return x_end - x0
 
 
 @dataclass(frozen=True)
@@ -518,7 +507,8 @@ def integrate_rhs(row, x0: float, y0: float, x_end: float, config: SolverConfig 
     truncated step lands off x + h.
     """
     config = config or SolverConfig()
-    span = _span(x0, y0, x_end)
+    _require_finite(y0=y0)
+    span = _require_span(x0=x0, x_end=x_end)
     h_max = config.h_max if config.h_max is not None else span / 10.0
     h = config.h0 if config.h0 is not None else 1e-3 * span
     h = min(h, h_max)
@@ -608,7 +598,8 @@ def integrate_fixed_rhs(row, x0: float, y0: float, x_end: float, h: float,
     step) or a step that would not move x is a ValueError naming its size.
     """
     config = config or SolverConfig()
-    span = _span(x0, y0, x_end)
+    _require_finite(y0=y0)
+    span = _require_span(x0=x0, x_end=x_end)
     _require_finite(h=h)
     if h <= 0.0:
         raise ValueError("h must be positive")
@@ -662,7 +653,8 @@ def empirical_order(equation: AbelEquation, y0: float, x_end: float, h_list,
         _require_finite(**{f"h_list[{i}]": h})
         if not h > 0.0:
             raise ValueError(f"h_list[{i}] must be positive, got {h!r}")
-    span = _span(equation.x0, y0, x_end)
+    _require_finite(y0=y0)
+    span = _require_span(x0=equation.x0, x_end=x_end)
     i = min(range(len(h_list)), key=lambda i: float(h_list[i]))
     h_ref = float(h_list[i]) / 16.0
     max_steps = (config or SolverConfig()).max_steps

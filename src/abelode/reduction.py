@@ -36,7 +36,8 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .core import AbelEquation, SolverConfig, _horner, _require_real, _taylor_entry
+from .core import (AbelEquation, SolverConfig, _horner, _require_real, _require_span,
+                   _taylor_entry)
 from .expr import compile_dual, compile_row
 
 if TYPE_CHECKING:
@@ -220,15 +221,16 @@ def roundtrip_check(
 
     Returns (max |y - (pivot + v)| over checkpoints, original run,
     reduced run).  Both runs are forced to land on the checkpoints so no
-    interpolation error enters the comparison.  The pivot is checked at
-    x0 and at every checkpoint, x_end the last.
+    interpolation error enters the comparison.  [x0, x_end] is refused
+    (ValueError) before anything is evaluated; the pivot is checked at x0
+    and at every checkpoint, x_end the last.
     """
     from .radau import integrate, integrate_rhs
 
     x0 = equation.x0
+    span = _require_span(x0=x0, x_end=x_end)
     if checkpoints is None:
         count = 9
-        span = x_end - x0
         checkpoints = [x0 + span * (i + 1) / (count + 1) for i in range(count)]
     marks = sorted({float(p) for p in checkpoints if x0 < p <= x_end} | {float(x_end)})
     reduced = reduce_about(equation, pivot, [x0, *marks], kind)

@@ -24,6 +24,8 @@ FAR_ZERO_CFG = ("degree = 3\ncoefficients = 10 - x | -3*(10 - x) | 10 - x | 10 -
                 "x0 = 0\ny0 = 0\nx_end = 5\n")
 CASE1_ONE_STEP_CFG = ("degree = 3\ncoefficients = 1 | -3 | 1 | 1\n"
                       "x0 = 0\ny0 = 0\nx_end = 20\nmax_steps = 1\n")
+#: the refusal of the span from x0 = -1e308 to x_end = 1e308
+SPAN_OVERFLOW = "x_end - x0 overflows for x0=-1e+308, x_end=1e+308"
 
 
 def run(argv):
@@ -447,24 +449,28 @@ class TestHypothesesCommand:
         assert "integration failed" in err
 
     @pytest.mark.parametrize("command, message", [
-        (["hypotheses"], "grid span overflows for [-1e+308, 1e+308]"),
-        (["integrate", "--branch"], "grid span overflows for [-1e+308, 1e+308]"),
-        # a run without a branch builds no grid: the integrator refuses it
-        (["integrate"], "x_end - x0 overflows for x0=-1e+308, x_end=1e+308"),
-        # and reduce, before its reduce.csv rows are spaced over the span
-        (["reduce", "--ep", "0.41421356237309515", "--config"],
-         "x_end - x0 overflows for x0=-1e+308, x_end=1e+308"),
+        # the config is refused as one, whichever subcommand reads it
+        (["hypotheses", "{cfg}"], f"config error: {SPAN_OVERFLOW}"),
+        (["integrate", "--branch", "{cfg}"], f"config error: {SPAN_OVERFLOW}"),
+        (["integrate", "{cfg}"], f"config error: {SPAN_OVERFLOW}"),
+        (["reduce", "--ep", "0.41421356237309515", "--config", "{cfg}"],
+         f"config error: {SPAN_OVERFLOW}"),
+        # spread's bounds are flags, refused before its grid is spaced over them
+        (["spread", "--literal-case1", "--x0=-1e308", "--x-max", "1e308"],
+         f"error: {SPAN_OVERFLOW}"),
     ])
     def test_overflowing_span_exits_64_at_once(self, tmp_path, command, message):
         # x_end - x0 overflows: hypotheses used to warn, write a branch.csv
         # starting at nan and exit 64; integrate to make max_steps attempts;
-        # reduce to warn, write reduce.csv rows at x = nan and inf and exit 0
+        # reduce to warn, write reduce.csv rows at x = nan and inf and exit 0;
+        # the four then refused it with two different lines
         cfg = tmp_path / "span.cfg"
         cfg.write_text("degree = 3\ncoefficients = 1 | -3 | 1 | 1\n"
                        "x0 = -1e308\nx_end = 1e308\n")
-        code, out, err = run([*command, cfg, "--out", tmp_path / "o"])
+        code, out, err = run([arg.format(cfg=cfg) for arg in command]
+                             + ["--out", tmp_path / "o"])
         assert (code, out) == (64, "")
-        assert err == f"error: {message}\n"
+        assert err == f"{message}\n"
         assert not (tmp_path / "o").exists()
 
     def test_passing_report_exits_0(self, tmp_path):

@@ -54,7 +54,7 @@ class TestParsePairs:
 class TestEquationConfig:
     def test_round_trip_to_equation(self):
         cfg = equation_config(parse_pairs(GOOD))
-        assert cfg.degree == 3
+        assert cfg.equation.degree == 3
         assert cfg.equation.x0 == 0.0 and cfg.y0 == 0.0  # defaults
         assert cfg.x_end == 20.0
         eq = cfg.equation

@@ -198,13 +198,20 @@ def _shape(node):
         return ("num", node.value)
     if kind == "_Var":
         return ("x",)
-    if kind == "_Const":
-        return ("const", node.name)
     if kind == "_Neg":
         return ("neg", _shape(node.operand))
     if kind == "_Bin":
         return ("bin", node.op, _shape(node.left), _shape(node.right))
     return ("call", node.name, _shape(node.argument))
+
+
+def _constants_as_numbers(tree):
+    """A reference_parse tree with each ("const", name) read as the number
+    parse binds the name to."""
+    if tree[0] == "const":
+        return ("num", {"pi": math.pi, "e": math.e}[tree[1]])
+    return tuple(_constants_as_numbers(part) if isinstance(part, tuple) else part
+                 for part in tree)
 
 
 def _numbers(shape):
@@ -257,7 +264,8 @@ class TestReferenceParser:
     @staticmethod
     def _check(source):
         got = _parsed(lambda text: _shape(parse(text).ast), ExprSyntaxError, source)
-        assert got == _parsed(reference_parse, ReferenceSyntaxError, source)
+        assert got == _parsed(lambda text: _constants_as_numbers(reference_parse(text)),
+                              ReferenceSyntaxError, source)
 
 
 class TestRoundTrip:

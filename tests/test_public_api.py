@@ -22,7 +22,7 @@ import pytest
 
 import abelode
 from abelode import (
-    AbelEquation, CaseRun, CaseStudy, EquationConfig, EquilibriumBranch, GridSpec,
+    AbelEquation, CaseRun, CaseStudy, EquilibriumBranch, GridSpec,
     HypothesisReport, IntegrationResult, NormalForm, ReducedEquation, SpreadCurve,
     branch_limit, build_equation, continue_branch, integrate, normalize, rate_bound,
     spread_curve,
@@ -82,12 +82,17 @@ PARAMETERS = {
 
 #: underscore names each module of the package imports from another one
 PRIVATE_IMPORTS = {
-    "equilibrium": ["core._horner", "core._require_real", "core._taylor_entry"],
-    "finance": ["core._require_finite"],
+    "cases": ["core._require_span"],
+    "cli": ["core._require_span"],
+    "config": ["core._require_span"],
+    "equilibrium": ["core._horner", "core._taylor_entry"],
+    "finance": ["core._require_finite", "core._require_span"],
     "hypotheses": ["rate._drift_integral"],
-    "radau": ["core._horner", "core._require_finite", "core._taylor_entry", "expr._compile"],
+    "radau": ["core._horner", "core._require_finite", "core._require_span", "core._taylor_entry",
+              "expr._compile"],
     "rate": ["core._taylor_entry"],
-    "reduction": ["core._horner", "core._require_real", "core._taylor_entry"],
+    "reduction": ["core._horner", "core._require_real", "core._require_span",
+                  "core._taylor_entry"],
 }
 
 #: X._name reads each module makes of an underscore name it does not define
@@ -281,7 +286,7 @@ STAGE_LOADS = [
 
 @pytest.mark.parametrize("stage,loaded,not_loaded", STAGE_LOADS)
 def test_each_stage_loads_its_module_when_it_first_runs(tmp_path, stage, loaded, not_loaded):
-    # an unread case run has loaded equilibrium only for its grid's GridSpec;
+    # an unread case run, its grid built, has loaded no stage module;
     # reading one stage loads that stage's module and the modules it reads,
     # and no other
     code = CASES_SET_UP + (
@@ -289,7 +294,7 @@ def test_each_stage_loads_its_module_when_it_first_runs(tmp_path, stage, loaded,
         "run = abelode.CaseRun(case.equation, 0.0, 20.0, case.branch_grid(20.0),\n"
         "                      config.SolverConfig(), case=case)\n")
     before = _modules_after(code, tmp_path)
-    assert not before & {f"abelode.{m}" for m in ("hypotheses", "radau", "rate")}
+    assert not before & {f"abelode.{m}" for m in (*STAGE_MODULES, "radau")}
     after = _modules_after(code + f"run.{stage}\n", tmp_path)
     assert {f"abelode.{m}" for m in loaded} <= after
     assert not {f"abelode.{m}" for m in not_loaded} & after
@@ -385,6 +390,24 @@ def test_private_imports():
                     if alias.name.startswith("_"))
     assert {module: names for module, names in found.items() if names} == PRIVATE_IMPORTS
     assert {module: names for module, names in reads.items() if names} == PRIVATE_READS
+
+
+#: the wordings of the span rule's refusals, which core._require_span writes
+SPAN_WORDINGS = (" must exceed ", " overflows for ")
+
+
+def test_span_rule_is_written_once():
+    # every interval [x0, x_end] is refused through core._require_span: a
+    # string constant of another module with one of its wordings is a copy
+    source_dir = Path(abelode.__file__).resolve().parent
+    holders = {wording: set() for wording in SPAN_WORDINGS}
+    for path in sorted(source_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for wording in SPAN_WORDINGS:
+                    if wording in node.value:
+                        holders[wording].add(path.stem)
+    assert holders == {wording: {"core"} for wording in SPAN_WORDINGS}
 
 
 #: the Analysis inputs every run record starts with; its stages are not fields
@@ -493,10 +516,10 @@ def test_benchmark_case_ops_pass_their_oracles(workloads, tmp_path):
 
 
 def test_derived_attributes_read_their_sources(case_runs):
-    # sixteen values that other fields of the same record determine are
+    # fifteen values that other fields of the same record determine are
     # read-only properties, so no record can contradict itself
     derived = [(AbelEquation, "degree"), (NormalForm, "degree"), (ReducedEquation, "degree"),
-               (EquationConfig, "degree"), (CaseStudy, "x0"), (EquilibriumBranch, "L"),
+               (CaseStudy, "x0"), (EquilibriumBranch, "L"),
                (EquilibriumBranch, "note"), (HypothesisReport, "note"),
                (IntegrationResult, "n_accepted"),
                (IntegrationResult, "final_x"), (IntegrationResult, "final_y"),
@@ -526,7 +549,7 @@ def test_derived_attributes_read_their_sources(case_runs):
     assert curve.plateau_bp == 1e4 * curve.diagnostics.L_numeric
 
     config = equation_config(parse_pairs("degree = 2\ncoefficients = 1 | 0 | -1\nx_end = 10\n"))
-    assert config.degree == config.equation.degree == 2 and config.build() is config.equation
+    assert config.equation.degree == 2 and config.build() is config.equation
 
     # (y+1)(y-1)(y-2)(y-3)(y-4): two positive stable roots at each of 101 points
     nf = normalize(build_equation(["24", "-26", "-15", "25", "-9", "1"], 0.0))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import linear_first_order, reference_check_pivot, taylor_power_sum
 
+from abelode.cases import get_case
 from abelode.core import SolverConfig, _horner, _taylor_entry, build_equation
 from abelode.expr import ExprDomainError
 from abelode.radau import integrate
@@ -413,6 +414,21 @@ class TestRoundTrip:
         assert worst <= 1e-6
         with pytest.raises(NotASolutionError, match=r"^pivot value 0\.0 is not a root at x=12\.0: "):
             roundtrip_check(kink, 0.0, 0.5, 20.0, checkpoints=[2.0, 8.0, 12.0])
+
+    @pytest.mark.parametrize("x_end", [0.0, 1.0])
+    def test_horizon_refused_before_any_evaluation(self, x_end):
+        # reduce_about used to check the pivot at x_end first: at x_end = 0,
+        # case 2's 1 - 1/x raised ExprDomainError (division by zero)
+        calls = []
+
+        def pivot(x):
+            calls.append(x)
+            return 0.3819660112501051
+
+        message = f"^{re.escape(f'x_end={x_end!r} must exceed x0=1.0')}$"
+        with pytest.raises(ValueError, match=message):
+            roundtrip_check(get_case(2).equation, pivot, 0.0, x_end)
+        assert calls == []
 
     def test_overflowing_jacobian_round_trip(self):
         # both runs ended newton-failure while 2 c_2 = inf made J NaN at y = 0
